@@ -14,13 +14,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.detection import detection_mask, radius_matrix
+from ..core.detection import detection_mask_rtt
 from ..core.igreedy import IGreedyConfig, IGreedyResult, igreedy
 from ..core.samples import LatencySample
 from ..geo.cities import CityDB, default_city_db
 from ..internet.topology import SyntheticInternet
 from ..measurement.campaign import Census
-from ..obs import current_metrics
+from ..obs import current_metrics, current_tracer
 from .combine import RttMatrix
 
 
@@ -66,6 +66,34 @@ class AnalysisResult:
         return sum(r.replica_count for r in self.results.values())
 
 
+def detect_targets(
+    matrix: RttMatrix, config: IGreedyConfig, min_samples: int
+) -> np.ndarray:
+    """The census-wide detection tier: one verdict per matrix row.
+
+    The speed-of-light filter over every row that replied to at least
+    ``min_samples`` vantage points, read block by block off the (possibly
+    memory-mapped) float32 plane.
+    """
+    tracer = current_tracer()
+    with tracer.span("coverage"):
+        vp_dist = matrix.vp_distance_matrix()
+        filled = (~np.isnan(matrix.rtt_ms)).sum(axis=1)
+    mask = detection_mask_rtt(vp_dist, matrix.rtt_ms, config.speed_km_per_ms)
+    mask &= filled >= min_samples
+
+    metrics = current_metrics()
+    if metrics.enabled:
+        metrics.gauge("rtt_matrix_cells").set(int(matrix.rtt_ms.size))
+        metrics.gauge("rtt_matrix_filled_cells").set(int(filled.sum()))
+        metrics.gauge("rtt_matrix_targets").set(matrix.n_targets)
+        if matrix.store is not None:
+            metrics.gauge("matrix_store_bytes").set(int(matrix.store.nbytes))
+        metrics.counter("targets_analyzed").inc(matrix.n_targets)
+        metrics.counter("targets_classified_anycast").inc(int(mask.sum()))
+    return mask
+
+
 def analyze_matrix(
     matrix: RttMatrix,
     city_db: Optional[CityDB] = None,
@@ -100,21 +128,7 @@ def analyze_matrix(
             workers=workers or 0,
         )
 
-    metrics = current_metrics()
-
-    vp_dist = matrix.vp_distance_matrix()
-    radii = radius_matrix(matrix.rtt_ms, cfg.speed_km_per_ms)
-    filled = (~np.isnan(matrix.rtt_ms)).sum(axis=1)
-    enough = filled >= min_samples
-    mask = detection_mask(vp_dist, radii) & enough
-
-    if metrics.enabled:
-        metrics.gauge("rtt_matrix_cells").set(int(matrix.rtt_ms.size))
-        metrics.gauge("rtt_matrix_filled_cells").set(int(filled.sum()))
-        metrics.gauge("rtt_matrix_targets").set(matrix.n_targets)
-        metrics.counter("targets_analyzed").inc(matrix.n_targets)
-        metrics.counter("targets_classified_anycast").inc(int(mask.sum()))
-
+    mask = detect_targets(matrix, cfg, min_samples)
     result = AnalysisResult(prefixes=matrix.prefixes, anycast_mask=mask)
     for row in np.nonzero(mask)[0]:
         prefix = int(matrix.prefixes[row])

@@ -11,8 +11,18 @@ optimization leans on (Sec. 3.5): **the disk centers are fixed**.
 
 * :class:`SharedGeometry` computes the VP-to-VP great-circle matrix once
   per :class:`~repro.census.combine.RttMatrix` (cached on the matrix
-  object) and derives every target's disk-overlap matrix as a slice of
-  that cache plus a radii outer sum — zero per-target trigonometry.
+  object); any row of any target's disk-overlap matrix is a gather from
+  that cache plus a radii sum — zero per-target trigonometry.
+* :meth:`FastAnalysisEngine.analyze_rows` analyses a *block of rows at
+  once* — the single entry point of the study, the pool workers and the
+  service.  One 2-D lexsort orders every target's samples, the witness
+  pair comes from a batched first-disjoint-pair search
+  (:func:`first_disjoint_pairs`), and greedy MIS runs as rounds across
+  all targets simultaneously (:func:`greedy_mis_rounds`: argmin radius
+  among still-available disks, lowest slot on ties, then strike its
+  overlap row) — O(k·V) per target instead of a V×V overlap matrix, and
+  the same kernel serves the iterative collapse rounds over the VP+city
+  matrix.
 * Classification reads a cached city-to-VP distance matrix and the
   gazetteer's cached population array, with a per-``(vp_index, radius)``
   replica cache (iterative enumeration re-classifies near-identical
@@ -27,7 +37,8 @@ any worker count, the fast path's :class:`AnalysisResult` is equivalent
 object-for-object to the reference path's — same prefixes, masks,
 replica cities, confidences and iteration counts.  Equality is bitwise
 because every distance consumed here is produced by the same elementwise
-haversine the reference calls, just computed once instead of per target
+haversine the reference calls, just computed once instead of per target,
+and every radius sum is associated as the reference associates it
 (see ``tests/test_fastpath_equivalence.py``).
 """
 
@@ -39,15 +50,110 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.detection import DetectionResult, detection_mask, radius_matrix
-from ..core.enumeration import greedy_mis
-from ..core.geolocation import classify_disks
+from ..core.detection import DetectionResult, radius_matrix
 from ..core.igreedy import IGreedyConfig, IGreedyResult, _dedup_by_city
 from ..geo.cities import CityDB, default_city_db
 from ..geo.coords import pairwise_distances_from_radians
 from ..geo.disks import Disk
 from ..obs import current_metrics, current_tracer
 from .combine import RttMatrix
+
+
+#: Cells per (rows, V) plane of one analysis block: 2 MB of float64.
+_BLOCK_CELLS = 1 << 18
+
+
+def _observe_all(histogram, values: np.ndarray) -> None:
+    for value in values.tolist():
+        histogram.observe(value)
+
+
+def overlap_rows(
+    gap: np.ndarray, point_ids: np.ndarray, radii_km: np.ndarray, slot: np.ndarray
+) -> np.ndarray:
+    """Row ``slot[t]`` of every target's disk-overlap matrix, (T, V) bool.
+
+    Equivalent to the same row of :func:`repro.geo.disks.overlap_matrix`
+    on target *t*'s disks — a gather from the cached ``gap`` matrix plus a
+    radii sum instead of fresh haversine.  NaN radii (padding slots past
+    a target's samples) overlap nothing.
+    """
+    each = np.arange(len(slot))
+    gaps = gap[point_ids[each, slot][:, None], point_ids]
+    return gaps <= radii_km[each, slot][:, None] + radii_km + 1e-9
+
+
+def first_disjoint_pairs(
+    gap: np.ndarray, point_ids: np.ndarray, radii_km: np.ndarray, n_samples: np.ndarray
+) -> np.ndarray:
+    """First disjoint disk pair of every target in row-major order, (T, 2).
+
+    The batched ``np.argwhere(~overlap_matrix)[0]``: overlap row 0 of
+    every target at once, then row 1 of those still without a pair, and
+    so on — a detected target almost always settles on its first
+    (minimum-radius) row.  ``(-1, -1)`` where every pair overlaps.
+    """
+    witness = np.full((len(point_ids), 2), -1, dtype=np.int64)
+    slots = np.arange(point_ids.shape[1])
+    row = 0
+    open_ = np.nonzero(n_samples >= 2)[0]
+    while len(open_):
+        disjoint = ~overlap_rows(
+            gap, point_ids[open_], radii_km[open_], np.full(len(open_), row)
+        )
+        disjoint &= slots < n_samples[open_, None]
+        hit = disjoint.any(axis=1)
+        witness[open_[hit], 0] = row
+        witness[open_[hit], 1] = disjoint[hit].argmax(axis=1)
+        row += 1
+        open_ = open_[~hit]
+        open_ = open_[n_samples[open_] > row]
+    return witness
+
+
+def greedy_mis_rounds(
+    gap: np.ndarray, point_ids: np.ndarray, radii_km: np.ndarray, candidates: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy MIS (smallest radius first) of every target simultaneously.
+
+    Round *k* picks each live target's *k*-th disk — the minimum radius
+    among its still-available candidates, lowest slot on ties, which is
+    the scan order ``sorted(key=(radius, slot))`` of
+    :func:`repro.core.enumeration.greedy_mis` — and strikes that disk's
+    overlap row from the available set: O(k·V) per target where the
+    per-target solver builds the V×V overlap matrix first.
+
+    Returns ``(target, slot, sizes)``: the picks grouped by target in
+    selection order, and each target's MIS size (also observed into the
+    ``mis_size`` histogram, once per target as the per-target solver
+    does).
+    """
+    with current_tracer().span("enumeration", targets=len(candidates)) as span:
+        live = np.nonzero(candidates.any(axis=1))[0]
+        pids, radii, open_ = point_ids[live], radii_km[live], candidates[live]
+        picks_target = [live[:0]]
+        picks_slot = [live[:0]]
+        while len(live):
+            # An available disk always beats the +inf stand-ins: detected
+            # targets keep at least their two smallest (finite) disks, and
+            # an infinite disk overlaps — is struck by — any earlier pick.
+            slot = np.where(open_, radii, np.inf).argmin(axis=1)
+            open_ &= ~overlap_rows(gap, pids, radii, slot)
+            open_[np.arange(len(live)), slot] = False
+            picks_target.append(live)
+            picks_slot.append(slot)
+            more = open_.any(axis=1)
+            if not more.all():
+                live, pids, radii, open_ = live[more], pids[more], radii[more], open_[more]
+        span.set("rounds", len(picks_slot) - 1)
+        target = np.concatenate(picks_target)
+        slot = np.concatenate(picks_slot)
+        by_target = np.argsort(target, kind="stable")
+        sizes = np.bincount(target, minlength=len(candidates))
+    metrics = current_metrics()
+    if metrics.enabled:
+        _observe_all(metrics.histogram("mis_size"), sizes)
+    return target[by_target], slot[by_target], sizes
 
 
 class SharedGeometry:
@@ -116,27 +222,6 @@ class SharedGeometry:
             self._combined = combined
         return self._combined
 
-    def target_arrays(self, row: int) -> Tuple[np.ndarray, np.ndarray]:
-        """One target's ``(vp_indices, rtt_ms)`` in reference sample order.
-
-        Reproduces ``min_rtt_samples``: ascending RTT, ties broken by VP
-        name — but as a lexsort over the row, with no objects built.
-        """
-        rtt_row = self.matrix.rtt_ms[row].astype(np.float64)
-        present = np.nonzero(~np.isnan(rtt_row))[0]
-        rtt = rtt_row[present]
-        order = np.lexsort((self.name_rank[present], rtt))
-        return present[order], rtt[order]
-
-    def overlap_submatrix(self, vp_indices: np.ndarray, radii_km: np.ndarray) -> np.ndarray:
-        """Disk-overlap matrix for VP-centered disks, from the cached gaps.
-
-        Equivalent to :func:`repro.geo.disks.overlap_matrix` on the same
-        disks — a slice plus a radii outer sum instead of fresh haversine.
-        """
-        gaps = self.vp_gap[np.ix_(vp_indices, vp_indices)]
-        return gaps <= radii_km[:, None] + radii_km[None, :] + 1e-9
-
 
 class FastAnalysisEngine:
     """Per-run state of the fast path: geometry plus classification cache."""
@@ -173,140 +258,166 @@ class FastAnalysisEngine:
         call whose geometry is a column slice of the cached city-VP
         matrix; results are memoized per ``(vp_index, radius)``.
         """
-        keys = [(int(v), float(r)) for v, r in zip(vp_indices, radii_km)]
-        missing = [k for k in keys if k not in self._replica_cache]
-        if missing:
+        keys = list(zip(np.asarray(vp_indices).tolist(), np.asarray(radii_km).tolist()))
+        with current_tracer().span("geolocation", batched=len(keys)):
             # Deduplicate while preserving order (dict keys are ordered).
-            missing = list(dict.fromkeys(missing))
-            disks = [
-                Disk(center=self.geometry.vp_points[v], radius_km=r)
-                for v, r in missing
-            ]
-            cols = self.geometry.city_vp[:, [v for v, _ in missing]]
-            replicas = classify_disks(
-                disks,
-                self.city_db,
-                population_exponent=self.config.population_exponent,
-                center_distances=cols,
-            )
-            for key, replica in zip(missing, replicas):
-                self._replica_cache[key] = (
-                    replica,
-                    self.city_db.index_of(replica.city),
+            missing = list(dict.fromkeys(k for k in keys if k not in self._replica_cache))
+            if missing:
+                disks = [
+                    Disk(center=self.geometry.vp_points[v], radius_km=r)
+                    for v, r in missing
+                ]
+                replicas = self.city_db.classify_disks(
+                    disks,
+                    population_exponent=self.config.population_exponent,
+                    center_distances=self.geometry.city_vp[:, [v for v, _ in missing]],
                 )
+                for key, replica in zip(missing, replicas):
+                    self._replica_cache[key] = (
+                        replica,
+                        self.city_db.index_of(replica.city),
+                    )
         return [self._replica_cache[k] for k in keys]
 
-    # -- per-target pipeline -------------------------------------------
+    # -- block pipeline ------------------------------------------------
 
-    def igreedy_arrays(
-        self, vp_indices: np.ndarray, rtt_ms: np.ndarray
-    ) -> IGreedyResult:
-        """The full iGreedy pipeline on ``(vp_index, rtt)`` arrays.
+    def analyze_rows(self, rows: Sequence[int]) -> List[IGreedyResult]:
+        """The full iGreedy pipeline on matrix rows, one result per row.
 
         Mirrors :func:`repro.core.igreedy.igreedy` stage for stage —
-        detection, MIS enumeration, classification, optional iterative
-        collapse — but every distance is a cached-matrix lookup.
+        sample order, detection witness, MIS enumeration, classification,
+        optional iterative collapse — but on whole blocks of rows: every
+        stage is array arithmetic over (rows, V) planes and every
+        distance a cached-matrix lookup.
         """
-        cfg = self.config
-        geo = self.geometry
-        metrics = current_metrics()
-        n = len(vp_indices)
-
-        with current_tracer().span("igreedy", samples=n) as span:
-            radii = rtt_ms / 2.0 * cfg.speed_km_per_ms
-
-            # Detection: any disjoint pair among the unfiltered disks.
-            if n < 2:
-                detection = DetectionResult(is_anycast=False, sample_count=n)
-                return IGreedyResult(detection=detection)
-            overlap_all = geo.overlap_submatrix(vp_indices, radii)
-            disjoint = ~overlap_all
-            if not disjoint.any():
-                detection = DetectionResult(
-                    is_anycast=False, witness=None, sample_count=n
-                )
-                return IGreedyResult(detection=detection)
-            i, j = np.argwhere(disjoint)[0]
-            detection = DetectionResult(
-                is_anycast=True, witness=(int(i), int(j)), sample_count=n
-            )
-            result = IGreedyResult(detection=detection)
-
-            # Uninformative-sample filter (with the reference's fallback
-            # to the unfiltered set when it leaves fewer than two disks).
-            if cfg.max_rtt_ms is not None:
-                keep = np.nonzero(rtt_ms <= cfg.max_rtt_ms)[0]
-                if len(keep) < 2:
-                    keep = np.arange(n)
-            else:
-                keep = np.arange(n)
-            vps = vp_indices[keep]
-            radii_f = radii[keep]
-            overlap = overlap_all[np.ix_(keep, keep)]
-            m = len(vps)
-            metrics.histogram("disks_per_target").observe(m)
-
-            if cfg.strict_enumeration:
-                selected = greedy_mis(overlaps=overlap, radii_km=radii_f)
-                classified = self.classify_vp_disks(
-                    vps[selected], radii_f[selected]
-                )
-                result.replicas = _dedup_by_city([r for r, _ in classified])
-                result.iterations = 1
-            else:
-                self._iterate(result, vps, radii_f, overlap)
-
-            metrics.histogram("igreedy_iterations").observe(result.iterations)
-            metrics.counter("replicas_enumerated").inc(result.replica_count)
-            span.set("replicas", result.replica_count)
-            return result
-
-    def _iterate(
-        self,
-        result: IGreedyResult,
-        vps: np.ndarray,
-        radii: np.ndarray,
-        overlap: np.ndarray,
-    ) -> None:
-        """Paper-style iteration: collapse classified disks, re-run MIS."""
-        cfg = self.config
-        geo = self.geometry
-        m = len(vps)
-        # Point ids into the combined gap matrix: VP index while original,
-        # n_vps + city index once collapsed onto a classified city.
-        point_ids = vps.astype(np.int64).copy()
-        cur_radii = radii.copy()
-        classified: List[Optional[object]] = [None] * m
-        current_overlap = overlap
-
-        for iteration in range(1, cfg.max_iterations + 1):
-            selected = greedy_mis(overlaps=current_overlap, radii_km=cur_radii)
-            fresh = [i for i in selected if classified[i] is None]
-            if fresh:
-                for i, (replica, city_idx) in zip(
-                    fresh,
-                    self.classify_vp_disks(vps[fresh], radii[fresh]),
-                ):
-                    classified[i] = replica
-                    point_ids[i] = geo.n_vps + city_idx
-                    cur_radii[i] = 0.0
-            result.iterations = iteration
-            if not fresh:
-                break
-            gaps = geo.combined[np.ix_(point_ids, point_ids)]
-            current_overlap = (
-                gaps <= cur_radii[:, None] + cur_radii[None, :] + 1e-9
-            )
-
-        final = greedy_mis(overlaps=current_overlap, radii_km=cur_radii)
-        result.replicas = _dedup_by_city(
-            [classified[i] for i in final if classified[i] is not None]
-        )
+        rows = np.asarray(rows, dtype=np.int64)
+        step = max(1, _BLOCK_CELLS // max(self.geometry.n_vps, 1))
+        results: List[IGreedyResult] = []
+        for start in range(0, len(rows), step):
+            results.extend(self._analyze_block(rows[start : start + step]))
+        return results
 
     def analyze_row(self, row: int) -> IGreedyResult:
         """Analyze one matrix row end to end."""
-        vp_indices, rtt = self.geometry.target_arrays(row)
-        return self.igreedy_arrays(vp_indices, rtt)
+        return self.analyze_rows([row])[0]
+
+    def sorted_samples(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(vp_indices, rtt_ms, n_samples)`` planes in reference sample order.
+
+        Reproduces ``min_rtt_samples`` per row: ascending RTT, ties
+        broken by VP name — as one 2-D lexsort, no objects built.  NaN
+        (missing) cells sort last, so row *t*'s samples are its first
+        ``n_samples[t]`` slots.
+        """
+        geo = self.geometry
+        rtt = geo.matrix.rtt_ms[rows].astype(np.float64)
+        order = np.lexsort((np.broadcast_to(geo.name_rank, rtt.shape), rtt), axis=1)
+        rtt = np.take_along_axis(rtt, order, axis=1)
+        return order, rtt, (~np.isnan(rtt)).sum(axis=1)
+
+    def _analyze_block(self, rows: np.ndarray) -> List[IGreedyResult]:
+        cfg = self.config
+        geo = self.geometry
+        tracer = current_tracer()
+        metrics = current_metrics()
+
+        with tracer.span("sort", targets=len(rows)):
+            vps, rtt, n_samples = self.sorted_samples(rows)
+            radii = radius_matrix(rtt, cfg.speed_km_per_ms)
+        with tracer.span("witness"):
+            witness = first_disjoint_pairs(geo.vp_gap, vps, radii, n_samples)
+
+        # Enumeration and geolocation run on the detected targets only.
+        detected = np.nonzero(witness[:, 0] >= 0)[0]
+        vps, rtt, radii = vps[detected], rtt[detected], radii[detected]
+        # Uninformative-sample filter (with the reference's fallback to
+        # the unfiltered set when it leaves fewer than two disks); rows
+        # are RTT-sorted, so the kept disks are a prefix of the slots.
+        n_disks = n_samples[detected]
+        if cfg.max_rtt_ms is not None:
+            kept = (rtt <= cfg.max_rtt_ms).sum(axis=1)
+            n_disks = np.where(kept < 2, n_disks, kept)
+        candidates = np.arange(geo.n_vps) < n_disks[:, None]
+        if cfg.strict_enumeration:
+            target, slot, sizes = greedy_mis_rounds(geo.vp_gap, vps, radii, candidates)
+            found = self.classify_vp_disks(vps[target, slot], radii[target, slot])
+            picked = [replica for replica, _ in found]
+            iterations = np.ones(len(detected), dtype=np.int64)
+        else:
+            picked, sizes, iterations = self._iterate(vps, radii, candidates)
+
+        with tracer.span("assembly"):
+            results: List[IGreedyResult] = []
+            enumerated = zip(np.cumsum(sizes).tolist(), iterations.tolist())
+            start = 0
+            for n, (first, second) in zip(n_samples.tolist(), witness.tolist()):
+                # One span per analysed target, as the per-target engine.
+                with tracer.span("igreedy", samples=n) as span:
+                    if first < 0:
+                        detection = DetectionResult(is_anycast=False, sample_count=n)
+                        results.append(IGreedyResult(detection=detection))
+                        continue
+                    stop, rounds = next(enumerated)
+                    result = IGreedyResult(
+                        detection=DetectionResult(
+                            is_anycast=True, witness=(first, second), sample_count=n
+                        ),
+                        replicas=_dedup_by_city(picked[start:stop]),
+                        iterations=rounds,
+                    )
+                    start = stop
+                    span.set("replicas", result.replica_count)
+                    results.append(result)
+            if metrics.enabled:
+                _observe_all(metrics.histogram("disks_per_target"), n_disks)
+                _observe_all(metrics.histogram("igreedy_iterations"), iterations)
+                metrics.counter("replicas_enumerated").inc(
+                    sum(result.replica_count for result in results)
+                )
+        return results
+
+    def _iterate(
+        self, vps: np.ndarray, radii: np.ndarray, candidates: np.ndarray
+    ) -> Tuple[list, np.ndarray, np.ndarray]:
+        """Paper-style iteration: collapse classified disks, re-run MIS.
+
+        All targets advance one iteration together; a target drops out
+        once an iteration classifies nothing new for it.  Returns the
+        classified replicas of every target's final MIS (flat, grouped by
+        target in selection order), their per-target counts, and the
+        per-target iteration counts.
+        """
+        geo = self.geometry
+        # Point ids into the combined gap matrix: VP index while original,
+        # n_vps + city index once collapsed onto a classified city.
+        point_ids = vps.astype(np.int64)
+        cur_radii = radii.copy()
+        classified = np.full(vps.shape, None, dtype=object)
+        iterations = np.zeros(len(vps), dtype=np.int64)
+        active = np.arange(len(vps))
+        for iteration in range(1, self.config.max_iterations + 1):
+            target, slot, _ = greedy_mis_rounds(
+                geo.combined, point_ids[active], cur_radii[active], candidates[active]
+            )
+            iterations[active] = iteration
+            target = active[target]
+            fresh = point_ids[target, slot] < geo.n_vps
+            target, slot = target[fresh], slot[fresh]
+            found = self.classify_vp_disks(vps[target, slot], radii[target, slot])
+            classified[target, slot] = np.array([r for r, _ in found], dtype=object)
+            point_ids[target, slot] = geo.n_vps + np.array([c for _, c in found], dtype=np.int64)
+            cur_radii[target, slot] = 0.0
+            active = np.unique(target)
+            if not len(active):
+                break
+        target, slot, _ = greedy_mis_rounds(geo.combined, point_ids, cur_radii, candidates)
+        done = point_ids[target, slot] >= geo.n_vps
+        target, slot = target[done], slot[done]
+        return (
+            classified[target, slot].tolist(),
+            np.bincount(target, minlength=len(vps)),
+            iterations,
+        )
 
 
 # -- parallel stage -----------------------------------------------------
@@ -389,8 +500,8 @@ class _AnalysisUnitContext:
 
     def execute(self, unit_id: int) -> List[Tuple[int, IGreedyResult]]:
         rows = self.chunks[unit_id]
-        prefixes = self.engine.geometry.matrix.prefixes
-        return [(int(prefixes[row]), self.engine.analyze_row(row)) for row in rows]
+        prefixes = self.engine.geometry.matrix.prefixes[rows].tolist()
+        return list(zip(prefixes, self.engine.analyze_rows(rows)))
 
     # -- pool hooks (see repro.exec.pool.worker_main) -------------------
 
@@ -541,33 +652,15 @@ def analyze_matrix_fast(
     ships the snapshot home on drain, where it is merged bucket-wise
     (:func:`repro.exec.pool.drain_worker_metrics`).
     """
-    from .analysis import AnalysisResult
+    from .analysis import AnalysisResult, detect_targets
 
     cfg = config or IGreedyConfig()
-    db = city_db or default_city_db()
-    metrics = current_metrics()
-
-    vp_dist = matrix.vp_distance_matrix()
-    radii = radius_matrix(matrix.rtt_ms, cfg.speed_km_per_ms)
-    filled = (~np.isnan(matrix.rtt_ms)).sum(axis=1)
-    enough = filled >= min_samples
-    mask = detection_mask(vp_dist, radii) & enough
-
-    if metrics.enabled:
-        metrics.gauge("rtt_matrix_cells").set(int(matrix.rtt_ms.size))
-        metrics.gauge("rtt_matrix_filled_cells").set(int(filled.sum()))
-        metrics.gauge("rtt_matrix_targets").set(matrix.n_targets)
-        if matrix.store is not None:
-            metrics.gauge("matrix_store_bytes").set(int(matrix.store.nbytes))
-        metrics.counter("targets_analyzed").inc(matrix.n_targets)
-        metrics.counter("targets_classified_anycast").inc(int(mask.sum()))
-
-    engine = FastAnalysisEngine(matrix, city_db=db, config=cfg)
+    mask = detect_targets(matrix, cfg, min_samples)
+    engine = FastAnalysisEngine(matrix, city_db=city_db, config=cfg)
     rows = np.nonzero(mask)[0]
     result = AnalysisResult(prefixes=matrix.prefixes, anycast_mask=mask)
     if workers and workers > 0 and len(rows) > 0:
         result.results = _analyze_rows_parallel(engine, rows, workers)
     else:
-        for row in rows:
-            result.results[int(matrix.prefixes[row])] = engine.analyze_row(row)
+        result.results = dict(zip(matrix.prefixes[rows].tolist(), engine.analyze_rows(rows)))
     return result

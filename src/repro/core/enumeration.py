@@ -25,34 +25,26 @@ from ..obs import current_metrics, current_tracer
 
 
 def greedy_mis(
-    disks: Optional[Sequence[Disk]] = None,
+    disks: Sequence[Disk],
     overlaps: Optional[np.ndarray] = None,
     ordering: str = "radius",
-    radii_km: Optional[np.ndarray] = None,
 ) -> List[int]:
     """Greedy maximum-independent-set on disks, smallest radius first.
 
     Returns indices of the selected (pairwise-disjoint) disks, in selection
     order.  Passing a precomputed ``overlaps`` matrix skips the geometry.
 
-    The array-native census fast path calls this without ``Disk`` objects
-    at all: pass ``overlaps`` (e.g. a slice of the cached VP gap matrix
-    plus a radii outer sum) together with ``radii_km`` and leave ``disks``
-    as ``None`` — the selection is identical because the greedy only ever
-    consults radii and the overlap matrix.
-
     Ordering by increasing radius (the default) is what makes the
     approximation bound hold: a small disk can conflict with at most five
     mutually-disjoint disks of larger radius.  ``ordering="arbitrary"``
     scans disks in input order instead — no approximation guarantee; kept
     for the MIS-ordering ablation.
+
+    The census engine runs the same greedy on whole blocks of targets at
+    once (:func:`repro.census.fastpath.greedy_mis_rounds`); this is the
+    single-target reference it is tested against.
     """
-    if disks is None:
-        if overlaps is None:
-            raise ValueError("greedy_mis needs disks or a precomputed overlaps")
-        n = overlaps.shape[0]
-    else:
-        n = len(disks)
+    n = len(disks)
     if n == 0:
         return []
     with current_tracer().span("enumeration", disks=n):
@@ -61,14 +53,7 @@ def greedy_mis(
         elif overlaps.shape != (n, n):
             raise ValueError("overlap matrix shape mismatch")
         if ordering == "radius":
-            if radii_km is not None:
-                if len(radii_km) != n:
-                    raise ValueError("radii_km length mismatch")
-                order = sorted(range(n), key=lambda i: (radii_km[i], i))
-            elif disks is None:
-                raise ValueError("radius ordering needs disks or radii_km")
-            else:
-                order = sorted(range(n), key=lambda i: (disks[i].radius_km, i))
+            order = sorted(range(n), key=lambda i: (disks[i].radius_km, i))
         elif ordering == "arbitrary":
             order = list(range(n))
         else:

@@ -16,7 +16,7 @@ benchmark (0 = ignore population, pick the city nearest the disk center).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,28 +89,6 @@ def classify_nearest(disk: Disk, city_db: CityDB) -> GeolocatedReplica:
     with current_tracer().span("geolocation", fallback=True):
         city = city_db.nearest(disk.center)
         return GeolocatedReplica(city=city, disk=disk, confidence=0.0)
-
-
-def classify_disks(
-    disks: Sequence[Disk],
-    city_db: CityDB,
-    population_exponent: float = 1.0,
-    center_distances: Optional[np.ndarray] = None,
-) -> List[GeolocatedReplica]:
-    """Batched classification of many disks in one vectorized call.
-
-    Equivalent to ``classify_disk`` per disk with the ``classify_nearest``
-    fallback applied, but all city-to-center distances are computed in a
-    single haversine over the gazetteer's cached radian arrays (or taken
-    from a precomputed ``center_distances`` matrix).  See
-    :meth:`repro.geo.cities.CityDB.classify_disks`.
-    """
-    with current_tracer().span("geolocation", batched=len(disks)):
-        return city_db.classify_disks(
-            disks,
-            population_exponent=population_exponent,
-            center_distances=center_distances,
-        )
 
 
 def geolocation_error_km(predicted: City, truth: City) -> float:

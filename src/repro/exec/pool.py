@@ -259,9 +259,12 @@ def drain_worker_metrics(
     ``received`` pre-seeds the set of worker ids whose snapshot the
     caller already merged during its own collect loop.
 
-    Dead or wedged workers never ship a snapshot and are pruned from the
-    expectation as soon as their process is gone — their observations
-    are lost, the same asymmetry their unfinished units already have.
+    A worker that drained and exited before this call still has its
+    snapshot in the queue, so every unretired worker is expected.  Dead
+    or wedged workers never ship a snapshot and are pruned from the
+    expectation as soon as their process is gone and the queue is empty —
+    their observations are lost, the same asymmetry their unfinished
+    units already have.
     Returns the number of snapshots merged here.  No-op (0) when the
     registry is disabled.
     """
@@ -269,7 +272,7 @@ def drain_worker_metrics(
 
     if not getattr(registry, "enabled", False):
         return 0
-    expected = {w.worker_id for w in pool.workers.values() if w.alive}
+    expected = {w.worker_id for w in pool.workers.values() if not w.retired}
     expected -= set(received or ())
     if send_sentinels:
         for handle in pool.workers.values():

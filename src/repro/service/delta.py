@@ -7,8 +7,8 @@ plus run-wide context that is identical for every row (the gazetteer,
 the iGreedy config).  Detection
 (:func:`repro.core.detection.detection_mask`) ignores NaN cells by
 construction, enumeration/geolocation
-(:meth:`FastAnalysisEngine.analyze_row`) reads only the non-NaN samples
-of the row (its witness indices live in RTT-sorted sample order, not
+(:meth:`FastAnalysisEngine.analyze_rows`) reads only the non-NaN samples
+of each row (its witness indices live in RTT-sorted sample order, not
 raw column order), and nothing couples two targets.
 
 So a *signature* — a hash over the target's non-NaN cells, each cell

@@ -43,7 +43,7 @@ from ..census.hijack import (
     classify_routing_changes,
 )
 from ..census.longitudinal import EvolutionConfig, evolve_catalog
-from ..core.detection import detection_mask, radius_matrix
+from ..core.detection import detection_mask_rtt
 from ..geo.coords import GeoPoint
 from ..core.igreedy import IGreedyConfig
 from ..geo.cities import CityDB, default_city_db
@@ -927,12 +927,6 @@ class CensusService:
         serialize byte-identically to trust-off runs.
         """
         cfg = self.config.igreedy
-        vp_dist = matrix.vp_distance_matrix()
-        radii = radius_matrix(matrix.rtt_ms, cfg.speed_km_per_ms)
-        filled = (~np.isnan(matrix.rtt_ms)).sum(axis=1)
-        mask = detection_mask(vp_dist, radii) & (filled >= self.config.min_samples)
-        engine = FastAnalysisEngine(matrix, city_db=self.city_db, config=cfg)
-
         incremental = plan.mode == "incremental"
         copy_from = (
             baseline_doc["targets"]
@@ -943,12 +937,30 @@ class CensusService:
         recovered_from = plan.recovered if incremental else {}
         history_docs = history_docs or {}
 
+        # Detection and iGreedy see only the rows the delta plan could
+        # not copy forward (on a quiet day, about one in a hundred).
+        prefixes = matrix.prefixes.tolist()
+        rows = np.array(
+            [
+                row
+                for row, prefix in enumerate(prefixes)
+                if prefix not in skip and prefix not in recovered_from
+            ],
+            dtype=np.int64,
+        )
+        rtt = matrix.rtt_ms[rows]
+        filled = (~np.isnan(rtt)).sum(axis=1)
+        mask = detection_mask_rtt(
+            matrix.vp_distance_matrix(), rtt, cfg.speed_km_per_ms
+        ) & (filled >= self.config.min_samples)
+        engine = FastAnalysisEngine(matrix, city_db=self.city_db, config=cfg)
+        analysed = iter(engine.analyze_rows(rows[mask]))
+        verdicts = zip(mask.tolist(), filled.tolist())
+
         targets: Dict[str, Any] = {}
-        n_recomputed = 0
         n_copied = 0
         n_recovered = 0
-        for row, raw_prefix in enumerate(matrix.prefixes):
-            prefix = int(raw_prefix)
+        for row, prefix in enumerate(prefixes):
             key = str(prefix)
             if prefix in skip:
                 targets[key] = copy_from[key]
@@ -959,18 +971,19 @@ class CensusService:
                 n_copied += 1
                 n_recovered += 1
                 continue
+            anycast, n_filled = next(verdicts)
             entry: Dict[str, Any] = {
                 "signature": signatures[prefix],
-                "anycast": bool(mask[row]),
+                "anycast": anycast,
             }
             if excised is not None and excised[row] > 0:
                 entry["confidence"] = (
                     CONFIDENCE_INSUFFICIENT
-                    if filled[row] < self.config.min_samples
+                    if n_filled < self.config.min_samples
                     else CONFIDENCE_DEGRADED
                 )
-            if mask[row]:
-                result = engine.analyze_row(row)
+            if anycast:
+                result = next(analysed)
                 entry["replicas"] = [
                     {
                         "city": replica.city.name,
@@ -990,7 +1003,7 @@ class CensusService:
                 )
                 entry["sample_count"] = result.detection.sample_count
             targets[key] = entry
-            n_recomputed += 1
+        n_recomputed = len(rows)
 
         doc = {
             "kind": RESULTS_KIND,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.census.combine import matrix_from_census
-from repro.census.fastpath import FastAnalysisEngine, SharedGeometry
-from repro.core.geolocation import classify_disk, classify_disks, classify_nearest
+from repro.census.fastpath import FastAnalysisEngine, SharedGeometry, overlap_rows
+from repro.core.geolocation import classify_disk, classify_nearest
 from repro.core.igreedy import IGreedyConfig
 from repro.geo.cities import default_city_db
 from repro.geo.disks import Disk, overlap_matrix
@@ -33,33 +33,46 @@ class TestVpDistanceCache:
 
 class TestSharedGeometry:
     def test_overlap_slice_matches_disk_objects(self, matrix, geometry):
-        """Slice-plus-radii-outer-sum == overlap_matrix on fresh disks."""
+        """Gathered gap row + radii sum == overlap_matrix on fresh disks."""
         rng = np.random.default_rng(3)
-        vp_indices = np.sort(rng.choice(matrix.n_vps, size=12, replace=False))
-        radii = rng.uniform(50.0, 4000.0, size=12)
-        disks = [
-            Disk(center=matrix.vp_locations[v], radius_km=float(r))
-            for v, r in zip(vp_indices, radii)
-        ]
-        expected = overlap_matrix(disks)
-        got = geometry.overlap_submatrix(vp_indices, radii)
-        assert np.array_equal(expected, got)
+        vp_indices = np.stack(
+            [rng.choice(matrix.n_vps, size=12, replace=False) for _ in range(5)]
+        )
+        radii = rng.uniform(50.0, 4000.0, size=vp_indices.shape)
+        radii[:, -2:] = np.nan  # padding slots overlap nothing
+        for slot in range(10):
+            got = overlap_rows(
+                geometry.vp_gap, vp_indices, radii, np.full(len(vp_indices), slot)
+            )
+            for t in range(len(vp_indices)):
+                disks = [
+                    Disk(center=matrix.vp_locations[v], radius_km=float(r))
+                    for v, r in zip(vp_indices[t, :10], radii[t, :10])
+                ]
+                assert np.array_equal(overlap_matrix(disks)[slot], got[t, :10])
+                assert not got[t, 10:].any()
 
-    def test_target_arrays_match_sample_ordering(self, matrix, geometry):
-        """(vp_index, rtt) arrays reproduce min_rtt_samples order."""
+    def test_target_arrays_match_sample_ordering(self, matrix, city_db):
+        """(vp_index, rtt) planes reproduce min_rtt_samples order per row."""
         from repro.core.samples import LatencySample, min_rtt_samples
 
-        row = int(np.nonzero((~np.isnan(matrix.rtt_ms)).sum(axis=1) >= 3)[0][0])
-        prefix = int(matrix.prefixes[row])
-        samples = min_rtt_samples(
-            [
-                LatencySample(vp_name=n, vp_location=loc, rtt_ms=rtt)
-                for n, loc, rtt in matrix.samples_for(prefix)
+        engine = FastAnalysisEngine(matrix, city_db=city_db)
+        rows = np.nonzero((~np.isnan(matrix.rtt_ms)).sum(axis=1) >= 3)[0][:8]
+        vp_indices, rtt, n_samples = engine.sorted_samples(rows)
+        for k, row in enumerate(rows):
+            samples = min_rtt_samples(
+                [
+                    LatencySample(vp_name=n, vp_location=loc, rtt_ms=r)
+                    for n, loc, r in matrix.samples_for(int(matrix.prefixes[row]))
+                ]
+            )
+            n = int(n_samples[k])
+            assert n == len(samples)
+            assert [matrix.vp_names[j] for j in vp_indices[k, :n]] == [
+                s.vp_name for s in samples
             ]
-        )
-        vp_indices, rtt = geometry.target_arrays(row)
-        assert [matrix.vp_names[j] for j in vp_indices] == [s.vp_name for s in samples]
-        assert [float(r) for r in rtt] == [s.rtt_ms for s in samples]
+            assert rtt[k, :n].tolist() == [s.rtt_ms for s in samples]
+            assert np.isnan(rtt[k, n:]).all()
 
     def test_combined_matrix_blocks(self, matrix, geometry, city_db):
         """The (V+C)^2 matrix agrees with the per-block caches."""
@@ -81,7 +94,7 @@ class TestBatchedClassification:
             for i in rng.choice(len(city_db), size=20, replace=False)
         ]
         for exponent in (1.0, 0.0, 2.0):
-            batched = classify_disks(disks, city_db, population_exponent=exponent)
+            batched = city_db.classify_disks(disks, population_exponent=exponent)
             for disk, got in zip(disks, batched):
                 expected = classify_disk(disk, city_db, population_exponent=exponent)
                 if expected is None:

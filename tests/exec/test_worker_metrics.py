@@ -16,13 +16,14 @@ from repro.census.combine import RttMatrix
 from repro.census.fastpath import analyze_matrix_fast
 from repro.core.igreedy import IGreedyConfig
 from repro.exec import ExecutionPolicy
+from repro.exec.pool import MSG_OK, WorkerPool, drain_worker_metrics, fork_available
 from repro.geo.cities import default_city_db
 from repro.geo.coords import GeoPoint
 from repro.internet.topology import InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign
 from repro.measurement.faults import WorkerFaultPlan
 from repro.measurement.platform import planetlab_platform
-from repro.obs import MetricsRegistry, use_metrics
+from repro.obs import MetricsRegistry, current_metrics, use_metrics
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,40 @@ class TestExecPoolMetrics:
             faulty["counters"]["exec_unit_scans"]
             >= serial["counters"]["exec_unit_scans"] - 1
         )
+
+
+class _CountingContext:
+    """A unit bumps one counter in the worker's own registry."""
+
+    worker_faults = None
+
+    def execute(self, unit_id):
+        current_metrics().counter("units_counted").inc()
+        return unit_id
+
+
+class TestDrainAfterExit:
+    def test_snapshot_of_an_already_exited_worker_is_merged(self):
+        """A fast worker can drain and exit before the parent asks: its
+        snapshot is in the queue, not lost with the process."""
+        if not fork_available():
+            pytest.skip("fork start method unavailable")
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            pool = WorkerPool(_CountingContext())
+            try:
+                handle = pool.spawn()
+                handle.dispatch(0)
+                handle.task_q.put(None)
+                while pool.out_q.get(timeout=10.0)[0] != MSG_OK:
+                    pass
+                handle.process.join(timeout=10.0)
+                assert not handle.process.is_alive()
+                merged = drain_worker_metrics(pool, registry, send_sentinels=False)
+            finally:
+                pool.shutdown()
+        assert merged == 1
+        assert registry.snapshot()["counters"]["units_counted"] == 1
 
 
 class TestFastpathMetrics:

@@ -9,10 +9,11 @@ in the same order, same confidences, same iteration counts.
 The property suite drives both engines over randomly generated small
 internets (random VP geometry, NaN holes, duplicated RTT values to
 provoke tie-breaks) across the full configuration grid:
-strict/iterative enumeration × population_exponent ∈ {0, 1} × max_rtt
-on/off/aggressive.  Degenerate inputs (no samples, single samples,
-everything filtered) and the parallel merge (workers ∈ {0, 1, 2, 4})
-are covered by explicit cases.
+strict/iterative enumeration × population_exponent ∈ {0, 1, 1.5} ×
+max_rtt on/off/aggressive.  Degenerate inputs (no samples, single
+samples, everything filtered), the block entry point at block sizes
+1 / 7 / all, the parallel merge (workers ∈ {0, 1, 2, 4}) and metric
+totals are covered by explicit cases.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.census.analysis import analyze_matrix  # noqa: E402
 from repro.census.combine import RttMatrix  # noqa: E402
-from repro.census.fastpath import analyze_matrix_fast  # noqa: E402
+from repro.census import fastpath  # noqa: E402
+from repro.census.fastpath import FastAnalysisEngine, analyze_matrix_fast  # noqa: E402
 from repro.core.igreedy import IGreedyConfig  # noqa: E402
+from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer  # noqa: E402
+from repro.obs.trace import iter_span_names  # noqa: E402
 from repro.geo.cities import default_city_db  # noqa: E402
 from repro.geo.coords import GeoPoint  # noqa: E402
 
@@ -106,6 +110,9 @@ CONFIG_GRID = [
     dict(strict_enumeration=False, population_exponent=1.0, max_rtt_ms=300.0),
     dict(strict_enumeration=False, population_exponent=0.0, max_rtt_ms=300.0),
     dict(strict_enumeration=False, population_exponent=1.0, max_rtt_ms=None),
+    dict(strict_enumeration=True, population_exponent=1.5, max_rtt_ms=300.0),
+    dict(strict_enumeration=False, population_exponent=1.5, max_rtt_ms=None),
+    dict(strict_enumeration=False, population_exponent=1.0, max_rtt_ms=300.0, max_iterations=2),
 ]
 
 
@@ -204,25 +211,26 @@ class TestDegenerateInputs:
 # -- parallel merge determinism ----------------------------------------
 
 
-class TestParallelDeterminism:
-    @pytest.fixture(scope="class")
-    def dense_matrix(self):
-        rng = np.random.default_rng(17)
-        n_targets, n_vps = 40, 10
-        lats = rng.uniform(-60.0, 60.0, size=n_vps)
-        lons = rng.uniform(-170.0, 170.0, size=n_vps)
-        rtt = rng.choice(
-            [2.0, 5.0, 12.0, 40.0, 90.0, 220.0], size=(n_targets, n_vps)
-        )
-        rtt = np.where(rng.random(rtt.shape) < 0.2, np.nan, rtt).astype(np.float32)
-        return RttMatrix(
-            prefixes=np.arange(100, 100 + n_targets, dtype=np.uint32),
-            vp_names=[f"vp-{i:02d}" for i in rng.permutation(n_vps)],
-            vp_locations=[GeoPoint(float(a), float(b)) for a, b in zip(lats, lons)],
-            rtt_ms=rtt,
-            sample_count=(~np.isnan(rtt)).astype(np.uint8),
-        )
+@pytest.fixture(scope="module")
+def dense_matrix():
+    rng = np.random.default_rng(17)
+    n_targets, n_vps = 40, 10
+    lats = rng.uniform(-60.0, 60.0, size=n_vps)
+    lons = rng.uniform(-170.0, 170.0, size=n_vps)
+    rtt = rng.choice(
+        [2.0, 5.0, 12.0, 40.0, 90.0, 220.0], size=(n_targets, n_vps)
+    )
+    rtt = np.where(rng.random(rtt.shape) < 0.2, np.nan, rtt).astype(np.float32)
+    return RttMatrix(
+        prefixes=np.arange(100, 100 + n_targets, dtype=np.uint32),
+        vp_names=[f"vp-{i:02d}" for i in rng.permutation(n_vps)],
+        vp_locations=[GeoPoint(float(a), float(b)) for a, b in zip(lats, lons)],
+        rtt_ms=rtt,
+        sample_count=(~np.isnan(rtt)).astype(np.uint8),
+    )
 
+
+class TestParallelDeterminism:
     @pytest.mark.parametrize("strict", [True, False])
     def test_workers_identical_output(self, dense_matrix, strict):
         db = default_city_db()
@@ -242,6 +250,112 @@ class TestParallelDeterminism:
             dense_matrix, city_db=db, config=fast_config(), workers=3
         )
         assert_equivalent(ref, parallel)
+
+
+# -- the block entry point ---------------------------------------------
+
+
+class TestBlockEngine:
+    """``FastAnalysisEngine.analyze_rows`` is the one entry point of the
+    study, the pool workers and the service; however its callers cut the
+    rows into blocks, each row's result is the reference engine's."""
+
+    @pytest.fixture(scope="class")
+    def matrix(self, dense_matrix):
+        return dense_matrix
+
+    @pytest.mark.parametrize("kwargs", CONFIG_GRID)
+    def test_block_sizes_match_reference(self, matrix, kwargs, monkeypatch):
+        db = default_city_db()
+        ref = analyze_matrix(matrix, city_db=db, config=reference_config(**kwargs))
+        rows = np.nonzero(ref.anycast_mask)[0]
+        assert len(rows) > 7
+        engine = FastAnalysisEngine(matrix, city_db=db, config=fast_config(**kwargs))
+        for size in (1, 7, len(rows)):
+            results = []
+            for start in range(0, len(rows), size):
+                results.extend(engine.analyze_rows(rows[start : start + size]))
+            assert results == list(ref.results.values()), size
+        # The engine's own blocking (a few rows a block) changes nothing.
+        monkeypatch.setattr(fastpath, "_BLOCK_CELLS", 3 * matrix.n_vps)
+        assert engine.analyze_rows(rows) == list(ref.results.values())
+        assert engine.analyze_row(rows[0]) == ref.results[int(matrix.prefixes[rows[0]])]
+
+    def test_undetected_and_empty_rows(self, matrix):
+        """Rows the mask would not hand over still get the reference's
+        verdict: no witness, no replicas, the sample count."""
+        engine = FastAnalysisEngine(matrix, city_db=default_city_db())
+        assert engine.analyze_rows([]) == []
+        rtt = matrix.rtt_ms
+        quiet = RttMatrix(
+            prefixes=matrix.prefixes[:3],
+            vp_names=matrix.vp_names,
+            vp_locations=matrix.vp_locations,
+            rtt_ms=np.where(np.arange(rtt.shape[1]) < [[0], [1], [4]], 400.0, np.nan).astype(
+                np.float32
+            ),
+            sample_count=np.ones((3, rtt.shape[1]), dtype=np.uint8),
+        )
+        results = FastAnalysisEngine(quiet, city_db=default_city_db()).analyze_rows([0, 1, 2])
+        assert [r.is_anycast for r in results] == [False] * 3
+        assert [r.detection.sample_count for r in results] == [0, 1, 4]
+        assert all(r.detection.witness is None and not r.replicas for r in results)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_metric_totals_match_reference(self, matrix, strict, workers):
+        """Histogram and counter totals are the per-target engine's."""
+        db = default_city_db()
+        snapshots = []
+        for config, n in (
+            (reference_config(strict_enumeration=strict), None),
+            (fast_config(strict_enumeration=strict), workers),
+        ):
+            registry = MetricsRegistry()
+            with use_metrics(registry):
+                analyze_matrix(matrix, city_db=db, config=config, workers=n)
+            snapshots.append(registry.snapshot())
+        ref, fast = snapshots
+        for name in ("disks_per_target", "mis_size", "igreedy_iterations"):
+            assert fast["histograms"][name] == ref["histograms"][name], name
+        for name in (
+            "replicas_enumerated",
+            "detection_targets_tested",
+            "detection_targets_flagged",
+            "targets_classified_anycast",
+        ):
+            assert fast["counters"][name] == ref["counters"][name], name
+        rows = [fast["counters"][f"detection_rows_{k}"] for k in ("witnessed", "certified", "residue")]
+        assert sum(rows) == matrix.n_targets
+
+    def test_one_igreedy_span_per_target_under_stage_spans(self, matrix):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with tracer.span("analysis"):
+                result = analyze_matrix(matrix, city_db=default_city_db(), config=fast_config())
+        names = list(iter_span_names(tracer))
+        assert names.count("igreedy") == result.n_anycast
+        for stage in ("coverage", "detection", "sort", "witness", "enumeration", "geolocation", "assembly"):
+            assert stage in names
+        detection = next(
+            span for span in tracer.roots[0].children if span.name == "detection"
+        )
+        counted = [detection.attrs[k] for k in ("witnessed", "certified", "residue")]
+        assert sum(counted) == matrix.n_targets and counted[0] >= result.n_anycast > 0
+
+
+class TestStudyScale:
+    def test_parallel_fast_path_equals_reference_on_small_study(self, small_study):
+        """The block engine behind a 4-worker pool, on a whole study."""
+        matrix = small_study.matrix
+        ref = analyze_matrix(
+            matrix, city_db=small_study.city_db, config=reference_config()
+        )
+        fast = analyze_matrix(
+            matrix, city_db=small_study.city_db, config=fast_config(), workers=4
+        )
+        assert ref.n_anycast > 50
+        assert_equivalent(ref, fast)
 
 
 # -- engine selection --------------------------------------------------

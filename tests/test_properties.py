@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.census.analysis import analyze_matrix
-from repro.census.combine import combine_censuses, matrix_from_census
+from repro.census.combine import RttMatrix, combine_censuses, matrix_from_census
 from repro.core.igreedy import IGreedyConfig, igreedy
 from repro.core.samples import LatencySample
 from repro.geo.cities import default_city_db
@@ -79,6 +79,66 @@ class TestDetectionSoundnessFuzz:
         backward = igreedy(list(reversed(samples)), city_db=db)
         assert forward.is_anycast == backward.is_anycast
         assert forward.city_names == backward.city_names
+
+
+@st.composite
+def measured_worlds(draw):
+    """A random roster and an RTT matrix of unicast and anycast targets.
+
+    Every RTT is propagation to the nearest of the target's sites times a
+    stretch, plus queueing — physically possible, so any detection is one
+    the geometry forces.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_vps = draw(st.integers(min_value=3, max_value=10))
+    points = [
+        GeoPoint(float(rng.uniform(-65, 65)), float(rng.uniform(-179, 179)))
+        for _ in range(n_vps)
+    ]
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        sites = [
+            GeoPoint(float(rng.uniform(-60, 60)), float(rng.uniform(-179, 179)))
+            for _ in range(rng.integers(1, 5))
+        ]
+        row = [
+            2.0 * min(p.distance_km(s) for s in sites) * rng.uniform(1.0, 1.5)
+            / FIBER_SPEED_KM_PER_MS + rng.exponential(2.0)
+            for p in points
+        ]
+        rows.append(np.where(rng.random(n_vps) < 0.15, np.nan, row))
+    return points, np.array(rows, dtype=np.float32), rng
+
+
+def _verdicts(points, rtt):
+    matrix = RttMatrix(
+        prefixes=np.arange(1, len(rtt) + 1, dtype=np.uint32),
+        vp_names=[f"vp-{k:02d}" for k in range(len(points))],
+        vp_locations=list(points),
+        rtt_ms=rtt,
+        sample_count=(~np.isnan(rtt)).astype(np.uint8),
+    )
+    return analyze_matrix(matrix, min_samples=2).anycast_mask
+
+
+class TestDetectionMetamorphic:
+    """Physics the detection tier must respect whatever the kernel."""
+
+    @given(measured_worlds())
+    @settings(max_examples=40, deadline=None)
+    def test_inflating_rtts_never_adds_a_detection(self, world):
+        points, rtt, rng = world
+        inflated = rtt + np.where(
+            rng.random(rtt.shape) < 0.5, rng.exponential(20.0, rtt.shape), 0.0
+        ).astype(np.float32)
+        assert not (_verdicts(points, inflated) & ~_verdicts(points, rtt)).any()
+
+    @given(measured_worlds())
+    @settings(max_examples=40, deadline=None)
+    def test_adding_a_vp_never_removes_a_detection(self, world):
+        points, rtt, _ = world
+        without = _verdicts(points[:-1], np.ascontiguousarray(rtt[:, :-1]))
+        assert not (without & ~_verdicts(points, rtt)).any()
 
 
 class TestRecordIoFuzz:
