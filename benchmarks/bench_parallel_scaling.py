@@ -1,9 +1,10 @@
-"""Parallel scaling — pool speedup over the serial census loop.
+"""Parallel scaling — pool speedup over the serial (``workers=0``) census.
 
 The paper's four censuses each probed ~10.6M /24s from ~250 vantage
 points; at that scale the scan phase only makes sense sharded across
-workers.  This exhibit runs one census of a mid-size study serially and
-on the supervised pool at 1/2/4 workers, checks the hard invariant
+workers.  This exhibit runs one census of a mid-size study in-process
+(``workers=0``, the engine's serial reference driver) and on the
+supervised pool at 1/2/4 workers, checks the hard invariant
 (byte-identical output at every worker count), and records the speedup
 curve to seed the perf trajectory.
 
@@ -14,6 +15,8 @@ travel with the repo either way.
 """
 
 import os
+import pathlib
+import subprocess
 import time
 
 from conftest import write_exhibit
@@ -31,8 +34,9 @@ WORKER_COUNTS = [1, 2, 4]
 MIN_SPEEDUP_AT_4 = 2.0
 
 
-def _campaign(internet, platform, executor=None):
-    campaign = CensusCampaign(internet, platform, seed=600, executor=executor)
+def _campaign(internet, platform, workers):
+    policy = ExecutionPolicy(workers=workers, submit_seed=workers or None)
+    campaign = CensusCampaign(internet, platform, seed=600, executor=policy)
     campaign.run_precensus()
     return campaign
 
@@ -52,20 +56,25 @@ def test_parallel_scaling_speedup(benchmark, results_dir):
     platform = planetlab_platform(count=128, seed=23)
 
     def sweep():
-        out = {}
-        out["serial"] = _timed_census(_campaign(internet, platform))
-        for workers in WORKER_COUNTS:
-            policy = ExecutionPolicy(workers=workers, submit_seed=workers)
-            out[workers] = _timed_census(
-                _campaign(internet, platform, executor=policy)
-            )
-        return out
+        return {
+            workers: _timed_census(_campaign(internet, platform, workers))
+            for workers in [0] + WORKER_COUNTS
+        }
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    serial_census, serial_s = results["serial"]
+    serial_census, serial_s = results[0]
+    commit = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"],
+        cwd=pathlib.Path(__file__).parent,
+        capture_output=True,
+        text=True,
+    ).stdout.strip()
     lines = [
-        f"host CPUs: {os.cpu_count()}   fork: {fork_available()}",
+        f"# scale: one census, {internet.n_targets} targets x {len(platform)} VPs "
+        f"(availability 0.85); commit {commit or 'unknown'} + working tree",
+        f"# host CPUs: {os.cpu_count()}   fork: {fork_available()}   "
+        "(serial = workers=0, the engine's in-process driver)",
         f"{'engine':>10s} {'wall s':>8s} {'speedup':>8s} {'checksum match':>15s}",
         f"{'serial':>10s} {serial_s:8.2f} {1.0:8.2f}x {'—':>15s}",
     ]

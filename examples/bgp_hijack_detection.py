@@ -4,8 +4,9 @@
 "Detecting geo-inconsistencies for knowingly unicast prefixes is
 symptomatic of BGP hijacking attacks."  This example runs a baseline
 census, injects a hijack of a unicast prefix (an attacker in Moscow
-captures part of the Internet's routes), re-analyzes, and diffs the two
-censuses to raise an alarm that geolocates the rogue origin.
+captures part of the Internet's routes), re-analyzes, and classifies
+the census-to-census routing changes: the victim comes back with a typed
+``hijack`` verdict that geolocates the rogue origin.
 
 Run time: ~15 s.
 
@@ -14,7 +15,7 @@ Run time: ~15 s.
 
 from repro.census.analysis import analyze_matrix
 from repro.census.combine import matrix_from_census
-from repro.census.hijack import detect_hijacks, inject_hijack
+from repro.census.hijack import classify_routing_changes, inject_hijack
 from repro.geo.coords import GeoPoint
 from repro.internet.topology import InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign
@@ -58,12 +59,16 @@ def main() -> None:
     print("Next census (under attack)...")
     current = analyze_matrix(hijacked_matrix)
 
-    alarms = detect_hijacks(baseline, current)
-    print(f"  {len(alarms)} geo-inconsistency alarm(s)\n")
+    verdicts = classify_routing_changes(
+        baseline, current, baseline_matrix=matrix, current_matrix=hijacked_matrix
+    )
+    alarms = [v for v in verdicts if v.is_alarm]
+    print(f"  {len(alarms)} alarm(s)\n")
     for alarm in alarms:
-        print(f"ALARM: {format_slash24(alarm.prefix)} was unicast, now shows "
-              f"{alarm.replica_count} origins:")
-        for city in alarm.observed_cities:
+        print(f"ALARM [{alarm.verdict.value}, confidence {alarm.confidence:.2f}]: "
+              f"{format_slash24(alarm.prefix)} was unicast, now shows "
+              f"{alarm.replica_count} origins ({alarm.detail}):")
+        for city in current.results[alarm.prefix].cities:
             distance = city.location.distance_km(ATTACKER)
             tag = "<- near the attacker" if distance < 1500 else ""
             print(f"    {city}  {tag}")

@@ -6,7 +6,7 @@ from .combine import RttMatrix, combine_censuses, matrix_from_census, merge_matr
 from .coverage import CoverageReport, coverage_report, spot_check_equivalence
 from .fastpath import FastAnalysisEngine, SharedGeometry, analyze_matrix_fast
 from .geomap import GeoGrid, deployment_map, replica_density_map
-from .hijack import HijackAlarm, detect_hijacks, inject_hijack
+from .hijack import inject_hijack
 from .longitudinal import (
     ASChange,
     EvolutionConfig,
@@ -60,8 +60,6 @@ __all__ = [
     "GeoGrid",
     "deployment_map",
     "replica_density_map",
-    "HijackAlarm",
-    "detect_hijacks",
     "inject_hijack",
     "PrefixRefinement",
     "RefinementReport",

@@ -24,10 +24,8 @@ census-to-census routing change into a *typed verdict*:
   baseline claim to contradict, so nothing is alarmed.
 
 Only ``hijack`` and ``leak`` are *alarming* verdicts; the rest document
-benign evolution.  The legacy helpers (:func:`inject_hijack`,
-:func:`detect_hijacks`) are kept for compatibility — with the
-misclassification fixed where a prefix absent from the baseline census
-used to alarm as a hijack.
+benign evolution.  :func:`inject_hijack` stages the geography-driven
+attack the classifier is demonstrated on.
 """
 
 from __future__ import annotations
@@ -44,19 +42,6 @@ from ..geo.disks import FIBER_SPEED_KM_PER_MS
 from ..net.latency import DEFAULT_MODEL, LatencyModel
 from .analysis import AnalysisResult
 from .combine import RttMatrix
-
-
-@dataclass(frozen=True)
-class HijackAlarm:
-    """One previously-unicast prefix now showing geo-inconsistency."""
-
-    prefix: int
-    #: Replica cities enumerated after the event; for a genuine hijack,
-    #: one of these is the legitimate origin and the others are attackers.
-    observed_cities: List[City]
-    #: Number of vantage points whose traffic is captured (lower bound:
-    #: those contributing disks around the new origin).
-    replica_count: int
 
 
 class RoutingVerdict(str, enum.Enum):
@@ -167,7 +152,7 @@ class AlarmPolicy:
 
 
 # ----------------------------------------------------------------------
-# Legacy helpers (kept API-compatible)
+# Injection
 # ----------------------------------------------------------------------
 
 
@@ -218,44 +203,6 @@ def inject_hijack(
         rtt_ms=rtt,
         sample_count=matrix.sample_count,
     )
-
-
-def detect_hijacks(
-    baseline: AnalysisResult,
-    current: AnalysisResult,
-    known_anycast: Optional[Set[int]] = None,
-) -> List[HijackAlarm]:
-    """Alarms for prefixes that turned anycast since the baseline census.
-
-    ``known_anycast`` optionally whitelists prefixes known to be legitimate
-    anycast (e.g. from an operator registry); they never raise alarms even
-    if the baseline census happened to miss them.
-
-    A prefix that is *absent from the baseline census entirely* (newly
-    routed, newly responsive) is a ``new-prefix``, not a hijack: there is
-    no baseline unicast claim for the anycast observation to contradict,
-    so it raises no alarm.
-    """
-    baseline_anycast = set(baseline.anycast_prefixes)
-    baseline_seen = set(int(p) for p in baseline.prefixes)
-    whitelist = known_anycast or set()
-    alarms = []
-    for prefix in current.anycast_prefixes:
-        if prefix in baseline_anycast or prefix in whitelist:
-            continue
-        if prefix not in baseline_seen:
-            # New prefix: nothing to contradict (satellite fix — this
-            # used to alarm although the baseline never saw the prefix).
-            continue
-        result = current.results[prefix]
-        alarms.append(
-            HijackAlarm(
-                prefix=prefix,
-                observed_cities=result.cities,
-                replica_count=result.replica_count,
-            )
-        )
-    return sorted(alarms, key=lambda a: a.prefix)
 
 
 # ----------------------------------------------------------------------

@@ -455,12 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-VP scan timeout in hours (default: none)")
     parser.add_argument("--checkpoint-dir", default=None,
                         help="journal directory for census checkpoint/resume")
-    parser.add_argument("--workers", default=None, metavar="N|auto",
+    parser.add_argument("--workers", default="0", metavar="N|auto",
                         help="run census scans on a supervised worker pool "
-                             "of N forked processes ('auto' = CPU count; 0 "
-                             "= sharded engine in-process; default: classic "
-                             "serial loop).  Output bytes are identical in "
-                             "every mode")
+                             "of N forked processes ('auto' = CPU count; "
+                             "default 0 = in-process, serial).  Output "
+                             "bytes are identical for every value")
     parser.add_argument("--analysis-workers", default=None, metavar="N|auto",
                         help="chunk the analysis of detected targets over N "
                              "forked worker processes ('auto' = CPU count; "
@@ -646,7 +645,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(study, args)
     except CensusAborted as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        cause = f" ({exc.__cause__})" if exc.__cause__ is not None else ""
+        print(f"error: {exc}{cause}", file=sys.stderr)
         return EXIT_ABORTED
     except CensusInterrupted as exc:
         # Clean drain: the journal holds every finished batch and the

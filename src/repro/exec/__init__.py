@@ -1,7 +1,8 @@
-"""Supervised parallel census execution.
+"""Supervised census execution — the one scan executor.
 
 Partitions a census into deterministic (VP × target-shard) work units,
-executes them on a forked worker pool under liveness supervision —
+executes them in-process (``workers=0``, the default and the reference)
+or on a forked worker pool under liveness supervision —
 heartbeats, bounded shard reassignment, worker respawn, per-VP circuit
 breakers, an overall deadline — and merges results canonically so the
 output bytes never depend on worker count, dispatch order, or which
@@ -11,8 +12,8 @@ Entry points:
 
 * :class:`ShardedExecutor` / :class:`ExecutionPolicy` — the engine.
 * :func:`build_plan` / :class:`ShardPlan` — unit partitioning.
-* :func:`graceful_shutdown` — SIGINT/SIGTERM drain used by both the
-  serial and pooled census paths.
+* :func:`graceful_shutdown` — SIGINT/SIGTERM drain of a census, at any
+  worker count.
 """
 
 from .engine import ExecutionOutcome, ShardedExecutor

@@ -1,21 +1,27 @@
-"""The supervised sharded execution engine.
+"""The supervised sharded execution engine — the one way a census scans.
 
 :class:`ShardedExecutor` takes a census's :class:`~repro.exec.plan.ShardPlan`
-and runs it either in-process (``workers=0``: the determinism reference)
-or on a forked worker pool, under one event loop that:
+and runs it either in-process (``workers=0``: the serial census, and the
+reference every pool run is tested against) or on a forked worker pool.
+Both drivers honour a cooperative stop flag (SIGINT/SIGTERM drain) and
+record completions into one :class:`_RunState`, which:
+
+* merges each VP's shards and hands the result to the caller;
+* trips a per-VP circuit breaker on repeated *scan* failures
+  (deterministic data errors, not infrastructure), keeping the last
+  error's text and routing the VP to the campaign's quarantine path
+  instead of burning retries;
+* enforces an overall deadline, failing unfinished VPs into the
+  existing quorum machinery rather than hanging forever.
+
+The pool driver adds an event loop that:
 
 * dispatches units to workers (bounded prefetch per worker);
 * tracks liveness via message heartbeats, declaring silent workers
   wedged after ``liveness_timeout_s`` and reassigning their shards;
 * detects dead workers by their corpses, reassigns, and respawns
   replacements — all under bounded budgets
-  (:class:`~repro.exec.supervisor.ReassignmentLedger`);
-* trips a per-VP circuit breaker on repeated *scan* failures
-  (deterministic data errors, not infrastructure), routing the VP to
-  the campaign's quarantine path instead of burning retries;
-* enforces an overall deadline, failing unfinished VPs into the
-  existing quorum machinery rather than hanging forever;
-* honours a cooperative stop flag (SIGINT/SIGTERM drain).
+  (:class:`~repro.exec.supervisor.ReassignmentLedger`).
 
 Determinism contract: unit results depend only on unit keys (all scan
 RNG is keyed by ``(seed, census, VP, shard)``), per-VP merges happen in
@@ -40,6 +46,7 @@ from .errors import WorkerLost
 from .plan import ShardPlan, WorkUnit, merge_vp_shards
 from .pool import (
     MSG_ERR,
+    MSG_HB,
     MSG_METRICS,
     MSG_OK,
     MSG_START,
@@ -66,12 +73,120 @@ VpCallback = Callable[[str, VpScanResult], bool]
 class ExecutionOutcome:
     """Everything one engine run produced."""
 
-    #: Merged scan results, keyed by VP name (completion subset only).
+    report: ExecutionReport
+    #: Merged scan results by VP name — filled only for callers that pass
+    #: no ``on_vp_complete``: a callback takes each result instead, so a
+    #: census never holds a scan's arrays here next to what the callback
+    #: made of them.
     results: Dict[str, VpScanResult] = field(default_factory=dict)
     #: VPs the engine gave up on, mapped to a fault tag
     #: (:data:`BREAKER_FAULT` or :data:`DEADLINE_FAULT`).
     failed: Dict[str, str] = field(default_factory=dict)
-    report: ExecutionReport = None  # type: ignore[assignment]
+
+
+class _RunState:
+    """What one engine run has produced so far, shared by both drivers.
+
+    Owns the bookkeeping that decides the run's *outcome* — resolved
+    units, per-VP shard merging, the scan-error breaker, deadline expiry,
+    the report — so the in-process and the pool driver differ only in
+    how a unit gets executed, never in what its completion means.
+    """
+
+    def __init__(
+        self,
+        policy: ExecutionPolicy,
+        plan: ShardPlan,
+        workers: int,
+        on_vp_complete: Optional[VpCallback],
+    ) -> None:
+        self.plan = plan
+        self.on_vp_complete = on_vp_complete
+        self.report = ExecutionReport(
+            workers=workers,
+            n_units=len(plan),
+            n_shards=plan.n_shards,
+            in_process=workers == 0,
+        )
+        self.outcome = ExecutionOutcome(report=self.report)
+        self.breaker = CircuitBreaker(policy.breaker_threshold)
+        self.resolved: Set[int] = set()
+        self._by_vp: Dict[str, List[WorkUnit]] = collections.defaultdict(list)
+        for unit in plan.units:
+            self._by_vp[unit.vp_name].append(unit)
+        self._shards: Dict[str, Dict[int, VpScanResult]] = collections.defaultdict(dict)
+        self._deadline = (
+            None if policy.deadline_s is None else time.monotonic() + policy.deadline_s
+        )
+
+    @property
+    def unresolved(self) -> int:
+        return len(self.plan) - len(self.resolved)
+
+    def complete(self, unit: WorkUnit, result: VpScanResult) -> bool:
+        """Record one finished unit; False asks the driver to stop."""
+        self.resolved.add(unit.unit_id)
+        self.report.units_completed += 1
+        shards = self._shards[unit.vp_name]
+        shards[unit.shard_index] = result
+        if len(shards) < self.plan.n_shards:
+            return True
+        merged = merge_vp_shards(self._shards.pop(unit.vp_name))
+        if self.on_vp_complete is None:
+            self.outcome.results[unit.vp_name] = merged
+            return True
+        return self.on_vp_complete(unit.vp_name, merged)
+
+    def scan_failed(self, unit: WorkUnit, error: str) -> bool:
+        """Count one scan exception (``"TypeName: message"``) against the
+        VP's breaker; True while the unit may be retried.
+
+        A scan exception is a property of the unit, not of whoever ran
+        it, so it never touches the reassignment ledger.  The text of the
+        last one is kept per VP: a tripped breaker must say what tripped it.
+        """
+        self.report.scan_errors[unit.vp_name] = error
+        self.breaker.record_failure(unit.vp_name)
+        if not self.breaker.is_open(unit.vp_name):
+            return True
+        self._fail_vp(unit.vp_name, BREAKER_FAULT)
+        return False
+
+    def deadline_expired(self) -> bool:
+        """Once past the deadline, fail every unfinished VP and say so."""
+        if self._deadline is None or time.monotonic() <= self._deadline:
+            return False
+        self.report.deadline_hit = True
+        for vp_name, units in self._by_vp.items():
+            if any(unit.unit_id not in self.resolved for unit in units):
+                self._fail_vp(vp_name, DEADLINE_FAULT)
+        return True
+
+    def _fail_vp(self, vp_name: str, tag: str) -> None:
+        self.outcome.failed[vp_name] = tag
+        for unit in self._by_vp[vp_name]:
+            if unit.unit_id not in self.resolved:
+                self.resolved.add(unit.unit_id)
+                self.report.units_failed += 1
+
+    def finish(self) -> ExecutionOutcome:
+        report = self.report
+        report.breaker_open_vps = self.breaker.open_keys
+        report.finish()
+        metrics = current_metrics()
+        if metrics.enabled:
+            metrics.counter("exec_units_completed").inc(report.units_completed)
+            metrics.counter("exec_units_failed").inc(report.units_failed)
+            metrics.counter("exec_heartbeats").inc(report.heartbeats)
+            metrics.counter("exec_reassignments").inc(report.reassignments)
+            metrics.counter("exec_workers_lost").inc(report.workers_lost)
+            metrics.counter("exec_workers_wedged").inc(report.workers_wedged)
+            metrics.counter("exec_workers_respawned").inc(report.workers_respawned)
+            metrics.counter("exec_breaker_tripped").inc(len(report.breaker_open_vps))
+            if report.deadline_hit:
+                metrics.counter("exec_deadline_expired").inc()
+            metrics.gauge("exec_workers").set(report.workers)
+        return self.outcome
 
 
 class ShardedExecutor:
@@ -80,10 +195,6 @@ class ShardedExecutor:
     def __init__(self, policy: ExecutionPolicy) -> None:
         self.policy = policy
 
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-
     def run(
         self,
         context: UnitContext,
@@ -91,45 +202,12 @@ class ShardedExecutor:
         on_vp_complete: Optional[VpCallback] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> ExecutionOutcome:
-        if self.policy.workers == 0 or not fork_available():
+        if self.policy.workers == 0 or not len(plan) or not fork_available():
             return self._run_in_process(context, plan, on_vp_complete, should_stop)
         return self._run_pool(context, plan, on_vp_complete, should_stop)
 
     # ------------------------------------------------------------------
-    # Shared bookkeeping
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _units_by_vp(plan: ShardPlan) -> Dict[str, List[WorkUnit]]:
-        grouped: Dict[str, List[WorkUnit]] = collections.defaultdict(list)
-        for unit in plan.units:
-            grouped[unit.vp_name].append(unit)
-        return dict(grouped)
-
-    def _dispatch_order(self, plan: ShardPlan) -> List[int]:
-        order = list(range(len(plan.units)))
-        if self.policy.submit_seed is not None:
-            rng = np.random.default_rng(self.policy.submit_seed)
-            rng.shuffle(order)
-        return order
-
-    def _fail_vp(
-        self,
-        vp_name: str,
-        tag: str,
-        outcome: ExecutionOutcome,
-        units_of_vp: List[WorkUnit],
-        resolved: Set[int],
-        report: ExecutionReport,
-    ) -> None:
-        outcome.failed[vp_name] = tag
-        for unit in units_of_vp:
-            if unit.unit_id not in resolved:
-                resolved.add(unit.unit_id)
-                report.units_failed += 1
-
-    # ------------------------------------------------------------------
-    # In-process reference executor
+    # In-process reference driver
     # ------------------------------------------------------------------
 
     def _run_in_process(
@@ -139,84 +217,43 @@ class ShardedExecutor:
         on_vp_complete: Optional[VpCallback],
         should_stop: Optional[Callable[[], bool]],
     ) -> ExecutionOutcome:
-        """Canonical-order execution of the same plan, zero processes.
+        """Canonical-order execution of the plan, zero processes.
 
-        The byte-level reference every pool run must match, and the
-        fallback where ``fork`` is unavailable.
+        The serial census, the byte-level reference every pool run must
+        match, and the fallback where ``fork`` is unavailable.
         """
         tracer = current_tracer()
-        policy = self.policy
-        outcome = ExecutionOutcome()
-        report = ExecutionReport(
-            workers=0, n_units=len(plan), n_shards=plan.n_shards, in_process=True
-        )
-        outcome.report = report
-        breaker = CircuitBreaker(policy.breaker_threshold)
-        by_vp = self._units_by_vp(plan)
-        shard_results: Dict[str, Dict[int, VpScanResult]] = collections.defaultdict(dict)
-        resolved: Set[int] = set()
-        started = time.monotonic()
+        state = _RunState(self.policy, plan, 0, on_vp_complete)
+        report = state.report
 
         for unit in plan.units:
-            if unit.unit_id in resolved:
+            if unit.unit_id in state.resolved:
                 continue
             if should_stop is not None and should_stop():
                 report.interrupted = True
                 break
-            if (
-                policy.deadline_s is not None
-                and time.monotonic() - started > policy.deadline_s
-            ):
-                report.deadline_hit = True
-                for vp_name, units in by_vp.items():
-                    if vp_name not in outcome.results and vp_name not in outcome.failed:
-                        self._fail_vp(
-                            vp_name, DEADLINE_FAULT, outcome, units, resolved, report
-                        )
+            if state.deadline_expired():
                 break
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    with tracer.span(
-                        "work_unit", vp=unit.vp_name, shard=unit.shard_index, worker=-1
-                    ):
+            # A raising scan is retried in place, bounded by the breaker
+            # (which resolves the unit when it trips).
+            while unit.unit_id not in state.resolved:
+                with tracer.span(
+                    "vp_scan", vp=unit.vp_name, shard=unit.shard_index, worker=-1
+                ):
+                    try:
                         result = context.execute(unit.unit_id)
-                except Exception:  # noqa: BLE001 — routed to the breaker
-                    if breaker.record_failure(unit.vp_name) or breaker.failures(
-                        unit.vp_name
-                    ) >= policy.breaker_threshold:
-                        self._fail_vp(
-                            unit.vp_name,
-                            BREAKER_FAULT,
-                            outcome,
-                            by_vp[unit.vp_name],
-                            resolved,
-                            report,
-                        )
-                        break
-                    continue  # deterministic retry, bounded by the breaker
-                resolved.add(unit.unit_id)
-                report.units_completed += 1
-                shard_results[unit.vp_name][unit.shard_index] = result
-                if len(shard_results[unit.vp_name]) == plan.n_shards:
-                    merged = merge_vp_shards(shard_results.pop(unit.vp_name))
-                    outcome.results[unit.vp_name] = merged
-                    if on_vp_complete is not None and not on_vp_complete(
-                        unit.vp_name, merged
-                    ):
-                        report.interrupted = True
-                break
+                    except Exception as exc:  # noqa: BLE001 — routed to the breaker
+                        state.scan_failed(unit, f"{type(exc).__name__}: {exc}")
+                    else:
+                        if not state.complete(unit, result):
+                            report.interrupted = True
             if report.interrupted:
                 break
 
-        report.breaker_open_vps = breaker.open_keys
-        report.finish()
-        self._mirror_metrics(report)
-        return outcome
+        return state.finish()
 
     # ------------------------------------------------------------------
-    # Pool executor
+    # Pool driver
     # ------------------------------------------------------------------
 
     def _run_pool(
@@ -229,57 +266,24 @@ class ShardedExecutor:
         tracer = current_tracer()
         events = current_events()
         policy = self.policy
-        n_workers = max(1, min(policy.workers, len(plan))) if len(plan) else 0
-        outcome = ExecutionOutcome()
-        report = ExecutionReport(
-            workers=n_workers, n_units=len(plan), n_shards=plan.n_shards
-        )
-        outcome.report = report
-        if not len(plan):
-            report.finish()
-            return outcome
+        n_workers = min(policy.workers, len(plan))
+        state = _RunState(policy, plan, n_workers, on_vp_complete)
+        report = state.report
+        resolved = state.resolved
 
-        breaker = CircuitBreaker(policy.breaker_threshold)
         ledger = ReassignmentLedger(
             per_unit_budget=policy.max_reassignments_per_unit,
             total_budget=policy.total_reassignment_budget,
         )
-        by_vp = self._units_by_vp(plan)
         units = plan.units
-        shard_results: Dict[str, Dict[int, VpScanResult]] = collections.defaultdict(dict)
-        resolved: Set[int] = set()
-        #: Per-unit scan-error retry counts (breaker-bounded).
-        error_counts: Dict[str, int] = {}
-        pending: collections.deque = collections.deque(self._dispatch_order(plan))
+        order = list(range(len(units)))
+        if policy.submit_seed is not None:
+            np.random.default_rng(policy.submit_seed).shuffle(order)
+        pending: collections.deque = collections.deque(order)
         pool = WorkerPool(context)
         respawns_left = policy.respawn_budget
         #: Workers whose final metrics snapshot already arrived in-loop.
         metrics_received: Set[int] = set()
-        started = time.monotonic()
-
-        def unresolved_count() -> int:
-            return len(units) - len(resolved)
-
-        def fail_vp(vp_name: str, tag: str) -> None:
-            self._fail_vp(vp_name, tag, outcome, by_vp[vp_name], resolved, report)
-
-        def complete_unit(unit: WorkUnit, payload: VpScanResult) -> bool:
-            """Record one finished unit; False asks the loop to stop."""
-            resolved.add(unit.unit_id)
-            report.units_completed += 1
-            with tracer.span(
-                "work_unit", vp=unit.vp_name, shard=unit.shard_index
-            ):
-                pass
-            shard_results[unit.vp_name][unit.shard_index] = payload
-            if len(shard_results[unit.vp_name]) == plan.n_shards:
-                merged = merge_vp_shards(shard_results.pop(unit.vp_name))
-                outcome.results[unit.vp_name] = merged
-                if on_vp_complete is not None and not on_vp_complete(
-                    unit.vp_name, merged
-                ):
-                    return False
-            return True
 
         def orphan_units(handle) -> None:
             """Requeue a lost worker's unresolved units (budget-charged)."""
@@ -302,13 +306,13 @@ class ShardedExecutor:
         def maybe_respawn() -> None:
             nonlocal respawns_left
             live = len(pool.live())
-            wanted = min(n_workers, unresolved_count())
+            wanted = min(n_workers, state.unresolved)
             while live < wanted and respawns_left > 0:
                 pool.spawn()
                 respawns_left -= 1
                 report.workers_respawned += 1
                 live += 1
-            if live == 0 and unresolved_count() > 0:
+            if live == 0 and state.unresolved > 0:
                 raise WorkerLost(
                     "worker pool exhausted: no live workers and no respawn "
                     "budget left",
@@ -319,23 +323,13 @@ class ShardedExecutor:
             for _ in range(n_workers):
                 pool.spawn()
 
-            while unresolved_count() > 0:
+            while state.unresolved > 0:
                 if should_stop is not None and should_stop():
                     report.interrupted = True
                     break
-                now = time.monotonic()
-                if (
-                    policy.deadline_s is not None
-                    and now - started > policy.deadline_s
-                ):
-                    report.deadline_hit = True
-                    for vp_name in list(by_vp):
-                        if (
-                            vp_name not in outcome.results
-                            and vp_name not in outcome.failed
-                        ):
-                            fail_vp(vp_name, DEADLINE_FAULT)
+                if state.deadline_expired():
                     break
+                now = time.monotonic()
 
                 # -- liveness sweep --------------------------------------
                 for handle in list(pool.workers.values()):
@@ -385,7 +379,6 @@ class ShardedExecutor:
                     except queue_mod.Empty:
                         break
 
-                stop = False
                 for kind, worker_id, unit_id, payload in messages:
                     if kind == MSG_METRICS:
                         # An early-exiting worker's parting snapshot —
@@ -397,7 +390,7 @@ class ShardedExecutor:
                     handle = pool.workers.get(worker_id)
                     if handle is not None:
                         handle.heartbeat()
-                    if kind in (MSG_START, "hb"):
+                    if kind in (MSG_START, MSG_HB):
                         continue
                     if unit_id in resolved:
                         report.duplicate_results += 1
@@ -406,24 +399,21 @@ class ShardedExecutor:
                     if handle is not None and unit_id in handle.assigned:
                         handle.assigned.remove(unit_id)
                     if kind == MSG_OK:
-                        if not complete_unit(unit, payload):
-                            report.interrupted = True
-                            stop = True
+                        # The scan ran in the worker; this parent-side
+                        # span marks its completion (merge + callback).
+                        with tracer.span(
+                            "vp_scan",
+                            vp=unit.vp_name,
+                            shard=unit.shard_index,
+                            worker=worker_id,
+                        ):
+                            if not state.complete(unit, payload):
+                                report.interrupted = True
+                        if report.interrupted:
                             break
-                    elif kind == MSG_ERR:
-                        # A scan exception is a property of the unit, not
-                        # the worker: count it against the VP's breaker
-                        # and retry only while the breaker holds.
-                        error_counts[unit.vp_name] = (
-                            error_counts.get(unit.vp_name, 0) + 1
-                        )
-                        if breaker.record_failure(unit.vp_name):
-                            fail_vp(unit.vp_name, BREAKER_FAULT)
-                        elif breaker.is_open(unit.vp_name):
-                            fail_vp(unit.vp_name, BREAKER_FAULT)
-                        else:
-                            pending.appendleft(unit_id)
-                if stop:
+                    elif kind == MSG_ERR and state.scan_failed(unit, payload):
+                        pending.appendleft(unit_id)
+                if report.interrupted:
                     break
         finally:
             # Pull the workers' in-worker registries home before tearing
@@ -433,28 +423,4 @@ class ShardedExecutor:
             )
             pool.shutdown()
 
-        report.breaker_open_vps = breaker.open_keys
-        report.finish()
-        self._mirror_metrics(report)
-        return outcome
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _mirror_metrics(report: ExecutionReport) -> None:
-        metrics = current_metrics()
-        if not getattr(metrics, "enabled", False):
-            return
-        metrics.counter("exec_units_completed").inc(report.units_completed)
-        metrics.counter("exec_units_failed").inc(report.units_failed)
-        metrics.counter("exec_heartbeats").inc(report.heartbeats)
-        metrics.counter("exec_reassignments").inc(report.reassignments)
-        metrics.counter("exec_workers_lost").inc(report.workers_lost)
-        metrics.counter("exec_workers_wedged").inc(report.workers_wedged)
-        metrics.counter("exec_workers_respawned").inc(report.workers_respawned)
-        metrics.counter("exec_breaker_tripped").inc(len(report.breaker_open_vps))
-        if report.deadline_hit:
-            metrics.counter("exec_deadline_expired").inc()
-        metrics.gauge("exec_workers").set(report.workers)
+        return state.finish()

@@ -14,8 +14,9 @@ properties make the partition safe to execute on an unreliable pool:
   shard-index order, and the census concatenates VPs in census order,
   regardless of completion order.
 
-With one shard per VP (the default) a unit is exactly the serial per-VP
-scan, which is what makes pool output byte-identical to the serial path.
+With one shard per VP (the default) a unit is exactly one whole per-VP
+scan, whichever process runs it — which is what makes pool output
+byte-identical to the in-process (``workers=0``) run.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def build_plan(
     """Partition a census into its canonical work units.
 
     ``vps`` lists ``(vp_name, platform_index, census_vp_index, degraded)``
-    in census order — exactly the ``pairs`` the serial loop iterates.
+    in census order.
     Units are ordered VP-major, shard-minor; ids are their positions.
     """
     if n_shards < 1:

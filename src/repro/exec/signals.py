@@ -1,6 +1,6 @@
-"""Graceful-shutdown plumbing shared by the serial and pooled paths.
+"""Graceful-shutdown plumbing of a census run.
 
-A census run — serial loop or worker pool — wants SIGINT/SIGTERM to mean
+A census run — in-process or on a worker pool — wants SIGINT/SIGTERM to mean
 "stop cleanly": finish nothing new, leave the checkpoint journal valid,
 write the run manifest, exit with a distinct code.  The stock behaviour
 (KeyboardInterrupt mid-array-op) can tear all three.

@@ -25,15 +25,16 @@ class ExecutionPolicy:
     """How a census execution engine runs and when it gives up.
 
     ``workers=0`` executes the plan in-process in canonical unit order —
-    the determinism reference (and the fallback where ``fork`` is
-    unavailable).  ``workers>=1`` runs a real multiprocessing pool.
+    the serial census, the reference every pool size is tested against
+    (and the fallback where ``fork`` is unavailable).  ``workers>=1``
+    runs a real multiprocessing pool.
     """
 
     workers: int = 2
     #: Target shards per VP.  1 (default) makes each unit a whole VP
-    #: scan, byte-identical to the serial path; >1 slices the target
-    #: space with shard-keyed RNG streams (a different — but equally
-    #: deterministic — byte stream, stable across worker counts).
+    #: scan; >1 slices the target space with shard-keyed RNG streams (a
+    #: different — but equally deterministic — byte stream, stable
+    #: across worker counts).
     n_target_shards: int = 1
     #: Overall wall-clock budget for one census's scan phase (seconds).
     #: On expiry, unfinished VPs are marked failed and the existing
@@ -169,6 +170,9 @@ class ExecutionReport:
     heartbeats: int = 0
     duplicate_results: int = 0
     breaker_open_vps: List[str] = field(default_factory=list)
+    #: Last scan exception per VP (``"TypeName: message"``) — what a
+    #: tripped breaker tripped on.
+    scan_errors: Dict[str, str] = field(default_factory=dict)
     deadline_hit: bool = False
     interrupted: bool = False
     in_process: bool = False
@@ -194,6 +198,7 @@ class ExecutionReport:
             "heartbeats": self.heartbeats,
             "duplicate_results": self.duplicate_results,
             "breaker_open_vps": list(self.breaker_open_vps),
+            "scan_errors": dict(self.scan_errors),
             "deadline_hit": self.deadline_hit,
             "interrupted": self.interrupted,
             "in_process": self.in_process,

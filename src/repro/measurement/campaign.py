@@ -31,6 +31,13 @@ an operator of ~300 shared testbed hosts has to (see
   interruption and a resumed census reproduces the uninterrupted run
   bit-for-bit (every per-VP RNG is keyed, not streamed).
 
+The scans themselves always run on the sharded engine
+(:mod:`repro.exec.engine`): the campaign partitions a census's VPs into
+resumed / flapped / to-scan, hands the last group to the engine under the
+``executor`` policy — ``workers=0``, the default, scans in-process, one VP
+after the other; any pool size returns the same bytes — and accounts the
+outcomes in census order.  There is no other scan loop.
+
 Every census carries a :class:`CampaignHealthReport` describing what the
 supervisor saw.  With the default (disabled) fault plan the fault path is
 skipped entirely and output is byte-identical to the unsupervised
@@ -41,14 +48,15 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-if TYPE_CHECKING:  # imported lazily at run time to avoid a package cycle
+if TYPE_CHECKING:  # the engine itself is imported lazily (package cycle)
     from ..exec.plan import WorkUnit
-    from ..exec.supervisor import ExecutionPolicy
 
+from ..exec.errors import ExecError
+from ..exec.supervisor import ExecutionPolicy
 from ..internet.topology import SyntheticInternet
 from ..obs import current_metrics, current_tracer
 from .faults import (
@@ -161,10 +169,9 @@ class CampaignHealthReport:
     #: failures)") and trust verdict reason codes, keyed by VP name.
     vp_reasons: Dict[str, List[str]] = field(default_factory=dict)
     degraded: bool = False
-    #: Pool-supervision dump (``ExecutionReport.to_dict``) when the
-    #: census ran on the parallel execution engine; None on the classic
-    #: serial path.
-    execution: Optional[Dict] = None
+    #: Engine-supervision dump (``ExecutionReport.to_dict``) of the scan
+    #: phase; empty only when the census aborted before scanning.
+    execution: Dict = field(default_factory=dict)
 
     @property
     def n_faults(self) -> int:
@@ -190,7 +197,7 @@ class CampaignHealthReport:
             f"  records dropped:    {self.records_dropped_corrupt}"
             f" in {self.batches_dropped_corrupt} corrupt batch(es)",
         ]
-        if self.execution is not None:
+        if self.execution:
             ex = self.execution
             lines.append(
                 f"  pool:               {ex.get('workers', 0)} worker(s), "
@@ -311,7 +318,12 @@ class Census:
 
 
 class CensusCampaign:
-    """Reusable census runner for one (internet, platform) pair."""
+    """Reusable census runner for one (internet, platform) pair.
+
+    ``executor`` is the policy (worker count, target shards, deadline,
+    breaker and reassignment budgets) of the engine every census's VP
+    scans run on; it is never ``None``.
+    """
 
     def __init__(
         self,
@@ -324,7 +336,7 @@ class CensusCampaign:
         retry: Optional[RetryPolicy] = None,
         min_vp_quorum: int = 1,
         quarantine_threshold: int = 2,
-        executor: Optional["ExecutionPolicy"] = None,
+        executor: ExecutionPolicy = ExecutionPolicy(workers=0),
         noise: str = "stream",
         distortion: Optional[VpDistortionPlan] = None,
     ) -> None:
@@ -344,11 +356,9 @@ class CensusCampaign:
         self.degraded_fraction = degraded_fraction
         self.fault_plan = fault_plan or FaultPlan()
         self.retry = retry or RetryPolicy()
-        #: Parallel-execution policy.  None runs the classic serial VP
-        #: loop; an :class:`~repro.exec.supervisor.ExecutionPolicy` runs
-        #: each census's scans on the supervised sharded engine
-        #: (``workers=0`` = in-process reference, byte-identical to any
-        #: pool size).
+        #: Policy of the sharded engine that runs every census's scans
+        #: (:mod:`repro.exec.engine`).  ``workers=0`` (default) executes
+        #: them in-process, serially; any pool size is byte-identical.
         self.executor = executor
         #: Per-probe noise source.  ``"stream"`` (default) consumes one
         #: positional RNG stream per scan — byte-stable, but any change to
@@ -581,26 +591,122 @@ class CensusCampaign:
         probes_per_vp = int(probe_mask.sum()) if metrics.enabled else 0
         span.set("vps_planned", len(planned))
 
+        from ..exec.engine import ShardedExecutor
+        from ..exec.plan import build_plan
+        from ..exec.pool import UnitContext
+        from ..exec.signals import graceful_shutdown
+
+        policy = self.executor
+        outcomes: Dict[str, _VpOutcome] = {}
+        resumed: Set[str] = set()
+        to_scan: List[Tuple[str, int, int, bool]] = []
+        budget_left = abort_after_vps
+        cut_short = False
+
+        def on_vp_complete(vp_name: str, result: VpScanResult) -> bool:
+            """Parent-side completion of one scanned VP, inside the
+            engine's ``vp_scan`` span: fault policy, then journal (keyed
+            by VP name, so arrival order is irrelevant)."""
+            outcome = self._apply_fault_policy(
+                index_of[vp_name], census_id, result, rate
+            )
+            outcomes[vp_name] = outcome
+            tracer.annotate(status=outcome.status)
+            if journal is not None:
+                journal.write_batch(outcome.journal_payload(vp_name), outcome.records)
+            return True  # the abort budget already bounded the plan
+
+        with graceful_shutdown() as stop_flag:
+            # Partition the planned VPs in census order.  Journal resume
+            # and flap verdicts are decided here in the parent (a flap is
+            # a VP-level availability fault: there is nothing to compute),
+            # and every VP that is not resumed — flapped or scanned —
+            # counts one against the abort budget, so an interrupted
+            # census has journalled exactly ``abort_after_vps`` fresh
+            # entries whatever the worker count.
+            for census_vp_index, (vp, degraded) in enumerate(pairs):
+                entry = journal.valid_batch(vp.name) if journal is not None else None
+                if entry is not None:
+                    with tracer.span("vp_scan", vp=vp.name, resumed=True) as vp_span:
+                        outcome = _VpOutcome.from_journal(entry.payload, entry.records)
+                        vp_span.set("status", outcome.status)
+                    outcomes[vp.name] = outcome
+                    resumed.add(vp.name)
+                    report.n_vps_resumed += 1
+                    metrics.counter("vps_resumed").inc()
+                    continue
+                if budget_left is not None:
+                    if budget_left == 0:
+                        cut_short = True
+                        break
+                    budget_left -= 1
+                flap = self._flap_outcome(census_id, index_of[vp.name])
+                if flap is None:
+                    to_scan.append(
+                        (vp.name, index_of[vp.name], census_vp_index, degraded)
+                    )
+                    continue
+                with tracer.span("vp_scan", vp=vp.name, status=flap.status):
+                    if journal is not None:
+                        journal.write_batch(flap.journal_payload(vp.name), flap.records)
+                outcomes[vp.name] = flap
+
+            plan = build_plan(to_scan, n_shards=policy.n_target_shards)
+            # Operator drain: the journal already holds every finished
+            # batch, fsynced; the engine stops before starting more work
+            # and leaves a resumable checkpoint.
+            executed = ShardedExecutor(policy).run(
+                UnitContext(
+                    campaign=self,
+                    census_id=census_id,
+                    probe_mask=probe_mask,
+                    base_order=base_order,
+                    rate_pps=rate,
+                    units=plan.units,
+                    worker_faults=policy.worker_faults,
+                ),
+                plan,
+                on_vp_complete=on_vp_complete,
+                should_stop=lambda: bool(stop_flag),
+            )
+        report.execution = executed.report.to_dict()
+        scan_errors = executed.report.scan_errors
+        interrupted = cut_short or executed.report.interrupted
+
+        # Census-order bookkeeping, whatever order the scans finished in:
+        # health/quarantine state, metrics and batch order — hence the
+        # output bytes — evolve identically for every worker count.
         batches: List[CensusRecords] = []
         checksums: List[int] = []
         durations: List[float] = []
         drops: List[float] = []
         greylist = Greylist()
-
-        def account(vp_name: str, outcome: _VpOutcome, fresh: bool) -> None:
-            """Census-order bookkeeping for one VP's outcome.
-
-            Shared by the serial loop and the parallel assembly pass, so
-            health/quarantine state, metrics, and batch order evolve
-            identically whichever engine ran the scans.
-            """
-            self._absorb_outcome(report, outcome, vp_name)
-            self.health.record(vp_name, ok=outcome.clean)
+        for vp, _ in pairs:
+            outcome = outcomes.get(vp.name)
+            if outcome is None:
+                if interrupted or vp.name not in executed.failed:
+                    continue
+                # Engine-level failure (breaker trip or deadline): marked
+                # failed — feeding quarantine and the quorum check — but
+                # deliberately NOT journaled, so a resumed census rescans
+                # rather than trusting a gave-up marker.
+                outcome = _VpOutcome(
+                    status="failed",
+                    records=None,
+                    checksum=None,
+                    duration_hours=float("nan"),
+                    drop_rate=float("nan"),
+                    faults=[executed.failed[vp.name]],
+                )
+                if vp.name in scan_errors:
+                    report.vp_reasons[vp.name] = ["scan raised " + scan_errors[vp.name]]
+            self._absorb_outcome(report, outcome, vp.name)
+            self.health.record(vp.name, ok=outcome.clean)
             durations.append(outcome.duration_hours)
             drops.append(outcome.drop_rate)
-            if fresh:
-                metrics.counter("probes_sent").inc(probes_per_vp)
             if metrics.enabled:
+                if vp.name not in resumed:
+                    metrics.counter("probes_sent").inc(probes_per_vp)
                 metrics.counter("vps_" + outcome.status).inc()
                 if outcome.retries:
                     metrics.counter("scan_retries").inc(outcome.retries)
@@ -622,74 +728,21 @@ class CensusCampaign:
                     else outcome.records.checksum()
                 )
                 self._collect_greylist(outcome.records, greylist)
-
-        from ..exec.signals import graceful_shutdown
-
-        with graceful_shutdown() as stop_flag:
-            if self.executor is not None:
-                self._run_vp_scans_parallel(
-                    census_id=census_id,
-                    pairs=pairs,
-                    index_of=index_of,
-                    probe_mask=probe_mask,
-                    base_order=base_order,
-                    rate=rate,
-                    journal=journal,
-                    abort_after_vps=abort_after_vps,
-                    stop_flag=stop_flag,
-                    report=report,
-                    account=account,
-                    metrics=metrics,
-                    checkpoint=checkpoint,
-                )
-            else:
-                fresh_scans = 0
-                for census_vp_index, (vp, degraded) in enumerate(pairs):
-                    if stop_flag:
-                        # Operator drain: the journal already holds every
-                        # finished batch, fsynced; stop before starting
-                        # more work and leave a resumable checkpoint.
-                        raise CensusInterrupted(census_id, fresh_scans, checkpoint)
-                    with tracer.span("vp_scan", vp=vp.name) as vp_span:
-                        outcome = None
-                        fresh = False
-                        if journal is not None:
-                            entry = journal.valid_batch(vp.name)
-                            if entry is not None:
-                                outcome = _VpOutcome.from_journal(
-                                    entry.payload, entry.records
-                                )
-                                report.n_vps_resumed += 1
-                                metrics.counter("vps_resumed").inc()
-                                vp_span.set("resumed", True)
-                        if outcome is None:
-                            if (
-                                abort_after_vps is not None
-                                and fresh_scans >= abort_after_vps
-                            ):
-                                raise CensusInterrupted(
-                                    census_id, fresh_scans, checkpoint
-                                )
-                            outcome = self._supervised_scan(
-                                platform_index=index_of[vp.name],
-                                census_id=census_id,
-                                probe_mask=probe_mask,
-                                census_vp_index=census_vp_index,
-                                base_order=base_order,
-                                rate_pps=rate,
-                                degraded=degraded,
-                            )
-                            fresh_scans += 1
-                            fresh = True
-                            if journal is not None:
-                                journal.write_batch(
-                                    outcome.journal_payload(vp.name), outcome.records
-                                )
-                        vp_span.set("status", outcome.status)
-                        account(vp.name, outcome, fresh)
+        if interrupted:
+            raise CensusInterrupted(
+                census_id, len(outcomes) - len(resumed), checkpoint
+            )
 
         if len(batches) < self.min_vp_quorum:
-            raise CensusAborted(census_id, len(batches), self.min_vp_quorum, report)
+            aborted = CensusAborted(census_id, len(batches), self.min_vp_quorum, report)
+            if len(executed.report.breaker_open_vps) == len(pairs):
+                # Every planned scan raised: a bug, not bad luck — the
+                # abort carries what was raised, not just a thin count.
+                name = pairs[0][0].name
+                raise aborted from ExecError(
+                    f"every VP scan raised; {name}: {scan_errors[name]}"
+                )
+            raise aborted
         report.degraded = (
             report.n_vps_failed > 0
             or report.n_vps_salvaged > 0
@@ -712,131 +765,6 @@ class CensusCampaign:
             rate_pps=rate,
             health=report,
         )
-
-    def _run_vp_scans_parallel(
-        self,
-        census_id: int,
-        pairs: List[Tuple[VantagePoint, bool]],
-        index_of: Dict[str, int],
-        probe_mask: np.ndarray,
-        base_order: np.ndarray,
-        rate: float,
-        journal: Optional[CensusJournal],
-        abort_after_vps: Optional[int],
-        stop_flag,
-        report: CampaignHealthReport,
-        account,
-        metrics,
-        checkpoint,
-    ) -> None:
-        """Run this census's VP scans on the supervised sharded engine.
-
-        Journal resume, flap decisions, the VP-level fault policy, and
-        all census bookkeeping stay in the parent; workers execute only
-        the pure keyed scan kernel (:meth:`run_work_unit`).  Results are
-        journaled as they arrive (the journal is keyed by VP name, so
-        arrival order is irrelevant) and *accounted* strictly in census
-        order, which is what keeps output byte-identical to the serial
-        loop.
-        """
-        from ..exec.engine import ShardedExecutor
-        from ..exec.plan import build_plan
-        from ..exec.pool import UnitContext
-
-        policy = self.executor
-        resumed: Dict[str, _VpOutcome] = {}
-        flapped: Dict[str, _VpOutcome] = {}
-        fresh_vps: List[Tuple[str, int, int, bool]] = []
-        for census_vp_index, (vp, degraded) in enumerate(pairs):
-            if journal is not None:
-                entry = journal.valid_batch(vp.name)
-                if entry is not None:
-                    resumed[vp.name] = _VpOutcome.from_journal(
-                        entry.payload, entry.records
-                    )
-                    report.n_vps_resumed += 1
-                    metrics.counter("vps_resumed").inc()
-                    continue
-            # Flap is a VP-level availability fault: decided here, never
-            # shipped to a worker (there is nothing to compute).
-            flap = self._flap_outcome(census_id, index_of[vp.name])
-            if flap is not None:
-                flapped[vp.name] = flap
-                if journal is not None:
-                    journal.write_batch(flap.journal_payload(vp.name), flap.records)
-                continue
-            fresh_vps.append(
-                (vp.name, index_of[vp.name], census_vp_index, bool(degraded))
-            )
-
-        plan = build_plan(fresh_vps, n_shards=policy.n_target_shards)
-        budget = (
-            None
-            if abort_after_vps is None
-            else max(abort_after_vps - len(flapped), 0)
-        )
-        if budget is not None and budget == 0 and len(plan):
-            raise CensusInterrupted(census_id, len(flapped), checkpoint)
-
-        engine_outcomes: Dict[str, _VpOutcome] = {}
-
-        def on_vp_complete(vp_name: str, result: VpScanResult) -> bool:
-            outcome = self._apply_fault_policy(
-                index_of[vp_name], census_id, result, rate
-            )
-            engine_outcomes[vp_name] = outcome
-            if journal is not None:
-                journal.write_batch(outcome.journal_payload(vp_name), outcome.records)
-            return budget is None or len(engine_outcomes) < budget
-
-        context = UnitContext(
-            campaign=self,
-            census_id=census_id,
-            probe_mask=probe_mask,
-            base_order=base_order,
-            rate_pps=rate,
-            units=plan.units,
-            worker_faults=policy.worker_faults,
-        )
-        exec_outcome = ShardedExecutor(policy).run(
-            context,
-            plan,
-            on_vp_complete=on_vp_complete,
-            should_stop=lambda: bool(stop_flag),
-        )
-        report.execution = exec_outcome.report.to_dict()
-        interrupted = exec_outcome.report.interrupted
-
-        for vp, degraded in pairs:
-            name = vp.name
-            if name in resumed:
-                account(name, resumed[name], False)
-            elif name in flapped:
-                account(name, flapped[name], True)
-            elif name in engine_outcomes:
-                account(name, engine_outcomes[name], True)
-            elif name in exec_outcome.failed and not interrupted:
-                # Engine-level failure (breaker trip or deadline): marked
-                # failed — feeding quarantine and the quorum check — but
-                # deliberately NOT journaled, so a resumed census rescans
-                # rather than trusting a gave-up marker.
-                tag = exec_outcome.failed[name]
-                account(
-                    name,
-                    _VpOutcome(
-                        status="failed",
-                        records=None,
-                        checksum=None,
-                        duration_hours=float("nan"),
-                        drop_rate=float("nan"),
-                        faults=[tag],
-                    ),
-                    True,
-                )
-        if interrupted:
-            raise CensusInterrupted(
-                census_id, len(flapped) + len(engine_outcomes), checkpoint
-            )
 
     def run(
         self,
@@ -906,34 +834,6 @@ class CensusCampaign:
             )
         return journal
 
-    def _supervised_scan(
-        self,
-        platform_index: int,
-        census_id: int,
-        probe_mask: Optional[np.ndarray],
-        census_vp_index: int,
-        base_order: np.ndarray,
-        rate_pps: float,
-        degraded: bool,
-    ) -> _VpOutcome:
-        """One VP scan under the fault injector and retry policy."""
-        flap = self._flap_outcome(census_id, platform_index)
-        if flap is not None:
-            return flap
-        # The underlying scan is deterministic in (seed, census, VP), so
-        # one simulation serves every attempt; faults decide what the
-        # supervisor observed each time.
-        result = self._scan_vp(
-            platform_index,
-            census_id=census_id,
-            probe_mask=probe_mask,
-            census_vp_index=census_vp_index,
-            base_order=base_order,
-            rate_pps=rate_pps,
-            degraded=degraded,
-        )
-        return self._apply_fault_policy(platform_index, census_id, result, rate_pps)
-
     def _flap_outcome(
         self, census_id: int, platform_index: int
     ) -> Optional[_VpOutcome]:
@@ -974,8 +874,7 @@ class CensusCampaign:
     ) -> _VpOutcome:
         """Replay the fault/retry policy over one finished scan result.
 
-        Shared verbatim by the serial path and the parallel engine (which
-        calls it in the parent on each merged per-VP result): what the
+        Called in the parent on each merged per-VP result: what the
         supervisor "observed" depends only on the keyed injector, never
         on which process computed the scan.
 

@@ -115,6 +115,13 @@ class Tracer:
         """Open a nested span: ``with tracer.span("census", census_id=1):``."""
         return _SpanContext(self, Span(name, attrs or None))
 
+    def annotate(self, **attrs: Any) -> None:
+        """Set attributes on the innermost open span — for code that runs
+        inside a span somebody else opened (a callback under the engine's
+        ``vp_scan``).  No-op outside any span."""
+        if self._stack:
+            self._stack[-1].attrs.update(attrs)
+
     @property
     def n_spans(self) -> int:
         def count(spans: Sequence[Span]) -> int:
@@ -157,6 +164,9 @@ class NullTracer:
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
+
+    def annotate(self, **attrs: Any) -> None:
+        pass
 
     def clear(self) -> None:
         pass

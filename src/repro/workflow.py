@@ -93,23 +93,20 @@ class StudyConfig:
     min_vp_quorum: int = 1
     #: Journal directory for checkpoint/resume of censuses (optional).
     checkpoint_dir: Optional[str] = None
-    #: Worker processes for census scans.  ``None`` keeps the classic
-    #: serial VP loop; ``0`` runs the sharded engine in-process (the
-    #: determinism reference); ``N >= 1`` runs a supervised pool of N
-    #: forked workers.  Output bytes are identical in every mode.
-    workers: Optional[int] = None
+    #: Worker processes for census scans, all on the one sharded engine:
+    #: ``0`` (default) scans in-process, serially — the reference every
+    #: pool size is tested against; ``N >= 1`` runs a supervised pool of
+    #: N forked workers.  Output bytes are identical for every value.
+    workers: int = 0
     #: Worker processes for the *analysis* stage (fast engine only).
     #: ``None``/``0`` analyzes detected targets serially; ``N >= 1``
     #: chunks them over a forked pool with a canonical-order merge, so
     #: results are identical for every worker count.
     analysis_workers: Optional[int] = None
-    #: Wall-clock budget (seconds) for each census's scan phase when the
-    #: parallel engine is active; on expiry unfinished VPs are failed
-    #: into the quorum machinery instead of hanging the run.
+    #: Wall-clock budget (seconds) for each census's scan phase; on
+    #: expiry unfinished VPs are failed into the quorum machinery
+    #: instead of hanging the run.
     deadline: Optional[float] = None
-    #: Full engine policy override.  When set it wins over ``workers``/
-    #: ``deadline``; use it to tune shards, liveness, breakers, budgets.
-    execution: Optional["ExecutionPolicy"] = None
     #: Record a hierarchical span tree of every pipeline stage.  Purely
     #: observational: results are byte-identical with tracing on or off.
     trace: bool = False
@@ -279,22 +276,6 @@ class CensusStudy:
 
     # -- measurement ----------------------------------------------------
 
-    def _execution_policy(self) -> Optional[ExecutionPolicy]:
-        """Resolve the engine policy from the config's parallel knobs.
-
-        ``None`` (no knob set) keeps the classic serial loop; a bare
-        ``deadline`` runs the engine in-process so the budget applies
-        without any multiprocessing.
-        """
-        if self.config.execution is not None:
-            return self.config.execution
-        if self.config.workers is None and self.config.deadline is None:
-            return None
-        return ExecutionPolicy(
-            workers=self.config.workers if self.config.workers is not None else 0,
-            deadline_s=self.config.deadline,
-        )
-
     @property
     def campaign(self) -> CensusCampaign:
         if self._campaign is None:
@@ -306,7 +287,9 @@ class CensusStudy:
                 fault_plan=self.config.fault_plan,
                 retry=self.config.retry,
                 min_vp_quorum=self.config.min_vp_quorum,
-                executor=self._execution_policy(),
+                executor=ExecutionPolicy(
+                    workers=self.config.workers, deadline_s=self.config.deadline
+                ),
                 distortion=self.config.vp_distortion,
             )
         return self._campaign

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from repro.census.analysis import analyze_matrix
 from repro.census.combine import matrix_from_census
-from repro.census.hijack import detect_hijacks, inject_hijack
+from repro.census.hijack import (
+    RoutingVerdict,
+    classify_routing_changes,
+    inject_hijack,
+)
 from repro.geo.coords import GeoPoint
 
 MOSCOW = GeoPoint(55.76, 37.62)
@@ -77,25 +81,30 @@ class TestDetection:
         victim = pick_unicast_victim(tiny_internet, tiny_platform, baseline)
         hijacked = inject_hijack(matrix, victim.prefix, MOSCOW, seed=3)
         current = analyze_matrix(hijacked, city_db=city_db)
-        alarms = detect_hijacks(baseline, current)
+        alarms = [a for a in classify_routing_changes(baseline, current) if a.is_alarm]
         assert victim.prefix in {a.prefix for a in alarms}
         alarm = next(a for a in alarms if a.prefix == victim.prefix)
+        assert alarm.verdict is RoutingVerdict.HIJACK
         assert alarm.replica_count >= 2
         # One observed origin should be near the attacker.
-        nearest = min(
-            alarm.observed_cities, key=lambda c: c.location.distance_km(MOSCOW)
-        )
+        cities = current.results[victim.prefix].cities
+        assert sorted(f"{c.name},{c.country}" for c in cities) == alarm.observed_cities
+        nearest = min(cities, key=lambda c: c.location.distance_km(MOSCOW))
         assert nearest.location.distance_km(MOSCOW) < 1500
 
     def test_no_alarms_without_change(self, baseline):
-        assert detect_hijacks(baseline, baseline) == []
+        assert classify_routing_changes(baseline, baseline) == []
 
     def test_whitelist_suppresses(self, matrix, tiny_internet, tiny_platform, baseline, city_db):
         victim = pick_unicast_victim(tiny_internet, tiny_platform, baseline)
         hijacked = inject_hijack(matrix, victim.prefix, MOSCOW, seed=3)
         current = analyze_matrix(hijacked, city_db=city_db)
-        alarms = detect_hijacks(baseline, current, known_anycast={victim.prefix})
-        assert victim.prefix not in {a.prefix for a in alarms}
+        verdicts = classify_routing_changes(
+            baseline, current, known_anycast={victim.prefix}
+        )
+        hit = [v for v in verdicts if v.prefix == victim.prefix]
+        assert [v.verdict for v in hit] == [RoutingVerdict.GROWTH]
+        assert not hit[0].is_alarm
 
 
 class TestEdgeCases:
@@ -142,15 +151,13 @@ class TestEdgeCases:
         """All VPs captured: the row is coherently unicast-at-the-attacker,
         so the anycast-flip detector stays silent (documented floor) while
         the matrix-level classifier catches the re-homing."""
-        from repro.census.hijack import RoutingVerdict, classify_routing_changes
-
         victim = pick_unicast_victim(tiny_internet, tiny_platform, baseline)
         hijacked = inject_hijack(
             matrix, victim.prefix, MOSCOW, captured_fraction=1.0, seed=3
         )
         current = analyze_matrix(hijacked, city_db=city_db)
         assert victim.prefix not in {
-            a.prefix for a in detect_hijacks(baseline, current)
+            a.prefix for a in classify_routing_changes(baseline, current)
         }
         verdicts = classify_routing_changes(
             baseline, current,
@@ -166,8 +173,6 @@ class TestEdgeCases:
     ):
         """An attacker in the victim's own city moves no geography: no
         alarm from either detector, at any capture fraction."""
-        from repro.census.hijack import classify_routing_changes
-
         victim = pick_unicast_victim(tiny_internet, tiny_platform, baseline)
         hijacked = inject_hijack(
             matrix, victim.prefix, victim.location,
@@ -175,7 +180,7 @@ class TestEdgeCases:
         )
         current = analyze_matrix(hijacked, city_db=city_db)
         assert victim.prefix not in {
-            a.prefix for a in detect_hijacks(baseline, current)
+            a.prefix for a in classify_routing_changes(baseline, current)
         }
         verdicts = classify_routing_changes(
             baseline, current,

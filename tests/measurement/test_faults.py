@@ -333,6 +333,34 @@ class TestQuorumAndQuarantine:
         assert exc.value.quorum == 5
         assert exc.value.report.n_vps_failed == exc.value.report.n_vps_planned
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_abort_names_the_scan_exception(
+        self, tiny_internet, tiny_platform, monkeypatch, workers
+    ):
+        """A bug in the scan kernel trips every breaker; the abort must
+        say what was raised, not only that the census came out thin."""
+        from repro.exec import BREAKER_FAULT, ExecutionPolicy
+
+        campaign = make_campaign(
+            tiny_internet, tiny_platform, executor=ExecutionPolicy(workers=workers)
+        )
+
+        def broken_scan(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(campaign, "_scan_vp", broken_scan)
+        with pytest.raises(CensusAborted) as exc:
+            campaign.run_census(availability=0.85)
+        assert "ValueError: boom" in str(exc.value.__cause__)
+        report = exc.value.report
+        assert report.faults_seen == {BREAKER_FAULT: report.n_vps_planned}
+        assert set(report.vp_reasons) == set(report.failed_vps)
+        assert all(
+            reasons == ["scan raised ValueError: boom"]
+            for reasons in report.vp_reasons.values()
+        )
+        assert set(report.execution["scan_errors"].values()) == {"ValueError: boom"}
+
     def test_quorum_validation(self, tiny_internet, tiny_platform):
         with pytest.raises(ValueError):
             CensusCampaign(tiny_internet, tiny_platform, min_vp_quorum=0)

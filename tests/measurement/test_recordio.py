@@ -344,7 +344,8 @@ class TestFlapCheckpointResume:
     """
 
     @staticmethod
-    def _campaign(internet, platform, seed=321):
+    def _campaign(internet, platform, seed=321, workers=0):
+        from repro.exec import ExecutionPolicy
         from repro.measurement.campaign import CensusCampaign
         from repro.measurement.faults import FaultPlan
 
@@ -354,6 +355,7 @@ class TestFlapCheckpointResume:
             seed=seed,
             fault_plan=FaultPlan(flap_prob=0.4, seed=17),
             min_vp_quorum=1,
+            executor=ExecutionPolicy(workers=workers),
         )
         campaign.run_precensus()
         return campaign
@@ -364,8 +366,9 @@ class TestFlapCheckpointResume:
         census.records.write_binary(sink)
         return sink.getvalue()
 
+    @pytest.mark.parametrize("workers", [0, 2])
     def test_resume_mid_flap_is_bit_for_bit(
-        self, tiny_internet, tiny_platform, tmp_path
+        self, tiny_internet, tiny_platform, tmp_path, workers
     ):
         from repro.measurement.campaign import CensusInterrupted
 
@@ -377,18 +380,19 @@ class TestFlapCheckpointResume:
         assert flapped, "flap plan injected no flaps; adjust seed"
 
         journal_path = tmp_path / "census-001.journal"
-        interrupted = self._campaign(tiny_internet, tiny_platform)
+        interrupted = self._campaign(tiny_internet, tiny_platform, workers=workers)
         with pytest.raises(CensusInterrupted) as exc:
             interrupted.run_census(
                 availability=0.85,
                 checkpoint=str(journal_path),
                 abort_after_vps=7,
             )
+        # Flapped and scanned VPs alike count one against the budget.
         assert exc.value.completed_vps == 7
 
         # "New process": a fresh campaign under the same seeds replays
         # the journal prefix and scans only the remaining VPs.
-        resumer = self._campaign(tiny_internet, tiny_platform)
+        resumer = self._campaign(tiny_internet, tiny_platform, workers=workers)
         resumed = resumer.run_census(
             availability=0.85, checkpoint=str(journal_path)
         )

@@ -261,7 +261,7 @@ class TestExitCodes:
 class TestParallelOptions:
     def test_workers_and_deadline_default_off(self):
         args = build_parser().parse_args(["glance"])
-        assert args.workers is None
+        assert args.workers == "0"
         assert args.deadline is None
 
     def test_parse_workers_values(self):
@@ -292,6 +292,25 @@ class TestParallelOptions:
         out = capsys.readouterr().out
         assert "pool:" in out
         assert "2 worker(s)" in out
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_manifest_carries_execution_report(self, capsys, tmp_path, workers):
+        import json
+
+        from repro.obs import validate_manifest
+
+        path = tmp_path / "manifest.json"
+        argv = ["--workers", workers, "--manifest", str(path), "health"]
+        assert main(SCALE + argv) == EXIT_OK
+        doc = json.loads(path.read_text())
+        validate_manifest(doc)
+        # Which path ran is on record: the resolved worker count in the
+        # config block, the engine's own report in health and counters.
+        assert doc["config"]["workers"] == int(workers)
+        assert doc["health"][0]["execution"]["workers"] == int(workers)
+        counters = doc["metrics"]["counters"]
+        assert counters["exec_units_completed"] > 0
+        assert counters["exec_unit_scans"] == counters["exec_units_completed"]
 
     def test_immediate_deadline_aborts_with_3(self, capsys):
         code = main(SCALE + ["--deadline", "0.000001", "glance"])

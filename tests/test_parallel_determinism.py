@@ -3,9 +3,9 @@
 Property-style coverage of the determinism contract: a census executed
 on the supervised pool — any worker count, shuffled dispatch order,
 VP-level faults active, workers killed or wedged mid-shard — produces
-output byte-identical to the classic serial loop.  Target-sharded mode
-(``n_target_shards > 1``) is its own deterministic byte stream, checked
-against the in-process reference executor the same way.
+output byte-identical to the serial census (``workers=0``, the engine's
+in-process driver).  Target-sharded mode (``n_target_shards > 1``) is its
+own deterministic byte stream, checked against ``workers=0`` the same way.
 """
 
 import io
@@ -32,7 +32,9 @@ def platform():
     return planetlab_platform(count=14, seed=11)
 
 
-def fresh_campaign(internet, platform, executor=None, fault_plan=None, retry=None):
+def fresh_campaign(
+    internet, platform, executor=ExecutionPolicy(workers=0), fault_plan=None, retry=None
+):
     campaign = CensusCampaign(
         internet,
         platform,
@@ -64,7 +66,9 @@ def assert_same_census(a, b):
 
 @pytest.fixture(scope="module")
 def serial_census(internet, platform):
-    return fresh_campaign(internet, platform).run_census(availability=0.85)
+    census = fresh_campaign(internet, platform).run_census(availability=0.85)
+    assert census.health.execution["in_process"]
+    return census
 
 
 class TestPoolMatchesSerial:
@@ -80,16 +84,6 @@ class TestPoolMatchesSerial:
         )
         assert_same_census(census, serial_census)
         assert census.health.execution["workers"] == workers
-
-    def test_in_process_engine_is_byte_identical(
-        self, internet, platform, serial_census
-    ):
-        policy = ExecutionPolicy(workers=0)
-        census = fresh_campaign(internet, platform, executor=policy).run_census(
-            availability=0.85
-        )
-        assert_same_census(census, serial_census)
-        assert census.health.execution["in_process"]
 
     def test_shuffled_orders_agree_with_each_other(self, internet, platform):
         seen = set()
@@ -172,8 +166,8 @@ class TestFaultyWorkersKeepBytesIdentical:
 
 class TestShardedMode:
     """Target sharding is a *different* deterministic stream: shards use
-    their own keyed RNG, so the reference is the in-process engine run
-    of the same plan, not the unsharded serial loop."""
+    their own keyed RNG, so the reference is the ``workers=0`` run of
+    the same plan, not the unsharded census."""
 
     def test_pool_matches_in_process_reference(self, internet, platform):
         reference = fresh_campaign(
@@ -221,20 +215,26 @@ class TestCheckpointResumeUnderPool:
         assert resumed.health.n_vps_resumed == 3
         assert_same_census(resumed, serial_census)
 
+    @pytest.mark.parametrize("writer, resumer", [(2, 0), (0, 2)])
     def test_pool_journal_resumable_by_serial_loop(
-        self, internet, platform, serial_census, tmp_path
+        self, internet, platform, serial_census, tmp_path, writer, resumer
     ):
-        """A checkpoint written by the pool is a plain census journal:
-        the serial path resumes it and produces the same bytes."""
+        """A checkpoint is a plain census journal: one written under any
+        worker count resumes under any other and produces the same bytes."""
         journal_path = str(tmp_path / "census-001.journal")
-        policy = ExecutionPolicy(workers=2, poll_interval_s=0.02)
         with pytest.raises(CensusInterrupted):
-            fresh_campaign(internet, platform, executor=policy).run_census(
+            fresh_campaign(
+                internet,
+                platform,
+                executor=ExecutionPolicy(workers=writer, poll_interval_s=0.02),
+            ).run_census(
                 availability=0.85, checkpoint=journal_path, abort_after_vps=2
             )
-        resumed = fresh_campaign(internet, platform).run_census(
-            availability=0.85, checkpoint=journal_path
-        )
+        resumed = fresh_campaign(
+            internet,
+            platform,
+            executor=ExecutionPolicy(workers=resumer, poll_interval_s=0.02),
+        ).run_census(availability=0.85, checkpoint=journal_path)
         assert resumed.health.n_vps_resumed == 2
         assert_same_census(resumed, serial_census)
 

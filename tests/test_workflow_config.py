@@ -104,32 +104,24 @@ class TestConfigPropagation:
 
 
 class TestExecutionKnobs:
-    """StudyConfig.workers/deadline/execution -> campaign engine policy."""
+    """StudyConfig.workers/deadline -> campaign engine policy."""
 
     def test_default_is_serial(self):
         study = CensusStudy(tiny_config())
-        assert study.campaign.executor is None
+        assert study.campaign.executor.workers == 0
+        assert study.campaign.executor.deadline_s is None
 
     def test_workers_builds_pool_policy(self):
         study = CensusStudy(tiny_config(workers=3))
         policy = study.campaign.executor
-        assert policy is not None
         assert policy.workers == 3
         assert policy.deadline_s is None
 
     def test_deadline_alone_runs_engine_in_process(self):
         study = CensusStudy(tiny_config(deadline=120.0))
         policy = study.campaign.executor
-        assert policy is not None
         assert policy.workers == 0
         assert policy.deadline_s == 120.0
-
-    def test_explicit_execution_policy_wins(self):
-        from repro.exec import ExecutionPolicy
-
-        override = ExecutionPolicy(workers=5, n_target_shards=2)
-        study = CensusStudy(tiny_config(workers=1, execution=override))
-        assert study.campaign.executor is override
 
     def test_pooled_study_output_matches_serial(self):
         serial = CensusStudy(tiny_config())
@@ -138,7 +130,8 @@ class TestExecutionKnobs:
             pooled.censuses[0].records.checksum()
             == serial.censuses[0].records.checksum()
         )
-        assert pooled.health_reports[0].execution is not None
+        assert serial.health_reports[0].execution["in_process"]
+        assert pooled.health_reports[0].execution["workers"] == 2
 
     def test_manifest_carries_execution_report(self):
         study = CensusStudy(tiny_config(workers=2, metrics=True))
