@@ -12,9 +12,8 @@ the full product:
   materializing the journal;
 * the fold is the packed-key sort (byte-identical to the scattered
   ``np.minimum.at`` it replaced, measurably faster);
-* the output planes live on a :class:`MatrixStore` (memmap here), so
-  the matrix never touches the Python heap and worker processes attach
-  by token instead of receiving pickled arrays.
+* the output planes live on a :class:`MatrixStore` (memory-mapped temp
+  files), so the matrix never touches the Python heap and may exceed RAM.
 
 Scale the numbers up with ``--vps`` / ``--targets`` to find your own
 host's frontier; ``benchmarks/bench_scaling_frontier.py`` automates the
@@ -130,14 +129,9 @@ def main() -> None:
     print(f"  byte-identical planes across paths: {identical}")
     assert identical
 
-    token = matrix.store.token()
-    print(
-        f"\nWorker hand-off: a {matrix.rtt_ms.nbytes / 1e6:.1f} MB plane "
-        f"crosses process boundaries as a ~{len(repr(token))}-byte token"
-    )
     ratio = inline_peak / max(stream_peak, 0.1)
     print(
-        f"Heap-frontier headroom at this shape: {ratio:.1f}x "
+        f"\nHeap-frontier headroom at this shape: {ratio:.1f}x "
         f"(grows with the journal; see benchmarks/bench_scaling_frontier.py)"
     )
     matrix.store.close()

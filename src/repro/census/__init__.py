@@ -4,7 +4,7 @@ from .analysis import AnalysisResult, CensusFunnel, analyze_matrix, census_funne
 from .characterize import ASFootprint, Characterization, GlanceRow
 from .combine import RttMatrix, combine_censuses, matrix_from_census, merge_matrices
 from .coverage import CoverageReport, coverage_report, spot_check_equivalence
-from .fastpath import FastAnalysisEngine, SharedGeometry, analyze_matrix_fast
+from .fastpath import FastAnalysisEngine, SharedGeometry
 from .geomap import GeoGrid, deployment_map, replica_density_map
 from .hijack import inject_hijack
 from .longitudinal import (
@@ -56,7 +56,6 @@ __all__ = [
     "spot_check_equivalence",
     "FastAnalysisEngine",
     "SharedGeometry",
-    "analyze_matrix_fast",
     "GeoGrid",
     "deployment_map",
     "replica_density_map",

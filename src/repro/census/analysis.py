@@ -15,13 +15,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.detection import detection_mask_rtt
-from ..core.igreedy import IGreedyConfig, IGreedyResult, igreedy
-from ..core.samples import LatencySample
-from ..geo.cities import CityDB, default_city_db
+from ..core.igreedy import IGreedyConfig, IGreedyResult
+from ..geo.cities import CityDB
 from ..internet.topology import SyntheticInternet
 from ..measurement.campaign import Census
 from ..obs import current_metrics, current_tracer
 from .combine import RttMatrix
+from .fastpath import FastAnalysisEngine
 
 
 @dataclass
@@ -67,29 +67,50 @@ class AnalysisResult:
 
 
 def detect_targets(
-    matrix: RttMatrix, config: IGreedyConfig, min_samples: int
+    matrix: RttMatrix,
+    config: IGreedyConfig,
+    min_samples: int,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The census-wide detection tier: one verdict per matrix row.
 
-    The speed-of-light filter over every row that replied to at least
+    The speed-of-light filter over every row (or only ``rows``, the
+    service's not-copied-forward subset) that replied to at least
     ``min_samples`` vantage points, read block by block off the (possibly
     memory-mapped) float32 plane.
+
+    A negative RTT is a negative disk radius: no geometry downstream is
+    defined on it, so the tier refuses the input with a typed
+    :class:`~repro.resilience.errors.CorruptInputError` (unfiltered VP
+    distortion is the known source) instead of letting it surface as a
+    bare ``ValueError`` deep inside geolocation.
     """
     tracer = current_tracer()
+    rtt = matrix.rtt_ms if rows is None else matrix.rtt_ms[rows]
     with tracer.span("coverage"):
         vp_dist = matrix.vp_distance_matrix()
-        filled = (~np.isnan(matrix.rtt_ms)).sum(axis=1)
-    mask = detection_mask_rtt(vp_dist, matrix.rtt_ms, config.speed_km_per_ms)
+        filled = (~np.isnan(rtt)).sum(axis=1)
+        negative = rtt < 0
+        if negative.any():
+            # Imported here: the resilience package imports this module.
+            from ..resilience.errors import CorruptInputError
+
+            raise CorruptInputError(
+                f"{int(negative.sum())} negative-RTT cell(s) in "
+                f"{int(negative.any(axis=1).sum())} of {len(rtt)} target row(s): "
+                "a disk radius cannot be negative"
+            )
+    mask = detection_mask_rtt(vp_dist, rtt, config.speed_km_per_ms)
     mask &= filled >= min_samples
 
     metrics = current_metrics()
     if metrics.enabled:
-        metrics.gauge("rtt_matrix_cells").set(int(matrix.rtt_ms.size))
+        metrics.gauge("rtt_matrix_cells").set(int(rtt.size))
         metrics.gauge("rtt_matrix_filled_cells").set(int(filled.sum()))
-        metrics.gauge("rtt_matrix_targets").set(matrix.n_targets)
+        metrics.gauge("rtt_matrix_targets").set(len(rtt))
         if matrix.store is not None:
             metrics.gauge("matrix_store_bytes").set(int(matrix.store.nbytes))
-        metrics.counter("targets_analyzed").inc(matrix.n_targets)
+        metrics.counter("targets_analyzed").inc(len(rtt))
         metrics.counter("targets_classified_anycast").inc(int(mask.sum()))
     return mask
 
@@ -99,45 +120,24 @@ def analyze_matrix(
     city_db: Optional[CityDB] = None,
     config: Optional[IGreedyConfig] = None,
     min_samples: int = 3,
-    workers: Optional[int] = None,
 ) -> AnalysisResult:
     """Detect, enumerate and geolocate every anycast /24 in the matrix.
 
     ``min_samples`` guards against spurious detections from targets that
-    answered almost nobody (too few disks to reason about).
-
-    Engine selection follows ``config.resolved_engine()``: the default
-    (``"auto"``) runs the array-native fast path of
-    :mod:`repro.census.fastpath`; ``"reference"`` (or the
-    ``REPRO_ANALYSIS_ENGINE`` environment variable) forces the original
-    per-sample object pipeline kept for differential testing.  Both
-    produce equivalent results.  ``workers`` (fast path only) chunks the
-    detected targets over a forked worker pool; ``None``/``0`` is serial.
+    answered almost nobody (too few disks to reason about).  The detected
+    rows go through :meth:`FastAnalysisEngine.analyze_rows` in-process;
+    :func:`repro.core.igreedy.igreedy` is the per-target oracle the
+    equivalence suite holds this path to.
     """
     cfg = config or IGreedyConfig()
-    db = city_db or default_city_db()
-
-    if cfg.resolved_engine() == "fast":
-        from .fastpath import analyze_matrix_fast
-
-        return analyze_matrix_fast(
-            matrix,
-            city_db=db,
-            config=cfg,
-            min_samples=min_samples,
-            workers=workers or 0,
-        )
-
     mask = detect_targets(matrix, cfg, min_samples)
-    result = AnalysisResult(prefixes=matrix.prefixes, anycast_mask=mask)
-    for row in np.nonzero(mask)[0]:
-        prefix = int(matrix.prefixes[row])
-        samples = [
-            LatencySample(vp_name=name, vp_location=loc, rtt_ms=rtt)
-            for name, loc, rtt in matrix.samples_for(prefix)
-        ]
-        result.results[prefix] = igreedy(samples, city_db=db, config=cfg)
-    return result
+    rows = np.nonzero(mask)[0]
+    engine = FastAnalysisEngine(matrix, city_db=city_db, config=cfg)
+    return AnalysisResult(
+        prefixes=matrix.prefixes,
+        anycast_mask=mask,
+        results=dict(zip(matrix.prefixes[rows].tolist(), engine.analyze_rows(rows))),
+    )
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ Scale notes (the Atlas-size path):
 * Folds run in bounded chunks, so peak temp memory is O(chunk) no matter
   how many records stream through (:func:`matrix_from_record_batches`).
 * The output planes can live on a :class:`~repro.census.matstore.MatrixStore`
-  (memmap or POSIX shared memory) instead of the heap — same bytes,
-  different backing — so workers attach instead of copy.
+  (memory-mapped temp files) instead of the heap — same bytes, different
+  backing — so the matrix can exceed RAM.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class RttMatrix:
     rtt_ms: np.ndarray            # (n_targets, n_vps) float32, NaN = missing
     #: Number of censuses contributing at least one reply per cell.
     sample_count: np.ndarray      # (n_targets, n_vps) uint8
-    #: Backing store when the planes live on memmap/shared segments
+    #: Backing store when the planes live on memory-mapped temp files
     #: (``None`` on the classic inline path).  Purely a *where*, never a
     #: *what*: bytes are identical across backends.
     store: Optional[MatrixStore] = field(default=None, repr=False, compare=False)
@@ -243,7 +243,7 @@ def combine_censuses(
     """Fold one or more censuses into the minimum-RTT matrix.
 
     ``store`` selects the backing of the output planes (``auto`` /
-    ``inline`` / ``memmap`` / ``shared``; see
+    ``inline`` / ``memmap``; see
     :func:`repro.census.matstore.resolve_store`).  Bytes are identical
     across backends.
     """

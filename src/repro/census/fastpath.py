@@ -1,9 +1,8 @@
-"""Array-native batched analysis engine — the census fast path.
+"""Array-native batched analysis engine — how the census runs iGreedy.
 
-The reference pipeline (:func:`repro.core.igreedy.igreedy` driven by
-:func:`repro.census.analysis.analyze_matrix`) re-derives identical
-geometry for every target: each of ~1,500 anycast /24s rebuilds a
-pairwise haversine matrix over disks that are all centered on the same
+The per-target API (:func:`repro.core.igreedy.igreedy`) re-derives
+identical geometry for every target: each of ~1,500 anycast /24s rebuilds
+a pairwise haversine matrix over disks that are all centered on the same
 ~300 vantage points, materializes a ``LatencySample``/``Disk`` object per
 matrix cell, and classifies each selected disk with per-city Python
 arithmetic.  This module exploits the structural fact the paper's own
@@ -14,38 +13,39 @@ optimization leans on (Sec. 3.5): **the disk centers are fixed**.
   object); any row of any target's disk-overlap matrix is a gather from
   that cache plus a radii sum — zero per-target trigonometry.
 * :meth:`FastAnalysisEngine.analyze_rows` analyses a *block of rows at
-  once* — the single entry point of the study, the pool workers and the
-  service.  One 2-D lexsort orders every target's samples, the witness
-  pair comes from a batched first-disjoint-pair search
-  (:func:`first_disjoint_pairs`), and greedy MIS runs as rounds across
-  all targets simultaneously (:func:`greedy_mis_rounds`: argmin radius
-  among still-available disks, lowest slot on ties, then strike its
-  overlap row) — O(k·V) per target instead of a V×V overlap matrix, and
-  the same kernel serves the iterative collapse rounds over the VP+city
-  matrix.
+  once* — the single entry point of the study
+  (:func:`repro.census.analysis.analyze_matrix`) and the service.  One
+  2-D lexsort orders every target's samples, the witness pair comes from
+  a batched first-disjoint-pair search (:func:`first_disjoint_pairs`),
+  and greedy MIS runs as rounds across all targets simultaneously
+  (:func:`greedy_mis_rounds`: argmin radius among still-available disks,
+  lowest slot on ties, then strike its overlap row) — O(k·V) per target
+  instead of a V×V overlap matrix, and the same kernel serves the
+  iterative collapse rounds over the VP+city matrix.
 * Classification reads a cached city-to-VP distance matrix and the
   gazetteer's cached population array, with a per-``(vp_index, radius)``
   replica cache (iterative enumeration re-classifies near-identical
   disks across rounds and across targets).
-* :func:`analyze_matrix_fast` optionally chunks the detected targets
-  across the :mod:`repro.exec` fork pool and merges results in canonical
-  row order, so any worker count produces identical output.
+
+The engine runs in-process: at 0.1–0.2 ms per analysed target the needle
+tier of a whole-Internet census costs well under a second, so there is
+nothing for a worker pool to win (scans, the hours-long part, keep the
+one pool driver in :mod:`repro.exec`).
 
 The hard invariant: for every configuration (strict/iterative
 enumeration, any ``population_exponent``, ``max_rtt_ms`` on or off) and
-any worker count, the fast path's :class:`AnalysisResult` is equivalent
-object-for-object to the reference path's — same prefixes, masks,
-replica cities, confidences and iteration counts.  Equality is bitwise
-because every distance consumed here is produced by the same elementwise
-haversine the reference calls, just computed once instead of per target,
-and every radius sum is associated as the reference associates it
-(see ``tests/test_fastpath_equivalence.py``).
+any block size, each row's :class:`IGreedyResult` equals what
+``igreedy()`` returns for that row's samples — same witness, replica
+cities, confidences and iteration counts.  Equality is bitwise because
+every distance consumed here is produced by the same elementwise
+haversine the per-target API calls, just computed once instead of per
+target, and every radius sum is associated as it associates it
+(see ``tests/test_fastpath_equivalence.py``, where the per-target loop
+lives as the oracle).
 """
 
 from __future__ import annotations
 
-import queue as queue_mod
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -241,12 +241,6 @@ class FastAnalysisEngine:
         #: on the key once the gazetteer and exponent are fixed.
         self._replica_cache: Dict[Tuple[int, float], Tuple[object, int]] = {}
 
-    def warm(self, iterative: bool = False) -> None:
-        """Materialize the lazy caches (e.g. before forking workers)."""
-        self.geometry.city_vp
-        if iterative:
-            self.geometry.combined
-
     # -- classification ------------------------------------------------
 
     def classify_vp_disks(
@@ -418,249 +412,3 @@ class FastAnalysisEngine:
             np.bincount(target, minlength=len(vps)),
             iterations,
         )
-
-
-# -- parallel stage -----------------------------------------------------
-
-
-def _encode_result(result: IGreedyResult, city_db: CityDB) -> tuple:
-    """Flatten one result to primitives for the queue (compact record).
-
-    A pickled :class:`IGreedyResult` drags ``City`` objects (names,
-    country strings, populations) across the pipe per replica; the
-    compact form is the city's gazetteer index plus the disk scalars —
-    a few dozen bytes per target regardless of gazetteer size.
-    """
-    detection = result.detection
-    return (
-        detection.is_anycast,
-        detection.witness,
-        detection.sample_count,
-        result.iterations,
-        tuple(
-            (
-                city_db.index_of(replica.city),
-                replica.disk.center.lat,
-                replica.disk.center.lon,
-                replica.disk.radius_km,
-                replica.confidence,
-            )
-            for replica in result.replicas
-        ),
-    )
-
-
-def _decode_result(encoded: tuple, city_db: CityDB) -> IGreedyResult:
-    """Rebuild the exact :class:`IGreedyResult` from its compact record.
-
-    Cities resolve through the shared gazetteer (the same objects the
-    serial path classifies to), so decoded results are object-for-object
-    equivalent to never having crossed a process boundary.
-    """
-    from ..core.geolocation import GeolocatedReplica
-    from ..geo.coords import GeoPoint
-
-    is_anycast, witness, sample_count, iterations, replicas = encoded
-    result = IGreedyResult(
-        detection=DetectionResult(
-            is_anycast=is_anycast, witness=witness, sample_count=sample_count
-        ),
-        iterations=iterations,
-    )
-    result.replicas = [
-        GeolocatedReplica(
-            city=city_db.city_at(city_index),
-            disk=Disk(center=GeoPoint(lat, lon), radius_km=radius_km),
-            confidence=confidence,
-        )
-        for city_index, lat, lon, radius_km, confidence in replicas
-    ]
-    return result
-
-
-@dataclass
-class _AnalysisUnitContext:
-    """Duck-typed :class:`repro.exec.pool.UnitContext` for analysis chunks.
-
-    Shipped to workers by fork inheritance; a unit is one chunk of
-    detected matrix rows, and its payload is the per-prefix results.
-    When the matrix is store-backed the context also carries the
-    :class:`~repro.census.matstore.StoreToken`, and workers re-attach
-    their row shards from it (``prepare_worker``) instead of trusting
-    inherited heap pages — the descriptor that crosses the fork is
-    ``(chunk row slice, token)``, never the dense planes.  Results are
-    compacted at the queue boundary (``encode_payload``) so the return
-    traffic is per-target records, not pickled object graphs.
-    """
-
-    engine: FastAnalysisEngine
-    chunks: Tuple[np.ndarray, ...]
-    store_token: Optional[object] = field(default=None)
-    worker_faults: Optional[object] = field(default=None)
-
-    def execute(self, unit_id: int) -> List[Tuple[int, IGreedyResult]]:
-        rows = self.chunks[unit_id]
-        prefixes = self.engine.geometry.matrix.prefixes[rows].tolist()
-        return list(zip(prefixes, self.engine.analyze_rows(rows)))
-
-    # -- pool hooks (see repro.exec.pool.worker_main) -------------------
-
-    def prepare_worker(self, worker_id: int) -> None:
-        """Re-bind the matrix planes to the attached store, once per worker.
-
-        In a forked child the attach is a registry hit on the inherited
-        mapping (zero-copy either way); the point is that the worker's
-        view is the *store's* pages — file- or shm-backed and shared —
-        not private copies the fork could be asked to duplicate.
-        """
-        if self.store_token is None:
-            return
-        from .matstore import MatrixStore
-
-        store = MatrixStore.attach(self.store_token)
-        matrix = self.engine.geometry.matrix
-        matrix.rtt_ms = store.arrays["rtt_ms"]
-        matrix.sample_count = store.arrays["sample_count"]
-
-    def encode_payload(self, payload: List[Tuple[int, IGreedyResult]]) -> list:
-        city_db = self.engine.city_db
-        return [(prefix, _encode_result(result, city_db)) for prefix, result in payload]
-
-    def decode_payload(self, payload: list) -> List[Tuple[int, IGreedyResult]]:
-        city_db = self.engine.city_db
-        return [(prefix, _decode_result(encoded, city_db)) for prefix, encoded in payload]
-
-
-def _analyze_rows_parallel(
-    engine: FastAnalysisEngine,
-    rows: np.ndarray,
-    workers: int,
-) -> Dict[int, IGreedyResult]:
-    """Fan detected rows over the :mod:`repro.exec` fork pool.
-
-    Chunks are merged in canonical chunk order, so the resulting dict's
-    contents *and insertion order* are identical to the serial loop for
-    any worker count.  A worker that dies or errors has its chunks
-    re-executed in the parent — same computation, same result (or the
-    same exception the serial path would have raised).
-    """
-    from ..exec.pool import (
-        MSG_ERR,
-        MSG_METRICS,
-        MSG_OK,
-        WorkerPool,
-        drain_worker_metrics,
-        fork_available,
-    )
-
-    from ..exec.plan import split_rows
-
-    matrix = engine.geometry.matrix
-    n_chunks = min(len(rows), max(workers * 4, workers))
-    chunks = split_rows(rows, n_chunks)
-    context = _AnalysisUnitContext(
-        engine=engine,
-        chunks=chunks,
-        store_token=matrix.store.token() if matrix.store is not None else None,
-    )
-
-    if not fork_available():
-        # Same plan, same merge order, no parallelism.
-        payloads = {cid: context.execute(cid) for cid in range(n_chunks)}
-        return _merge_payloads(payloads, n_chunks)
-
-    # Materialize the shared geometry before forking so children inherit
-    # it copy-on-write instead of each recomputing it.
-    engine.warm(iterative=not engine.config.strict_enumeration)
-
-    payloads: Dict[int, List[Tuple[int, IGreedyResult]]] = {}
-    pending = set(range(n_chunks))
-    pool = WorkerPool(context)
-    metrics = current_metrics()
-    metrics_received: set = set()
-    try:
-        handles = [pool.spawn() for _ in range(min(workers, n_chunks))]
-        for cid in range(n_chunks):
-            handles[cid % len(handles)].dispatch(cid)
-        for handle in handles:
-            handle.task_q.put(None)  # drain sentinel after the last chunk
-        while pending:
-            try:
-                kind, _wid, unit_id, payload = pool.out_q.get(timeout=0.5)
-            except queue_mod.Empty:
-                # Salvage chunks stranded on dead workers in the parent.
-                for handle in list(pool.workers.values()):
-                    if handle.alive or handle.retired:
-                        continue
-                    for unit in handle.assigned:
-                        if unit in pending:
-                            payloads[unit] = context.execute(unit)
-                            pending.discard(unit)
-                            metrics.counter("analysis_chunks_salvaged").inc()
-                    pool.retire(handle)
-                continue
-            if kind == MSG_METRICS:
-                # A drained worker's in-worker registry (per-target
-                # histograms): merge so parallel totals match serial.
-                metrics_received.add(_wid)
-                metrics.merge(payload)
-            elif kind == MSG_OK:
-                payloads[unit_id] = context.decode_payload(payload)
-                pending.discard(unit_id)
-            elif kind == MSG_ERR:
-                # Re-run in the parent: deterministic — it either succeeds
-                # (transient worker trouble) or raises exactly what the
-                # serial path would have raised.
-                payloads[unit_id] = context.execute(unit_id)
-                pending.discard(unit_id)
-        drain_worker_metrics(
-            pool, metrics, received=metrics_received, send_sentinels=False
-        )
-    finally:
-        pool.shutdown()
-    metrics.counter("analysis_chunks_completed").inc(n_chunks)
-    return _merge_payloads(payloads, n_chunks)
-
-
-def _merge_payloads(
-    payloads: Dict[int, List[Tuple[int, IGreedyResult]]], n_chunks: int
-) -> Dict[int, IGreedyResult]:
-    """Canonical-order merge: ascending chunk id, then row order within."""
-    results: Dict[int, IGreedyResult] = {}
-    for cid in range(n_chunks):
-        for prefix, result in payloads[cid]:
-            results[prefix] = result
-    return results
-
-
-# -- entry point --------------------------------------------------------
-
-
-def analyze_matrix_fast(
-    matrix: RttMatrix,
-    city_db: Optional[CityDB] = None,
-    config: Optional[IGreedyConfig] = None,
-    min_samples: int = 3,
-    workers: int = 0,
-):
-    """Array-native equivalent of :func:`repro.census.analysis.analyze_matrix`.
-
-    ``workers > 0`` chunks the detected targets over a forked worker pool
-    (``repro.exec``); ``0`` runs the same chunk plan serially in-process.
-    Output is identical for every worker count, and so are metric totals:
-    each worker records per-target histograms in its own registry and
-    ships the snapshot home on drain, where it is merged bucket-wise
-    (:func:`repro.exec.pool.drain_worker_metrics`).
-    """
-    from .analysis import AnalysisResult, detect_targets
-
-    cfg = config or IGreedyConfig()
-    mask = detect_targets(matrix, cfg, min_samples)
-    engine = FastAnalysisEngine(matrix, city_db=city_db, config=cfg)
-    rows = np.nonzero(mask)[0]
-    result = AnalysisResult(prefixes=matrix.prefixes, anycast_mask=mask)
-    if workers and workers > 0 and len(rows) > 0:
-        result.results = _analyze_rows_parallel(engine, rows, workers)
-    else:
-        result.results = dict(zip(matrix.prefixes[rows].tolist(), engine.analyze_rows(rows)))
-    return result

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..core.detection import detection_mask_rtt
 from ..geo.cities import City
 from ..geo.coords import GeoPoint, pairwise_distances_km
 from ..geo.disks import FIBER_SPEED_KM_PER_MS
@@ -277,16 +278,13 @@ def _row_violates(
 ) -> bool:
     """Does one RTT row prove anycast using only the ``keep`` VPs?
 
-    The single-row version of the census detection step: any pair of
-    disks too far apart to overlap is a speed-of-light violation.
+    The census detection step on one row, with the VPs outside ``keep``
+    treated as not having answered.
     """
-    measured = keep & ~np.isnan(row_values)
-    idx = np.nonzero(measured)[0]
-    if len(idx) < 2:
-        return False
-    radii = _radii_km(row_values[idx], speed_km_per_ms)
-    dist = matrix.vp_distance_matrix()[np.ix_(idx, idx)]
-    return bool((dist > radii[:, None] + radii[None, :]).any())
+    row = np.where(keep, row_values, np.nan)[None, :]
+    return bool(
+        detection_mask_rtt(matrix.vp_distance_matrix(), row, speed_km_per_ms)[0]
+    )
 
 
 def _capture_fraction(

@@ -1,35 +1,27 @@
-"""Shared-memory / memmap backing store for dense census matrices.
+"""Memmap backing store for dense census matrices.
 
 At Atlas scale (~10k VPs × 10^6 targets) the combined RTT matrix is
-~40 GB of float32 — too big to pickle across a ``Queue``, wasteful to
-copy-on-write-dirty per worker, and often too big for RAM outright.
+~40 GB of float32 — often too big for RAM outright.
 :class:`MatrixStore` materializes the two dense planes of an
 :class:`~repro.census.combine.RttMatrix` (``rtt_ms`` float32 and
-``sample_count`` uint8) in one of three backends:
+``sample_count`` uint8) off the heap; the store selector has two
+backends:
 
 * ``inline``  — ordinary heap arrays (the classic path; no store object);
 * ``memmap``  — :class:`numpy.memmap` over unlinked-on-close temp files,
-  so the matrix can exceed RAM and pages spill to disk;
-* ``shared``  — :class:`multiprocessing.shared_memory.SharedMemory`
-  segments, so any process that holds the :class:`StoreToken` maps the
-  same physical pages.
+  so the matrix can exceed RAM and pages spill to disk.
 
-Workers never receive the arrays themselves: they receive ``(shard
-slice, token)`` descriptors and call :func:`attach`, which resolves to
-the *inherited mapping* in forked children (a process-local registry
-hit — zero syscalls) and opens a fresh mapping otherwise.  Results
-travel home as compact per-target records, so no dense matrix ever
-crosses a queue in either direction.
+Analysis runs in the process that folded the matrix, so nothing ever
+needs to name a store from outside: there are no tokens and no attach.
 
-The hard invariant, enforced by ``tests/census/test_matstore.py``: every
-backend produces byte-identical matrices and analysis output for every
-worker count.  A store only changes *where* the bytes live.
+The hard invariant, enforced by ``tests/census/test_matstore.py``: both
+backends produce byte-identical matrices and analysis output.  A store
+only changes *where* the bytes live.
 
 Cleanup is belt-and-braces: explicit :meth:`MatrixStore.close`, a
 ``weakref.finalize`` on the store object, and an ``atexit`` sweep of
-everything this process owns — so a worker killed mid-shard (it is
-never the owner) cannot orphan a segment, and neither can a parent that
-simply drops its matrix on the floor.
+everything this process owns — so a parent that simply drops its matrix
+on the floor cannot orphan a temp file.
 """
 
 from __future__ import annotations
@@ -39,19 +31,18 @@ import os
 import tempfile
 import uuid
 import weakref
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs import current_metrics
 
-#: Environment knob overriding the configured store backend (mirrors
-#: ``REPRO_ANALYSIS_ENGINE``): ``auto`` | ``inline`` | ``memmap`` | ``shared``.
+#: Environment knob overriding the configured store backend:
+#: ``auto`` | ``inline`` | ``memmap``.
 STORE_ENV_VAR = "REPRO_MATRIX_STORE"
 
 #: Valid store selectors.
-BACKENDS = frozenset({"auto", "inline", "memmap", "shared"})
+BACKENDS = frozenset({"auto", "inline", "memmap"})
 
 #: ``auto`` keeps matrices below this many cells inline: for small
 #: studies the segment bookkeeping costs more than it saves.
@@ -69,12 +60,12 @@ SEGMENT_PREFIX = "repro-ms"
 
 
 def resolve_store(choice: Optional[str] = None, n_cells: int = 0) -> str:
-    """The backend to use: ``inline``, ``memmap``, or ``shared``.
+    """The backend to use: ``inline`` or ``memmap``.
 
     ``REPRO_MATRIX_STORE`` wins over the configured ``choice`` (it is an
-    ops/differential-testing knob); ``auto`` resolves to ``shared`` for
-    large matrices where POSIX shared memory is available, ``memmap``
-    where it is not, and ``inline`` below :data:`AUTO_MIN_CELLS`.
+    ops/differential-testing knob); ``auto`` resolves to ``inline`` below
+    :data:`AUTO_MIN_CELLS` and ``memmap`` — the backend that lets a
+    matrix exceed RAM — from there up.
     """
     selected = os.environ.get(STORE_ENV_VAR) or (choice or "auto")
     if selected not in BACKENDS:
@@ -83,44 +74,17 @@ def resolve_store(choice: Optional[str] = None, n_cells: int = 0) -> str:
         )
     if selected != "auto":
         return selected
-    if n_cells < AUTO_MIN_CELLS:
-        return "inline"
-    return "shared" if _shm_usable() else "memmap"
+    return "inline" if n_cells < AUTO_MIN_CELLS else "memmap"
 
 
-def _shm_usable() -> bool:
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - baked into CPython
-        return False
-    return os.path.isdir("/dev/shm") and os.access("/dev/shm", os.W_OK)
-
-
-@dataclass(frozen=True)
-class StoreToken:
-    """Picklable descriptor of one store — everything ``attach`` needs.
-
-    A token is a few hundred bytes regardless of matrix size; it is what
-    crosses process boundaries instead of the arrays.
-    """
-
-    backend: str                                   # "memmap" | "shared"
-    key: str                                       # unique store id
-    shape: Tuple[int, int]
-    #: ``(field name, dtype string, locator)`` per plane; the locator is
-    #: a file path (memmap) or a shared-memory segment name (shared).
-    fields: Tuple[Tuple[str, str, str], ...]
-
-
-#: Stores created or attached by *this* process, by key.  Weak-valued:
-#: an entry lives exactly as long as something references the store.
-#: Forked children inherit the parent's entries, which is what makes
-#: ``attach`` a zero-syscall registry hit on the fork-pool hot path.
+#: Live stores of this process, by key — read only by the store gauges.
+#: Weak-valued: an entry lives exactly as long as something references
+#: the store.
 _LIVE: "weakref.WeakValueDictionary[str, MatrixStore]" = weakref.WeakValueDictionary()
 
-#: Locator bookkeeping for segments *owned* by this process, swept at
-#: interpreter exit.  Keyed by store key; removed on release.
-_OWNED: Dict[str, Tuple[str, Tuple[Tuple[str, str, str], ...]]] = {}
+#: Temp-file paths of every unreleased store, swept at interpreter exit.
+#: Keyed by store key; removed on release.
+_OWNED: Dict[str, Tuple[str, ...]] = {}
 
 
 def active_segments() -> List[str]:
@@ -137,164 +101,67 @@ def _set_store_gauges() -> None:
     metrics.gauge("matrix_store_bytes").set(sum(s.nbytes for s in live))
 
 
-def _release_segments(
-    backend: str,
-    key: str,
-    entries: Tuple[Tuple[str, str, str], ...],
-    owner: bool,
-    handles: List[object],
-) -> None:
-    """Free one store's mappings and (when owner) its segments.
+def _release_segments(key: str, paths: Tuple[str, ...]) -> None:
+    """Unlink one store's temp files.
 
     Static on purpose: this is the ``weakref.finalize`` callback and must
     not hold the store alive.  Unlinking while mappings still exist is
     safe on POSIX — live views stay valid; the kernel reclaims the pages
     when the last mapping dies.
     """
-    for handle in handles:
+    for path in paths:
         try:
-            handle.close()
-        except BufferError:
-            # An array still views the buffer: leave the mapping to die
-            # with it; the unlink below already severs the name.
+            os.unlink(path)
+        except OSError:
             pass
-        except (OSError, ValueError):
-            pass
-    handles.clear()
-    if owner:
-        for _name, _dtype, locator in entries:
-            try:
-                if backend == "memmap":
-                    os.unlink(locator)
-                else:
-                    from multiprocessing import shared_memory
-
-                    segment = shared_memory.SharedMemory(name=locator)
-                    segment.close()
-                    segment.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-        _OWNED.pop(key, None)
+    _OWNED.pop(key, None)
 
 
 @atexit.register
 def _sweep_owned_segments() -> None:  # pragma: no cover - exit-path safety net
-    for key, (backend, entries) in list(_OWNED.items()):
-        _release_segments(backend, key, entries, owner=True, handles=[])
+    for key, paths in list(_OWNED.items()):
+        _release_segments(key, paths)
 
 
 class MatrixStore:
-    """One matrix's backing segments plus the arrays mapped onto them."""
+    """One matrix's temp files plus the arrays memory-mapped onto them."""
+
+    backend = "memmap"
 
     def __init__(
         self,
-        backend: str,
         key: str,
         shape: Tuple[int, int],
-        fields: Tuple[Tuple[str, str, str], ...],
         arrays: Dict[str, np.ndarray],
-        owner: bool,
-        handles: List[object],
+        paths: Tuple[str, ...],
     ) -> None:
-        self.backend = backend
         self.key = key
         self.shape = tuple(shape)
-        self._fields = fields
         self.arrays = arrays
-        self.owner = owner
-        self._handles = handles
-        self._finalizer = weakref.finalize(
-            self, _release_segments, backend, key, fields, owner, handles
-        )
+        self._finalizer = weakref.finalize(self, _release_segments, key, paths)
         _LIVE[key] = self
-        if owner:
-            _OWNED[key] = (backend, fields)
+        _OWNED[key] = paths
         _set_store_gauges()
-
-    # -- construction --------------------------------------------------
 
     @classmethod
     def create(
         cls,
         shape: Tuple[int, int],
-        backend: str,
         fields: Tuple[Tuple[str, str], ...] = MATRIX_FIELDS,
         dir: Optional[str] = None,
     ) -> "MatrixStore":
-        """Allocate fresh zero-filled segments for ``shape``."""
-        if backend not in ("memmap", "shared"):
-            raise ValueError(f"cannot materialize backend {backend!r}")
+        """Allocate fresh zero-filled temp files for ``shape``."""
         key = uuid.uuid4().hex[:12]
         arrays: Dict[str, np.ndarray] = {}
-        located: List[Tuple[str, str, str]] = []
-        handles: List[object] = []
-        n_cells = int(shape[0]) * int(shape[1])
+        paths: List[str] = []
         for name, dtype_str in fields:
-            dtype = np.dtype(dtype_str)
-            if backend == "memmap":
-                fd, path = tempfile.mkstemp(
-                    prefix=f"{SEGMENT_PREFIX}-{key}-{name}-", suffix=".bin", dir=dir
-                )
-                os.close(fd)
-                arrays[name] = np.memmap(path, dtype=dtype, mode="w+", shape=shape)
-                located.append((name, dtype_str, path))
-            else:
-                from multiprocessing import shared_memory
-
-                segment = shared_memory.SharedMemory(
-                    create=True,
-                    size=max(n_cells * dtype.itemsize, 1),
-                    name=f"{SEGMENT_PREFIX}-{key}-{name}",
-                )
-                handles.append(segment)
-                arrays[name] = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-                arrays[name][:] = 0
-                located.append((name, dtype_str, segment.name))
-        return cls(backend, key, shape, tuple(located), arrays, True, handles)
-
-    @classmethod
-    def attach(cls, token: StoreToken) -> "MatrixStore":
-        """Map an existing store from its token.
-
-        In a forked child (or the creating process itself) this is a
-        registry hit returning the inherited mapping — the zero-copy hot
-        path.  Otherwise fresh read-write mappings are opened.
-        """
-        existing = _LIVE.get(token.key)
-        if existing is not None:
-            return existing
-        arrays: Dict[str, np.ndarray] = {}
-        handles: List[object] = []
-        for name, dtype_str, locator in token.fields:
-            dtype = np.dtype(dtype_str)
-            if token.backend == "memmap":
-                arrays[name] = np.memmap(
-                    locator, dtype=dtype, mode="r+", shape=tuple(token.shape)
-                )
-            else:
-                from multiprocessing import shared_memory
-
-                segment = shared_memory.SharedMemory(name=locator)
-                _untrack_segment(segment)
-                handles.append(segment)
-                arrays[name] = np.ndarray(
-                    tuple(token.shape), dtype=dtype, buffer=segment.buf
-                )
-        return cls(
-            token.backend, token.key, tuple(token.shape), token.fields,
-            arrays, False, handles,
-        )
-
-    # -- descriptors and views -----------------------------------------
-
-    def token(self) -> StoreToken:
-        return StoreToken(self.backend, self.key, self.shape, self._fields)
-
-    def shard(self, lo: int, hi: int) -> Dict[str, np.ndarray]:
-        """Zero-copy row-shard views ``[lo:hi)`` of every plane."""
-        if not 0 <= lo <= hi <= self.shape[0]:
-            raise ValueError(f"shard [{lo}, {hi}) outside {self.shape[0]} rows")
-        return {name: array[lo:hi] for name, array in self.arrays.items()}
+            fd, path = tempfile.mkstemp(
+                prefix=f"{SEGMENT_PREFIX}-{key}-{name}-", suffix=".bin", dir=dir
+            )
+            os.close(fd)
+            arrays[name] = np.memmap(path, dtype=np.dtype(dtype_str), mode="w+", shape=shape)
+            paths.append(path)
+        return cls(key, shape, arrays, tuple(paths))
 
     @property
     def nbytes(self) -> int:
@@ -303,7 +170,7 @@ class MatrixStore:
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Release mappings now; the owner also unlinks the segments.
+        """Drop the mappings and unlink the temp files now.
 
         Idempotent, and implied eventually by garbage collection — the
         explicit call just makes teardown deterministic.
@@ -315,21 +182,6 @@ class MatrixStore:
     @property
     def released(self) -> bool:
         return not self._finalizer.alive
-
-
-def _untrack_segment(segment) -> None:
-    """Detach an attach-only segment from the resource tracker.
-
-    CPython < 3.13 registers *attaches* too, so a non-owner process exit
-    would try to unlink a segment it never owned (premature destruction
-    plus tracker noise).  The owner's own registration is untouched.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
 
 
 def allocate_matrix_planes(
@@ -348,7 +200,9 @@ def allocate_matrix_planes(
         rtt = np.full((n_targets, n_vps), np.inf, dtype=np.float32)
         counts = np.zeros((n_targets, n_vps), dtype=np.uint8)
         return rtt, counts, None
-    store = MatrixStore.create((n_targets, n_vps), backend)
+    if backend != "memmap":
+        raise ValueError(f"cannot materialize backend {backend!r}")
+    store = MatrixStore.create((n_targets, n_vps))
     rtt = store.arrays["rtt_ms"]
     counts = store.arrays["sample_count"]
     rtt[:] = np.inf

@@ -39,7 +39,7 @@ from .measurement.faults import (
     VpDistortionPlan,
 )
 from .obs import render_trace
-from .resilience import ResiliencePolicy, StageFailed
+from .resilience import ResilienceError, ResiliencePolicy
 from .workflow import CensusStudy, StudyConfig
 
 #: Exit codes (documented in docs/API_GUIDE.md).  0 = success; 2 is
@@ -131,7 +131,6 @@ def _build_study(args: argparse.Namespace) -> CensusStudy:
             min_vp_quorum=args.quorum,
             checkpoint_dir=args.checkpoint_dir,
             workers=_parse_workers(args.workers),
-            analysis_workers=_parse_workers(args.analysis_workers),
             deadline=args.deadline,
             trace=want_manifest or args.command == "trace",
             metrics=want_manifest or args.command in ("trace", "stats"),
@@ -460,11 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "of N forked processes ('auto' = CPU count; "
                              "default 0 = in-process, serial).  Output "
                              "bytes are identical for every value")
-    parser.add_argument("--analysis-workers", default=None, metavar="N|auto",
-                        help="chunk the analysis of detected targets over N "
-                             "forked worker processes ('auto' = CPU count; "
-                             "fast engine only; default: serial).  Results "
-                             "are identical for every worker count")
     parser.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget per census scan phase; on "
@@ -503,13 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restrict distortion to one kind "
                              "(default: all four)")
     parser.add_argument("--matrix-store",
-                        choices=["auto", "inline", "memmap", "shared"],
+                        choices=["auto", "inline", "memmap"],
                         default="auto",
                         help="backing store for the combined RTT matrix: "
-                             "'inline' = heap arrays, 'memmap'/'shared' = "
-                             "file-backed or POSIX shared-memory planes "
-                             "that analysis workers attach to by token, "
-                             "'auto' = inline below the size threshold "
+                             "'inline' = heap arrays, 'memmap' = temp-file "
+                             "planes that can exceed RAM, 'auto' = inline "
+                             "below the size threshold, memmap above "
                              "(REPRO_MATRIX_STORE overrides; bytes are "
                              "identical for every choice)")
     parser.add_argument("--trust", action="store_true",
@@ -658,7 +651,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # drain's scope: less graceful, same resumable intent.
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
-    except StageFailed as exc:
+    except ResilienceError as exc:
         if isinstance(exc.__cause__, CensusAborted):
             # Supervised variant of the same policy decision.
             print(f"error: {exc}", file=sys.stderr)
@@ -666,7 +659,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if isinstance(exc.__cause__, CensusInterrupted):
             print(f"interrupted: {exc}", file=sys.stderr)
             return EXIT_INTERRUPTED
-        traceback.print_exc(file=sys.stderr)
+        # A typed refusal (corrupt input, exhausted stage policy) is a
+        # diagnosis, not a crash: one line naming the type, no traceback.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
     except Exception:  # noqa: BLE001 — last-resort boundary, code 4
         traceback.print_exc(file=sys.stderr)

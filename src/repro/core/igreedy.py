@@ -29,7 +29,6 @@ Two enumeration modes are provided:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -80,41 +79,22 @@ class IGreedyConfig:
     max_iterations: int = 10
     #: Drop samples whose disks span more than this RTT (uninformative).
     max_rtt_ms: Optional[float] = 300.0
-    #: Census analysis engine: ``"auto"`` (= the array-native fast path),
-    #: ``"fast"``, or ``"reference"`` (the per-sample object pipeline,
-    #: kept for differential testing).  The ``REPRO_ANALYSIS_ENGINE``
-    #: environment variable overrides this at runtime; both paths produce
-    #: equivalent results (enforced by the fast-path equivalence suite).
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.speed_km_per_ms <= 0:
             raise ValueError("speed must be positive")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {sorted(ENGINES)}")
 
     def resolved_engine(self) -> str:
-        """The engine to run: ``"fast"`` or ``"reference"``.
+        """The census analysis engine's provenance label, always ``"fast"``.
 
-        The ``REPRO_ANALYSIS_ENGINE`` environment variable wins over the
-        config (it is a debugging/differential-testing knob); ``"auto"``
-        resolves to the fast path.
+        There is one engine (:mod:`repro.census.fastpath`) and nothing to
+        resolve; the method survives only because the benchmark harness
+        records its value in every document's provenance.  Nothing in
+        ``src/`` may call it.
         """
-        choice = os.environ.get(ENGINE_ENV_VAR) or self.engine
-        if choice not in ENGINES:
-            raise ValueError(
-                f"{ENGINE_ENV_VAR}={choice!r}: must be one of {sorted(ENGINES)}"
-            )
-        return "fast" if choice == "auto" else choice
-
-
-#: Valid analysis-engine selectors.
-ENGINES = frozenset({"auto", "fast", "reference"})
-
-#: Environment knob overriding :attr:`IGreedyConfig.engine`.
-ENGINE_ENV_VAR = "REPRO_ANALYSIS_ENGINE"
+        return "fast"
 
 
 def _classify(disk: Disk, db: CityDB, cfg: IGreedyConfig) -> GeolocatedReplica:

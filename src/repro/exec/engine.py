@@ -47,7 +47,6 @@ from .plan import ShardPlan, WorkUnit, merge_vp_shards
 from .pool import (
     MSG_ERR,
     MSG_HB,
-    MSG_METRICS,
     MSG_OK,
     MSG_START,
     UnitContext,
@@ -282,8 +281,6 @@ class ShardedExecutor:
         pending: collections.deque = collections.deque(order)
         pool = WorkerPool(context)
         respawns_left = policy.respawn_budget
-        #: Workers whose final metrics snapshot already arrived in-loop.
-        metrics_received: Set[int] = set()
 
         def orphan_units(handle) -> None:
             """Requeue a lost worker's unresolved units (budget-charged)."""
@@ -380,12 +377,6 @@ class ShardedExecutor:
                         break
 
                 for kind, worker_id, unit_id, payload in messages:
-                    if kind == MSG_METRICS:
-                        # An early-exiting worker's parting snapshot —
-                        # merge now, remember so the drain won't wait.
-                        metrics_received.add(worker_id)
-                        current_metrics().merge(payload)
-                        continue
                     report.heartbeats += 1
                     handle = pool.workers.get(worker_id)
                     if handle is not None:
@@ -418,9 +409,7 @@ class ShardedExecutor:
         finally:
             # Pull the workers' in-worker registries home before tearing
             # the pool down, so parallel totals match serial runs.
-            drain_worker_metrics(
-                pool, current_metrics(), received=metrics_received
-            )
+            drain_worker_metrics(pool, current_metrics())
             pool.shutdown()
 
         return state.finish()

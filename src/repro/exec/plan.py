@@ -108,20 +108,6 @@ def shard_target_mask(n_targets: int, shard_index: int, n_shards: int) -> np.nda
     return (np.arange(n_targets, dtype=np.int64) % n_shards) == shard_index
 
 
-def split_rows(rows: np.ndarray, n_chunks: int) -> Tuple[np.ndarray, ...]:
-    """Canonical contiguous chunking of analysis rows.
-
-    The analysis-stage analogue of :func:`shard_target_mask`: chunk *i*
-    of the same ``(rows, n_chunks)`` is identical on every run and in
-    every process, which is what lets chunk results merge in canonical
-    order no matter which worker finished first.  Sizes differ by at most
-    one row (the ``np.array_split`` contract).
-    """
-    if n_chunks < 1:
-        raise ValueError("n_chunks must be >= 1")
-    return tuple(np.array_split(rows, n_chunks))
-
-
 def merge_vp_shards(shards: Dict[int, VpScanResult]) -> VpScanResult:
     """Combine one VP's shard results into a single scan result.
 

@@ -104,19 +104,6 @@ def worker_main(worker_id: int, context: UnitContext, task_q, out_q) -> None:
     if current_metrics().enabled:
         metrics = MetricsRegistry()
         set_metrics(metrics)
-    # Optional context hooks (duck-typed so the pool stays generic):
-    #
-    # * ``prepare_worker(worker_id)`` runs once per worker before any
-    #   unit — contexts that carry a MatrixStore token re-attach their
-    #   shard views here instead of relying on inherited heap arrays;
-    # * ``encode_payload(result)`` compacts a unit result at the queue
-    #   boundary, so what crosses the pipe is shard indices + per-target
-    #   records, never dense arrays or deep object graphs.  The parent
-    #   decodes on receipt; in-parent execution skips both hooks.
-    prepare = getattr(context, "prepare_worker", None)
-    if prepare is not None:
-        prepare(worker_id)
-    encode = getattr(context, "encode_payload", None)
     plan = context.worker_faults
     injector = (
         WorkerFaultInjector(plan) if plan is not None and plan.enabled else None
@@ -151,8 +138,6 @@ def worker_main(worker_id: int, context: UnitContext, task_q, out_q) -> None:
                 (MSG_ERR, worker_id, unit_id, f"{type(exc).__name__}: {exc}")
             )
         else:
-            if encode is not None:
-                result = encode(result)
             out_q.put((MSG_OK, worker_id, unit_id, result))
 
 
@@ -246,18 +231,14 @@ class WorkerPool:
 def drain_worker_metrics(
     pool: WorkerPool,
     registry,
-    received=None,
-    send_sentinels: bool = True,
     timeout_s: float = 2.0,
 ) -> int:
     """Collect every live worker's final metrics snapshot into ``registry``.
 
     Each worker ships one :data:`MSG_METRICS` message when it sees its
-    drain sentinel; this helper sends the sentinels (unless the caller
-    already did — ``send_sentinels=False``), then pulls the results
-    queue until every expected worker reported or ``timeout_s`` passes.
-    ``received`` pre-seeds the set of worker ids whose snapshot the
-    caller already merged during its own collect loop.
+    drain sentinel; this helper sends the sentinels, then pulls the
+    results queue until every expected worker reported or ``timeout_s``
+    passes.
 
     A worker that drained and exited before this call still has its
     snapshot in the queue, so every unretired worker is expected.  Dead
@@ -273,14 +254,12 @@ def drain_worker_metrics(
     if not getattr(registry, "enabled", False):
         return 0
     expected = {w.worker_id for w in pool.workers.values() if not w.retired}
-    expected -= set(received or ())
-    if send_sentinels:
-        for handle in pool.workers.values():
-            if handle.alive:
-                try:
-                    handle.task_q.put(None)
-                except (ValueError, OSError):
-                    pass
+    for handle in pool.workers.values():
+        if handle.alive:
+            try:
+                handle.task_q.put(None)
+            except (ValueError, OSError):
+                pass
     merged = 0
     deadline = time.monotonic() + timeout_s
     while expected and time.monotonic() < deadline:

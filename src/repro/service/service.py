@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..bgp import BgpConfig, RouteEventInjector, RouteEventPlan
+from ..census.analysis import detect_targets
 from ..census.combine import RttMatrix, matrix_from_census, matrix_from_records
 from ..census.fastpath import FastAnalysisEngine
 from ..census.hijack import (
@@ -43,7 +44,6 @@ from ..census.hijack import (
     classify_routing_changes,
 )
 from ..census.longitudinal import EvolutionConfig, evolve_catalog
-from ..core.detection import detection_mask_rtt
 from ..geo.coords import GeoPoint
 from ..core.igreedy import IGreedyConfig
 from ..geo.cities import CityDB, default_city_db
@@ -948,14 +948,10 @@ class CensusService:
             ],
             dtype=np.int64,
         )
-        rtt = matrix.rtt_ms[rows]
-        filled = (~np.isnan(rtt)).sum(axis=1)
-        mask = detection_mask_rtt(
-            matrix.vp_distance_matrix(), rtt, cfg.speed_km_per_ms
-        ) & (filled >= self.config.min_samples)
+        mask = detect_targets(matrix, cfg, self.config.min_samples, rows=rows)
         engine = FastAnalysisEngine(matrix, city_db=self.city_db, config=cfg)
         analysed = iter(engine.analyze_rows(rows[mask]))
-        verdicts = zip(mask.tolist(), filled.tolist())
+        verdicts = iter(mask.tolist())
 
         targets: Dict[str, Any] = {}
         n_copied = 0
@@ -971,12 +967,13 @@ class CensusService:
                 n_copied += 1
                 n_recovered += 1
                 continue
-            anycast, n_filled = next(verdicts)
+            anycast = next(verdicts)
             entry: Dict[str, Any] = {
                 "signature": signatures[prefix],
                 "anycast": anycast,
             }
             if excised is not None and excised[row] > 0:
+                n_filled = int((~np.isnan(matrix.rtt_ms[row])).sum())
                 entry["confidence"] = (
                     CONFIDENCE_INSUFFICIENT
                     if n_filled < self.config.min_samples

@@ -98,11 +98,6 @@ class StudyConfig:
     #: pool size is tested against; ``N >= 1`` runs a supervised pool of
     #: N forked workers.  Output bytes are identical for every value.
     workers: int = 0
-    #: Worker processes for the *analysis* stage (fast engine only).
-    #: ``None``/``0`` analyzes detected targets serially; ``N >= 1``
-    #: chunks them over a forked pool with a canonical-order merge, so
-    #: results are identical for every worker count.
-    analysis_workers: Optional[int] = None
     #: Wall-clock budget (seconds) for each census's scan phase; on
     #: expiry unfinished VPs are failed into the quorum machinery
     #: instead of hanging the run.
@@ -141,11 +136,10 @@ class StudyConfig:
     #: Detector thresholds; ``None`` uses :class:`TrustPolicy` defaults.
     trust_policy: Optional[TrustPolicy] = None
     #: Backing store for the combined RTT matrix: ``"inline"`` keeps the
-    #: classic heap arrays, ``"memmap"``/``"shared"`` place the planes in
-    #: a file-backed or POSIX shared-memory segment workers attach to by
-    #: token, and ``"auto"`` picks inline below the size threshold.  The
-    #: ``REPRO_MATRIX_STORE`` env var wins over this field; bytes are
-    #: identical for every choice.
+    #: classic heap arrays, ``"memmap"`` places the planes in temp files
+    #: so the matrix can exceed RAM, and ``"auto"`` picks inline below
+    #: the size threshold and memmap above.  The ``REPRO_MATRIX_STORE``
+    #: env var wins over this field; bytes are identical for every choice.
     matrix_store: str = "auto"
 
 
@@ -403,7 +397,6 @@ class CensusStudy:
                     matrix,
                     city_db=self.city_db,
                     config=self.config.igreedy,
-                    workers=self.config.analysis_workers,
                 )
                 removed = self._removed_per_target
                 trust_hit = (

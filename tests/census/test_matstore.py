@@ -1,16 +1,16 @@
 """MatrixStore invariants: every backend is only a *where*, never a *what*.
 
-The hard contract of the Atlas-scale path: matrices built on ``inline``,
-``memmap``, and ``shared`` backends are byte-identical, analysis over
-them is object-identical for every worker count, and no segment survives
-its owner — not even when a worker dies mid-shard.
+The hard contract of the Atlas-scale path: matrices built on the
+``inline`` and ``memmap`` backends are byte-identical, analysis over them
+is object-identical, and no temp file survives its owner — not even when
+a forked child dies holding the mapping.
 """
 
 from __future__ import annotations
 
 import glob
 import os
-import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -27,26 +27,28 @@ from repro.census.combine import (  # noqa: E402
     merge_matrices,
     reply_prefix_union,
 )
-from repro.census.fastpath import analyze_matrix_fast  # noqa: E402
+from repro.census.analysis import analyze_matrix  # noqa: E402
 from repro.census.matstore import (  # noqa: E402
     AUTO_MIN_CELLS,
-    MatrixStore,
-    StoreToken,
     active_segments,
     allocate_matrix_planes,
     resolve_store,
 )
-from repro.core.igreedy import IGreedyConfig  # noqa: E402
 from repro.exec.pool import fork_available  # noqa: E402
 from repro.geo.cities import default_city_db  # noqa: E402
 from repro.geo.coords import GeoPoint  # noqa: E402
 from repro.measurement.recordio import CensusRecords  # noqa: E402
 
-BACKENDS = ["inline", "memmap", "shared"]
+#: The backends that materialize a store object (``inline`` has none).
+STORE_BACKENDS = ["memmap"]
 
 
-def _shm_files() -> list:
-    return glob.glob(f"/dev/shm/{matstore.SEGMENT_PREFIX}-*")
+def _store_files() -> list:
+    return glob.glob(f"{tempfile.gettempdir()}/{matstore.SEGMENT_PREFIX}-*")
+
+
+def _create(shape, backend):
+    return allocate_matrix_planes(*shape, backend)[2]
 
 
 def _records(seed: int, n_vps: int, n_targets: int, n_records: int) -> CensusRecords:
@@ -83,22 +85,23 @@ def _close(matrix: RttMatrix) -> None:
 
 class TestResolveStore:
     def test_explicit_choices_pass_through(self):
-        for choice in ("inline", "memmap", "shared"):
+        for choice in ("inline", "memmap"):
             assert resolve_store(choice, n_cells=1) == choice
 
     def test_auto_small_is_inline(self):
         assert resolve_store("auto", n_cells=AUTO_MIN_CELLS - 1) == "inline"
 
     def test_auto_large_is_segment_backed(self):
-        assert resolve_store("auto", n_cells=AUTO_MIN_CELLS) in ("shared", "memmap")
+        assert resolve_store("auto", n_cells=AUTO_MIN_CELLS) == "memmap"
 
     def test_env_var_wins(self, monkeypatch):
         monkeypatch.setenv(matstore.STORE_ENV_VAR, "memmap")
         assert resolve_store("inline", n_cells=1) == "memmap"
 
     def test_invalid_choice_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_store("warp")
+        for choice in ("warp", "shared"):
+            with pytest.raises(ValueError):
+                resolve_store(choice)
 
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv(matstore.STORE_ENV_VAR, "warp")
@@ -107,53 +110,32 @@ class TestResolveStore:
 
 
 class TestLifecycle:
-    @pytest.mark.parametrize("backend", ["memmap", "shared"])
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_create_close_leaves_nothing(self, backend):
-        before = set(_shm_files())
-        store = MatrixStore.create((8, 4), backend)
+        before = set(_store_files())
+        store = _create((8, 4), backend)
         key = store.key
         assert key in active_segments()
+        assert set(_store_files()) > before
         store.arrays["rtt_ms"][:] = 7.0
         store.close()
         assert store.released
         assert key not in active_segments()
-        assert set(_shm_files()) == before
+        assert set(_store_files()) == before
         # Idempotent.
         store.close()
 
-    @pytest.mark.parametrize("backend", ["memmap", "shared"])
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_garbage_collection_releases(self, backend):
-        before = set(_shm_files())
-        store = MatrixStore.create((8, 4), backend)
+        before = set(_store_files())
+        store = _create((8, 4), backend)
         key = store.key
         del store
         import gc
 
         gc.collect()
         assert key not in active_segments()
-        assert set(_shm_files()) == before
-
-    @pytest.mark.parametrize("backend", ["memmap", "shared"])
-    def test_token_round_trips_and_attach_is_registry_hit(self, backend):
-        store = MatrixStore.create((6, 3), backend)
-        try:
-            token = pickle.loads(pickle.dumps(store.token()))
-            assert isinstance(token, StoreToken)
-            assert MatrixStore.attach(token) is store
-        finally:
-            store.close()
-
-    def test_shard_views_are_zero_copy(self):
-        store = MatrixStore.create((10, 4), "shared")
-        try:
-            shard = store.shard(2, 5)
-            shard["rtt_ms"][:] = 9.0
-            assert (store.arrays["rtt_ms"][2:5] == 9.0).all()
-            assert shard["rtt_ms"].base is not None
-            with pytest.raises(ValueError):
-                store.shard(5, 99)
-        finally:
-            store.close()
+        assert set(_store_files()) == before
 
     def test_empty_matrix_falls_back_inline(self):
         rtt, counts, store = allocate_matrix_planes(0, 5, "memmap")
@@ -163,7 +145,7 @@ class TestLifecycle:
 
 
 class TestByteEquivalence:
-    """inline ≡ memmap ≡ shared, for the builders and the analysis."""
+    """inline ≡ memmap, for the builders and the analysis."""
 
     @settings(
         max_examples=12,
@@ -182,7 +164,7 @@ class TestByteEquivalence:
         records = _records(seed, n_vps, n_targets, n_records)
         names, locations = _roster(n_vps)
         reference = matrix_from_records(records, names, locations, store="inline")
-        for backend in ("memmap", "shared"):
+        for backend in STORE_BACKENDS:
             other = matrix_from_records(records, names, locations, store=backend)
             try:
                 assert other.store is not None and other.store.backend == backend
@@ -238,7 +220,7 @@ class TestByteEquivalence:
         a = matrix_from_records(_records(11, 5, 10, 200), names_a, locations_a)
         b = matrix_from_records(_records(12, 7, 14, 200), names_b, locations_b)
         reference = merge_matrices(a, b, store="inline")
-        for backend in ("memmap", "shared"):
+        for backend in STORE_BACKENDS:
             other = merge_matrices(a, b, store=backend)
             try:
                 assert (
@@ -252,9 +234,9 @@ class TestByteEquivalence:
                 _close(other)
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 class TestAnalysisEquivalence:
-    """Store-backed analysis ≡ inline, for workers ∈ {0, 1, 4}."""
+    """Store-backed analysis ≡ inline: detection reads the memmap plane
+    block by block, iGreedy gathers rows off it."""
 
     @pytest.fixture(scope="class")
     def inputs(self):
@@ -272,23 +254,17 @@ class TestAnalysisEquivalence:
             assert a.iterations == b.iterations, prefix
             assert a.replicas == b.replicas, prefix
 
-    def test_backends_and_workers_identical(self, inputs):
+    def test_backends_identical(self, inputs):
         records, names, locations = inputs
         db = default_city_db()
-        config = IGreedyConfig(engine="fast")
         baseline_matrix = matrix_from_records(records, names, locations, store="inline")
-        reference = analyze_matrix_fast(
-            baseline_matrix, city_db=db, config=config, workers=0
-        )
+        reference = analyze_matrix(baseline_matrix, city_db=db)
         assert reference.results, "fixture must detect anycast targets"
-        for backend in BACKENDS:
+        for backend in STORE_BACKENDS:
             matrix = matrix_from_records(records, names, locations, store=backend)
             try:
-                for workers in (0, 1, 4):
-                    result = analyze_matrix_fast(
-                        matrix, city_db=db, config=config, workers=workers
-                    )
-                    self._assert_equivalent(reference, result)
+                assert isinstance(matrix.rtt_ms, np.memmap)
+                self._assert_equivalent(reference, analyze_matrix(matrix, city_db=db))
             finally:
                 _close(matrix)
         assert active_segments() == []
@@ -296,57 +272,28 @@ class TestAnalysisEquivalence:
 
 @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 class TestCrashCleanup:
-    """A worker killed mid-shard (never the owner) cannot orphan a segment."""
+    """A forked child killed while holding the mapping (a scan-pool worker
+    inherits every live store) cannot orphan or destroy a temp file."""
 
-    @pytest.mark.parametrize("backend", ["memmap", "shared"])
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_killed_child_leaves_no_orphans(self, backend):
         import multiprocessing
 
-        before = set(_shm_files())
-        store = MatrixStore.create((64, 8), backend)
-        token = store.token()
+        before = set(_store_files())
+        store = _create((64, 8), backend)
 
-        def child(tok):
-            attached = MatrixStore.attach(tok)
-            attached.arrays["rtt_ms"][0, :] = 42.0
+        def child():
+            store.arrays["rtt_ms"][0, :] = 42.0
+            store.arrays["rtt_ms"].flush()
             os._exit(113)  # dies holding the mapping, skipping finalizers
 
         ctx = multiprocessing.get_context("fork")
-        proc = ctx.Process(target=child, args=(token,))
+        proc = ctx.Process(target=child)
         proc.start()
         proc.join(timeout=30)
         assert proc.exitcode == 113
-        # The dead child's write is visible and the segment is intact.
+        # The dead child's write is visible and the files are intact.
         assert (np.asarray(store.arrays["rtt_ms"][0]) == 42.0).all()
         store.close()
         assert active_segments() == []
-        assert set(_shm_files()) == before
-
-    def test_fresh_attach_then_exit_does_not_unlink(self):
-        """A *separate* process attach (registry miss) must not destroy
-        the segment on its clean exit either — the resource-tracker
-        untrack is what keeps non-owners from unlinking."""
-        import multiprocessing
-        import sys
-
-        store = MatrixStore.create((4, 4), "shared")
-        token = store.token()
-
-        def child(tok):
-            matstore._LIVE.clear()  # simulate a non-fork process: registry miss
-            attached = MatrixStore.attach(tok)
-            assert not attached.owner
-            attached.close()
-            os._exit(0)
-
-        ctx = multiprocessing.get_context("fork")
-        proc = ctx.Process(target=child, args=(token,))
-        proc.start()
-        proc.join(timeout=30)
-        assert proc.exitcode == 0
-        # Parent can still read its plane: the child did not unlink it.
-        assert store.arrays["rtt_ms"].shape == (4, 4)
-        name = store.token().fields[0][2]
-        assert os.path.exists(f"/dev/shm/{name}")
-        store.close()
-        assert not os.path.exists(f"/dev/shm/{name}")
+        assert set(_store_files()) == before

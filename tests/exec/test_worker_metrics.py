@@ -9,16 +9,10 @@ records — the satellite contract of the telemetry PR.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.census.combine import RttMatrix
-from repro.census.fastpath import analyze_matrix_fast
-from repro.core.igreedy import IGreedyConfig
 from repro.exec import ExecutionPolicy
 from repro.exec.pool import MSG_OK, WorkerPool, drain_worker_metrics, fork_available
-from repro.geo.cities import default_city_db
-from repro.geo.coords import GeoPoint
 from repro.internet.topology import InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign
 from repro.measurement.faults import WorkerFaultPlan
@@ -55,22 +49,6 @@ def _census_metrics(internet, platform, workers, worker_faults=None):
         campaign.run_precensus()
         census = campaign.run_census(availability=0.85)
     return registry.snapshot(), census
-
-
-def _dense_matrix():
-    rng = np.random.default_rng(17)
-    n_targets, n_vps = 40, 10
-    lats = rng.uniform(-60.0, 60.0, size=n_vps)
-    lons = rng.uniform(-170.0, 170.0, size=n_vps)
-    rtt = rng.choice([2.0, 5.0, 12.0, 40.0, 90.0, 220.0], size=(n_targets, n_vps))
-    rtt = np.where(rng.random(rtt.shape) < 0.2, np.nan, rtt).astype(np.float32)
-    return RttMatrix(
-        prefixes=np.arange(100, 100 + n_targets, dtype=np.uint32),
-        vp_names=[f"vp-{i:02d}" for i in range(n_vps)],
-        vp_locations=[GeoPoint(float(a), float(b)) for a, b in zip(lats, lons)],
-        rtt_ms=rtt,
-        sample_count=(~np.isnan(rtt)).astype(np.uint8),
-    )
 
 
 class TestExecPoolMetrics:
@@ -146,39 +124,8 @@ class TestDrainAfterExit:
                     pass
                 handle.process.join(timeout=10.0)
                 assert not handle.process.is_alive()
-                merged = drain_worker_metrics(pool, registry, send_sentinels=False)
+                merged = drain_worker_metrics(pool, registry)
             finally:
                 pool.shutdown()
         assert merged == 1
         assert registry.snapshot()["counters"]["units_counted"] == 1
-
-
-class TestFastpathMetrics:
-    def _analyze_metrics(self, matrix, workers):
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            result = analyze_matrix_fast(
-                matrix,
-                city_db=default_city_db(),
-                config=IGreedyConfig(engine="fast"),
-                workers=workers,
-            )
-        snap = registry.snapshot()
-        # Chunk accounting exists only in pool mode; drop it so the
-        # science-metric comparison is exact.
-        snap["counters"] = {
-            k: v
-            for k, v in snap["counters"].items()
-            if not k.startswith("analysis_chunks")
-        }
-        return snap, result
-
-    def test_pool_metrics_equal_serial(self):
-        matrix = _dense_matrix()
-        serial, result_serial = self._analyze_metrics(matrix, workers=0)
-        assert result_serial.results, "fixture must contain detected targets"
-        assert serial["histograms"]["igreedy_iterations"]["count"] > 0
-        for workers in (1, 3):
-            pooled, result_pooled = self._analyze_metrics(matrix, workers=workers)
-            assert list(result_pooled.results) == list(result_serial.results)
-            assert pooled == serial, f"workers={workers} metrics diverge from serial"

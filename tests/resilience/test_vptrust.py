@@ -31,6 +31,7 @@ from repro.internet.topology import InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign
 from repro.measurement.faults import VpDistortionPlan
 from repro.measurement.platform import planetlab_platform
+from repro.resilience.errors import CorruptInputError
 from repro.resilience.vptrust import (
     TRUST_REASON_RTT_INFLATION,
     TRUST_REASON_SOL_VIOLATION,
@@ -141,13 +142,14 @@ class TestDistortedDetection:
     def test_filtered_analysis_is_sound_against_clean(
         self, world, clean_anycast
     ):
-        """Filtering restores soundness; the unfiltered matrix cannot
-        even be analyzed (negative clock-skew RTTs -> negative radii)."""
+        """Filtering restores soundness; the unfiltered matrix is refused
+        at the detection tier with a typed error (negative clock-skew
+        RTTs are negative radii), not a crash inside geolocation."""
         db = world[0]
         matrix, injected = matrix_for(
             world, VpDistortionPlan(fraction=0.2, seed=4242)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptInputError, match=r"\d+ negative-RTT cell"):
             analyze_matrix(matrix, city_db=db)
         filtered, excised = apply_trust(matrix, score_vps(matrix))
         verdicts = set(analyze_matrix(filtered, city_db=db).anycast_prefixes)

@@ -21,8 +21,10 @@ import pathlib
 import pytest
 
 from repro.measurement.faults import VpDistortionPlan
+from repro.resilience import CorruptInputError, ResiliencePolicy, StageFailed
 from repro.service import CensusService, ServiceConfig
 from repro.service.archive import TRUST_FILE
+from repro.workflow import small_service
 
 DAYS = 3
 #: Files excluded from byte comparisons: observability sidecars, never
@@ -131,6 +133,38 @@ class TestDistortedService:
         replayed = service.run_epoch(0)
         assert replayed.status == "already-present"
         assert replayed.untrusted_vps == outcomes[0].untrusted_vps
+
+
+class TestUnfilteredDistortion:
+    def test_trust_off_distortion_is_a_typed_refusal(self, tmp_path):
+        """Clock-skewed VPs with nothing filtering them put negative RTTs
+        in front of the analysis: the epoch ends in a typed error naming
+        the damage, commits nothing, and is re-runnable off its journal."""
+        plan = VpDistortionPlan(fraction=0.3, seed=4242)
+        service = small_service(tmp_path, vp_distortion=plan)
+        for _ in range(2):  # the refusal is deterministic, not sticky
+            with pytest.raises(
+                CorruptInputError, match=r"\d+ negative-RTT cell\(s\) in \d+ of \d+"
+            ):
+                service.run_epoch(0)
+        assert service.archive.epochs() == []
+        assert list((tmp_path / "runs").iterdir()) == []
+        assert service.fsck().quarantined == []
+        # Under a supervisor the same input is a typed stage failure.
+        supervised = small_service(
+            tmp_path / "supervised",
+            vp_distortion=plan,
+            resilience=ResiliencePolicy.permissive(),
+        )
+        with pytest.raises(StageFailed, match="negative-RTT") as info:
+            supervised.run_epoch(0)
+        assert isinstance(info.value.__cause__, CorruptInputError)
+        # The journal survived: turning the trust gate on resumes the
+        # measured scans and commits the epoch.
+        outcome = small_service(
+            tmp_path, vp_distortion=plan, trust=True
+        ).run_epoch(0)
+        assert outcome.status == "committed" and outcome.untrusted_vps
 
 
 class TestTrustSidecarFsck:

@@ -240,6 +240,15 @@ class TestExitCodes:
         assert code == EXIT_UNEXPECTED
         assert "StageFailed" in capsys.readouterr().err
 
+    def test_typed_refusal_is_one_error_line_not_a_traceback(self, capsys):
+        # Distorted VPs, no trust gate: negative RTTs reach the analysis.
+        code = main(SCALE + ["--vp-distortion", "0.3", "glance"])
+        assert code == EXIT_UNEXPECTED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: CorruptInputError: ")
+        assert "negative-RTT" in err[0]
+
     def test_usage_errors_keep_argparse_code_2(self):
         with pytest.raises(SystemExit) as info:
             main(["--poison", "not-a-mode", "glance"])

@@ -1,19 +1,20 @@
-"""Fast path ≡ reference path — the hard invariant of the analysis engine.
+"""Census engine ≡ per-target oracle — the hard invariant of the analysis.
 
-The array-native engine (:mod:`repro.census.fastpath`) must produce an
-:class:`AnalysisResult` equivalent object-for-object to the reference
-per-sample pipeline for *every* configuration and *any* worker count:
-same prefixes, same detection verdicts and witnesses, same replica cities
-in the same order, same confidences, same iteration counts.
+The array-native engine (:mod:`repro.census.fastpath`) is the only way
+``analyze_matrix`` runs iGreedy; it must produce an
+:class:`AnalysisResult` equivalent object-for-object to running the
+single-target API :func:`repro.core.igreedy.igreedy` on every detected
+row (:func:`oracle_analysis` below) for *every* configuration: same
+prefixes, same detection verdicts and witnesses, same replica cities in
+the same order, same confidences, same iteration counts.
 
-The property suite drives both engines over randomly generated small
-internets (random VP geometry, NaN holes, duplicated RTT values to
-provoke tie-breaks) across the full configuration grid:
-strict/iterative enumeration × population_exponent ∈ {0, 1, 1.5} ×
-max_rtt on/off/aggressive.  Degenerate inputs (no samples, single
-samples, everything filtered), the block entry point at block sizes
-1 / 7 / all, the parallel merge (workers ∈ {0, 1, 2, 4}) and metric
-totals are covered by explicit cases.
+The property suite drives both over randomly generated small internets
+(random VP geometry, NaN holes, duplicated RTT values to provoke
+tie-breaks) across the full configuration grid: strict/iterative
+enumeration × population_exponent ∈ {0, 1, 1.5} × max_rtt
+on/off/aggressive.  Degenerate inputs (no samples, single samples,
+everything filtered), the block entry point at block sizes 1 / 7 / all
+and metric totals are covered by explicit cases.
 """
 
 from __future__ import annotations
@@ -25,23 +26,35 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.census.analysis import analyze_matrix  # noqa: E402
+from repro.census.analysis import (  # noqa: E402
+    AnalysisResult,
+    analyze_matrix,
+    detect_targets,
+)
 from repro.census.combine import RttMatrix  # noqa: E402
 from repro.census import fastpath  # noqa: E402
-from repro.census.fastpath import FastAnalysisEngine, analyze_matrix_fast  # noqa: E402
-from repro.core.igreedy import IGreedyConfig  # noqa: E402
+from repro.census.fastpath import FastAnalysisEngine  # noqa: E402
+from repro.core.igreedy import IGreedyConfig, igreedy  # noqa: E402
+from repro.core.samples import LatencySample  # noqa: E402
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer  # noqa: E402
 from repro.obs.trace import iter_span_names  # noqa: E402
 from repro.geo.cities import default_city_db  # noqa: E402
 from repro.geo.coords import GeoPoint  # noqa: E402
 
 
-def reference_config(**kwargs) -> IGreedyConfig:
-    return IGreedyConfig(engine="reference", **kwargs)
-
-
-def fast_config(**kwargs) -> IGreedyConfig:
-    return IGreedyConfig(engine="fast", **kwargs)
+def oracle_analysis(matrix, city_db, config=None, min_samples=3) -> AnalysisResult:
+    """The per-sample pipeline: detect, then ``igreedy()`` per detected row."""
+    cfg = config or IGreedyConfig()
+    mask = detect_targets(matrix, cfg, min_samples)
+    result = AnalysisResult(prefixes=matrix.prefixes, anycast_mask=mask)
+    for row in np.nonzero(mask)[0]:
+        prefix = int(matrix.prefixes[row])
+        samples = [
+            LatencySample(vp_name=name, vp_location=loc, rtt_ms=rtt)
+            for name, loc, rtt in matrix.samples_for(prefix)
+        ]
+        result.results[prefix] = igreedy(samples, city_db=city_db, config=cfg)
+    return result
 
 
 def assert_equivalent(ref, fast) -> None:
@@ -126,8 +139,9 @@ class TestPropertyEquivalence:
     def test_fast_equals_reference(self, matrix, config_index):
         kwargs = CONFIG_GRID[config_index]
         db = default_city_db()
-        ref = analyze_matrix(matrix, city_db=db, config=reference_config(**kwargs))
-        fast = analyze_matrix(matrix, city_db=db, config=fast_config(**kwargs))
+        config = IGreedyConfig(**kwargs)
+        ref = oracle_analysis(matrix, db, config)
+        fast = analyze_matrix(matrix, city_db=db, config=config)
         assert_equivalent(ref, fast)
 
     @settings(max_examples=15, deadline=None)
@@ -135,12 +149,8 @@ class TestPropertyEquivalence:
     def test_min_samples_guard_matches(self, matrix):
         db = default_city_db()
         for min_samples in (1, 3, 5):
-            ref = analyze_matrix(
-                matrix, city_db=db, config=reference_config(), min_samples=min_samples
-            )
-            fast = analyze_matrix(
-                matrix, city_db=db, config=fast_config(), min_samples=min_samples
-            )
+            ref = oracle_analysis(matrix, db, min_samples=min_samples)
+            fast = analyze_matrix(matrix, city_db=db, min_samples=min_samples)
             assert_equivalent(ref, fast)
 
 
@@ -165,8 +175,8 @@ class TestDegenerateInputs:
     def test_all_nan_rows(self):
         matrix = _matrix(np.full((3, 4), np.nan))
         db = default_city_db()
-        ref = analyze_matrix(matrix, city_db=db, config=reference_config())
-        fast = analyze_matrix(matrix, city_db=db, config=fast_config())
+        ref = oracle_analysis(matrix, db)
+        fast = analyze_matrix(matrix, city_db=db)
         assert_equivalent(ref, fast)
         assert not fast.anycast_mask.any()
         assert fast.results == {}
@@ -178,21 +188,21 @@ class TestDegenerateInputs:
         rtt[1, 1] = 4.0
         matrix = _matrix(rtt)
         db = default_city_db()
-        ref = analyze_matrix(matrix, city_db=db, config=reference_config())
-        fast = analyze_matrix(matrix, city_db=db, config=fast_config())
+        ref = oracle_analysis(matrix, db)
+        fast = analyze_matrix(matrix, city_db=db)
         assert_equivalent(ref, fast)
         assert not fast.anycast_mask.any()
 
     def test_max_rtt_filters_everything(self):
         # Every RTT exceeds max_rtt: the filter would leave < 2 disks, so
-        # both engines must fall back to the unfiltered set.
+        # engine and oracle must both fall back to the unfiltered set.
         rtt = np.full((2, 4), 200.0, dtype=np.float32)
         rtt[:, 0] = 2.0  # tiny disks far from the rest force detection
         matrix = _matrix(rtt, seed=11)
         db = default_city_db()
-        cfg = dict(max_rtt_ms=1.0)
-        ref = analyze_matrix(matrix, city_db=db, config=reference_config(**cfg))
-        fast = analyze_matrix(matrix, city_db=db, config=fast_config(**cfg))
+        cfg = IGreedyConfig(max_rtt_ms=1.0)
+        ref = oracle_analysis(matrix, db, cfg)
+        fast = analyze_matrix(matrix, city_db=db, config=cfg)
         assert_equivalent(ref, fast)
         for result in fast.results.values():
             assert result.replicas  # fallback actually enumerated
@@ -202,13 +212,13 @@ class TestDegenerateInputs:
         rtt = rng.choice([3.0, 8.0, 30.0], size=(6, 6)).astype(np.float32)
         matrix = _matrix(rtt, n_vps=6, seed=5)
         db = default_city_db()
-        cfg = dict(strict_enumeration=False, max_iterations=1)
-        ref = analyze_matrix(matrix, city_db=db, config=reference_config(**cfg))
-        fast = analyze_matrix(matrix, city_db=db, config=fast_config(**cfg))
+        cfg = IGreedyConfig(strict_enumeration=False, max_iterations=1)
+        ref = oracle_analysis(matrix, db, cfg)
+        fast = analyze_matrix(matrix, city_db=db, config=cfg)
         assert_equivalent(ref, fast)
 
 
-# -- parallel merge determinism ----------------------------------------
+# -- a dense fixture: 40 targets, most of them detected ----------------
 
 
 @pytest.fixture(scope="module")
@@ -230,35 +240,13 @@ def dense_matrix():
     )
 
 
-class TestParallelDeterminism:
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_workers_identical_output(self, dense_matrix, strict):
-        db = default_city_db()
-        cfg = fast_config(strict_enumeration=strict)
-        serial = analyze_matrix_fast(dense_matrix, city_db=db, config=cfg, workers=0)
-        assert serial.results, "fixture must contain detected targets"
-        for workers in (1, 2, 4):
-            parallel = analyze_matrix_fast(
-                dense_matrix, city_db=db, config=cfg, workers=workers
-            )
-            assert_equivalent(serial, parallel)
-
-    def test_workers_match_reference(self, dense_matrix):
-        db = default_city_db()
-        ref = analyze_matrix(dense_matrix, city_db=db, config=reference_config())
-        parallel = analyze_matrix(
-            dense_matrix, city_db=db, config=fast_config(), workers=3
-        )
-        assert_equivalent(ref, parallel)
-
-
 # -- the block entry point ---------------------------------------------
 
 
 class TestBlockEngine:
     """``FastAnalysisEngine.analyze_rows`` is the one entry point of the
-    study, the pool workers and the service; however its callers cut the
-    rows into blocks, each row's result is the reference engine's."""
+    study and the service; however its callers cut the rows into blocks,
+    each row's result is the oracle's."""
 
     @pytest.fixture(scope="class")
     def matrix(self, dense_matrix):
@@ -267,10 +255,11 @@ class TestBlockEngine:
     @pytest.mark.parametrize("kwargs", CONFIG_GRID)
     def test_block_sizes_match_reference(self, matrix, kwargs, monkeypatch):
         db = default_city_db()
-        ref = analyze_matrix(matrix, city_db=db, config=reference_config(**kwargs))
+        config = IGreedyConfig(**kwargs)
+        ref = oracle_analysis(matrix, db, config)
         rows = np.nonzero(ref.anycast_mask)[0]
         assert len(rows) > 7
-        engine = FastAnalysisEngine(matrix, city_db=db, config=fast_config(**kwargs))
+        engine = FastAnalysisEngine(matrix, city_db=db, config=config)
         for size in (1, 7, len(rows)):
             results = []
             for start in range(0, len(rows), size):
@@ -302,18 +291,19 @@ class TestBlockEngine:
         assert all(r.detection.witness is None and not r.replicas for r in results)
 
     @pytest.mark.parametrize("strict", [True, False])
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_metric_totals_match_reference(self, matrix, strict, workers):
-        """Histogram and counter totals are the per-target engine's."""
+    @pytest.mark.parametrize("block_rows", [0, 2])
+    def test_metric_totals_match_reference(self, matrix, strict, block_rows, monkeypatch):
+        """Histogram and counter totals are the per-target API's, however
+        the rows are cut into blocks (0 = the engine's own block size)."""
+        if block_rows:
+            monkeypatch.setattr(fastpath, "_BLOCK_CELLS", block_rows * matrix.n_vps)
         db = default_city_db()
+        config = IGreedyConfig(strict_enumeration=strict)
         snapshots = []
-        for config, n in (
-            (reference_config(strict_enumeration=strict), None),
-            (fast_config(strict_enumeration=strict), workers),
-        ):
+        for analyze in (oracle_analysis, analyze_matrix):
             registry = MetricsRegistry()
             with use_metrics(registry):
-                analyze_matrix(matrix, city_db=db, config=config, workers=n)
+                analyze(matrix, db, config)
             snapshots.append(registry.snapshot())
         ref, fast = snapshots
         for name in ("disks_per_target", "mis_size", "igreedy_iterations"):
@@ -332,7 +322,7 @@ class TestBlockEngine:
         tracer = Tracer()
         with use_tracer(tracer):
             with tracer.span("analysis"):
-                result = analyze_matrix(matrix, city_db=default_city_db(), config=fast_config())
+                result = analyze_matrix(matrix, city_db=default_city_db())
         names = list(iter_span_names(tracer))
         assert names.count("igreedy") == result.n_anycast
         for stage in ("coverage", "detection", "sort", "witness", "enumeration", "geolocation", "assembly"):
@@ -345,36 +335,19 @@ class TestBlockEngine:
 
 
 class TestStudyScale:
-    def test_parallel_fast_path_equals_reference_on_small_study(self, small_study):
-        """The block engine behind a 4-worker pool, on a whole study."""
+    def test_fast_path_equals_reference_on_small_study(self, small_study):
+        """The block engine on a whole study's matrix."""
         matrix = small_study.matrix
-        ref = analyze_matrix(
-            matrix, city_db=small_study.city_db, config=reference_config()
-        )
-        fast = analyze_matrix(
-            matrix, city_db=small_study.city_db, config=fast_config(), workers=4
-        )
+        ref = oracle_analysis(matrix, small_study.city_db)
+        fast = analyze_matrix(matrix, city_db=small_study.city_db)
         assert ref.n_anycast > 50
         assert_equivalent(ref, fast)
 
 
-# -- engine selection --------------------------------------------------
-
-
-class TestEngineKnob:
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError):
-            IGreedyConfig(engine="warp")
-
-    def test_env_var_overrides_config(self, monkeypatch):
+class TestEngineLabel:
+    def test_resolved_engine_is_the_constant_the_harness_records(self, monkeypatch):
+        """One engine, nothing to select: not a field, not an env var."""
         monkeypatch.setenv("REPRO_ANALYSIS_ENGINE", "reference")
-        assert IGreedyConfig(engine="fast").resolved_engine() == "reference"
-        monkeypatch.setenv("REPRO_ANALYSIS_ENGINE", "fast")
-        assert IGreedyConfig(engine="reference").resolved_engine() == "fast"
-        monkeypatch.delenv("REPRO_ANALYSIS_ENGINE")
         assert IGreedyConfig().resolved_engine() == "fast"
-
-    def test_invalid_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS_ENGINE", "warp")
-        with pytest.raises(ValueError):
-            IGreedyConfig().resolved_engine()
+        with pytest.raises(TypeError):
+            IGreedyConfig(engine="reference")

@@ -7,12 +7,14 @@ under fuzzed deployments, and graceful behaviour under degenerate inputs
 """
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.census import fastpath
 from repro.census.analysis import analyze_matrix
 from repro.census.combine import RttMatrix, combine_censuses, matrix_from_census
 from repro.core.igreedy import IGreedyConfig, igreedy
@@ -110,15 +112,20 @@ def measured_worlds(draw):
     return points, np.array(rows, dtype=np.float32), rng
 
 
-def _verdicts(points, rtt):
-    matrix = RttMatrix(
-        prefixes=np.arange(1, len(rtt) + 1, dtype=np.uint32),
-        vp_names=[f"vp-{k:02d}" for k in range(len(points))],
+def _matrix(points, rtt, prefixes=None, names=None):
+    return RttMatrix(
+        prefixes=(
+            np.arange(1, len(rtt) + 1, dtype=np.uint32) if prefixes is None else prefixes
+        ),
+        vp_names=names or [f"vp-{k:02d}" for k in range(len(points))],
         vp_locations=list(points),
         rtt_ms=rtt,
         sample_count=(~np.isnan(rtt)).astype(np.uint8),
     )
-    return analyze_matrix(matrix, min_samples=2).anycast_mask
+
+
+def _verdicts(points, rtt):
+    return analyze_matrix(_matrix(points, rtt), min_samples=2).anycast_mask
 
 
 class TestDetectionMetamorphic:
@@ -139,6 +146,48 @@ class TestDetectionMetamorphic:
         points, rtt, _ = world
         without = _verdicts(points[:-1], np.ascontiguousarray(rtt[:, :-1]))
         assert not (without & ~_verdicts(points, rtt)).any()
+
+
+class TestAnalysisOrderInvariance:
+    """Neither the target order nor the roster order is an input: the one
+    census engine cuts rows into blocks and scans columns in matrix order,
+    and neither may show in a result."""
+
+    @given(measured_worlds(), st.sampled_from([True, False]))
+    @settings(max_examples=40, deadline=None)
+    def test_permuting_target_rows_keeps_every_per_prefix_result(self, world, strict):
+        points, rtt, rng = world
+        config = IGreedyConfig(strict_enumeration=strict)
+        matrix = _matrix(points, rtt)
+        order = rng.permutation(len(rtt))
+        shuffled = _matrix(
+            points, np.ascontiguousarray(rtt[order]), prefixes=matrix.prefixes[order]
+        )
+        # Three rows a block: the permutation moves rows across blocks.
+        with mock.patch.object(fastpath, "_BLOCK_CELLS", 3 * len(points)):
+            base = analyze_matrix(matrix, config=config, min_samples=2)
+            moved = analyze_matrix(shuffled, config=config, min_samples=2)
+        assert np.array_equal(moved.anycast_mask, base.anycast_mask[order])
+        assert moved.results == base.results
+
+    @given(measured_worlds(), st.sampled_from([True, False]))
+    @settings(max_examples=40, deadline=None)
+    def test_permuting_vp_columns_keeps_mask_and_enumeration(self, world, strict):
+        points, rtt, rng = world
+        config = IGreedyConfig(strict_enumeration=strict)
+        matrix = _matrix(points, rtt)
+        order = rng.permutation(len(points))
+        shuffled = _matrix(
+            [points[k] for k in order],
+            np.ascontiguousarray(rtt[:, order]),
+            names=[matrix.vp_names[k] for k in order],
+        )
+        base = analyze_matrix(matrix, config=config, min_samples=2)
+        moved = analyze_matrix(shuffled, config=config, min_samples=2)
+        assert np.array_equal(moved.anycast_mask, base.anycast_mask)
+        # Samples order by (RTT, VP name) and every tie-break downstream
+        # is by sample slot, so the whole result survives, not just the mask.
+        assert moved.results == base.results
 
 
 class TestRecordIoFuzz:
