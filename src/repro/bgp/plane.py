@@ -56,10 +56,6 @@ class DeploymentRoutes:
     announcements: Tuple[Announcement, ...]
     outcome: RoutingOutcome
 
-    def site_for_ases(self, as_indices: np.ndarray) -> np.ndarray:
-        """Serving site per AS index; -1 where unreachable."""
-        return self.outcome.site[np.asarray(as_indices, dtype=np.int64)]
-
 
 class BgpRoutingPlane:
     """The routing plane: one AS graph plus attachment and catchments."""

@@ -96,11 +96,6 @@ class Characterization:
     # Confidence (resilience layer): honest labelling of degraded input
     # ------------------------------------------------------------------
 
-    @property
-    def has_confidence(self) -> bool:
-        """Whether the analysis carries per-target confidence verdicts."""
-        return bool(self.analysis.confidence)
-
     def confidence_counts(self) -> Dict[str, int]:
         """Per-verdict target tally (empty when no verdicts were computed)."""
         counts: Dict[str, int] = {}

@@ -9,7 +9,7 @@ logs, and tests — via an equirectangular binning of replica locations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,10 +49,6 @@ class GeoGrid:
             raise ValueError("weight must be non-negative")
         row, col = self.cell_of(point)
         self.counts[row, col] += weight
-
-    def add_all(self, points: Iterable[GeoPoint]) -> None:
-        for point in points:
-            self.add(point)
 
     @property
     def total(self) -> int:

@@ -37,10 +37,6 @@ import numpy as np
 
 from ..obs import current_metrics
 
-#: Environment knob overriding the configured store backend:
-#: ``auto`` | ``inline`` | ``memmap``.
-STORE_ENV_VAR = "REPRO_MATRIX_STORE"
-
 #: Valid store selectors.
 BACKENDS = frozenset({"auto", "inline", "memmap"})
 
@@ -62,12 +58,11 @@ SEGMENT_PREFIX = "repro-ms"
 def resolve_store(choice: Optional[str] = None, n_cells: int = 0) -> str:
     """The backend to use: ``inline`` or ``memmap``.
 
-    ``REPRO_MATRIX_STORE`` wins over the configured ``choice`` (it is an
-    ops/differential-testing knob); ``auto`` resolves to ``inline`` below
+    ``auto`` (also what ``None`` means) resolves to ``inline`` below
     :data:`AUTO_MIN_CELLS` and ``memmap`` — the backend that lets a
     matrix exceed RAM — from there up.
     """
-    selected = os.environ.get(STORE_ENV_VAR) or (choice or "auto")
+    selected = choice or "auto"
     if selected not in BACKENDS:
         raise ValueError(
             f"matrix store must be one of {sorted(BACKENDS)}, got {selected!r}"
@@ -144,19 +139,14 @@ class MatrixStore:
         _set_store_gauges()
 
     @classmethod
-    def create(
-        cls,
-        shape: Tuple[int, int],
-        fields: Tuple[Tuple[str, str], ...] = MATRIX_FIELDS,
-        dir: Optional[str] = None,
-    ) -> "MatrixStore":
+    def create(cls, shape: Tuple[int, int]) -> "MatrixStore":
         """Allocate fresh zero-filled temp files for ``shape``."""
         key = uuid.uuid4().hex[:12]
         arrays: Dict[str, np.ndarray] = {}
         paths: List[str] = []
-        for name, dtype_str in fields:
+        for name, dtype_str in MATRIX_FIELDS:
             fd, path = tempfile.mkstemp(
-                prefix=f"{SEGMENT_PREFIX}-{key}-{name}-", suffix=".bin", dir=dir
+                prefix=f"{SEGMENT_PREFIX}-{key}-{name}-", suffix=".bin"
             )
             os.close(fd)
             arrays[name] = np.memmap(path, dtype=np.dtype(dtype_str), mode="w+", shape=shape)

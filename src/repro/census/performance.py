@@ -45,10 +45,6 @@ class ProximityReport:
     def median_penalty_km(self) -> float:
         return float(np.median(self.penalties_km))
 
-    @property
-    def p95_penalty_km(self) -> float:
-        return float(np.percentile(self.penalties_km, 95))
-
 
 def proximity(
     deployment: AnycastDeployment,

@@ -134,7 +134,6 @@ def _build_study(args: argparse.Namespace) -> CensusStudy:
             deadline=args.deadline,
             trace=want_manifest or args.command == "trace",
             metrics=want_manifest or args.command in ("trace", "stats"),
-            manifest_path=args.manifest,
             resilience=policy_factory() if policy_factory is not None else None,
             poison=poison,
             vp_distortion=_distortion_from_args(args),
@@ -279,10 +278,43 @@ def _cmd_health(study: CensusStudy, args: argparse.Namespace) -> int:
     return 0
 
 
+#: Global flags that only the study pipeline can honour.  ``service``
+#: has nothing to bind them to, so it refuses them instead of running as
+#: if they had not been given.
+_STUDY_ONLY_FLAGS = (
+    "workers", "deadline", "quorum", "scan_timeout", "checkpoint_dir",
+    "censuses", "poison", "poison_fraction", "poison_seed", "matrix_store",
+    "manifest",
+)
+
+
+def _refuse_study_only_flags(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Usage error (exit 2) naming every study-only flag given to ``service``."""
+    given = [
+        "--" + dest.replace("_", "-")
+        for dest in _STUDY_ONLY_FLAGS
+        if getattr(args, dest) != parser.get_default(dest)
+    ]
+    if given:
+        parser.error(
+            "service does not take " + ", ".join(given)
+            + " (these configure the study pipeline only)"
+        )
+
+
 def _service_from_args(args: argparse.Namespace):
     from .service import CensusService, ServiceConfig
 
     policy_factory = _POLICIES[args.resilience_policy]
+    # No fault plan at all when both rates are zero, so a flag-free run
+    # hands the campaign exactly what it always did.
+    fault_plan = None
+    if args.fault_rate or args.flap_prob:
+        fault_plan = FaultPlan.uniform(
+            args.fault_rate, seed=args.fault_seed, flap_prob=args.flap_prob
+        )
     return CensusService(
         ServiceConfig(
             archive_root=args.archive,
@@ -296,6 +328,7 @@ def _service_from_args(args: argparse.Namespace):
             churn_threshold=args.churn_threshold,
             resilience=policy_factory() if policy_factory is not None else None,
             telemetry=getattr(args, "telemetry", False),
+            fault_plan=fault_plan,
             roster_churn_prob=args.roster_churn,
             roster_seed=args.roster_seed,
             baseline_depth=args.baseline_depth,
@@ -503,8 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "'inline' = heap arrays, 'memmap' = temp-file "
                              "planes that can exceed RAM, 'auto' = inline "
                              "below the size threshold, memmap above "
-                             "(REPRO_MATRIX_STORE overrides; bytes are "
-                             "identical for every choice)")
+                             "(bytes are identical for every choice)")
     parser.add_argument("--trust", action="store_true",
                         help="cross-VP trust scoring: excise vantage "
                              "points whose columns are self-inconsistent "
@@ -631,6 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "service":
+        _refuse_study_only_flags(parser, args)
     try:
         study = _build_study(args)
     except ValueError as exc:  # e.g. an out-of-range --fault-rate

@@ -1,17 +1,18 @@
 """Supervised census execution — the one scan executor.
 
-Partitions a census into deterministic (VP × target-shard) work units,
-executes them in-process (``workers=0``, the default and the reference)
-or on a forked worker pool under liveness supervision —
-heartbeats, bounded shard reassignment, worker respawn, per-VP circuit
-breakers, an overall deadline — and merges results canonically so the
-output bytes never depend on worker count, dispatch order, or which
-workers died along the way.
+Partitions a census into deterministic work units — one whole VP scan
+each — and executes them in-process (``workers=0``, the default and the
+reference) or on a forked worker pool under liveness supervision —
+heartbeats, bounded unit reassignment, worker respawn, per-VP circuit
+breakers, an overall deadline.  Unit results depend only on unit keys
+and the caller assembles them in census order, so the output bytes never
+depend on worker count, dispatch order, or which workers died along the
+way.
 
 Entry points:
 
 * :class:`ShardedExecutor` / :class:`ExecutionPolicy` — the engine.
-* :func:`build_plan` / :class:`ShardPlan` — unit partitioning.
+* :func:`build_plan` / :class:`WorkUnit` — unit partitioning.
 * :func:`graceful_shutdown` — SIGINT/SIGTERM drain of a census, at any
   worker count.
 """
@@ -24,7 +25,7 @@ from .errors import (
     WorkerLost,
     WorkerWedged,
 )
-from .plan import ShardPlan, WorkUnit, build_plan, merge_vp_shards, shard_target_mask
+from .plan import WorkUnit, build_plan
 from .pool import UnitContext, WorkerPool, fork_available
 from .signals import ShutdownFlag, graceful_shutdown
 from .supervisor import (
@@ -47,7 +48,6 @@ __all__ = [
     "ExecutionReport",
     "ReassignmentBudgetExceeded",
     "ReassignmentLedger",
-    "ShardPlan",
     "ShardedExecutor",
     "ShutdownFlag",
     "UnitContext",
@@ -58,6 +58,4 @@ __all__ = [
     "build_plan",
     "fork_available",
     "graceful_shutdown",
-    "merge_vp_shards",
-    "shard_target_mask",
 ]

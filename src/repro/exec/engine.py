@@ -1,12 +1,14 @@
 """The supervised sharded execution engine — the one way a census scans.
 
-:class:`ShardedExecutor` takes a census's :class:`~repro.exec.plan.ShardPlan`
-and runs it either in-process (``workers=0``: the serial census, and the
-reference every pool run is tested against) or on a forked worker pool.
-Both drivers honour a cooperative stop flag (SIGINT/SIGTERM drain) and
-record completions into one :class:`_RunState`, which:
+:class:`ShardedExecutor` takes a census's work units — one whole VP scan
+each (:func:`~repro.exec.plan.build_plan`) — and runs them either
+in-process (``workers=0``: the serial census, and the reference every
+pool run is tested against) or on a forked worker pool.  Both drivers
+honour a cooperative stop flag (SIGINT/SIGTERM drain, the one way to
+stop a run early) and record completions into one :class:`_RunState`,
+which:
 
-* merges each VP's shards and hands the result to the caller;
+* hands each VP's scan result to the caller;
 * trips a per-VP circuit breaker on repeated *scan* failures
   (deterministic data errors, not infrastructure), keeping the last
   error's text and routing the VP to the campaign's quarantine path
@@ -18,16 +20,15 @@ The pool driver adds an event loop that:
 
 * dispatches units to workers (bounded prefetch per worker);
 * tracks liveness via message heartbeats, declaring silent workers
-  wedged after ``liveness_timeout_s`` and reassigning their shards;
+  wedged after ``liveness_timeout_s`` and reassigning their units;
 * detects dead workers by their corpses, reassigns, and respawns
   replacements — all under bounded budgets
   (:class:`~repro.exec.supervisor.ReassignmentLedger`).
 
 Determinism contract: unit results depend only on unit keys (all scan
-RNG is keyed by ``(seed, census, VP, shard)``), per-VP merges happen in
-shard order and the caller assembles VPs in census order — so the bytes
-out are identical for any worker count, any dispatch order, and any
-schedule of worker faults the budgets survive.
+RNG is keyed by ``(seed, census, VP)``) and the caller assembles VPs in
+census order — so the bytes out are identical for any worker count, any
+dispatch order, and any schedule of worker faults the budgets survive.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ import collections
 import queue as queue_mod
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from ..measurement.prober import VpScanResult
 from ..obs import current_events, current_metrics, current_tracer
 from .errors import WorkerLost
-from .plan import ShardPlan, WorkUnit, merge_vp_shards
+from .plan import WorkUnit
 from .pool import (
     MSG_ERR,
     MSG_HB,
@@ -63,9 +64,8 @@ from .supervisor import (
     ReassignmentLedger,
 )
 
-#: Callback invoked as each VP's shards finish merging.  Returning False
-#: asks the engine to drain and stop (the simulated operator kill).
-VpCallback = Callable[[str, VpScanResult], bool]
+#: Callback invoked with each VP's finished scan result.
+VpCallback = Callable[[str, VpScanResult], None]
 
 
 @dataclass
@@ -73,7 +73,7 @@ class ExecutionOutcome:
     """Everything one engine run produced."""
 
     report: ExecutionReport
-    #: Merged scan results by VP name — filled only for callers that pass
+    #: Scan results by VP name — filled only for callers that pass
     #: no ``on_vp_complete``: a callback takes each result instead, so a
     #: census never holds a scan's arrays here next to what the callback
     #: made of them.
@@ -87,54 +87,42 @@ class _RunState:
     """What one engine run has produced so far, shared by both drivers.
 
     Owns the bookkeeping that decides the run's *outcome* — resolved
-    units, per-VP shard merging, the scan-error breaker, deadline expiry,
-    the report — so the in-process and the pool driver differ only in
-    how a unit gets executed, never in what its completion means.
+    units, the scan-error breaker, deadline expiry, the report — so the
+    in-process and the pool driver differ only in how a unit gets
+    executed, never in what its completion means.
     """
 
     def __init__(
         self,
         policy: ExecutionPolicy,
-        plan: ShardPlan,
+        units: Tuple[WorkUnit, ...],
         workers: int,
         on_vp_complete: Optional[VpCallback],
     ) -> None:
-        self.plan = plan
+        self.units = units
         self.on_vp_complete = on_vp_complete
         self.report = ExecutionReport(
-            workers=workers,
-            n_units=len(plan),
-            n_shards=plan.n_shards,
-            in_process=workers == 0,
+            workers=workers, n_units=len(units), in_process=workers == 0
         )
         self.outcome = ExecutionOutcome(report=self.report)
         self.breaker = CircuitBreaker(policy.breaker_threshold)
         self.resolved: Set[int] = set()
-        self._by_vp: Dict[str, List[WorkUnit]] = collections.defaultdict(list)
-        for unit in plan.units:
-            self._by_vp[unit.vp_name].append(unit)
-        self._shards: Dict[str, Dict[int, VpScanResult]] = collections.defaultdict(dict)
         self._deadline = (
             None if policy.deadline_s is None else time.monotonic() + policy.deadline_s
         )
 
     @property
     def unresolved(self) -> int:
-        return len(self.plan) - len(self.resolved)
+        return len(self.units) - len(self.resolved)
 
-    def complete(self, unit: WorkUnit, result: VpScanResult) -> bool:
-        """Record one finished unit; False asks the driver to stop."""
+    def complete(self, unit: WorkUnit, result: VpScanResult) -> None:
+        """Record one finished unit and hand its result to the caller."""
         self.resolved.add(unit.unit_id)
         self.report.units_completed += 1
-        shards = self._shards[unit.vp_name]
-        shards[unit.shard_index] = result
-        if len(shards) < self.plan.n_shards:
-            return True
-        merged = merge_vp_shards(self._shards.pop(unit.vp_name))
         if self.on_vp_complete is None:
-            self.outcome.results[unit.vp_name] = merged
-            return True
-        return self.on_vp_complete(unit.vp_name, merged)
+            self.outcome.results[unit.vp_name] = result
+        else:
+            self.on_vp_complete(unit.vp_name, result)
 
     def scan_failed(self, unit: WorkUnit, error: str) -> bool:
         """Count one scan exception (``"TypeName: message"``) against the
@@ -148,7 +136,7 @@ class _RunState:
         self.breaker.record_failure(unit.vp_name)
         if not self.breaker.is_open(unit.vp_name):
             return True
-        self._fail_vp(unit.vp_name, BREAKER_FAULT)
+        self._fail(unit, BREAKER_FAULT)
         return False
 
     def deadline_expired(self) -> bool:
@@ -156,17 +144,15 @@ class _RunState:
         if self._deadline is None or time.monotonic() <= self._deadline:
             return False
         self.report.deadline_hit = True
-        for vp_name, units in self._by_vp.items():
-            if any(unit.unit_id not in self.resolved for unit in units):
-                self._fail_vp(vp_name, DEADLINE_FAULT)
+        for unit in self.units:
+            if unit.unit_id not in self.resolved:
+                self._fail(unit, DEADLINE_FAULT)
         return True
 
-    def _fail_vp(self, vp_name: str, tag: str) -> None:
-        self.outcome.failed[vp_name] = tag
-        for unit in self._by_vp[vp_name]:
-            if unit.unit_id not in self.resolved:
-                self.resolved.add(unit.unit_id)
-                self.report.units_failed += 1
+    def _fail(self, unit: WorkUnit, tag: str) -> None:
+        self.outcome.failed[unit.vp_name] = tag
+        self.resolved.add(unit.unit_id)
+        self.report.units_failed += 1
 
     def finish(self) -> ExecutionOutcome:
         report = self.report
@@ -189,7 +175,7 @@ class _RunState:
 
 
 class ShardedExecutor:
-    """Runs one census's shard plan under supervision."""
+    """Runs one census's work units (``context.units``) under supervision."""
 
     def __init__(self, policy: ExecutionPolicy) -> None:
         self.policy = policy
@@ -197,13 +183,12 @@ class ShardedExecutor:
     def run(
         self,
         context: UnitContext,
-        plan: ShardPlan,
         on_vp_complete: Optional[VpCallback] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> ExecutionOutcome:
-        if self.policy.workers == 0 or not len(plan) or not fork_available():
-            return self._run_in_process(context, plan, on_vp_complete, should_stop)
-        return self._run_pool(context, plan, on_vp_complete, should_stop)
+        if self.policy.workers == 0 or not context.units or not fork_available():
+            return self._run_in_process(context, on_vp_complete, should_stop)
+        return self._run_pool(context, on_vp_complete, should_stop)
 
     # ------------------------------------------------------------------
     # In-process reference driver
@@ -212,7 +197,6 @@ class ShardedExecutor:
     def _run_in_process(
         self,
         context: UnitContext,
-        plan: ShardPlan,
         on_vp_complete: Optional[VpCallback],
         should_stop: Optional[Callable[[], bool]],
     ) -> ExecutionOutcome:
@@ -222,32 +206,24 @@ class ShardedExecutor:
         match, and the fallback where ``fork`` is unavailable.
         """
         tracer = current_tracer()
-        state = _RunState(self.policy, plan, 0, on_vp_complete)
-        report = state.report
+        state = _RunState(self.policy, context.units, 0, on_vp_complete)
 
-        for unit in plan.units:
-            if unit.unit_id in state.resolved:
-                continue
+        for unit in context.units:
             if should_stop is not None and should_stop():
-                report.interrupted = True
+                state.report.interrupted = True
                 break
             if state.deadline_expired():
                 break
             # A raising scan is retried in place, bounded by the breaker
             # (which resolves the unit when it trips).
             while unit.unit_id not in state.resolved:
-                with tracer.span(
-                    "vp_scan", vp=unit.vp_name, shard=unit.shard_index, worker=-1
-                ):
+                with tracer.span("vp_scan", vp=unit.vp_name, worker=-1):
                     try:
                         result = context.execute(unit.unit_id)
                     except Exception as exc:  # noqa: BLE001 — routed to the breaker
                         state.scan_failed(unit, f"{type(exc).__name__}: {exc}")
                     else:
-                        if not state.complete(unit, result):
-                            report.interrupted = True
-            if report.interrupted:
-                break
+                        state.complete(unit, result)
 
         return state.finish()
 
@@ -258,15 +234,15 @@ class ShardedExecutor:
     def _run_pool(
         self,
         context: UnitContext,
-        plan: ShardPlan,
         on_vp_complete: Optional[VpCallback],
         should_stop: Optional[Callable[[], bool]],
     ) -> ExecutionOutcome:
         tracer = current_tracer()
         events = current_events()
         policy = self.policy
-        n_workers = min(policy.workers, len(plan))
-        state = _RunState(policy, plan, n_workers, on_vp_complete)
+        units = context.units
+        n_workers = min(policy.workers, len(units))
+        state = _RunState(policy, units, n_workers, on_vp_complete)
         report = state.report
         resolved = state.resolved
 
@@ -274,7 +250,6 @@ class ShardedExecutor:
             per_unit_budget=policy.max_reassignments_per_unit,
             total_budget=policy.total_reassignment_budget,
         )
-        units = plan.units
         order = list(range(len(units)))
         if policy.submit_seed is not None:
             np.random.default_rng(policy.submit_seed).shuffle(order)
@@ -296,7 +271,6 @@ class ShardedExecutor:
                         "unit_requeued",
                         unit_id=uid,
                         vp=units[uid].vp_name,
-                        shard=units[uid].shard_index,
                         from_worker=handle.worker_id,
                     )
 
@@ -391,21 +365,13 @@ class ShardedExecutor:
                         handle.assigned.remove(unit_id)
                     if kind == MSG_OK:
                         # The scan ran in the worker; this parent-side
-                        # span marks its completion (merge + callback).
+                        # span marks its completion (the caller's callback).
                         with tracer.span(
-                            "vp_scan",
-                            vp=unit.vp_name,
-                            shard=unit.shard_index,
-                            worker=worker_id,
+                            "vp_scan", vp=unit.vp_name, worker=worker_id
                         ):
-                            if not state.complete(unit, payload):
-                                report.interrupted = True
-                        if report.interrupted:
-                            break
+                            state.complete(unit, payload)
                     elif kind == MSG_ERR and state.scan_failed(unit, payload):
                         pending.appendleft(unit_id)
-                if report.interrupted:
-                    break
         finally:
             # Pull the workers' in-worker registries home before tearing
             # the pool down, so parallel totals match serial runs.

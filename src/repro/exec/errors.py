@@ -3,7 +3,7 @@
 These sit *below* the stage-level taxonomy in
 :mod:`repro.resilience.errors`: a worker dying is an infrastructure
 event, not a data event.  The engine absorbs as many of them as its
-budgets allow (reassigning orphaned shards, respawning workers); only
+budgets allow (reassigning orphaned units, respawning workers); only
 budget exhaustion escalates, as one of these types, into the existing
 ``StageFailed``/quorum machinery.
 """
@@ -35,10 +35,10 @@ class WorkerWedged(ExecError):
 
 
 class ReassignmentBudgetExceeded(ExecError):
-    """Orphaned-shard reassignment hit its bound without completing.
+    """Orphaned-unit reassignment hit its bound without completing.
 
     Raised instead of silently retrying forever: a pool that keeps
-    losing the same shard has an environmental problem no amount of
+    losing the same unit has an environmental problem no amount of
     reassignment fixes, and the run must escalate rather than produce
     thin data.
     """
@@ -54,7 +54,7 @@ class ReassignmentBudgetExceeded(ExecError):
 
 
 class DeadlineExceeded(ExecError):
-    """The census-wide execution deadline expired with shards unfinished.
+    """The census-wide execution deadline expired with units unfinished.
 
     The engine does not raise this during normal runs — it marks the
     unfinished vantage points failed and lets the quorum machinery

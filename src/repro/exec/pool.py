@@ -60,12 +60,14 @@ class UnitContext:
 
     def execute(self, unit_id: int):
         unit = self.units[unit_id]
-        result = self.campaign.run_work_unit(
+        result = self.campaign.scan_vp(
+            unit.platform_index,
             census_id=self.census_id,
             probe_mask=self.probe_mask,
+            census_vp_index=unit.census_vp_index,
             base_order=self.base_order,
             rate_pps=self.rate_pps,
-            unit=unit,
+            degraded=unit.degraded,
         )
         metrics = current_metrics()
         if metrics.enabled:

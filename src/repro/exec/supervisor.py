@@ -16,7 +16,7 @@ from .errors import ReassignmentBudgetExceeded
 
 #: Fault tag recorded on a VP that the per-VP circuit breaker tripped.
 BREAKER_FAULT = "worker_breaker"
-#: Fault tag recorded on a VP whose shards were cut off by the deadline.
+#: Fault tag recorded on a VP whose scan was cut off by the deadline.
 DEADLINE_FAULT = "deadline"
 
 
@@ -31,17 +31,12 @@ class ExecutionPolicy:
     """
 
     workers: int = 2
-    #: Target shards per VP.  1 (default) makes each unit a whole VP
-    #: scan; >1 slices the target space with shard-keyed RNG streams (a
-    #: different — but equally deterministic — byte stream, stable
-    #: across worker counts).
-    n_target_shards: int = 1
     #: Overall wall-clock budget for one census's scan phase (seconds).
     #: On expiry, unfinished VPs are marked failed and the existing
     #: quorum machinery decides whether the census still stands.
     deadline_s: Optional[float] = None
     #: A worker with work whose last heartbeat is older than this is
-    #: declared wedged: terminated, its shards reassigned.
+    #: declared wedged: terminated, its units reassigned.
     liveness_timeout_s: float = 5.0
     #: Event-loop tick (result poll timeout).
     poll_interval_s: float = 0.05
@@ -63,8 +58,6 @@ class ExecutionPolicy:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.n_target_shards < 1:
-            raise ValueError("n_target_shards must be >= 1")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive (or None)")
         if self.liveness_timeout_s <= 0:
@@ -94,7 +87,7 @@ class ExecutionPolicy:
 class CircuitBreaker:
     """Per-key failure counter with a trip threshold.
 
-    Keyed by VP name: a vantage point whose shards keep raising
+    Keyed by VP name: a vantage point whose scan keeps raising
     (deterministic scan errors — bad input, not bad workers) trips open
     after ``threshold`` failures and is routed to the quarantine path
     instead of burning retries.
@@ -128,7 +121,7 @@ class CircuitBreaker:
 
 
 class ReassignmentLedger:
-    """Bounded accounting of orphaned-shard reassignments."""
+    """Bounded accounting of orphaned-unit reassignments."""
 
     def __init__(self, per_unit_budget: int, total_budget: int) -> None:
         self.per_unit_budget = per_unit_budget
@@ -160,7 +153,6 @@ class ExecutionReport:
 
     workers: int
     n_units: int
-    n_shards: int = 1
     units_completed: int = 0
     units_failed: int = 0
     reassignments: int = 0
@@ -188,7 +180,6 @@ class ExecutionReport:
         return {
             "workers": self.workers,
             "n_units": self.n_units,
-            "n_shards": self.n_shards,
             "units_completed": self.units_completed,
             "units_failed": self.units_failed,
             "reassignments": self.reassignments,

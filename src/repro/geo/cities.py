@@ -455,10 +455,6 @@ class CityDB:
         """Cached read-only ``(lat, lon)`` radian arrays (city order)."""
         return self._lat_rad, self._lon_rad
 
-    def unit_vector_array(self) -> np.ndarray:
-        """Cached read-only unit vectors on the sphere, shape ``(n, 3)``."""
-        return self._units
-
     def spherical_centroid(self, indices: Sequence[int]) -> GeoPoint:
         """Spherical centroid of a set of cities (by gazetteer index)."""
         idx = np.asarray(indices, dtype=np.int64)

@@ -14,7 +14,7 @@ replicas (Fig. 3c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -72,10 +72,6 @@ class Disk:
         location, reducing overlap for the next iteration.
         """
         return Disk(center=point, radius_km=0.0)
-
-    def with_radius(self, radius_km: float) -> "Disk":
-        """Return a copy with a different radius."""
-        return replace(self, radius_km=radius_km)
 
     def covers_earth(self) -> bool:
         """True if the disk spans the whole sphere (vacuous constraint)."""

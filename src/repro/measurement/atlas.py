@@ -49,11 +49,6 @@ class CampaignCost:
     days_at_daily_cap: float
     measurements_needed: int
 
-    @property
-    def feasible_within(self) -> float:
-        """Days needed respecting the daily cap (the headline number)."""
-        return self.days_at_daily_cap
-
 
 def campaign_cost(
     n_targets: int,

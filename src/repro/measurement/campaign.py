@@ -33,10 +33,11 @@ an operator of ~300 shared testbed hosts has to (see
 
 The scans themselves always run on the sharded engine
 (:mod:`repro.exec.engine`): the campaign partitions a census's VPs into
-resumed / flapped / to-scan, hands the last group to the engine under the
-``executor`` policy — ``workers=0``, the default, scans in-process, one VP
-after the other; any pool size returns the same bytes — and accounts the
-outcomes in census order.  There is no other scan loop.
+resumed / flapped / to-scan, hands the last group to the engine — one
+work unit per VP, never a slice of one — under the ``executor`` policy
+(``workers=0``, the default, scans in-process, one VP after the other;
+any pool size returns the same bytes) and accounts the outcomes in
+census order.  There is no other scan loop.
 
 Every census carries a :class:`CampaignHealthReport` describing what the
 supervisor saw.  With the default (disabled) fault plan the fault path is
@@ -48,12 +49,9 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
-
-if TYPE_CHECKING:  # the engine itself is imported lazily (package cycle)
-    from ..exec.plan import WorkUnit
 
 from ..exec.errors import ExecError
 from ..exec.supervisor import ExecutionPolicy
@@ -78,15 +76,6 @@ from .recordio import (
     concatenate,
     outcome_for,
 )
-
-#: Domain separator for shard-keyed scan RNG streams (``n_shards > 1``).
-#: Sharding slices the probed target set, which shifts how many jitter
-#: draws each reply consumes — so a shard cannot share the whole-scan
-#: stream and still be schedule-independent.  Instead each shard gets
-#: its own stream keyed by (salt, seed, census, VP, shard): the sharded
-#: byte stream differs from the unsharded one, but is identical for any
-#: worker count, dispatch order, or fault schedule.
-_SHARD_SALT = 0x5A4D31
 
 #: Domain separator for retry-backoff jitter draws (see
 #: :meth:`~repro.measurement.faults.RetryPolicy.backoff_hours`).
@@ -320,9 +309,9 @@ class Census:
 class CensusCampaign:
     """Reusable census runner for one (internet, platform) pair.
 
-    ``executor`` is the policy (worker count, target shards, deadline,
-    breaker and reassignment budgets) of the engine every census's VP
-    scans run on; it is never ``None``.
+    ``executor`` is the policy (worker count, deadline, breaker and
+    reassignment budgets) of the engine every census's VP scans run on;
+    it is never ``None``.
     """
 
     def __init__(
@@ -448,7 +437,7 @@ class CensusCampaign:
         Returns the number of /24s blacklisted.
         """
         with current_tracer().span("precensus") as span:
-            result = self._scan_vp(vp_platform_index, census_id=0, probe_mask=None)
+            result = self.scan_vp(vp_platform_index, census_id=0, probe_mask=None)
             greylist = Greylist()
             self._collect_greylist(result.records, greylist)
             blacklisted = greylist.merge_into(self.blacklist)
@@ -603,7 +592,7 @@ class CensusCampaign:
         budget_left = abort_after_vps
         cut_short = False
 
-        def on_vp_complete(vp_name: str, result: VpScanResult) -> bool:
+        def on_vp_complete(vp_name: str, result: VpScanResult) -> None:
             """Parent-side completion of one scanned VP, inside the
             engine's ``vp_scan`` span: fault policy, then journal (keyed
             by VP name, so arrival order is irrelevant)."""
@@ -614,7 +603,6 @@ class CensusCampaign:
             tracer.annotate(status=outcome.status)
             if journal is not None:
                 journal.write_batch(outcome.journal_payload(vp_name), outcome.records)
-            return True  # the abort budget already bounded the plan
 
         with graceful_shutdown() as stop_flag:
             # Partition the planned VPs in census order.  Journal resume
@@ -651,7 +639,6 @@ class CensusCampaign:
                         journal.write_batch(flap.journal_payload(vp.name), flap.records)
                 outcomes[vp.name] = flap
 
-            plan = build_plan(to_scan, n_shards=policy.n_target_shards)
             # Operator drain: the journal already holds every finished
             # batch, fsynced; the engine stops before starting more work
             # and leaves a resumable checkpoint.
@@ -662,10 +649,9 @@ class CensusCampaign:
                     probe_mask=probe_mask,
                     base_order=base_order,
                     rate_pps=rate,
-                    units=plan.units,
+                    units=build_plan(to_scan),
                     worker_faults=policy.worker_faults,
                 ),
-                plan,
                 on_vp_complete=on_vp_complete,
                 should_stop=lambda: bool(stop_flag),
             )
@@ -874,7 +860,7 @@ class CensusCampaign:
     ) -> _VpOutcome:
         """Replay the fault/retry policy over one finished scan result.
 
-        Called in the parent on each merged per-VP result: what the
+        Called in the parent on each per-VP scan result: what the
         supervisor "observed" depends only on the keyed injector, never
         on which process computed the scan.
 
@@ -1047,33 +1033,7 @@ class CensusCampaign:
             mask[self.internet.target_indices(sorted(blocked))] = False
         return mask
 
-    def run_work_unit(
-        self,
-        census_id: int,
-        probe_mask: Optional[np.ndarray],
-        base_order: np.ndarray,
-        rate_pps: float,
-        unit: "WorkUnit",
-    ) -> VpScanResult:
-        """Execute one (VP × target-shard) work unit of a census.
-
-        The pure compute kernel of the parallel engine: its output is a
-        function of (campaign seed, census, VP, shard) alone, so any
-        worker — or the parent, in-process — produces the same bytes.
-        """
-        return self._scan_vp(
-            unit.platform_index,
-            census_id=census_id,
-            probe_mask=probe_mask,
-            census_vp_index=unit.census_vp_index,
-            base_order=base_order,
-            rate_pps=rate_pps,
-            degraded=unit.degraded,
-            shard_index=unit.shard_index,
-            n_shards=unit.n_shards,
-        )
-
-    def _scan_vp(
+    def scan_vp(
         self,
         platform_index: int,
         census_id: int,
@@ -1082,9 +1042,13 @@ class CensusCampaign:
         base_order: Optional[np.ndarray] = None,
         rate_pps: Optional[float] = None,
         degraded: bool = False,
-        shard_index: int = 0,
-        n_shards: int = 1,
     ) -> VpScanResult:
+        """One VP's whole scan — what a work unit of the engine executes.
+
+        The pure compute kernel of a census: its output is a function of
+        (campaign seed, census, VP) alone, so any worker — or the parent,
+        in-process — produces the same bytes.
+        """
         vp = self.platform.vantage_points[platform_index]
         coords = self.effective_coords(platform_index)
         keyed = self.noise == "keyed"
@@ -1096,24 +1060,9 @@ class CensusCampaign:
         # without recomputing a full permutation per node.
         shift = (platform_index * 7919 + census_id * 104729) % n
         order = np.roll(base_order, shift)
-        if n_shards > 1:
-            # Target sharding changes which replies draw policing jitter,
-            # so a shard cannot reuse the whole-scan RNG stream: each
-            # shard gets its own keyed stream (see _SHARD_SALT).
-            from ..exec.plan import shard_target_mask
-
-            smask = shard_target_mask(n, shard_index, n_shards)
-            probe_mask = smask if probe_mask is None else (probe_mask & smask)
-            rng = np.random.default_rng(
-                [_SHARD_SALT, self.seed, census_id, platform_index, shard_index]
-            )
-        else:
-            rng = np.random.default_rng(
-                self.seed * 1_000_003 + census_id * 1009 + platform_index
-            )
-        # Keyed noise is per-target, so the key deliberately ignores the
-        # shard index: sharded and unsharded keyed scans emit the same
-        # per-target values (shards merely partition the rows).
+        rng = np.random.default_rng(
+            self.seed * 1_000_003 + census_id * 1009 + platform_index
+        )
         noise_key = None
         if keyed:
             noise_key = (

@@ -432,7 +432,7 @@ class WorkerFaultKind(enum.Enum):
     """
 
     #: The worker process dies outright (OOM kill, segfault) while
-    #: holding work units; its shards must be reassigned.
+    #: holding work units; they must be reassigned.
     DEAD_WORKER = "dead_worker"
     #: The worker stops making progress *and* stops heartbeating (stuck
     #: in an uninterruptible state); only liveness tracking can tell.
@@ -455,8 +455,8 @@ class WorkerFaultPlan:
       on ``(seed, worker id, task sequence)``, so a given worker's fate
       on its n-th task is reproducible regardless of scheduling.
 
-    Fault decisions only ever change *which process computes a shard*,
-    never the shard's bytes — that is the engine's determinism contract.
+    Fault decisions only ever change *which process computes a unit*,
+    never the unit's bytes — that is the engine's determinism contract.
     """
 
     dead_prob: float = 0.0
@@ -697,7 +697,7 @@ class VpDistorter:
         """Distort one VP scan's reply RTTs (geo error leaves them alone).
 
         Per-probe draws (bufferbloat) are keyed per target prefix, so
-        sharded, resumed, and re-run scans distort identically.
+        pooled, resumed, and re-run scans distort identically.
         """
         kind = self.kind_for(vp_name)
         if kind is None or kind is DistortionKind.GEO_ERROR:
@@ -740,8 +740,6 @@ class VpDistorter:
             duration_hours=result.duration_hours,
             drop_rate=result.drop_rate,
             probes_sent=result.probes_sent,
-            replies_expected=result.replies_expected,
-            replies_dropped=result.replies_dropped,
         )
 
     def distort_location(self, vp_name: str, location: GeoPoint) -> GeoPoint:

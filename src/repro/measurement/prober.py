@@ -107,11 +107,6 @@ class VpScanResult:
     #: Fraction of would-be replies lost to VP-side policing.
     drop_rate: float
     probes_sent: int
-    #: Reply-capable targets covered and the subset policed away.  The
-    #: raw integers behind ``drop_rate`` — kept so per-shard results can
-    #: be merged into exactly the ratio a whole-hitlist scan reports.
-    replies_expected: int = 0
-    replies_dropped: int = 0
 
 
 def base_rtt_row(
@@ -285,6 +280,4 @@ def simulate_vp_scan(
         duration_hours=duration_hours,
         drop_rate=drop_rate,
         probes_sent=probes_sent,
-        replies_expected=int(is_reply.sum()),
-        replies_dropped=dropped,
     )

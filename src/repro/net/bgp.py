@@ -31,9 +31,6 @@ class Announcement:
     prefix: Prefix
     origin_asn: int
 
-    def covers_slash24(self, index: int) -> bool:
-        return self.prefix.contains(slash24_base_address(index))
-
 
 class AnnouncementTable:
     """A routing-table view supporting longest-prefix /24 lookups."""

@@ -3,8 +3,8 @@
 Three pillars (see ``docs/API_GUIDE.md``):
 
 * :mod:`repro.resilience.sanitize` — validators/sanitizers for the data
-  crossing stage boundaries (probe records, RTT matrices, hitlists,
-  city rows): repair what's repairable, quarantine what isn't;
+  crossing stage boundaries (probe records, RTT matrices, hitlists):
+  repair what's repairable, quarantine what isn't;
 * :mod:`repro.resilience.supervisor` — a :class:`StageSupervisor` with a
   typed error taxonomy (:mod:`repro.resilience.errors`) and per-stage
   policies: retry transient failures, degrade-and-continue on corrupt
@@ -42,7 +42,6 @@ from .sanitize import (
     MAX_PLAUSIBLE_RTT_MS,
     MIN_PLAUSIBLE_RTT_MS,
     VALID_FLAGS,
-    sanitize_city_rows,
     sanitize_hitlist,
     sanitize_matrix,
     sanitize_records,
@@ -53,6 +52,7 @@ from .supervisor import (
     StageOutcome,
     StagePolicy,
     StageSupervisor,
+    run_stage,
 )
 from .vptrust import (
     TRUST_REASON_NEGATIVE_RTT,
@@ -64,6 +64,7 @@ from .vptrust import (
     VpTrustVerdict,
     apply_trust,
     score_vps,
+    trust_gate,
 )
 
 __all__ = [
@@ -86,7 +87,6 @@ __all__ = [
     "MAX_PLAUSIBLE_RTT_MS",
     "MIN_PLAUSIBLE_RTT_MS",
     "VALID_FLAGS",
-    "sanitize_city_rows",
     "sanitize_hitlist",
     "sanitize_matrix",
     "sanitize_records",
@@ -95,6 +95,7 @@ __all__ = [
     "StageOutcome",
     "StagePolicy",
     "StageSupervisor",
+    "run_stage",
     "TRUST_REASON_NEGATIVE_RTT",
     "TRUST_REASON_RTT_INFLATION",
     "TRUST_REASON_SOL_VIOLATION",
@@ -104,4 +105,5 @@ __all__ = [
     "VpTrustVerdict",
     "apply_trust",
     "score_vps",
+    "trust_gate",
 ]

@@ -20,12 +20,11 @@ contract:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from ..census.combine import RttMatrix
-from ..geo.cities import City
 from ..geo.coords import GeoPoint
 from ..internet.hitlist import HitlistEntry
 from ..measurement.recordio import CensusRecords
@@ -290,50 +289,4 @@ def sanitize_hitlist(
                 score=entry.score,
             )
         out.append(entry)
-    return out
-
-
-# ----------------------------------------------------------------------
-# City / geo records
-# ----------------------------------------------------------------------
-
-
-def sanitize_city_rows(
-    rows: Sequence[Tuple], log: QuarantineLog, stage: str = "geolocation"
-) -> List[City]:
-    """Validate raw ``(name, country, lat, lon, population)`` gazetteer rows.
-
-    Rows with out-of-range coordinates, non-positive or non-finite
-    populations, or duplicate ``(name, country)`` keys are quarantined;
-    the survivors come back as :class:`City` objects.
-    """
-    out: List[City] = []
-    seen = set()
-    for row in rows:
-        try:
-            name, country, lat, lon, population = row
-            lat, lon, population = float(lat), float(lon), float(population)
-        except (TypeError, ValueError):
-            log.add(stage, "malformed_city_row", 1, example=row)
-            continue
-        if not (
-            np.isfinite(lat)
-            and np.isfinite(lon)
-            and -90.0 <= lat <= 90.0
-            and -180.0 <= lon <= 180.0
-        ):
-            log.add(stage, "impossible_city_coords", 1, example=(name, lat, lon))
-            continue
-        if not np.isfinite(population) or population <= 0.0:
-            log.add(stage, "invalid_city_population", 1, example=(name, population))
-            continue
-        key = (name, country)
-        if key in seen:
-            log.add(stage, "duplicate_city", 1, example=key)
-            continue
-        seen.add(key)
-        out.append(
-            City(name=name, country=country, location=GeoPoint(lat, lon),
-                 population=population)
-        )
     return out

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from ..obs import current_metrics
+from ..obs import current_events, current_metrics, current_tracer
 from .errors import Severity, StageFailed, classify_exception
 from .quarantine import QuarantineLog
 
@@ -255,3 +255,30 @@ class StageSupervisor:
             confidence=dict(confidence or {}),
             quarantined_total=self.quarantine.total,
         )
+
+
+def run_stage(
+    name: str,
+    fn: Callable[[], Any],
+    supervisor: Optional[StageSupervisor] = None,
+    fallback: Optional[Callable[[], Any]] = None,
+    **attrs: Any,
+) -> Any:
+    """Run one pipeline stage — the one way the study and the service do.
+
+    Opens a span called ``name`` on the current tracer and brackets the
+    stage with ``stage_start`` / ``stage_end`` events (``attrs``, e.g.
+    ``epoch=3``, go on all three); ``stage_end`` fires whether the stage
+    returns or raises.  With a ``supervisor`` the stage runs under its
+    policy (retry / degrade via ``fallback`` / fail-fast); without one
+    ``fn`` runs bare and any exception propagates untouched.
+    """
+    events = current_events()
+    with current_tracer().span(name, **attrs):
+        events.emit("stage", "stage_start", stage=name, **attrs)
+        try:
+            if supervisor is None:
+                return fn()
+            return supervisor.run(name, fn, fallback=fallback)
+        finally:
+            events.emit("stage", "stage_end", stage=name, **attrs)

@@ -70,13 +70,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..census.combine import RttMatrix
 from ..geo.disks import FIBER_SPEED_KM_PER_MS
 from ..obs import current_events, current_metrics
+
+if TYPE_CHECKING:
+    from ..measurement.campaign import CampaignHealthReport
 
 #: Reason codes attached to untrusted verdicts.
 TRUST_REASON_NEGATIVE_RTT = "negative-rtt"
@@ -515,3 +518,23 @@ def apply_trust(
         sample_count=np.ascontiguousarray(matrix.sample_count[:, keep]),
     )
     return filtered, excised
+
+
+def trust_gate(
+    matrix: RttMatrix, health_reports: Iterable["CampaignHealthReport"] = ()
+) -> Tuple[RttMatrix, np.ndarray, VpTrustReport]:
+    """The trust stage: score the roster, excise the convicted, tell the
+    censuses' health reports who went and why.
+
+    Returns ``(matrix, excised_per_target, report)``.  On a clean roster
+    nothing is convicted, the very same matrix object comes back with an
+    all-zero excision count and no health report is touched — the
+    neutrality invariant of the trust layer.
+    """
+    report = score_vps(matrix)
+    matrix, excised = apply_trust(matrix, report)
+    if report.untrusted_names:
+        reasons = report.reasons_by_vp()
+        for health in health_reports:
+            health.absorb_trust(report.untrusted_names, reasons)
+    return matrix, excised, report

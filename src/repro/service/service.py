@@ -33,12 +33,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bgp import BgpConfig, RouteEventInjector, RouteEventPlan
+from ..bgp import RouteEventInjector, RouteEventPlan
 from ..census.analysis import detect_targets
 from ..census.combine import RttMatrix, matrix_from_census, matrix_from_records
 from ..census.fastpath import FastAnalysisEngine
 from ..census.hijack import (
-    AlarmPolicy,
     DocAnalysisView,
     RoutingAlarm,
     classify_routing_changes,
@@ -84,10 +83,9 @@ from ..resilience import (
     ResiliencePolicy,
     StageFailed,
     StageSupervisor,
-    TrustPolicy,
     VpTrustReport,
-    apply_trust,
-    score_vps,
+    run_stage,
+    trust_gate,
 )
 from .archive import CensusArchive
 from .churn import churn_between, roster_churn
@@ -163,8 +161,6 @@ class ServiceConfig:
     #: untrusted columns before signatures/analysis.  Output-neutral on
     #: clean data (byte-identical archive).
     trust: bool = False
-    #: Thresholds of the trust engine; ``None`` uses the defaults.
-    trust_policy: Optional[TrustPolicy] = None
     #: Keyed VP measurement distortion forwarded to each epoch's
     #: campaign (chaos testing of the trust layer); ``None`` distorts
     #: nothing.
@@ -177,8 +173,6 @@ class ServiceConfig:
     #: nearest-site catchments, byte-identical to historic archives) or
     #: ``"bgp"`` (Gao-Rexford propagation over a synthetic AS graph).
     routing: str = "geo"
-    #: AS-graph shape for BGP mode; ``None`` uses the defaults.
-    bgp: Optional[BgpConfig] = None
     #: Routing-chaos schedule applied to each epoch's matrix (hijacks,
     #: leaks, flaps...); requires ``routing="bgp"``.  ``None`` (and the
     #: empty plan) are inert.
@@ -187,8 +181,6 @@ class ServiceConfig:
     #: epoch and record typed verdicts in the manifest's ``routing``
     #: block.
     alarms: bool = False
-    #: Thresholds of the routing classifier; ``None`` uses the defaults.
-    alarm_policy: Optional[AlarmPolicy] = None
 
     def __post_init__(self) -> None:
         if self.noise not in ("stream", "keyed"):
@@ -201,8 +193,6 @@ class ServiceConfig:
             raise ValueError("baseline_depth must be >= 0")
         if self.routing not in ("geo", "bgp"):
             raise ValueError(f"routing must be 'geo' or 'bgp', got {self.routing!r}")
-        if self.bgp is not None and self.routing != "bgp":
-            raise ValueError("bgp config requires routing='bgp'")
         if (
             self.route_events is not None
             and self.route_events.enabled
@@ -329,7 +319,6 @@ class CensusService:
                 n_unicast_slash24=self.config.n_unicast,
                 tail_deployments=self.config.tail_deployments,
                 routing=self.config.routing,
-                bgp=self.config.bgp,
             ),
             catalog=self.catalog_for(epoch),
             city_db=self.city_db,
@@ -378,18 +367,16 @@ class CensusService:
     # Supervision plumbing
     # ------------------------------------------------------------------
 
-    def _stage(self, name, fn):
-        """Run one stage under the resilience supervisor, if configured.
+    def _stage(self, name, fn, epoch):
+        """Run one stage of an epoch (:func:`~repro.resilience.run_stage`).
 
         Interruption and quorum aborts are *control flow*, not stage
         failures: the supervisor's classifier sees them as fatal and
         wraps them, so unwrap and re-raise the original — callers (and
         the CLI's exit-code ladder) dispatch on the real exception.
         """
-        if self.supervisor is None:
-            return fn()
         try:
-            return self.supervisor.run(name, fn)
+            return run_stage(name, fn, self.supervisor, epoch=epoch)
         except StageFailed as exc:
             if isinstance(exc.__cause__, (CensusInterrupted, CensusAborted)):
                 raise exc.__cause__
@@ -469,15 +456,7 @@ class CensusService:
                     abort_after_vps=abort_after_vps,
                 )
 
-            events.emit("stage", "stage_start", stage="measurement", epoch=epoch)
-            census = self._stage("measurement", measure)
-            events.emit(
-                "stage",
-                "stage_end",
-                stage="measurement",
-                epoch=epoch,
-                n_records=len(census.records),
-            )
+            census = self._stage("measurement", measure, epoch)
             if census.health is not None:
                 for vp_name in census.health.quarantined_vps:
                     events.emit(
@@ -497,48 +476,21 @@ class CensusService:
                 self.config.route_events is not None
                 and self.config.route_events.enabled
             ):
-                events.emit("stage", "stage_start", stage="routing", epoch=epoch)
-                with current_tracer().span("routing", epoch=epoch):
-                    injector = RouteEventInjector(
-                        self.config.route_events, internet
-                    )
-                    matrix, route_records = self._stage(
-                        "routing", lambda: injector.perturb(matrix, epoch)
-                    )
-                events.emit(
-                    "stage",
-                    "stage_end",
-                    stage="routing",
-                    epoch=epoch,
-                    n_events=len(route_records),
+                injector = RouteEventInjector(self.config.route_events, internet)
+                matrix, route_records = self._stage(
+                    "routing", lambda: injector.perturb(matrix, epoch), epoch
                 )
 
             # Trust gate: score the roster, excise what cannot be
-            # physically consistent with it.  On a clean roster
-            # apply_trust returns the matrix object unchanged and an
-            # all-zero excision count, so signatures — and the whole
-            # committed archive — are byte-identical to a trust-off run.
+            # physically consistent with it.  On a clean roster the
+            # matrix object comes back unchanged with an all-zero
+            # excision count, so signatures — and the whole committed
+            # archive — are byte-identical to a trust-off run.
             trust_report: Optional[VpTrustReport] = None
             excised: Optional[np.ndarray] = None
             if self.config.trust:
-                events.emit("stage", "stage_start", stage="trust", epoch=epoch)
-                with current_tracer().span("trust", epoch=epoch):
-                    trust_report = self._stage(
-                        "trust",
-                        lambda: score_vps(matrix, self.config.trust_policy),
-                    )
-                matrix, excised = apply_trust(matrix, trust_report)
-                if census.health is not None and trust_report.untrusted_names:
-                    census.health.absorb_trust(
-                        trust_report.untrusted_names,
-                        trust_report.reasons_by_vp(),
-                    )
-                events.emit(
-                    "stage",
-                    "stage_end",
-                    stage="trust",
-                    epoch=epoch,
-                    n_untrusted=len(trust_report.untrusted_names),
+                matrix, excised, trust_report = self._stage(
+                    "trust", lambda: trust_gate(matrix, [census.health]), epoch
                 )
             signatures = target_signatures(matrix, excised)
 
@@ -578,30 +530,19 @@ class CensusService:
                 history=history,
             )
 
-            events.emit("stage", "stage_start", stage="analysis", epoch=epoch)
-            with current_tracer().span("analysis", epoch=epoch):
-                results_doc, n_recomputed, n_copied, n_recovered = self._stage(
-                    "analysis",
-                    lambda: self._analyze(
-                        matrix,
-                        internet,
-                        signatures,
-                        plan,
-                        baseline_doc,
-                        epoch,
-                        excised=excised,
-                        history_docs=history_docs,
-                    ),
-                )
-            events.emit(
-                "stage",
-                "stage_end",
-                stage="analysis",
-                epoch=epoch,
-                mode=plan.mode,
-                n_recomputed=n_recomputed,
-                n_copied=n_copied,
-                n_recovered=n_recovered,
+            results_doc, n_recomputed, n_copied, n_recovered = self._stage(
+                "analysis",
+                lambda: self._analyze(
+                    matrix,
+                    internet,
+                    signatures,
+                    plan,
+                    baseline_doc,
+                    epoch,
+                    excised=excised,
+                    history_docs=history_docs,
+                ),
+                epoch,
             )
 
             churn_doc = None
@@ -621,27 +562,19 @@ class CensusService:
             # verdicts see exactly what was archived.
             alarm_list: List[RoutingAlarm] = []
             if self.config.alarms and baseline_doc is not None:
-                events.emit("stage", "stage_start", stage="alarms", epoch=epoch)
-                with current_tracer().span("alarms", epoch=epoch):
-                    alarm_list = self._stage(
-                        "alarms",
-                        lambda: self._classify_alarms(
-                            baseline_epoch, baseline_doc, results_doc, matrix,
-                            internet,
-                        ),
-                    )
-                n_alarming = sum(1 for a in alarm_list if a.is_alarm)
-                events.emit(
-                    "stage",
-                    "stage_end",
-                    stage="alarms",
-                    epoch=epoch,
-                    n_verdicts=len(alarm_list),
-                    n_alarming=n_alarming,
+                alarm_list = self._stage(
+                    "alarms",
+                    lambda: self._classify_alarms(
+                        baseline_epoch, baseline_doc, results_doc, matrix,
+                        internet,
+                    ),
+                    epoch,
                 )
                 metrics_reg = current_metrics()
                 if metrics_reg.enabled:
-                    metrics_reg.counter("routing_alarms").inc(n_alarming)
+                    metrics_reg.counter("routing_alarms").inc(
+                        sum(1 for a in alarm_list if a.is_alarm)
+                    )
 
             routing_doc = self._routing_doc(route_records, alarm_list)
 
@@ -774,7 +707,6 @@ class CensusService:
             current_matrix=matrix,
             known_anycast=registered_anycast,
             baseline_vp_names=baseline_names,
-            policy=self.config.alarm_policy,
         )
 
     def _routing_doc(

@@ -59,16 +59,15 @@ from .resilience import (
     QuarantineLog,
     ResiliencePolicy,
     StageSupervisor,
-    TrustPolicy,
     VpTrustReport,
-    apply_trust,
     confidence_counts,
     confidence_verdicts,
     empty_analysis,
+    run_stage,
     sanitize_hitlist,
     sanitize_matrix,
     sanitize_records,
-    score_vps,
+    trust_gate,
 )
 
 
@@ -113,8 +112,6 @@ class StudyConfig:
     #: SLO budgets evaluated into the run manifest's ``slo`` section;
     #: ``None`` leaves the manifest without one (the classic shape).
     slo: Optional[SloSpec] = None
-    #: Default path for :meth:`CensusStudy.write_manifest` (optional).
-    manifest_path: Optional[str] = None
     #: Stage supervision + data quarantine.  ``None`` turns the resilience
     #: layer off entirely: stages run bare, exactly as before.  With a
     #: policy set and clean inputs, outputs stay byte-identical — every
@@ -133,13 +130,11 @@ class StudyConfig:
     #: degraded confidence.  On clean data no VP is convicted and the
     #: results stay byte-identical to a run without the trust layer.
     trust: bool = False
-    #: Detector thresholds; ``None`` uses :class:`TrustPolicy` defaults.
-    trust_policy: Optional[TrustPolicy] = None
     #: Backing store for the combined RTT matrix: ``"inline"`` keeps the
     #: classic heap arrays, ``"memmap"`` places the planes in temp files
     #: so the matrix can exceed RAM, and ``"auto"`` picks inline below
-    #: the size threshold and memmap above.  The ``REPRO_MATRIX_STORE``
-    #: env var wins over this field; bytes are identical for every choice.
+    #: the size threshold and memmap above.  Bytes are identical for
+    #: every choice.
     matrix_store: str = "auto"
 
 
@@ -211,21 +206,11 @@ class CensusStudy:
         """Run one pipeline stage under tracing, metrics and supervision.
 
         Installs the study's tracer/registry as the process-wide defaults
-        (so deep instrumentation in campaign/iGreedy reports here) and
-        opens a stage span.  With a resilience policy configured the
-        stage additionally runs under the :class:`StageSupervisor`
-        (retry / degrade / fail-fast per policy); otherwise ``fn`` runs
-        bare and any exception propagates untouched.
+        (so deep instrumentation in campaign/iGreedy reports here) around
+        :func:`~repro.resilience.run_stage`, which the service shares.
         """
         with activate(self.tracer, self.metrics, self.events):
-            with self.tracer.span(name):
-                self.events.emit("stage", "stage_start", stage=name)
-                try:
-                    if self.supervisor is None:
-                        return fn()
-                    return self.supervisor.run(name, fn, fallback=fallback)
-                finally:
-                    self.events.emit("stage", "stage_end", stage=name)
+            return run_stage(name, fn, self.supervisor, fallback)
 
     # -- substrate -----------------------------------------------------
 
@@ -356,21 +341,6 @@ class CensusStudy:
             raise FatalStageError("no census survived salvage")
         return self._combine_censuses(usable)
 
-    def _score_trust(self, matrix: RttMatrix) -> RttMatrix:
-        """trust stage body: score every VP column, excise the convicted.
-
-        On a clean roster nothing is convicted and the very same matrix
-        object comes back — the neutrality invariant of the trust layer.
-        """
-        report = score_vps(matrix, self.config.trust_policy)
-        self.trust_report = report
-        matrix, self._trust_excised = apply_trust(matrix, report)
-        if report.untrusted_names and self._censuses is not None:
-            reasons = report.reasons_by_vp()
-            for census in self._censuses:
-                census.health.absorb_trust(report.untrusted_names, reasons)
-        return matrix
-
     @property
     def matrix(self) -> RttMatrix:
         """Minimum-RTT combination of all censuses (trust-filtered when
@@ -383,7 +353,10 @@ class CensusStudy:
                 fallback=lambda: self._combine_salvage(censuses),
             )
             if self.config.trust:
-                matrix = self._run_stage("trust", lambda: self._score_trust(matrix))
+                matrix, self._trust_excised, self.trust_report = self._run_stage(
+                    "trust",
+                    lambda: trust_gate(matrix, [c.health for c in censuses]),
+                )
             self._matrix = matrix
         return self._matrix
 
@@ -495,18 +468,9 @@ class CensusStudy:
             slo=slo_report,
         )
 
-    def write_manifest(self, path: Optional[str] = None) -> pathlib.Path:
-        """Atomically write the run manifest JSON.
-
-        ``path`` defaults to ``config.manifest_path``; one of the two must
-        be set.
-        """
-        target = path or self.config.manifest_path
-        if target is None:
-            raise ValueError(
-                "no manifest path: pass one or set StudyConfig.manifest_path"
-            )
-        return self.manifest.write(target)
+    def write_manifest(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
+        """Atomically write the run manifest JSON to ``path``."""
+        return self.manifest.write(path)
 
     @property
     def codebook(self) -> SiteCodeBook:

@@ -94,19 +94,19 @@ class TestResolveStore:
     def test_auto_large_is_segment_backed(self):
         assert resolve_store("auto", n_cells=AUTO_MIN_CELLS) == "memmap"
 
-    def test_env_var_wins(self, monkeypatch):
-        monkeypatch.setenv(matstore.STORE_ENV_VAR, "memmap")
-        assert resolve_store("inline", n_cells=1) == "memmap"
+    def test_env_var_is_ignored(self, monkeypatch):
+        # The hidden REPRO_MATRIX_STORE override is gone: the configured
+        # choice is the only selector, valid or not.
+        for value in ("memmap", "warp"):
+            monkeypatch.setenv("REPRO_MATRIX_STORE", value)
+            assert resolve_store("inline", n_cells=1) == "inline"
+            assert resolve_store("auto", n_cells=1) == "inline"
+        assert not hasattr(matstore, "STORE_ENV_VAR")
 
     def test_invalid_choice_rejected(self):
         for choice in ("warp", "shared"):
             with pytest.raises(ValueError):
                 resolve_store(choice)
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(matstore.STORE_ENV_VAR, "warp")
-        with pytest.raises(ValueError):
-            resolve_store("inline")
 
 
 class TestLifecycle:

@@ -39,25 +39,24 @@ class FakeContext:
             time.sleep(self.delay_s)
         if unit.vp_name in self.fail_vps:
             raise ValueError(f"poisoned input for {unit.vp_name}")
-        return f"result:{unit.vp_name}:{unit.shard_index}"
+        return f"result:{unit.vp_name}"
 
 
 def run_engine(policy, fail_vps=(), delay_s=0.0, vps=VPS, **run_kwargs):
-    plan = build_plan(vps, n_shards=policy.n_target_shards)
     context = FakeContext(
-        plan.units,
+        build_plan(vps),
         fail_vps=fail_vps,
         delay_s=delay_s,
         worker_faults=policy.worker_faults,
     )
-    return ShardedExecutor(policy).run(context, plan, **run_kwargs)
+    return ShardedExecutor(policy).run(context, **run_kwargs)
 
 
 class TestInProcessEngine:
     def test_completes_every_vp(self):
         outcome = run_engine(ExecutionPolicy(workers=0))
         assert sorted(outcome.results) == [f"node-{i}" for i in range(4)]
-        assert outcome.results["node-2"] == "result:node-2:0"
+        assert outcome.results["node-2"] == "result:node-2"
         assert outcome.failed == {}
         assert outcome.report.in_process
         assert outcome.report.units_completed == 4
@@ -93,14 +92,19 @@ class TestInProcessEngine:
         assert outcome.report.interrupted
         assert len(outcome.results) < 4
 
-    def test_vp_callback_false_stops(self):
-        outcome = run_engine(
-            ExecutionPolicy(workers=0), on_vp_complete=lambda name, result: False
-        )
-        assert outcome.report.interrupted
-        # The callback took the one result it was handed; nothing is
-        # retained next to it.
-        assert outcome.report.units_completed == 1
+    def test_vp_callback_takes_every_result(self):
+        # A callback's return value means nothing: should_stop is the one
+        # way to stop a run.  The callback takes each result it is
+        # handed; nothing is retained next to it.
+        taken = []
+
+        def on_vp_complete(name, result):
+            taken.append((name, result))
+            return False
+
+        outcome = run_engine(ExecutionPolicy(workers=0), on_vp_complete=on_vp_complete)
+        assert not outcome.report.interrupted
+        assert taken == [(f"node-{i}", f"result:node-{i}") for i in range(4)]
         assert outcome.results == {}
 
 
@@ -113,15 +117,6 @@ class TestPoolEngine:
         assert not outcome.report.in_process
         assert outcome.report.workers == 2
         assert outcome.report.heartbeats > 0
-
-    def test_sharded_plan_merges_only_full_vps(self):
-        # n_shards > 1 requires a real mergeable result; with the fake
-        # context we only check the unit bookkeeping, not the merge.
-        outcome = run_engine(
-            ExecutionPolicy(workers=0, n_target_shards=1),
-            vps=[("solo", 0, 0, False)],
-        )
-        assert outcome.results == {"solo": "result:solo:0"}
 
     def test_scan_errors_trip_breaker_not_ledger(self):
         outcome = run_engine(

@@ -1,15 +1,6 @@
-"""Unit tests for deterministic work partitioning and canonical merge."""
+"""Unit tests for deterministic work partitioning: one unit per VP."""
 
-import numpy as np
-import pytest
-
-from repro.exec.plan import (
-    ShardPlan,
-    WorkUnit,
-    build_plan,
-    merge_vp_shards,
-    shard_target_mask,
-)
+from repro.exec.plan import WorkUnit, build_plan
 
 VPS = [
     ("node-a", 3, 0, False),
@@ -20,101 +11,28 @@ VPS = [
 
 class TestBuildPlan:
     def test_unsharded_plan_is_one_unit_per_vp(self):
-        plan = build_plan(VPS, n_shards=1)
-        assert len(plan) == 3
-        assert plan.n_shards == 1
-        assert [u.vp_name for u in plan.units] == ["node-a", "node-b", "node-c"]
-        assert all(u.shard_index == 0 and u.n_shards == 1 for u in plan.units)
+        units = build_plan(VPS)
+        assert len(units) == 3
+        assert all(isinstance(u, WorkUnit) for u in units)
+        assert [u.vp_name for u in units] == ["node-a", "node-b", "node-c"]
 
     def test_unit_ids_are_canonical_positions(self):
-        plan = build_plan(VPS, n_shards=4)
-        assert [u.unit_id for u in plan.units] == list(range(12))
-
-    def test_order_is_vp_major_shard_minor(self):
-        plan = build_plan(VPS, n_shards=2)
-        assert [(u.vp_name, u.shard_index) for u in plan.units] == [
-            ("node-a", 0),
-            ("node-a", 1),
-            ("node-b", 0),
-            ("node-b", 1),
-            ("node-c", 0),
-            ("node-c", 1),
-        ]
+        assert [u.unit_id for u in build_plan(VPS)] == [0, 1, 2]
 
     def test_units_carry_vp_identity(self):
-        plan = build_plan(VPS, n_shards=2)
-        unit = plan.units_of("node-b")[1]
+        unit = build_plan(VPS)[1]
         assert unit.platform_index == 7
         assert unit.census_vp_index == 1
         assert unit.degraded is True
-        assert unit.shard_index == 1
 
     def test_same_input_same_plan(self):
-        assert build_plan(VPS, n_shards=3) == build_plan(VPS, n_shards=3)
+        assert build_plan(VPS) == build_plan(VPS)
 
     def test_vp_names_preserve_census_order(self):
-        assert build_plan(VPS, n_shards=2).vp_names == ["node-a", "node-b", "node-c"]
+        shuffled = [VPS[2], VPS[0], VPS[1]]
+        assert [u.vp_name for u in build_plan(shuffled)] == [
+            "node-c", "node-a", "node-b",
+        ]
 
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            build_plan(VPS, n_shards=0)
-
-
-class TestShardTargetMask:
-    def test_masks_partition_the_target_space(self):
-        n, shards = 103, 4
-        masks = [shard_target_mask(n, i, shards) for i in range(shards)]
-        total = np.zeros(n, dtype=int)
-        for mask in masks:
-            total += mask.astype(int)
-        assert (total == 1).all()
-
-    def test_masks_are_balanced_within_one(self):
-        sizes = [int(shard_target_mask(103, i, 4).sum()) for i in range(4)]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_single_shard_covers_everything(self):
-        assert shard_target_mask(50, 0, 1).all()
-
-    def test_rejects_out_of_range_shard(self):
-        with pytest.raises(ValueError):
-            shard_target_mask(10, 3, 3)
-
-
-class TestMergeVpShards:
-    def _scan_shard(self, campaign, shard_index, n_shards):
-        return campaign._scan_vp(
-            0,
-            census_id=1,
-            probe_mask=None,
-            shard_index=shard_index,
-            n_shards=n_shards,
-        )
-
-    def test_single_shard_passes_through(self):
-        sentinel = object()
-        assert merge_vp_shards({0: sentinel}) is sentinel
-
-    def test_empty_merge_rejected(self):
-        with pytest.raises(ValueError):
-            merge_vp_shards({})
-
-    def test_merge_is_completion_order_independent(self, tiny_campaign):
-        shards = {i: self._scan_shard(tiny_campaign, i, 3) for i in range(3)}
-        forward = merge_vp_shards(dict(sorted(shards.items())))
-        backward = merge_vp_shards(dict(sorted(shards.items(), reverse=True)))
-        assert forward.records.checksum() == backward.records.checksum()
-        assert forward.duration_hours == backward.duration_hours
-        assert forward.drop_rate == backward.drop_rate
-
-    def test_merged_summary_recombines_exactly(self, tiny_campaign):
-        shards = {i: self._scan_shard(tiny_campaign, i, 3) for i in range(3)}
-        merged = merge_vp_shards(shards)
-        assert len(merged.records) == sum(len(s.records) for s in shards.values())
-        assert merged.probes_sent == sum(s.probes_sent for s in shards.values())
-        assert merged.duration_hours == pytest.approx(
-            sum(s.duration_hours for s in shards.values())
-        )
-        expected = sum(s.replies_expected for s in shards.values())
-        dropped = sum(s.replies_dropped for s in shards.values())
-        assert merged.drop_rate == pytest.approx(dropped / max(expected, 1))
+    def test_empty_census_is_an_empty_plan(self):
+        assert build_plan([]) == ()

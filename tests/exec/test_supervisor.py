@@ -20,7 +20,6 @@ class TestExecutionPolicy:
     def test_defaults_are_sane(self):
         policy = ExecutionPolicy()
         assert policy.workers == 2
-        assert policy.n_target_shards == 1
         assert policy.deadline_s is None
         assert policy.worker_faults is None
 
@@ -28,6 +27,11 @@ class TestExecutionPolicy:
         policy = ExecutionPolicy(workers=4)
         assert policy.total_reassignment_budget == 4 * 4 + 8
         assert policy.respawn_budget == 2 * 4 + 2
+
+    def test_target_sharding_is_gone(self):
+        # A scan unit is one VP: there is no second byte stream to select.
+        with pytest.raises(TypeError):
+            ExecutionPolicy(n_target_shards=2)
 
     def test_explicit_budgets_win(self):
         policy = ExecutionPolicy(max_total_reassignments=5, max_respawns=1)
@@ -38,7 +42,6 @@ class TestExecutionPolicy:
         "kwargs",
         [
             {"workers": -1},
-            {"n_target_shards": 0},
             {"deadline_s": 0.0},
             {"liveness_timeout_s": 0.0},
             {"poll_interval_s": 0.0},
@@ -100,7 +103,7 @@ class TestExecutionReport:
     def test_to_dict_is_json_shaped(self):
         import json
 
-        report = ExecutionReport(workers=2, n_units=8, n_shards=2)
+        report = ExecutionReport(workers=2, n_units=8)
         report.units_completed = 8
         report.breaker_open_vps = ["vp-1"]
         dumped = json.loads(json.dumps(report.finish().to_dict()))

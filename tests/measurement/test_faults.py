@@ -348,7 +348,7 @@ class TestQuorumAndQuarantine:
         def broken_scan(*args, **kwargs):
             raise ValueError("boom")
 
-        monkeypatch.setattr(campaign, "_scan_vp", broken_scan)
+        monkeypatch.setattr(campaign, "scan_vp", broken_scan)
         with pytest.raises(CensusAborted) as exc:
             campaign.run_census(availability=0.85)
         assert "ValueError: boom" in str(exc.value.__cause__)

@@ -13,7 +13,6 @@ from repro.resilience import (
     MAX_PLAUSIBLE_RTT_MS,
     MIN_PLAUSIBLE_RTT_MS,
     QuarantineLog,
-    sanitize_city_rows,
     sanitize_hitlist,
     sanitize_matrix,
     sanitize_records,
@@ -207,31 +206,3 @@ class TestSanitizeHitlist:
         assert out[0].score == 3
         assert log.by_reason() == {"address_repaired": 1}
         assert log.dropped == 0
-
-
-class TestSanitizeCityRows:
-    def test_good_rows_become_cities(self):
-        rows = [("Pisa", "IT", 43.7, 10.4, 90.0)]
-        log = QuarantineLog()
-        (city,) = sanitize_city_rows(rows, log)
-        assert city.name == "Pisa"
-        assert city.location.lat == pytest.approx(43.7)
-        assert log.total == 0
-
-    def test_each_defect_gets_its_reason(self):
-        rows = [
-            ("Pisa", "IT", 43.7, 10.4, 90.0),
-            ("Short",),  # malformed tuple
-            ("NorthPoleClone", "XX", 91.5, 0.0, 5.0),  # impossible coords
-            ("Ghosttown", "XX", 0.0, 0.0, -3.0),  # invalid population
-            ("Pisa", "IT", 43.7, 10.4, 90.0),  # duplicate key
-        ]
-        log = QuarantineLog()
-        out = sanitize_city_rows(rows, log)
-        assert len(out) == 1
-        assert log.by_reason() == {
-            "malformed_city_row": 1,
-            "impossible_city_coords": 1,
-            "invalid_city_population": 1,
-            "duplicate_city": 1,
-        }

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, activate
+from repro.obs import EventLog, MetricsRegistry, Tracer, activate
 from repro.resilience import (
     CorruptInputError,
     FatalStageError,
@@ -12,6 +12,7 @@ from repro.resilience import (
     StagePolicy,
     StageSupervisor,
     TransientStageError,
+    run_stage,
 )
 
 
@@ -165,6 +166,38 @@ class TestSupervisorRun:
         counters = registry.snapshot()["counters"]
         assert counters["stage_ok"] == 1
         assert counters["stage_failed"] == 1
+
+
+class TestRunStage:
+    """The one stage runner shared by the study and the service."""
+
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_raising_stage_still_emits_stage_end(self, supervised):
+        def boom():
+            raise FatalStageError("disk on fire")
+
+        supervisor = make_supervisor()[0] if supervised else None
+        tracer, events = Tracer(), EventLog()
+        with activate(tracer=tracer, events=events):
+            with pytest.raises(StageFailed if supervised else FatalStageError):
+                run_stage("analysis", boom, supervisor, epoch=3)
+        import json
+
+        emitted = [json.loads(line) for line in events.to_lines()]
+        assert [(e["name"], e["attrs"]) for e in emitted] == [
+            ("stage_start", {"stage": "analysis", "epoch": 3}),
+            ("stage_end", {"stage": "analysis", "epoch": 3}),
+        ]
+        (span,) = tracer.roots
+        assert span.name == "analysis" and span.attrs["epoch"] == 3
+
+    def test_supervised_stage_degrades_through_its_fallback(self):
+        def corrupt():
+            raise CorruptInputError("bad rows")
+
+        sup, _ = make_supervisor()
+        assert run_stage("combine", corrupt, sup, fallback=lambda: "salvaged") == "salvaged"
+        assert sup.outcomes["combine"].status == "degraded"
 
 
 class TestDegradationReport:

@@ -181,6 +181,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="churn_threshold"):
             ServiceConfig(archive_root=str(tmp_path), churn_threshold=2.0)
 
+    @pytest.mark.parametrize("field", ["bgp", "trust_policy", "alarm_policy"])
+    def test_fields_nobody_set_are_gone(self, tmp_path, field):
+        with pytest.raises(TypeError):
+            ServiceConfig(archive_root=str(tmp_path), **{field: None})
+
     def test_negative_epoch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             small_service(tmp_path / "archive").catalog_for(-1)

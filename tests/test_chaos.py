@@ -14,13 +14,19 @@ import numpy as np
 import pytest
 
 from repro.internet.topology import InternetConfig
-from repro.measurement.faults import FaultPlan, PoisonKind, PoisonPlan
+from repro.measurement.faults import (
+    DistortionKind,
+    FaultPlan,
+    PoisonKind,
+    PoisonPlan,
+    VpDistortionPlan,
+)
 from repro.obs import manifest_problems
 from repro.resilience import ResiliencePolicy, StageFailed
 from repro.workflow import CensusStudy, StudyConfig
 
 
-def _study(resilience=None, poison=None, fault_plan=None, seed=3):
+def _study(resilience=None, poison=None, fault_plan=None, seed=3, workers=0):
     return CensusStudy(
         StudyConfig(
             internet=InternetConfig(
@@ -31,6 +37,7 @@ def _study(resilience=None, poison=None, fault_plan=None, seed=3):
             fault_plan=fault_plan or FaultPlan(),
             resilience=resilience,
             poison=poison,
+            workers=workers,
         )
     )
 
@@ -259,3 +266,90 @@ class TestManifestIntegration:
         tally = study.degradation_report.confidence
         assert sum(tally.values()) == study.matrix.n_targets
         assert tally.get("degraded", 0) + tally.get("insufficient", 0) > 0
+
+
+_FAULTS = {
+    "crash": FaultPlan(crash_prob=0.3, seed=5),
+    "hang": FaultPlan(hang_prob=0.3, seed=5),
+    "corrupt": FaultPlan(corrupt_prob=0.3, seed=5),
+    "flap": FaultPlan(flap_prob=0.3, seed=5),
+}
+
+
+class TestSupervisedMatrix:
+    """Every fault and poison mode through the shared stage runner, in
+    process and on the supervised pool: identical handling at every
+    worker count is part of the determinism contract."""
+
+    @pytest.mark.parametrize(
+        "fault_plan,poison,workers",
+        [
+            pytest.param(plan, None, workers, id=f"fault:{name}:{workers}")
+            for workers in (0, 4)
+            for name, plan in _FAULTS.items()
+        ]
+        + [
+            pytest.param(
+                None,
+                PoisonPlan.single(kind, 0.25),
+                workers,
+                id=f"poison:{kind.value}:{workers}",
+            )
+            for workers in (0, 4)
+            for kind in PoisonKind
+        ],
+    )
+    def test_study_completes_and_admits_the_damage(self, fault_plan, poison, workers):
+        study = _study(
+            resilience=ResiliencePolicy(),
+            fault_plan=fault_plan,
+            poison=poison,
+            workers=workers,
+        )
+        study.characterization  # must complete end-to-end
+        study.hitlist  # lazy exhibit stage, off the main path
+        assert manifest_problems(study.manifest.to_dict()) == []
+        report = study.degradation_report
+        assert report.stages, "empty degradation report"
+        if poison is not None:
+            assert report.degraded, "poison left no trace"
+            assert study.quarantine.total > 0, "nothing quarantined"
+
+
+class TestDistortedVpMatrix:
+    """Each distortion kind through the one trust gate: exactly the
+    injected VPs are excised and no anycast verdict is fabricated."""
+
+    @staticmethod
+    def _study(plan):
+        return CensusStudy(
+            StudyConfig(
+                internet=InternetConfig(
+                    seed=7, n_unicast_slash24=3000, tail_deployments=5
+                ),
+                n_vantage_points=30,
+                n_censuses=1,
+                availability=1.0,
+                vp_distortion=plan,
+                trust=True,
+            )
+        )
+
+    @pytest.fixture(scope="class")
+    def clean_verdicts(self):
+        return set(self._study(None).analysis.anycast_prefixes)
+
+    @pytest.mark.parametrize(
+        "kind", list(DistortionKind), ids=lambda kind: f"distort:{kind.value}"
+    )
+    def test_exactly_the_injected_vps_are_excised(self, kind, clean_verdicts):
+        study = self._study(VpDistortionPlan.single(kind, fraction=0.1, seed=777))
+        verdicts = set(study.analysis.anycast_prefixes)
+        injected = set()
+        for census in study.censuses:
+            injected |= set(census.health.distorted_vps)
+        assert injected, "the plan hit nobody"
+        assert set(study.trust_report.untrusted_names) == injected
+        assert verdicts <= clean_verdicts, "fabricated anycast"
+        assert len(clean_verdicts - verdicts) <= 0.05 * len(clean_verdicts)
+        assert manifest_problems(study.manifest.to_dict()) == []

@@ -453,3 +453,42 @@ class TestServiceTelemetryCli:
         code = main(["obs", "export", "--archive", str(root)])
         assert code == EXIT_USAGE
         assert "no telemetry sidecar" in capsys.readouterr().err
+
+
+class TestServiceGlobalFlags:
+    """`service` honours the fault flags and refuses the global flags it
+    has nothing to bind to, instead of silently ignoring both."""
+
+    SCALE = ["--unicast", "150", "--tail", "0", "--vps", "20"]
+
+    def test_study_only_flags_are_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import EXIT_USAGE
+
+        argv = self.SCALE + [
+            "--workers", "4", "--fault-rate", "0.9", "--flap-prob", "0.5",
+            "--quorum", "19", "--deadline", "0.0001", "--poison", "nan_rtt",
+            "service", "run", "--archive", str(tmp_path / "B"), "--epoch", "0",
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        for flag in ("--workers", "--quorum", "--deadline", "--poison"):
+            assert flag in err
+        # The fault flags are wired, not refused.
+        assert "--fault-rate" not in err.splitlines()[-1]
+        assert not (tmp_path / "B").exists()
+
+    def test_fault_rate_reaches_the_service_campaign(self, tmp_path, capsys):
+        import json
+
+        root = tmp_path / "archive"
+        argv = self.SCALE + [
+            "--fault-rate", "0.3", "service", "run", "--archive", str(root),
+        ]
+        assert main(argv) == EXIT_OK
+        manifest = json.loads(
+            (root / "runs" / "day-000000" / "manifest.json").read_text()
+        )
+        assert manifest["census"]["degraded"] is True
+        assert manifest["census"]["n_vps"] == 20

@@ -2,10 +2,9 @@
 
 Property-style coverage of the determinism contract: a census executed
 on the supervised pool — any worker count, shuffled dispatch order,
-VP-level faults active, workers killed or wedged mid-shard — produces
+VP-level faults active, workers killed or wedged mid-scan — produces
 output byte-identical to the serial census (``workers=0``, the engine's
-in-process driver).  Target-sharded mode (``n_target_shards > 1``) is its
-own deterministic byte stream, checked against ``workers=0`` the same way.
+in-process driver).
 """
 
 import io
@@ -162,39 +161,6 @@ class TestFaultyWorkersKeepBytesIdentical:
             availability=0.85
         )
         assert_same_census(census, serial_census)
-
-
-class TestShardedMode:
-    """Target sharding is a *different* deterministic stream: shards use
-    their own keyed RNG, so the reference is the ``workers=0`` run of
-    the same plan, not the unsharded census."""
-
-    def test_pool_matches_in_process_reference(self, internet, platform):
-        reference = fresh_campaign(
-            internet, platform, executor=ExecutionPolicy(workers=0, n_target_shards=3)
-        ).run_census(availability=0.85)
-        for workers in (2, 4):
-            census = fresh_campaign(
-                internet,
-                platform,
-                executor=ExecutionPolicy(
-                    workers=workers, n_target_shards=3, submit_seed=workers
-                ),
-            ).run_census(availability=0.85)
-            assert_same_census(census, reference)
-
-    def test_sharded_stream_differs_from_unsharded(
-        self, internet, platform, serial_census
-    ):
-        sharded = fresh_campaign(
-            internet, platform, executor=ExecutionPolicy(workers=0, n_target_shards=3)
-        ).run_census(availability=0.85)
-        # Different keyed jitter stream: reply draws differ, so both the
-        # bytes and (slightly) the reply count diverge from unsharded.
-        assert sharded.records.checksum() != serial_census.records.checksum()
-        assert len(sharded.records) == pytest.approx(
-            len(serial_census.records), rel=0.05
-        )
 
 
 class TestCheckpointResumeUnderPool:

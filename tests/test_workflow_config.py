@@ -106,6 +106,11 @@ class TestConfigPropagation:
 class TestExecutionKnobs:
     """StudyConfig.workers/deadline -> campaign engine policy."""
 
+    @pytest.mark.parametrize("field", ["trust_policy", "manifest_path"])
+    def test_fields_nobody_set_are_gone(self, field):
+        with pytest.raises(TypeError):
+            tiny_config(**{field: None})
+
     def test_default_is_serial(self):
         study = CensusStudy(tiny_config())
         assert study.campaign.executor.workers == 0
