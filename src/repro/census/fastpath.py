@@ -22,10 +22,17 @@ optimization leans on (Sec. 3.5): **the disk centers are fixed**.
   lowest slot on ties, then strike its overlap row) — O(k·V) per target
   instead of a V×V overlap matrix, and the same kernel serves the
   iterative collapse rounds over the VP+city matrix.
-* Classification reads a cached city-to-VP distance matrix and the
-  gazetteer's cached population array, with a per-``(vp_index, radius)``
-  replica cache (iterative enumeration re-classifies near-identical
-  disks across rounds and across targets).
+* Classification has no per-disk loop.  Every disk is centered on a VP,
+  so :meth:`SharedGeometry.disk_tables` sorts each VP's cities by
+  distance once (:class:`~repro.geo.cities.DiskTables`): a disk's inside
+  set is a prefix of that order, its replica the prefix's running
+  population winner (lowest city index on ties, as ``np.argmax``), its
+  total weight the prefix's running sum — exact, hence bit-equal to the
+  per-disk sum in any order, because the population weights are
+  integers far below 2**53 (non-integral weights are summed per disk in
+  index order instead).  One comparison count over the disks' sorted
+  distance rows classifies a whole batch; a per-``(vp_index, radius)``
+  replica cache spares repeats across iterative rounds and targets.
 
 The engine runs in-process: at 0.1–0.2 ms per analysed target the needle
 tier of a whole-Internet census costs well under a second, so there is
@@ -46,13 +53,15 @@ lives as the oracle).
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.detection import DetectionResult, radius_matrix
-from ..core.igreedy import IGreedyConfig, IGreedyResult, _dedup_by_city
-from ..geo.cities import CityDB, default_city_db
+from ..core.geolocation import GeolocatedReplica
+from ..core.igreedy import IGreedyConfig, IGreedyResult
+from ..geo.cities import CityDB, DiskTables, default_city_db
 from ..geo.coords import pairwise_distances_from_radians
 from ..geo.disks import Disk
 from ..obs import current_metrics, current_tracer
@@ -185,6 +194,7 @@ class SharedGeometry:
         )
         self._city_vp: Optional[np.ndarray] = None
         self._combined: Optional[np.ndarray] = None
+        self._disk_tables: Dict[float, DiskTables] = {}
 
     @property
     def city_vp(self) -> np.ndarray:
@@ -201,6 +211,18 @@ class SharedGeometry:
             matrix.setflags(write=False)
             self._city_vp = matrix
         return self._city_vp
+
+    def disk_tables(self, population_exponent: float) -> DiskTables:
+        """Per-VP sorted city tables over :attr:`city_vp` (the classifier's input).
+
+        Four ``(n_vps, n_cities)`` arrays, built once per exponent: row *v*
+        classifies every disk centered on VP *v*.
+        """
+        tables = self._disk_tables.get(population_exponent)
+        if tables is None:
+            tables = self.city_db.disk_tables(self.city_vp, population_exponent)
+            self._disk_tables[population_exponent] = tables
+        return tables
 
     @property
     def combined(self) -> np.ndarray:
@@ -239,39 +261,40 @@ class FastAnalysisEngine:
         #: same disk recurs across iterative rounds and across targets
         #: (quantized RTTs from the same VP); classification depends only
         #: on the key once the gazetteer and exponent are fixed.
-        self._replica_cache: Dict[Tuple[int, float], Tuple[object, int]] = {}
+        self._replica_cache: Dict[Tuple[int, float], Tuple[GeolocatedReplica, int]] = {}
 
     # -- classification ------------------------------------------------
 
     def classify_vp_disks(
         self, vp_indices: Sequence[int], radii_km: Sequence[float]
-    ) -> List[Tuple[object, int]]:
+    ) -> Tuple[List[GeolocatedReplica], np.ndarray]:
         """Batched geolocation of VP-centered disks, through the cache.
 
-        Uncached disks are classified in one :meth:`CityDB.classify_disks`
-        call whose geometry is a column slice of the cached city-VP
-        matrix; results are memoized per ``(vp_index, radius)``.
+        Returns the replicas and their gazetteer city indices, in input
+        order.  Uncached disks are classified by one
+        :meth:`~repro.geo.cities.DiskTables.classify` call over the
+        geometry's per-VP sorted city tables (:meth:`SharedGeometry.disk_tables`);
+        results are memoized per ``(vp_index, radius)``.
         """
         keys = list(zip(np.asarray(vp_indices).tolist(), np.asarray(radii_km).tolist()))
+        cache = self._replica_cache
         with current_tracer().span("geolocation", batched=len(keys)):
             # Deduplicate while preserving order (dict keys are ordered).
-            missing = list(dict.fromkeys(k for k in keys if k not in self._replica_cache))
+            missing = list(dict.fromkeys(k for k in keys if k not in cache))
             if missing:
-                disks = [
-                    Disk(center=self.geometry.vp_points[v], radius_km=r)
-                    for v, r in missing
-                ]
-                replicas = self.city_db.classify_disks(
-                    disks,
-                    population_exponent=self.config.population_exponent,
-                    center_distances=self.geometry.city_vp[:, [v for v, _ in missing]],
-                )
-                for key, replica in zip(missing, replicas):
-                    self._replica_cache[key] = (
-                        replica,
-                        self.city_db.index_of(replica.city),
-                    )
-        return [self._replica_cache[k] for k in keys]
+                vps, radii = zip(*missing)
+                tables = self.geometry.disk_tables(self.config.population_exponent)
+                cities, confidence = tables.classify(vps, radii)
+                points = self.geometry.vp_points
+                gazetteer = self.city_db.cities
+                for key, city, share in zip(missing, cities.tolist(), confidence.tolist()):
+                    disk = Disk(center=points[key[0]], radius_km=key[1])
+                    replica = GeolocatedReplica(city=gazetteer[city], disk=disk, confidence=share)
+                    cache[key] = (replica, city)
+            found = [cache[k] for k in keys]
+        return [replica for replica, _ in found], np.array(
+            [city for _, city in found], dtype=np.int64
+        )
 
     # -- block pipeline ------------------------------------------------
 
@@ -334,15 +357,21 @@ class FastAnalysisEngine:
         candidates = np.arange(geo.n_vps) < n_disks[:, None]
         if cfg.strict_enumeration:
             target, slot, sizes = greedy_mis_rounds(geo.vp_gap, vps, radii, candidates)
-            found = self.classify_vp_disks(vps[target, slot], radii[target, slot])
-            picked = [replica for replica, _ in found]
+            picked, cities = self.classify_vp_disks(vps[target, slot], radii[target, slot])
             iterations = np.ones(len(detected), dtype=np.int64)
         else:
-            picked, sizes, iterations = self._iterate(vps, radii, candidates)
+            picked, cities, sizes, iterations = self._iterate(vps, radii, candidates)
 
         with tracer.span("assembly"):
+            # Each target keeps its first replica per city, in selection
+            # order: the first occurrence of each (target, city) pair.
+            owner = np.repeat(np.arange(len(sizes)), sizes)
+            keep = np.zeros(len(cities), dtype=bool)
+            keep[np.unique(owner * len(self.city_db) + cities, return_index=True)[1]] = True
+            picked = list(compress(picked, keep.tolist()))
+            kept = np.bincount(owner[keep], minlength=len(sizes))
             results: List[IGreedyResult] = []
-            enumerated = zip(np.cumsum(sizes).tolist(), iterations.tolist())
+            enumerated = zip(np.cumsum(kept).tolist(), iterations.tolist())
             start = 0
             for n, (first, second) in zip(n_samples.tolist(), witness.tolist()):
                 # One span per analysed target, as the per-target engine.
@@ -356,7 +385,7 @@ class FastAnalysisEngine:
                         detection=DetectionResult(
                             is_anycast=True, witness=(first, second), sample_count=n
                         ),
-                        replicas=_dedup_by_city(picked[start:stop]),
+                        replicas=picked[start:stop],
                         iterations=rounds,
                     )
                     start = stop
@@ -372,14 +401,14 @@ class FastAnalysisEngine:
 
     def _iterate(
         self, vps: np.ndarray, radii: np.ndarray, candidates: np.ndarray
-    ) -> Tuple[list, np.ndarray, np.ndarray]:
+    ) -> Tuple[list, np.ndarray, np.ndarray, np.ndarray]:
         """Paper-style iteration: collapse classified disks, re-run MIS.
 
         All targets advance one iteration together; a target drops out
         once an iteration classifies nothing new for it.  Returns the
         classified replicas of every target's final MIS (flat, grouped by
-        target in selection order), their per-target counts, and the
-        per-target iteration counts.
+        target in selection order) with their city indices, their
+        per-target counts, and the per-target iteration counts.
         """
         geo = self.geometry
         # Point ids into the combined gap matrix: VP index while original,
@@ -397,9 +426,9 @@ class FastAnalysisEngine:
             target = active[target]
             fresh = point_ids[target, slot] < geo.n_vps
             target, slot = target[fresh], slot[fresh]
-            found = self.classify_vp_disks(vps[target, slot], radii[target, slot])
-            classified[target, slot] = np.array([r for r, _ in found], dtype=object)
-            point_ids[target, slot] = geo.n_vps + np.array([c for _, c in found], dtype=np.int64)
+            replicas, cities = self.classify_vp_disks(vps[target, slot], radii[target, slot])
+            classified[target, slot] = np.array(replicas, dtype=object)
+            point_ids[target, slot] = geo.n_vps + cities
             cur_radii[target, slot] = 0.0
             active = np.unique(target)
             if not len(active):
@@ -409,6 +438,7 @@ class FastAnalysisEngine:
         target, slot = target[done], slot[done]
         return (
             classified[target, slot].tolist(),
+            point_ids[target, slot] - geo.n_vps,
             np.bincount(target, minlength=len(vps)),
             iterations,
         )

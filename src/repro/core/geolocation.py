@@ -59,18 +59,16 @@ def classify_disk(
     if population_exponent < 0:
         raise ValueError("population_exponent must be non-negative")
     with current_tracer().span("geolocation"):
-        inside = city_db.city_indices_in_disk(disk)
+        dists = city_db.distances_km(disk.center)
+        inside = np.nonzero(dists <= disk.radius_km + 1e-9)[0]
         if inside.size == 0:
             return None
         if population_exponent == 0.0:
             # Uniform prior: the maximum-likelihood choice degenerates to the
-            # city closest to the disk center.
-            best = min(
-                (city_db.city_at(i) for i in inside),
-                key=lambda c: disk.center.distance_km(c.location),
-            )
+            # city closest to the disk center (the lower index on ties).
+            best = int(inside[np.argmin(dists[inside])])
             return GeolocatedReplica(
-                city=best, disk=disk, confidence=1.0 / inside.size
+                city=city_db.city_at(best), disk=disk, confidence=1.0 / inside.size
             )
         # Weight vector sliced from the cached population array — no
         # per-city Python objects or scalar exponentiation in the loop.

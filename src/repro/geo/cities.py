@@ -364,6 +364,94 @@ _CITY_ROWS: List[Tuple[str, str, float, float, float]] = [
 ]
 
 
+#: Disks per comparison block of :meth:`DiskTables.classify`; bounds the
+#: ``(disks, n_cities)`` temporary to about 2 MB at the default gazetteer.
+_CLASSIFY_BLOCK = 1024
+
+
+class DiskTables:
+    """Per-center sorted city tables: classify many center-anchored disks at once.
+
+    Built from a ``(n_cities, n_centers)`` city-to-center distance matrix
+    and the prior weights ``population ** population_exponent``.  Row *c*
+    of each ``(n_centers, n_cities)`` table describes center *c*, cities
+    nearest first (a stable sort: equal distances keep the lower city
+    index first):
+
+    * ``order`` — the city indices in that order;
+    * ``sorted_km`` — their distances.  A disk's inside set
+      (``distance <= radius + 1e-9``) is therefore a prefix of ``order``,
+      and its length ``count`` is one comparison count;
+    * ``best`` — the running winner of each prefix: the highest weight,
+      lowest city index among equal weights (a running minimum of that
+      rank key), which is ``np.argmax``'s choice over the inside set in
+      index order;
+    * ``mass`` — the running weight total of each prefix.
+
+    ``mass`` is exact whenever the weights are integers whose total stays
+    below 2**53 (the population prior at exponents 1 and 2): every
+    partial sum is then an exact integer, so no summation order can
+    change its bits, and it equals the index-order ``weights.sum()`` of
+    :func:`repro.core.geolocation.classify_disk`.  For any other weights
+    (exponent 1.5, say) the total is summed per disk over the inside set
+    in index order instead.  At exponent 0 the uniform prior picks the
+    city nearest the center, ``order[c, 0]``, with confidence
+    ``1 / count``.
+    """
+
+    def __init__(self, center_distances: np.ndarray, weights: np.ndarray, nearest: bool) -> None:
+        self.weights = weights
+        self.nearest = nearest
+        distances = np.ascontiguousarray(center_distances.T)
+        self.order = np.argsort(distances, axis=1, kind="stable")
+        self.sorted_km = np.take_along_axis(distances, self.order, axis=1)
+        n_cities = len(weights)
+        by_rank = np.lexsort((np.arange(n_cities), -weights))
+        rank = np.empty(n_cities, dtype=np.int64)
+        rank[by_rank] = np.arange(n_cities)
+        self.best = by_rank[np.minimum.accumulate(rank[self.order], axis=1)]
+        self.mass = np.cumsum(weights[self.order], axis=1)
+        self.exact_mass = bool(
+            np.array_equal(weights, np.floor(weights)) and weights.sum() < 2.0**53
+        )
+        for table in (self.order, self.sorted_km, self.best, self.mass):
+            table.setflags(write=False)
+
+    def classify(self, centers, radii_km) -> Tuple[np.ndarray, np.ndarray]:
+        """``(city index, confidence)`` of every disk ``(centers[j], radii_km[j])``.
+
+        The same answer as :func:`repro.core.geolocation.classify_disk`
+        with the :func:`~repro.core.geolocation.classify_nearest`
+        fallback (confidence 0) when no city lies inside, bit for bit.
+        """
+        centers = np.asarray(centers, dtype=np.int64)
+        radii = np.asarray(radii_km, dtype=np.float64)
+        count = np.empty(len(centers), dtype=np.int64)
+        for start in range(0, len(centers), _CLASSIFY_BLOCK):
+            block = slice(start, start + _CLASSIFY_BLOCK)
+            inside = self.sorted_km[centers[block]] <= (radii[block] + 1e-9)[:, None]
+            count[block] = inside.sum(axis=1)
+        found = count > 0
+        confidence = np.zeros(len(centers))
+        if self.nearest:
+            cities = self.order[centers, 0]
+            np.divide(1.0, count, out=confidence, where=found)
+            return cities, confidence
+        last = np.maximum(count - 1, 0)
+        cities = np.where(found, self.best[centers, last], self.order[centers, 0])
+        if self.exact_mass:
+            total = self.mass[centers, last]
+        else:
+            total = np.array(
+                [
+                    self.weights[np.sort(self.order[c, :n])].sum() if n else 1.0
+                    for c, n in zip(centers.tolist(), count.tolist())
+                ]
+            )
+        np.divide(self.weights[cities], total, out=confidence, where=found)
+        return cities, confidence
+
+
 class CityDB:
     """In-memory gazetteer with vectorized spatial queries.
 
@@ -474,10 +562,13 @@ class CityDB:
         """All cities whose centers lie inside the disk."""
         return [self._cities[i] for i in self.city_indices_in_disk(disk)]
 
+    def distances_km(self, point: GeoPoint) -> np.ndarray:
+        """Distance from every city to ``point`` (city order)."""
+        return distances_to_point_km(self._lats, self._lons, point)
+
     def city_indices_in_disk(self, disk: Disk) -> np.ndarray:
         """Gazetteer indices of all cities inside the disk (ascending)."""
-        dists = distances_to_point_km(self._lats, self._lons, disk.center)
-        return np.nonzero(dists <= disk.radius_km + 1e-9)[0]
+        return np.nonzero(self.distances_km(disk.center) <= disk.radius_km + 1e-9)[0]
 
     def center_distance_matrix(self, disks: Sequence[Disk]) -> np.ndarray:
         """Distances from every city to every disk center, ``(n_cities, k)``.
@@ -501,57 +592,41 @@ class CityDB:
 
         Equivalent to running :func:`repro.core.geolocation.classify_disk`
         (with the :func:`~repro.core.geolocation.classify_nearest`
-        fallback) on each disk, but the city-to-center geometry for *all*
-        disks is a single vectorized haversine call and the population
-        weights come from the cached :meth:`population_array` slice.
-
-        ``center_distances`` lets callers that hold a precomputed
-        city-to-center matrix (e.g. the census fast path, whose disks are
-        always centered on vantage points) pass the relevant columns in
-        and skip the geometry entirely.
+        fallback) on each disk: disk *j* is centered on column *j* of the
+        city-to-center matrix (one vectorized haversine call unless the
+        caller passes ``center_distances``), and the whole batch is one
+        :meth:`DiskTables.classify` call over the :meth:`disk_tables` of
+        those centers — no per-disk arithmetic.
         """
-        if population_exponent < 0:
-            raise ValueError("population_exponent must be non-negative")
         from ..core.geolocation import GeolocatedReplica  # local: avoids cycle
 
-        if not disks:
-            return []
         if center_distances is None:
             center_distances = self.center_distance_matrix(disks)
         if center_distances.shape != (len(self._cities), len(disks)):
             raise ValueError("center_distances shape mismatch")
-        out = []
-        for j, disk in enumerate(disks):
-            col = center_distances[:, j]
-            inside = np.nonzero(col <= disk.radius_km + 1e-9)[0]
-            if inside.size == 0:
-                # Nearest-city fallback, exactly like classify_nearest.
-                city = self._cities[int(np.argmin(col))]
-                out.append(GeolocatedReplica(city=city, disk=disk, confidence=0.0))
-                continue
-            if population_exponent == 0.0:
-                # Uniform prior degenerates to the city nearest the center.
-                best = min(
-                    (self._cities[i] for i in inside),
-                    key=lambda c: disk.center.distance_km(c.location),
-                )
-                out.append(
-                    GeolocatedReplica(
-                        city=best, disk=disk, confidence=1.0 / inside.size
-                    )
-                )
-                continue
-            weights = self._pops[inside] ** population_exponent
-            total = float(weights.sum())
-            idx = int(np.argmax(weights))
-            out.append(
-                GeolocatedReplica(
-                    city=self._cities[int(inside[idx])],
-                    disk=disk,
-                    confidence=float(weights[idx]) / total,
-                )
-            )
-        return out
+        cities, confidence = self.disk_tables(center_distances, population_exponent).classify(
+            np.arange(len(disks)), [disk.radius_km for disk in disks]
+        )
+        return [
+            GeolocatedReplica(city=self._cities[city], disk=disk, confidence=share)
+            for disk, city, share in zip(disks, cities.tolist(), confidence.tolist())
+        ]
+
+    def disk_tables(
+        self, center_distances: np.ndarray, population_exponent: float = 1.0
+    ) -> DiskTables:
+        """Sorted per-center city tables over a ``(n_cities, n_centers)`` matrix.
+
+        Build once per center set and exponent; :meth:`DiskTables.classify`
+        then geolocates any batch of disks centered on those points.
+        """
+        if population_exponent < 0:
+            raise ValueError("population_exponent must be non-negative")
+        if center_distances.shape[0] != len(self._cities):
+            raise ValueError("center_distances shape mismatch")
+        return DiskTables(
+            center_distances, self._pops**population_exponent, population_exponent == 0.0
+        )
 
     def largest_in_disk(self, disk: Disk) -> Optional[City]:
         """The most populous city inside the disk, or ``None`` if empty.
@@ -560,8 +635,7 @@ class CityDB:
         the population prior has "sufficient discriminative power alone"
         (~75% accuracy), so the MLE collapses to picking the largest city.
         """
-        dists = distances_to_point_km(self._lats, self._lons, disk.center)
-        inside = dists <= disk.radius_km + 1e-9
+        inside = self.distances_km(disk.center) <= disk.radius_km + 1e-9
         if not inside.any():
             return None
         pops = np.where(inside, self._pops, -np.inf)
@@ -569,8 +643,7 @@ class CityDB:
 
     def nearest(self, point: GeoPoint) -> City:
         """The city nearest to ``point`` (no population weighting)."""
-        dists = distances_to_point_km(self._lats, self._lons, point)
-        return self._cities[int(np.argmin(dists))]
+        return self._cities[int(np.argmin(self.distances_km(point)))]
 
     def sample(self, rng: np.random.Generator, count: int, weight_by_population: bool = True) -> List[City]:
         """Draw ``count`` cities (with replacement), optionally population-weighted.

@@ -408,10 +408,7 @@ class CensusCampaign:
         lats, lons = self.platform.lats, self.platform.lons
         bgp_plane = getattr(internet, "bgp_plane", None)
         deployments = internet.deployments
-        positions = [
-            np.array([internet.target_index(p) for p in dep.prefixes], dtype=np.int64)
-            for dep in deployments
-        ]
+        n_prefixes = [len(dep.prefixes) for dep in deployments]
         catchments = [
             bgp_plane.catchment(dep, lats, lons)
             if bgp_plane is not None
@@ -428,11 +425,16 @@ class CensusCampaign:
         self._site_phi = np.radians(np.asarray(site_lats, dtype=np.float64))
         self._site_lam = np.radians(np.asarray(site_lons, dtype=np.float64))
         self._site_cos_phi = np.cos(self._site_phi)
-        #: Every anycast target position, and its deployment's index.
-        self._anycast_pos = np.concatenate([np.empty(0, np.int64), *positions])
-        self._anycast_dep = np.repeat(
-            np.arange(len(deployments)), [len(p) for p in positions]
+        #: Every anycast target position (one bulk lookup over all the
+        #: deployments' prefixes, in deployment order), and its deployment.
+        self._anycast_pos = internet.target_indices(
+            np.fromiter(
+                (p for dep in deployments for p in dep.prefixes),
+                dtype=np.int64,
+                count=sum(n_prefixes),
+            )
         )
+        self._anycast_dep = np.repeat(np.arange(len(deployments)), n_prefixes)
         #: (deployment, platform VP) -> serving site, indexing the flat
         #: site arrays above.
         self._catchment = (np.cumsum(n_sites) - n_sites)[:, None] + np.array(

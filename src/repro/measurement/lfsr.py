@@ -9,16 +9,17 @@ array to keep in memory, which matters at O(10^7) targets.
 
 We implement the standard Galois stepping plus the skip trick: to permute
 ``n`` targets, use the smallest width with 2^w − 1 ≥ n and discard states
-exceeding ``n``.  :class:`GaloisLFSR` steps one state at a time;
-:func:`lfsr_permutation` produces the same sequence vectorised: a Galois
-step is linear over GF(2), so a w×w bit matrix jumps ≈ √period states
-ahead to seed that many lanes, and all lanes then step at once.
+exceeding ``n``.  :func:`lfsr_permutation` produces the stepped sequence
+vectorised: a Galois step is linear over GF(2), so a w×w bit matrix jumps
+≈ √period states ahead to seed that many lanes, and all lanes then step at
+once (``tests/measurement/test_lfsr.py`` keeps the one-state-at-a-time
+register as the oracle).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -57,47 +58,6 @@ _TAP_MASKS = {
     31: 0b1001000000000000000000000000000,
     32: 0b10000000001000000000000000000011,
 }
-
-
-class GaloisLFSR:
-    """A maximal-period Galois LFSR over ``width`` bits.
-
-    The state sequence visits every value in [1, 2^width − 1] exactly once
-    before repeating.  State 0 is unreachable (and invalid as a seed).
-    """
-
-    def __init__(self, width: int, seed: int = 1) -> None:
-        if width not in _TAP_MASKS:
-            raise ValueError(f"unsupported LFSR width {width} (need 2–32)")
-        period = (1 << width) - 1
-        if not 1 <= seed <= period:
-            raise ValueError(f"seed must be in [1, {period}], got {seed}")
-        self.width = width
-        self.period = period
-        self._mask = _TAP_MASKS[width]
-        self._state = seed
-
-    @property
-    def state(self) -> int:
-        return self._state
-
-    def step(self) -> int:
-        """Advance one step and return the new state."""
-        lsb = self._state & 1
-        self._state >>= 1
-        if lsb:
-            self._state ^= self._mask
-        return self._state
-
-    def cycle(self) -> Iterator[int]:
-        """Yield the full period of states starting from the current one."""
-        start = self._state
-        yield start
-        while True:
-            nxt = self.step()
-            if nxt == start:
-                return
-            yield nxt
 
 
 def width_for(n: int) -> int:
@@ -143,8 +103,9 @@ def lfsr_permutation(n: int, seed: int = 1) -> np.ndarray:
 
     States larger than ``n`` are discarded; surviving states minus one give
     indices 0..n−1, each exactly once, as an int64 array.  Deterministic in
-    ``seed`` and equal, element for element, to walking
-    :meth:`GaloisLFSR.cycle` from the same start state.
+    ``seed`` and equal, element for element, to stepping a Galois register
+    of :func:`width_for` ``(n)`` bits one state at a time from start state
+    ``(seed - 1) % period + 1``.
     """
     if n == 0:
         return np.empty(0, dtype=np.int64)

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.census.combine import matrix_from_census
+from repro.census.combine import RttMatrix, matrix_from_census
 from repro.census.fastpath import FastAnalysisEngine, SharedGeometry, overlap_rows
 from repro.core.geolocation import classify_disk, classify_nearest
 from repro.core.igreedy import IGreedyConfig
-from repro.geo.cities import default_city_db
+from repro.geo.cities import City, CityDB
+from repro.geo.coords import GeoPoint
 from repro.geo.disks import Disk, overlap_matrix
 
 
@@ -93,7 +96,7 @@ class TestBatchedClassification:
             )
             for i in rng.choice(len(city_db), size=20, replace=False)
         ]
-        for exponent in (1.0, 0.0, 2.0):
+        for exponent in (1.0, 0.0, 2.0, 0.5, 1.5):
             batched = city_db.classify_disks(disks, population_exponent=exponent)
             for disk, got in zip(disks, batched):
                 expected = classify_disk(disk, city_db, population_exponent=exponent)
@@ -115,19 +118,108 @@ class TestBatchedClassification:
             city_db.population_array()[0] = 1.0
 
 
+#: How a drawn disk's radius relates to the distance ``d`` from its VP to
+#: an anchor city: on the inside-set boundary, just either side of it,
+#: degenerate, or short of the nearest city (an empty inside set).
+RADIUS_KINDS = {
+    "exact": lambda d, nearest: d,
+    "above": lambda d, nearest: d + 1e-9,
+    "below": lambda d, nearest: max(d - 1e-9, 0.0),
+    "zero": lambda d, nearest: 0.0,
+    "globe": lambda d, nearest: 20_100.0,
+    "empty": lambda d, nearest: nearest / 2.0,
+}
+
+
+@st.composite
+def tied_worlds(draw):
+    """A small gazetteer full of ties, and a matrix over VPs partly on its cities.
+
+    Cities share a few locations (distance ties) and a few populations
+    (weight ties), one of them non-integral so that exponent 1 also
+    takes the per-disk total.
+    """
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def point():
+        return GeoPoint(float(rng.uniform(-60.0, 60.0)), float(rng.uniform(-170.0, 170.0)))
+
+    spots = [point() for _ in range(3)]
+    n_cities = draw(st.integers(min_value=1, max_value=12))
+    db = CityDB(
+        City(
+            f"c{i}",
+            "XX",
+            spots[int(rng.integers(len(spots)))] if rng.random() < 0.5 else point(),
+            float(rng.choice([1.0, 2.0, 3.0, 2.5, 40.0])),
+        )
+        for i in range(n_cities)
+    )
+    vps = [point() for _ in range(3)] + [db.city_at(int(i)).location for i in rng.integers(n_cities, size=2)]
+    rtt = np.zeros((1, len(vps)), dtype=np.float32)
+    matrix = RttMatrix(
+        prefixes=np.array([1], dtype=np.uint32),
+        vp_names=[f"vp-{i}" for i in range(len(vps))],
+        vp_locations=vps,
+        rtt_ms=rtt,
+        sample_count=np.ones(rtt.shape, dtype=np.uint8),
+    )
+    return db, matrix
+
+
+class TestDiskTables:
+    """The per-VP table kernel is the per-disk oracle, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        world=tied_worlds(),
+        exponent=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+        draws=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=4),
+                st.integers(min_value=0, max_value=11),
+                st.sampled_from(sorted(RADIUS_KINDS)),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+    )
+    def test_kernel_matches_classify_disk(self, world, exponent, draws):
+        db, matrix = world
+        engine = FastAnalysisEngine(
+            matrix, city_db=db, config=IGreedyConfig(population_exponent=exponent)
+        )
+        distances = engine.geometry.city_vp
+        vps = [v for v, _, _ in draws]
+        radii = [
+            RADIUS_KINDS[kind](float(distances[anchor % len(db), v]), float(distances[:, v].min()))
+            for v, anchor, kind in draws
+        ]
+        replicas, cities = engine.classify_vp_disks(vps, radii)
+        assert len(replicas) == len(draws)
+        for v, r, got, city in zip(vps, radii, replicas, cities.tolist()):
+            disk = Disk(center=matrix.vp_locations[v], radius_km=r)
+            expected = classify_disk(disk, db, population_exponent=exponent)
+            if expected is None:
+                expected = classify_nearest(disk, db)
+            assert got.disk == disk
+            assert got.city == expected.city == db.city_at(city)
+            assert got.confidence.hex() == expected.confidence.hex()
+
+
 class TestReplicaCache:
     def test_cache_hit_skips_recomputation(self, matrix, city_db):
         engine = FastAnalysisEngine(matrix, city_db=city_db, config=IGreedyConfig())
-        first = engine.classify_vp_disks([0, 1], [500.0, 900.0])
+        first, _ = engine.classify_vp_disks([0, 1], [500.0, 900.0])
         assert len(engine._replica_cache) == 2
-        again = engine.classify_vp_disks([0, 1], [500.0, 900.0])
+        again, _ = engine.classify_vp_disks([0, 1], [500.0, 900.0])
         assert len(engine._replica_cache) == 2
-        assert [id(a[0]) for a in first] == [id(b[0]) for b in again]
+        assert [id(a) for a in first] == [id(b) for b in again]
 
     def test_cache_entries_carry_city_index(self, matrix, city_db):
         engine = FastAnalysisEngine(matrix, city_db=city_db, config=IGreedyConfig())
-        ((replica, city_idx),) = engine.classify_vp_disks([2], [1500.0])
-        assert city_db.city_at(city_idx) == replica.city
+        (replica,), cities = engine.classify_vp_disks([2], [1500.0])
+        assert cities.tolist() == [city_db.cities.index(replica.city)]
 
 
 class TestCityDbAccessors:

@@ -8,12 +8,38 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.geo.cities import CityDB, default_city_db
 from repro.internet.topology import InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign
 from repro.measurement.platform import planetlab_platform
 from repro.workflow import CensusStudy, StudyConfig
+
+# Tier-1 runs one fixed set of examples: ``derandomize`` derives every
+# example from the test itself (and implies no example database), so a run
+# never depends on the host or on what an earlier run found.  The property
+# modules are searched for new counterexamples on purpose instead, with
+# ``pytest --hypothesis-profile=search``: fresh random examples, each test
+# given SEARCH_FACTOR times its own tier-1 budget.  A failure found there
+# is pinned with ``@example`` next to its fix.
+settings.register_profile("default", derandomize=True)
+settings.register_profile("search", derandomize=False)
+SEARCH_FACTOR = 10
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("hypothesis_profile", None) != "search":
+        return
+    for item in items:
+        test = getattr(item, "function", None)
+        if getattr(test, "is_hypothesis_test", False):
+            # ``@settings(max_examples=...)`` pins a test's tier-1 budget,
+            # which a profile cannot override; scale it here.
+            own = test._hypothesis_internal_use_settings
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=own.max_examples * SEARCH_FACTOR
+            )
 
 
 @pytest.fixture(scope="session")

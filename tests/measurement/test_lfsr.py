@@ -1,11 +1,49 @@
 """Tests for the Galois LFSR target randomization."""
 
+from typing import Iterator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.measurement.lfsr import GaloisLFSR, lfsr_permutation, width_for
+from repro.measurement.lfsr import _TAP_MASKS, lfsr_permutation, width_for
+
+
+class GaloisLFSR:
+    """A maximal-period Galois LFSR over ``width`` bits, stepped one state
+    at a time: the oracle of the vectorised :func:`lfsr_permutation`.
+
+    The state sequence visits every value in [1, 2^width − 1] exactly once
+    before repeating.  State 0 is unreachable (and invalid as a seed).
+    """
+
+    def __init__(self, width: int, seed: int = 1) -> None:
+        if width not in _TAP_MASKS:
+            raise ValueError(f"unsupported LFSR width {width} (need 2–32)")
+        period = (1 << width) - 1
+        if not 1 <= seed <= period:
+            raise ValueError(f"seed must be in [1, {period}], got {seed}")
+        self._mask = _TAP_MASKS[width]
+        self._state = seed
+
+    def step(self) -> int:
+        """Advance one step and return the new state."""
+        lsb = self._state & 1
+        self._state >>= 1
+        if lsb:
+            self._state ^= self._mask
+        return self._state
+
+    def cycle(self) -> Iterator[int]:
+        """Yield the full period of states starting from the current one."""
+        start = self._state
+        yield start
+        while True:
+            nxt = self.step()
+            if nxt == start:
+                return
+            yield nxt
 
 
 class TestGaloisLFSR:

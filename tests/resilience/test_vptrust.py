@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.census.analysis import analyze_matrix
@@ -178,9 +178,12 @@ class TestDistortedDetection:
         fraction=st.floats(min_value=0.0, max_value=0.3),
         seed=st.integers(min_value=0, max_value=2**31),
     )
+    # Convicts exactly its two injected VPs, the roster's Korean and
+    # Taiwanese witnesses, and so loses 31 of 883 clean detections.
+    @example(fraction=0.125, seed=16528)
     @settings(max_examples=8, deadline=None)
     def test_minority_distortion_never_corrupts_verdicts(
-        self, world, clean_anycast, fraction, seed
+        self, world, clean_matrix, clean_anycast, fraction, seed
     ):
         """Property: for any minority (<= 30% of the roster) distorted
         by the non-geometric kinds, the filtered verdicts never contain
@@ -193,7 +196,11 @@ class TestDistortedDetection:
         always convicted, while a skew/bloat inflation can sit below
         the absolute residual margin — such misses only *inflate* RTTs
         (bigger disks, fewer violations), so they hide detections but
-        can never fabricate them, and soundness survives them."""
+        can never fabricate them, and soundness survives them.  When
+        every distorted VP is convicted, recall is pinned exactly: the
+        honest columns carry their clean bytes (keyed noise), so the
+        filtered verdicts are those of the clean matrix minus the
+        convicted columns."""
         db = world[0]
         plan = VpDistortionPlan(
             fraction=fraction,
@@ -208,13 +215,10 @@ class TestDistortedDetection:
         filtered, _ = apply_trust(matrix, report)
         verdicts = set(analyze_matrix(filtered, city_db=db).anycast_prefixes)
         assert verdicts <= clean_anycast
-        # Recall loss is bounded by the witness loss: excising a VP can
-        # only drop detections it alone witnessed, so the budget scales
-        # with the excised fraction of the roster (~5% at the maximal
-        # 30% excision) plus a small constant floor.
-        excised_fraction = len(report.untrusted) / matrix.n_vps
-        budget = 15 + 0.2 * excised_fraction * len(clean_anycast)
-        assert len(clean_anycast - verdicts) <= budget
+        if not missed:
+            clean_minus_convicted, _ = apply_trust(clean_matrix, report)
+            expected = analyze_matrix(clean_minus_convicted, city_db=db)
+            assert verdicts == set(expected.anycast_prefixes)
 
     @given(
         fraction=st.floats(min_value=0.0, max_value=0.3),
