@@ -16,11 +16,16 @@ given client location?*  The pieces:
   AS's serving site, and the client attachment maps that to a
   per-client catchment.
 
-Baseline routes are cached per deployment — BGP is stable on census
-timescales, so every census epoch sees the same catchment unless a
-routing *event* (prepend, regional announce, withdrawal, hijack)
-explicitly perturbs the announcement set via the keyword arguments of
-:meth:`BgpRoutingPlane.deployment_routes`.
+Baseline routes are cached on the deployment's exact announcement set —
+:func:`~repro.bgp.propagation.propagate` is a pure function of (graph,
+announcements), so the key is exact by construction, and a plane can be
+shared by every epoch of an evolving world (see
+:meth:`~repro.internet.topology.SyntheticInternet.evolved`): a deployment
+whose sites did not move finds its routes already propagated, one that
+grew or shrank misses and propagates.  Routing *events* (prepend,
+regional announce, withdrawal, hijack) perturb the announcement set via
+the keyword arguments of :meth:`BgpRoutingPlane.deployment_routes` and
+bypass the cache.
 """
 
 from __future__ import annotations
@@ -67,7 +72,11 @@ class BgpRoutingPlane:
         if len(self._stubs) == 0 or len(self._infra) == 0:
             raise ValueError("BGP graph needs both stub and infrastructure ASes")
         self._attach_cache: Dict[bytes, np.ndarray] = {}
-        self._routes_cache: Dict[Tuple[int, int], DeploymentRoutes] = {}
+        self._routes_cache: Dict[Tuple[Announcement, ...], DeploymentRoutes] = {}
+        #: Calls to :func:`propagate` so far (cache misses and engineered
+        #: announcement sets) — what a traced epoch reports as its
+        #: routing cost.
+        self.routes_propagated = 0
 
     @classmethod
     def for_internet(cls, internet: "SyntheticInternet") -> "BgpRoutingPlane":
@@ -169,29 +178,47 @@ class BgpRoutingPlane:
     ) -> DeploymentRoutes:
         """Propagate one deployment's announcements (cached when pristine).
 
+        Pristine routes are cached on the announcement tuple itself, and
+        their outcome arrays are read-only: every caller shares them.
+
         ``extra`` announcements (hijackers, leaks) are appended *after*
         the deployment's own; the per-AS tiebreak keys of the baseline
         announcements are unchanged by the append, so the uncaptured part
         of the catchment stays exactly where it was.
         """
         pristine = not prepend and not regional and not withdrawn and not extra
-        cache_key = (deployment.entry.asn, deployment.site_count)
-        if pristine:
-            cached = self._routes_cache.get(cache_key)
-            if cached is not None:
-                return cached
         anns = self.announcements_for(
             deployment, prepend=prepend, regional=regional, withdrawn=withdrawn
         )
+        if pristine:
+            cached = self._routes_cache.get(anns)
+            if cached is not None:
+                return cached
         anns = anns + tuple(extra)
         if not anns:
             raise ValueError(
                 f"{deployment.entry.name}: no announcements left to propagate"
             )
         routes = DeploymentRoutes(announcements=anns, outcome=propagate(self.graph, anns))
+        self.routes_propagated += 1
         if pristine:
-            self._routes_cache[cache_key] = routes
+            routes.outcome.freeze()
+            self._routes_cache[anns] = routes
         return routes
+
+    def retain(self, deployments: Sequence["AnycastDeployment"]) -> None:
+        """Drop every cached route but ``deployments``' pristine ones.
+
+        Called when the plane moves on to another epoch's world: the
+        cache then holds one world's announcement sets, however many
+        epochs the plane has served.  Client attachments are dropped too
+        (they are keyed on rosters, which move between epochs).
+        """
+        keep = {self.announcements_for(dep) for dep in deployments}
+        self._routes_cache = {
+            anns: routes for anns, routes in self._routes_cache.items() if anns in keep
+        }
+        self._attach_cache = {}
 
     # ------------------------------------------------------------------
     # Catchments

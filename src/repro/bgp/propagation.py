@@ -104,6 +104,13 @@ class RoutingOutcome:
     def reachable(self) -> np.ndarray:
         return self.site >= 0
 
+    def freeze(self) -> None:
+        """Make every per-AS array read-only (for outcomes that are shared)."""
+        for array in (
+            self.site, self.path_len, self.route_class, self.announcement, self.via_leak
+        ):
+            array.setflags(write=False)
+
     def captured_by(self, announcement_index: int) -> np.ndarray:
         """Boolean mask of ASes whose best route is one announcement's."""
         return self.announcement == announcement_index

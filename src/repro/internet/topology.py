@@ -15,8 +15,9 @@ which we report in proportion.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..geo.cities import City, CityDB, default_city_db
 from ..geo.coords import GeoPoint, destination_point
-from ..net.addresses import is_reserved, slash24_base_address
+from ..net.addresses import RESERVED_PREFIXES
 from ..net.asn import ASRegistry
 from ..net.icmp import IcmpOutcome
 from ..net.latency import DEFAULT_MODEL, LatencyModel
@@ -112,12 +113,18 @@ UNICAST_REGION_START = 0x18000000
 
 
 def _routable_slash24_indices(start_ip: int = ANYCAST_REGION_START) -> Iterator[int]:
-    """Yield /24 prefix indices skipping reserved address space."""
+    """Yield /24 prefix indices skipping reserved address space.
+
+    Every reserved block is a /24 or shorter, so each covers one run of
+    /24 indices; the walk jumps over the runs instead of testing every
+    index against every block.
+    """
     index = start_ip >> 8
-    while index < (1 << 24):
-        if not is_reserved(slash24_base_address(index)):
-            yield index
-        index += 1
+    for block in sorted(RESERVED_PREFIXES, key=lambda p: p.base):
+        first = block.base >> 8
+        yield from range(index, first)
+        index = max(index, first + (1 << (24 - block.length)))
+    yield from range(index, 1 << 24)
 
 
 class SyntheticInternet:
@@ -126,7 +133,16 @@ class SyntheticInternet:
     Construction is deterministic in ``config.seed``.  All per-target state
     is held in parallel numpy arrays indexed by *target index* (the position
     of the /24 in :attr:`prefixes`), which is what the vectorized
-    measurement simulator iterates over.
+    measurement simulator iterates over: the anycast /24s first, in catalog
+    order, then the unicast hosts.
+
+    The world has two independent halves.  The *unicast half* (hosts,
+    their prefixes, coordinates and responsiveness) draws from its own
+    generators in its own address region and never depends on the
+    catalog; the *anycast half* (registry, deployments, their target
+    slice) is a function of the catalog alone.  :meth:`evolved` uses the
+    split to derive a world for another catalog without rebuilding what
+    the catalog cannot touch.
     """
 
     def __init__(
@@ -139,14 +155,8 @@ class SyntheticInternet:
         self.city_db = city_db or default_city_db()
         if catalog is None:
             catalog = full_catalog(tail_count=self.config.tail_deployments, seed=self.config.seed)
-        self._rng = np.random.default_rng(self.config.seed)
-        self.registry = ASRegistry()
-        self.deployments: List[AnycastDeployment] = []
-        self.unicast_hosts: List[UnicastHost] = []
-
-        self._build_deployments(catalog)
-        self._build_unicast()
-        self._freeze_arrays()
+        unicast = self._build_unicast()
+        self._build_anycast(catalog, reusable=(), unicast=unicast)
 
         # The BGP routing plane exists only in bgp mode and draws from its
         # own keyed generator — geo-mode construction consumes exactly the
@@ -156,6 +166,45 @@ class SyntheticInternet:
             from ..bgp.plane import BgpRoutingPlane
 
             self.bgp_plane = BgpRoutingPlane.for_internet(self)
+
+    def evolved(self, catalog: Sequence[CatalogEntry]) -> "SyntheticInternet":
+        """The world this one becomes under another deployment catalog.
+
+        Equal, array for array and deployment for deployment, to
+        ``SyntheticInternet(self.config, catalog, self.city_db)`` — but
+        only what the catalog can change is rebuilt:
+
+        * the unicast half is taken from this world: the hosts as they are,
+          the unicast slice of every per-target array (all read-only)
+          copied behind the new anycast slice;
+        * the BGP routing plane is shared too — its graph depends on the
+          seed alone, and its routes are cached on the exact announcement
+          set, so a deployment whose announcements did not move finds its
+          routes already propagated;
+        * an :class:`AnycastDeployment` is reused whenever its catalog
+          entry and its allocated prefix block are both unchanged (every
+          deployment is a pure function of the two, through its keyed
+          generator); the others, and the registry and the anycast target
+          slice, are rebuilt.
+
+        The shared plane's route cache is pruned to the new world's
+        announcement sets, so a long chain of evolutions holds one day's
+        routes, not every day's.
+        """
+        child = SyntheticInternet.__new__(SyntheticInternet)
+        child.config = self.config
+        child.city_db = self.city_db
+        child.unicast_hosts = self.unicast_hosts
+        n_anycast = self.n_targets - len(self.unicast_hosts)
+        unicast = tuple(
+            column[n_anycast:]
+            for column in (self.prefixes, self.lats, self.lons, self.responsiveness)
+        )
+        child._build_anycast(catalog, reusable=self.deployments, unicast=unicast)
+        child.bgp_plane = self.bgp_plane
+        if child.bgp_plane is not None:
+            child.bgp_plane.retain(child.deployments)
+        return child
 
     # ------------------------------------------------------------------
     # Construction
@@ -174,46 +223,88 @@ class SyntheticInternet:
             (self.config.seed * 1_000_003 + entry.asn * 2_654_435_761) % (2**63)
         )
 
-    def _build_deployments(self, catalog: Sequence[CatalogEntry]) -> None:
+    def _build_deployment(
+        self, entry: CatalogEntry, prefixes: List[int]
+    ) -> AnycastDeployment:
+        rng = self._entry_rng(entry)
+        site_cities = choose_replica_cities(entry, self.city_db.cities, rng)
+        replicas = [
+            Replica(
+                city=c,
+                location=self._scatter(c.location, self.config.site_scatter_km, rng),
+            )
+            for c in site_cities
+        ]
+        return AnycastDeployment(
+            entry=entry,
+            replicas=replicas,
+            prefixes=prefixes,
+            alexa_prefixes=prefixes[: entry.alexa_ip24],
+            policy_sigma=self.config.policy_sigma,
+            catchment_seed=int(rng.integers(0, 2**31)),
+            local_scope_km=entry.local_scope_km,
+        )
+
+    def _build_anycast(
+        self,
+        catalog: Sequence[CatalogEntry],
+        reusable: Sequence[AnycastDeployment],
+        unicast: Tuple[np.ndarray, ...],
+    ) -> None:
+        """Registry, deployments and the target arrays for ``catalog``.
+
+        A deployment of ``reusable`` with the same entry and the same
+        allocated prefix block is taken as is instead of being rebuilt.
+        ``unicast`` holds the unicast half's (prefix, lat, lon,
+        responsiveness) columns, which follow the anycast slice.
+        """
+        by_block = {dep.prefixes[0]: dep for dep in reusable}
         allocator = _routable_slash24_indices(start_ip=ANYCAST_REGION_START)
-        cities = list(self.city_db.cities)
+        self.registry = ASRegistry()
+        self.deployments: List[AnycastDeployment] = []
         for entry in catalog:
             self.registry.add(entry.autonomous_system)
-            rng = self._entry_rng(entry)
-            site_cities = choose_replica_cities(entry, cities, rng)
-            replicas = [
-                Replica(
-                    city=c,
-                    location=self._scatter(c.location, self.config.site_scatter_km, rng),
-                )
-                for c in site_cities
-            ]
             prefixes = [next(allocator) for _ in range(entry.n_slash24)]
-            alexa_prefixes = prefixes[: entry.alexa_ip24]
-            deployment = AnycastDeployment(
-                entry=entry,
-                replicas=replicas,
-                prefixes=prefixes,
-                alexa_prefixes=alexa_prefixes,
-                policy_sigma=self.config.policy_sigma,
-                catchment_seed=int(rng.integers(0, 2**31)),
-                local_scope_km=entry.local_scope_km,
-            )
+            deployment = by_block.get(prefixes[0])
+            if (
+                deployment is None
+                or deployment.entry != entry
+                or deployment.prefixes != prefixes
+            ):
+                deployment = self._build_deployment(entry, prefixes)
             self.deployments.append(deployment)
             for p in prefixes:
                 self.registry.assign_prefix(p, entry.asn)
+        self._freeze_arrays(unicast)
 
-    def _build_unicast(self) -> None:
-        # Unicast hosts draw from their own generator and their own address
-        # region, independent of the anycast catalog.
+    def _build_unicast(self) -> Tuple[np.ndarray, ...]:
+        """The unicast hosts, and their (prefix, lat, lon, responsiveness)
+        columns.
+
+        Unicast hosts draw from their own generator and their own address
+        region, independent of the anycast catalog; so does their
+        responsiveness.
+        """
         rng = np.random.default_rng(self.config.seed * 1_000_003 + 777)
         allocator = _routable_slash24_indices(start_ip=UNICAST_REGION_START)
-        count = self.config.n_unicast_slash24
-        host_cities = self.city_db.sample(rng, count)
-        for city in host_cities:
-            prefix = next(allocator)
-            location = self._scatter(city.location, self.config.host_scatter_km, rng)
-            self.unicast_hosts.append(UnicastHost(prefix=prefix, location=location, city=city))
+        self.unicast_hosts: Tuple[UnicastHost, ...] = tuple(
+            UnicastHost(
+                prefix=next(allocator),
+                location=self._scatter(city.location, self.config.host_scatter_km, rng),
+                city=city,
+            )
+            for city in self.city_db.sample(rng, self.config.n_unicast_slash24)
+        )
+        hosts, n = self.unicast_hosts, len(self.unicast_hosts)
+        resp_rng = np.random.default_rng(self.config.seed)
+        return (
+            np.fromiter((h.prefix for h in hosts), dtype=np.int64, count=n),
+            np.fromiter((h.location.lat for h in hosts), dtype=np.float64, count=n),
+            np.fromiter((h.location.lon for h in hosts), dtype=np.float64, count=n),
+            np.fromiter(
+                (self._draw_responsiveness(resp_rng) for _ in hosts), dtype=np.int8, count=n
+            ),
+        )
 
     @staticmethod
     def _scatter(center: GeoPoint, max_km: float, rng: np.random.Generator) -> GeoPoint:
@@ -221,46 +312,56 @@ class SyntheticInternet:
         distance = float(rng.uniform(0.0, max_km))
         return destination_point(center, bearing, distance)
 
-    def _freeze_arrays(self) -> None:
-        n_anycast = sum(len(d.prefixes) for d in self.deployments)
-        n_total = n_anycast + len(self.unicast_hosts)
-        self.prefixes = np.empty(n_total, dtype=np.int64)
+    def _freeze_arrays(self, unicast: Tuple[np.ndarray, ...]) -> None:
+        """The per-target arrays (read-only): the anycast slice, then the
+        unicast half."""
+        deployments = self.deployments
+        counts = np.array([len(d.prefixes) for d in deployments], dtype=np.int64)
+        n_anycast = int(counts.sum())
+        uni_prefixes, uni_lats, uni_lons, uni_resp = unicast
+        n_total = n_anycast + len(uni_prefixes)
+
+        anycast_prefixes = [p for d in deployments for p in d.prefixes]
+        # Placeholder coordinates: anycast targets sit at their primary
+        # replica; they are resolved per vantage point through the
+        # deployment's catchment.
+        anchors = [d.replicas[0].location for d in deployments]
+        anchor_lats = np.array([a.lat for a in anchors], dtype=np.float64)
+        anchor_lons = np.array([a.lon for a in anchors], dtype=np.float64)
+
+        self.prefixes = np.concatenate(
+            [np.array(anycast_prefixes, dtype=np.int64), uni_prefixes]
+        )
         self.is_anycast = np.zeros(n_total, dtype=bool)
+        self.is_anycast[:n_anycast] = True
         self.deployment_index = np.full(n_total, -1, dtype=np.int32)
-        self.lats = np.empty(n_total, dtype=np.float64)
-        self.lons = np.empty(n_total, dtype=np.float64)
-        self.responsiveness = np.empty(n_total, dtype=np.int8)
+        self.deployment_index[:n_anycast] = np.repeat(
+            np.arange(len(deployments), dtype=np.int32), counts
+        )
+        self.lats = np.concatenate([np.repeat(anchor_lats, counts), uni_lats])
+        self.lons = np.concatenate([np.repeat(anchor_lons, counts), uni_lons])
+        self.responsiveness = np.concatenate(
+            [np.full(n_anycast, RESP_REPLY, dtype=np.int8), uni_resp]
+        )
+        for array in (
+            self.prefixes, self.is_anycast, self.deployment_index,
+            self.lats, self.lons, self.responsiveness,
+        ):
+            array.setflags(write=False)
+        self._prefix_to_target: Dict[int, int] = dict(
+            zip(
+                itertools.chain(anycast_prefixes, (h.prefix for h in self.unicast_hosts)),
+                range(n_total),
+            )
+        )
 
-        pos = 0
-        self._prefix_to_target: Dict[int, int] = {}
-        for dep_idx, dep in enumerate(self.deployments):
-            anchor = dep.replicas[0].location
-            for prefix in dep.prefixes:
-                self.prefixes[pos] = prefix
-                self.is_anycast[pos] = True
-                self.deployment_index[pos] = dep_idx
-                # Placeholder coordinates; anycast targets are resolved per
-                # vantage point through the deployment's catchment.
-                self.lats[pos] = anchor.lat
-                self.lons[pos] = anchor.lon
-                self.responsiveness[pos] = RESP_REPLY
-                self._prefix_to_target[prefix] = pos
-                pos += 1
-        for host in self.unicast_hosts:
-            self.prefixes[pos] = host.prefix
-            self.lats[pos] = host.location.lat
-            self.lons[pos] = host.location.lon
-            self.responsiveness[pos] = self._draw_responsiveness()
-            self._prefix_to_target[host.prefix] = pos
-            pos += 1
-
-    def _draw_responsiveness(self) -> int:
+    def _draw_responsiveness(self, rng: np.random.Generator) -> int:
         cfg = self.config
-        u = self._rng.random()
+        u = rng.random()
         if u < cfg.reply_fraction:
             return RESP_REPLY
         if u < cfg.reply_fraction + cfg.error_fraction:
-            v = self._rng.random()
+            v = rng.random()
             s13, s10, _ = cfg.error_split
             if v < s13:
                 return RESP_ADMIN_FILTERED

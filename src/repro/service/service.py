@@ -98,6 +98,12 @@ RESULTS_KIND = "census-results"
 _ROSTER_SALT = 0x4057E4
 
 
+def _routes_propagated(world: Optional[SyntheticInternet]) -> int:
+    """Propagations its BGP plane has run so far (0 without a plane)."""
+    plane = world.bgp_plane if world is not None else None
+    return plane.routes_propagated if plane is not None else 0
+
+
 @dataclass
 class ServiceConfig:
     """The deterministic recipe of one longitudinal service."""
@@ -284,6 +290,8 @@ class CensusService:
             else None
         )
         self._catalogs: Dict[int, List[CatalogEntry]] = {}
+        #: The last world :meth:`internet_for` built, with its epoch.
+        self._world: Optional[Tuple[int, SyntheticInternet]] = None
 
     # ------------------------------------------------------------------
     # The evolving world
@@ -313,16 +321,32 @@ class CensusService:
         return self._catalogs[epoch]
 
     def internet_for(self, epoch: int) -> SyntheticInternet:
-        return SyntheticInternet(
-            InternetConfig(
-                seed=self.config.internet_seed,
-                n_unicast_slash24=self.config.n_unicast,
-                tail_deployments=self.config.tail_deployments,
-                routing=self.config.routing,
-            ),
-            catalog=self.catalog_for(epoch),
-            city_db=self.city_db,
-        )
+        """Epoch *k*'s world, carried over from the last one built.
+
+        The first call builds cold; every later call derives the world
+        from the previous one (:meth:`SyntheticInternet.evolved`), in any
+        epoch order, so a quiet day rebuilds only the deployments its
+        catalog touched and propagates only their routes.  The result
+        equals a cold build of the same epoch.  Worlds are read-only.
+        """
+        catalog = self.catalog_for(epoch)
+        if self._world is None:
+            world = SyntheticInternet(
+                InternetConfig(
+                    seed=self.config.internet_seed,
+                    n_unicast_slash24=self.config.n_unicast,
+                    tail_deployments=self.config.tail_deployments,
+                    routing=self.config.routing,
+                ),
+                catalog=catalog,
+                city_db=self.city_db,
+            )
+        elif self._world[0] == epoch:
+            return self._world[1]
+        else:
+            world = self._world[1].evolved(catalog)
+        self._world = (epoch, world)
+        return world
 
     def platform_for(self, epoch: int) -> Platform:
         """Epoch *k*'s active roster: the full platform minus the VPs
@@ -427,25 +451,41 @@ class CensusService:
         collectors: Optional[Tuple[Tracer, MetricsRegistry, EventLog]] = None,
     ) -> EpochOutcome:
         events = current_events()
-        with current_tracer().span("service_epoch", epoch=epoch):
+        tracer = current_tracer()
+        with tracer.span("service_epoch", epoch=epoch):
             events.emit("service", "epoch_start", epoch=epoch)
             self.archive.ensure_layout()
-            internet = self.internet_for(epoch)
-            platform = self.platform_for(epoch)
-            campaign = CensusCampaign(
-                internet,
-                platform,
-                seed=self.config.campaign_seed,
-                degraded_fraction=self.config.degraded_fraction,
-                noise=self.config.noise,
-                fault_plan=self.config.fault_plan,
-                distortion=self.config.vp_distortion,
-                **(
-                    {"rate_pps": self.config.rate_pps}
-                    if self.config.rate_pps is not None
-                    else {}
-                ),
-            )
+            with tracer.span("world") as world_span:
+                previous = self._world[1] if self._world is not None else None
+                propagated = _routes_propagated(previous)
+                internet = self.internet_for(epoch)
+                campaign = CensusCampaign(
+                    internet,
+                    self.platform_for(epoch),
+                    seed=self.config.campaign_seed,
+                    degraded_fraction=self.config.degraded_fraction,
+                    noise=self.config.noise,
+                    fault_plan=self.config.fault_plan,
+                    distortion=self.config.vp_distortion,
+                    **(
+                        {"rate_pps": self.config.rate_pps}
+                        if self.config.rate_pps is not None
+                        else {}
+                    ),
+                )
+                kept = (
+                    {id(dep) for dep in previous.deployments}
+                    if previous is not None
+                    else set()
+                )
+                world_span.set("carried", previous is not None)
+                world_span.set(
+                    "deployments_rebuilt",
+                    sum(id(dep) not in kept for dep in internet.deployments),
+                )
+                world_span.set(
+                    "routes_propagated", _routes_propagated(internet) - propagated
+                )
             journal = self.archive.journal_path(epoch)
 
             def measure():

@@ -3,6 +3,8 @@ catchments, route caching."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,43 @@ def test_pristine_routes_are_cached(plane, deployment):
     b = plane.deployment_routes(deployment)
     assert a is b
     assert len(a.announcements) == deployment.site_count
+
+
+def test_cached_routes_are_read_only(plane, deployment):
+    routes = plane.deployment_routes(deployment)
+    for array in (routes.outcome.site, routes.outcome.announcement):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_routes_are_cached_on_the_announcement_set(bgp_internet):
+    """A deployment with the same ASN and site count as a cached one but
+    another announcement set propagates afresh: its catchment equals a
+    fresh plane's, not the cached deployment's."""
+    graph = bgp_internet.bgp_plane.graph
+    dep = next(d for d in bgp_internet.deployments if d.site_count == 54)
+    reversed_sites = dataclasses.replace(dep, replicas=dep.replicas[::-1])
+    lats = np.linspace(-50, 60, 40)
+    lons = np.linspace(-120, 150, 40)
+    warm = BgpRoutingPlane(graph)
+    warm.catchment(dep, lats, lons)
+    assert np.array_equal(
+        warm.catchment(reversed_sites, lats, lons),
+        BgpRoutingPlane(graph).catchment(reversed_sites, lats, lons),
+    )
+    assert warm.routes_propagated == 2
+
+
+def test_retain_keeps_only_the_given_deployments_routes(bgp_internet):
+    plane = BgpRoutingPlane(bgp_internet.bgp_plane.graph)
+    kept, dropped = bgp_internet.deployments[:2]
+    routes = plane.deployment_routes(kept)
+    plane.deployment_routes(dropped)
+    plane.retain([kept])
+    assert plane.deployment_routes(kept) is routes
+    assert plane.routes_propagated == 2
+    plane.deployment_routes(dropped)
+    assert plane.routes_propagated == 3
 
 
 def test_engineered_routes_bypass_the_cache(plane, deployment):

@@ -1,5 +1,8 @@
 """Tests for the synthetic-Internet builder."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.internet.topology import (
     RESP_SILENT,
     InternetConfig,
     SyntheticInternet,
+    _routable_slash24_indices,
     responsiveness_outcome,
 )
 from repro.net.addresses import is_reserved, slash24_base_address
@@ -89,6 +93,37 @@ class TestConstruction:
         for dep in net.deployments[:10]:
             for rep in dep.replicas:
                 assert rep.location.distance_km(rep.city.location) <= cfg.site_scatter_km + 1e-6
+
+    # Starts just below 169.254/16, 192.0.2/24, 198.18/15 and 198.51.100/24.
+    @pytest.mark.parametrize("start_ip", [0xA9FD0000, 0xC0000100, 0xC611FF00, 0xC6336300])
+    def test_allocator_skips_exactly_the_reserved_space(self, start_ip):
+        candidates = range(start_ip >> 8, (start_ip >> 8) + 2048)
+        want = [i for i in candidates if not is_reserved(slash24_base_address(i))]
+        got = list(itertools.islice(_routable_slash24_indices(start_ip), len(want)))
+        assert got == want
+
+
+class TestEvolved:
+    def test_rebuilds_only_what_the_catalog_touched(self, net):
+        catalog = [d.entry for d in net.deployments]
+        grown = [replace(catalog[0], n_sites=catalog[0].n_sites + 1)] + catalog[1:]
+        child = net.evolved(grown)
+        assert child.unicast_hosts is net.unicast_hosts
+        assert child.deployments[0] is not net.deployments[0]
+        assert all(a is b for a, b in zip(child.deployments[1:], net.deployments[1:]))
+        cold = SyntheticInternet(net.config, grown, net.city_db)
+        assert child.deployments == cold.deployments
+        assert np.array_equal(child.lats, cold.lats)
+
+    def test_target_arrays_are_read_only(self, net):
+        child = net.evolved([d.entry for d in net.deployments[:3]])
+        for world in (net, child):
+            for name in ("prefixes", "is_anycast", "deployment_index", "lats", "lons", "responsiveness"):
+                assert not getattr(world, name).flags.writeable, name
+        assert child.n_targets == net.n_targets - sum(
+            len(d.prefixes) for d in net.deployments[3:]
+        )
+        assert np.array_equal(child.responsiveness[~child.is_anycast], net.responsiveness[~net.is_anycast])
 
 
 class TestResponsiveness:
