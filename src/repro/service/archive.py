@@ -33,10 +33,18 @@ Design rules, in decreasing order of importance:
 * **The index is a cache.**  ``index.json`` exists so ``history`` and
   dashboards need not stat every run directory; it is always rebuildable
   from the surviving manifests and never trusted over them.
+* **A quiet day costs what changed.**  Successive results documents
+  share almost every target entry, so one archive object keeps what it
+  last wrote and read: each committed entry's serialized bytes
+  (:class:`ResultsEncoder`), the parsed form of every results document
+  it read or wrote since the previous commit (returned again while the
+  on-disk bytes hash the same), and each run's index entry keyed on its
+  manifest's stat.  Bytes on disk never depend on any of it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -44,7 +52,9 @@ import pathlib
 import re
 import shutil
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Union
+from collections import Counter
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..measurement.recordio import (
     CensusRecords,
@@ -106,6 +116,94 @@ def canonical_json_bytes(doc: Any) -> bytes:
     the chaos suite's tree comparison.
     """
     return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+#: The encoder behind :func:`canonical_json_bytes` (``json.dumps`` builds
+#: an equal one per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=1)
+
+#: Splits an ``indent=1`` JSON array into its items.  With ``ensure_ascii``
+#: no raw newline occurs inside a string, so a newline, one space and a
+#: non-space only ever start a top-level item.
+_ITEM_SEPARATOR = re.compile(r",\n (?! )")
+
+
+class ResultsEncoder:
+    """:func:`canonical_json_bytes` of results documents, from carried
+    per-target fragments.
+
+    A results document is a shell (every key but ``targets``) plus one
+    entry per target, and from one day to the next almost every entry is
+    the same object copied forward.  Each entry sits at a fixed depth, so
+    its bytes in the document are its own encoding re-indented by one
+    level per newline; the encoder keeps those fragments, keyed on entry
+    identity (holding the entry, so the identity stays valid), for the
+    entries of the last document it encoded.  A quiet day then encodes
+    only its recomputed entries.
+
+    Entries are read-only once encoded: a mutated entry would keep its
+    old bytes.
+    """
+
+    def __init__(self) -> None:
+        #: id(entry) -> (entry, fragment) for the last document's entries.
+        self._fragments: Dict[int, Tuple[Any, str]] = {}
+
+    def encode(self, doc: Dict[str, Any]) -> Tuple[bytes, Dict[str, Any], int]:
+        """``(canonical_json_bytes(doc), carried, n_encoded)``.
+
+        ``carried`` equals ``json.loads`` of the bytes in key order and
+        types (the *parse-identical* form): the shell parsed back, the
+        reused entries shared, the encoded ones parsed from their
+        fragments.  Its entries seed the next call's fragments.
+        ``n_encoded`` counts the targets whose fragment was not reused.
+        ``doc["targets"]`` must be keyed by strings.
+        """
+        targets = doc["targets"]
+        keys = sorted(targets)
+        missed: Dict[int, Any] = {}
+        for key in keys:
+            entry = targets[key]
+            if id(entry) not in self._fragments:
+                missed.setdefault(id(entry), entry)
+        encoded: Dict[int, Tuple[Any, str]] = {}
+        if missed:
+            # One array for every missed entry: one encoder call, and one
+            # parse for their carried form.
+            text = _ENCODER.encode(list(missed.values()))
+            items = _ITEM_SEPARATOR.split(text[3:-2])  # strip "[\n " and "\n]"
+            for ident, item, parsed in zip(missed, items, json.loads(text)):
+                encoded[ident] = (parsed, item.replace("\n", "\n "))
+
+        fragments: Dict[int, Tuple[Any, str]] = {}
+        carried_targets: Dict[str, Any] = {}
+        lines: List[str] = []
+        n_encoded = 0
+        for key in keys:
+            ident = id(targets[key])
+            hit = self._fragments.get(ident)
+            if hit is None:
+                hit = encoded[ident]
+                n_encoded += 1
+            entry, fragment = hit
+            fragments[id(entry)] = hit
+            carried_targets[key] = entry
+            lines.append(f"{encode_basestring_ascii(key)}: {fragment}")
+        self._fragments = fragments
+
+        members: List[str] = []
+        carried: Dict[str, Any] = {}
+        for key in sorted(doc):
+            if key == "targets":
+                text = "{\n  " + ",\n  ".join(lines) + "\n }" if lines else "{}"
+                carried[key] = carried_targets
+            else:
+                value = _ENCODER.encode(doc[key])
+                text = value.replace("\n", "\n ")
+                carried[key] = json.loads(value)
+            members.append(f" {encode_basestring_ascii(key)}: {text}")
+        data = ("{\n" + ",\n".join(members) + "\n}\n").encode("utf-8")
+        return data, carried, n_encoded
 
 
 # ----------------------------------------------------------------------
@@ -271,11 +369,24 @@ class CensusArchive:
     named commit point (``"commit:staged"``, ``"commit:renamed"``,
     ``"commit:indexed"``) and may raise to simulate a crash exactly
     there.  Production runs leave it ``None``.
+
+    ``counters`` counts the work the carried state saved or did:
+    ``results_carried`` / ``results_parsed`` (:meth:`read_results`),
+    ``fragments_reused`` / ``fragments_encoded`` (:meth:`commit_run`) and
+    ``index_entries_read`` (:meth:`build_index`).
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
         self.root = pathlib.Path(root)
         self.crash_hook: Optional[Callable[[str], None]] = None
+        self.counters: Counter = Counter()
+        self._results_encoder = ResultsEncoder()
+        #: sha256 of results bytes -> their parse-identical document: the
+        #: documents read or written before / since the last commit.
+        self._carried: Dict[bytes, Dict[str, Any]] = {}
+        self._used: Dict[bytes, Dict[str, Any]] = {}
+        #: epoch -> (manifest stat key, index entry or None if unusable).
+        self._index_entries: Dict[int, Tuple[Tuple[int, int, int], Any]] = {}
 
     # -- layout --------------------------------------------------------
 
@@ -355,7 +466,16 @@ class CensusArchive:
             ) from exc
 
     def read_results(self, epoch: int) -> Dict[str, Any]:
-        """Load one run's results document, verified against the manifest."""
+        """Load one run's results document, verified against the manifest.
+
+        The returned document is **read-only**, and so is every document
+        passed to :meth:`commit_run`: when the verified bytes hash the
+        same as bytes this archive object committed or read since its
+        previous commit, the document it carries for them is returned
+        instead of parsing again, and successive documents share their
+        unchanged target entries.  A carried document equals
+        ``json.loads`` of the bytes in key order and types.
+        """
         manifest = self.read_manifest(epoch)
         path = self.run_dir(epoch) / RESULTS_FILE
         try:
@@ -371,7 +491,17 @@ class CensusArchive:
             raise CorruptPayloadError(
                 f"results payload for epoch {epoch} does not match its manifest"
             )
-        return json.loads(data.decode("utf-8"))
+        digest = hashlib.sha256(data).digest()
+        doc = self._used.get(digest)
+        if doc is None:
+            doc = self._carried.get(digest)
+        if doc is None:
+            doc = json.loads(data.decode("utf-8"))
+            self.counters["results_parsed"] += 1
+        else:
+            self.counters["results_carried"] += 1
+        self._used[digest] = doc
+        return doc
 
     def read_telemetry(self, epoch: int) -> Optional[Dict[str, Any]]:
         """Load one run's telemetry sidecar, or ``None`` when the run has
@@ -485,6 +615,10 @@ class CensusArchive:
         ``trust_doc`` is the optional VP trust sidecar (a serialized
         :class:`~repro.resilience.vptrust.VpTrustReport`), committed
         under the same atomic-rename / outside-the-seals contract.
+
+        ``results_doc`` is read-only from here on: its target entries
+        keep their serialized bytes for the next commit, and
+        :meth:`read_results` returns its parse-identical form.
         """
         if self.has(epoch):
             raise ArchiveError(f"epoch {epoch} is already committed")
@@ -493,7 +627,9 @@ class CensusArchive:
         records_sink = io.BytesIO()
         write_raw_checksummed(records, records_sink)
         records_bytes = records_sink.getvalue()
-        results_bytes = canonical_json_bytes(results_doc)
+        results_bytes, carried, n_encoded = self._results_encoder.encode(results_doc)
+        self.counters["fragments_encoded"] += n_encoded
+        self.counters["fragments_reused"] += len(carried["targets"]) - n_encoded
 
         manifest = dict(manifest_core)
         manifest["kind"] = RUN_KIND
@@ -555,6 +691,10 @@ class CensusArchive:
             self._write_file(staging / TRUST_FILE, canonical_json_bytes(trust))
         self._fire("commit:staged")
         os.replace(staging, final)
+        # The carried documents from here on: what this day read, plus
+        # what it wrote.
+        self._used[hashlib.sha256(results_bytes).digest()] = carried
+        self._carried, self._used = self._used, {}
         self._fire("commit:renamed")
         self.write_index(self.build_index())
         self._fire("commit:indexed")
@@ -578,25 +718,47 @@ class CensusArchive:
 
         Runs whose manifest does not load/validate are skipped — the
         index only ever advertises what a reader can actually use (fsck
-        is the pass that removes the bad run itself).
+        is the pass that removes the bad run itself).  Each run's entry
+        is kept on its manifest's ``(size, mtime_ns, inode)``, and a
+        manifest is read again only when that stat changed, so a commit
+        reads its own manifest and no older one.
         """
         runs: Dict[str, Any] = {}
+        entries: Dict[int, Tuple[Tuple[int, int, int], Any]] = {}
         for epoch in self.epochs():
             try:
-                manifest = self.read_manifest(epoch)
-            except (CorruptPayloadError, ValueError):
+                stat = (self.run_dir(epoch) / MANIFEST_FILE).stat()
+            except OSError:
                 continue
-            manifest_bytes = canonical_json_bytes(manifest)
-            runs[run_dirname(epoch)] = {
-                "epoch": epoch,
-                "analysis_mode": manifest["analysis"]["mode"],
-                "n_records": manifest["census"].get("n_records"),
-                "manifest_crc32": zlib.crc32(manifest_bytes) & 0xFFFFFFFF,
-            }
+            key = (stat.st_size, stat.st_mtime_ns, stat.st_ino)
+            cached = self._index_entries.get(epoch)
+            if cached is not None and cached[0] == key:
+                entry = cached[1]
+            else:
+                entry = self._index_entry(epoch)
+                self.counters["index_entries_read"] += 1
+            entries[epoch] = (key, entry)
+            if entry is not None:
+                runs[run_dirname(epoch)] = dict(entry)
+        self._index_entries = entries
         return {
             "kind": INDEX_KIND,
             "schema_version": RUN_SCHEMA_VERSION,
             "runs": runs,
+        }
+
+    def _index_entry(self, epoch: int) -> Optional[Dict[str, Any]]:
+        """One run's index entry, or ``None`` when its manifest is unusable."""
+        try:
+            manifest = self.read_manifest(epoch)
+        except (CorruptPayloadError, ValueError):
+            return None
+        manifest_bytes = canonical_json_bytes(manifest)
+        return {
+            "epoch": epoch,
+            "analysis_mode": manifest["analysis"]["mode"],
+            "n_records": manifest["census"].get("n_records"),
+            "manifest_crc32": zlib.crc32(manifest_bytes) & 0xFFFFFFFF,
         }
 
     def write_index(self, index: Dict[str, Any]) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import pathlib
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -292,6 +293,9 @@ class CensusService:
         self._catalogs: Dict[int, List[CatalogEntry]] = {}
         #: The last world :meth:`internet_for` built, with its epoch.
         self._world: Optional[Tuple[int, SyntheticInternet]] = None
+        #: id(results doc) -> (doc, its signature map), for the documents
+        #: the last epoch planned against.
+        self._signature_maps: Dict[int, Tuple[Dict[str, Any], Dict[int, str]]] = {}
 
     # ------------------------------------------------------------------
     # The evolving world
@@ -532,43 +536,50 @@ class CensusService:
                 matrix, excised, trust_report = self._stage(
                     "trust", lambda: trust_gate(matrix, [census.health]), epoch
                 )
-            signatures = target_signatures(matrix, excised)
+            with tracer.span("signatures"):
+                signatures = target_signatures(matrix, excised)
 
-            baseline_epoch = self.archive.latest_epoch_before(epoch)
-            baseline_doc: Optional[Dict[str, Any]] = None
-            baseline_problem: Optional[str] = None
-            if baseline_epoch is not None:
-                try:
-                    baseline_doc = self.archive.read_results(baseline_epoch)
-                except CorruptPayloadError as exc:
-                    baseline_problem = str(exc)
-
-            # Older epochs back the roster-rejoin recovery: a target
-            # whose signature misses the primary baseline but matches a
-            # pre-disconnect epoch is copied from there.
-            history_docs: Dict[int, Dict[str, Any]] = {}
-            history: List[Tuple[int, Dict[int, str]]] = []
-            if baseline_epoch is not None and self.config.baseline_depth > 0:
-                older = [e for e in self.archive.epochs() if e < baseline_epoch]
-                for old_epoch in older[-self.config.baseline_depth :]:
+            with tracer.span("baseline") as baseline_span:
+                before = Counter(self.archive.counters)
+                baseline_epoch = self.archive.latest_epoch_before(epoch)
+                baseline_doc: Optional[Dict[str, Any]] = None
+                baseline_problem: Optional[str] = None
+                if baseline_epoch is not None:
                     try:
-                        old_doc = self.archive.read_results(old_epoch)
-                    except CorruptPayloadError:
-                        continue  # rotten history is merely unavailable
-                    history_docs[old_epoch] = old_doc
-                    history.append(
-                        (old_epoch, self._baseline_signatures(old_doc))
-                    )
+                        baseline_doc = self.archive.read_results(baseline_epoch)
+                    except CorruptPayloadError as exc:
+                        baseline_problem = str(exc)
 
-            plan = plan_delta(
-                signatures,
-                self._baseline_signatures(baseline_doc),
-                baseline_epoch=baseline_epoch,
-                churn_threshold=self.config.churn_threshold,
-                enabled=self.config.incremental,
-                baseline_problem=baseline_problem,
-                history=history,
-            )
+                # Older epochs back the roster-rejoin recovery: a target
+                # whose signature misses the primary baseline but matches
+                # a pre-disconnect epoch is copied from there.
+                history_docs: Dict[int, Dict[str, Any]] = {}
+                if baseline_epoch is not None and self.config.baseline_depth > 0:
+                    older = [e for e in self.archive.epochs() if e < baseline_epoch]
+                    for old_epoch in older[-self.config.baseline_depth :]:
+                        try:
+                            history_docs[old_epoch] = self.archive.read_results(
+                                old_epoch
+                            )
+                        except CorruptPayloadError:
+                            continue  # rotten history is merely unavailable
+                baseline_signatures, history = self._carry_signatures(
+                    baseline_doc, history_docs
+                )
+                read = self.archive.counters - before
+                baseline_span.set("carried", read["results_carried"])
+                baseline_span.set("parsed", read["results_parsed"])
+
+            with tracer.span("plan"):
+                plan = plan_delta(
+                    signatures,
+                    baseline_signatures,
+                    baseline_epoch=baseline_epoch,
+                    churn_threshold=self.config.churn_threshold,
+                    enabled=self.config.incremental,
+                    baseline_problem=baseline_problem,
+                    history=history,
+                )
 
             results_doc, n_recomputed, n_copied, n_recovered = self._stage(
                 "analysis",
@@ -587,15 +598,16 @@ class CensusService:
 
             churn_doc = None
             if baseline_doc is not None:
-                churn_doc = churn_between(
-                    baseline_doc,
-                    results_doc,
-                    min_delta=self.config.min_delta,
-                    min_ip24_delta=self.config.min_ip24_delta,
-                ).to_doc()
-                roster_doc = self._roster_doc(baseline_epoch, matrix)
-                if roster_doc is not None:
-                    churn_doc["roster"] = roster_doc
+                with tracer.span("churn"):
+                    churn_doc = churn_between(
+                        baseline_doc,
+                        results_doc,
+                        min_delta=self.config.min_delta,
+                        min_ip24_delta=self.config.min_ip24_delta,
+                    ).to_doc()
+                    roster_doc = self._roster_doc(baseline_epoch, matrix)
+                    if roster_doc is not None:
+                        churn_doc["roster"] = roster_doc
 
             # Alarm pass: classify this epoch's routing story against the
             # previous committed epoch.  Runs after the analysis so the
@@ -652,17 +664,22 @@ class CensusService:
                 trust_report=trust_report,
                 alarms=alarm_list if self.config.alarms else None,
             )
-        self.archive.commit_run(
-            epoch,
-            manifest_core,
-            census.records,
-            results_doc,
-            telemetry_doc=telemetry_doc,
-            events_lines=events_lines,
-            trust_doc=trust_report.to_doc() if trust_report is not None else None,
-        )
-        if journal.exists():
-            journal.unlink()
+        with tracer.span("commit") as commit_span:
+            before = Counter(self.archive.counters)
+            self.archive.commit_run(
+                epoch,
+                manifest_core,
+                census.records,
+                results_doc,
+                telemetry_doc=telemetry_doc,
+                events_lines=events_lines,
+                trust_doc=trust_report.to_doc() if trust_report is not None else None,
+            )
+            done = self.archive.counters - before
+            for name in ("fragments_reused", "fragments_encoded", "index_entries_read"):
+                commit_span.set(name, done[name])
+            if journal.exists():
+                journal.unlink()
 
         summary = results_doc["summary"]
         return EpochOutcome(
@@ -849,6 +866,30 @@ class CensusService:
             "event_summary": events.snapshot(),
         }
         return doc, events.to_lines()
+
+    def _carry_signatures(
+        self,
+        baseline_doc: Optional[Dict[str, Any]],
+        history_docs: Dict[int, Dict[str, Any]],
+    ) -> Tuple[Optional[Dict[int, str]], List[Tuple[int, Dict[int, str]]]]:
+        """The baseline's and the history's signature maps for
+        :func:`plan_delta`, built once per document: the archive hands
+        back the same (read-only) document while its bytes are unchanged,
+        so the maps of the documents this epoch used are kept for the
+        next one."""
+        maps: Dict[int, Tuple[Dict[str, Any], Dict[int, str]]] = {}
+
+        def signature_map(doc: Dict[str, Any]) -> Dict[int, str]:
+            kept = self._signature_maps.get(id(doc))
+            if kept is None:
+                kept = (doc, self._baseline_signatures(doc))
+            maps[id(doc)] = kept
+            return kept[1]
+
+        baseline = signature_map(baseline_doc) if baseline_doc is not None else None
+        history = [(e, signature_map(doc)) for e, doc in history_docs.items()]
+        self._signature_maps = maps
+        return baseline, history
 
     @staticmethod
     def _baseline_signatures(

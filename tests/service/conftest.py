@@ -66,3 +66,18 @@ def scratch_archive(reference_archive, tmp_path) -> pathlib.Path:
     root = tmp_path / "archive"
     shutil.copytree(reference_archive, root)
     return root
+
+
+def same_json(a, b) -> bool:
+    """Deep equality that also demands equal key order and equal types,
+    as between two ``json.loads`` results (floats by ``repr``, so NaN
+    equals NaN and ``-0.0`` differs from ``0.0``)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    if isinstance(a, float):
+        return repr(a) == repr(b)
+    return a == b

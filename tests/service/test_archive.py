@@ -212,3 +212,81 @@ class TestReaders:
         archive.index_path.write_text("garbage")
         assert archive.read_index() is None  # unreadable -> rebuildable
         assert run_dirname(0) in archive.build_index()["runs"]
+
+
+class TestIndexMemo:
+    """``build_index`` keeps each run's entry on its manifest's stat; the
+    written index must always equal a memo-free rebuild."""
+
+    POINTS = ("commit:staged", "commit:renamed", "commit:indexed")
+
+    @staticmethod
+    def memo_free(archive):
+        return CensusArchive(archive.root).build_index()
+
+    def test_index_equals_a_memo_free_rebuild_after_every_commit(
+        self, tmp_path, sample_run
+    ):
+        core, records, results = sample_run
+        archive = CensusArchive(tmp_path / "archive")
+        for epoch in range(4):
+            archive.commit_run(epoch, core, records, results)
+            assert archive.read_index() == self.memo_free(archive)
+
+    @pytest.mark.parametrize("same_archive", [True, False], ids=["same", "fresh"])
+    @pytest.mark.parametrize("point", POINTS)
+    def test_index_after_a_crash_and_resume(
+        self, tmp_path, sample_run, point, same_archive
+    ):
+        core, records, results = sample_run
+        archive = CensusArchive(tmp_path / "archive")
+        for epoch in range(2):
+            archive.commit_run(epoch, core, records, results)
+
+        class Kill(Exception):
+            pass
+
+        def hook(name):
+            if name == point:
+                raise Kill(name)
+
+        archive.crash_hook = hook
+        with pytest.raises(Kill):
+            archive.commit_run(2, core, records, results)
+        archive.crash_hook = None
+        if not same_archive:
+            archive = CensusArchive(archive.root)
+        for epoch in range(2 if not archive.has(2) else 3, 5):
+            archive.commit_run(epoch, core, records, results)
+            assert archive.read_index() == self.memo_free(archive)
+        assert sorted(archive.read_index()["runs"]) == [run_dirname(e) for e in range(5)]
+
+    def test_quiet_commit_reads_no_older_manifest(
+        self, tmp_path, sample_run, monkeypatch
+    ):
+        core, records, results = sample_run
+        archive = CensusArchive(tmp_path / "archive")
+        for epoch in range(3):
+            archive.commit_run(epoch, core, records, results)
+        read = []
+        real = archive.read_manifest
+
+        def spy(epoch):
+            read.append(epoch)
+            return real(epoch)
+
+        monkeypatch.setattr(archive, "read_manifest", spy)
+        before = archive.counters["index_entries_read"]
+        archive.commit_run(3, core, records, results)
+        assert read == [3]
+        assert archive.counters["index_entries_read"] - before == 1
+
+    def test_a_changed_manifest_is_read_again(self, tmp_path, sample_run):
+        core, records, results = sample_run
+        archive = CensusArchive(tmp_path / "archive")
+        for epoch in range(3):
+            archive.commit_run(epoch, core, records, results)
+        (archive.run_dir(1) / MANIFEST_FILE).write_text("{ rotten")
+        index = archive.build_index()
+        assert index == self.memo_free(archive)
+        assert sorted(index["runs"]) == [run_dirname(0), run_dirname(2)]
