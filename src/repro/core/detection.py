@@ -159,11 +159,7 @@ def _filter_rows(
             # radius makes every pair sum infinite and every disk contain
             # the certificate point.
             radii = np.where(np.isnan(radii), np.inf, radii)
-            nearest = radii.argmin(axis=1)
-            gaps = vp_distances_km[nearest]
-            smallest = radii[np.arange(len(radii)), nearest]
-            witnessed = (gaps > radii + smallest[:, None]).any(axis=1)
-            outside = gaps + CERTIFICATE_SLACK_KM > radii
+            witnessed, outside = witness_filter(vp_distances_km, radii)
             outside[witnessed] = False
             residue = np.nonzero(outside.any(axis=1))[0]
             verdict = out[start : start + step]
@@ -183,6 +179,28 @@ def _filter_rows(
         for key, value in counts.items():
             metrics.counter(f"detection_rows_{key}").inc(value)
     return out
+
+
+def witness_filter(
+    vp_distances_km: np.ndarray, radii_km: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The witness and certificate tests of a block of float64 radius rows.
+
+    ``radii_km`` holds ``+inf`` for every disk that must take no part (a
+    missing sample, a silenced VP).  Returns ``(witnessed, outside)``:
+    ``witnessed[t]`` when row *t*'s minimum-radius disk *m* is disjoint
+    from another of its disks, and ``outside[t, j]`` when disk *j* does
+    not hold VP *m*'s location by :data:`CERTIFICATE_SLACK_KM`.  Every
+    disjoint pair of a row has a member among its ``outside`` disks (see
+    :func:`detection_mask`), so a row with none is certified.  Span-free:
+    detection and the trust engine's solo-violation peel both call it.
+    """
+    nearest = radii_km.argmin(axis=1)
+    gaps = vp_distances_km[nearest]
+    smallest = radii_km[np.arange(len(radii_km)), nearest]
+    witnessed = (gaps > radii_km + smallest[:, None]).any(axis=1)
+    outside = gaps + CERTIFICATE_SLACK_KM > radii_km
+    return witnessed, outside
 
 
 def _any_disjoint_pair(

@@ -70,13 +70,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..census.combine import RttMatrix
+from ..core.detection import witness_filter
 from ..geo.disks import FIBER_SPEED_KM_PER_MS
-from ..obs import current_events, current_metrics
+from ..obs import current_events, current_metrics, current_tracer
 
 if TYPE_CHECKING:
     from ..measurement.campaign import CampaignHealthReport
@@ -86,6 +87,10 @@ TRUST_REASON_NEGATIVE_RTT = "negative-rtt"
 TRUST_REASON_SOL_VIOLATION = "sol-violation-outlier"
 TRUST_REASON_RTT_INFLATION = "rtt-inflation"
 TRUST_REASON_STUCK_RTT = "stuck-rtt"
+
+#: Cells per (rows, V) temporary of the solo-violation peel: 1 MB of
+#: float64, where the all-pairs test needed (rows, V, V) per block.
+_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -301,18 +306,19 @@ def _robust_z(
 
 
 def score_vps(
-    matrix: RttMatrix,
-    policy: Optional[TrustPolicy] = None,
-    chunk: int = 256,
+    matrix: RttMatrix, policy: Optional[TrustPolicy] = None
 ) -> VpTrustReport:
     """Score every vantage point of a matrix against the roster.
 
     Pure and deterministic: the report depends only on the matrix
     contents and the policy.  Metrics/events are emitted when an obs
-    context is active.
+    context is active, and the enclosing span (the ``trust`` stage) is
+    annotated with ``rows_violating`` (target rows holding a
+    speed-of-light violation among the pass-2 cohort) and
+    ``peel_rounds`` (solo-violation rounds scanned).
     """
     policy = policy or TrustPolicy()
-    n_targets, n_vps = matrix.rtt_ms.shape
+    n_vps = matrix.n_vps
     rtt = matrix.rtt_ms.astype(np.float64)
     present = ~np.isnan(rtt)
     col_samples = present.sum(axis=0)
@@ -323,6 +329,7 @@ def score_vps(
     ]
     report = VpTrustReport(verdicts=verdicts)
     if n_vps < policy.min_roster:
+        current_tracer().annotate(rows_violating=0, peel_rounds=0)
         _emit(report)
         return report
 
@@ -344,82 +351,11 @@ def score_vps(
     surviving = ~(has_negative | stuck)
 
     # ---- Pass 2: iterative solo-violation attribution.
-    #
-    # Per round: with the currently-excised columns silenced (radius
-    # +inf never forms a disjoint pair), count for each VP the targets
-    # whose violating pairs ALL involve it — remove the VP and that
-    # target has no violation left.  Flag the single worst offender
-    # above the margin, silence it, rescan; repeat until nothing
-    # clears the margin or a roster-fraction cap trips.  One-at-a-time
-    # argmax matters twice over: corroborating liars hide each other
-    # from a single-shot solo count until the first is peeled off, and
-    # a lone fabricated pair is formally attributable to *both* of its
-    # endpoints — the honest endpoint's rate deflates once the liar
-    # (the common endpoint of many such pairs, hence the argmax) goes.
-    distances = matrix.vp_distance_matrix()
-    radii = rtt / 2.0 * policy.speed_km_per_ms
-    sol_flag = np.zeros(n_vps, dtype=bool)
-    solo_rates = np.zeros(n_vps, dtype=np.float64)
-    violation_rate = np.zeros(n_vps, dtype=np.float64)
-    max_solo = int(policy.max_excised_fraction * int(surviving.sum()))
-    sol_aborted = False
-    first_round = True
-    while True:
-        active = surviving & ~sol_flag
-        safe = np.where(present & active[None, :], radii, np.inf)
-        solo_counts = np.zeros(n_vps, dtype=np.int64)
-        raw_counts = np.zeros(n_vps, dtype=np.int64)
-        raw_pairs = np.zeros(n_vps, dtype=np.int64)
-        for start in range(0, n_targets, chunk):
-            block = safe[start : start + chunk]
-            sums = block[:, :, None] + block[:, None, :]
-            violations = distances[None, :, :] > sums
-            involved = violations.sum(axis=2)  # (t, n): pairs touching VP j
-            total = involved.sum(axis=1)  # (t,): 2 x violating pairs
-            solo = (involved > 0) & (2 * involved == total[:, None])
-            solo_counts += solo.sum(axis=0)
-            if first_round:
-                both = present[start : start + chunk] & active[None, :]
-                raw_counts += involved.sum(axis=0)
-                raw_pairs += (
-                    both.sum(axis=1)[:, None] * both - both
-                ).sum(axis=0)
-        rates = solo_counts / np.maximum(col_samples, 1)
-        solo_rates = np.where(active, rates, solo_rates)
-        if first_round:
-            violation_rate = raw_counts / np.maximum(raw_pairs, 1)
-            first_round = False
-        # A candidate must clear the absolute floor AND be a robust
-        # outlier against the surviving roster's own solo background —
-        # clustered rosters have honestly-high backgrounds (see
-        # ``TrustPolicy.solo_z``) that no fixed threshold survives.
-        cohort = rates[scorable & active]
-        if cohort.size >= policy.min_roster:
-            cohort_median = float(np.median(cohort))
-            cohort_mad = float(np.median(np.abs(cohort - cohort_median)))
-            scale = max(1.4826 * cohort_mad, policy.solo_mad_floor)
-            threshold = max(
-                policy.solo_margin, cohort_median + policy.solo_z * scale
-            )
-        else:
-            threshold = np.inf  # too few scorable columns to out-vote
-        candidates = scorable & active & (rates > threshold)
-        if not bool(candidates.any()):
-            break
-        if int(sol_flag.sum()) >= max_solo:
-            # The peel hit the cohort-fraction cap with offenders still
-            # standing.  A true liar minority converges before the cap
-            # (each excision removes its fabrications); an endless
-            # supply of "offenders" means the solo statistic is seeing
-            # honest structure — every peeled regional witness promotes
-            # the next one.  There is no coherent consensus to defer
-            # to, so drop every solo flag instead of excising a third
-            # of an honest roster.
-            sol_aborted = True
-            sol_flag[:] = False
-            break
-        worst = int(np.argmax(np.where(candidates, rates, -1.0)))
-        sol_flag[worst] = True
+    peel = _solo_peel(matrix, rtt, present, surviving, scorable, col_samples, policy)
+    sol_flag = peel.flags
+    current_tracer().annotate(
+        rows_violating=peel.rows_violating, peel_rounds=peel.rounds
+    )
 
     # Median residual over each target's best RTT among the columns that
     # survived both passes (liars neither set the reference nor sit in
@@ -450,10 +386,10 @@ def score_vps(
         & (residual_ms > residual_median + policy.residual_margin_ms)
     )
 
-    report.sol_check_aborted = sol_aborted
+    report.sol_check_aborted = peel.aborted
     for j, verdict in enumerate(verdicts):
-        verdict.violation_rate = float(violation_rate[j])
-        verdict.solo_rate = float(solo_rates[j])
+        verdict.violation_rate = float(peel.violation_rate[j])
+        verdict.solo_rate = float(peel.solo_rates[j])
         verdict.residual_ms = float(residual_ms[j])
         verdict.residual_zscore = float(residual_zs[j])
         verdict.spread_ms = float(spread_ms[j])
@@ -471,6 +407,175 @@ def score_vps(
 
     _emit(report)
     return report
+
+
+class _Peel(NamedTuple):
+    """Outcome of pass 2's solo-violation peel."""
+
+    #: Columns convicted by the solo check (all False when aborted).
+    flags: np.ndarray
+    #: Per VP: the solo rate at its excision round (flagged) or at the
+    #: last round (kept); 0 for columns outside the pass-2 cohort.
+    solo_rates: np.ndarray
+    #: Per VP: first-round violating pairs over sampled pairs.
+    violation_rate: np.ndarray
+    aborted: bool
+    #: Target rows with a violation in the first round.
+    rows_violating: int
+    #: Rounds scanned: one per solo conviction (dropped ones included),
+    #: plus the last.
+    rounds: int
+
+
+def _solo_peel(
+    matrix: RttMatrix,
+    rtt: np.ndarray,
+    present: np.ndarray,
+    surviving: np.ndarray,
+    scorable: np.ndarray,
+    col_samples: np.ndarray,
+    policy: TrustPolicy,
+) -> _Peel:
+    """Pass 2: iterative solo-violation attribution.
+
+    Per round: with the currently-excised columns silenced (radius +inf
+    never forms a disjoint pair), count for each VP the targets whose
+    violating pairs ALL involve it — remove the VP and that target has
+    no violation left.  Flag the single worst offender above the margin,
+    silence it, rescan; repeat until nothing clears the margin or a
+    roster-fraction cap trips.  One-at-a-time argmax matters twice over:
+    corroborating liars hide each other from a single-shot solo count
+    until the first is peeled off, and a lone fabricated pair is formally
+    attributable to *both* of its endpoints — the honest endpoint's rate
+    deflates once the liar (the common endpoint of many such pairs, hence
+    the argmax) goes.
+
+    Only rows that hold a violation contribute a count, and silencing a
+    column can only remove violations, so round 1 scans every row and
+    each later round rescans just the rows that still violated in the
+    round before.
+    """
+    n_targets, n_vps = rtt.shape
+    distances = matrix.vp_distance_matrix()
+    speed = policy.speed_km_per_ms
+    both = present & surviving
+    # Sampled (target, peer) pairs per VP, the violation-rate denominator.
+    raw_pairs = (both.sum(axis=1) - 1) @ both
+    sol_flag = np.zeros(n_vps, dtype=bool)
+    solo_rates = np.zeros(n_vps, dtype=np.float64)
+    violation_rate = np.zeros(n_vps, dtype=np.float64)
+    max_solo = int(policy.max_excised_fraction * int(surviving.sum()))
+    aborted = False
+    rows = np.arange(n_targets)
+    rows_violating = 0
+    rounds = 0
+    while True:
+        active = surviving & ~sol_flag
+        solo_counts, raw_counts, rows = _peel_round(
+            distances, rtt, present, active, rows, speed
+        )
+        rates = solo_counts / np.maximum(col_samples, 1)
+        solo_rates = np.where(active, rates, solo_rates)
+        if rounds == 0:
+            violation_rate = raw_counts / np.maximum(raw_pairs, 1)
+            rows_violating = len(rows)
+        rounds += 1
+        # A candidate must clear the absolute floor AND be a robust
+        # outlier against the surviving roster's own solo background —
+        # clustered rosters have honestly-high backgrounds (see
+        # ``TrustPolicy.solo_z``) that no fixed threshold survives.
+        cohort = rates[scorable & active]
+        if cohort.size >= policy.min_roster:
+            cohort_median = float(np.median(cohort))
+            cohort_mad = float(np.median(np.abs(cohort - cohort_median)))
+            scale = max(1.4826 * cohort_mad, policy.solo_mad_floor)
+            threshold = max(
+                policy.solo_margin, cohort_median + policy.solo_z * scale
+            )
+        else:
+            threshold = np.inf  # too few scorable columns to out-vote
+        candidates = scorable & active & (rates > threshold)
+        if not bool(candidates.any()):
+            break
+        if int(sol_flag.sum()) >= max_solo:
+            # The peel hit the cohort-fraction cap with offenders still
+            # standing.  A true liar minority converges before the cap
+            # (each excision removes its fabrications); an endless
+            # supply of "offenders" means the solo statistic is seeing
+            # honest structure — every peeled regional witness promotes
+            # the next one.  There is no coherent consensus to defer
+            # to, so drop every solo flag instead of excising a third
+            # of an honest roster.
+            aborted = True
+            sol_flag[:] = False
+            break
+        worst = int(np.argmax(np.where(candidates, rates, -1.0)))
+        sol_flag[worst] = True
+    return _Peel(sol_flag, solo_rates, violation_rate, aborted, rows_violating, rounds)
+
+
+def _peel_round(
+    distances: np.ndarray,
+    rtt: np.ndarray,
+    present: np.ndarray,
+    active: np.ndarray,
+    rows: np.ndarray,
+    speed_km_per_ms: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One peel round over ``rows`` with the inactive columns silenced.
+
+    Returns per-VP ``(solo_counts, raw_counts, violating_rows)``: the
+    rows whose every violating pair involves the VP, the violating
+    pairs the VP is part of, and the subset of ``rows`` that holds any
+    violation.  Rows go in blocks of :data:`_BLOCK_CELLS` cells.
+    """
+    n_vps = len(active)
+    solo_counts = np.zeros(n_vps, dtype=np.int64)
+    raw_counts = np.zeros(n_vps, dtype=np.int64)
+    violating = [rows[:0]]
+    step = max(1, _BLOCK_CELLS // max(n_vps, 1))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        radii = np.where(
+            present[block] & active, rtt[block] / 2.0 * speed_km_per_ms, np.inf
+        )
+        _, outside = witness_filter(distances, radii)
+        held = outside.any(axis=1)  # the rest are certified: no violation
+        block, radii, outside = block[held], radii[held], outside[held]
+        involved = _violating_partners(distances, radii, outside, step)
+        total = involved.sum(axis=1)  # 2 x violating pairs
+        solo_counts += ((involved > 0) & (2 * involved == total[:, None])).sum(axis=0)
+        raw_counts += involved.sum(axis=0)
+        violating.append(block[total > 0])
+    return solo_counts, raw_counts, np.concatenate(violating)
+
+
+def _violating_partners(
+    distances: np.ndarray, radii: np.ndarray, outside: np.ndarray, step: int
+) -> np.ndarray:
+    """Per (row, VP): how many disks of the row are disjoint from its own.
+
+    Equal to the all-pairs count ``#{j : D[i, j] > r_i + r_j}``, found
+    without it: every disjoint pair has a member among the row's
+    ``outside`` disks (:func:`~repro.core.detection.witness_filter`), so
+    only those run the pair test against the whole row, in blocks of
+    ``step`` (row, disk) cells.  An outside disk's count is its own row
+    of hits; any other disk's partners are all outside, so its count is
+    the sum of its column over the outside disks' hits (``D`` is
+    symmetric).
+    """
+    involved = np.zeros(radii.shape, dtype=np.int64)
+    rows, disks = np.nonzero(outside)
+    partners = np.empty(len(rows), dtype=np.int64)
+    for k in range(0, len(rows), step):
+        row, disk = rows[k : k + step], disks[k : k + step]
+        hits = distances[disk] > radii[row] + radii[row, disk][:, None]
+        partners[k : k + step] = hits.sum(axis=1)
+        # ``np.nonzero`` runs row-major: each row's disks are contiguous.
+        first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        involved[row[first]] += np.add.reduceat(hits, first, axis=0, dtype=np.int64)
+    involved[rows, disks] = partners
+    return involved
 
 
 def _emit(report: VpTrustReport) -> None:
@@ -508,8 +613,9 @@ def apply_trust(
     keep = [j for j, name in enumerate(matrix.vp_names) if name not in untrusted]
     if not keep:
         raise ValueError("trust filtering would excise every vantage point")
-    drop = [j for j in range(matrix.n_vps) if j not in set(keep)]
-    excised = (~np.isnan(matrix.rtt_ms[:, drop])).sum(axis=1).astype(np.int64)
+    dropped = np.ones(matrix.n_vps, dtype=bool)
+    dropped[keep] = False
+    excised = (~np.isnan(matrix.rtt_ms[:, dropped])).sum(axis=1).astype(np.int64)
     filtered = replace(
         matrix,
         vp_names=[matrix.vp_names[j] for j in keep],

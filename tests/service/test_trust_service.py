@@ -21,6 +21,7 @@ import pathlib
 import pytest
 
 from repro.measurement.faults import VpDistortionPlan
+from repro.obs import Tracer, activate
 from repro.resilience import CorruptInputError, ResiliencePolicy, StageFailed
 from repro.service import CensusService, ServiceConfig
 from repro.service.archive import TRUST_FILE
@@ -133,6 +134,29 @@ class TestDistortedService:
         replayed = service.run_epoch(0)
         assert replayed.status == "already-present"
         assert replayed.untrusted_vps == outcomes[0].untrusted_vps
+
+
+class TestTrustSpan:
+    def test_epoch_trust_span_reports_the_peel(self, tmp_path):
+        """The epoch's ``trust`` span carries the peel's row and round
+        counts: violating rows are a subset of the day's targets, and a
+        peel that convicts through the solo check runs one round per
+        conviction plus the round that finds nobody left."""
+        plan = VpDistortionPlan(fraction=0.25, seed=99, kinds=("geo_error",))
+        service = small_service(tmp_path, trust=True, vp_distortion=plan)
+        tracer = Tracer()
+        with activate(tracer=tracer):
+            outcome = service.run_epoch(0)
+        root = tracer.to_dicts()[0]
+        (span,) = [c for c in root["children"] if c["name"] == "trust"]
+        attrs = span["attrs"]
+        assert 0 < attrs["rows_violating"] < outcome.n_targets
+        report = service.archive.read_trust(0)
+        solo = [
+            v for v in report["verdicts"] if "sol-violation-outlier" in v["reasons"]
+        ]
+        assert solo and not report["sol_check_aborted"]
+        assert attrs["peel_rounds"] == len(solo) + 1
 
 
 class TestUnfilteredDistortion:
