@@ -72,6 +72,9 @@ class BgpRoutingPlane:
         if len(self._stubs) == 0 or len(self._infra) == 0:
             raise ValueError("BGP graph needs both stub and infrastructure ASes")
         self._attach_cache: Dict[bytes, np.ndarray] = {}
+        #: Replica-coordinate bytes -> origin AS per site (see
+        #: :meth:`site_attachments`).
+        self._site_cache: Dict[bytes, np.ndarray] = {}
         self._routes_cache: Dict[Tuple[Announcement, ...], DeploymentRoutes] = {}
         #: Calls to :func:`propagate` so far (cache misses and engineered
         #: announcement sets) — what a traced epoch reports as its
@@ -125,11 +128,31 @@ class BgpRoutingPlane:
         )
         return self._infra[np.argmin(d, axis=1)]
 
+    @staticmethod
+    def _site_key(deployment: "AnycastDeployment") -> bytes:
+        """The exact replica coordinates of a deployment, as bytes."""
+        coords = np.array(
+            [(r.location.lat, r.location.lon) for r in deployment.replicas],
+            dtype=np.float64,
+        )
+        return coords.tobytes()
+
     def site_attachments(self, deployment: "AnycastDeployment") -> np.ndarray:
-        """Origin AS per replica site (nearest infrastructure AS)."""
-        rep_lats = [r.location.lat for r in deployment.replicas]
-        rep_lons = [r.location.lon for r in deployment.replicas]
-        return self.attach_infrastructure(rep_lats, rep_lons)
+        """Origin AS per replica site (nearest infrastructure AS; read-only).
+
+        Memoised on the exact replica coordinates, like
+        :meth:`attach_clients`: a deployment carried into another epoch
+        finds its origins already attached.
+        """
+        key = self._site_key(deployment)
+        cached = self._site_cache.get(key)
+        if cached is None:
+            rep_lats = [r.location.lat for r in deployment.replicas]
+            rep_lons = [r.location.lon for r in deployment.replicas]
+            cached = self.attach_infrastructure(rep_lats, rep_lons)
+            cached.setflags(write=False)
+            self._site_cache[key] = cached
+        return cached
 
     # ------------------------------------------------------------------
     # Propagation
@@ -210,13 +233,18 @@ class BgpRoutingPlane:
         """Drop every cached route but ``deployments``' pristine ones.
 
         Called when the plane moves on to another epoch's world: the
-        cache then holds one world's announcement sets, however many
-        epochs the plane has served.  Client attachments are dropped too
-        (they are keyed on rosters, which move between epochs).
+        caches then hold one world's announcement sets and site origins,
+        however many epochs the plane has served.  Client attachments are
+        dropped too (they are keyed on rosters, which move between
+        epochs).
         """
         keep = {self.announcements_for(dep) for dep in deployments}
         self._routes_cache = {
             anns: routes for anns, routes in self._routes_cache.items() if anns in keep
+        }
+        sites = {self._site_key(dep) for dep in deployments}
+        self._site_cache = {
+            key: origins for key, origins in self._site_cache.items() if key in sites
         }
         self._attach_cache = {}
 

@@ -71,7 +71,7 @@ from .faults import (
 )
 from .greylist import Blacklist, Greylist
 from .lfsr import lfsr_permutation
-from .platform import Platform, VantagePoint
+from .platform import Platform, VantagePoint, vp_column_digest
 from .prober import (
     SAFE_RATE_PPS,
     ScanTargets,
@@ -315,6 +315,137 @@ class Census:
         return int(self.records.reply_mask.sum()) / max(total_probes, 1)
 
 
+class _GeometryCarry:
+    """What a campaign may take from its predecessor's scan geometry.
+
+    Built by :meth:`between` for a campaign over a world derived from the
+    predecessor's (:meth:`SyntheticInternet.evolved`), usually the
+    service's previous epoch:
+
+    * a **deployment** is carried when it is the very object the
+      predecessor resolved (reused deployments are pure functions of
+      their catalog entry and prefix block) on the same routing plane;
+    * a **VP column** is carried when the predecessor's platform holds a
+      VP of the same identity (:func:`vp_column_digest`) — at the same
+      platform index in geo mode, whose catchment penalties are drawn
+      per row of the (VP x site) matrix;
+    * a **target position** is carried when the predecessor's world holds
+      its prefix at the same place: a unicast host at bit-equal
+      coordinates, or an anycast /24 of a carried deployment.
+
+    A carried deployment's catchment row is the predecessor's whenever
+    every VP column is carried.  A carried VP's base row (keyed noise
+    only: stream noise is positional) is the predecessor's at every
+    carried position; the row is taken out of the predecessor's cache,
+    so the two days' rows are never held at once.
+    """
+
+    def __init__(
+        self,
+        rows: Dict[bytes, np.ndarray],
+        deployment_source: np.ndarray,
+        local_catchment: np.ndarray,
+        column_source: np.ndarray,
+        position_source: np.ndarray,
+    ) -> None:
+        self._rows = rows
+        self._deployment_source = deployment_source
+        self._local_catchment = local_catchment
+        self._column_source = column_source
+        self._all_columns = bool((column_source >= 0).all())
+        #: Positions gathered from a predecessor row, their positions in
+        #: it, and the positions the kernel computes afresh.
+        self.kept = np.flatnonzero(position_source >= 0)
+        self.source = position_source[self.kept]
+        self.fresh = np.flatnonzero(position_source < 0)
+
+    @classmethod
+    def between(
+        cls, previous: "CensusCampaign", campaign: "CensusCampaign"
+    ) -> Optional["_GeometryCarry"]:
+        """The carry from ``previous`` to ``campaign`` (``None`` when their
+        worlds share nothing: another configuration or routing plane, or
+        no target at all)."""
+        before, now = previous.internet, campaign.internet
+        plane = getattr(now, "bgp_plane", None)
+        if (
+            before.config != now.config
+            or getattr(before, "bgp_plane", None) is not plane
+            or before.n_targets == 0
+        ):
+            return None
+        geo = plane is None
+        columns = {
+            vp_column_digest(vp.name, vp.location): j
+            for j, vp in enumerate(previous.platform.vantage_points)
+        }
+        column_source = np.array(
+            [
+                columns.get(vp_column_digest(vp.name, vp.location), -1)
+                for vp in campaign.platform.vantage_points
+            ],
+            dtype=np.int64,
+        )
+        if geo:
+            column_source[column_source != np.arange(len(column_source))] = -1
+        index_before = {id(dep): d for d, dep in enumerate(before.deployments)}
+        deployment_source = np.array(
+            [index_before.get(id(dep), -1) for dep in now.deployments], dtype=np.int64
+        )
+
+        # Each position's prefix in the predecessor's world.
+        order = np.argsort(before.prefixes, kind="stable")
+        ranked = before.prefixes[order]
+        at = np.minimum(np.searchsorted(ranked, now.prefixes), len(ranked) - 1)
+        source = order[at]
+        found = ranked[at] == now.prefixes
+        unicast = (
+            found
+            & ~now.is_anycast
+            & ~before.is_anycast[source]
+            & (now.lats.view(np.int64) == before.lats[source].view(np.int64))
+            & (now.lons.view(np.int64) == before.lons[source].view(np.int64))
+        )
+        dep_now = now.deployment_index.astype(np.int64)
+        carried_dep = np.where(dep_now >= 0, deployment_source[dep_now], -1)
+        anycast = (
+            found
+            & now.is_anycast
+            & (carried_dep >= 0)
+            & (before.deployment_index[source] == carried_dep)
+        )
+        position_source = np.where(unicast | anycast, source, -1)
+
+        rows = (
+            previous._base_rows
+            if previous.noise == campaign.noise == "keyed"
+            else {}
+        )
+        return cls(
+            rows=rows,
+            deployment_source=deployment_source,
+            local_catchment=previous._catchment - previous._site_start[:, None],
+            column_source=column_source,
+            position_source=position_source,
+        )
+
+    def catchment(self, deployment: int) -> Optional[np.ndarray]:
+        """The predecessor's catchment row of one deployment (local site
+        per VP), or ``None`` when it has to be resolved."""
+        source = self._deployment_source[deployment]
+        if source < 0 or not self._all_columns:
+            return None
+        return self._local_catchment[source, self._column_source]
+
+    def take_row(self, key: bytes, platform_index: int) -> Optional[np.ndarray]:
+        """Remove and return the predecessor's base row of the VP at
+        ``platform_index`` (identity ``key``), or ``None`` when it has none
+        to give."""
+        if self._column_source[platform_index] < 0:
+            return None
+        return self._rows.pop(key, None)
+
+
 class CensusCampaign:
     """Reusable census runner for one (internet, platform) pair.
 
@@ -337,6 +468,7 @@ class CensusCampaign:
         executor: ExecutionPolicy = ExecutionPolicy(workers=0),
         noise: str = "stream",
         distortion: Optional[VpDistortionPlan] = None,
+        previous: Optional["CensusCampaign"] = None,
     ) -> None:
         if not 0.0 <= degraded_fraction <= 1.0:
             raise ValueError("degraded_fraction must be in [0, 1]")
@@ -383,8 +515,18 @@ class CensusCampaign:
         self.blacklist = Blacklist()
         self._rng = np.random.default_rng(seed)
         self._census_counter = 0
-        #: Base-RTT row per VP name (see :meth:`base_row`).
-        self._base_rows: Dict[str, np.ndarray] = {}
+        #: Base-RTT row per VP identity, :func:`vp_column_digest` of its
+        #: name and coordinates (see :meth:`base_row`).
+        self._base_rows: Dict[bytes, np.ndarray] = {}
+        #: Scan-geometry accounting: deployment catchment rows taken from
+        #: ``previous``, base rows built on a ``previous`` row, and target
+        #: positions the base-row kernel evaluated.
+        self.catchments_carried = 0
+        self.base_rows_carried = 0
+        self.base_positions_computed = 0
+        self._carry = (
+            _GeometryCarry.between(previous, self) if previous is not None else None
+        )
         self._precompute_catchments()
 
     # ------------------------------------------------------------------
@@ -397,24 +539,30 @@ class CensusCampaign:
         In geo mode (the default) the deployment's own lognormal-penalty
         catchment decides; in BGP mode the internet's routing plane does —
         each VP attaches to its nearest stub AS and the deployment's
-        propagated best routes name the serving site.
+        propagated best routes name the serving site.  A deployment the
+        ``previous`` campaign resolved for the same VPs keeps its row
+        (:class:`_GeometryCarry`).
 
         Also fixes the campaign's scan geometry: target radians and
-        ``cos φ`` once, the anycast positions, and every replica site in
-        radians — a VP's distances then need no per-target trigonometry
-        beyond its own row (:meth:`base_row`).
+        ``cos φ`` once, and every replica site in radians — a VP's
+        distances then need no per-target trigonometry beyond its own row
+        (:meth:`base_row`).
         """
         internet = self.internet
         lats, lons = self.platform.lats, self.platform.lons
         bgp_plane = getattr(internet, "bgp_plane", None)
         deployments = internet.deployments
-        n_prefixes = [len(dep.prefixes) for dep in deployments]
-        catchments = [
-            bgp_plane.catchment(dep, lats, lons)
-            if bgp_plane is not None
-            else dep.catchment(lats, lons)
-            for dep in deployments
-        ]
+        carry = self._carry
+        catchments = []
+        for d, dep in enumerate(deployments):
+            carried = carry.catchment(d) if carry is not None else None
+            if carried is not None:
+                self.catchments_carried += 1
+                catchments.append(carried)
+            elif bgp_plane is not None:
+                catchments.append(bgp_plane.catchment(dep, lats, lons))
+            else:
+                catchments.append(dep.catchment(lats, lons))
         site_lats = [r.location.lat for dep in deployments for r in dep.replicas]
         site_lons = [r.location.lon for dep in deployments for r in dep.replicas]
         n_sites = np.array([len(dep.replicas) for dep in deployments], dtype=np.int64)
@@ -425,21 +573,38 @@ class CensusCampaign:
         self._site_phi = np.radians(np.asarray(site_lats, dtype=np.float64))
         self._site_lam = np.radians(np.asarray(site_lons, dtype=np.float64))
         self._site_cos_phi = np.cos(self._site_phi)
-        #: Every anycast target position (one bulk lookup over all the
-        #: deployments' prefixes, in deployment order), and its deployment.
-        self._anycast_pos = internet.target_indices(
-            np.fromiter(
-                (p for dep in deployments for p in dep.prefixes),
-                dtype=np.int64,
-                count=sum(n_prefixes),
-            )
-        )
-        self._anycast_dep = np.repeat(np.arange(len(deployments)), n_prefixes)
+        #: First flat site index of each deployment.
+        self._site_start = np.cumsum(n_sites) - n_sites
         #: (deployment, platform VP) -> serving site, indexing the flat
         #: site arrays above.
-        self._catchment = (np.cumsum(n_sites) - n_sites)[:, None] + np.array(
+        self._catchment = self._site_start[:, None] + np.array(
             catchments, dtype=np.int64
         ).reshape(len(deployments), len(self.platform))
+
+    def _distances(
+        self, platform_index: int, positions: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Great-circle km from one platform VP to the targets at
+        ``positions`` (every target when ``None``), anycast targets at the
+        site of the VP's catchment."""
+        vp = self.platform.vantage_points[platform_index]
+        phi1 = np.radians(np.asarray([vp.location.lat], dtype=np.float64))
+        lam1 = np.radians(np.asarray([vp.location.lon], dtype=np.float64))
+        at = slice(None) if positions is None else positions
+        distances = haversine_km(
+            phi1, lam1, self._target_phi[at], self._target_lam[at], self._target_cos_phi[at]
+        )
+        deployment = self.internet.deployment_index[at]
+        anycast = np.flatnonzero(deployment >= 0)
+        sites = self._catchment[deployment[anycast], platform_index]
+        distances[anycast] = haversine_km(
+            phi1,
+            lam1,
+            self._site_phi[sites],
+            self._site_lam[sites],
+            self._site_cos_phi[sites],
+        )
+        return distances
 
     def base_row(self, platform_index: int) -> np.ndarray:
         """Per-target base RTT from one platform VP (read-only).
@@ -447,31 +612,48 @@ class CensusCampaign:
         Distances put unicast targets at their host location and anycast
         targets at the replica whose catchment the VP falls into —
         bit-identical to :func:`~repro.geo.coords.pairwise_distances_km`
-        over those effective coordinates.  Cached by VP name for the
-        campaign's lifetime: catchments and paths persist across censuses,
-        only per-probe noise is redrawn.
+        over those effective coordinates.  Cached on the VP's identity
+        (name and coordinates) for the campaign's lifetime: catchments and
+        paths persist across censuses, only per-probe noise is redrawn.
+
+        Under keyed noise a row entry is a pure function of (VP, prefix,
+        distance), so a row the ``previous`` campaign built for the same
+        VP is gathered by prefix wherever the distance cannot have moved,
+        and the kernel (:func:`~repro.measurement.prober.base_rtt_row`)
+        runs only at the other positions; a cold row is the same kernel
+        at every position.
         """
         vp = self.platform.vantage_points[platform_index]
-        row = self._base_rows.get(vp.name)
-        if row is None:
-            phi1 = np.radians(np.asarray([vp.location.lat], dtype=np.float64))
-            lam1 = np.radians(np.asarray([vp.location.lon], dtype=np.float64))
-            distances = haversine_km(
-                phi1, lam1, self._target_phi, self._target_lam, self._target_cos_phi
-            )
-            sites = self._catchment[self._anycast_dep, platform_index]
-            distances[self._anycast_pos] = haversine_km(
-                phi1,
-                lam1,
-                self._site_phi[sites],
-                self._site_lam[sites],
-                self._site_cos_phi[sites],
-            )
+        key = vp_column_digest(vp.name, vp.location)
+        row = self._base_rows.get(key)
+        if row is not None:
+            return row
+        keyed = self.noise == "keyed"
+        before = (
+            self._carry.take_row(key, platform_index)
+            if self._carry is not None
+            else None
+        )
+        if before is None:
             row = base_rtt_row(
-                self.internet, vp, distances, keyed=self.noise == "keyed"
+                self.internet, vp, self._distances(platform_index), keyed=keyed
             )
-            row.setflags(write=False)
-            self._base_rows[vp.name] = row
+            self.base_positions_computed += len(row)
+        else:
+            carry = self._carry
+            row = np.empty(self.internet.n_targets, dtype=np.float64)
+            row[carry.kept] = before[carry.source]
+            row[carry.fresh] = base_rtt_row(
+                self.internet,
+                vp,
+                self._distances(platform_index, carry.fresh),
+                keyed=True,
+                positions=carry.fresh,
+            )
+            self.base_rows_carried += 1
+            self.base_positions_computed += len(carry.fresh)
+        row.setflags(write=False)
+        self._base_rows[key] = row
         return row
 
     # ------------------------------------------------------------------

@@ -18,6 +18,7 @@ We model a platform as a set of :class:`VantagePoint` objects with:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -43,6 +44,22 @@ class VantagePoint:
     def __post_init__(self) -> None:
         if self.host_load < 1.0:
             raise ValueError(f"{self.name}: host_load must be >= 1")
+
+
+def vp_column_digest(name: str, location: GeoPoint) -> bytes:
+    """8-byte digest of one vantage point's identity (name + coordinates).
+
+    Two VPs measure alike only when they carry the same name from the
+    same place: the key of a campaign's base-RTT rows, and the per-cell
+    prefix of every target signature
+    (:func:`~repro.service.delta.target_signatures`).
+    """
+    h = hashlib.blake2b(digest_size=8)
+    h.update(name.encode("utf-8"))
+    h.update(b"\x00")
+    h.update(np.float64(location.lat).tobytes())
+    h.update(np.float64(location.lon).tobytes())
+    return h.digest()
 
 
 @dataclass

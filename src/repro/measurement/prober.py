@@ -68,15 +68,22 @@ def vp_path_seed(internet_seed: int, vp_name: str) -> int:
     return (internet_seed * 2654435761 + zlib.crc32(vp_name.encode())) % (2**31)
 
 
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+def _splitmix64(x: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer over uint64, in place (returns ``x``).
 
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, vectorized over uint64 (wrapping arithmetic)."""
-    x = (x + np.uint64(0x9E3779B97F4A7C15)) & _U64
-    x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _U64
-    x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _U64
-    return x ^ (x >> np.uint64(31))
+    uint64 arithmetic wraps modulo 2**64 on its own; ``shifted`` is a
+    same-shape uint64 buffer for the shifted terms.
+    """
+    x += np.uint64(0x9E3779B97F4A7C15)
+    np.right_shift(x, np.uint64(30), out=shifted)
+    x ^= shifted
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(x, np.uint64(27), out=shifted)
+    x ^= shifted
+    x *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= shifted
+    return x
 
 
 def keyed_uniform(key: int, salt: str, prefixes: np.ndarray) -> np.ndarray:
@@ -93,9 +100,14 @@ def keyed_uniform(key: int, salt: str, prefixes: np.ndarray) -> np.ndarray:
         int(key) * 0x9E3779B97F4A7C15
         + zlib.crc32(salt.encode()) * 0xBF58476D1CE4E5B9
     ) & 0xFFFFFFFFFFFFFFFF
-    x = np.asarray(prefixes).astype(np.uint64) ^ np.uint64(base)
-    z = _splitmix64(_splitmix64(x))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    x = np.asarray(prefixes).astype(np.uint64)
+    x ^= np.uint64(base)
+    shifted = np.empty_like(x)
+    _splitmix64(_splitmix64(x, shifted), shifted)
+    x >>= np.uint64(11)
+    out = x.astype(np.float64)
+    out *= 2.0**-53
+    return out
 
 
 @dataclass
@@ -114,6 +126,7 @@ def base_rtt_row(
     vp: VantagePoint,
     distances_km: np.ndarray,
     keyed: bool = False,
+    positions: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-target base RTT from a VP, deterministic across censuses.
 
@@ -124,14 +137,22 @@ def base_rtt_row(
     target's base RTT then depends only on its own (prefix, path) — not on
     how many other targets the universe holds — at the cost of different
     bytes than stream mode.
+
+    ``positions`` (keyed only) evaluates the row at those target
+    positions alone, ``distances_km`` being the distances to them: each
+    entry is a pure function of (VP, prefix, distance), so the result is
+    bit-equal to the full row at those positions.
     """
     seed = vp_path_seed(internet.config.seed, vp.name)
     if keyed:
+        prefixes = internet.prefixes if positions is None else internet.prefixes[positions]
         return internet.config.latency.path_rtt_ms_from_uniforms(
             distances_km,
-            keyed_uniform(seed, "path-stretch", internet.prefixes),
-            keyed_uniform(seed, "path-lastmile", internet.prefixes),
+            keyed_uniform(seed, "path-stretch", prefixes),
+            keyed_uniform(seed, "path-lastmile", prefixes),
         )
+    if positions is not None:
+        raise ValueError("stream noise is positional: a row is built whole")
     rng = np.random.default_rng(seed)
     return internet.config.latency.path_rtt_ms(distances_km, rng)
 

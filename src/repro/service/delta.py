@@ -44,6 +44,7 @@ import numpy as np
 
 from ..census.combine import RttMatrix
 from ..geo.coords import GeoPoint
+from ..measurement.platform import vp_column_digest
 
 #: Cold-census reasons (manifest ``analysis.reason`` vocabulary).
 REASON_DISABLED = "incremental-disabled"
@@ -55,21 +56,6 @@ REASON_DELTA = "delta"
 #: Row-block budget for :func:`target_signatures` — bounds the reordered
 #: float32 scratch copy to ~16 MB regardless of matrix size.
 _SIGNATURE_BLOCK_CELLS = 1 << 22
-
-
-def vp_column_digest(name: str, location: GeoPoint) -> bytes:
-    """8-byte digest of one vantage point's identity (name + coordinates).
-
-    The per-cell prefix of every target signature: a row cell is only
-    comparable across epochs when it was measured by the same VP from
-    the same place.
-    """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(name.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(np.float64(location.lat).tobytes())
-    h.update(np.float64(location.lon).tobytes())
-    return h.digest()
 
 
 def vp_context_digest(vp_names: Sequence[str], vp_locations: Sequence[GeoPoint]) -> str:
@@ -108,32 +94,110 @@ def target_signatures(
     if the argument was never given, preserving byte-identity of
     trust-on runs over clean data.
     """
-    n_vps = matrix.n_vps
-    order = np.argsort(np.array(matrix.vp_names))
-    digests = [
-        vp_column_digest(matrix.vp_names[int(j)], matrix.vp_locations[int(j)])
-        for j in order
-    ]
+    return sign_rows(matrix, excised).signatures
+
+
+@dataclass(frozen=True)
+class RowSignatures:
+    """One matrix's target signatures, and what the next matrix needs to
+    carry them (:func:`sign_rows`'s ``previous``)."""
+
+    #: Prefix -> signature, in row order (:func:`target_signatures`).
+    signatures: Dict[int, str]
+    #: The matrix's row prefixes (sorted), and each row's signature.
+    prefixes: np.ndarray
+    row_signatures: np.ndarray
+    #: :func:`vp_column_digest` per matrix column, in column order.
+    columns: np.ndarray
+    #: A copy of the matrix's RTT bits (``uint32`` view of ``<f4``).
+    bits: np.ndarray
+    #: Per-row excision count (zeros without trust).
+    excised: np.ndarray
+    #: Rows whose signature was taken from ``previous`` / hashed.
+    carried: int
+    hashed: int
+
+
+def sign_rows(
+    matrix: RttMatrix,
+    excised: Optional[np.ndarray] = None,
+    previous: Optional[RowSignatures] = None,
+) -> RowSignatures:
+    """:func:`target_signatures`, carrying what ``previous`` already hashed.
+
+    A row keeps ``previous``'s signature when ``previous`` has the same
+    prefix with the same excision count, every VP both matrices share
+    (same :func:`vp_column_digest`) holds bit-equal RTTs, and every
+    other VP's cell is NaN on its side: the bytes fed to blake2b are then
+    identical.  Only the other rows are hashed, by the one loop below;
+    with no ``previous`` every row is.
+    """
+    n_rows, n_vps = matrix.rtt_ms.shape
+    names = list(matrix.vp_names)
+    order = np.argsort(np.array(names))
+    columns = np.array(
+        [vp_column_digest(n, loc) for n, loc in zip(names, matrix.vp_locations)],
+        dtype="S8",
+    )
+    bits = np.array(matrix.rtt_ms, dtype="<f4", order="C").view("<u4")
+    rtt = bits.view("<f4")
+    counts = (
+        np.zeros(n_rows, dtype=np.int64)
+        if excised is None
+        else np.asarray(excised, dtype=np.int64)
+    )
+    row_signatures = np.empty(n_rows, dtype=object)
+    carried = np.zeros(n_rows, dtype=bool)
+    if previous is not None and len(previous.prefixes):
+        at = np.minimum(
+            np.searchsorted(previous.prefixes, matrix.prefixes),
+            len(previous.prefixes) - 1,
+        )
+        rows = np.flatnonzero(
+            (previous.prefixes[at] == matrix.prefixes)
+            & (previous.excised[at] == counts)
+        )
+        at = at[rows]
+        where = {bytes(d): j for j, d in enumerate(previous.columns)}
+        source = np.array([where.get(bytes(d), -1) for d in columns], dtype=np.int64)
+        shared = source >= 0
+        same = (
+            bits[rows][:, shared] == previous.bits[at][:, source[shared]]
+        ).all(axis=1)
+        same &= np.isnan(rtt[rows][:, ~shared]).all(axis=1)
+        gone = np.setdiff1d(np.arange(len(previous.columns)), source[shared])
+        same &= np.isnan(previous.bits[at][:, gone].view("<f4")).all(axis=1)
+        carried[rows[same]] = True
+        row_signatures[rows[same]] = previous.row_signatures[at[same]]
+
     cells = np.zeros(n_vps, dtype=[("vp", "S8"), ("rtt", "<f4")])
-    cells["vp"] = digests
-    signatures: Dict[int, str] = {}
-    # Reorder/hash one row block at a time: the full ``[:, order]`` copy
-    # is a second dense matrix (40 GB at Atlas scale) for no gain — the
-    # per-row bytes fed to blake2b are identical either way.
+    cells["vp"] = columns[order]
+    # Reorder/hash one row block at a time: the reordered copy stays
+    # bounded whatever the matrix size — the per-row bytes fed to blake2b
+    # are identical either way.
+    need = np.flatnonzero(~carried)
     block_rows = max(1, _SIGNATURE_BLOCK_CELLS // max(n_vps, 1))
-    for lo in range(0, len(matrix.prefixes), block_rows):
-        hi = min(lo + block_rows, len(matrix.prefixes))
-        rtt = np.ascontiguousarray(matrix.rtt_ms[lo:hi], dtype="<f4")[:, order]
-        present = ~np.isnan(rtt)
-        for i in range(hi - lo):
-            cells["rtt"] = rtt[i]
+    for lo in range(0, len(need), block_rows):
+        block = need[lo : lo + block_rows]
+        reordered = rtt[np.ix_(block, order)]
+        present = ~np.isnan(reordered)
+        for i, row in enumerate(block.tolist()):
+            cells["rtt"] = reordered[i]
             h = hashlib.blake2b(digest_size=8)
             h.update(cells[present[i]].tobytes())
-            row = lo + i
-            if excised is not None and excised[row]:
-                h.update(b"\x01" + int(excised[row]).to_bytes(4, "little"))
-            signatures[int(matrix.prefixes[row])] = h.hexdigest()
-    return signatures
+            if counts[row]:
+                h.update(b"\x01" + int(counts[row]).to_bytes(4, "little"))
+            row_signatures[row] = h.hexdigest()
+    return RowSignatures(
+        signatures=dict(zip(matrix.prefixes.tolist(), row_signatures.tolist())),
+        prefixes=np.array(matrix.prefixes),
+        row_signatures=row_signatures,
+        columns=columns,
+        bits=bits,
+        excised=counts,
+        carried=int(carried.sum()),
+        hashed=len(need),
+    )
 
 
 @dataclass

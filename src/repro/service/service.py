@@ -90,7 +90,7 @@ from ..resilience import (
 )
 from .archive import CensusArchive
 from .churn import churn_between, roster_churn
-from .delta import DeltaPlan, plan_delta, target_signatures, vp_context_digest
+from .delta import DeltaPlan, RowSignatures, plan_delta, sign_rows, vp_context_digest
 from .fsck import FsckReport, fsck_archive
 
 RESULTS_KIND = "census-results"
@@ -293,6 +293,12 @@ class CensusService:
         self._catalogs: Dict[int, List[CatalogEntry]] = {}
         #: The last world :meth:`internet_for` built, with its epoch.
         self._world: Optional[Tuple[int, SyntheticInternet]] = None
+        #: The last epoch's campaign and signed matrix: the next epoch
+        #: carries their scan geometry and signatures (see
+        #: :class:`~repro.measurement.campaign.CensusCampaign`'s
+        #: ``previous`` and :func:`~repro.service.delta.sign_rows`).
+        self._campaign: Optional[CensusCampaign] = None
+        self._signed: Optional[RowSignatures] = None
         #: id(results doc) -> (doc, its signature map), for the documents
         #: the last epoch planned against.
         self._signature_maps: Dict[int, Tuple[Dict[str, Any], Dict[int, str]]] = {}
@@ -471,12 +477,14 @@ class CensusService:
                     noise=self.config.noise,
                     fault_plan=self.config.fault_plan,
                     distortion=self.config.vp_distortion,
+                    previous=self._campaign,
                     **(
                         {"rate_pps": self.config.rate_pps}
                         if self.config.rate_pps is not None
                         else {}
                     ),
                 )
+                self._campaign = campaign
                 kept = (
                     {id(dep) for dep in previous.deployments}
                     if previous is not None
@@ -490,6 +498,7 @@ class CensusService:
                 world_span.set(
                     "routes_propagated", _routes_propagated(internet) - propagated
                 )
+                world_span.set("catchments_carried", campaign.catchments_carried)
             journal = self.archive.journal_path(epoch)
 
             def measure():
@@ -501,6 +510,10 @@ class CensusService:
                 )
 
             census = self._stage("measurement", measure, epoch)
+            # Base rows are built as the census scans each VP: the world
+            # span reports them once the measurement is done.
+            world_span.set("base_rows_carried", campaign.base_rows_carried)
+            world_span.set("base_positions_computed", campaign.base_positions_computed)
             if census.health is not None:
                 for vp_name in census.health.quarantined_vps:
                     events.emit(
@@ -536,8 +549,12 @@ class CensusService:
                 matrix, excised, trust_report = self._stage(
                     "trust", lambda: trust_gate(matrix, [census.health]), epoch
                 )
-            with tracer.span("signatures"):
-                signatures = target_signatures(matrix, excised)
+            with tracer.span("signatures") as signatures_span:
+                signed = sign_rows(matrix, excised, previous=self._signed)
+                self._signed = signed
+                signatures = signed.signatures
+                signatures_span.set("carried", signed.carried)
+                signatures_span.set("hashed", signed.hashed)
 
             with tracer.span("baseline") as baseline_span:
                 before = Counter(self.archive.counters)

@@ -3,6 +3,7 @@ catchments, route caching."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from repro.bgp import Announcement, BgpRoutingPlane
 from repro.bgp.graph import TIER_STUB
+from repro.census.longitudinal import EvolutionConfig, evolve_catalog
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +93,53 @@ def test_retain_keeps_only_the_given_deployments_routes(bgp_internet):
     assert plane.routes_propagated == 2
     plane.deployment_routes(dropped)
     assert plane.routes_propagated == 3
+
+
+class MemoFreePlane(BgpRoutingPlane):
+    """The plane with :meth:`site_attachments` recomputed on every call."""
+
+    def site_attachments(self, deployment):
+        return self.attach_infrastructure(
+            [r.location.lat for r in deployment.replicas],
+            [r.location.lon for r in deployment.replicas],
+        )
+
+
+def test_site_origins_memo_is_invisible_across_epochs(bgp_internet, bgp_platform):
+    """Over a chain of evolved worlds, ``retain`` keeps the same
+    announcement sets and every catchment equals a memo-free plane's;
+    the memo holds one world's deployments, and a reused deployment's
+    origins are the very array attached the day before."""
+    memo = BgpRoutingPlane(bgp_internet.bgp_plane.graph)
+    bare = MemoFreePlane(bgp_internet.bgp_plane.graph)
+    lats, lons = bgp_platform.lats, bgp_platform.lons
+    churny = EvolutionConfig(
+        growth_prob=0.3, max_new_sites=3, shrink_prob=0.15, new_adopters=2
+    )
+    catalog = [dep.entry for dep in bgp_internet.deployments]
+    # Evolve a plane-less copy: the session fixture's plane stays as is.
+    world = copy.copy(bgp_internet)
+    world.bgp_plane = None
+    yesterday = {}
+    for step in range(4):
+        for plane in (memo, bare):
+            plane.retain(world.deployments)
+        assert set(memo._routes_cache) == set(bare._routes_cache)
+        assert len(memo._site_cache) <= len(world.deployments)
+        for dep in world.deployments:
+            kept, origins = yesterday.get(id(dep), (None, None))
+            if kept is dep:
+                assert memo.site_attachments(dep) is origins
+            assert memo.announcements_for(dep) == bare.announcements_for(dep)
+            assert np.array_equal(
+                memo.catchment(dep, lats, lons), bare.catchment(dep, lats, lons)
+            ), dep.entry.name
+        yesterday = {
+            id(dep): (dep, memo.site_attachments(dep)) for dep in world.deployments
+        }
+        catalog = evolve_catalog(catalog, seed=100 + step, config=churny)
+        world = world.evolved(catalog)
+    assert memo.routes_propagated == bare.routes_propagated
 
 
 def test_engineered_routes_bypass_the_cache(plane, deployment):

@@ -6,6 +6,8 @@ import pytest
 from repro.census.analysis import analyze_matrix
 from repro.census.combine import combine_censuses
 from repro.geo.coords import pairwise_distances_km
+from repro.geo.cities import CityDB, default_city_db
+from repro.internet.catalog import full_catalog
 from repro.internet.topology import InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign
 from repro.measurement.platform import planetlab_platform
@@ -88,6 +90,29 @@ class TestEffectiveCoords:
         campaign = CensusCampaign(tiny_internet, tiny_platform, seed=99, noise=noise)
         for vp_idx in (0, 7, 31, 59):
             assert np.array_equal(campaign.base_row(vp_idx), fresh_row(campaign, vp_idx))
+
+    def test_carried_rows_follow_moved_hosts(self, tiny_platform):
+        """A predecessor over the same configuration but another gazetteer
+        puts most unicast prefixes elsewhere: only hosts at the very same
+        place are gathered, and every row equals the fresh computation."""
+        config = InternetConfig(seed=7, n_unicast_slash24=200, tail_deployments=0)
+        catalog = full_catalog(seed=7)[:6]
+        cities = default_city_db().cities
+        before = SyntheticInternet(config, catalog=catalog, city_db=CityDB(cities[::2]))
+        now = SyntheticInternet(config, catalog=catalog, city_db=CityDB(cities))
+        previous = CensusCampaign(before, tiny_platform, noise="keyed")
+        for vp_idx in (0, 7):
+            previous.base_row(vp_idx)
+        carried = CensusCampaign(now, tiny_platform, noise="keyed", previous=previous)
+        for vp_idx in (0, 7):
+            assert np.array_equal(carried.base_row(vp_idx), fresh_row(carried, vp_idx))
+        stayed = sum(
+            a.prefix == b.prefix and a.location == b.location
+            for a, b in zip(before.unicast_hosts, now.unicast_hosts)
+        )
+        assert stayed < len(now.unicast_hosts) // 2
+        assert carried.base_rows_carried == 2
+        assert carried.base_positions_computed == 2 * (now.n_targets - stayed)
 
 
 class TestPrecensus:
@@ -194,9 +219,17 @@ class TestCensus:
         internet = SyntheticInternet(
             InternetConfig(seed=1, n_unicast_slash24=0, tail_deployments=0), catalog=[]
         )
-        censuses = CensusCampaign(internet, planetlab_platform(count=5, seed=1)).run(1, 1.0)
+        platform = planetlab_platform(count=5, seed=1)
+        first = CensusCampaign(internet, platform)
+        censuses = first.run(1, 1.0)
         assert len(censuses[0].records) == 0
         assert len(censuses[0].greylist) == 0
         matrix = combine_censuses(censuses)
         assert matrix.rtt_ms.shape == (0, 5)
         assert analyze_matrix(matrix).n_anycast == 0
+        # Nothing carries out of an empty world into one that has targets.
+        grown = SyntheticInternet(internet.config, catalog=full_catalog(seed=1)[:2])
+        carried = CensusCampaign(grown, platform, previous=first)
+        cold = CensusCampaign(grown, platform)
+        assert carried.base_row(0).tobytes() == cold.base_row(0).tobytes()
+        assert carried.catchments_carried == carried.base_rows_carried == 0

@@ -11,8 +11,12 @@ the internet churned around it.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.census.combine import matrix_from_census
 from repro.census.longitudinal import EvolutionConfig, evolve_catalog
@@ -75,6 +79,59 @@ class TestNoiseModes:
         for salt in ("police", "loss", "emit", "jitter", "spike-gate", "spike", "degraded"):
             full = keyed_uniform(0xC0FFEE, salt, prefixes)
             assert np.array_equal(full[idx], keyed_uniform(0xC0FFEE, salt, prefixes[idx]))
+
+
+_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _splitmix64_oracle(x: np.ndarray) -> np.ndarray:
+    """The original masked SplitMix64 finalizer, kept verbatim."""
+    x = (x + np.uint64(0x9E3779B97F4A7C15)) & _U64
+    x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _U64
+    x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _U64
+    return x ^ (x >> np.uint64(31))
+
+
+def keyed_uniform_oracle(key: int, salt: str, prefixes: np.ndarray) -> np.ndarray:
+    """The original out-of-place ``keyed_uniform``, kept verbatim."""
+    base = (
+        int(key) * 0x9E3779B97F4A7C15
+        + zlib.crc32(salt.encode()) * 0xBF58476D1CE4E5B9
+    ) & 0xFFFFFFFFFFFFFFFF
+    x = np.asarray(prefixes).astype(np.uint64) ^ np.uint64(base)
+    z = _splitmix64_oracle(_splitmix64_oracle(x))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+U32_EDGES = [0, 1, 2**31 - 1, 2**31, 2**32 - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.integers(2**63, 2**64 - 1),
+        st.sampled_from([0, 1, 2**63, 2**64 - 1]),
+    ),
+    salt=st.sampled_from(
+        ["police", "loss", "emit", "jitter", "path-stretch", "path-lastmile", ""]
+    ),
+    prefixes=st.lists(
+        st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(U32_EDGES)),
+        max_size=64,
+    ),
+)
+@example(key=0, salt="police", prefixes=U32_EDGES)
+@example(key=2**64 - 1, salt="loss", prefixes=U32_EDGES)
+@example(key=2**63, salt="emit", prefixes=[])
+def test_in_place_keyed_uniform_equals_the_masked_oracle(key, salt, prefixes):
+    for dtype in (np.int64, np.uint32):
+        arr = np.asarray(prefixes, dtype=dtype)
+        got = keyed_uniform(key, salt, arr)
+        want = keyed_uniform_oracle(key, salt, arr)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(arr, np.asarray(prefixes, dtype=dtype))  # input untouched
 
 
 class TestKeyedCrossEpochStability:

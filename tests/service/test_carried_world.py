@@ -5,6 +5,12 @@ by field, deployment by deployment, catchment by catchment — and the
 archive a one-process timeline commits must be byte-identical to the one
 fresh services commit, interrupted or not.
 
+The carried scan geometry: each epoch's campaign takes base rows and
+catchment rows from the previous epoch's (``CensusCampaign(previous=)``)
+and the signatures of unmoved rows from the previous signed matrix
+(``sign_rows(previous=)``).  A fresh campaign and cold
+``target_signatures`` are the oracles, day by day, under roster churn.
+
 The archive carries the results documents it read or wrote since its
 last commit: every document the service uses must equal ``json.loads``
 of its bytes on disk, stay unchanged by later days, and never hide a
@@ -21,12 +27,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.service.service as service_module
 from repro.census.longitudinal import EvolutionConfig
-from repro.measurement.campaign import CensusInterrupted
+from repro.measurement.campaign import CensusCampaign, CensusInterrupted
+from repro.measurement.platform import VantagePoint, vp_column_digest
 from repro.obs import Tracer, activate
 from repro.service import CensusService
 from repro.service.archive import RESULTS_FILE, canonical_json_bytes
-from repro.service.delta import REASON_BASELINE_UNREADABLE
+from repro.service.delta import (
+    REASON_BASELINE_UNREADABLE,
+    sign_rows,
+    target_signatures,
+)
 from repro.workflow import small_service
 
 from .conftest import archive_tree, same_json
@@ -104,15 +116,47 @@ def test_world_span_reports_the_path_taken(tmp_path):
         assert (root["name"], commit["name"]) == ("service_epoch", "commit")
         spans.append(next(c for c in root["children"] if c["name"] == "world"))
     cold, carried = (span["attrs"] for span in spans)
-    n_deployments = len(service.internet_for(1).deployments)
+    day0, day1 = service.internet_for(0), service.internet_for(1)
+    n_vps = len(service.platform_for(1))
     assert cold == {
         "carried": False,
-        "deployments_rebuilt": len(service.internet_for(0).deployments),
-        "routes_propagated": len(service.internet_for(0).deployments),
+        "deployments_rebuilt": len(day0.deployments),
+        "routes_propagated": len(day0.deployments),
+        "catchments_carried": 0,
+        "base_rows_carried": 0,
+        "base_positions_computed": n_vps * day0.n_targets,
     }
-    assert carried["carried"] is True
-    assert carried["deployments_rebuilt"] < n_deployments
-    assert carried["routes_propagated"] == carried["deployments_rebuilt"]
+    kept = {id(dep) for dep in day0.deployments}
+    rebuilt = [dep for dep in day1.deployments if id(dep) not in kept]
+    assert carried == {
+        "carried": True,
+        "deployments_rebuilt": len(rebuilt),
+        "routes_propagated": len(rebuilt),
+        "catchments_carried": len(day1.deployments) - len(rebuilt),
+        "base_rows_carried": n_vps,
+        # Only the rebuilt deployments' /24s are measured afresh.
+        "base_positions_computed": n_vps * sum(len(dep.prefixes) for dep in rebuilt),
+    }
+    assert len(rebuilt) < len(day1.deployments)
+
+
+def test_signatures_span_reports_carried_and_hashed_rows(tmp_path):
+    """Day 0 hashes every row; a quiet day hashes only the rows whose
+    cells moved, and together they cover the matrix."""
+    service = small_service(tmp_path / "archive")
+    for epoch in range(3):
+        tracer = Tracer()
+        with activate(tracer=tracer):
+            outcome = service.run_epoch(epoch)
+        root, _ = tracer.to_dicts()
+        attrs = next(c for c in root["children"] if c["name"] == "signatures")["attrs"]
+        assert attrs["carried"] + attrs["hashed"] == outcome.n_targets
+        if epoch == 0:
+            assert attrs == {"carried": 0, "hashed": outcome.n_targets}
+        else:
+            assert 0 < attrs["hashed"] < outcome.n_targets
+            # Every recomputed target moved, so none was carried.
+            assert attrs["hashed"] >= outcome.n_recomputed
 
 
 def test_baseline_and_commit_spans_report_the_carried_work(tmp_path):
@@ -141,6 +185,116 @@ def test_baseline_and_commit_spans_report_the_carried_work(tmp_path):
         }
         if epoch > 0:
             assert outcome.n_recomputed < outcome.n_targets
+
+
+# ----------------------------------------------------------------------
+# Carried scan geometry == cold, day by day
+# ----------------------------------------------------------------------
+
+
+def fresh_campaign(service, epoch):
+    cfg = service.config
+    return CensusCampaign(
+        service.internet_for(epoch),
+        service.platform_for(epoch),
+        seed=cfg.campaign_seed,
+        noise=cfg.noise,
+    )
+
+
+@pytest.mark.parametrize(
+    "routing,noise",
+    [("geo", "keyed"), ("bgp", "keyed"), ("geo", "stream")],
+)
+def test_carried_geometry_equals_cold_under_roster_churn(
+    tmp_path, monkeypatch, routing, noise
+):
+    """A one-process timeline whose roster loses and regains VPs: every
+    day's base rows, catchment table and signatures equal a fresh
+    campaign's and cold hashing's, and the archive equals fresh per-day
+    services'.  Stream noise is positional, so it carries no row."""
+    # VPs 10, 13 and 17 sit day 1 out, 7 and 10 day 4; days 2-3 keep
+    # the same roster.
+    knobs = dict(
+        routing=routing,
+        noise=noise,
+        roster_churn_prob=0.05,
+        roster_seed=11,
+        trust=True,
+    )
+    signed_days = []
+
+    def checked_sign_rows(matrix, excised=None, previous=None):
+        signed = sign_rows(matrix, excised, previous=previous)
+        cold = target_signatures(matrix, excised)
+        assert list(signed.signatures.items()) == list(cold.items())
+        signed_days.append(signed.carried)
+        return signed
+
+    monkeypatch.setattr(service_module, "sign_rows", checked_sign_rows)
+    service = small_service(tmp_path / "carried", **knobs)
+    rosters, carried_rows = [], []
+    for epoch in range(DAYS):
+        tracer = Tracer()
+        with activate(tracer=tracer):
+            service.run_epoch(epoch)
+        world = next(
+            c for c in tracer.to_dicts()[0]["children"] if c["name"] == "world"
+        )["attrs"]
+        carried_rows.append(world["base_rows_carried"])
+        campaign, fresh = service._campaign, fresh_campaign(service, epoch)
+        assert np.array_equal(campaign._catchment, fresh._catchment), epoch
+        platform = service.platform_for(epoch)
+        for i in range(len(platform)):
+            assert campaign.base_row(i).tobytes() == fresh.base_row(i).tobytes(), (
+                epoch,
+                platform.vantage_points[i].name,
+            )
+        rosters.append([vp.name for vp in platform.vantage_points])
+    for epoch in range(DAYS):
+        small_service(tmp_path / "fresh", **knobs).run_epoch(epoch)
+    assert archive_tree(tmp_path / "carried") == archive_tree(tmp_path / "fresh")
+
+    # The roster moved: some VP sat a day out and came back.
+    assert any(
+        name in rosters[k - 1] and name not in rosters[k] and name in rosters[k + 1]
+        for k in range(1, DAYS - 1)
+        for name in rosters[k + 1]
+    )
+    carried_signatures = signed_days[:DAYS]
+    assert carried_signatures[0] == 0
+    if noise == "stream":
+        assert carried_rows == [0] * DAYS
+        return
+    assert carried_rows[0] == 0 and all(n > 0 for n in carried_rows[1:])
+    quiet = [k for k in range(1, DAYS) if rosters[k] == rosters[k - 1]]
+    assert quiet and all(carried_signatures[k] > 0 for k in quiet)
+
+
+def test_base_rows_are_keyed_on_vp_identity(tmp_path):
+    """A VP that keeps its name but moves is measured from where it is
+    now: its row is not taken from the campaign that knew it elsewhere."""
+    service = small_service(tmp_path / "archive")
+    internet, platform = service.internet_for(0), service.platform_for(0)
+    before = CensusCampaign(internet, platform, seed=500, noise="keyed")
+    for i in range(len(platform)):
+        before.base_row(i)
+    first = platform.vantage_points[0]
+    elsewhere = platform.vantage_points[-1].location
+    moved = VantagePoint(first.name, first.city, elsewhere, first.host_load)
+    roster = replace(platform, vantage_points=[moved, *platform.vantage_points[1:]])
+    after = CensusCampaign(internet, roster, seed=500, noise="keyed", previous=before)
+    cold = CensusCampaign(internet, roster, seed=500, noise="keyed")
+    assert after.base_row(0).tobytes() == cold.base_row(0).tobytes()
+    assert after.base_row(0).tobytes() != before.base_row(0).tobytes()
+    assert after.base_row(1).tobytes() == cold.base_row(1).tobytes()
+    # The moved VP's row was computed whole; the stayer's was carried and
+    # released from the predecessor's cache.
+    n = internet.n_targets
+    assert (after.base_rows_carried, after.base_positions_computed) == (1, n)
+    stayer = platform.vantage_points[1]
+    assert vp_column_digest(stayer.name, stayer.location) not in before._base_rows
+    assert vp_column_digest(first.name, first.location) in before._base_rows
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.census.combine import RttMatrix
@@ -16,6 +16,7 @@ from repro.service.delta import (
     REASON_DISABLED,
     REASON_NO_BASELINE,
     plan_delta,
+    sign_rows,
     target_signatures,
     vp_context_digest,
 )
@@ -33,6 +34,121 @@ def make_matrix(seed=0, vp_names=("vp-a", "vp-b", "vp-c"), shift=0.0):
         rtt_ms=rtt,
         sample_count=np.ones_like(rtt, dtype=np.uint8),
     )
+
+
+#: Cell values of the carry property: collisions, both zeros, NaN.
+CELL_VALUES = np.array([1.0, 2.5, 0.0, -0.0, np.nan, np.nan], dtype=np.float32)
+NAMES = ("vp-a", "vp-b", "vp-c", "vp-d", "vp-e")
+
+
+def _location(name, moved):
+    return GeoPoint(float(NAMES.index(name)), 1.0 if moved else 0.0)
+
+
+def _matrix(prefixes, columns, rtt):
+    return RttMatrix(
+        prefixes=np.asarray(prefixes, dtype=np.uint32),
+        vp_names=[name for name, _ in columns],
+        vp_locations=[_location(name, moved) for name, moved in columns],
+        rtt_ms=rtt,
+        sample_count=np.ones(rtt.shape, dtype=np.uint8),
+    )
+
+
+def _day_pair(seed, p_cell, p_row, p_column):
+    """Yesterday's matrix and excision counts, and today's derived from
+    them: rows and VPs leave and join, VP columns reorder and move, cells
+    and counts change."""
+    rng = np.random.default_rng(seed)
+    universe = np.arange(0, 40, 2)
+    y_rows = np.sort(rng.choice(universe, size=int(rng.integers(0, 12)), replace=False))
+    y_cols = [(str(n), False) for n in rng.permutation(NAMES)[: int(rng.integers(1, 6))]]
+    y_rtt = rng.choice(CELL_VALUES, size=(len(y_rows), len(y_cols)))
+    y_excised = rng.integers(0, 3, size=len(y_rows)) * (rng.random(len(y_rows)) < 0.3)
+
+    keep = rng.random(len(y_rows)) >= p_row
+    extra = rng.choice(universe, size=int(rng.integers(0, 3)), replace=False)
+    t_rows = np.union1d(y_rows[keep], extra)
+    t_cols = [
+        (name, bool(rng.random() < p_column / 2))
+        for name, _ in y_cols
+        if rng.random() >= p_column
+    ]
+    joined = [n for n in NAMES if n not in {name for name, _ in y_cols}]
+    t_cols += [(n, False) for n in joined if rng.random() < p_column]
+    if not t_cols:
+        t_cols = [y_cols[0]]
+    t_cols = [t_cols[i] for i in rng.permutation(len(t_cols))]
+    t_rtt = rng.choice(CELL_VALUES, size=(len(t_rows), len(t_cols)))
+    t_excised = rng.integers(0, 3, size=len(t_rows)) * (rng.random(len(t_rows)) < 0.3)
+    y_at = {int(p): i for i, p in enumerate(y_rows)}
+    y_col = {col: j for j, col in enumerate(y_cols)}
+    for i, prefix in enumerate(t_rows.tolist()):
+        if prefix not in y_at:
+            continue
+        r = y_at[prefix]
+        if rng.random() < 0.8:
+            t_excised[i] = y_excised[r]
+        for j, col in enumerate(t_cols):
+            if col in y_col and rng.random() >= p_cell:
+                t_rtt[i, j] = y_rtt[r, y_col[col]]
+            elif col not in y_col and rng.random() < 0.5:
+                t_rtt[i, j] = np.nan
+    yesterday = (_matrix(y_rows, y_cols, y_rtt), y_excised)
+    today = (_matrix(t_rows, t_cols, t_rtt), t_excised)
+    return yesterday, today
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p_cell=st.sampled_from([0.0, 0.02, 0.2]),
+    p_row=st.sampled_from([0.0, 0.2]),
+    p_column=st.sampled_from([0.0, 0.1, 0.4]),
+)
+@example(seed=1, p_cell=0.0, p_row=0.0, p_column=0.0)
+def test_carried_signatures_equal_cold_hashing(seed, p_cell, p_row, p_column):
+    """``sign_rows`` over yesterday's signed matrix gives exactly the
+    signatures (and order) of hashing today's matrix cold."""
+    (y_matrix, y_excised), (t_matrix, t_excised) = _day_pair(
+        seed, p_cell, p_row, p_column
+    )
+    previous = sign_rows(y_matrix, y_excised)
+    signed = sign_rows(t_matrix, t_excised, previous=previous)
+    cold = target_signatures(t_matrix, t_excised)
+    assert list(signed.signatures.items()) == list(cold.items())
+    assert signed.carried + signed.hashed == t_matrix.n_targets
+    if p_cell == p_row == p_column == 0.0:
+        # Nothing moved but new rows and changed excision counts.
+        counts = dict(zip(y_matrix.prefixes.tolist(), y_excised.tolist()))
+        moved = zip(t_matrix.prefixes.tolist(), t_excised.tolist())
+        assert signed.hashed == sum(counts.get(p) != e for p, e in moved)
+    # Carrying twice in a row is still exact.
+    again = sign_rows(t_matrix, t_excised, previous=signed)
+    assert again.signatures == cold
+    assert again.hashed == 0
+
+
+def test_excision_change_is_rehashed():
+    matrix = make_matrix()
+    before = sign_rows(matrix, np.array([0, 0, 0, 0]))
+    after = sign_rows(matrix, np.array([0, 0, 2, 0]), previous=before)
+    assert (after.carried, after.hashed) == (3, 1)
+    assert after.signatures == target_signatures(matrix, np.array([0, 0, 2, 0]))
+
+
+def test_unmoved_rows_are_carried_and_moved_rows_hashed():
+    """A VP joining without measuring anything, a reordered roster and one
+    changed cell: only that cell's row is hashed."""
+    before = make_matrix()
+    after = make_matrix(vp_names=("vp-c", "vp-a", "vp-b", "vp-new"))
+    after.vp_locations = [before.vp_locations[2], *before.vp_locations[:2], GeoPoint(1, 1)]
+    after.rtt_ms[:, :3] = before.rtt_ms[:, [2, 0, 1]]
+    after.rtt_ms[:, 3] = np.nan
+    after.rtt_ms[3, 1] += np.float32(1.0)
+    signed = sign_rows(after, previous=sign_rows(before))
+    assert (signed.carried, signed.hashed) == (3, 1)
+    assert signed.signatures == target_signatures(after)
 
 
 class TestSignatures:
