@@ -174,7 +174,12 @@ class SharedGeometry:
     whole analysis can ask for.
     """
 
-    def __init__(self, matrix: RttMatrix, city_db: CityDB) -> None:
+    def __init__(
+        self,
+        matrix: RttMatrix,
+        city_db: CityDB,
+        disk_tables: Optional[Dict[float, DiskTables]] = None,
+    ) -> None:
         self.matrix = matrix
         self.city_db = city_db
         #: (V, V) great-circle gaps, cached on the matrix instance.
@@ -194,7 +199,11 @@ class SharedGeometry:
         )
         self._city_vp: Optional[np.ndarray] = None
         self._combined: Optional[np.ndarray] = None
-        self._disk_tables: Dict[float, DiskTables] = {}
+        #: Disk tables by exponent: a caller's store when given (tables
+        #: of the same VP locations and gazetteer), filled as built.
+        self._disk_tables: Dict[float, DiskTables] = (
+            {} if disk_tables is None else disk_tables
+        )
 
     @property
     def city_vp(self) -> np.ndarray:
@@ -253,10 +262,11 @@ class FastAnalysisEngine:
         matrix: RttMatrix,
         city_db: Optional[CityDB] = None,
         config: Optional[IGreedyConfig] = None,
+        disk_tables: Optional[Dict[float, DiskTables]] = None,
     ) -> None:
         self.config = config or IGreedyConfig()
         self.city_db = city_db or default_city_db()
-        self.geometry = SharedGeometry(matrix, self.city_db)
+        self.geometry = SharedGeometry(matrix, self.city_db, disk_tables)
         #: (vp_index, radius_km) -> (GeolocatedReplica, city index).  The
         #: same disk recurs across iterative rounds and across targets
         #: (quantized RTTs from the same VP); classification depends only

@@ -254,6 +254,9 @@ class ShardedExecutor:
         if policy.submit_seed is not None:
             np.random.default_rng(policy.submit_seed).shuffle(order)
         pending: collections.deque = collections.deque(order)
+        #: Dispatches per unit so far: a task's attempt number, which keys
+        #: its injected worker fault.
+        dispatched: collections.Counter = collections.Counter()
         pool = WorkerPool(context)
         respawns_left = policy.respawn_budget
 
@@ -337,7 +340,8 @@ class ShardedExecutor:
                         uid = pending.popleft()
                         if uid in resolved:
                             continue
-                        handle.dispatch(uid)
+                        handle.dispatch(uid, dispatched[uid])
+                        dispatched[uid] += 1
 
                 # -- collect ---------------------------------------------
                 try:

@@ -1,8 +1,9 @@
 """Worker-pool plumbing: worker processes, queues, liveness handles.
 
-The pool is deliberately dumb: workers pull unit ids from their own task
-queue, execute them against a shared :class:`UnitContext`, and report
-start/ok/err messages (which double as heartbeats) on one results queue.
+The pool is deliberately dumb: workers pull ``(unit id, attempt)`` tasks
+from their own task queue, execute them against a shared
+:class:`UnitContext`, and report start/ok/err messages (which double as
+heartbeats) on one results queue.
 All scheduling intelligence — dispatch, reassignment, breakers, budgets
 — lives in :mod:`repro.exec.engine`.
 
@@ -109,13 +110,18 @@ def worker_main(worker_id: int, context: UnitContext, task_q, out_q) -> None:
     )
     task_seq = 0
     while True:
-        unit_id = task_q.get()
-        if unit_id is None:
+        task = task_q.get()
+        if task is None:
             if metrics is not None:
                 out_q.put((MSG_METRICS, worker_id, -1, metrics.snapshot()))
             return
+        unit_id, attempt = task
         task_seq += 1
-        fault = injector.fault_for(worker_id, task_seq) if injector else None
+        fault = (
+            injector.fault_for(worker_id, task_seq, unit_id, attempt)
+            if injector
+            else None
+        )
         if fault is WorkerFaultKind.DEAD_WORKER:
             # Dies holding the unit, before any message: the parent only
             # learns from the corpse.  os._exit skips finalizers the way
@@ -156,9 +162,10 @@ class WorkerHandle:
     def alive(self) -> bool:
         return not self.retired and self.process.is_alive()
 
-    def dispatch(self, unit_id: int) -> None:
+    def dispatch(self, unit_id: int, attempt: int = 0) -> None:
+        """Hand over one unit, with how many times it was dispatched before."""
         self.assigned.append(unit_id)
-        self.task_q.put(unit_id)
+        self.task_q.put((unit_id, attempt))
 
     def heartbeat(self) -> None:
         self.last_hb = time.monotonic()

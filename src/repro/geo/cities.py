@@ -475,7 +475,6 @@ class CityDB:
                 raise ValueError(f"duplicate city {city.key}")
             by_key[city.key] = city
         self._by_key = by_key
-        self._index_by_key = {c.key: i for i, c in enumerate(self._cities)}
         self._lats = np.array([c.location.lat for c in self._cities])
         self._lons = np.array([c.location.lon for c in self._cities])
         self._pops = np.array([c.population for c in self._cities])
@@ -523,13 +522,6 @@ class CityDB:
     def city_at(self, index: int) -> City:
         """The city at a gazetteer index (the order of :meth:`__iter__`)."""
         return self._cities[index]
-
-    def index_of(self, city: City) -> int:
-        """Gazetteer index of a city (keyed by ``(name, country)``)."""
-        try:
-            return self._index_by_key[city.key]
-        except KeyError:
-            raise KeyError(f"city {city.key} not in this CityDB") from None
 
     def population_array(self) -> np.ndarray:
         """Cached read-only population vector, aligned with city indices.

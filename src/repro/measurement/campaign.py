@@ -74,9 +74,13 @@ from .lfsr import lfsr_permutation
 from .platform import Platform, VantagePoint, vp_column_digest
 from .prober import (
     SAFE_RATE_PPS,
+    ScanOutcomes,
     ScanTargets,
     VpScanResult,
     base_rtt_row,
+    keyed_base_rtts,
+    keyed_outcomes,
+    scan_from_outcomes,
     simulate_vp_scan,
 )
 from .recordio import (
@@ -330,33 +334,36 @@ class _GeometryCarry:
       platform index in geo mode, whose catchment penalties are drawn
       per row of the (VP x site) matrix;
     * a **target position** is carried when the predecessor's world holds
-      its prefix at the same place: a unicast host at bit-equal
-      coordinates, or an anycast /24 of a carried deployment.
+      its prefix at the same place and in the same responsiveness class:
+      a unicast host at bit-equal coordinates, or an anycast /24 of a
+      carried deployment.
 
     A carried deployment's catchment row is the predecessor's whenever
-    every VP column is carried.  A carried VP's base row (keyed noise
-    only: stream noise is positional) is the predecessor's at every
-    carried position; the row is taken out of the predecessor's cache,
-    so the two days' rows are never held at once.
+    every VP column is carried.  A carried VP column keeps its base RTT
+    at every carried position, so under keyed noise (stream noise is
+    positional) a scan's :class:`~repro.measurement.prober.ScanOutcomes`
+    there are the predecessor's for the same census, VP and scan
+    conditions: only the other positions are evaluated afresh.  Outcomes
+    are taken out of the predecessor's store, so the two days' arrays are
+    never held at once.
     """
 
     def __init__(
         self,
-        rows: Dict[bytes, np.ndarray],
+        outcomes: Dict[Tuple[int, bytes], ScanOutcomes],
         deployment_source: np.ndarray,
         local_catchment: np.ndarray,
         column_source: np.ndarray,
         position_source: np.ndarray,
     ) -> None:
-        self._rows = rows
+        self._outcomes = outcomes
         self._deployment_source = deployment_source
         self._local_catchment = local_catchment
         self._column_source = column_source
         self._all_columns = bool((column_source >= 0).all())
-        #: Positions gathered from a predecessor row, their positions in
-        #: it, and the positions the kernel computes afresh.
-        self.kept = np.flatnonzero(position_source >= 0)
-        self.source = position_source[self.kept]
+        #: Each position's place in the predecessor's outcomes (0 where
+        #: it has none), and the positions the kernel evaluates afresh.
+        self.source = np.maximum(position_source, 0)
         self.fresh = np.flatnonzero(position_source < 0)
 
     @classmethod
@@ -398,7 +405,9 @@ class _GeometryCarry:
         ranked = before.prefixes[order]
         at = np.minimum(np.searchsorted(ranked, now.prefixes), len(ranked) - 1)
         source = order[at]
-        found = ranked[at] == now.prefixes
+        found = (ranked[at] == now.prefixes) & (
+            before.responsiveness[source] == now.responsiveness
+        )
         unicast = (
             found
             & ~now.is_anycast
@@ -416,13 +425,8 @@ class _GeometryCarry:
         )
         position_source = np.where(unicast | anycast, source, -1)
 
-        rows = (
-            previous._base_rows
-            if previous.noise == campaign.noise == "keyed"
-            else {}
-        )
         return cls(
-            rows=rows,
+            outcomes=previous._outcomes,
             deployment_source=deployment_source,
             local_catchment=previous._catchment - previous._site_start[:, None],
             column_source=column_source,
@@ -437,13 +441,22 @@ class _GeometryCarry:
             return None
         return self._local_catchment[source, self._column_source]
 
-    def take_row(self, key: bytes, platform_index: int) -> Optional[np.ndarray]:
-        """Remove and return the predecessor's base row of the VP at
-        ``platform_index`` (identity ``key``), or ``None`` when it has none
-        to give."""
+    def take_outcomes(
+        self, census_id: int, key: bytes, platform_index: int
+    ) -> Optional[ScanOutcomes]:
+        """Remove and return the predecessor's outcomes of one census's
+        scan by the VP at ``platform_index`` (identity ``key``), or
+        ``None`` when it has none to give."""
+        outcomes = self._outcomes.pop((census_id, key), None)
         if self._column_source[platform_index] < 0:
             return None
-        return self._rows.pop(key, None)
+        return outcomes
+
+    def release(self, census_id: int) -> None:
+        """Drop what no scan of this census took (VPs absent today,
+        resumed from a journal, or flapped)."""
+        for key in [key for key in self._outcomes if key[0] == census_id]:
+            del self._outcomes[key]
 
 
 class CensusCampaign:
@@ -518,12 +531,20 @@ class CensusCampaign:
         #: Base-RTT row per VP identity, :func:`vp_column_digest` of its
         #: name and coordinates (see :meth:`base_row`).
         self._base_rows: Dict[bytes, np.ndarray] = {}
+        #: Keyed scans' outcomes by (census, VP identity): the pre-census's
+        #: and the latest census's, for a successor campaign to carry.
+        self._outcomes: Dict[Tuple[int, bytes], ScanOutcomes] = {}
+        #: (census, platform index) -> the ``previous`` campaign's outcomes
+        #: of a planned scan and its moved positions' fresh (code, RTT).
+        self._prepared: Dict[
+            Tuple[int, int], Tuple[ScanOutcomes, np.ndarray, np.ndarray]
+        ] = {}
         #: Scan-geometry accounting: deployment catchment rows taken from
-        #: ``previous``, base rows built on a ``previous`` row, and target
-        #: positions the base-row kernel evaluated.
+        #: ``previous``, keyed scans built on ``previous``'s outcomes, and
+        #: target positions the outcome kernel evaluated.
         self.catchments_carried = 0
-        self.base_rows_carried = 0
-        self.base_positions_computed = 0
+        self.outcomes_carried = 0
+        self.positions_scanned = 0
         self._carry = (
             _GeometryCarry.between(previous, self) if previous is not None else None
         )
@@ -582,22 +603,24 @@ class CensusCampaign:
         ).reshape(len(deployments), len(self.platform))
 
     def _distances(
-        self, platform_index: int, positions: Optional[np.ndarray] = None
+        self, platform_indices: Sequence[int], positions: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Great-circle km from one platform VP to the targets at
-        ``positions`` (every target when ``None``), anycast targets at the
-        site of the VP's catchment."""
-        vp = self.platform.vantage_points[platform_index]
-        phi1 = np.radians(np.asarray([vp.location.lat], dtype=np.float64))
-        lam1 = np.radians(np.asarray([vp.location.lon], dtype=np.float64))
+        """Great-circle km from platform VPs (one row each) to the targets
+        at ``positions`` (every target when ``None``), anycast targets at
+        the site of each VP's catchment."""
+        vps = [self.platform.vantage_points[i] for i in platform_indices]
+        phi1 = np.radians(np.array([[vp.location.lat] for vp in vps], dtype=np.float64))
+        lam1 = np.radians(np.array([[vp.location.lon] for vp in vps], dtype=np.float64))
         at = slice(None) if positions is None else positions
         distances = haversine_km(
             phi1, lam1, self._target_phi[at], self._target_lam[at], self._target_cos_phi[at]
         )
         deployment = self.internet.deployment_index[at]
         anycast = np.flatnonzero(deployment >= 0)
-        sites = self._catchment[deployment[anycast], platform_index]
-        distances[anycast] = haversine_km(
+        sites = self._catchment[
+            deployment[anycast][None, :], np.asarray(platform_indices)[:, None]
+        ]
+        distances[:, anycast] = haversine_km(
             phi1,
             lam1,
             self._site_phi[sites],
@@ -615,46 +638,121 @@ class CensusCampaign:
         over those effective coordinates.  Cached on the VP's identity
         (name and coordinates) for the campaign's lifetime: catchments and
         paths persist across censuses, only per-probe noise is redrawn.
-
-        Under keyed noise a row entry is a pure function of (VP, prefix,
-        distance), so a row the ``previous`` campaign built for the same
-        VP is gathered by prefix wherever the distance cannot have moved,
-        and the kernel (:func:`~repro.measurement.prober.base_rtt_row`)
-        runs only at the other positions; a cold row is the same kernel
-        at every position.
         """
         vp = self.platform.vantage_points[platform_index]
         key = vp_column_digest(vp.name, vp.location)
         row = self._base_rows.get(key)
-        if row is not None:
-            return row
-        keyed = self.noise == "keyed"
-        before = (
-            self._carry.take_row(key, platform_index)
-            if self._carry is not None
-            else None
-        )
-        if before is None:
+        if row is None:
             row = base_rtt_row(
-                self.internet, vp, self._distances(platform_index), keyed=keyed
-            )
-            self.base_positions_computed += len(row)
-        else:
-            carry = self._carry
-            row = np.empty(self.internet.n_targets, dtype=np.float64)
-            row[carry.kept] = before[carry.source]
-            row[carry.fresh] = base_rtt_row(
                 self.internet,
                 vp,
-                self._distances(platform_index, carry.fresh),
-                keyed=True,
-                positions=carry.fresh,
+                self._distances([platform_index])[0],
+                keyed=self.noise == "keyed",
             )
-            self.base_rows_carried += 1
-            self.base_positions_computed += len(carry.fresh)
-        row.setflags(write=False)
-        self._base_rows[key] = row
+            row.setflags(write=False)
+            self._base_rows[key] = row
         return row
+
+    def _conditions(
+        self, platform_index: int, census_id: int, rate_pps: float, degraded: bool
+    ) -> Tuple[int, float, bool]:
+        """A keyed scan's conditions: its noise key (campaign seed, census,
+        VP name), the VP's keep probability at the rate, the degraded flag."""
+        vp = self.platform.vantage_points[platform_index]
+        noise_key = (
+            self.seed * 1_000_003 + census_id * 1009 + zlib.crc32(vp.name.encode())
+        ) & 0xFFFFFFFFFFFFFFFF
+        return noise_key, vp.rate_limit.keep_probability(rate_pps), degraded
+
+    def _prepare_outcomes(
+        self, census_id: int, scans: Sequence[Tuple[int, Tuple[int, float, bool]]]
+    ) -> None:
+        """Take the ``previous`` campaign's outcomes of the planned keyed
+        ``scans`` (platform index, conditions) of one census wherever it
+        holds them under the same conditions, and evaluate all of their
+        moved positions in one kernel call; each scan completes its own
+        (:meth:`_scan_outcomes`)."""
+        carry = self._carry
+        if carry is None:
+            return
+        taken = []
+        for platform_index, conditions in scans:
+            vp = self.platform.vantage_points[platform_index]
+            before = carry.take_outcomes(
+                census_id, vp_column_digest(vp.name, vp.location), platform_index
+            )
+            if before is not None and before.conditions == conditions:
+                taken.append((platform_index, before))
+        if not taken:
+            return
+        indices = [platform_index for platform_index, _ in taken]
+        fresh = carry.fresh
+        codes, rtts = keyed_outcomes(
+            self.internet,
+            [before.conditions for _, before in taken],
+            keyed_base_rtts(
+                self.internet,
+                [self.platform.vantage_points[i] for i in indices],
+                self._distances(indices, fresh),
+                fresh,
+            ),
+            fresh,
+        )
+        for row, (platform_index, before) in enumerate(taken):
+            self._prepared[(census_id, platform_index)] = (before, codes[row], rtts[row])
+
+    def _scan_outcomes(
+        self, platform_index: int, census_id: int, conditions: Tuple[int, float, bool]
+    ) -> ScanOutcomes:
+        """One keyed scan's outcomes: the ``previous`` campaign's for the
+        same census, VP and conditions at every carried position and the
+        kernel's (:func:`~repro.measurement.prober.keyed_outcomes`) at the
+        others; the kernel's at every position when nothing carries."""
+        key = (census_id, platform_index)
+        if key not in self._prepared:
+            self._prepare_outcomes(census_id, [(platform_index, conditions)])
+        prepared = self._prepared.pop(key, None)
+        if prepared is None or prepared[0].conditions != conditions:
+            # A cold scan's base RTTs are built for it alone: the outcomes
+            # are what the campaign keeps.
+            vp = self.platform.vantage_points[platform_index]
+            base = keyed_base_rtts(
+                self.internet, [vp], self._distances([platform_index])
+            )
+            (code,), (rtt,) = keyed_outcomes(self.internet, [conditions], base)
+            return ScanOutcomes(conditions, code, rtt, scanned=len(code))
+        before, fresh_code, fresh_rtt = prepared
+        carry = self._carry
+        code = before.code.take(carry.source)
+        rtt = before.rtt_ms.take(carry.source)
+        code[carry.fresh] = fresh_code
+        rtt[carry.fresh] = fresh_rtt
+        return ScanOutcomes(
+            conditions, code, rtt, scanned=len(carry.fresh), carried=True
+        )
+
+    def _keep_outcomes(
+        self, census_id: int, platform_index: int, result: VpScanResult
+    ) -> None:
+        """Parent-side: account a finished keyed scan's outcomes and keep
+        them for a successor campaign (dropping what was prepared for the
+        scan, which a pooled scan consumed in its own copy)."""
+        outcomes = result.outcomes
+        if outcomes is None:
+            return
+        self._prepared.pop((census_id, platform_index), None)
+        vp = self.platform.vantage_points[platform_index]
+        self.outcomes_carried += outcomes.carried
+        self.positions_scanned += outcomes.scanned
+        self._outcomes[(census_id, vp_column_digest(vp.name, vp.location))] = outcomes
+
+    def _release_carry(self, census_id: int) -> None:
+        """Drop what no scan of this census took: outcomes of VPs absent
+        today, resumed from a journal, flapped, or never reached."""
+        for key in [key for key in self._prepared if key[0] == census_id]:
+            del self._prepared[key]
+        if self._carry is not None:
+            self._carry.release(census_id)
 
     # ------------------------------------------------------------------
     # Census phases
@@ -670,6 +768,8 @@ class CensusCampaign:
                 self.internet, lfsr_permutation(self.internet.n_targets, seed=1)
             )
             result = self.scan_vp(vp_platform_index, census_id=0, targets=targets)
+            self._keep_outcomes(0, vp_platform_index, result)
+            self._release_carry(0)
             greylist = self._collect_greylist([result.records])
             blacklisted = greylist.merge_into(self.blacklist)
             span.set("blacklisted", blacklisted)
@@ -708,11 +808,17 @@ class CensusCampaign:
         self._census_counter += 1
         census_id = self._census_counter
         rate = rate_pps if rate_pps is not None else self.rate_pps
+        # Outcomes kept for a successor: the pre-census's and this census's.
+        for key in [key for key in self._outcomes if key[0] != 0]:
+            del self._outcomes[key]
         with current_tracer().span("census", census_id=census_id) as span:
-            return self._run_census_supervised(
-                census_id, availability, rate, target_prefixes, checkpoint,
-                abort_after_vps, span,
-            )
+            try:
+                return self._run_census_supervised(
+                    census_id, availability, rate, target_prefixes, checkpoint,
+                    abort_after_vps, span,
+                )
+            finally:
+                self._release_carry(census_id)
 
     def _run_census_supervised(
         self,
@@ -828,8 +934,9 @@ class CensusCampaign:
 
         def on_vp_complete(vp_name: str, result: VpScanResult) -> None:
             """Parent-side completion of one scanned VP, inside the
-            engine's ``vp_scan`` span: fault policy, then journal (keyed
-            by VP name, so arrival order is irrelevant)."""
+            engine's ``vp_scan`` span: outcomes kept, fault policy, then
+            journal (keyed by VP name, so arrival order is irrelevant)."""
+            self._keep_outcomes(census_id, index_of[vp_name], result)
             outcome = self._apply_fault_policy(
                 index_of[vp_name], census_id, result, rate
             )
@@ -873,6 +980,14 @@ class CensusCampaign:
                         journal.write_batch(flap.journal_payload(vp.name), flap.records)
                 outcomes[vp.name] = flap
 
+            if self.noise == "keyed":
+                self._prepare_outcomes(
+                    census_id,
+                    [
+                        (index, self._conditions(index, census_id, rate, degraded))
+                        for _, index, _, degraded in to_scan
+                    ],
+                )
             # Operator drain: the journal already holds every finished
             # batch, fsynced; the engine stops before starting more work
             # and leaves a resumable checkpoint.
@@ -1294,19 +1409,25 @@ class CensusCampaign:
         """
         vp = self.platform.vantage_points[platform_index]
         n = targets.n
+        rate = rate_pps if rate_pps is not None else self.rate_pps
         # Per-VP rotation of the shared LFSR order: desynchronizes VPs
         # without recomputing a full permutation per node.
         shift = (platform_index * 7919 + census_id * 104729) % n if n else 0
+        if self.noise == "keyed":
+            conditions = self._conditions(platform_index, census_id, rate, degraded)
+            return scan_from_outcomes(
+                self.internet,
+                vp,
+                census_vp_index,
+                census_id,
+                self._scan_outcomes(platform_index, census_id, conditions),
+                targets,
+                rate,
+                shift,
+            )
         rng = np.random.default_rng(
             self.seed * 1_000_003 + census_id * 1009 + platform_index
         )
-        noise_key = None
-        if self.noise == "keyed":
-            noise_key = (
-                self.seed * 1_000_003
-                + census_id * 1009
-                + zlib.crc32(vp.name.encode())
-            ) & 0xFFFFFFFFFFFFFFFF
         return simulate_vp_scan(
             internet=self.internet,
             vp=vp,
@@ -1314,9 +1435,8 @@ class CensusCampaign:
             census_id=census_id,
             base_rtts=self.base_row(platform_index),
             targets=targets,
-            rate_pps=rate_pps if rate_pps is not None else self.rate_pps,
+            rate_pps=rate,
             rng=rng,
             shift=shift,
             degraded=degraded,
-            noise_key=noise_key,
         )

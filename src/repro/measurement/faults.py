@@ -451,9 +451,9 @@ class WorkerFaultPlan:
     * **explicit** — ``dead_worker_ids`` / ``wedged_worker_ids`` /
       ``slow_worker_ids`` name worker ids that misbehave on their first
       task (respawned replacements get fresh ids and recover the pool);
-    * **probabilistic** — per-task probabilities drawn from an RNG keyed
-      on ``(seed, worker id, task sequence)``, so a given worker's fate
-      on its n-th task is reproducible regardless of scheduling.
+    * **probabilistic** — per-attempt probabilities drawn from an RNG
+      keyed on ``(seed, unit id, attempt)``, so a unit's fate on its n-th
+      dispatch is reproducible whichever worker runs it, whenever.
 
     Fault decisions only ever change *which process computes a unit*,
     never the unit's bytes — that is the engine's determinism contract.
@@ -514,15 +514,21 @@ _WORKER_SALT = 0x30B57A
 class WorkerFaultInjector:
     """Decides each worker task's fate from a :class:`WorkerFaultPlan`.
 
-    Runs *inside* the worker process; the decision for (worker, task n)
-    is keyed, so it does not depend on what other workers are doing.
+    Runs *inside* the worker process; every decision is keyed, so it does
+    not depend on what other workers are doing.  A probabilistic fate
+    belongs to the unit's dispatch, not to the worker that drew it: which
+    worker a unit lands on is a matter of timing, its fate is not.
     """
 
     def __init__(self, plan: WorkerFaultPlan) -> None:
         self.plan = plan
 
-    def fault_for(self, worker_id: int, task_seq: int) -> Optional[WorkerFaultKind]:
-        """The fault (if any) striking one worker's n-th task (1-based)."""
+    def fault_for(
+        self, worker_id: int, task_seq: int, unit_id: int, attempt: int
+    ) -> Optional[WorkerFaultKind]:
+        """The fault (if any) striking one task: the worker's ``task_seq``-th
+        (1-based; explicit ids strike the first), the unit's
+        ``attempt``-th dispatch (0-based; probabilistic draws)."""
         plan = self.plan
         if task_seq == 1:
             if worker_id in plan.dead_worker_ids:
@@ -533,7 +539,7 @@ class WorkerFaultInjector:
                 return WorkerFaultKind.SLOW_WORKER
         if plan.dead_prob <= 0.0 and plan.wedged_prob <= 0.0 and plan.slow_prob <= 0.0:
             return None
-        rng = np.random.default_rng([_WORKER_SALT, plan.seed, worker_id, task_seq])
+        rng = np.random.default_rng([_WORKER_SALT, plan.seed, unit_id, attempt])
         u = float(rng.random())
         edge = plan.dead_prob
         if u < edge:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from ..internet.topology import (
     RESP_HOST_PROHIBITED,
     RESP_NET_PROHIBITED,
     RESP_REPLY,
+    RESP_SILENT,
     SyntheticInternet,
 )
 from ..net.icmp import IcmpOutcome
@@ -96,12 +98,23 @@ def keyed_uniform(key: int, salt: str, prefixes: np.ndarray) -> np.ndarray:
     lets the longitudinal service prove a target's measurements unchanged
     across epochs and skip its re-analysis.
     """
-    base = (
-        int(key) * 0x9E3779B97F4A7C15
-        + zlib.crc32(salt.encode()) * 0xBF58476D1CE4E5B9
-    ) & 0xFFFFFFFFFFFFFFFF
-    x = np.asarray(prefixes).astype(np.uint64)
-    x ^= np.uint64(base)
+    words = np.asarray(prefixes).astype(np.uint64)
+    return _mixed_uniform(words ^ _key_bases([key], salt)[0])
+
+
+def _key_bases(keys: Sequence[int], salt: str) -> np.ndarray:
+    """The uint64 word each key's draws under ``salt`` start from."""
+    salted = zlib.crc32(salt.encode()) * 0xBF58476D1CE4E5B9
+    return np.array(
+        [(int(key) * 0x9E3779B97F4A7C15 + salted) & 0xFFFFFFFFFFFFFFFF for key in keys],
+        dtype=np.uint64,
+    )
+
+
+def _mixed_uniform(x: np.ndarray) -> np.ndarray:
+    """:func:`keyed_uniform`'s draws from ``prefix ^ base`` words (any
+    shape; ``x`` is mixed in place): one key per element is as good as
+    one per array."""
     shifted = np.empty_like(x)
     _splitmix64(_splitmix64(x, shifted), shifted)
     x >>= np.uint64(11)
@@ -119,6 +132,9 @@ class VpScanResult:
     #: Fraction of would-be replies lost to VP-side policing.
     drop_rate: float
     probes_sent: int
+    #: The per-position verdicts the records were built from (keyed
+    #: noise only; a later campaign may carry them).
+    outcomes: Optional["ScanOutcomes"] = None
 
 
 def base_rtt_row(
@@ -143,18 +159,31 @@ def base_rtt_row(
     entry is a pure function of (VP, prefix, distance), so the result is
     bit-equal to the full row at those positions.
     """
-    seed = vp_path_seed(internet.config.seed, vp.name)
     if keyed:
-        prefixes = internet.prefixes if positions is None else internet.prefixes[positions]
-        return internet.config.latency.path_rtt_ms_from_uniforms(
-            distances_km,
-            keyed_uniform(seed, "path-stretch", prefixes),
-            keyed_uniform(seed, "path-lastmile", prefixes),
-        )
+        return keyed_base_rtts(internet, [vp], distances_km[None, :], positions)[0]
     if positions is not None:
         raise ValueError("stream noise is positional: a row is built whole")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(vp_path_seed(internet.config.seed, vp.name))
     return internet.config.latency.path_rtt_ms(distances_km, rng)
+
+
+def keyed_base_rtts(
+    internet: SyntheticInternet,
+    vps: Sequence[VantagePoint],
+    distances_km: np.ndarray,
+    positions: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Keyed base RTTs from several VPs at once: row ``i`` is
+    ``base_rtt_row(internet, vps[i], distances_km[i], keyed=True,
+    positions=positions)``, bit for bit."""
+    seeds = [vp_path_seed(internet.config.seed, vp.name) for vp in vps]
+    prefixes = internet.prefixes if positions is None else internet.prefixes[positions]
+    words = prefixes.astype(np.uint64)[None, :]
+    return internet.config.latency.path_rtt_ms_from_uniforms(
+        distances_km,
+        _mixed_uniform(words ^ _key_bases(seeds, "path-stretch")[:, None]),
+        _mixed_uniform(words ^ _key_bases(seeds, "path-lastmile")[:, None]),
+    )
 
 
 #: ``(responsiveness class, record flag)`` of each ICMP error family, in
@@ -167,6 +196,25 @@ _ERROR_FAMILIES = tuple(
         (RESP_NET_PROHIBITED, IcmpOutcome.NET_PROHIBITED),
     )
 )
+
+
+#: Outcome codes of a keyed scan, one byte per target position
+#: (:class:`ScanOutcomes`).  Silent: no record (an unresponsive host, a
+#: lost reply, an error left unsent).  Policed: dropped near the VP,
+#: which is what ``drop_rate`` counts.  Then the record each
+#: responsiveness class emits: an echo reply, or error family ``k`` of
+#: :data:`_ERROR_FAMILIES` as ``OUTCOME_REPLY + 1 + k``.
+OUTCOME_SILENT = 0
+OUTCOME_POLICED = 1
+OUTCOME_REPLY = 2
+
+_EMITTED = {
+    RESP_REPLY: OUTCOME_REPLY,
+    **{code: OUTCOME_REPLY + 1 + k for k, (code, _) in enumerate(_ERROR_FAMILIES)},
+}
+#: The outcome code of the record each responsiveness class emits.
+_EMITTED_CODE = np.full(max(_EMITTED) + 1, OUTCOME_SILENT, dtype=np.uint8)
+_EMITTED_CODE[list(_EMITTED)] = list(_EMITTED.values())
 
 
 @dataclass(frozen=True)
@@ -221,6 +269,167 @@ class ScanTargets:
     def n(self) -> int:
         return len(self.slot)
 
+    @cached_property
+    def record_plan(self) -> Tuple[np.ndarray, ...]:
+        """Every probed responsive target in record order — the echo
+        replies, then each ICMP error family, ascending — as ``(position,
+        outcome code, record flag, probe slot)`` columns.  A keyed scan
+        records exactly the positions whose outcome is the code listed
+        here (:func:`scan_from_outcomes`)."""
+        families = [(OUTCOME_REPLY, FLAG_REPLY, self.reply_idx)] + [
+            (OUTCOME_REPLY + 1 + k, flag, hosts)
+            for k, (flag, hosts) in enumerate(self.error_idx)
+        ]
+        sizes = [len(idx) for _, _, idx in families]
+        positions = np.concatenate([idx for _, _, idx in families])
+        return (
+            positions,
+            np.repeat(np.array([code for code, _, _ in families], np.uint8), sizes),
+            np.repeat(np.array([flag for _, flag, _ in families], np.int8), sizes),
+            self.slot[positions],
+        )
+
+
+@dataclass
+class ScanOutcomes:
+    """A keyed scan's verdict at every target position of its world.
+
+    Under keyed noise a position's outcome is a pure function of the
+    scan's ``conditions`` (noise key, the VP's keep probability, the
+    degraded flag), the position's prefix, responsiveness class and base
+    RTT: never of the probe mask, the probing order or the other targets.
+    Every responsive position is evaluated, probed or not, so one set of
+    outcomes serves any probe mask; records, their timestamps and the
+    drop rate follow from it and the census's :class:`ScanTargets`
+    (:func:`scan_from_outcomes`).
+    """
+
+    #: ``(noise key, keep probability, degraded)`` the outcomes hold under.
+    conditions: Tuple[int, float, bool]
+    #: ``OUTCOME_*`` code per position (uint8).
+    code: np.ndarray
+    #: Reply RTT per position (float32; NaN where no reply was recorded).
+    rtt_ms: np.ndarray
+    #: Positions the kernel evaluated (every one for a cold scan).
+    scanned: int
+    #: Built on a predecessor campaign's outcomes.
+    carried: bool = False
+
+
+def keyed_outcomes(
+    internet: SyntheticInternet,
+    conditions: Sequence[Tuple[int, float, bool]],
+    base_rtts: np.ndarray,
+    positions: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The outcome kernel: ``(code, rtt_ms)`` with one row per scan of
+    ``conditions`` and one column per position of ``positions`` (every
+    position when ``None``); ``base_rtts`` holds each scan's base RTTs
+    there.
+
+    Each verdict is a pure function of (conditions, prefix, class, base
+    RTT), so evaluating any subset of scans and positions is bit-equal to
+    the whole at that subset.
+    """
+    keys = [key for key, _, _ in conditions]
+    keep = np.array([keep for _, keep, _ in conditions], dtype=np.float64)[:, None]
+    degraded = np.array([late for _, _, late in conditions], dtype=bool)
+    loss = np.where(degraded, DEGRADED_LOSS_PROB, REPLY_LOSS_PROB)[:, None]
+    at = slice(None) if positions is None else positions
+    resp = internet.responsiveness[at]
+    code = np.full((len(conditions), len(resp)), OUTCOME_SILENT, dtype=np.uint8)
+    rtt = np.full(code.shape, np.nan, dtype=np.float32)
+
+    def grid(salt: str, words: np.ndarray) -> np.ndarray:
+        return _mixed_uniform(words[None, :] ^ _key_bases(keys, salt)[:, None])
+
+    # Error hosts emit their error with high (not certain) probability,
+    # and the error packet is subject to the same VP-side policing as a
+    # reply.
+    responsive = np.flatnonzero(resp != RESP_SILENT)
+    classes = resp[responsive]
+    words = internet.prefixes[at][responsive].astype(np.uint64)
+    kept = grid("police", words) < keep
+    sent = kept & (grid("loss", words) >= loss)
+    errors = np.flatnonzero(classes != RESP_REPLY)
+    sent[:, errors] &= grid("emit", words[errors]) < ERROR_EMISSION_PROB
+    code[:, responsive] = np.where(
+        sent, _EMITTED_CODE[classes], np.where(kept, OUTCOME_SILENT, OUTCOME_POLICED)
+    )
+
+    scan, column = np.nonzero(sent & (classes == RESP_REPLY))
+    if len(scan):
+        cells = words[column]
+
+        def u(salt: str, sel=slice(None)) -> np.ndarray:
+            return _mixed_uniform(cells[sel] ^ _key_bases(keys, salt)[scan[sel]])
+
+        answered = responsive[column]
+        rtts = internet.config.latency.probe_rtt_ms_from_uniforms(
+            base_rtts[scan, answered], u("jitter"), u("spike-gate"), u("spike")
+        )
+        late = np.flatnonzero(degraded[scan])
+        if len(late):
+            rtts[late] = rtts[late] - DEGRADED_SPIKE_MS * np.log1p(-u("degraded", late))
+        rtt[scan, answered] = rtts
+    return code, rtt
+
+
+def scan_from_outcomes(
+    internet: SyntheticInternet,
+    vp: VantagePoint,
+    vp_index: int,
+    census_id: int,
+    outcomes: ScanOutcomes,
+    targets: ScanTargets,
+    rate_pps: float,
+    shift: int = 0,
+) -> VpScanResult:
+    """A keyed scan of ``targets``, read off its per-position outcomes:
+    records in the order every scan lists them (echo replies ascending,
+    then each ICMP error family ascending), send times from the census's
+    probing order rotated by ``shift``."""
+    if rate_pps <= 0:
+        raise ValueError("rate_pps must be positive")
+    n = targets.n
+    if len(outcomes.code) != n or internet.n_targets != n:
+        raise ValueError("array sizes disagree with target count")
+    positions, expected, flags, slots = targets.record_plan
+    got = outcomes.code[positions]
+    # drop_rate accounts for VP-side *policing* only; transient loss is a
+    # separate, rate-independent phenomenon.
+    n_responders = len(targets.reply_idx)
+    dropped = int(np.count_nonzero(got[:n_responders] == OUTCOME_POLICED))
+    recorded = np.flatnonzero(got == expected)
+    if len(recorded):
+        idx = positions[recorded]
+        # Send times follow the probing order rotated by ``shift``, at
+        # the rate: slot ``(slot + shift) mod n``, both terms below n.
+        slot = slots[recorded] + shift
+        np.subtract(slot, n, out=slot, where=slot >= n)
+        send_ms = slot.astype(np.float64)
+        send_ms /= rate_pps
+        send_ms *= 1000.0
+        records = CensusRecords(
+            census_id=census_id,
+            vp_index=np.full(len(idx), vp_index, dtype=np.uint16),
+            prefix=internet.prefixes[idx].astype(np.uint32),
+            timestamp_ms=send_ms,
+            rtt_ms=outcomes.rtt_ms[idx],
+            flag=flags[recorded],
+        )
+    else:
+        # Nothing answered — empty universe or a fully-masked probe_mask.
+        records = CensusRecords.empty(census_id)
+    probes_sent = targets.probes_sent
+    return VpScanResult(
+        records=records,
+        duration_hours=probes_sent / rate_pps / 3600.0 * vp.host_load,
+        drop_rate=dropped / max(n_responders, 1),
+        probes_sent=probes_sent,
+        outcomes=outcomes,
+    )
+
 
 def simulate_vp_scan(
     internet: SyntheticInternet,
@@ -234,9 +443,11 @@ def simulate_vp_scan(
     shift: int = 0,
     reply_loss_prob: float = REPLY_LOSS_PROB,
     degraded: bool = False,
-    noise_key: Optional[int] = None,
 ) -> VpScanResult:
-    """Simulate one VP scanning every target of ``targets`` once.
+    """Simulate one VP scanning every target of ``targets`` once, its
+    noise drawn from one positional stream (a campaign's ``"stream"``
+    noise mode; a keyed scan is :func:`keyed_outcomes` read off by
+    :func:`scan_from_outcomes`).
 
     Parameters
     ----------
@@ -255,14 +466,6 @@ def simulate_vp_scan(
     degraded:
         An overloaded host for this census: heavy reply loss plus inflated
         user-space RTT timestamps (the paper's Fig. 8 straggler cohort).
-    noise_key:
-        When set, per-probe noise (policing, loss, error emission, jitter)
-        is drawn from :func:`keyed_uniform` under this key instead of the
-        positional ``rng`` stream: each target's outcome then depends only
-        on (key, prefix), so universe growth leaves unchanged targets'
-        records identical — the contract of the campaign's ``"keyed"``
-        noise mode.  ``rng`` is unused in that case, and keyed draws are
-        made only for the targets that use them.
     """
     if not 0.0 <= reply_loss_prob <= 1.0:
         raise ValueError("reply_loss_prob must be in [0, 1]")
@@ -272,18 +475,12 @@ def simulate_vp_scan(
     if len(base_rtts) != n or internet.n_targets != n:
         raise ValueError("array sizes disagree with target count")
 
-    if noise_key is None:
-        # The positional stream is the byte contract: three full-universe
-        # draws in this order, then the probe RTTs below.
-        streams = {salt: rng.random(n) for salt in ("police", "loss", "emit")}
+    # The positional stream is the byte contract: three full-universe
+    # draws in this order, then the probe RTTs below.
+    streams = {salt: rng.random(n) for salt in ("police", "loss", "emit")}
 
-        def u(salt: str, idx: np.ndarray) -> np.ndarray:
-            return streams[salt][idx]
-
-    else:
-
-        def u(salt: str, idx: np.ndarray) -> np.ndarray:
-            return keyed_uniform(noise_key, salt, internet.prefixes[idx])
+    def u(salt: str, idx: np.ndarray) -> np.ndarray:
+        return streams[salt][idx]
 
     keep_prob = vp.rate_limit.keep_probability(rate_pps)
     loss = DEGRADED_LOSS_PROB if degraded else reply_loss_prob
@@ -303,19 +500,9 @@ def simulate_vp_scan(
     columns_vp, columns_prefix, columns_ts, columns_rtt, columns_flag = [], [], [], [], []
 
     if len(reply_idx):
-        if noise_key is not None:
-            rtts = internet.config.latency.probe_rtt_ms_from_uniforms(
-                base_rtts[reply_idx],
-                u("jitter", reply_idx),
-                u("spike-gate", reply_idx),
-                u("spike", reply_idx),
-            )
-            if degraded:
-                rtts = rtts - DEGRADED_SPIKE_MS * np.log1p(-u("degraded", reply_idx))
-        else:
-            rtts = internet.config.latency.probe_rtt_ms(base_rtts[reply_idx], rng)
-            if degraded:
-                rtts = rtts + rng.exponential(DEGRADED_SPIKE_MS, size=rtts.shape)
+        rtts = internet.config.latency.probe_rtt_ms(base_rtts[reply_idx], rng)
+        if degraded:
+            rtts = rtts + rng.exponential(DEGRADED_SPIKE_MS, size=rtts.shape)
         columns_vp.append(np.full(len(reply_idx), vp_index, dtype=np.uint16))
         columns_prefix.append(internet.prefixes[reply_idx].astype(np.uint32))
         columns_ts.append(send_ms(reply_idx))

@@ -162,13 +162,16 @@ def churn_between(
     births = 0
     deaths = 0
     for key in before_keys & after_keys:
-        was = bool(before[key]["anycast"])
-        now = bool(after[key]["anycast"])
+        entry_before, entry_after = before[key], after[key]
+        if entry_after is entry_before:
+            continue  # an entry copied forward: no flip, no replica change
+        was = bool(entry_before["anycast"])
+        now = bool(entry_after["anycast"])
         if now and not was:
             flips_to_anycast += 1
         elif was and not now:
             flips_to_unicast += 1
-        delta = _replicas_of(after[key]) - _replicas_of(before[key])
+        delta = _replicas_of(entry_after) - _replicas_of(entry_before)
         if delta > 0:
             births += delta
         else:

@@ -302,6 +302,12 @@ class CensusService:
         #: id(results doc) -> (doc, its signature map), for the documents
         #: the last epoch planned against.
         self._signature_maps: Dict[int, Tuple[Dict[str, Any], Dict[int, str]]] = {}
+        #: The last analysed world with its registered /24s (sorted) and
+        #: their owner ASNs (see :meth:`_aggregate`).
+        self._owners: Optional[Tuple[SyntheticInternet, np.ndarray, np.ndarray]] = None
+        #: Geolocation's disk tables by exponent, for the last analysed
+        #: roster digest (they depend on VP locations and the gazetteer only).
+        self._disk_tables: Tuple[str, Dict[float, Any]] = ("", {})
 
     # ------------------------------------------------------------------
     # The evolving world
@@ -510,10 +516,10 @@ class CensusService:
                 )
 
             census = self._stage("measurement", measure, epoch)
-            # Base rows are built as the census scans each VP: the world
+            # Outcomes are carried as the census scans each VP: the world
             # span reports them once the measurement is done.
-            world_span.set("base_rows_carried", campaign.base_rows_carried)
-            world_span.set("base_positions_computed", campaign.base_positions_computed)
+            world_span.set("outcomes_carried", campaign.outcomes_carried)
+            world_span.set("positions_scanned", campaign.positions_scanned)
             if census.health is not None:
                 for vp_name in census.health.quarantined_vps:
                     events.emit(
@@ -979,7 +985,12 @@ class CensusService:
             dtype=np.int64,
         )
         mask = detect_targets(matrix, cfg, self.config.min_samples, rows=rows)
-        engine = FastAnalysisEngine(matrix, city_db=self.city_db, config=cfg)
+        roster = vp_context_digest(matrix.vp_names, matrix.vp_locations)
+        if self._disk_tables[0] != roster:
+            self._disk_tables = (roster, {})
+        engine = FastAnalysisEngine(
+            matrix, city_db=self.city_db, config=cfg, disk_tables=self._disk_tables[1]
+        )
         analysed = iter(engine.analyze_rows(rows[mask]))
         verdicts = iter(mask.tolist())
 
@@ -1032,53 +1043,76 @@ class CensusService:
             targets[key] = entry
         n_recomputed = len(rows)
 
+        ases, summary = self._aggregate(matrix.prefixes, targets, internet)
         doc = {
             "kind": RESULTS_KIND,
             "epoch": epoch,
-            "signature_context": vp_context_digest(
-                matrix.vp_names, matrix.vp_locations
-            ),
+            "signature_context": roster,
             "targets": targets,
-            "ases": self._aggregate_ases(targets, internet),
-            "summary": {
-                "n_targets": len(targets),
-                "n_anycast": sum(1 for e in targets.values() if e["anycast"]),
-                "total_replicas": sum(
-                    len(e.get("replicas", ())) for e in targets.values()
-                ),
-            },
+            "ases": ases,
+            "summary": summary,
         }
         return doc, n_recomputed, n_copied, n_recovered
 
-    @staticmethod
-    def _aggregate_ases(
-        targets: Dict[str, Any], internet: SyntheticInternet
-    ) -> Dict[str, Any]:
-        """Per-AS footprint section, recomputed from the target entries.
+    def _aggregate(
+        self,
+        prefixes: np.ndarray,
+        targets: Dict[str, Any],
+        internet: SyntheticInternet,
+    ) -> Tuple[Dict[str, Any], Dict[str, int]]:
+        """The per-AS footprint and summary sections, in one array pass
+        over the target entries (``targets`` keyed by ``prefixes``).
 
         Mirrors :class:`~repro.census.characterize.Characterization`'s
-        aggregation (same ``mean_replicas`` arithmetic) but reads the
-        serialized entries, so incremental and cold documents agree
-        byte-for-byte whenever their target sections do.
+        aggregation (``mean_replicas`` is the mean of integer replica
+        counts, exact as sum / count) but reads the serialized entries,
+        so incremental and cold documents agree byte-for-byte whenever
+        their target sections do.  ASes are listed in order of their
+        first anycast /24.
         """
-        counts: Dict[int, List[int]] = {}
-        names: Dict[int, str] = {}
-        for key, entry in targets.items():
-            if not entry["anycast"]:
-                continue
-            owner = internet.registry.owner_of(int(key))
-            if owner is None:
-                continue
-            counts.setdefault(owner.asn, []).append(len(entry.get("replicas", ())))
-            names[owner.asn] = owner.name
-        return {
-            str(asn): {
-                "name": names[asn],
-                "mean_replicas": float(np.mean(replicas)),
-                "n_ip24": len(replicas),
+        entries = targets.values()
+        anycast = np.fromiter((e["anycast"] for e in entries), bool, len(targets))
+        replicas = np.fromiter(
+            (len(e.get("replicas", ())) for e in entries), np.int64, len(targets)
+        )
+        if self._owners is None or self._owners[0] is not internet:
+            registry = internet.registry
+            # Sorted, then a sentinel past every prefix: each lookup lands
+            # on a slot, and an unregistered /24 on one that is not its own.
+            owned = sorted(
+                (prefix, owner.asn)
+                for owner in registry
+                for prefix in registry.prefixes_of(owner.asn)
+            ) + [(np.iinfo(np.int64).max, -1)]
+            self._owners = (
+                internet,
+                np.array([p for p, _ in owned], dtype=np.int64),
+                np.array([a for _, a in owned], dtype=np.int64),
+            )
+        _, registered, asn_of = self._owners
+        at = np.searchsorted(registered, prefixes)
+        counted = anycast & (registered[at] == prefixes)
+        asns, first, inverse = np.unique(
+            asn_of[at[counted]], return_index=True, return_inverse=True
+        )
+        n_ip24 = np.bincount(inverse, minlength=len(asns)).tolist()
+        totals = np.bincount(
+            inverse, weights=replicas[counted], minlength=len(asns)
+        ).tolist()
+        ases: Dict[str, Any] = {}
+        for i in np.argsort(first).tolist():
+            asn = int(asns[i])
+            ases[str(asn)] = {
+                "name": internet.registry[asn].name,
+                "mean_replicas": int(totals[i]) / n_ip24[i],
+                "n_ip24": n_ip24[i],
             }
-            for asn, replicas in counts.items()
+        summary = {
+            "n_targets": len(targets),
+            "n_anycast": int(anycast.sum()),
+            "total_replicas": int(replicas.sum()),
         }
+        return ases, summary
 
     # ------------------------------------------------------------------
     # Manifest assembly

@@ -223,20 +223,8 @@ class TestReplicaCache:
 
 
 class TestCityDbAccessors:
-    def test_index_of_round_trips(self, city_db):
-        for i in (0, 7, len(city_db) - 1):
-            assert city_db.index_of(city_db.city_at(i)) == i
-
-    def test_index_of_unknown_city_raises(self, city_db):
-        from repro.geo.cities import City
-        from repro.geo.coords import GeoPoint
-
-        stranger = City("Atlantis", "XX", GeoPoint(0.0, 0.0), 1.0)
-        with pytest.raises(KeyError):
-            city_db.index_of(stranger)
-
     def test_spherical_centroid(self, city_db):
-        paris = city_db.index_of(city_db.get("Paris"))
+        paris = city_db.cities.index(city_db.get("Paris"))
         centroid = city_db.spherical_centroid([paris])
         assert centroid.distance_km(city_db.get("Paris").location) < 1.0
         with pytest.raises(ValueError):

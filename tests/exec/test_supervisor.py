@@ -126,20 +126,22 @@ class TestWorkerFaultPlan:
     def test_explicit_ids_fire_on_first_task_only(self):
         plan = WorkerFaultPlan(dead_worker_ids=(1,), wedged_worker_ids=(2,))
         injector = WorkerFaultInjector(plan)
-        assert injector.fault_for(1, 1) is WorkerFaultKind.DEAD_WORKER
-        assert injector.fault_for(2, 1) is WorkerFaultKind.WEDGED_WORKER
-        assert injector.fault_for(1, 2) is None
-        assert injector.fault_for(0, 1) is None
+        assert injector.fault_for(1, 1, 5, 0) is WorkerFaultKind.DEAD_WORKER
+        assert injector.fault_for(2, 1, 5, 0) is WorkerFaultKind.WEDGED_WORKER
+        assert injector.fault_for(1, 2, 5, 0) is None
+        assert injector.fault_for(0, 1, 5, 0) is None
 
     def test_probabilistic_draws_are_keyed(self):
+        """A draw belongs to (unit, attempt): the worker that makes it,
+        and how many tasks that worker ran before, do not matter."""
         plan = WorkerFaultPlan(dead_prob=0.5, seed=42)
         a = WorkerFaultInjector(plan)
         b = WorkerFaultInjector(plan)
-        draws = [(w, t) for w in range(4) for t in range(1, 6)]
-        assert [a.fault_for(w, t) for w, t in draws] == [
-            b.fault_for(w, t) for w, t in draws
-        ]
-        assert any(a.fault_for(w, t) is not None for w, t in draws)
+        draws = [(u, k) for u in range(4) for k in range(5)]
+        fates = [a.fault_for(0, 1, u, k) for u, k in draws]
+        assert fates == [b.fault_for(3, 7, u, k) for u, k in draws]
+        assert any(fate is not None for fate in fates)
+        assert any(fate is None for fate in fates)
 
     def test_uniform_splits_rate(self):
         plan = WorkerFaultPlan.uniform(0.3, seed=1)

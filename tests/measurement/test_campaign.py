@@ -93,26 +93,28 @@ class TestEffectiveCoords:
 
     def test_carried_rows_follow_moved_hosts(self, tiny_platform):
         """A predecessor over the same configuration but another gazetteer
-        puts most unicast prefixes elsewhere: only hosts at the very same
-        place are gathered, and every row equals the fresh computation."""
+        puts most unicast prefixes elsewhere: only scans of hosts at the
+        very same place are carried, and every scan equals a cold one."""
         config = InternetConfig(seed=7, n_unicast_slash24=200, tail_deployments=0)
         catalog = full_catalog(seed=7)[:6]
         cities = default_city_db().cities
         before = SyntheticInternet(config, catalog=catalog, city_db=CityDB(cities[::2]))
         now = SyntheticInternet(config, catalog=catalog, city_db=CityDB(cities))
         previous = CensusCampaign(before, tiny_platform, noise="keyed")
-        for vp_idx in (0, 7):
-            previous.base_row(vp_idx)
+        previous.run_census(availability=1.0)
         carried = CensusCampaign(now, tiny_platform, noise="keyed", previous=previous)
-        for vp_idx in (0, 7):
-            assert np.array_equal(carried.base_row(vp_idx), fresh_row(carried, vp_idx))
+        cold = CensusCampaign(now, tiny_platform, noise="keyed")
+        got, want = (c.run_census(availability=1.0) for c in (carried, cold))
+        assert got.records.checksum() == want.records.checksum()
+        assert got.vp_drop_rate.tobytes() == want.vp_drop_rate.tobytes()
         stayed = sum(
             a.prefix == b.prefix and a.location == b.location
             for a, b in zip(before.unicast_hosts, now.unicast_hosts)
         )
         assert stayed < len(now.unicast_hosts) // 2
-        assert carried.base_rows_carried == 2
-        assert carried.base_positions_computed == 2 * (now.n_targets - stayed)
+        n_vps = len(tiny_platform)
+        assert carried.outcomes_carried == n_vps
+        assert carried.positions_scanned == n_vps * (now.n_targets - stayed)
 
 
 class TestPrecensus:
@@ -232,4 +234,4 @@ class TestCensus:
         carried = CensusCampaign(grown, platform, previous=first)
         cold = CensusCampaign(grown, platform)
         assert carried.base_row(0).tobytes() == cold.base_row(0).tobytes()
-        assert carried.catchments_carried == carried.base_rows_carried == 0
+        assert carried.catchments_carried == carried.outcomes_carried == 0

@@ -5,11 +5,12 @@ by field, deployment by deployment, catchment by catchment — and the
 archive a one-process timeline commits must be byte-identical to the one
 fresh services commit, interrupted or not.
 
-The carried scan geometry: each epoch's campaign takes base rows and
-catchment rows from the previous epoch's (``CensusCampaign(previous=)``)
-and the signatures of unmoved rows from the previous signed matrix
-(``sign_rows(previous=)``).  A fresh campaign and cold
-``target_signatures`` are the oracles, day by day, under roster churn.
+The carried scan geometry: each epoch's campaign takes catchment rows
+and keyed scan outcomes from the previous epoch's
+(``CensusCampaign(previous=)``) and the signatures of unmoved rows from
+the previous signed matrix (``sign_rows(previous=)``).  A fresh campaign
+and cold ``target_signatures`` are the oracles, day by day, under roster
+churn: scan bytes, drop rates, durations and journal payloads per VP.
 
 The archive carries the results documents it read or wrote since its
 last commit: every document the service uses must equal ``json.loads``
@@ -19,6 +20,7 @@ rotten baseline.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import replace
 
@@ -29,8 +31,14 @@ from hypothesis import strategies as st
 
 import repro.service.service as service_module
 from repro.census.longitudinal import EvolutionConfig
+from repro.exec.supervisor import ExecutionPolicy
+from repro.internet.topology import RESP_ADMIN_FILTERED, RESP_REPLY
 from repro.measurement.campaign import CensusCampaign, CensusInterrupted
+from repro.measurement.lfsr import lfsr_permutation
 from repro.measurement.platform import VantagePoint, vp_column_digest
+from repro.measurement.prober import SAFE_RATE_PPS, ScanTargets
+from repro.measurement.recordio import CensusJournal
+from repro.net.icmp import IcmpOutcome
 from repro.obs import Tracer, activate
 from repro.service import CensusService
 from repro.service.archive import RESULTS_FILE, canonical_json_bytes
@@ -118,13 +126,15 @@ def test_world_span_reports_the_path_taken(tmp_path):
     cold, carried = (span["attrs"] for span in spans)
     day0, day1 = service.internet_for(0), service.internet_for(1)
     n_vps = len(service.platform_for(1))
+    # The pre-census scans once more, from the first VP.
+    scans = n_vps + 1
     assert cold == {
         "carried": False,
         "deployments_rebuilt": len(day0.deployments),
         "routes_propagated": len(day0.deployments),
         "catchments_carried": 0,
-        "base_rows_carried": 0,
-        "base_positions_computed": n_vps * day0.n_targets,
+        "outcomes_carried": 0,
+        "positions_scanned": scans * day0.n_targets,
     }
     kept = {id(dep) for dep in day0.deployments}
     rebuilt = [dep for dep in day1.deployments if id(dep) not in kept]
@@ -133,9 +143,9 @@ def test_world_span_reports_the_path_taken(tmp_path):
         "deployments_rebuilt": len(rebuilt),
         "routes_propagated": len(rebuilt),
         "catchments_carried": len(day1.deployments) - len(rebuilt),
-        "base_rows_carried": n_vps,
-        # Only the rebuilt deployments' /24s are measured afresh.
-        "base_positions_computed": n_vps * sum(len(dep.prefixes) for dep in rebuilt),
+        "outcomes_carried": scans,
+        # Only the rebuilt deployments' /24s are scanned afresh.
+        "positions_scanned": scans * sum(len(dep.prefixes) for dep in rebuilt),
     }
     assert len(rebuilt) < len(day1.deployments)
 
@@ -198,7 +208,16 @@ def fresh_campaign(service, epoch):
         service.internet_for(epoch),
         service.platform_for(epoch),
         seed=cfg.campaign_seed,
+        degraded_fraction=cfg.degraded_fraction,
         noise=cfg.noise,
+    )
+
+
+def same_outcomes(got, want) -> bool:
+    return (
+        got.conditions == want.conditions
+        and got.code.tobytes() == want.code.tobytes()
+        and got.rtt_ms.tobytes() == want.rtt_ms.tobytes()
     )
 
 
@@ -210,9 +229,9 @@ def test_carried_geometry_equals_cold_under_roster_churn(
     tmp_path, monkeypatch, routing, noise
 ):
     """A one-process timeline whose roster loses and regains VPs: every
-    day's base rows, catchment table and signatures equal a fresh
+    day's catchment table, kept scan outcomes and signatures equal a fresh
     campaign's and cold hashing's, and the archive equals fresh per-day
-    services'.  Stream noise is positional, so it carries no row."""
+    services'.  Stream noise is positional, so it carries no outcome."""
     # VPs 10, 13 and 17 sit day 1 out, 7 and 10 day 4; days 2-3 keep
     # the same roster.
     knobs = dict(
@@ -233,7 +252,7 @@ def test_carried_geometry_equals_cold_under_roster_churn(
 
     monkeypatch.setattr(service_module, "sign_rows", checked_sign_rows)
     service = small_service(tmp_path / "carried", **knobs)
-    rosters, carried_rows = [], []
+    rosters, carried_scans = [], []
     for epoch in range(DAYS):
         tracer = Tracer()
         with activate(tracer=tracer):
@@ -241,16 +260,15 @@ def test_carried_geometry_equals_cold_under_roster_churn(
         world = next(
             c for c in tracer.to_dicts()[0]["children"] if c["name"] == "world"
         )["attrs"]
-        carried_rows.append(world["base_rows_carried"])
+        carried_scans.append(world["outcomes_carried"])
         campaign, fresh = service._campaign, fresh_campaign(service, epoch)
         assert np.array_equal(campaign._catchment, fresh._catchment), epoch
-        platform = service.platform_for(epoch)
-        for i in range(len(platform)):
-            assert campaign.base_row(i).tobytes() == fresh.base_row(i).tobytes(), (
-                epoch,
-                platform.vantage_points[i].name,
-            )
-        rosters.append([vp.name for vp in platform.vantage_points])
+        fresh.run_precensus()
+        fresh.run_census(availability=service.config.availability)
+        assert campaign._outcomes.keys() == fresh._outcomes.keys()
+        for key, outcomes in campaign._outcomes.items():
+            assert same_outcomes(outcomes, fresh._outcomes[key]), (epoch, key)
+        rosters.append([vp.name for vp in service.platform_for(epoch).vantage_points])
     for epoch in range(DAYS):
         small_service(tmp_path / "fresh", **knobs).run_epoch(epoch)
     assert archive_tree(tmp_path / "carried") == archive_tree(tmp_path / "fresh")
@@ -264,37 +282,149 @@ def test_carried_geometry_equals_cold_under_roster_churn(
     carried_signatures = signed_days[:DAYS]
     assert carried_signatures[0] == 0
     if noise == "stream":
-        assert carried_rows == [0] * DAYS
+        assert carried_scans == [0] * DAYS
         return
-    assert carried_rows[0] == 0 and all(n > 0 for n in carried_rows[1:])
+    assert carried_scans[0] == 0 and all(n > 0 for n in carried_scans[1:])
     quiet = [k for k in range(1, DAYS) if rosters[k] == rosters[k - 1]]
     assert quiet and all(carried_signatures[k] > 0 for k in quiet)
+    # A quiet day carries every scan: the census's and the pre-census's.
+    assert all(carried_scans[k] == len(rosters[k]) + 1 for k in quiet)
 
 
 def test_base_rows_are_keyed_on_vp_identity(tmp_path):
     """A VP that keeps its name but moves is measured from where it is
-    now: its row is not taken from the campaign that knew it elsewhere."""
+    now: its scan is not taken from the campaign that knew it elsewhere."""
     service = small_service(tmp_path / "archive")
     internet, platform = service.internet_for(0), service.platform_for(0)
     before = CensusCampaign(internet, platform, seed=500, noise="keyed")
-    for i in range(len(platform)):
-        before.base_row(i)
+    before.run_census(availability=1.0)
     first = platform.vantage_points[0]
     elsewhere = platform.vantage_points[-1].location
     moved = VantagePoint(first.name, first.city, elsewhere, first.host_load)
     roster = replace(platform, vantage_points=[moved, *platform.vantage_points[1:]])
     after = CensusCampaign(internet, roster, seed=500, noise="keyed", previous=before)
     cold = CensusCampaign(internet, roster, seed=500, noise="keyed")
-    assert after.base_row(0).tobytes() == cold.base_row(0).tobytes()
-    assert after.base_row(0).tobytes() != before.base_row(0).tobytes()
-    assert after.base_row(1).tobytes() == cold.base_row(1).tobytes()
-    # The moved VP's row was computed whole; the stayer's was carried and
-    # released from the predecessor's cache.
-    n = internet.n_targets
-    assert (after.base_rows_carried, after.base_positions_computed) == (1, n)
+    targets = ScanTargets.build(internet, lfsr_permutation(internet.n_targets, seed=1))
+    scans = {}
+    for name, campaign in (("after", after), ("cold", cold), ("before", before)):
+        scans[name] = [campaign.scan_vp(i, 1, targets) for i in (0, 1)]
+    for got, want in zip(scans["after"], scans["cold"]):
+        assert same_outcomes(got.outcomes, want.outcomes)
+        assert got.records.checksum() == want.records.checksum()
+    assert not same_outcomes(scans["after"][0].outcomes, scans["before"][0].outcomes)
+    # The moved VP was scanned whole; the stayer's scan was carried and
+    # taken out of the predecessor's store.
+    assert [scan.outcomes.carried for scan in scans["after"]] == [False, True]
+    assert scans["after"][0].outcomes.scanned == internet.n_targets
+    assert scans["after"][1].outcomes.scanned == 0
     stayer = platform.vantage_points[1]
-    assert vp_column_digest(stayer.name, stayer.location) not in before._base_rows
-    assert vp_column_digest(first.name, first.location) in before._base_rows
+    assert (1, vp_column_digest(stayer.name, stayer.location)) not in before._outcomes
+    assert (1, vp_column_digest(first.name, first.location)) in before._outcomes
+
+
+# ----------------------------------------------------------------------
+# Carried scans == cold scans, per VP, on every day of a keyed timeline
+# ----------------------------------------------------------------------
+
+
+def with_class_flipped(internet, position, code):
+    """The same world, but the target at ``position`` answers as ``code``."""
+    flipped = copy.copy(internet)
+    responsiveness = internet.responsiveness.copy()
+    responsiveness[position] = code
+    responsiveness.setflags(write=False)
+    flipped.responsiveness = responsiveness
+    return flipped
+
+
+def assert_same_scans(carried, cold, journals) -> None:
+    """Census bytes, and per VP: journalled records and payload."""
+    assert [vp.name for vp in carried.platform.vantage_points] == [
+        vp.name for vp in cold.platform.vantage_points
+    ]
+    for column in ("vp_index", "prefix", "timestamp_ms", "rtt_ms", "flag"):
+        got, want = getattr(carried.records, column), getattr(cold.records, column)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), column
+    assert carried.vp_drop_rate.tobytes() == cold.vp_drop_rate.tobytes()
+    assert carried.vp_duration_hours.tobytes() == cold.vp_duration_hours.tobytes()
+    assert list(carried.greylist.prefixes) == list(cold.greylist.prefixes)
+    mine, theirs = (CensusJournal(path) for path in journals)
+    for vp in cold.platform.vantage_points:
+        got, want = mine.valid_batch(vp.name), theirs.valid_batch(vp.name)
+        assert got.payload == want.payload, vp.name
+        assert got.records.checksum() == want.records.checksum(), vp.name
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("routing", ["geo", "bgp"])
+def test_carried_scans_equal_cold_scans(tmp_path, routing, workers):
+    """Each day's campaign, built on yesterday's, scans exactly what a
+    fresh campaign scans, through roster churn, degraded VPs, a probe
+    mask that grows for one day, a target whose class flips, a probing
+    rate that changes for one day, and a day interrupted and re-run on
+    the interrupted campaign."""
+    service = small_service(
+        tmp_path / "archive", routing=routing, roster_churn_prob=0.05, roster_seed=11
+    )
+    seed = service.config.campaign_seed
+    policy = ExecutionPolicy(workers=workers)
+    previous = None
+    carried_scans, scanned = [], []
+    for epoch in range(DAYS):
+        internet = service.internet_for(epoch)
+        platform = service.platform_for(epoch)
+        if epoch == 3:
+            # A replying unicast host turns administratively filtered.
+            replying = np.flatnonzero(
+                (internet.responsiveness == RESP_REPLY) & ~internet.is_anycast
+            )
+            internet = with_class_flipped(internet, replying[0], RESP_ADMIN_FILTERED)
+        # A probing rate past some VPs' policing threshold, for one day.
+        rate = 4 * SAFE_RATE_PPS if epoch == 4 else SAFE_RATE_PPS
+
+        def campaign(previous):
+            return CensusCampaign(
+                internet,
+                platform,
+                rate_pps=rate,
+                seed=seed,
+                degraded_fraction=0.3,
+                noise="keyed",
+                executor=policy,
+                previous=previous,
+            )
+
+        def measure(campaign, journal, abort_after_vps=None):
+            campaign.run_precensus()
+            if epoch == 1:
+                # Every fifth target off-limits for the day.
+                campaign.blacklist.extend(
+                    (int(p), IcmpOutcome.ADMIN_FILTERED) for p in internet.prefixes[::5]
+                )
+            return campaign.run_census(
+                availability=0.9,
+                checkpoint=str(journal),
+                abort_after_vps=abort_after_vps,
+            )
+
+        journals = (tmp_path / f"carried-{epoch}.journal", tmp_path / f"cold-{epoch}.journal")
+        carried = campaign(previous)
+        if epoch == 2:
+            with pytest.raises(CensusInterrupted):
+                measure(carried, journals[0], abort_after_vps=3)
+            carried = campaign(carried)
+        got = measure(carried, journals[0])
+        want = measure(campaign(None), journals[1])
+        assert_same_scans(got, want, journals)
+        if epoch == 2:
+            assert got.health.n_vps_resumed == 3
+        carried_scans.append(carried.outcomes_carried)
+        scanned.append(carried.positions_scanned / internet.n_targets)
+        previous = carried
+
+    assert carried_scans[0] == 0 and all(n > 0 for n in carried_scans[1:])
+    # Carried days scan a fraction of what cold scans would.
+    assert all(scanned[k] < len(service.platform_for(k)) for k in range(1, DAYS))
 
 
 # ----------------------------------------------------------------------

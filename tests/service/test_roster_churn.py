@@ -118,3 +118,39 @@ class TestRosterChurn:
             service.run_epoch(epoch)
         churn = service.archive.read_manifest(1).get("churn") or {}
         assert "roster" not in churn
+
+
+def test_small_service_timeline_stays_incremental_under_roster_churn(tmp_path):
+    """The laptop-scale service under trust and a 5% keyed dropout: the
+    roster moves, epochs stay incremental, rejoin recovery fires, the
+    manifests record the motion, and every committed results document
+    equals a cold service's."""
+    from repro.workflow import small_service
+
+    epochs = 5
+    knobs = dict(roster_churn_prob=0.05, roster_seed=11, baseline_depth=4, trust=True)
+
+    churned = small_service(tmp_path / "churn-archive", **knobs)
+    outcomes = [churned.run_epoch(e) for e in range(epochs)]
+
+    rosters = {
+        tuple(vp["name"] for vp in churned.archive.read_manifest(e)["vantage_points"])
+        for e in range(epochs)
+    }
+    assert len(rosters) > 1, "roster never moved"
+    incremental = [o for o in outcomes[1:] if o.mode == "incremental"]
+    assert incremental, "every churned epoch went cold"
+    assert sum(o.n_recovered for o in outcomes) > 0, "rejoin recovery never fired"
+    blocks = [
+        e
+        for e in range(1, epochs)
+        if "roster" in (churned.archive.read_manifest(e).get("churn") or {})
+    ]
+    assert blocks, "no manifest recorded the roster motion"
+
+    cold = small_service(tmp_path / "churn-cold", incremental=False, **knobs)
+    for epoch in range(epochs):
+        cold.run_epoch(epoch)
+        assert churned.archive.read_results(epoch) == cold.archive.read_results(
+            epoch
+        ), f"epoch {epoch}: incremental != cold under roster churn"

@@ -15,7 +15,13 @@ import pytest
 from repro.exec import ExecutionPolicy
 from repro.internet.topology import InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign, CensusInterrupted
-from repro.measurement.faults import FaultPlan, RetryPolicy, WorkerFaultPlan
+from repro.measurement.faults import (
+    FaultPlan,
+    RetryPolicy,
+    WorkerFaultInjector,
+    WorkerFaultKind,
+    WorkerFaultPlan,
+)
 from repro.measurement.platform import planetlab_platform
 
 
@@ -150,17 +156,37 @@ class TestFaultyWorkersKeepBytesIdentical:
         assert_same_census(census, serial_census)
 
     def test_probabilistic_worker_chaos(self, internet, platform, serial_census):
+        """One fixed scenario: a unit's fate on its n-th dispatch is keyed
+        on (seed, unit, attempt), and with one unit in flight per worker a
+        worker dies only in the unit it runs, so the losses and
+        reassignments are exactly the injector's leading fatal draws."""
+        plan = WorkerFaultPlan(dead_prob=0.15, slow_prob=0.1, seed=3, slow_seconds=0.05)
         policy = ExecutionPolicy(
             workers=3,
-            worker_faults=WorkerFaultPlan(dead_prob=0.15, slow_prob=0.1, seed=3,
-                                          slow_seconds=0.05),
+            worker_faults=plan,
             liveness_timeout_s=2.0,
             poll_interval_s=0.02,
+            prefetch=1,
         )
         census = fresh_campaign(internet, platform, executor=policy).run_census(
             availability=0.85
         )
         assert_same_census(census, serial_census)
+
+        injector = WorkerFaultInjector(plan)
+
+        def deaths(unit_id):
+            attempt = 0
+            while injector.fault_for(-1, 0, unit_id, attempt) is WorkerFaultKind.DEAD_WORKER:
+                attempt += 1
+            return attempt
+
+        execution = census.health.execution
+        lost = sum(deaths(u) for u in range(execution["n_units"]))
+        assert lost > 0
+        assert execution["workers_lost"] == lost
+        assert execution["reassignments"] == lost
+        assert execution["workers_wedged"] == 0
 
 
 class TestCheckpointResumeUnderPool:
