@@ -97,16 +97,12 @@ def test_roster_churn_incremental_ratio(tmp_path, results_dir):
     internet, matrix = rebuild_matrix(service, epoch)
     signatures = target_signatures(matrix)
 
-    baseline_epoch = epoch - 1
-    baseline_doc = service.archive.read_results(baseline_epoch)
-    baseline_signatures = service._baseline_signatures(baseline_doc)
-    history_docs = {}
-    history = []
-    older = [e for e in service.archive.epochs() if e < baseline_epoch]
-    for old_epoch in older[-service.config.baseline_depth :]:
-        doc = service.archive.read_results(old_epoch)
-        history_docs[old_epoch] = doc
-        history.append((old_epoch, service._baseline_signatures(doc)))
+    baseline = service.archive.read_baseline(epoch, service.config.baseline_depth)
+    baseline_epoch, baseline_doc = baseline.epoch, baseline.doc
+    assert baseline_epoch == epoch - 1
+    baseline_signatures = baseline.signatures
+    history_docs = baseline.history
+    history = baseline.history_signatures
 
     plan_incremental = plan_delta(
         signatures,
@@ -118,11 +114,14 @@ def test_roster_churn_incremental_ratio(tmp_path, results_dir):
     plan_cold = plan_delta(signatures, None)
     assert plan_incremental.mode == "incremental"
 
+    # Both arms share geolocation's disk tables for the roster, as a
+    # service's consecutive days on one roster do.
+    tables = {}
     cold_times, incremental_times = [], []
     for _ in range(ROUNDS):  # interleaved so drift hits both arms equally
         with Stopwatch() as sw:
             cold_doc, n_cold, _, _ = service._analyze(
-                matrix, internet, signatures, plan_cold, None, epoch
+                matrix, internet, signatures, plan_cold, None, epoch, disk_tables=tables
             )
         cold_times.append(sw.elapsed_s)
         with Stopwatch() as sw:
@@ -134,6 +133,7 @@ def test_roster_churn_incremental_ratio(tmp_path, results_dir):
                 baseline_doc,
                 epoch,
                 history_docs=history_docs,
+                disk_tables=tables,
             )
         incremental_times.append(sw.elapsed_s)
 

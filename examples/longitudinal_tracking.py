@@ -46,7 +46,7 @@ def main() -> None:
     print("Epoch 1 census (three months later)...\n")
     epoch1 = census_epoch(catalog_t1, platform)
 
-    report = compare_epochs(epoch0, epoch1)
+    report = compare_epochs(epoch0.as_rows(), epoch1.as_rows())
     print(f"ASes tracked: {report.n_tracked}")
     print(f"  grown:       {len(report.grown)}")
     print(f"  shrunk:      {len(report.shrunk)}")

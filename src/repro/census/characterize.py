@@ -92,6 +92,14 @@ class Characterization:
             fp.replicas_per_prefix.append(result.replica_count)
             fp.cities.update(c.key for c in result.cities)
 
+    def as_rows(self) -> Dict[int, Tuple[str, float, int]]:
+        """Per-AS rows ``{asn: (name, mean replicas, /24s)}``, the form
+        :func:`~repro.census.longitudinal.compare_epochs` diffs."""
+        return {
+            asn: (fp.autonomous_system.name, fp.mean_replicas, fp.n_ip24)
+            for asn, fp in self.footprints.items()
+        }
+
     # ------------------------------------------------------------------
     # Confidence (resilience layer): honest labelling of degraded input
     # ------------------------------------------------------------------

@@ -20,13 +20,17 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..internet.catalog import CatalogEntry
 from ..net.asn import BusinessCategory
-from .characterize import Characterization
+
+#: One epoch's per-AS census rows: ``{asn: (name, mean replicas per /24,
+#: anycast /24 count)}`` (:meth:`~repro.census.characterize.Characterization.as_rows`,
+#: or an archived results document's ``ases`` section).
+ASRows = Dict[int, Tuple[str, float, int]]
 
 #: Reserved ASN block for epoch-born anycast adopters.  Hashed allocation
 #: inside a private block far above every catalog ASN: identity depends on
@@ -165,12 +169,12 @@ class LongitudinalReport:
 
 
 def compare_epochs(
-    before: Characterization,
-    after: Characterization,
+    before: ASRows,
+    after: ASRows,
     min_delta: float = 1.0,
     min_ip24_delta: int = 1,
 ) -> LongitudinalReport:
-    """Diff two epochs' census characterizations by AS.
+    """Diff two epochs' per-AS census rows (:data:`ASRows`) by AS.
 
     ``min_delta`` is the mean-replica change below which an AS counts as
     replica-stable (one replica of slack absorbs enumeration noise);
@@ -182,23 +186,17 @@ def compare_epochs(
     if min_ip24_delta < 0:
         raise ValueError("min_ip24_delta must be non-negative")
     report = LongitudinalReport()
-    before_asns = set(before.footprints)
-    after_asns = set(after.footprints)
-
-    for asn in sorted(before_asns | after_asns):
-        fp_before = before.footprints.get(asn)
-        fp_after = after.footprints.get(asn)
+    for asn in sorted(set(before) | set(after)):
+        row_before, row_after = before.get(asn), after.get(asn)
+        name = (row_after or row_before)[0]
+        _, replicas_before, ip24_before = row_before or (name, 0.0, 0)
+        _, replicas_after, ip24_after = row_after or (name, 0.0, 0)
         change = ASChange(
-            asn=asn,
-            name=(fp_after or fp_before).autonomous_system.name,
-            replicas_before=fp_before.mean_replicas if fp_before else 0.0,
-            replicas_after=fp_after.mean_replicas if fp_after else 0.0,
-            ip24_before=fp_before.n_ip24 if fp_before else 0,
-            ip24_after=fp_after.n_ip24 if fp_after else 0,
+            asn, name, replicas_before, replicas_after, ip24_before, ip24_after
         )
-        if fp_before is None:
+        if row_before is None:
             report.appeared.append(change)
-        elif fp_after is None:
+        elif row_after is None:
             report.disappeared.append(change)
         elif change.replica_delta >= min_delta:
             report.grown.append(change)

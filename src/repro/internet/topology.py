@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -415,6 +416,26 @@ class SyntheticInternet:
             missing = query[~ok][:5].tolist()
             raise KeyError(f"prefix indices not routed: {missing}")
         return order[pos].astype(np.int64)
+
+    @cached_property
+    def prefix_owners(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every registered /24, ascending, and its owner's ASN (int64).
+
+        A sentinel past every prefix (owner -1) closes the table, so a
+        ``searchsorted`` lookup always lands on a slot, and an unregistered
+        /24 on one that is not its own.  Worlds are read-only, so the table
+        is built once per world.
+        """
+        registry = self.registry
+        owned = sorted(
+            (prefix, owner.asn)
+            for owner in registry
+            for prefix in registry.prefixes_of(owner.asn)
+        ) + [(np.iinfo(np.int64).max, -1)]
+        return (
+            np.array([p for p, _ in owned], dtype=np.int64),
+            np.array([a for _, a in owned], dtype=np.int64),
+        )
 
     def deployment_of(self, prefix: int) -> Optional[AnycastDeployment]:
         """The deployment announcing a /24, or ``None`` for unicast."""

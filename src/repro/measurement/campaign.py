@@ -90,6 +90,11 @@ from .recordio import (
     outcome_for,
 )
 
+#: Cells (scans x positions) one keyed outcome-kernel call evaluates at
+#: most: a cold census's scans share calls without the kernel's
+#: temporaries outgrowing a few MB.
+_KERNEL_CELLS = 1 << 17
+
 #: Domain separator for retry-backoff jitter draws (see
 #: :meth:`~repro.measurement.faults.RetryPolicy.backoff_hours`).
 _BACKOFF_SALT = 0xBAC0FF
@@ -252,6 +257,12 @@ class _VpOutcome:
     records_dropped: int = 0
     batches_dropped: int = 0
 
+    @classmethod
+    def failed(cls, faults: List[str]) -> "_VpOutcome":
+        """A VP that contributed nothing: flapped, or lost to the engine."""
+        nan = float("nan")
+        return cls("failed", None, None, nan, nan, faults=faults)
+
     @property
     def usable(self) -> bool:
         return self.status in ("ok", "salvaged")
@@ -261,35 +272,15 @@ class _VpOutcome:
         return self.status == "ok"
 
     def journal_payload(self, vp_name: str) -> Dict:
-        return {
-            "vp": vp_name,
-            "status": self.status,
-            "checksum": self.checksum,
-            "duration_hours": self.duration_hours,
-            "drop_rate": self.drop_rate,
-            "retries": self.retries,
-            "backoff_hours": self.backoff_hours,
-            "faults": self.faults,
-            "records_salvaged": self.records_salvaged,
-            "records_dropped": self.records_dropped,
-            "batches_dropped": self.batches_dropped,
-        }
+        """Every field but the records (journalled beside it), after the VP."""
+        payload = {"vp": vp_name, **vars(self)}
+        del payload["records"]
+        return payload
 
     @classmethod
     def from_journal(cls, payload: Dict, records: Optional[CensusRecords]) -> "_VpOutcome":
-        return cls(
-            status=payload["status"],
-            records=records,
-            checksum=payload["checksum"],
-            duration_hours=payload["duration_hours"],
-            drop_rate=payload["drop_rate"],
-            retries=payload["retries"],
-            backoff_hours=payload["backoff_hours"],
-            faults=list(payload["faults"]),
-            records_salvaged=payload["records_salvaged"],
-            records_dropped=payload["records_dropped"],
-            batches_dropped=payload["batches_dropped"],
-        )
+        fields = {key: value for key, value in payload.items() if key != "vp"}
+        return cls(records=records, **{**fields, "faults": list(fields["faults"])})
 
 
 @dataclass
@@ -346,13 +337,17 @@ class _GeometryCarry:
     conditions: only the other positions are evaluated afresh.  Outcomes
     are taken out of the predecessor's store, so the two days' arrays are
     never held at once.
+
+    Cold is the empty carry: with no predecessor, or one whose world
+    shares nothing with this one, there is no outcome and no catchment
+    row to take and every position is fresh.
     """
 
     def __init__(
         self,
         outcomes: Dict[Tuple[int, bytes], ScanOutcomes],
         deployment_source: np.ndarray,
-        local_catchment: np.ndarray,
+        local_catchment: Optional[np.ndarray],
         column_source: np.ndarray,
         position_source: np.ndarray,
     ) -> None:
@@ -368,19 +363,27 @@ class _GeometryCarry:
 
     @classmethod
     def between(
-        cls, previous: "CensusCampaign", campaign: "CensusCampaign"
-    ) -> Optional["_GeometryCarry"]:
-        """The carry from ``previous`` to ``campaign`` (``None`` when their
-        worlds share nothing: another configuration or routing plane, or
-        no target at all)."""
-        before, now = previous.internet, campaign.internet
+        cls, previous: Optional["CensusCampaign"], campaign: "CensusCampaign"
+    ) -> "_GeometryCarry":
+        """The carry from ``previous`` to ``campaign``: empty without a
+        predecessor, or when their worlds share nothing (another
+        configuration or routing plane, or no target at all)."""
+        now = campaign.internet
+        before = previous.internet if previous is not None else None
         plane = getattr(now, "bgp_plane", None)
         if (
-            before.config != now.config
+            before is None
+            or before.config != now.config
             or getattr(before, "bgp_plane", None) is not plane
             or before.n_targets == 0
         ):
-            return None
+            return cls(
+                {},
+                np.full(len(now.deployments), -1),
+                None,
+                np.full(len(campaign.platform), -1),
+                np.full(now.n_targets, -1),
+            )
         geo = plane is None
         columns = {
             vp_column_digest(vp.name, vp.location): j
@@ -528,26 +531,23 @@ class CensusCampaign:
         self.blacklist = Blacklist()
         self._rng = np.random.default_rng(seed)
         self._census_counter = 0
-        #: Base-RTT row per VP identity, :func:`vp_column_digest` of its
-        #: name and coordinates (see :meth:`base_row`).
+        #: Stream scans' base-RTT row per VP identity,
+        #: :func:`vp_column_digest` of its name and coordinates (see
+        #: :meth:`base_row`).
         self._base_rows: Dict[bytes, np.ndarray] = {}
         #: Keyed scans' outcomes by (census, VP identity): the pre-census's
         #: and the latest census's, for a successor campaign to carry.
         self._outcomes: Dict[Tuple[int, bytes], ScanOutcomes] = {}
-        #: (census, platform index) -> the ``previous`` campaign's outcomes
-        #: of a planned scan and its moved positions' fresh (code, RTT).
-        self._prepared: Dict[
-            Tuple[int, int], Tuple[ScanOutcomes, np.ndarray, np.ndarray]
-        ] = {}
+        #: (census, platform index, conditions) -> a planned keyed scan's
+        #: outcomes (:meth:`_prepare_outcomes`).
+        self._prepared: Dict[Tuple[int, int, Tuple[int, float, bool]], ScanOutcomes] = {}
         #: Scan-geometry accounting: deployment catchment rows taken from
         #: ``previous``, keyed scans built on ``previous``'s outcomes, and
         #: target positions the outcome kernel evaluated.
-        self.catchments_carried = 0
-        self.outcomes_carried = 0
-        self.positions_scanned = 0
-        self._carry = (
-            _GeometryCarry.between(previous, self) if previous is not None else None
+        self.counters: Dict[str, int] = dict.fromkeys(
+            ("catchments_carried", "outcomes_carried", "positions_scanned"), 0
         )
+        self._carry = _GeometryCarry.between(previous, self)
         self._precompute_catchments()
 
     # ------------------------------------------------------------------
@@ -573,12 +573,11 @@ class CensusCampaign:
         lats, lons = self.platform.lats, self.platform.lons
         bgp_plane = getattr(internet, "bgp_plane", None)
         deployments = internet.deployments
-        carry = self._carry
         catchments = []
         for d, dep in enumerate(deployments):
-            carried = carry.catchment(d) if carry is not None else None
+            carried = self._carry.catchment(d)
             if carried is not None:
-                self.catchments_carried += 1
+                self.counters["catchments_carried"] += 1
                 catchments.append(carried)
             elif bgp_plane is not None:
                 catchments.append(bgp_plane.catchment(dep, lats, lons))
@@ -630,7 +629,9 @@ class CensusCampaign:
         return distances
 
     def base_row(self, platform_index: int) -> np.ndarray:
-        """Per-target base RTT from one platform VP (read-only).
+        """Per-target base RTT from one platform VP under stream noise
+        (read-only; keyed scans draw theirs per target and scan,
+        :func:`~repro.measurement.prober.keyed_base_rtts`).
 
         Distances put unicast targets at their host location and anycast
         targets at the replica whose catchment the VP falls into —
@@ -643,12 +644,7 @@ class CensusCampaign:
         key = vp_column_digest(vp.name, vp.location)
         row = self._base_rows.get(key)
         if row is None:
-            row = base_rtt_row(
-                self.internet,
-                vp,
-                self._distances([platform_index])[0],
-                keyed=self.noise == "keyed",
-            )
+            row = base_rtt_row(self.internet, vp, self._distances([platform_index])[0])
             row.setflags(write=False)
             self._base_rows[key] = row
         return row
@@ -665,71 +661,59 @@ class CensusCampaign:
         return noise_key, vp.rate_limit.keep_probability(rate_pps), degraded
 
     def _prepare_outcomes(
-        self, census_id: int, scans: Sequence[Tuple[int, Tuple[int, float, bool]]]
+        self, census_id: int, rate_pps: float, scans: Sequence[Tuple[int, bool]]
     ) -> None:
-        """Take the ``previous`` campaign's outcomes of the planned keyed
-        ``scans`` (platform index, conditions) of one census wherever it
-        holds them under the same conditions, and evaluate all of their
-        moved positions in one kernel call; each scan completes its own
-        (:meth:`_scan_outcomes`)."""
-        carry = self._carry
-        if carry is None:
-            return
-        taken = []
-        for platform_index, conditions in scans:
-            vp = self.platform.vantage_points[platform_index]
-            before = carry.take_outcomes(
-                census_id, vp_column_digest(vp.name, vp.location), platform_index
-            )
-            if before is not None and before.conditions == conditions:
-                taken.append((platform_index, before))
-        if not taken:
-            return
-        indices = [platform_index for platform_index, _ in taken]
-        fresh = carry.fresh
-        codes, rtts = keyed_outcomes(
-            self.internet,
-            [before.conditions for _, before in taken],
-            keyed_base_rtts(
-                self.internet,
-                [self.platform.vantage_points[i] for i in indices],
-                self._distances(indices, fresh),
-                fresh,
-            ),
-            fresh,
-        )
-        for row, (platform_index, before) in enumerate(taken):
-            self._prepared[(census_id, platform_index)] = (before, codes[row], rtts[row])
+        """Every planned keyed scan's outcomes (platform index, degraded
+        flag), before any scan runs, so pooled scans inherit them.
 
-    def _scan_outcomes(
-        self, platform_index: int, census_id: int, conditions: Tuple[int, float, bool]
-    ) -> ScanOutcomes:
-        """One keyed scan's outcomes: the ``previous`` campaign's for the
-        same census, VP and conditions at every carried position and the
-        kernel's (:func:`~repro.measurement.prober.keyed_outcomes`) at the
-        others; the kernel's at every position when nothing carries."""
-        key = (census_id, platform_index)
-        if key not in self._prepared:
-            self._prepare_outcomes(census_id, [(platform_index, conditions)])
-        prepared = self._prepared.pop(key, None)
-        if prepared is None or prepared[0].conditions != conditions:
-            # A cold scan's base RTTs are built for it alone: the outcomes
-            # are what the campaign keeps.
-            vp = self.platform.vantage_points[platform_index]
-            base = keyed_base_rtts(
-                self.internet, [vp], self._distances([platform_index])
+        Where the predecessor holds the scan's outcomes under the same
+        conditions they are taken at the carried positions and the kernel
+        (:func:`~repro.measurement.prober.keyed_outcomes`) evaluates the
+        moved ones; elsewhere, and always in a cold campaign, it evaluates
+        every position.  Scans evaluated at the same positions share
+        kernel calls of at most :data:`_KERNEL_CELLS` cells.
+        """
+        if self.noise != "keyed":
+            return
+        carry, vps = self._carry, self.platform.vantage_points
+        carried: list = []
+        cold: list = []
+        for index, degraded in scans:
+            conditions = self._conditions(index, census_id, rate_pps, degraded)
+            vp = vps[index]
+            before = carry.take_outcomes(
+                census_id, vp_column_digest(vp.name, vp.location), index
             )
-            (code,), (rtt,) = keyed_outcomes(self.internet, [conditions], base)
-            return ScanOutcomes(conditions, code, rtt, scanned=len(code))
-        before, fresh_code, fresh_rtt = prepared
-        carry = self._carry
-        code = before.code.take(carry.source)
-        rtt = before.rtt_ms.take(carry.source)
-        code[carry.fresh] = fresh_code
-        rtt[carry.fresh] = fresh_rtt
-        return ScanOutcomes(
-            conditions, code, rtt, scanned=len(carry.fresh), carried=True
-        )
+            if before is None or before.conditions != conditions:
+                cold.append((index, conditions, None))
+            else:
+                carried.append((index, conditions, before))
+        every = np.arange(self.internet.n_targets)
+        for fresh, group in ((carry.fresh, carried), (every, cold)):
+            step = max(1, _KERNEL_CELLS // max(len(fresh), 1))
+            for start in range(0, len(group), step):
+                batch = group[start : start + step]
+                indices = [index for index, _, _ in batch]
+                codes, rtts = keyed_outcomes(
+                    self.internet,
+                    [conditions for _, conditions, _ in batch],
+                    keyed_base_rtts(
+                        self.internet,
+                        [vps[i] for i in indices],
+                        self._distances(indices, fresh),
+                        fresh,
+                    ),
+                    fresh,
+                )
+                for row, (index, conditions, before) in enumerate(batch):
+                    code, rtt = codes[row], rtts[row]
+                    if before is not None:
+                        code = before.code.take(carry.source)
+                        rtt = before.rtt_ms.take(carry.source)
+                        code[fresh], rtt[fresh] = codes[row], rtts[row]
+                    self._prepared[(census_id, index, conditions)] = ScanOutcomes(
+                        conditions, code, rtt, len(fresh), carried=before is not None
+                    )
 
     def _keep_outcomes(
         self, census_id: int, platform_index: int, result: VpScanResult
@@ -740,10 +724,10 @@ class CensusCampaign:
         outcomes = result.outcomes
         if outcomes is None:
             return
-        self._prepared.pop((census_id, platform_index), None)
+        self._prepared.pop((census_id, platform_index, outcomes.conditions), None)
         vp = self.platform.vantage_points[platform_index]
-        self.outcomes_carried += outcomes.carried
-        self.positions_scanned += outcomes.scanned
+        self.counters["outcomes_carried"] += outcomes.carried
+        self.counters["positions_scanned"] += outcomes.scanned
         self._outcomes[(census_id, vp_column_digest(vp.name, vp.location))] = outcomes
 
     def _release_carry(self, census_id: int) -> None:
@@ -751,8 +735,7 @@ class CensusCampaign:
         today, resumed from a journal, flapped, or never reached."""
         for key in [key for key in self._prepared if key[0] == census_id]:
             del self._prepared[key]
-        if self._carry is not None:
-            self._carry.release(census_id)
+        self._carry.release(census_id)
 
     # ------------------------------------------------------------------
     # Census phases
@@ -767,6 +750,7 @@ class CensusCampaign:
             targets = ScanTargets.build(
                 self.internet, lfsr_permutation(self.internet.n_targets, seed=1)
             )
+            self._prepare_outcomes(0, self.rate_pps, [(vp_platform_index, False)])
             result = self.scan_vp(vp_platform_index, census_id=0, targets=targets)
             self._keep_outcomes(0, vp_platform_index, result)
             self._release_carry(0)
@@ -980,14 +964,9 @@ class CensusCampaign:
                         journal.write_batch(flap.journal_payload(vp.name), flap.records)
                 outcomes[vp.name] = flap
 
-            if self.noise == "keyed":
-                self._prepare_outcomes(
-                    census_id,
-                    [
-                        (index, self._conditions(index, census_id, rate, degraded))
-                        for _, index, _, degraded in to_scan
-                    ],
-                )
+            self._prepare_outcomes(
+                census_id, rate, [(index, degraded) for _, index, _, degraded in to_scan]
+            )
             # Operator drain: the journal already holds every finished
             # batch, fsynced; the engine stops before starting more work
             # and leaves a resumable checkpoint.
@@ -1023,14 +1002,7 @@ class CensusCampaign:
                 # failed — feeding quarantine and the quorum check — but
                 # deliberately NOT journaled, so a resumed census rescans
                 # rather than trusting a gave-up marker.
-                outcome = _VpOutcome(
-                    status="failed",
-                    records=None,
-                    checksum=None,
-                    duration_hours=float("nan"),
-                    drop_rate=float("nan"),
-                    faults=[executed.failed[vp.name]],
-                )
+                outcome = _VpOutcome.failed([executed.failed[vp.name]])
                 if vp.name in scan_errors:
                     report.vp_reasons[vp.name] = ["scan raised " + scan_errors[vp.name]]
             self._absorb_outcome(report, outcome, vp.name)
@@ -1174,14 +1146,7 @@ class CensusCampaign:
         if self._injector is not None and self._injector.flaps(
             census_id, platform_index
         ):
-            return _VpOutcome(
-                status="failed",
-                records=None,
-                checksum=None,
-                duration_hours=float("nan"),
-                drop_rate=float("nan"),
-                faults=[FaultKind.FLAP.value],
-            )
+            return _VpOutcome.failed([FaultKind.FLAP.value])
         return None
 
     def _backoff_u(self, census_id: int, platform_index: int, attempt: int) -> float:
@@ -1220,16 +1185,6 @@ class CensusCampaign:
             result = self._distorter.distort_result(
                 self.platform.vantage_points[platform_index].name, result
             )
-        injector = self._injector
-        if injector is None:
-            return _VpOutcome(
-                status="ok",
-                records=result.records,
-                checksum=result.records.checksum(),
-                duration_hours=result.duration_hours,
-                drop_rate=result.drop_rate,
-            )
-
         faults: List[str] = []
         retries = 0
         backoff = 0.0
@@ -1237,6 +1192,23 @@ class CensusCampaign:
         dropped_records = 0
         dropped_batches = 0
 
+        def settle(status: str, scan: Optional[VpScanResult], **more) -> _VpOutcome:
+            records = scan.records if scan is not None else None
+            return _VpOutcome(
+                status=status,
+                records=records,
+                checksum=records.checksum() if records is not None else None,
+                duration_hours=scan.duration_hours if scan is not None else float("nan"),
+                drop_rate=scan.drop_rate if scan is not None else float("nan"),
+                retries=retries,
+                backoff_hours=backoff,
+                faults=faults,
+                **more,
+            )
+
+        injector = self._injector
+        if injector is None:
+            return settle("ok", result)
         for attempt in range(self.retry.max_attempts):
             if attempt:
                 retries += 1
@@ -1245,15 +1217,9 @@ class CensusCampaign:
                 )
             kind = injector.fault_for(census_id, platform_index, attempt)
             if kind is None:
-                return _VpOutcome(
-                    status="ok",
-                    records=result.records,
-                    checksum=result.records.checksum(),
-                    duration_hours=result.duration_hours,
-                    drop_rate=result.drop_rate,
-                    retries=retries,
-                    backoff_hours=backoff,
-                    faults=faults,
+                return settle(
+                    "ok",
+                    result,
                     records_dropped=dropped_records,
                     batches_dropped=dropped_batches,
                 )
@@ -1263,15 +1229,9 @@ class CensusCampaign:
                 if not self.retry.times_out(hung_hours):
                     # No deadline (or a generous one): the scan eventually
                     # returns, just very late — Fig. 8's far straggler.
-                    return _VpOutcome(
-                        status="ok",
-                        records=result.records,
-                        checksum=result.records.checksum(),
-                        duration_hours=hung_hours,
-                        drop_rate=result.drop_rate,
-                        retries=retries,
-                        backoff_hours=backoff,
-                        faults=faults,
+                    return settle(
+                        "ok",
+                        replace(result, duration_hours=hung_hours),
                         records_dropped=dropped_records,
                         batches_dropped=dropped_batches,
                     )
@@ -1283,16 +1243,7 @@ class CensusCampaign:
                 )
                 if corrupted.checksum() == expected:
                     # Empty batch: nothing was mangled, accept it.
-                    return _VpOutcome(
-                        status="ok",
-                        records=result.records,
-                        checksum=expected,
-                        duration_hours=result.duration_hours,
-                        drop_rate=result.drop_rate,
-                        retries=retries,
-                        backoff_hours=backoff,
-                        faults=faults,
-                    )
+                    return settle("ok", result)
                 dropped_batches += 1
                 dropped_records += len(corrupted)
                 continue  # checksum mismatch: drop the batch, retry
@@ -1303,28 +1254,16 @@ class CensusCampaign:
                 continue  # try for a full scan; keep the partial batch
 
         if salvage is not None:
-            return _VpOutcome(
-                status="salvaged",
-                records=salvage.records,
-                checksum=salvage.records.checksum(),
-                duration_hours=salvage.duration_hours,
-                drop_rate=salvage.drop_rate,
-                retries=retries,
-                backoff_hours=backoff,
-                faults=faults,
+            return settle(
+                "salvaged",
+                salvage,
                 records_salvaged=len(salvage.records),
                 records_dropped=dropped_records,
                 batches_dropped=dropped_batches,
             )
-        return _VpOutcome(
-            status="failed",
-            records=None,
-            checksum=None,
-            duration_hours=float("nan"),
-            drop_rate=float("nan"),
-            retries=retries,
-            backoff_hours=backoff,
-            faults=faults,
+        return settle(
+            "failed",
+            None,
             records_dropped=dropped_records,
             batches_dropped=dropped_batches,
         )
@@ -1406,6 +1345,8 @@ class CensusCampaign:
         (campaign seed, census, VP) alone, so any worker — or the parent,
         in-process — produces the same bytes.  ``targets`` is the census's
         shared probing plan (:class:`~repro.measurement.prober.ScanTargets`).
+        A keyed scan reads the outcomes :meth:`_prepare_outcomes` planned
+        for it under the same conditions.
         """
         vp = self.platform.vantage_points[platform_index]
         n = targets.n
@@ -1420,7 +1361,7 @@ class CensusCampaign:
                 vp,
                 census_vp_index,
                 census_id,
-                self._scan_outcomes(platform_index, census_id, conditions),
+                self._prepared[(census_id, platform_index, conditions)],
                 targets,
                 rate,
                 shift,

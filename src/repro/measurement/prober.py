@@ -138,31 +138,17 @@ class VpScanResult:
 
 
 def base_rtt_row(
-    internet: SyntheticInternet,
-    vp: VantagePoint,
-    distances_km: np.ndarray,
-    keyed: bool = False,
-    positions: Optional[np.ndarray] = None,
+    internet: SyntheticInternet, vp: VantagePoint, distances_km: np.ndarray
 ) -> np.ndarray:
-    """Per-target base RTT from a VP, deterministic across censuses.
+    """Per-target base RTT from a VP under stream noise, deterministic
+    across censuses.
 
     ``distances_km`` are the great-circle distances from the VP to every
     target as it sees them (anycast targets at the site of its
-    catchment).  ``keyed=True`` draws the per-path stretch and last-mile
-    delay from target-keyed uniforms instead of the positional stream: a
-    target's base RTT then depends only on its own (prefix, path) — not on
-    how many other targets the universe holds — at the cost of different
-    bytes than stream mode.
-
-    ``positions`` (keyed only) evaluates the row at those target
-    positions alone, ``distances_km`` being the distances to them: each
-    entry is a pure function of (VP, prefix, distance), so the result is
-    bit-equal to the full row at those positions.
+    catchment).  The per-path stretch and last-mile delay come from the
+    VP's positional stream; keyed noise draws them per target instead
+    (:func:`keyed_base_rtts`).
     """
-    if keyed:
-        return keyed_base_rtts(internet, [vp], distances_km[None, :], positions)[0]
-    if positions is not None:
-        raise ValueError("stream noise is positional: a row is built whole")
     rng = np.random.default_rng(vp_path_seed(internet.config.seed, vp.name))
     return internet.config.latency.path_rtt_ms(distances_km, rng)
 
@@ -173,9 +159,13 @@ def keyed_base_rtts(
     distances_km: np.ndarray,
     positions: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Keyed base RTTs from several VPs at once: row ``i`` is
-    ``base_rtt_row(internet, vps[i], distances_km[i], keyed=True,
-    positions=positions)``, bit for bit."""
+    """Keyed base RTTs from several VPs (one row each) at the target
+    ``positions`` (every target when ``None``), ``distances_km`` being
+    the distances to them.  The per-path stretch and last-mile delay are
+    drawn from target-keyed uniforms: a target's base RTT depends only on
+    its own (prefix, path), not on how many other targets the universe
+    holds, so any subset of VPs and positions is bit-equal to the whole
+    there."""
     seeds = [vp_path_seed(internet.config.seed, vp.name) for vp in vps]
     prefixes = internet.prefixes if positions is None else internet.prefixes[positions]
     words = prefixes.astype(np.uint64)[None, :]

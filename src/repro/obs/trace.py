@@ -115,6 +115,11 @@ class Tracer:
         """Open a nested span: ``with tracer.span("census", census_id=1):``."""
         return _SpanContext(self, Span(name, attrs or None))
 
+    @property
+    def current(self) -> Optional[Span]:
+        """The innermost open span (``None`` outside any)."""
+        return self._stack[-1] if self._stack else None
+
     def annotate(self, **attrs: Any) -> None:
         """Set attributes on the innermost open span — for code that runs
         inside a span somebody else opened (a callback under the engine's
@@ -161,6 +166,7 @@ class NullTracer:
     enabled = False
     roots: Tuple[Span, ...] = ()
     n_spans = 0
+    current = _NULL_SPAN
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN

@@ -53,6 +53,7 @@ import re
 import shutil
 import zlib
 from collections import Counter
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -362,6 +363,24 @@ class ArchiveError(RuntimeError):
     """The archive refused an operation (duplicate epoch, bad manifest)."""
 
 
+@dataclass(frozen=True)
+class Baseline:
+    """What a day plans its analysis against (:meth:`CensusArchive.read_baseline`)."""
+
+    #: The newest committed epoch before the day, and its results document
+    #: with its target signature map (``None`` when absent or unreadable).
+    epoch: Optional[int] = None
+    doc: Optional[Dict[str, Any]] = None
+    signatures: Optional[Dict[int, str]] = None
+    #: Why the baseline's document is unusable, if it is.
+    problem: Optional[str] = None
+    #: The readable older documents by epoch, and their signature maps.
+    history: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+    history_signatures: List[Tuple[int, Dict[int, str]]] = field(default_factory=list)
+    #: Documents served carried / parsed by this read.
+    counters: Dict[str, int] = field(default_factory=dict)
+
+
 class CensusArchive:
     """One longitudinal archive rooted at a directory.
 
@@ -373,18 +392,23 @@ class CensusArchive:
     ``counters`` counts the work the carried state saved or did:
     ``results_carried`` / ``results_parsed`` (:meth:`read_results`),
     ``fragments_reused`` / ``fragments_encoded`` (:meth:`commit_run`) and
-    ``index_entries_read`` (:meth:`build_index`).
+    ``index_entries_read`` (:meth:`build_index`); ``commit_counters`` holds
+    the last commit's share of the last three.
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
         self.root = pathlib.Path(root)
         self.crash_hook: Optional[Callable[[str], None]] = None
         self.counters: Counter = Counter()
+        self.commit_counters: Dict[str, int] = {}
         self._results_encoder = ResultsEncoder()
         #: sha256 of results bytes -> their parse-identical document: the
         #: documents read or written before / since the last commit.
         self._carried: Dict[bytes, Dict[str, Any]] = {}
         self._used: Dict[bytes, Dict[str, Any]] = {}
+        #: id(results doc) -> (doc, its signature map), for the documents
+        #: the last :meth:`read_baseline` used.
+        self._signature_maps: Dict[int, Tuple[Dict[str, Any], Dict[int, str]]] = {}
         #: epoch -> (manifest stat key, index entry or None if unusable).
         self._index_entries: Dict[int, Tuple[Tuple[int, int, int], Any]] = {}
 
@@ -476,6 +500,10 @@ class CensusArchive:
         unchanged target entries.  A carried document equals
         ``json.loads`` of the bytes in key order and types.
         """
+        return self._read_results(epoch)[0]
+
+    def _read_results(self, epoch: int) -> Tuple[Dict[str, Any], bool]:
+        """:meth:`read_results`, and whether the document was parsed."""
         manifest = self.read_manifest(epoch)
         path = self.run_dir(epoch) / RESULTS_FILE
         try:
@@ -492,16 +520,58 @@ class CensusArchive:
                 f"results payload for epoch {epoch} does not match its manifest"
             )
         digest = hashlib.sha256(data).digest()
-        doc = self._used.get(digest)
-        if doc is None:
-            doc = self._carried.get(digest)
-        if doc is None:
+        doc = self._used.get(digest) or self._carried.get(digest)
+        parsed = doc is None
+        if parsed:
             doc = json.loads(data.decode("utf-8"))
-            self.counters["results_parsed"] += 1
-        else:
-            self.counters["results_carried"] += 1
+        self.counters["results_parsed" if parsed else "results_carried"] += 1
         self._used[digest] = doc
-        return doc
+        return doc, parsed
+
+    def read_baseline(self, epoch: int, depth: int) -> Baseline:
+        """The :class:`Baseline` of a day at ``epoch``: the newest committed
+        epoch before it and up to ``depth`` older ones, whose documents back
+        the roster-rejoin recovery.  A rotten baseline is reported as the
+        ``problem``; rotten history is merely unavailable.
+
+        Each document's signature map is built once: :meth:`read_results`
+        hands back the same read-only document while its bytes are
+        unchanged, so the maps of the documents the last call used are
+        kept for this one.
+        """
+        counters = {"carried": 0, "parsed": 0}
+        maps: Dict[int, Tuple[Dict[str, Any], Dict[int, str]]] = {}
+
+        def read(at: int) -> Tuple[Dict[str, Any], Dict[int, str]]:
+            doc, parsed = self._read_results(at)
+            counters["parsed" if parsed else "carried"] += 1
+            kept = self._signature_maps.get(id(doc)) or (
+                doc,
+                {int(p): entry["signature"] for p, entry in doc["targets"].items()},
+            )
+            maps[id(doc)] = kept
+            return kept
+
+        before = self.latest_epoch_before(epoch)
+        doc = signatures = problem = None
+        history: Dict[int, Dict[str, Any]] = {}
+        history_signatures = []
+        if before is not None:
+            try:
+                doc, signatures = read(before)
+            except CorruptPayloadError as exc:
+                problem = str(exc)
+            older = [e for e in self.epochs() if e < before]
+            for old in older[-depth:] if depth > 0 else ():
+                try:
+                    history[old], old_signatures = read(old)
+                except CorruptPayloadError:
+                    continue
+                history_signatures.append((old, old_signatures))
+        self._signature_maps = maps
+        return Baseline(
+            before, doc, signatures, problem, history, history_signatures, counters
+        )
 
     def read_telemetry(self, epoch: int) -> Optional[Dict[str, Any]]:
         """Load one run's telemetry sidecar, or ``None`` when the run has
@@ -628,8 +698,10 @@ class CensusArchive:
         write_raw_checksummed(records, records_sink)
         records_bytes = records_sink.getvalue()
         results_bytes, carried, n_encoded = self._results_encoder.encode(results_doc)
-        self.counters["fragments_encoded"] += n_encoded
-        self.counters["fragments_reused"] += len(carried["targets"]) - n_encoded
+        work = {
+            "fragments_reused": len(carried["targets"]) - n_encoded,
+            "fragments_encoded": n_encoded,
+        }
 
         manifest = dict(manifest_core)
         manifest["kind"] = RUN_KIND
@@ -655,40 +727,27 @@ class CensusArchive:
         self._write_file(staging / RECORDS_FILE, records_bytes)
         self._write_file(staging / RESULTS_FILE, results_bytes)
         self._write_file(staging / MANIFEST_FILE, canonical_json_bytes(manifest))
+        sidecars = []
         if telemetry_doc is not None:
-            telemetry = dict(telemetry_doc)
-            telemetry["kind"] = TELEMETRY_KIND
-            telemetry["epoch"] = epoch
-            events_bytes = "".join(events_lines or []).encode("utf-8")
-            telemetry["events"] = (
-                {
+            telemetry = {**telemetry_doc, "kind": TELEMETRY_KIND, "epoch": epoch}
+            telemetry["events"] = None
+            if events_lines is not None:
+                events_bytes = "".join(events_lines).encode("utf-8")
+                telemetry["events"] = {
                     "lines": len(events_lines),
                     "bytes": len(events_bytes),
                     "crc32": zlib.crc32(events_bytes) & 0xFFFFFFFF,
                 }
-                if events_lines is not None
-                else None
-            )
-            problems = telemetry_problems(telemetry)
-            if problems:
-                raise ArchiveError(
-                    "invalid telemetry document: " + "; ".join(problems)
-                )
-            if events_lines is not None:
                 self._write_file(staging / EVENTS_FILE, events_bytes)
-            self._write_file(
-                staging / TELEMETRY_FILE, canonical_json_bytes(telemetry)
-            )
+            sidecars.append(("telemetry", TELEMETRY_FILE, telemetry, telemetry_problems))
         if trust_doc is not None:
-            trust = dict(trust_doc)
-            trust["kind"] = TRUST_KIND
-            trust["epoch"] = epoch
-            problems = trust_problems(trust)
+            trust = {**trust_doc, "kind": TRUST_KIND, "epoch": epoch}
+            sidecars.append(("trust", TRUST_FILE, trust, trust_problems))
+        for label, name, doc, problems_of in sidecars:
+            problems = problems_of(doc)
             if problems:
-                raise ArchiveError(
-                    "invalid trust document: " + "; ".join(problems)
-                )
-            self._write_file(staging / TRUST_FILE, canonical_json_bytes(trust))
+                raise ArchiveError(f"invalid {label} document: " + "; ".join(problems))
+            self._write_file(staging / name, canonical_json_bytes(doc))
         self._fire("commit:staged")
         os.replace(staging, final)
         # The carried documents from here on: what this day read, plus
@@ -696,7 +755,10 @@ class CensusArchive:
         self._used[hashlib.sha256(results_bytes).digest()] = carried
         self._carried, self._used = self._used, {}
         self._fire("commit:renamed")
-        self.write_index(self.build_index())
+        index, work["index_entries_read"] = self._index()
+        self.write_index(index)
+        self.counters.update(work)
+        self.commit_counters = work
         self._fire("commit:indexed")
         return manifest
 
@@ -723,6 +785,13 @@ class CensusArchive:
         manifest is read again only when that stat changed, so a commit
         reads its own manifest and no older one.
         """
+        index, n_read = self._index()
+        self.counters["index_entries_read"] += n_read
+        return index
+
+    def _index(self) -> Tuple[Dict[str, Any], int]:
+        """:meth:`build_index`, and how many manifests it read."""
+        n_read = 0
         runs: Dict[str, Any] = {}
         entries: Dict[int, Tuple[Tuple[int, int, int], Any]] = {}
         for epoch in self.epochs():
@@ -736,7 +805,7 @@ class CensusArchive:
                 entry = cached[1]
             else:
                 entry = self._index_entry(epoch)
-                self.counters["index_entries_read"] += 1
+                n_read += 1
             entries[epoch] = (key, entry)
             if entry is not None:
                 runs[run_dirname(epoch)] = dict(entry)
@@ -745,7 +814,7 @@ class CensusArchive:
             "kind": INDEX_KIND,
             "schema_version": RUN_SCHEMA_VERSION,
             "runs": runs,
-        }
+        }, n_read
 
     def _index_entry(self, epoch: int) -> Optional[Dict[str, Any]]:
         """One run's index entry, or ``None`` when its manifest is unusable."""

@@ -9,8 +9,8 @@ the manifest's ``churn`` block work straight off the archive):
   per-target replica-count deltas;
 * **AS level** — the deployment diff of
   :func:`repro.census.longitudinal.compare_epochs` (grown / shrunk /
-  footprint-only motion / appeared / disappeared), fed with lightweight
-  shims rebuilt from each document's per-AS section.
+  footprint-only motion / appeared / disappeared) of each document's
+  per-AS section.
 
 A third, orthogonal axis is the *measuring* side:
 :func:`roster_churn` diffs the analyzed vantage-point rosters of two
@@ -23,35 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable
 
-from ..census.longitudinal import LongitudinalReport, compare_epochs
-
-
-@dataclass(frozen=True)
-class _ASShim:
-    """Duck-typed stand-ins for what ``compare_epochs`` reads."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class _FootprintShim:
-    autonomous_system: _ASShim
-    mean_replicas: float
-    n_ip24: int
-
-
-class _CharacterizationShim:
-    """An archived ``ases`` section wearing a Characterization's face."""
-
-    def __init__(self, ases_doc: Dict[str, Any]) -> None:
-        self.footprints = {
-            int(asn): _FootprintShim(
-                autonomous_system=_ASShim(name=entry["name"]),
-                mean_replicas=float(entry["mean_replicas"]),
-                n_ip24=int(entry["n_ip24"]),
-            )
-            for asn, entry in ases_doc.items()
-        }
+from ..census.longitudinal import ASRows, LongitudinalReport, compare_epochs
 
 
 @dataclass
@@ -138,6 +110,14 @@ def _replicas_of(entry: Dict[str, Any]) -> int:
     return len(entry.get("replicas", ()))
 
 
+def _as_rows(doc: Dict[str, Any]) -> ASRows:
+    """A results document's ``ases`` section as :data:`ASRows`."""
+    return {
+        int(asn): (entry["name"], float(entry["mean_replicas"]), int(entry["n_ip24"]))
+        for asn, entry in doc.get("ases", {}).items()
+    }
+
+
 def churn_between(
     before_doc: Dict[str, Any],
     after_doc: Dict[str, Any],
@@ -182,8 +162,8 @@ def churn_between(
         deaths += _replicas_of(before[key])
 
     report: LongitudinalReport = compare_epochs(
-        _CharacterizationShim(before_doc.get("ases", {})),
-        _CharacterizationShim(after_doc.get("ases", {})),
+        _as_rows(before_doc),
+        _as_rows(after_doc),
         min_delta=min_delta,
         min_ip24_delta=min_ip24_delta,
     )

@@ -26,11 +26,10 @@ every robustness property testable as byte equality:
 
 from __future__ import annotations
 
-import pathlib
 import zlib
-from collections import Counter
+from collections import ChainMap, Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +55,7 @@ from ..measurement.campaign import (
 )
 from ..measurement.faults import FaultPlan, VpDistortionPlan
 from ..measurement.platform import Platform, planetlab_platform
+from ..measurement.prober import SAFE_RATE_PPS
 from ..measurement.recordio import CorruptPayloadError
 from ..obs import (
     EventLog,
@@ -88,7 +88,7 @@ from ..resilience import (
     run_stage,
     trust_gate,
 )
-from .archive import CensusArchive
+from .archive import Baseline, CensusArchive
 from .churn import churn_between, roster_churn
 from .delta import DeltaPlan, RowSignatures, plan_delta, sign_rows, vp_context_digest
 from .fsck import FsckReport, fsck_archive
@@ -275,6 +275,67 @@ class EpochOutcome:
         return lines
 
 
+@dataclass(frozen=True)
+class _Carry:
+    """What a later day reads of the last committed one.
+
+    Each field is built by one stage and read by the same stage the next
+    day; a ``None`` field runs its stage cold, so the empty record is a
+    fresh process's.  :meth:`CensusService.run_epoch` replaces the record
+    whole, and only once the day's run is committed: an interrupted day
+    leaves yesterday's in place.
+    """
+
+    #: The committed epoch and its world (``world``; see
+    #: :meth:`CensusService.internet_for`).
+    epoch: Optional[int] = None
+    world: Optional[SyntheticInternet] = None
+    #: Its campaign, whose catchment rows and keyed scan outcomes today's
+    #: campaign takes (``world``; ``CensusCampaign(previous=)``).
+    campaign: Optional[CensusCampaign] = None
+    #: Its signed matrix (``signatures``; ``sign_rows(previous=)``).
+    signed: Optional[RowSignatures] = None
+    #: Geolocation's disk tables by exponent, with the roster digest they
+    #: hold for: they depend on VP locations and the gazetteer only
+    #: (``analysis``).
+    disk_tables: Optional[Tuple[str, Dict[float, Any]]] = None
+
+
+@dataclass
+class _Day:
+    """One epoch's inputs, and what its stages have produced so far."""
+
+    epoch: int
+    abort_after_vps: Optional[int]
+    #: Tomorrow's :class:`_Carry` fields, as the stages return them.
+    carry: Dict[str, Any] = field(default_factory=dict)
+    world: Optional[SyntheticInternet] = None
+    campaign: Optional[CensusCampaign] = None
+    census: Any = None
+    matrix: Optional[RttMatrix] = None
+    route_records: List[Dict[str, Any]] = field(default_factory=list)
+    excised: Optional[np.ndarray] = None
+    trust_report: Optional[VpTrustReport] = None
+    signatures: Dict[int, str] = field(default_factory=dict)
+    baseline: Baseline = field(default_factory=Baseline)
+    plan: Optional[DeltaPlan] = None
+    results: Dict[str, Any] = field(default_factory=dict)
+    #: Targets recomputed, copied and (of the copied) recovered.
+    counts: Tuple[int, int, int] = (0, 0, 0)
+    churn: Optional[Dict[str, Any]] = None
+    alarms: List[RoutingAlarm] = field(default_factory=list)
+    manifest: Dict[str, Any] = field(default_factory=dict)
+    #: The telemetry sidecars (document, event lines) in telemetry mode.
+    telemetry: Tuple[Optional[Dict[str, Any]], Optional[List[str]]] = (None, None)
+
+
+def _publish(spans: Sequence[Tuple[Any, Mapping[str, Any]]]) -> None:
+    """Set each stage's counters as attrs on its span."""
+    for span, counters in spans:
+        for key, value in counters.items():
+            span.set(key, value)
+
+
 class CensusService:
     """Crash-tolerant scheduler of dated census runs into one archive."""
 
@@ -291,23 +352,8 @@ class CensusService:
             else None
         )
         self._catalogs: Dict[int, List[CatalogEntry]] = {}
-        #: The last world :meth:`internet_for` built, with its epoch.
-        self._world: Optional[Tuple[int, SyntheticInternet]] = None
-        #: The last epoch's campaign and signed matrix: the next epoch
-        #: carries their scan geometry and signatures (see
-        #: :class:`~repro.measurement.campaign.CensusCampaign`'s
-        #: ``previous`` and :func:`~repro.service.delta.sign_rows`).
-        self._campaign: Optional[CensusCampaign] = None
-        self._signed: Optional[RowSignatures] = None
-        #: id(results doc) -> (doc, its signature map), for the documents
-        #: the last epoch planned against.
-        self._signature_maps: Dict[int, Tuple[Dict[str, Any], Dict[int, str]]] = {}
-        #: The last analysed world with its registered /24s (sorted) and
-        #: their owner ASNs (see :meth:`_aggregate`).
-        self._owners: Optional[Tuple[SyntheticInternet, np.ndarray, np.ndarray]] = None
-        #: Geolocation's disk tables by exponent, for the last analysed
-        #: roster digest (they depend on VP locations and the gazetteer only).
-        self._disk_tables: Tuple[str, Dict[float, Any]] = ("", {})
+        #: What the next day reads of the last committed one.
+        self._carry = _Carry()
 
     # ------------------------------------------------------------------
     # The evolving world
@@ -337,32 +383,31 @@ class CensusService:
         return self._catalogs[epoch]
 
     def internet_for(self, epoch: int) -> SyntheticInternet:
-        """Epoch *k*'s world, carried over from the last one built.
+        """Epoch *k*'s world, derived from the carried one.
 
-        The first call builds cold; every later call derives the world
-        from the previous one (:meth:`SyntheticInternet.evolved`), in any
-        epoch order, so a quiet day rebuilds only the deployments its
-        catalog touched and propagates only their routes.  The result
-        equals a cold build of the same epoch.  Worlds are read-only.
+        The last committed day's world is carried (:class:`_Carry`); any
+        other epoch's is derived from it (:meth:`SyntheticInternet.evolved`:
+        a quiet day rebuilds only the deployments its catalog touched and
+        propagates only their routes) and not kept, so only a commit moves
+        what later days derive from.  With nothing carried the world is
+        built cold.  Every result equals a cold build of the same epoch.
+        Worlds are read-only.
         """
-        catalog = self.catalog_for(epoch)
-        if self._world is None:
-            world = SyntheticInternet(
+        carried = self._carry
+        if carried.world is None:
+            return SyntheticInternet(
                 InternetConfig(
                     seed=self.config.internet_seed,
                     n_unicast_slash24=self.config.n_unicast,
                     tail_deployments=self.config.tail_deployments,
                     routing=self.config.routing,
                 ),
-                catalog=catalog,
+                catalog=self.catalog_for(epoch),
                 city_db=self.city_db,
             )
-        elif self._world[0] == epoch:
-            return self._world[1]
-        else:
-            world = self._world[1].evolved(catalog)
-        self._world = (epoch, world)
-        return world
+        if carried.epoch == epoch:
+            return carried.world
+        return carried.world.evolved(self.catalog_for(epoch))
 
     def platform_for(self, epoch: int) -> Platform:
         """Epoch *k*'s active roster: the full platform minus the VPs
@@ -404,26 +449,7 @@ class CensusService:
         return Platform(self.platform.name, keep)
 
     # ------------------------------------------------------------------
-    # Supervision plumbing
-    # ------------------------------------------------------------------
-
-    def _stage(self, name, fn, epoch):
-        """Run one stage of an epoch (:func:`~repro.resilience.run_stage`).
-
-        Interruption and quorum aborts are *control flow*, not stage
-        failures: the supervisor's classifier sees them as fatal and
-        wraps them, so unwrap and re-raise the original — callers (and
-        the CLI's exit-code ladder) dispatch on the real exception.
-        """
-        try:
-            return run_stage(name, fn, self.supervisor, epoch=epoch)
-        except StageFailed as exc:
-            if isinstance(exc.__cause__, (CensusInterrupted, CensusAborted)):
-                raise exc.__cause__
-            raise
-
-    # ------------------------------------------------------------------
-    # One epoch
+    # One epoch: ordered stages over one carry record
     # ------------------------------------------------------------------
 
     def run_epoch(
@@ -442,307 +468,257 @@ class CensusService:
             journal = self.archive.journal_path(epoch)
             if journal.exists():
                 journal.unlink()
-            return self._outcome_from_manifest(epoch, "already-present")
+            return self._outcome(
+                epoch, "already-present", self.archive.read_manifest(epoch)
+            )
 
+        day = _Day(epoch, abort_after_vps)
         if not self.config.telemetry:
-            return self._run_epoch_inner(epoch, abort_after_vps)
+            return self._run_day(day)
 
         # Telemetry mode: fresh per-epoch collectors, scoped — the trace,
         # metrics and event log land in the run's archive sidecars.
         # Everything the census computes is untouched (no RNG, no wall
         # time in results), so the committed census bytes are identical
         # to a telemetry-off run.
-        tracer = Tracer()
-        metrics = MetricsRegistry()
-        events = EventLog()
+        tracer, metrics, events = Tracer(), MetricsRegistry(), EventLog()
         with activate(tracer=tracer, metrics=metrics, events=events):
-            return self._run_epoch_inner(
-                epoch, abort_after_vps, collectors=(tracer, metrics, events)
-            )
+            return self._run_day(day, collectors=(tracer, metrics, events))
 
-    def _run_epoch_inner(
+    def _stages(self, day: _Day):
+        """The day's stages in run order, as (span name, method,
+        supervised); the ones its config or its baseline leave out are not
+        listed.  Read lazily: ``churn`` and ``alarms`` run only when the
+        ``baseline`` stage found a baseline document."""
+        cfg = self.config
+        yield "world", self._world, False
+        yield "measurement", self._measure, True
+        if cfg.route_events is not None and cfg.route_events.enabled:
+            yield "routing", self._route, True
+        if cfg.trust:
+            yield "trust", self._trust, True
+        yield "signatures", self._sign, False
+        yield "baseline", self._baseline, False
+        yield "plan", self._plan, False
+        yield "analysis", self._analysis, True
+        if day.baseline.doc is not None:
+            yield "churn", self._churn, False
+            if cfg.alarms:
+                yield "alarms", self._alarms, True
+
+    def _stage(self, name, stage, day: _Day, yesterday: _Carry, supervised=False):
+        """The one stage runner.
+
+        ``stage(day, yesterday)`` returns its output (fields of ``day``),
+        its carry for tomorrow (fields of :class:`_Carry`) and its
+        counters; it runs under :func:`~repro.resilience.run_stage`, in a
+        span called ``name``.  A ``supervised`` stage runs under the
+        resilience policy with the epoch on its span and events.  Returns
+        the span and the counters: they become span attrs once the day's
+        stages are done (:func:`_publish`), so a stage may count work its
+        output does later (the campaign's scans).
+
+        Interruption and quorum aborts are *control flow*, not stage
+        failures: the supervisor's classifier sees them as fatal and
+        wraps them, so unwrap and re-raise the original — callers (and
+        the CLI's exit-code ladder) dispatch on the real exception.
+        """
+
+        def call():
+            return (current_tracer().current, *stage(day, yesterday))
+
+        try:
+            if supervised:
+                done = run_stage(name, call, self.supervisor, epoch=day.epoch)
+            else:
+                done = run_stage(name, call)
+        except StageFailed as exc:
+            if isinstance(exc.__cause__, (CensusInterrupted, CensusAborted)):
+                raise exc.__cause__
+            raise
+        span, output, carry, counters = done
+        vars(day).update(output)
+        day.carry.update(carry)
+        return span, counters
+
+    def _run_day(
         self,
-        epoch: int,
-        abort_after_vps: Optional[int],
+        day: _Day,
         collectors: Optional[Tuple[Tracer, MetricsRegistry, EventLog]] = None,
     ) -> EpochOutcome:
+        yesterday = self._carry
         events = current_events()
-        tracer = current_tracer()
-        with tracer.span("service_epoch", epoch=epoch):
-            events.emit("service", "epoch_start", epoch=epoch)
+        spans: List[Tuple[Any, Mapping[str, Any]]] = []
+        with current_tracer().span("service_epoch", epoch=day.epoch):
+            events.emit("service", "epoch_start", epoch=day.epoch)
             self.archive.ensure_layout()
-            with tracer.span("world") as world_span:
-                previous = self._world[1] if self._world is not None else None
-                propagated = _routes_propagated(previous)
-                internet = self.internet_for(epoch)
-                campaign = CensusCampaign(
-                    internet,
-                    self.platform_for(epoch),
-                    seed=self.config.campaign_seed,
-                    degraded_fraction=self.config.degraded_fraction,
-                    noise=self.config.noise,
-                    fault_plan=self.config.fault_plan,
-                    distortion=self.config.vp_distortion,
-                    previous=self._campaign,
-                    **(
-                        {"rate_pps": self.config.rate_pps}
-                        if self.config.rate_pps is not None
-                        else {}
-                    ),
-                )
-                self._campaign = campaign
-                kept = (
-                    {id(dep) for dep in previous.deployments}
-                    if previous is not None
-                    else set()
-                )
-                world_span.set("carried", previous is not None)
-                world_span.set(
-                    "deployments_rebuilt",
-                    sum(id(dep) not in kept for dep in internet.deployments),
-                )
-                world_span.set(
-                    "routes_propagated", _routes_propagated(internet) - propagated
-                )
-                world_span.set("catchments_carried", campaign.catchments_carried)
-            journal = self.archive.journal_path(epoch)
-
-            def measure():
-                campaign.run_precensus()
-                return campaign.run_census(
-                    availability=self.config.availability,
-                    checkpoint=str(journal),
-                    abort_after_vps=abort_after_vps,
-                )
-
-            census = self._stage("measurement", measure, epoch)
-            # Outcomes are carried as the census scans each VP: the world
-            # span reports them once the measurement is done.
-            world_span.set("outcomes_carried", campaign.outcomes_carried)
-            world_span.set("positions_scanned", campaign.positions_scanned)
-            if census.health is not None:
-                for vp_name in census.health.quarantined_vps:
-                    events.emit(
-                        "quarantine", "vp_quarantined", vp=vp_name, epoch=epoch
-                    )
-                for vp_name in census.health.salvaged_vps:
-                    events.emit("lifecycle", "vp_salvaged", vp=vp_name, epoch=epoch)
-            matrix = matrix_from_census(census)
-
-            # Routing chaos: the plan's active events perturb this
-            # epoch's matrix exactly the way real routing incidents are
-            # visible to a census — through the measurements.  An inert
-            # plan returns the same matrix object, so chaos-free configs
-            # stay byte-identical.
-            route_records: List[Dict[str, Any]] = []
-            if (
-                self.config.route_events is not None
-                and self.config.route_events.enabled
-            ):
-                injector = RouteEventInjector(self.config.route_events, internet)
-                matrix, route_records = self._stage(
-                    "routing", lambda: injector.perturb(matrix, epoch), epoch
-                )
-
-            # Trust gate: score the roster, excise what cannot be
-            # physically consistent with it.  On a clean roster the
-            # matrix object comes back unchanged with an all-zero
-            # excision count, so signatures — and the whole committed
-            # archive — are byte-identical to a trust-off run.
-            trust_report: Optional[VpTrustReport] = None
-            excised: Optional[np.ndarray] = None
-            if self.config.trust:
-                matrix, excised, trust_report = self._stage(
-                    "trust", lambda: trust_gate(matrix, [census.health]), epoch
-                )
-            with tracer.span("signatures") as signatures_span:
-                signed = sign_rows(matrix, excised, previous=self._signed)
-                self._signed = signed
-                signatures = signed.signatures
-                signatures_span.set("carried", signed.carried)
-                signatures_span.set("hashed", signed.hashed)
-
-            with tracer.span("baseline") as baseline_span:
-                before = Counter(self.archive.counters)
-                baseline_epoch = self.archive.latest_epoch_before(epoch)
-                baseline_doc: Optional[Dict[str, Any]] = None
-                baseline_problem: Optional[str] = None
-                if baseline_epoch is not None:
-                    try:
-                        baseline_doc = self.archive.read_results(baseline_epoch)
-                    except CorruptPayloadError as exc:
-                        baseline_problem = str(exc)
-
-                # Older epochs back the roster-rejoin recovery: a target
-                # whose signature misses the primary baseline but matches
-                # a pre-disconnect epoch is copied from there.
-                history_docs: Dict[int, Dict[str, Any]] = {}
-                if baseline_epoch is not None and self.config.baseline_depth > 0:
-                    older = [e for e in self.archive.epochs() if e < baseline_epoch]
-                    for old_epoch in older[-self.config.baseline_depth :]:
-                        try:
-                            history_docs[old_epoch] = self.archive.read_results(
-                                old_epoch
-                            )
-                        except CorruptPayloadError:
-                            continue  # rotten history is merely unavailable
-                baseline_signatures, history = self._carry_signatures(
-                    baseline_doc, history_docs
-                )
-                read = self.archive.counters - before
-                baseline_span.set("carried", read["results_carried"])
-                baseline_span.set("parsed", read["results_parsed"])
-
-            with tracer.span("plan"):
-                plan = plan_delta(
-                    signatures,
-                    baseline_signatures,
-                    baseline_epoch=baseline_epoch,
-                    churn_threshold=self.config.churn_threshold,
-                    enabled=self.config.incremental,
-                    baseline_problem=baseline_problem,
-                    history=history,
-                )
-
-            results_doc, n_recomputed, n_copied, n_recovered = self._stage(
-                "analysis",
-                lambda: self._analyze(
-                    matrix,
-                    internet,
-                    signatures,
-                    plan,
-                    baseline_doc,
-                    epoch,
-                    excised=excised,
-                    history_docs=history_docs,
-                ),
-                epoch,
-            )
-
-            churn_doc = None
-            if baseline_doc is not None:
-                with tracer.span("churn"):
-                    churn_doc = churn_between(
-                        baseline_doc,
-                        results_doc,
-                        min_delta=self.config.min_delta,
-                        min_ip24_delta=self.config.min_ip24_delta,
-                    ).to_doc()
-                    roster_doc = self._roster_doc(baseline_epoch, matrix)
-                    if roster_doc is not None:
-                        churn_doc["roster"] = roster_doc
-
-            # Alarm pass: classify this epoch's routing story against the
-            # previous committed epoch.  Runs after the analysis so the
-            # verdicts see exactly what was archived.
-            alarm_list: List[RoutingAlarm] = []
-            if self.config.alarms and baseline_doc is not None:
-                alarm_list = self._stage(
-                    "alarms",
-                    lambda: self._classify_alarms(
-                        baseline_epoch, baseline_doc, results_doc, matrix,
-                        internet,
-                    ),
-                    epoch,
-                )
-                metrics_reg = current_metrics()
-                if metrics_reg.enabled:
-                    metrics_reg.counter("routing_alarms").inc(
-                        sum(1 for a in alarm_list if a.is_alarm)
-                    )
-
-            routing_doc = self._routing_doc(route_records, alarm_list)
-
-            manifest_core = self._manifest_core(
-                census,
-                matrix,
-                results_doc,
-                plan,
-                n_recomputed,
-                n_copied,
-                n_recovered,
-                churn_doc,
-                trust_report,
-                routing_doc,
-            )
-
+            try:
+                for name, stage, supervised in self._stages(day):
+                    spans.append(self._stage(name, stage, day, yesterday, supervised))
+            finally:
+                _publish(spans)
+            day.manifest = self._manifest(day)
+            n_recomputed, n_copied, _ = day.counts
             metrics = current_metrics()
             if metrics.enabled:
                 metrics.counter("service_epochs_committed").inc()
                 metrics.counter("service_targets_recomputed").inc(n_recomputed)
                 metrics.counter("service_targets_copied").inc(n_copied)
-            events.emit("service", "epoch_end", epoch=epoch, mode=plan.mode)
+            events.emit("service", "epoch_end", epoch=day.epoch, mode=day.plan.mode)
 
         # The epoch span is closed: stage durations are final, so the
         # telemetry sidecars can be assembled and committed atomically
         # alongside the census payloads.
-        telemetry_doc = None
-        events_lines = None
         if collectors is not None:
-            telemetry_doc, events_lines = self._build_telemetry(
-                epoch,
-                census,
-                results_doc,
-                *collectors,
-                trust_report=trust_report,
-                alarms=alarm_list if self.config.alarms else None,
-            )
-        with tracer.span("commit") as commit_span:
-            before = Counter(self.archive.counters)
-            self.archive.commit_run(
-                epoch,
-                manifest_core,
-                census.records,
-                results_doc,
-                telemetry_doc=telemetry_doc,
-                events_lines=events_lines,
-                trust_doc=trust_report.to_doc() if trust_report is not None else None,
-            )
-            done = self.archive.counters - before
-            for name in ("fragments_reused", "fragments_encoded", "index_entries_read"):
-                commit_span.set(name, done[name])
-            if journal.exists():
-                journal.unlink()
-
-        summary = results_doc["summary"]
-        return EpochOutcome(
-            epoch=epoch,
-            status="committed",
-            mode=plan.mode,
-            reason=plan.reason,
-            baseline_epoch=plan.baseline_epoch,
-            churn_fraction=plan.churn_fraction,
-            n_recomputed=n_recomputed,
-            n_copied=n_copied,
-            n_recovered=n_recovered,
-            n_targets=summary["n_targets"],
-            n_anycast=summary["n_anycast"],
-            total_replicas=summary["total_replicas"],
-            untrusted_vps=(
-                list(trust_report.untrusted_names)
-                if trust_report is not None
-                else []
-            ),
-            alarms=alarm_list,
-            route_events=route_records,
+            day.telemetry = self._build_telemetry(day, *collectors)
+        _publish([self._stage("commit", self._commit, day, yesterday)])
+        self._carry = _Carry(epoch=day.epoch, **day.carry)
+        return self._outcome(
+            day.epoch,
+            "committed",
+            day.manifest,
+            alarms=day.alarms,
+            route_events=day.route_records,
         )
 
-    def _classify_alarms(
-        self,
-        baseline_epoch: Optional[int],
-        baseline_doc: Dict[str, Any],
-        results_doc: Dict[str, Any],
-        matrix: RttMatrix,
-        internet: SyntheticInternet,
-    ) -> List[RoutingAlarm]:
+    # -- the stages ------------------------------------------------------
+
+    def _world(self, day: _Day, yesterday: _Carry):
+        """Today's world, derived from the carried one, and today's campaign
+        on the carried campaign's scan geometry."""
+        propagated = _routes_propagated(yesterday.world)
+        world = self.internet_for(day.epoch)
+        campaign = CensusCampaign(
+            world,
+            self.platform_for(day.epoch),
+            seed=self.config.campaign_seed,
+            degraded_fraction=self.config.degraded_fraction,
+            noise=self.config.noise,
+            fault_plan=self.config.fault_plan,
+            distortion=self.config.vp_distortion,
+            previous=yesterday.campaign,
+            rate_pps=(
+                SAFE_RATE_PPS if self.config.rate_pps is None else self.config.rate_pps
+            ),
+        )
+        kept = {id(dep) for dep in getattr(yesterday.world, "deployments", ())}
+        built = dict(world=world, campaign=campaign)
+        counters = ChainMap(
+            {
+                "carried": yesterday.world is not None,
+                "deployments_rebuilt": sum(
+                    id(dep) not in kept for dep in world.deployments
+                ),
+                "routes_propagated": _routes_propagated(world) - propagated,
+            },
+            # The campaign counts carried catchments now, and carried
+            # outcomes and scanned positions as the census scans.
+            campaign.counters,
+        )
+        return built, built, counters
+
+    def _measure(self, day: _Day, yesterday: _Carry):
+        """The pre-census and the census, journalled, folded to a matrix."""
+        day.campaign.run_precensus()
+        census = day.campaign.run_census(
+            availability=self.config.availability,
+            checkpoint=str(self.archive.journal_path(day.epoch)),
+            abort_after_vps=day.abort_after_vps,
+        )
+        if census.health is not None:
+            events = current_events()
+            for vp_name in census.health.quarantined_vps:
+                events.emit("quarantine", "vp_quarantined", vp=vp_name, epoch=day.epoch)
+            for vp_name in census.health.salvaged_vps:
+                events.emit("lifecycle", "vp_salvaged", vp=vp_name, epoch=day.epoch)
+        return dict(census=census, matrix=matrix_from_census(census)), {}, {}
+
+    def _route(self, day: _Day, yesterday: _Carry):
+        """Routing chaos: the plan's active events perturb the day's matrix
+        exactly the way real routing incidents are visible to a census —
+        through the measurements."""
+        injector = RouteEventInjector(self.config.route_events, day.world)
+        matrix, records = injector.perturb(day.matrix, day.epoch)
+        return dict(matrix=matrix, route_records=records), {}, {}
+
+    def _trust(self, day: _Day, yesterday: _Carry):
+        """Trust gate: score the roster, excise what cannot be physically
+        consistent with it.  On a clean roster the matrix object comes back
+        unchanged with an all-zero excision count, so signatures — and the
+        whole committed archive — are byte-identical to a trust-off run."""
+        matrix, excised, report = trust_gate(day.matrix, [day.census.health])
+        return dict(matrix=matrix, excised=excised, trust_report=report), {}, {}
+
+    def _sign(self, day: _Day, yesterday: _Carry):
+        """Row signatures, re-hashing only rows that moved since the
+        carried signed matrix."""
+        signed = sign_rows(day.matrix, day.excised, previous=yesterday.signed)
+        counters = {"carried": signed.carried, "hashed": signed.hashed}
+        return dict(signatures=signed.signatures), dict(signed=signed), counters
+
+    def _baseline(self, day: _Day, yesterday: _Carry):
+        """The committed documents the day plans against (the archive
+        carries them, and their signature maps, across days)."""
+        baseline = self.archive.read_baseline(day.epoch, self.config.baseline_depth)
+        return dict(baseline=baseline), {}, baseline.counters
+
+    def _plan(self, day: _Day, yesterday: _Carry):
+        baseline = day.baseline
+        plan = plan_delta(
+            day.signatures,
+            baseline.signatures,
+            baseline_epoch=baseline.epoch,
+            churn_threshold=self.config.churn_threshold,
+            enabled=self.config.incremental,
+            baseline_problem=baseline.problem,
+            history=baseline.history_signatures,
+        )
+        return dict(plan=plan), {}, {}
+
+    def _analysis(self, day: _Day, yesterday: _Carry):
+        """The results document (:meth:`_analyze`), on the carried disk
+        tables while the roster is the same."""
+        matrix = day.matrix
+        roster = vp_context_digest(matrix.vp_names, matrix.vp_locations)
+        carried = yesterday.disk_tables
+        tables = carried[1] if carried is not None and carried[0] == roster else {}
+        results, *counts = self._analyze(
+            matrix,
+            day.world,
+            day.signatures,
+            day.plan,
+            day.baseline.doc,
+            day.epoch,
+            excised=day.excised,
+            history_docs=day.baseline.history,
+            disk_tables=tables,
+        )
+        output = dict(results=results, counts=tuple(counts))
+        return output, dict(disk_tables=(roster, tables)), {}
+
+    def _churn(self, day: _Day, yesterday: _Carry):
+        baseline = day.baseline
+        churn = churn_between(
+            baseline.doc,
+            day.results,
+            min_delta=self.config.min_delta,
+            min_ip24_delta=self.config.min_ip24_delta,
+        ).to_doc()
+        roster = self._roster_doc(baseline.epoch, day.matrix)
+        if roster is not None:
+            churn["roster"] = roster
+        return dict(churn=churn), {}, {}
+
+    def _alarms(self, day: _Day, yesterday: _Carry):
         """Typed routing verdicts for this epoch vs the committed baseline.
 
-        The baseline matrix is rebuilt from the archived raw records,
-        with the baseline epoch's route events re-applied (the injector
-        is keyed on epoch, so the replay is exact) — leak calibration
-        diffs then compare what the baseline analysis actually saw.  A
-        rotten baseline merely downgrades the classifier to analysis-
-        level evidence; it never fails the epoch.
+        Runs after the analysis so the verdicts see exactly what was
+        archived.  The baseline matrix is rebuilt from the archived raw
+        records, with the baseline epoch's route events re-applied (the
+        injector is keyed on epoch, so the replay is exact) — leak
+        calibration diffs then compare what the baseline analysis actually
+        saw.  A rotten baseline merely downgrades the classifier to
+        analysis-level evidence; it never fails the epoch.
 
         The catalog's deployment prefixes act as the operator registry
         the paper proposes: a registered-anycast prefix flipping from
@@ -753,67 +729,72 @@ class CensusService:
         registered prefixes too: the registry vouches for *who may
         announce*, not for every site vanishing at once.
         """
+        baseline = day.baseline
         baseline_matrix: Optional[RttMatrix] = None
         baseline_names: Optional[List[str]] = None
-        if baseline_epoch is not None:
-            try:
-                manifest = self.archive.read_manifest(baseline_epoch)
-                records = self.archive.read_records(baseline_epoch)
-                vps = manifest.get("vantage_points", [])
-                names = [vp["name"] for vp in vps]
-                locations = [GeoPoint(vp["lat"], vp["lon"]) for vp in vps]
-                baseline_matrix = matrix_from_records(records, names, locations)
-                baseline_names = names
-                if (
-                    self.config.route_events is not None
-                    and self.config.route_events.enabled
-                ):
-                    injector = RouteEventInjector(
-                        self.config.route_events,
-                        self.internet_for(baseline_epoch),
-                    )
-                    baseline_matrix, _ = injector.perturb(
-                        baseline_matrix, baseline_epoch
-                    )
-            except (CorruptPayloadError, ValueError, KeyError):
-                baseline_matrix = None
-        registered_anycast = {
-            int(p) for dep in internet.deployments for p in dep.prefixes
-        }
-        return classify_routing_changes(
-            DocAnalysisView(baseline_doc),
-            DocAnalysisView(results_doc),
+        try:
+            manifest = self.archive.read_manifest(baseline.epoch)
+            records = self.archive.read_records(baseline.epoch)
+            vps = manifest.get("vantage_points", [])
+            names = [vp["name"] for vp in vps]
+            locations = [GeoPoint(vp["lat"], vp["lon"]) for vp in vps]
+            baseline_matrix = matrix_from_records(records, names, locations)
+            baseline_names = names
+            if (
+                self.config.route_events is not None
+                and self.config.route_events.enabled
+            ):
+                injector = RouteEventInjector(
+                    self.config.route_events, self.internet_for(baseline.epoch)
+                )
+                baseline_matrix, _ = injector.perturb(baseline_matrix, baseline.epoch)
+        except (CorruptPayloadError, ValueError, KeyError):
+            baseline_matrix = None
+        alarms = classify_routing_changes(
+            DocAnalysisView(baseline.doc),
+            DocAnalysisView(day.results),
             baseline_matrix=baseline_matrix,
-            current_matrix=matrix,
-            known_anycast=registered_anycast,
+            current_matrix=day.matrix,
+            known_anycast={int(p) for dep in day.world.deployments for p in dep.prefixes},
             baseline_vp_names=baseline_names,
         )
+        metrics = current_metrics()
+        if metrics.enabled:
+            metrics.counter("routing_alarms").inc(sum(1 for a in alarms if a.is_alarm))
+        return dict(alarms=alarms), {}, {}
 
-    def _routing_doc(
-        self,
-        route_records: List[Dict[str, Any]],
-        alarm_list: List[RoutingAlarm],
-    ) -> Optional[Dict[str, Any]]:
+    def _commit(self, day: _Day, yesterday: _Carry):
+        """The atomic archive commit, then the journal goes."""
+        telemetry_doc, events_lines = day.telemetry
+        trust = day.trust_report
+        self.archive.commit_run(
+            day.epoch,
+            day.manifest,
+            day.census.records,
+            day.results,
+            telemetry_doc=telemetry_doc,
+            events_lines=events_lines,
+            trust_doc=trust.to_doc() if trust is not None else None,
+        )
+        journal = self.archive.journal_path(day.epoch)
+        if journal.exists():
+            journal.unlink()
+        return {}, {}, self.archive.commit_counters
+
+    def _routing_doc(self, day: _Day) -> Optional[Dict[str, Any]]:
         """The manifest's ``routing`` block, or ``None`` for plain geo
         runs (keeping geo-default manifests byte-identical to builds
         that predate the routing plane)."""
-        if (
-            self.config.routing == "geo"
-            and not route_records
-            and not self.config.alarms
-        ):
+        cfg = self.config
+        if cfg.routing == "geo" and not day.route_records and not cfg.alarms:
             return None
-        verdict_counts: Dict[str, int] = {}
-        for alarm in alarm_list:
-            verdict_counts[alarm.verdict.value] = (
-                verdict_counts.get(alarm.verdict.value, 0) + 1
-            )
+        verdicts = Counter(alarm.verdict.value for alarm in day.alarms)
         return {
-            "mode": self.config.routing,
-            "events": route_records,
-            "alarms_enabled": bool(self.config.alarms),
-            "verdicts": dict(sorted(verdict_counts.items())),
-            "alarms": [a.to_doc() for a in alarm_list if a.is_alarm],
+            "mode": cfg.routing,
+            "events": day.route_records,
+            "alarms_enabled": bool(cfg.alarms),
+            "verdicts": dict(sorted(verdicts.items())),
+            "alarms": [a.to_doc() for a in day.alarms if a.is_alarm],
         }
 
     def _roster_doc(
@@ -835,15 +816,7 @@ class CensusService:
         return roster_churn(before, after)
 
     def _build_telemetry(
-        self,
-        epoch: int,
-        census,
-        results_doc: Dict[str, Any],
-        tracer: Tracer,
-        metrics: MetricsRegistry,
-        events: EventLog,
-        trust_report: Optional[VpTrustReport] = None,
-        alarms: Optional[List[RoutingAlarm]] = None,
+        self, day: _Day, tracer: Tracer, metrics: MetricsRegistry, events: EventLog
     ) -> Tuple[Dict[str, Any], List[str]]:
         """Assemble the epoch's telemetry sidecar + sealed event lines.
 
@@ -854,7 +827,7 @@ class CensusService:
         stage_seconds = stage_seconds_from_trace(tracer)
         snapshot = metrics.snapshot()
         spec = self.config.slo if self.config.slo is not None else default_service_slo()
-        entries = results_doc["targets"].values()
+        entries = day.results["targets"].values()
         anycast = [e for e in entries if e.get("anycast")]
         degraded_fraction = (
             sum(1 for e in anycast if e.get("confidence") == "degraded") / len(anycast)
@@ -865,9 +838,10 @@ class CensusService:
             "n_vps": self.config.n_vps,
             "degraded_target_fraction": degraded_fraction,
         }
-        if trust_report is not None:
-            observations["untrusted_vp_fraction"] = trust_report.untrusted_fraction
-        if alarms is not None:
+        if day.trust_report is not None:
+            observations["untrusted_vp_fraction"] = day.trust_report.untrusted_fraction
+        if self.config.alarms:
+            alarms = day.alarms
             observations["false_alarm_rate"] = (
                 sum(1 for a in alarms if a.is_alarm) / len(alarms)
                 if alarms
@@ -890,41 +864,6 @@ class CensusService:
         }
         return doc, events.to_lines()
 
-    def _carry_signatures(
-        self,
-        baseline_doc: Optional[Dict[str, Any]],
-        history_docs: Dict[int, Dict[str, Any]],
-    ) -> Tuple[Optional[Dict[int, str]], List[Tuple[int, Dict[int, str]]]]:
-        """The baseline's and the history's signature maps for
-        :func:`plan_delta`, built once per document: the archive hands
-        back the same (read-only) document while its bytes are unchanged,
-        so the maps of the documents this epoch used are kept for the
-        next one."""
-        maps: Dict[int, Tuple[Dict[str, Any], Dict[int, str]]] = {}
-
-        def signature_map(doc: Dict[str, Any]) -> Dict[int, str]:
-            kept = self._signature_maps.get(id(doc))
-            if kept is None:
-                kept = (doc, self._baseline_signatures(doc))
-            maps[id(doc)] = kept
-            return kept[1]
-
-        baseline = signature_map(baseline_doc) if baseline_doc is not None else None
-        history = [(e, signature_map(doc)) for e, doc in history_docs.items()]
-        self._signature_maps = maps
-        return baseline, history
-
-    @staticmethod
-    def _baseline_signatures(
-        baseline_doc: Optional[Dict[str, Any]],
-    ) -> Optional[Dict[int, str]]:
-        if baseline_doc is None:
-            return None
-        return {
-            int(prefix): entry["signature"]
-            for prefix, entry in baseline_doc["targets"].items()
-        }
-
     # ------------------------------------------------------------------
     # Analysis: incremental provably equal to cold
     # ------------------------------------------------------------------
@@ -939,6 +878,7 @@ class CensusService:
         epoch: int,
         excised: Optional[np.ndarray] = None,
         history_docs: Optional[Dict[int, Dict[str, Any]]] = None,
+        disk_tables: Optional[Dict[float, Any]] = None,
     ) -> Tuple[Dict[str, Any], int, int, int]:
         """Build the epoch's results document.
 
@@ -961,6 +901,9 @@ class CensusService:
         ``insufficient`` when what is left falls below ``min_samples``.
         The key is absent on untouched targets, so clean-roster runs
         serialize byte-identically to trust-off runs.
+
+        ``disk_tables`` are geolocation's tables for this roster, filled
+        in place (a fresh set when ``None``).
         """
         cfg = self.config.igreedy
         incremental = plan.mode == "incremental"
@@ -985,11 +928,11 @@ class CensusService:
             dtype=np.int64,
         )
         mask = detect_targets(matrix, cfg, self.config.min_samples, rows=rows)
-        roster = vp_context_digest(matrix.vp_names, matrix.vp_locations)
-        if self._disk_tables[0] != roster:
-            self._disk_tables = (roster, {})
         engine = FastAnalysisEngine(
-            matrix, city_db=self.city_db, config=cfg, disk_tables=self._disk_tables[1]
+            matrix,
+            city_db=self.city_db,
+            config=cfg,
+            disk_tables=disk_tables if disk_tables is not None else {},
         )
         analysed = iter(engine.analyze_rows(rows[mask]))
         verdicts = iter(mask.tolist())
@@ -1047,7 +990,7 @@ class CensusService:
         doc = {
             "kind": RESULTS_KIND,
             "epoch": epoch,
-            "signature_context": roster,
+            "signature_context": vp_context_digest(matrix.vp_names, matrix.vp_locations),
             "targets": targets,
             "ases": ases,
             "summary": summary,
@@ -1075,21 +1018,7 @@ class CensusService:
         replicas = np.fromiter(
             (len(e.get("replicas", ())) for e in entries), np.int64, len(targets)
         )
-        if self._owners is None or self._owners[0] is not internet:
-            registry = internet.registry
-            # Sorted, then a sentinel past every prefix: each lookup lands
-            # on a slot, and an unregistered /24 on one that is not its own.
-            owned = sorted(
-                (prefix, owner.asn)
-                for owner in registry
-                for prefix in registry.prefixes_of(owner.asn)
-            ) + [(np.iinfo(np.int64).max, -1)]
-            self._owners = (
-                internet,
-                np.array([p for p, _ in owned], dtype=np.int64),
-                np.array([a for _, a in owned], dtype=np.int64),
-            )
-        _, registered, asn_of = self._owners
+        registered, asn_of = internet.prefix_owners
         at = np.searchsorted(registered, prefixes)
         counted = anycast & (registered[at] == prefixes)
         asns, first, inverse = np.unique(
@@ -1118,20 +1047,11 @@ class CensusService:
     # Manifest assembly
     # ------------------------------------------------------------------
 
-    def _manifest_core(
-        self,
-        census,
-        matrix: RttMatrix,
-        results_doc: Dict[str, Any],
-        plan: DeltaPlan,
-        n_recomputed: int,
-        n_copied: int,
-        n_recovered: int,
-        churn_doc: Optional[Dict[str, Any]],
-        trust_report: Optional[VpTrustReport] = None,
-        routing_doc: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        summary = results_doc["summary"]
+    def _manifest(self, day: _Day) -> Dict[str, Any]:
+        """The run manifest's core (the archive adds kind, epoch and the
+        payload seals)."""
+        census, matrix, plan = day.census, day.matrix, day.plan
+        n_recomputed, n_copied, n_recovered = day.counts
         core = {
             "census": {
                 "census_id": census.census_id,
@@ -1148,7 +1068,7 @@ class CensusService:
                 {"name": name, "lat": location.lat, "lon": location.lon}
                 for name, location in zip(matrix.vp_names, matrix.vp_locations)
             ],
-            "counts": dict(summary),
+            "counts": dict(day.results["summary"]),
             "analysis": {
                 "mode": plan.mode,
                 "reason": plan.reason,
@@ -1158,11 +1078,12 @@ class CensusService:
                 "n_copied": n_copied,
                 "n_recovered": n_recovered,
             },
-            "churn": churn_doc,
+            "churn": day.churn,
         }
         # Only when the gate actually fired: a clean-roster trust-on
         # manifest stays byte-identical to a trust-off one (the full
         # verdict set, clean or not, lives in the trust sidecar).
+        trust_report = day.trust_report
         if trust_report is not None and trust_report.untrusted_names:
             core["trust"] = {
                 "enabled": True,
@@ -1172,12 +1093,17 @@ class CensusService:
             }
         # Only in BGP/chaos/alarm configurations: plain geo manifests
         # stay byte-identical to builds that predate the routing plane.
+        routing_doc = self._routing_doc(day)
         if routing_doc is not None:
             core["routing"] = routing_doc
         return core
 
-    def _outcome_from_manifest(self, epoch: int, status: str) -> EpochOutcome:
-        manifest = self.archive.read_manifest(epoch)
+    @staticmethod
+    def _outcome(
+        epoch: int, status: str, manifest: Dict[str, Any], **extra: Any
+    ) -> EpochOutcome:
+        """What a run did, off its manifest (``extra``: the alarms and route
+        events of a run this process committed)."""
         analysis = manifest["analysis"]
         counts = manifest["counts"]
         return EpochOutcome(
@@ -1194,6 +1120,7 @@ class CensusService:
             n_anycast=counts["n_anycast"],
             total_replicas=counts["total_replicas"],
             untrusted_vps=list(manifest.get("trust", {}).get("untrusted", [])),
+            **extra,
         )
 
     # ------------------------------------------------------------------

@@ -123,21 +123,21 @@ class TestCompareEpochs:
 
     def test_report_partitions_ases(self, epoch_reports):
         before, after = epoch_reports
-        report = compare_epochs(before, after)
+        report = compare_epochs(before.as_rows(), after.as_rows())
         assert report.n_tracked == len(
             set(before.footprints) | set(after.footprints)
         )
 
     def test_new_adopters_appear(self, epoch_reports):
         before, after = epoch_reports
-        report = compare_epochs(before, after)
+        report = compare_epochs(before.as_rows(), after.as_rows())
         appeared_names = {c.name for c in report.appeared}
         assert any(name.startswith("NEW-ADOPTER") for name in appeared_names)
 
     def test_growth_observed_by_census(self, epoch_reports, catalog, evolved):
         """ASes whose ground truth grew should dominate the 'grown' list."""
         before, after = epoch_reports
-        report = compare_epochs(before, after)
+        report = compare_epochs(before.as_rows(), after.as_rows())
         truly_grown = {
             new.asn for old, new in zip(catalog, evolved) if new.n_sites > old.n_sites
         }
@@ -148,40 +148,24 @@ class TestCompareEpochs:
 
     def test_no_change_no_motion(self, epoch_reports):
         before, _ = epoch_reports
-        report = compare_epochs(before, before)
+        report = compare_epochs(before.as_rows(), before.as_rows())
         assert not report.grown
         assert not report.shrunk
         assert not report.appeared
         assert not report.disappeared
 
 
-def _fake_characterization(footprints):
-    """Duck-typed Characterization: compare_epochs reads only .footprints."""
-    from types import SimpleNamespace
-
-    return SimpleNamespace(
-        footprints={
-            asn: SimpleNamespace(
-                mean_replicas=mean,
-                n_ip24=ip24,
-                autonomous_system=SimpleNamespace(name=name),
-            )
-            for asn, (name, mean, ip24) in footprints.items()
-        }
-    )
-
-
 class TestCompareEpochsClassification:
     def test_min_delta_must_be_non_negative(self):
-        empty = _fake_characterization({})
+        empty = {}
         with pytest.raises(ValueError):
             compare_epochs(empty, empty, min_delta=-0.5)
         with pytest.raises(ValueError):
             compare_epochs(empty, empty, min_ip24_delta=-1)
 
     def test_ip24_only_growth_is_not_stable(self):
-        before = _fake_characterization({64500: ("CDN-A", 10.0, 4)})
-        after = _fake_characterization({64500: ("CDN-A", 10.2, 7)})
+        before = {64500: ("CDN-A", 10.0, 4)}
+        after = {64500: ("CDN-A", 10.2, 7)}
         report = compare_epochs(before, after)
         assert [c.asn for c in report.footprint_grown] == [64500]
         assert not report.stable
@@ -189,22 +173,22 @@ class TestCompareEpochsClassification:
         assert report.n_tracked == 1
 
     def test_ip24_only_shrink_is_not_stable(self):
-        before = _fake_characterization({64500: ("CDN-A", 10.0, 7)})
-        after = _fake_characterization({64500: ("CDN-A", 9.8, 4)})
+        before = {64500: ("CDN-A", 10.0, 7)}
+        after = {64500: ("CDN-A", 9.8, 4)}
         report = compare_epochs(before, after)
         assert [c.asn for c in report.footprint_shrunk] == [64500]
         assert report.footprint_shrunk[0].ip24_delta == -3
         assert not report.stable
 
     def test_replica_motion_wins_over_footprint_motion(self):
-        before = _fake_characterization({64500: ("CDN-A", 10.0, 4)})
-        after = _fake_characterization({64500: ("CDN-A", 13.0, 9)})
+        before = {64500: ("CDN-A", 10.0, 4)}
+        after = {64500: ("CDN-A", 13.0, 9)}
         report = compare_epochs(before, after)
         assert [c.asn for c in report.grown] == [64500]
         assert not report.footprint_grown
 
     def test_truly_stable_stays_stable(self):
-        before = _fake_characterization({64500: ("CDN-A", 10.0, 4)})
+        before = {64500: ("CDN-A", 10.0, 4)}
         report = compare_epochs(before, before)
         assert [c.asn for c in report.stable] == [64500]
         assert not report.footprint_grown

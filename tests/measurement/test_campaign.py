@@ -11,7 +11,7 @@ from repro.internet.catalog import full_catalog
 from repro.internet.topology import InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign
 from repro.measurement.platform import planetlab_platform
-from repro.measurement.prober import base_rtt_row
+from repro.measurement.prober import base_rtt_row, keyed_base_rtts
 from repro.net.icmp import IcmpOutcome
 
 
@@ -34,7 +34,18 @@ def fresh_row(campaign, vp_idx, site_of=None):
         lats[positions] = dep.replicas[site].location.lat
         lons[positions] = dep.replicas[site].location.lon
     distances = pairwise_distances_km([vp.location.lat], [vp.location.lon], lats, lons)[0]
-    return base_rtt_row(internet, vp, distances, keyed=campaign.noise == "keyed")
+    if campaign.noise == "keyed":
+        return keyed_base_rtts(internet, [vp], distances[None, :])[0]
+    return base_rtt_row(internet, vp, distances)
+
+
+def campaign_row(campaign, vp_idx):
+    """The base row a campaign's scans of one VP use: the cached stream
+    row, or the keyed one each keyed scan draws."""
+    if campaign.noise == "keyed":
+        vp = campaign.platform.vantage_points[vp_idx]
+        return keyed_base_rtts(campaign.internet, [vp], campaign._distances([vp_idx]))[0]
+    return campaign.base_row(vp_idx)
 
 
 def site_seen(campaign, vp_idx, dep_idx):
@@ -89,7 +100,8 @@ class TestEffectiveCoords:
     def test_base_row_equals_fresh_computation(self, tiny_internet, tiny_platform, noise):
         campaign = CensusCampaign(tiny_internet, tiny_platform, seed=99, noise=noise)
         for vp_idx in (0, 7, 31, 59):
-            assert np.array_equal(campaign.base_row(vp_idx), fresh_row(campaign, vp_idx))
+            got, want = campaign_row(campaign, vp_idx), fresh_row(campaign, vp_idx)
+            assert np.array_equal(got, want)
 
     def test_carried_rows_follow_moved_hosts(self, tiny_platform):
         """A predecessor over the same configuration but another gazetteer
@@ -113,8 +125,8 @@ class TestEffectiveCoords:
         )
         assert stayed < len(now.unicast_hosts) // 2
         n_vps = len(tiny_platform)
-        assert carried.outcomes_carried == n_vps
-        assert carried.positions_scanned == n_vps * (now.n_targets - stayed)
+        assert carried.counters["outcomes_carried"] == n_vps
+        assert carried.counters["positions_scanned"] == n_vps * (now.n_targets - stayed)
 
 
 class TestPrecensus:
@@ -234,4 +246,5 @@ class TestCensus:
         carried = CensusCampaign(grown, platform, previous=first)
         cold = CensusCampaign(grown, platform)
         assert carried.base_row(0).tobytes() == cold.base_row(0).tobytes()
-        assert carried.catchments_carried == carried.outcomes_carried == 0
+        assert carried.counters["catchments_carried"] == 0
+        assert carried.counters["outcomes_carried"] == 0

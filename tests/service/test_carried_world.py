@@ -105,12 +105,15 @@ def test_carried_world_equals_cold_build(
     )
     service = CensusService(config)
     for epoch in order:
+        # Derived from the last committed day's world (cold before any).
         carried = service.internet_for(epoch)
         cold = CensusService(config, city_db=service.city_db).internet_for(epoch)
         assert_same_world(carried, cold, service.platform_for(epoch))
         if carried.bgp_plane is not None:
             # The shared plane holds one world's routes, not every day's.
             assert len(carried.bgp_plane._routes_cache) <= len(carried.deployments)
+        service.run_epoch(epoch)
+        assert service.internet_for(epoch) is service._carry.world
 
 
 def test_world_span_reports_the_path_taken(tmp_path):
@@ -261,7 +264,7 @@ def test_carried_geometry_equals_cold_under_roster_churn(
             c for c in tracer.to_dicts()[0]["children"] if c["name"] == "world"
         )["attrs"]
         carried_scans.append(world["outcomes_carried"])
-        campaign, fresh = service._campaign, fresh_campaign(service, epoch)
+        campaign, fresh = service._carry.campaign, fresh_campaign(service, epoch)
         assert np.array_equal(campaign._catchment, fresh._catchment), epoch
         fresh.run_precensus()
         fresh.run_census(availability=service.config.availability)
@@ -307,6 +310,8 @@ def test_base_rows_are_keyed_on_vp_identity(tmp_path):
     targets = ScanTargets.build(internet, lfsr_permutation(internet.n_targets, seed=1))
     scans = {}
     for name, campaign in (("after", after), ("cold", cold), ("before", before)):
+        # A keyed scan reads the outcomes its census planned for it.
+        campaign._prepare_outcomes(1, SAFE_RATE_PPS, [(0, False), (1, False)])
         scans[name] = [campaign.scan_vp(i, 1, targets) for i in (0, 1)]
     for got, want in zip(scans["after"], scans["cold"]):
         assert same_outcomes(got.outcomes, want.outcomes)
@@ -368,10 +373,16 @@ def test_carried_scans_equal_cold_scans(tmp_path, routing, workers):
     )
     seed = service.config.campaign_seed
     policy = ExecutionPolicy(workers=workers)
-    previous = None
+    previous = world = None
     carried_scans, scanned = [], []
     for epoch in range(DAYS):
-        internet = service.internet_for(epoch)
+        # Each day's world evolved from the day before's, as the service's.
+        world = (
+            service.internet_for(epoch)
+            if world is None
+            else world.evolved(service.catalog_for(epoch))
+        )
+        internet = world
         platform = service.platform_for(epoch)
         if epoch == 3:
             # A replying unicast host turns administratively filtered.
@@ -418,8 +429,8 @@ def test_carried_scans_equal_cold_scans(tmp_path, routing, workers):
         assert_same_scans(got, want, journals)
         if epoch == 2:
             assert got.health.n_vps_resumed == 3
-        carried_scans.append(carried.outcomes_carried)
-        scanned.append(carried.positions_scanned / internet.n_targets)
+        carried_scans.append(carried.counters["outcomes_carried"])
+        scanned.append(carried.counters["positions_scanned"] / internet.n_targets)
         previous = carried
 
     assert carried_scans[0] == 0 and all(n > 0 for n in carried_scans[1:])
@@ -450,15 +461,15 @@ def test_one_process_timeline_equals_fresh_services(tmp_path, fresh_services_tre
     service used is parse-identical to its bytes and read-only."""
     service = bgp_service(tmp_path / "archive")
     archive = service.archive
-    read_results = archive.read_results
+    read_results = archive._read_results
     used = []
 
     def spy(epoch):
-        doc = read_results(epoch)
+        doc, parsed = read_results(epoch)
         used.append((epoch, doc))
-        return doc
+        return doc, parsed
 
-    archive.read_results = spy
+    archive._read_results = spy
     yesterday = []
     for epoch in range(DAYS):
         used.clear()
@@ -466,7 +477,7 @@ def test_one_process_timeline_equals_fresh_services(tmp_path, fresh_services_tre
         # Nothing today mutated a document the service used yesterday.
         for doc, data in yesterday:
             assert canonical_json_bytes(doc) == data
-        used.append((epoch, read_results(epoch)))  # today's carried commit
+        used.append((epoch, archive.read_results(epoch)))  # today's carried commit
         yesterday = []
         for used_epoch, doc in used:
             data = (archive.run_dir(used_epoch) / RESULTS_FILE).read_bytes()

@@ -129,3 +129,53 @@ class TestCompoundFailures:
         report, outcomes = small_service(root).catch_up(DAYS - 1)
         assert [o.status for o in outcomes] == ["committed"] * DAYS
         assert archive_tree(root) == reference_tree
+
+
+#: One 5-day schedule per scenario, a fresh process per attempt: each
+#: attempt ``catch_up``s through the last day and dies per the next plan
+#: entry (``abort_after_vps`` mid-census, or a commit-protocol point).
+KILL_PLANS = {
+    "mid-census": [
+        {"abort_after_vps": 3},
+        {"abort_after_vps": 11},
+        {"abort_after_vps": 7},
+    ],
+    "commit-protocol": [
+        {"commit": "commit:staged"},
+        {"commit": "commit:renamed"},
+        {"commit": "commit:indexed"},
+    ],
+    "mixed": [
+        {"abort_after_vps": 2},
+        {"commit": "commit:renamed"},
+        {"abort_after_vps": 15},
+        {"commit": "commit:staged"},
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario", list(KILL_PLANS))
+def test_kill_restart_schedule_is_byte_identical(tmp_path, reference_tree, scenario):
+    """Restarted until the plan runs out, the schedule lands on the
+    uninterrupted timeline's bytes with no journal left behind."""
+    root = tmp_path / "archive"
+    kills = list(KILL_PLANS[scenario])
+    deaths = 0
+    while True:
+        service = small_service(root)
+        plan = kills.pop(0) if kills else {}
+        if "commit" in plan:
+
+            def hook(point, at=plan["commit"]):
+                if point == at:
+                    raise Kill(point)
+
+            service.archive.crash_hook = hook
+        try:
+            service.catch_up(DAYS - 1, abort_after_vps=plan.get("abort_after_vps"))
+            break
+        except (Kill, CensusInterrupted):
+            deaths += 1
+    assert archive_tree(root) == reference_tree, f"{scenario}: archive diverged"
+    assert not list((root / "journal").iterdir())
+    assert deaths >= 1
