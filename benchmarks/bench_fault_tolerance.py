@@ -32,7 +32,8 @@ def _run_study(internet, platform, rate: float):
         platform,
         seed=500,
         fault_plan=FaultPlan.uniform(rate, seed=13, flap_prob=rate / 6.0),
-        retry=RetryPolicy(max_attempts=3, timeout_hours=nominal_hours * 20.0),
+        retry=RetryPolicy(max_attempts=3),
+        scan_timeout_hours=nominal_hours * 20.0,
         min_vp_quorum=10,
     )
     censuses = campaign.run(n_censuses=2, availability=0.85)

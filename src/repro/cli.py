@@ -35,7 +35,6 @@ from .measurement.faults import (
     FaultPlan,
     PoisonKind,
     PoisonPlan,
-    RetryPolicy,
     VpDistortionPlan,
 )
 from .obs import render_trace
@@ -68,7 +67,7 @@ EXIT_INTERRUPTED = 130
 
 _POLICIES = {
     "off": None,
-    "on": ResiliencePolicy.permissive,
+    "on": ResiliencePolicy,
     "strict": ResiliencePolicy.strict,
 }
 
@@ -107,7 +106,6 @@ def _build_study(args: argparse.Namespace) -> CensusStudy:
     fault_plan = FaultPlan.uniform(
         args.fault_rate, seed=args.fault_seed, flap_prob=args.flap_prob
     )
-    retry = RetryPolicy(timeout_hours=args.scan_timeout)
     policy_factory = _POLICIES[args.resilience_policy]
     poison = None
     if args.poison is not None:
@@ -127,7 +125,7 @@ def _build_study(args: argparse.Namespace) -> CensusStudy:
             n_vantage_points=args.vps,
             n_censuses=args.censuses,
             fault_plan=fault_plan,
-            retry=retry,
+            scan_timeout_hours=args.scan_timeout,
             min_vp_quorum=args.quorum,
             checkpoint_dir=args.checkpoint_dir,
             workers=_parse_workers(args.workers),
@@ -138,7 +136,6 @@ def _build_study(args: argparse.Namespace) -> CensusStudy:
             poison=poison,
             vp_distortion=_distortion_from_args(args),
             trust=args.trust,
-            matrix_store=args.matrix_store,
         )
     )
 
@@ -256,8 +253,7 @@ def _cmd_health(study: CensusStudy, args: argparse.Namespace) -> int:
     for report in study.health_reports:
         for line in report.summary_lines():
             print(line)
-    tracker = study.campaign.health
-    quarantined = sorted(tracker.quarantined_names())
+    quarantined = study.campaign.health.tripped
     print(f"quarantined VPs: {len(quarantined)}")
     for name in quarantined:
         print(f"  {name}")
@@ -283,8 +279,7 @@ def _cmd_health(study: CensusStudy, args: argparse.Namespace) -> int:
 #: if they had not been given.
 _STUDY_ONLY_FLAGS = (
     "workers", "deadline", "quorum", "scan_timeout", "checkpoint_dir",
-    "censuses", "poison", "poison_fraction", "poison_seed", "matrix_store",
-    "manifest",
+    "censuses", "poison", "poison_fraction", "poison_seed", "manifest",
 )
 
 
@@ -529,14 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, metavar="KIND",
                         help="restrict distortion to one kind "
                              "(default: all four)")
-    parser.add_argument("--matrix-store",
-                        choices=["auto", "inline", "memmap"],
-                        default="auto",
-                        help="backing store for the combined RTT matrix: "
-                             "'inline' = heap arrays, 'memmap' = temp-file "
-                             "planes that can exceed RAM, 'auto' = inline "
-                             "below the size threshold, memmap above "
-                             "(bytes are identical for every choice)")
     parser.add_argument("--trust", action="store_true",
                         help="cross-VP trust scoring: excise vantage "
                              "points whose columns are self-inconsistent "

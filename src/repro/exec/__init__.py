@@ -31,7 +31,6 @@ from .signals import ShutdownFlag, graceful_shutdown
 from .supervisor import (
     BREAKER_FAULT,
     DEADLINE_FAULT,
-    CircuitBreaker,
     ExecutionPolicy,
     ExecutionReport,
     ReassignmentLedger,
@@ -40,7 +39,6 @@ from .supervisor import (
 __all__ = [
     "BREAKER_FAULT",
     "DEADLINE_FAULT",
-    "CircuitBreaker",
     "DeadlineExceeded",
     "ExecError",
     "ExecutionOutcome",

@@ -41,6 +41,7 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
+from ..measurement.faults import StrikeCounter
 from ..measurement.prober import VpScanResult
 from ..obs import current_events, current_metrics, current_tracer
 from .errors import WorkerLost
@@ -58,7 +59,6 @@ from .pool import (
 from .supervisor import (
     BREAKER_FAULT,
     DEADLINE_FAULT,
-    CircuitBreaker,
     ExecutionPolicy,
     ExecutionReport,
     ReassignmentLedger,
@@ -105,7 +105,9 @@ class _RunState:
             workers=workers, n_units=len(units), in_process=workers == 0
         )
         self.outcome = ExecutionOutcome(report=self.report)
-        self.breaker = CircuitBreaker(policy.breaker_threshold)
+        #: Raising scans per VP.  A unit is retried in place until it
+        #: resolves, so within a run its failures are consecutive.
+        self.breaker = StrikeCounter(policy.breaker_threshold)
         self.resolved: Set[int] = set()
         self._deadline = (
             None if policy.deadline_s is None else time.monotonic() + policy.deadline_s
@@ -133,8 +135,7 @@ class _RunState:
         last one is kept per VP: a tripped breaker must say what tripped it.
         """
         self.report.scan_errors[unit.vp_name] = error
-        self.breaker.record_failure(unit.vp_name)
-        if not self.breaker.is_open(unit.vp_name):
+        if not self.breaker.record(unit.vp_name, ok=False):
             return True
         self._fail(unit, BREAKER_FAULT)
         return False
@@ -156,7 +157,7 @@ class _RunState:
 
     def finish(self) -> ExecutionOutcome:
         report = self.report
-        report.breaker_open_vps = self.breaker.open_keys
+        report.breaker_open_vps = self.breaker.tripped
         report.finish()
         metrics = current_metrics()
         if metrics.enabled:

@@ -1,4 +1,4 @@
-"""Pool-supervision bookkeeping: policy, breakers, budgets, report.
+"""Pool-supervision bookkeeping: policy, budgets, report.
 
 Everything here is process-free state machinery, unit-testable without
 spawning a single worker; :mod:`repro.exec.engine` drives it from its
@@ -48,7 +48,8 @@ class ExecutionPolicy:
     max_total_reassignments: Optional[int] = None
     #: Worker respawns allowed per census (None: 2×workers + 2).
     max_respawns: Optional[int] = None
-    #: Scan exceptions tolerated per VP before its breaker trips open.
+    #: Scan exceptions tolerated per VP before its breaker trips open
+    #: (a :class:`~repro.measurement.faults.StrikeCounter` threshold).
     breaker_threshold: int = 3
     #: Injected worker-level chaos (tests/benchmarks only).
     worker_faults: Optional[WorkerFaultPlan] = None
@@ -82,42 +83,6 @@ class ExecutionPolicy:
         if self.max_respawns is not None:
             return self.max_respawns
         return 2 * max(self.workers, 1) + 2
-
-
-class CircuitBreaker:
-    """Per-key failure counter with a trip threshold.
-
-    Keyed by VP name: a vantage point whose scan keeps raising
-    (deterministic scan errors — bad input, not bad workers) trips open
-    after ``threshold`` failures and is routed to the quarantine path
-    instead of burning retries.
-    """
-
-    def __init__(self, threshold: int) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        self.threshold = threshold
-        self._failures: Dict[str, int] = {}
-        self._open: Dict[str, bool] = {}
-
-    def record_failure(self, key: str) -> bool:
-        """Count one failure; return True when this trips the breaker."""
-        count = self._failures.get(key, 0) + 1
-        self._failures[key] = count
-        if count >= self.threshold and not self._open.get(key, False):
-            self._open[key] = True
-            return True
-        return False
-
-    def is_open(self, key: str) -> bool:
-        return self._open.get(key, False)
-
-    def failures(self, key: str) -> int:
-        return self._failures.get(key, 0)
-
-    @property
-    def open_keys(self) -> List[str]:
-        return sorted(k for k, tripped in self._open.items() if tripped)
 
 
 class ReassignmentLedger:

@@ -20,7 +20,7 @@ On top of the happy path, the campaign supervises every VP scan the way
 an operator of ~300 shared testbed hosts has to (see
 :mod:`repro.measurement.faults`):
 
-* a scan that **hangs** past ``RetryPolicy.timeout_hours`` or hands back
+* a scan that **hangs** past ``scan_timeout_hours`` or hands back
   a **corrupt** batch (checksum mismatch) is retried with exponential
   backoff, a bounded number of times;
 * a scan that **crashes** mid-way leaves a salvageable partial batch,
@@ -65,9 +65,9 @@ from .faults import (
     FaultKind,
     FaultPlan,
     RetryPolicy,
+    StrikeCounter,
     VpDistorter,
     VpDistortionPlan,
-    VpHealthTracker,
 )
 from .greylist import Blacklist, Greylist
 from .lfsr import lfsr_permutation
@@ -96,7 +96,7 @@ from .recordio import (
 _KERNEL_CELLS = 1 << 17
 
 #: Domain separator for retry-backoff jitter draws (see
-#: :meth:`~repro.measurement.faults.RetryPolicy.backoff_hours`).
+#: :meth:`~repro.measurement.faults.RetryPolicy.backoff`).
 _BACKOFF_SALT = 0xBAC0FF
 
 
@@ -479,6 +479,7 @@ class CensusCampaign:
         degraded_fraction: float = 0.25,
         fault_plan: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
+        scan_timeout_hours: Optional[float] = None,
         min_vp_quorum: int = 1,
         quarantine_threshold: int = 2,
         executor: ExecutionPolicy = ExecutionPolicy(workers=0),
@@ -490,6 +491,8 @@ class CensusCampaign:
             raise ValueError("degraded_fraction must be in [0, 1]")
         if min_vp_quorum < 1:
             raise ValueError("min_vp_quorum must be >= 1")
+        if scan_timeout_hours is not None and scan_timeout_hours <= 0:
+            raise ValueError("scan_timeout_hours must be positive (or None)")
         if noise not in ("stream", "keyed"):
             raise ValueError(f"unknown noise mode {noise!r}")
         self.internet = internet
@@ -501,7 +504,13 @@ class CensusCampaign:
         #: this is a major reason combining censuses improves recall.
         self.degraded_fraction = degraded_fraction
         self.fault_plan = fault_plan or FaultPlan()
+        #: Per-scan retries; backoff is simulated hours, accounted in
+        #: the health report.
         self.retry = retry or RetryPolicy()
+        #: Deadline of one scan attempt: a hang past it is a failed
+        #: attempt.  ``None`` waits a hung scan out (it still finishes,
+        #: very late).
+        self.scan_timeout_hours = scan_timeout_hours
         #: Policy of the sharded engine that runs every census's scans
         #: (:mod:`repro.exec.engine`).  ``workers=0`` (default) executes
         #: them in-process, serially; any pool size is byte-identical.
@@ -515,8 +524,8 @@ class CensusCampaign:
         #: longitudinal service's incremental recompute is built on.
         self.noise = noise
         self.min_vp_quorum = min_vp_quorum
-        #: Cross-census per-VP fault bookkeeping (drives quarantine).
-        self.health = VpHealthTracker(quarantine_threshold=quarantine_threshold)
+        #: Censuses failed in a row per VP; a tripped VP is quarantined.
+        self.health = StrikeCounter(quarantine_threshold)
         self._injector = (
             FaultInjector(self.fault_plan) if self.fault_plan.enabled else None
         )
@@ -837,7 +846,7 @@ class CensusCampaign:
 
         # Quarantine filtering happens *after* all census-level RNG draws,
         # so the random stream (and hence fault-free output) is unchanged.
-        quarantined = self.health.quarantined_names()
+        quarantined = self.health.tripped
         pairs: List[Tuple[VantagePoint, bool]] = [
             (vp, bool(flag))
             for vp, flag in zip(available.vantage_points, degraded_flags)
@@ -884,15 +893,11 @@ class CensusCampaign:
             census_id=census_id,
             n_vps_available=len(available),
             n_vps_planned=len(planned),
-            quarantined_vps=sorted(quarantined),
+            quarantined_vps=quarantined,
             distorted_vps=distorted,
             vp_reasons={
-                name: [
-                    "quarantined "
-                    f"({self.health.health_of(name).consecutive_failures}"
-                    " consecutive failures)"
-                ]
-                for name in sorted(quarantined)
+                name: [f"quarantined ({self.health.count(name)} consecutive failures)"]
+                for name in quarantined
             },
         )
         if len(planned) < self.min_vp_quorum:
@@ -1212,7 +1217,7 @@ class CensusCampaign:
         for attempt in range(self.retry.max_attempts):
             if attempt:
                 retries += 1
-                backoff += self.retry.backoff_hours(
+                backoff += self.retry.backoff(
                     attempt, self._backoff_u(census_id, platform_index, attempt)
                 )
             kind = injector.fault_for(census_id, platform_index, attempt)
@@ -1226,7 +1231,8 @@ class CensusCampaign:
             faults.append(kind.value)
             if kind is FaultKind.HANG:
                 hung_hours = injector.hang_duration(result)
-                if not self.retry.times_out(hung_hours):
+                deadline = self.scan_timeout_hours
+                if deadline is None or hung_hours <= deadline:
                     # No deadline (or a generous one): the scan eventually
                     # returns, just very late — Fig. 8's far straggler.
                     return settle(

@@ -10,9 +10,10 @@ of it.  This module provides the two halves of that story:
   that makes a simulated vantage point misbehave in the four canonical
   ways — crash mid-scan, hang past any reasonable deadline, hand back a
   corrupted record batch, or flap (disappear for a whole census);
-* the **resilience knobs** the campaign supervisor uses to cope —
-  a bounded :class:`RetryPolicy` with exponential backoff and a
-  :class:`VpHealthTracker` that quarantines repeatedly-failing nodes.
+* the **supervision primitives** every supervisor uses to cope — a
+  bounded :class:`RetryPolicy` with exponential backoff and a
+  :class:`StrikeCounter` that gives up on repeatedly-failing keys
+  (quarantined VPs, open scan breakers).
 
 Every fault decision is drawn from an RNG keyed on
 ``(plan seed, census id, vantage point, attempt)`` rather than from a
@@ -249,104 +250,80 @@ class FaultInjector:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Supervision policy for one VP scan: deadline, retries, backoff.
+    """Bounded retries with exponential backoff — one shape for every
+    supervisor: a VP scan, a pipeline stage.
 
-    ``timeout_hours=None`` disables the deadline — a hung scan is then
-    simply waited out (it still finishes, very late).  Backoff is
-    simulated wall-clock time, accounted in the campaign health report.
+    ``backoff_base`` is in the holder's clock: simulated hours for a
+    scan (accounted in the campaign health report), wall-clock seconds
+    for a stage (actually slept).  A scan's deadline is not part of the
+    retry — it is the campaign's ``scan_timeout_hours``.
     """
 
+    #: Total attempts, the first included (1 = no retry).
     max_attempts: int = 3
-    timeout_hours: Optional[float] = None
-    backoff_base_hours: float = 0.25
+    backoff_base: float = 0.25
     backoff_factor: float = 2.0
     #: Jitter amplitude as a fraction of the deterministic backoff: the
     #: actual wait is scaled by ``1 + jitter * u`` with ``u`` drawn by
-    #: the campaign from an RNG keyed on (seed, census, VP, attempt) —
-    #: decorrelated retry storms without sacrificing reproducibility.
+    #: the holder from an RNG keyed on its own identity (the campaign's
+    #: (seed, census, VP, attempt)) — decorrelated retry storms without
+    #: sacrificing reproducibility.
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.timeout_hours is not None and self.timeout_hours <= 0:
-            raise ValueError("timeout_hours must be positive (or None)")
-        if self.backoff_base_hours < 0:
-            raise ValueError("backoff_base_hours must be non-negative")
+        if self.backoff_base < 0:
+            raise ValueError("backoff_base must be non-negative")
         if self.backoff_factor < 1.0:
             raise ValueError("backoff_factor must be >= 1")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
 
-    def backoff_hours(self, attempt: int, u: float = 0.0) -> float:
+    def backoff(self, attempt: int, u: float = 0.0) -> float:
         """Backoff before retry number ``attempt`` (1-based).
 
         ``u`` in [0, 1) is the caller's keyed jitter draw; with the
         default ``jitter=0`` it has no effect and the schedule is the
         classic deterministic exponential.
         """
-        base = self.backoff_base_hours * self.backoff_factor ** (attempt - 1)
+        base = self.backoff_base * self.backoff_factor ** (attempt - 1)
         return base * (1.0 + self.jitter * u)
 
-    def times_out(self, duration_hours: float) -> bool:
-        return self.timeout_hours is not None and duration_hours > self.timeout_hours
 
+class StrikeCounter:
+    """Trips a key after ``threshold`` consecutive failures, for good.
 
-@dataclass
-class VpHealth:
-    """Per-VP fault bookkeeping across censuses."""
-
-    name: str
-    censuses: int = 0
-    failures: int = 0
-    consecutive_failures: int = 0
-    quarantined: bool = False
-
-
-class VpHealthTracker:
-    """Quarantines vantage points that fail census after census.
-
-    A VP "fails" a census when it produced no clean full scan (flap,
-    unrecovered crash/hang, or only salvaged partial data).  After
-    ``quarantine_threshold`` consecutive failures the VP is excluded from
-    subsequent censuses until :meth:`release` is called — the simulated
-    equivalent of an operator dropping a bad PlanetLab host from the
-    slice.
+    The one "give up on it" rule of every supervisor: the campaign
+    quarantines a VP that failed that many censuses in a row (the
+    simulated operator dropping a bad PlanetLab host from the slice),
+    the engine opens a VP's breaker after that many raising scans.  A
+    success resets the streak; a tripped key stays tripped.
     """
 
-    def __init__(self, quarantine_threshold: int = 2) -> None:
-        if quarantine_threshold < 1:
-            raise ValueError("quarantine_threshold must be >= 1")
-        self.quarantine_threshold = quarantine_threshold
-        self._health: Dict[str, VpHealth] = {}
+    def __init__(self, threshold: int) -> None:
+        if threshold < 1:
+            raise ValueError("threshold must be >= 1")
+        self.threshold = threshold
+        self._streak: Dict[str, int] = {}
+        self._tripped: Set[str] = set()
 
-    def record(self, name: str, ok: bool) -> None:
-        """Record one census outcome for a VP."""
-        health = self._health.setdefault(name, VpHealth(name))
-        health.censuses += 1
-        if ok:
-            health.consecutive_failures = 0
-        else:
-            health.failures += 1
-            health.consecutive_failures += 1
-            if health.consecutive_failures >= self.quarantine_threshold:
-                health.quarantined = True
+    def record(self, key: str, ok: bool) -> bool:
+        """Count one outcome for ``key``; return whether it is tripped."""
+        streak = 0 if ok else self._streak.get(key, 0) + 1
+        self._streak[key] = streak
+        if streak >= self.threshold:
+            self._tripped.add(key)
+        return key in self._tripped
 
-    def release(self, name: str) -> None:
-        """Give a quarantined VP another chance."""
-        health = self._health.get(name)
-        if health is not None:
-            health.quarantined = False
-            health.consecutive_failures = 0
+    def count(self, key: str) -> int:
+        """The key's current run of consecutive failures."""
+        return self._streak.get(key, 0)
 
-    def health_of(self, name: str) -> VpHealth:
-        return self._health.get(name, VpHealth(name))
-
-    def quarantined_names(self) -> Set[str]:
-        return {n for n, h in self._health.items() if h.quarantined}
-
-    def __len__(self) -> int:
-        return len(self._health)
+    @property
+    def tripped(self) -> List[str]:
+        """Every tripped key, sorted."""
+        return sorted(self._tripped)
 
 
 # ----------------------------------------------------------------------

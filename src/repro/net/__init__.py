@@ -13,12 +13,6 @@ from .addresses import (
     split_to_slash24,
 )
 from .asn import ASRegistry, AutonomousSystem, BusinessCategory
-from .bgp import (
-    Announcement,
-    AnnouncementTable,
-    announce_owned_slash24s,
-    table_for_internet,
-)
 from .icmp import (
     GREYLIST_COMPOSITION,
     NO_RATE_LIMIT,
@@ -53,10 +47,6 @@ __all__ = [
     "ASRegistry",
     "AutonomousSystem",
     "BusinessCategory",
-    "Announcement",
-    "AnnouncementTable",
-    "announce_owned_slash24s",
-    "table_for_internet",
     "GREYLIST_COMPOSITION",
     "NO_RATE_LIMIT",
     "IcmpOutcome",

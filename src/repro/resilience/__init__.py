@@ -50,7 +50,6 @@ from .supervisor import (
     DegradationReport,
     ResiliencePolicy,
     StageOutcome,
-    StagePolicy,
     StageSupervisor,
     run_stage,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "DegradationReport",
     "ResiliencePolicy",
     "StageOutcome",
-    "StagePolicy",
     "StageSupervisor",
     "run_stage",
     "TRUST_REASON_NEGATIVE_RTT",

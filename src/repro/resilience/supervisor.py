@@ -2,8 +2,8 @@
 
 A :class:`StageSupervisor` wraps each pipeline stage of a
 :class:`~repro.workflow.CensusStudy`.  Failures are classified through
-the :mod:`~repro.resilience.errors` taxonomy and handled by the stage's
-:class:`StagePolicy`:
+the :mod:`~repro.resilience.errors` taxonomy and handled per the
+:class:`ResiliencePolicy`:
 
 * **transient** failures are retried with exponential backoff, a bounded
   number of times;
@@ -24,75 +24,35 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, NoReturn, Optional
 
+from ..measurement.faults import RetryPolicy
 from ..obs import current_events, current_metrics, current_tracer
 from .errors import Severity, StageFailed, classify_exception
 from .quarantine import QuarantineLog
 
 
 @dataclass(frozen=True)
-class StagePolicy:
-    """How one pipeline stage responds to each failure severity."""
-
-    #: Total attempts for transient failures (1 = no retry).
-    max_attempts: int = 3
-    #: Base of the exponential backoff between transient retries, in
-    #: seconds.  Real wall-clock sleep — supervision is operational, not
-    #: part of the simulated timeline.
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    #: ``"degrade"`` runs the stage's fallback on corrupt input;
-    #: ``"fail"`` treats corrupt input as fatal.
-    on_corrupt: str = "degrade"
-    #: Refuse quarantined input outright: a stage that *succeeds* but
-    #: only after the sanitizers removed part of its input fails instead
-    #: of being labelled degraded.  The strict posture's teeth.
-    fail_on_quarantine: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.on_corrupt not in ("degrade", "fail"):
-            raise ValueError(f"unknown on_corrupt mode {self.on_corrupt!r}")
-
-    def backoff_s(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (1-based)."""
-        return self.backoff_base_s * self.backoff_factor ** (attempt - 1)
-
-
-@dataclass(frozen=True)
 class ResiliencePolicy:
-    """Pipeline-wide supervision configuration.
+    """How every pipeline stage responds to each failure severity.
 
-    ``overrides`` maps stage names (``"measurement"``, ``"combine"``,
-    ``"analysis"``, ...) to stage-specific policies; every other stage
-    uses ``default``.
+    ``retry`` bounds transient retries; its ``backoff_base`` is real
+    wall-clock seconds of sleep — supervision is operational, not part
+    of the simulated timeline.  ``strict`` never degrades: corrupt input
+    fails the stage instead of running its fallback, and so does a
+    stage that succeeded only after the sanitizers quarantined part of
+    its input.  ``ResiliencePolicy.strict()`` builds that posture.
     """
 
-    default: StagePolicy = field(default_factory=StagePolicy)
-    overrides: Mapping[str, StagePolicy] = field(default_factory=dict)
+    retry: RetryPolicy = field(default_factory=lambda: RetryPolicy(backoff_base=0.05))
+    strict: bool = False
 
-    def for_stage(self, name: str) -> StagePolicy:
-        return self.overrides.get(name, self.default)
 
-    @classmethod
-    def strict(cls) -> "ResiliencePolicy":
-        """Never degrade: corrupt or quarantined input fails the stage."""
-        return cls(
-            default=StagePolicy(
-                max_attempts=1, on_corrupt="fail", fail_on_quarantine=True
-            )
-        )
-
-    @classmethod
-    def permissive(cls) -> "ResiliencePolicy":
-        """The default degrade-and-continue posture (alias for clarity)."""
-        return cls()
+# Set after the class so the ``strict`` field keeps its default; on an
+# instance the field shadows this constructor.
+ResiliencePolicy.strict = classmethod(  # type: ignore[assignment]
+    lambda cls: cls(retry=RetryPolicy(max_attempts=1), strict=True)
+)
 
 
 @dataclass
@@ -197,56 +157,55 @@ class StageSupervisor:
         the same computation over a sanitized subset or an explicitly
         empty result.  Without one, corrupt input escalates to failure.
         """
-        policy = self.policy.for_stage(stage)
+        policy, retry = self.policy, self.policy.retry
         outcome = StageOutcome(stage=stage)
         self.outcomes[stage] = outcome
         quarantined_before = self.quarantine.total
         metrics = current_metrics()
 
-        attempt = 0
-        while True:
-            attempt += 1
+        def settle(status: str) -> None:
+            outcome.status = status
+            if metrics.enabled:
+                metrics.counter(f"stage_{status}").inc()
+
+        def fail(severity: Severity, error: str, cause: Optional[BaseException]) -> NoReturn:
+            outcome.error, outcome.error_severity = error, severity.value
+            settle("failed")
+            raise StageFailed(stage, severity, error) from cause
+
+        degraded = False
+        for attempt in range(1, retry.max_attempts + 1):
             outcome.attempts = attempt
             try:
                 value = fn()
             except Exception as exc:  # noqa: BLE001 — classification is the point
                 severity = classify_exception(exc)
-                outcome.error = str(exc)
-                outcome.error_severity = severity.value
-                if severity is Severity.TRANSIENT and attempt < policy.max_attempts:
+                outcome.error, outcome.error_severity = str(exc), severity.value
+                if severity is Severity.TRANSIENT and attempt < retry.max_attempts:
                     if metrics.enabled:
                         metrics.counter("stage_retries").inc()
-                    self._sleep(policy.backoff_s(attempt))
+                    self._sleep(retry.backoff(attempt))
                     continue
-                if (
-                    severity is Severity.CORRUPT
-                    and policy.on_corrupt == "degrade"
-                    and fallback is not None
-                ):
+                if severity is not Severity.CORRUPT or policy.strict or fallback is None:
+                    fail(severity, str(exc), exc)
+                # Corrupt input degrades through the fallback; a raising
+                # fallback fails the stage like any other failure.
+                try:
                     value = fallback()
-                    outcome.status = "degraded"
-                    outcome.quarantined = self.quarantine.total - quarantined_before
-                    if metrics.enabled:
-                        metrics.counter("stage_degraded").inc()
-                    return value
-                outcome.status = "failed"
-                if metrics.enabled:
-                    metrics.counter("stage_failed").inc()
-                raise StageFailed(stage, severity, str(exc)) from exc
-            else:
-                outcome.quarantined = self.quarantine.total - quarantined_before
-                if outcome.quarantined and policy.fail_on_quarantine:
-                    outcome.status = "failed"
-                    outcome.error = f"{outcome.quarantined} item(s) quarantined"
-                    outcome.error_severity = Severity.CORRUPT.value
-                    if metrics.enabled:
-                        metrics.counter("stage_failed").inc()
-                    raise StageFailed(stage, Severity.CORRUPT, outcome.error)
-                if outcome.quarantined and outcome.status == "ok":
-                    outcome.status = "degraded"
-                if metrics.enabled:
-                    metrics.counter(f"stage_{outcome.status}").inc()
-                return value
+                except Exception as fallback_exc:  # noqa: BLE001
+                    fail(
+                        classify_exception(fallback_exc),
+                        f"fallback: {fallback_exc}",
+                        fallback_exc,
+                    )
+                degraded = True
+            break
+
+        outcome.quarantined = self.quarantine.total - quarantined_before
+        if outcome.quarantined and policy.strict:
+            fail(Severity.CORRUPT, f"{outcome.quarantined} item(s) quarantined", None)
+        settle("degraded" if degraded or outcome.quarantined else "ok")
+        return value
 
     def report(self, confidence: Optional[Dict[str, int]] = None) -> DegradationReport:
         """Assemble the degradation report from everything seen so far."""

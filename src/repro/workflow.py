@@ -86,8 +86,12 @@ class StudyConfig:
     #: Node-fault model for the measurement platform; the default plan
     #: injects nothing and leaves campaign output byte-identical.
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
-    #: Supervision policy for per-VP scans (retries, timeout, backoff).
+    #: Supervision policy for per-VP scans (attempts, backoff in
+    #: simulated hours, jitter).
     retry: RetryPolicy = field(default_factory=RetryPolicy)
+    #: Deadline of one VP scan attempt in simulated hours; a hang past
+    #: it is retried.  ``None`` waits every hung scan out.
+    scan_timeout_hours: Optional[float] = None
     #: Minimum usable VPs per census before it aborts (CensusAborted).
     min_vp_quorum: int = 1
     #: Journal directory for checkpoint/resume of censuses (optional).
@@ -130,12 +134,6 @@ class StudyConfig:
     #: degraded confidence.  On clean data no VP is convicted and the
     #: results stay byte-identical to a run without the trust layer.
     trust: bool = False
-    #: Backing store for the combined RTT matrix: ``"inline"`` keeps the
-    #: classic heap arrays, ``"memmap"`` places the planes in temp files
-    #: so the matrix can exceed RAM, and ``"auto"`` picks inline below
-    #: the size threshold and memmap above.  Bytes are identical for
-    #: every choice.
-    matrix_store: str = "auto"
 
 
 class CensusStudy:
@@ -265,6 +263,7 @@ class CensusStudy:
                 seed=self.config.campaign_seed,
                 fault_plan=self.config.fault_plan,
                 retry=self.config.retry,
+                scan_timeout_hours=self.config.scan_timeout_hours,
                 min_vp_quorum=self.config.min_vp_quorum,
                 executor=ExecutionPolicy(
                     workers=self.config.workers, deadline_s=self.config.deadline
@@ -318,7 +317,7 @@ class CensusStudy:
                     census if clean is census.records else replace(census, records=clean)
                 )
             inputs = sanitized
-        matrix = combine_censuses(inputs, store=self.config.matrix_store)
+        matrix = combine_censuses(inputs, store="auto")
         if self._poisoner is not None:
             matrix = self._poisoner.poison_matrix(matrix)
         if self.supervisor is not None:

@@ -4,12 +4,12 @@ import pytest
 
 from repro.exec.errors import ReassignmentBudgetExceeded
 from repro.exec.supervisor import (
-    CircuitBreaker,
     ExecutionPolicy,
     ExecutionReport,
     ReassignmentLedger,
 )
 from repro.measurement.faults import (
+    StrikeCounter,
     WorkerFaultInjector,
     WorkerFaultKind,
     WorkerFaultPlan,
@@ -56,27 +56,30 @@ class TestExecutionPolicy:
 
 
 class TestCircuitBreaker:
+    """The engine's per-VP scan breaker: a :class:`StrikeCounter` at
+    ``ExecutionPolicy.breaker_threshold``."""
+
     def test_trips_exactly_once_at_threshold(self):
-        breaker = CircuitBreaker(threshold=3)
-        assert breaker.record_failure("vp") is False
-        assert breaker.record_failure("vp") is False
-        assert breaker.record_failure("vp") is True
-        assert breaker.record_failure("vp") is False  # already open
-        assert breaker.is_open("vp")
-        assert breaker.failures("vp") == 4
+        breaker = StrikeCounter(3)
+        assert breaker.record("vp", ok=False) is False
+        assert breaker.record("vp", ok=False) is False
+        assert breaker.record("vp", ok=False) is True
+        assert breaker.tripped == ["vp"]
+        # Tripped for good: a later success does not close it.
+        assert breaker.record("vp", ok=True) is True
+        assert breaker.tripped == ["vp"]
 
     def test_keys_are_independent(self):
-        breaker = CircuitBreaker(threshold=1)
-        breaker.record_failure("a")
-        assert breaker.is_open("a")
-        assert not breaker.is_open("b")
-        assert breaker.open_keys == ["a"]
+        breaker = StrikeCounter(1)
+        assert breaker.record("a", ok=False)
+        assert not breaker.record("b", ok=True)
+        assert breaker.tripped == ["a"]
 
     def test_open_keys_sorted(self):
-        breaker = CircuitBreaker(threshold=1)
+        breaker = StrikeCounter(1)
         for key in ("z", "a", "m"):
-            breaker.record_failure(key)
-        assert breaker.open_keys == ["a", "m", "z"]
+            breaker.record(key, ok=False)
+        assert breaker.tripped == ["a", "m", "z"]
 
 
 class TestReassignmentLedger:

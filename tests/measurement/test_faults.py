@@ -17,8 +17,8 @@ from repro.measurement.faults import (
     FaultPlan,
     RetryPolicy,
     VpDistortionPlan,
+    StrikeCounter,
     VpDistorter,
-    VpHealthTracker,
 )
 from repro.measurement.recordio import CensusJournal
 
@@ -48,9 +48,10 @@ def faulted_plan():
 
 
 @pytest.fixture()
-def retry(tiny_internet):
+def supervision(tiny_internet):
+    """Campaign kwargs: 3 attempts, a deadline of 20 nominal scans."""
     nominal = tiny_internet.n_targets / 1000.0 / 3600.0
-    return RetryPolicy(max_attempts=3, timeout_hours=nominal * 20.0)
+    return dict(retry=RetryPolicy(max_attempts=3), scan_timeout_hours=nominal * 20.0)
 
 
 def make_campaign(internet, platform, seed=99, **kwargs):
@@ -134,22 +135,30 @@ class TestFaultInjector:
 
 class TestRetryPolicy:
     def test_backoff_is_exponential(self):
-        policy = RetryPolicy(backoff_base_hours=0.5, backoff_factor=2.0)
-        assert policy.backoff_hours(1) == pytest.approx(0.5)
-        assert policy.backoff_hours(2) == pytest.approx(1.0)
-        assert policy.backoff_hours(3) == pytest.approx(2.0)
+        policy = RetryPolicy(backoff_base=0.5, backoff_factor=2.0)
+        assert policy.backoff(1) == pytest.approx(0.5)
+        assert policy.backoff(2) == pytest.approx(1.0)
+        assert policy.backoff(3) == pytest.approx(2.0)
 
-    def test_no_timeout_never_times_out(self):
-        assert not RetryPolicy().times_out(1e9)
+    def test_no_timeout_never_times_out(self, tiny_internet, tiny_platform):
+        """The deadline belongs to the campaign; ``None`` waits hangs out."""
+        campaign = make_campaign(
+            tiny_internet,
+            tiny_platform,
+            fault_plan=FaultPlan(hang_prob=1.0, seed=3, hang_factor=1e6),
+            retry=RetryPolicy(max_attempts=1),
+        )
+        assert campaign.scan_timeout_hours is None
+        report = campaign.run_census(availability=1.0).health
+        assert report.n_vps_ok == report.n_vps_planned
 
-    def test_timeout(self):
-        policy = RetryPolicy(timeout_hours=2.0)
-        assert policy.times_out(2.5)
-        assert not policy.times_out(1.5)
+    def test_timeout(self, tiny_internet, tiny_platform):
+        with pytest.raises(ValueError):
+            CensusCampaign(tiny_internet, tiny_platform, scan_timeout_hours=0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_attempts": 0}, {"timeout_hours": 0.0}, {"backoff_factor": 0.5}],
+        [{"max_attempts": 0}, {"backoff_base": -1.0}, {"backoff_factor": 0.5}],
     )
     def test_invalid_policies_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -157,27 +166,26 @@ class TestRetryPolicy:
 
 
 class TestVpHealthTracker:
+    """The campaign's VP health is a :class:`StrikeCounter` of failed
+    censuses; a tripped VP is quarantined."""
+
     def test_quarantine_after_consecutive_failures(self):
-        tracker = VpHealthTracker(quarantine_threshold=2)
-        tracker.record("vp-a", ok=False)
-        assert tracker.quarantined_names() == set()
-        tracker.record("vp-a", ok=False)
-        assert tracker.quarantined_names() == {"vp-a"}
+        strikes = StrikeCounter(2)
+        assert not strikes.record("vp-a", ok=False)
+        assert strikes.tripped == []
+        assert strikes.record("vp-a", ok=False)
+        assert strikes.tripped == ["vp-a"]
+        assert strikes.count("vp-a") == 2
 
     def test_success_resets_streak(self):
-        tracker = VpHealthTracker(quarantine_threshold=2)
-        tracker.record("vp-a", ok=False)
-        tracker.record("vp-a", ok=True)
-        tracker.record("vp-a", ok=False)
-        assert tracker.quarantined_names() == set()
-        assert tracker.health_of("vp-a").failures == 2
-
-    def test_release(self):
-        tracker = VpHealthTracker(quarantine_threshold=1)
-        tracker.record("vp-a", ok=False)
-        assert "vp-a" in tracker.quarantined_names()
-        tracker.release("vp-a")
-        assert tracker.quarantined_names() == set()
+        strikes = StrikeCounter(2)
+        strikes.record("vp-a", ok=False)
+        strikes.record("vp-a", ok=True)
+        assert strikes.count("vp-a") == 0
+        assert not strikes.record("vp-a", ok=False)
+        assert strikes.tripped == []
+        with pytest.raises(ValueError):
+            StrikeCounter(0)
 
 
 class TestFaultFreeEquivalence:
@@ -188,7 +196,8 @@ class TestFaultFreeEquivalence:
             tiny_internet,
             tiny_platform,
             fault_plan=FaultPlan(),
-            retry=RetryPolicy(max_attempts=5, timeout_hours=100.0),
+            retry=RetryPolicy(max_attempts=5),
+            scan_timeout_hours=100.0,
             min_vp_quorum=1,
         )
         assert_same_census(
@@ -207,15 +216,15 @@ class TestFaultFreeEquivalence:
 
 class TestFaultedCensus:
     def test_degraded_census_completes_with_report(
-        self, tiny_internet, tiny_platform, faulted_plan, retry
+        self, tiny_internet, tiny_platform, faulted_plan, supervision
     ):
         """Acceptance: 20% crash+hang+corrupt still yields a census."""
         campaign = make_campaign(
             tiny_internet,
             tiny_platform,
             fault_plan=faulted_plan,
-            retry=retry,
             min_vp_quorum=5,
+            **supervision,
         )
         censuses = [campaign.run_census(availability=0.85) for _ in range(3)]
         reports = [c.health for c in censuses]
@@ -280,7 +289,7 @@ class TestFaultedCensus:
             tiny_internet,
             tiny_platform,
             fault_plan=hang_plan,
-            retry=RetryPolicy(max_attempts=1, timeout_hours=None),
+            retry=RetryPolicy(max_attempts=1),
         )
         clean = make_campaign(tiny_internet, tiny_platform)
         hung = hanging.run_census(availability=1.0)
@@ -295,7 +304,8 @@ class TestFaultedCensus:
             tiny_internet,
             tiny_platform,
             fault_plan=FaultPlan(hang_prob=1.0, seed=3),
-            retry=RetryPolicy(max_attempts=1, timeout_hours=nominal * 20.0),
+            retry=RetryPolicy(max_attempts=1),
+            scan_timeout_hours=nominal * 20.0,
             min_vp_quorum=1,
         )
         with pytest.raises(CensusAborted) as exc:
@@ -309,7 +319,8 @@ class TestFaultedCensus:
             tiny_internet,
             tiny_platform,
             fault_plan=FaultPlan.uniform(0.5, seed=11),
-            retry=RetryPolicy(max_attempts=6, timeout_hours=nominal * 20.0),
+            retry=RetryPolicy(max_attempts=6),
+            scan_timeout_hours=nominal * 20.0,
             min_vp_quorum=1,
         )
         census = campaign.run_census(availability=1.0)
@@ -375,8 +386,7 @@ class TestQuorumAndQuarantine:
         )
         first = campaign.run_census(availability=1.0)
         assert first.health.n_vps_failed > 0
-        quarantined = campaign.health.quarantined_names()
-        assert quarantined == set(first.health.failed_vps)
+        assert campaign.health.tripped == sorted(first.health.failed_vps)
         second = campaign.run_census(availability=1.0)
         assert second.health.quarantined_vps  # some VPs sat this one out
         planned_names = {vp.name for vp in second.platform.vantage_points}
@@ -390,11 +400,11 @@ class TestCheckpointResume:
             campaign.run_census(abort_after_vps=-1)
 
     def test_resume_is_bit_for_bit(
-        self, tiny_internet, tiny_platform, faulted_plan, retry, tmp_path
+        self, tiny_internet, tiny_platform, faulted_plan, supervision, tmp_path
     ):
         """Kill after k VPs, resume in a fresh campaign, get identical data."""
         journal_path = tmp_path / "census-001.journal"
-        kwargs = dict(fault_plan=faulted_plan, retry=retry, min_vp_quorum=1)
+        kwargs = dict(fault_plan=faulted_plan, min_vp_quorum=1, **supervision)
 
         reference = make_campaign(tiny_internet, tiny_platform, seed=321, **kwargs)
         uninterrupted = reference.run_census(availability=0.85)

@@ -53,7 +53,7 @@ def campaign_digest(internet, platform, case: str, workers: int) -> str:
         seed=99,
         noise=case.split("-")[0],
         fault_plan=FAULTS if case.endswith("-faults") else None,
-        retry=RetryPolicy(timeout_hours=24.0) if case.endswith("-faults") else None,
+        scan_timeout_hours=24.0 if case.endswith("-faults") else None,
         executor=ExecutionPolicy(workers=workers),
     )
     censuses = campaign.run(n_censuses=3, availability=0.85)
@@ -97,3 +97,56 @@ def test_campaign_bytes_match_pinned_digest(tiny_internet, tiny_platform, case, 
 
 def test_service_epochs_match_pinned_digest(tmp_path):
     assert service_digest(tmp_path / "archive") == SERVICE_DIGEST
+
+
+#: Digest of every census's supervision outcome (health report) for a
+#: faulted stream campaign with jittered backoff, pinned before the
+#: retry and quarantine types were merged.
+HEALTH_DIGEST = "28b65cd01e253712f3b7599e3c2addf2883564e4886a57744e3bcc217885b618"
+
+
+def health_digest(internet, platform, workers: int):
+    """sha256 over the health reports of a pre-census + 4 faulted censuses."""
+    campaign = CensusCampaign(
+        internet,
+        platform,
+        seed=99,
+        fault_plan=FAULTS,
+        retry=RetryPolicy(jitter=0.5),
+        scan_timeout_hours=24.0,
+        executor=ExecutionPolicy(workers=workers),
+    )
+    censuses = campaign.run(n_censuses=4, availability=0.85)
+    sha = hashlib.sha256()
+    for census in censuses:
+        h = census.health
+        sha.update(
+            repr(
+                (
+                    h.census_id,
+                    h.retries,
+                    repr(h.backoff_hours),
+                    sorted(h.faults_seen.items()),
+                    h.quarantined_vps,
+                    sorted(h.vp_reasons.items()),
+                    h.failed_vps,
+                    h.salvaged_vps,
+                )
+            ).encode()
+        )
+    return sha.hexdigest(), censuses
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_health_reports_match_pinned_digest(tiny_internet, tiny_platform, workers):
+    digest, censuses = health_digest(tiny_internet, tiny_platform, workers)
+    # Not vacuous: the backoff is jittered and quarantine fires.
+    assert any(c.health.backoff_hours > 0 for c in censuses)
+    assert any(c.health.quarantined_vps for c in censuses)
+    assert any(
+        "consecutive failures" in reason
+        for c in censuses
+        for reasons in c.health.vp_reasons.values()
+        for reason in reasons
+    )
+    assert digest == HEALTH_DIGEST

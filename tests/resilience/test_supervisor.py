@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.measurement.faults import RetryPolicy
 from repro.obs import EventLog, MetricsRegistry, Tracer, activate
 from repro.resilience import (
     CorruptInputError,
@@ -9,7 +10,6 @@ from repro.resilience import (
     QuarantineLog,
     ResiliencePolicy,
     StageFailed,
-    StagePolicy,
     StageSupervisor,
     TransientStageError,
     run_stage,
@@ -25,33 +25,31 @@ def make_supervisor(policy=None, quarantine=None):
 
 
 class TestStagePolicy:
+    """Every stage runs under one :class:`ResiliencePolicy`: a
+    :class:`RetryPolicy` (backoff in wall-clock seconds) and ``strict``."""
+
     def test_backoff_is_exponential(self):
-        policy = StagePolicy(backoff_base_s=0.1, backoff_factor=3.0)
-        assert policy.backoff_s(1) == pytest.approx(0.1)
-        assert policy.backoff_s(2) == pytest.approx(0.3)
-        assert policy.backoff_s(3) == pytest.approx(0.9)
+        policy = ResiliencePolicy(RetryPolicy(backoff_base=0.1, backoff_factor=3.0))
+        assert policy.retry.backoff(1) == pytest.approx(0.1)
+        assert policy.retry.backoff(2) == pytest.approx(0.3)
+        assert policy.retry.backoff(3) == pytest.approx(0.9)
+        assert ResiliencePolicy().retry.backoff(1) == pytest.approx(0.05)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            StagePolicy(max_attempts=0)
+            RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            StagePolicy(backoff_base_s=-1.0)
+            RetryPolicy(backoff_base=-1.0)
         with pytest.raises(ValueError):
-            StagePolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            StagePolicy(on_corrupt="shrug")
-
-    def test_policy_overrides_per_stage(self):
-        special = StagePolicy(max_attempts=7)
-        policy = ResiliencePolicy(overrides={"measurement": special})
-        assert policy.for_stage("measurement") is special
-        assert policy.for_stage("analysis") == StagePolicy()
+            RetryPolicy(backoff_factor=0.5)
+        with pytest.raises(TypeError):
+            ResiliencePolicy(overrides={})
 
     def test_strict_never_degrades(self):
-        strict = ResiliencePolicy.strict().for_stage("anything")
-        assert strict.max_attempts == 1
-        assert strict.on_corrupt == "fail"
-        assert strict.fail_on_quarantine
+        strict = ResiliencePolicy.strict()
+        assert strict.retry.max_attempts == 1
+        assert strict.strict
+        assert not ResiliencePolicy().strict
 
 
 class TestSupervisorRun:
@@ -80,9 +78,7 @@ class TestSupervisorRun:
         assert sup.outcomes["measurement"].status == "ok"
 
     def test_transient_exhaustion_becomes_stage_failed(self):
-        sup, _ = make_supervisor(
-            ResiliencePolicy(default=StagePolicy(max_attempts=2))
-        )
+        sup, _ = make_supervisor(ResiliencePolicy(RetryPolicy(max_attempts=2)))
 
         def always():
             raise TransientStageError("still down")
@@ -117,6 +113,29 @@ class TestSupervisorRun:
                 lambda: (_ for _ in ()).throw(CorruptInputError("x")),
                 fallback=lambda: "nope",
             )
+
+    def test_raising_fallback_fails_the_stage_typed(self):
+        sup, _ = make_supervisor()
+        registry = MetricsRegistry()
+
+        def broken():
+            raise CorruptInputError("bad rows")
+
+        def fallback():
+            raise ValueError("salvage broke too")
+
+        with activate(None, registry):
+            with pytest.raises(StageFailed) as info:
+                sup.run("analysis", broken, fallback=fallback)
+        assert info.value.stage == "analysis"
+        assert isinstance(info.value.__cause__, ValueError)
+        outcome = sup.outcomes["analysis"]
+        assert outcome.status == "failed"
+        assert "salvage broke too" in outcome.error
+        assert sup.report().degraded
+        counters = registry.snapshot()["counters"]
+        assert counters["stage_failed"] == 1
+        assert "stage_degraded" not in counters
 
     def test_fatal_fails_fast_without_retry(self):
         sup, sleeps = make_supervisor()

@@ -178,7 +178,7 @@ class TestUnfilteredDistortion:
         supervised = small_service(
             tmp_path / "supervised",
             vp_distortion=plan,
-            resilience=ResiliencePolicy.permissive(),
+            resilience=ResiliencePolicy(),
         )
         with pytest.raises(StageFailed, match="negative-RTT") as info:
             supervised.run_epoch(0)

@@ -159,6 +159,34 @@ class TestCommands:
         assert doc["pipeline_stages"] == list(CANONICAL_STAGES)
         assert doc["config"]["n_censuses"] == 1
 
+    def test_traced_manifest_has_every_stage_and_probes(self, capsys, tmp_path):
+        """A ``trace`` run's manifest names the canonical stages in
+        order, carries the span forest and counts the probes sent."""
+        import json
+
+        from repro.obs import CANONICAL_STAGES, validate_manifest
+
+        path = tmp_path / "manifest.json"
+        assert main(SCALE + ["--manifest", str(path), "trace"]) == EXIT_OK
+        doc = json.loads(path.read_text())
+        validate_manifest(doc)
+        assert doc["pipeline_stages"] == list(CANONICAL_STAGES)
+        assert doc["trace"]
+        assert doc["metrics"]["counters"]["probes_sent"] > 0
+
+    def test_health_lists_quarantined_vps_with_reason(self, capsys):
+        """VPs that flap two censuses in a row sit the third one out."""
+        argv = SCALE[:-2] + ["--censuses", "3", "--flap-prob", "0.5", "health"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        reason = ": quarantined (2 consecutive failures)"
+        benched = [line.strip()[: -len(reason)] for line in out.splitlines()
+                   if line.endswith(reason)]
+        assert benched
+        listed = out.split("quarantined VPs: ")[1].splitlines()
+        assert int(listed[0]) == len(listed) - 1 >= len(benched)
+        assert set(benched) <= {name.strip() for name in listed[1:]}
+
     def test_without_manifest_flag_nothing_is_traced(self, capsys):
         assert main(SCALE + ["glance"]) == 0
         err = capsys.readouterr().err
@@ -201,6 +229,28 @@ class TestResilienceCommands:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "confidence" in out
+
+    def test_distorted_vps_surface_trust_verdicts(self, capsys, tmp_path):
+        """``--vp-distortion --trust health`` names the untrusted VPs and
+        the manifest scores more VPs than it convicts, and some."""
+        import json
+
+        from repro.obs import validate_manifest
+
+        path = tmp_path / "distorted.json"
+        argv = [
+            "--unicast", "400", "--tail", "5", "--vps", "30", "--censuses", "1",
+            "--vp-distortion", "0.1", "--vp-distortion-seed", "777",
+            "--trust", "--manifest", str(path), "health",
+        ]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "untrusted" in out
+        assert "vp trust:" in out
+        doc = json.loads(path.read_text())
+        validate_manifest(doc)
+        gauges = doc["metrics"]["gauges"]
+        assert gauges["vps_scored"] > gauges["vps_untrusted"] > 0
 
     def test_poisoned_manifest_records_quarantine(self, capsys, tmp_path):
         import json

@@ -38,7 +38,12 @@ def platform():
 
 
 def fresh_campaign(
-    internet, platform, executor=ExecutionPolicy(workers=0), fault_plan=None, retry=None
+    internet,
+    platform,
+    executor=ExecutionPolicy(workers=0),
+    fault_plan=None,
+    retry=None,
+    scan_timeout_hours=None,
 ):
     campaign = CensusCampaign(
         internet,
@@ -46,6 +51,7 @@ def fresh_campaign(
         seed=99,
         fault_plan=fault_plan,
         retry=retry,
+        scan_timeout_hours=scan_timeout_hours,
         executor=executor,
     )
     campaign.run_precensus()
@@ -108,9 +114,10 @@ class TestPoolMatchesSerialUnderVpFaults:
     FAULTS = FaultPlan.uniform(0.25, seed=17, flap_prob=0.15)
 
     def test_fault_supervision_is_engine_invariant(self, internet, platform):
-        retry = RetryPolicy(timeout_hours=48.0, jitter=0.5)
+        retry = RetryPolicy(jitter=0.5)
         serial = fresh_campaign(
-            internet, platform, fault_plan=self.FAULTS, retry=retry
+            internet, platform, fault_plan=self.FAULTS, retry=retry,
+            scan_timeout_hours=48.0,
         ).run_census(availability=0.85)
         assert serial.health.n_faults > 0, "fault plan injected nothing"
         pooled = fresh_campaign(
@@ -118,6 +125,7 @@ class TestPoolMatchesSerialUnderVpFaults:
             platform,
             fault_plan=self.FAULTS,
             retry=retry,
+            scan_timeout_hours=48.0,
             executor=ExecutionPolicy(workers=3, submit_seed=9),
         ).run_census(availability=0.85)
         assert_same_census(pooled, serial)
@@ -280,20 +288,21 @@ class TestBackoffJitter:
 
     def test_default_jitter_matches_classic_schedule(self):
         plain = RetryPolicy()
-        assert plain.backoff_hours(2) == plain.backoff_hours(2, u=0.9)
+        assert plain.backoff(2) == plain.backoff(2, u=0.9)
 
     def test_jitter_scales_bounded(self):
         policy = RetryPolicy(jitter=0.5)
-        base = policy.backoff_hours(3, u=0.0)
-        top = policy.backoff_hours(3, u=1.0)
+        base = policy.backoff(3, u=0.0)
+        top = policy.backoff(3, u=1.0)
         assert top == pytest.approx(base * 1.5)
 
     def test_jittered_campaign_is_reproducible(self, internet, platform):
         faults = FaultPlan.uniform(0.3, seed=5)
-        retry = RetryPolicy(timeout_hours=48.0, jitter=0.4)
+        retry = RetryPolicy(jitter=0.4)
         runs = [
             fresh_campaign(
-                internet, platform, fault_plan=faults, retry=retry
+                internet, platform, fault_plan=faults, retry=retry,
+                scan_timeout_hours=48.0,
             ).run_census(availability=0.85)
             for _ in range(2)
         ]
@@ -304,11 +313,11 @@ class TestBackoffJitter:
         faults = FaultPlan.uniform(0.3, seed=5)
         plain = fresh_campaign(
             internet, platform, fault_plan=faults,
-            retry=RetryPolicy(timeout_hours=48.0),
+            scan_timeout_hours=48.0,
         ).run_census(availability=0.85)
         jittered = fresh_campaign(
             internet, platform, fault_plan=faults,
-            retry=RetryPolicy(timeout_hours=48.0, jitter=0.4),
+            retry=RetryPolicy(jitter=0.4), scan_timeout_hours=48.0,
         ).run_census(availability=0.85)
         assert census_bytes(jittered) == census_bytes(plain)
         if plain.health.retries:
