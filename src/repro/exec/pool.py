@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..measurement.faults import WorkerFaultInjector, WorkerFaultKind, WorkerFaultPlan
+from ..measurement.faults import WorkerFaultKind, WorkerFaultPlan
 from ..measurement.prober import ScanTargets
 from ..obs.metrics import MetricsRegistry, current_metrics, set_metrics
 from .plan import WorkUnit
@@ -105,9 +105,8 @@ def worker_main(worker_id: int, context: UnitContext, task_q, out_q) -> None:
         metrics = MetricsRegistry()
         set_metrics(metrics)
     plan = context.worker_faults
-    injector = (
-        WorkerFaultInjector(plan) if plan is not None and plan.enabled else None
-    )
+    if plan is not None and not plan.enabled:
+        plan = None
     task_seq = 0
     while True:
         task = task_q.get()
@@ -117,11 +116,7 @@ def worker_main(worker_id: int, context: UnitContext, task_q, out_q) -> None:
             return
         unit_id, attempt = task
         task_seq += 1
-        fault = (
-            injector.fault_for(worker_id, task_seq, unit_id, attempt)
-            if injector
-            else None
-        )
+        fault = plan.fault_for(worker_id, task_seq, unit_id, attempt) if plan else None
         if fault is WorkerFaultKind.DEAD_WORKER:
             # Dies holding the unit, before any message: the parent only
             # learns from the corpse.  os._exit skips finalizers the way

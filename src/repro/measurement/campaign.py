@@ -61,12 +61,11 @@ from ..geo.coords import haversine_km
 from ..internet.topology import SyntheticInternet
 from ..obs import current_metrics, current_tracer
 from .faults import (
-    FaultInjector,
+    DistortionKind,
     FaultKind,
     FaultPlan,
     RetryPolicy,
     StrikeCounter,
-    VpDistorter,
     VpDistortionPlan,
 )
 from .greylist import Blacklist, Greylist
@@ -526,17 +525,11 @@ class CensusCampaign:
         self.min_vp_quorum = min_vp_quorum
         #: Censuses failed in a row per VP; a tripped VP is quarantined.
         self.health = StrikeCounter(quarantine_threshold)
-        self._injector = (
-            FaultInjector(self.fault_plan) if self.fault_plan.enabled else None
-        )
         #: Measurement distortion (miscalibrated nodes).  Applied to each
         #: scan result at the top of the fault policy — parent-side and
         #: pre-journal, so serial, pooled, and resumed censuses all see
         #: the same distorted bytes.
         self.distortion = distortion or VpDistortionPlan()
-        self._distorter = (
-            VpDistorter(self.distortion) if self.distortion.enabled else None
-        )
         self.blacklist = Blacklist()
         self._rng = np.random.default_rng(seed)
         self._census_counter = 0
@@ -863,31 +856,23 @@ class CensusCampaign:
         # position (catchments and base RTTs use ``self.platform``) but
         # *reports* displaced coordinates — the census platform, and hence
         # every downstream matrix, carries the lie.
-        distorted: Dict[str, str] = {}
-        if self._distorter is not None:
-            afflicted = self._distorter.distorted_names(
-                [vp.name for vp in planned.vantage_points]
+        afflicted = self.distortion.distorted_names(
+            vp.name for vp in planned.vantage_points
+        )
+        distorted = {name: kind.value for name, kind in sorted(afflicted.items())}
+        if DistortionKind.GEO_ERROR in afflicted.values():
+            planned = Platform(
+                name=planned.name,
+                vantage_points=[
+                    replace(
+                        vp,
+                        location=self.distortion.distort_location(vp.name, vp.location),
+                    )
+                    if afflicted.get(vp.name) is DistortionKind.GEO_ERROR
+                    else vp
+                    for vp in planned.vantage_points
+                ],
             )
-            distorted = {name: kind.value for name, kind in sorted(afflicted.items())}
-            lied = {
-                vp.name: self._distorter.distort_location(vp.name, vp.location)
-                for vp in planned.vantage_points
-                if vp.name in afflicted
-            }
-            if any(
-                lied[vp.name] != vp.location
-                for vp in planned.vantage_points
-                if vp.name in lied
-            ):
-                planned = Platform(
-                    name=planned.name,
-                    vantage_points=[
-                        replace(vp, location=lied[vp.name])
-                        if vp.name in lied and lied[vp.name] != vp.location
-                        else vp
-                        for vp in planned.vantage_points
-                    ],
-                )
 
         report = CampaignHealthReport(
             census_id=census_id,
@@ -958,12 +943,12 @@ class CensusCampaign:
                         cut_short = True
                         break
                     budget_left -= 1
-                flap = self._flap_outcome(census_id, index_of[vp.name])
-                if flap is None:
+                if not self.fault_plan.flaps(census_id, index_of[vp.name]):
                     to_scan.append(
                         (vp.name, index_of[vp.name], census_vp_index, degraded)
                     )
                     continue
+                flap = _VpOutcome.failed([FaultKind.FLAP.value])
                 with tracer.span("vp_scan", vp=vp.name, status=flap.status):
                     if journal is not None:
                         journal.write_batch(flap.journal_payload(vp.name), flap.records)
@@ -1144,16 +1129,6 @@ class CensusCampaign:
             )
         return journal
 
-    def _flap_outcome(
-        self, census_id: int, platform_index: int
-    ) -> Optional[_VpOutcome]:
-        """The VP's flap verdict for this census, if it flapped."""
-        if self._injector is not None and self._injector.flaps(
-            census_id, platform_index
-        ):
-            return _VpOutcome.failed([FaultKind.FLAP.value])
-        return None
-
     def _backoff_u(self, census_id: int, platform_index: int, attempt: int) -> float:
         """Keyed jitter draw for one retry's backoff (0 when disabled).
 
@@ -1178,7 +1153,7 @@ class CensusCampaign:
         """Replay the fault/retry policy over one finished scan result.
 
         Called in the parent on each per-VP scan result: what the
-        supervisor "observed" depends only on the keyed injector, never
+        supervisor "observed" depends only on the keyed fault plan, never
         on which process computed the scan.
 
         Measurement distortion applies first — before checksums, before
@@ -1186,10 +1161,9 @@ class CensusCampaign:
         check) sees the distorted record batch, exactly as a real
         miscalibrated node would have handed it over.
         """
-        if self._distorter is not None:
-            result = self._distorter.distort_result(
-                self.platform.vantage_points[platform_index].name, result
-            )
+        result = self.distortion.distort_result(
+            self.platform.vantage_points[platform_index].name, result
+        )
         faults: List[str] = []
         retries = 0
         backoff = 0.0
@@ -1208,11 +1182,13 @@ class CensusCampaign:
                 retries=retries,
                 backoff_hours=backoff,
                 faults=faults,
+                records_dropped=dropped_records,
+                batches_dropped=dropped_batches,
                 **more,
             )
 
-        injector = self._injector
-        if injector is None:
+        plan = self.fault_plan
+        if not plan.enabled:
             return settle("ok", result)
         for attempt in range(self.retry.max_attempts):
             if attempt:
@@ -1220,59 +1196,37 @@ class CensusCampaign:
                 backoff += self.retry.backoff(
                     attempt, self._backoff_u(census_id, platform_index, attempt)
                 )
-            kind = injector.fault_for(census_id, platform_index, attempt)
+            kind = plan.fault_for(census_id, platform_index, attempt)
             if kind is None:
-                return settle(
-                    "ok",
-                    result,
-                    records_dropped=dropped_records,
-                    batches_dropped=dropped_batches,
-                )
+                return settle("ok", result)
             faults.append(kind.value)
             if kind is FaultKind.HANG:
-                hung_hours = injector.hang_duration(result)
+                hung_hours = result.duration_hours * plan.hang_factor
                 deadline = self.scan_timeout_hours
                 if deadline is None or hung_hours <= deadline:
                     # No deadline (or a generous one): the scan eventually
                     # returns, just very late — Fig. 8's far straggler.
-                    return settle(
-                        "ok",
-                        replace(result, duration_hours=hung_hours),
-                        records_dropped=dropped_records,
-                        batches_dropped=dropped_batches,
-                    )
+                    return settle("ok", replace(result, duration_hours=hung_hours))
                 continue  # timed out -> retry
             if kind is FaultKind.CORRUPT:
                 expected = result.records.checksum()
-                corrupted = injector.corrupt(
+                corrupted = plan.corrupt(
                     result.records, census_id, platform_index, attempt
                 )
                 if corrupted.checksum() == expected:
-                    # Empty batch: nothing was mangled, accept it.
+                    # Empty batch: nothing was mangled (and nothing was
+                    # dropped on an earlier attempt), accept it.
                     return settle("ok", result)
                 dropped_batches += 1
                 dropped_records += len(corrupted)
                 continue  # checksum mismatch: drop the batch, retry
             if kind is FaultKind.CRASH:
-                salvage = injector.crash(
-                    result, rate_pps, census_id, platform_index, attempt
-                )
+                salvage = plan.crash(result, rate_pps, census_id, platform_index, attempt)
                 continue  # try for a full scan; keep the partial batch
 
         if salvage is not None:
-            return settle(
-                "salvaged",
-                salvage,
-                records_salvaged=len(salvage.records),
-                records_dropped=dropped_records,
-                batches_dropped=dropped_batches,
-            )
-        return settle(
-            "failed",
-            None,
-            records_dropped=dropped_records,
-            batches_dropped=dropped_batches,
-        )
+            return settle("salvaged", salvage, records_salvaged=len(salvage.records))
+        return settle("failed", None)
 
     @staticmethod
     def _absorb_outcome(

@@ -6,10 +6,10 @@ took many times the nominal scan duration (Fig. 8).  Shared testbed nodes
 crash, hang, and corrupt data mid-scan; a census runner has to survive all
 of it.  This module provides the two halves of that story:
 
-* a **seeded fault model** (:class:`FaultPlan` / :class:`FaultInjector`)
-  that makes a simulated vantage point misbehave in the four canonical
-  ways — crash mid-scan, hang past any reasonable deadline, hand back a
-  corrupted record batch, or flap (disappear for a whole census);
+* a **seeded fault model** (:class:`FaultPlan`) that makes a simulated
+  vantage point misbehave in the four canonical ways — crash mid-scan,
+  hang past any reasonable deadline, hand back a corrupted record batch,
+  or flap (disappear for a whole census);
 * the **supervision primitives** every supervisor uses to cope — a
   bounded :class:`RetryPolicy` with exponential backoff and a
   :class:`StrikeCounter` that gives up on repeatedly-failing keys
@@ -20,7 +20,10 @@ Every fault decision is drawn from an RNG keyed on
 sequential stream, so decisions are independent of evaluation order.
 That is what makes checkpoint/resume bit-for-bit deterministic: replaying
 a census re-derives exactly the same faults for the vantage points that
-still need scanning.
+still need scanning.  The other chaos plans here (:class:`PoisonPlan`,
+:class:`WorkerFaultPlan`, :class:`VpDistortionPlan`) work the same way:
+each plan holds its seed and probabilities and draws and applies its own
+faults.
 
 A default-constructed :class:`FaultPlan` injects nothing, and the
 campaign skips the fault path entirely in that case — fault-free output
@@ -32,7 +35,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 import numpy as np
 
@@ -51,6 +54,12 @@ _FAULT_SALT = 0x5FA17
 #: Separate salt for the data poisoner: poison draws are independent of
 #: node-fault draws even under the same seed.
 _POISON_SALT = 0x901507
+
+#: Domain separation for worker-fault draws (vs node faults and poison).
+_WORKER_SALT = 0x30B57A
+
+#: Domain separation for VP-distortion draws (vs faults/poison/workers).
+_DISTORT_SALT = 0xD15708
 
 
 class FaultKind(enum.Enum):
@@ -136,50 +145,31 @@ class FaultPlan:
             seed=seed,
         )
 
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """The same plan under a different fault seed."""
-        return replace(self, seed=seed)
-
-
-class FaultInjector:
-    """Draws and applies faults according to a :class:`FaultPlan`.
-
-    All randomness is keyed, not streamed: ``fault_for(c, v, a)`` always
-    returns the same answer for the same plan, regardless of how many
-    other draws happened before it.
-    """
-
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-
     def _rng(self, *keys: int) -> np.random.Generator:
-        return np.random.default_rng([_FAULT_SALT, self.plan.seed, *keys])
+        return np.random.default_rng([_FAULT_SALT, self.seed, *keys])
 
-    # -- decisions -------------------------------------------------------
+    # -- decisions: keyed, so ``fault_for(c, v, a)`` is the same answer
+    # whatever was drawn before it ----------------------------------------
 
     def flaps(self, census_id: int, platform_index: int) -> bool:
         """Whether this VP is down for the whole of this census."""
-        if self.plan.flap_prob <= 0.0:
+        if self.flap_prob <= 0.0:
             return False
         rng = self._rng(census_id, platform_index, 0xF1A9)
-        return bool(rng.random() < self.plan.flap_prob)
+        return bool(rng.random() < self.flap_prob)
 
     def fault_for(
         self, census_id: int, platform_index: int, attempt: int
     ) -> Optional[FaultKind]:
         """The fault (if any) striking one scan attempt."""
-        rng = self._rng(census_id, platform_index, attempt)
-        u = float(rng.random())
-        edge = self.plan.crash_prob
-        if u < edge:
-            return FaultKind.CRASH
-        edge += self.plan.hang_prob
-        if u < edge:
-            return FaultKind.HANG
-        edge += self.plan.corrupt_prob
-        if u < edge:
-            return FaultKind.CORRUPT
-        return None
+        return _partition(
+            self._rng(census_id, platform_index, attempt),
+            (
+                (self.crash_prob, FaultKind.CRASH),
+                (self.hang_prob, FaultKind.HANG),
+                (self.corrupt_prob, FaultKind.CORRUPT),
+            ),
+        )
 
     # -- effects -----------------------------------------------------------
 
@@ -228,7 +218,7 @@ class FaultInjector:
         if n == 0:
             return records
         rng = self._rng(census_id, platform_index, attempt, 0xC0FF)
-        n_bad = max(1, int(round(n * self.plan.corrupt_fraction)))
+        n_bad = max(1, int(round(n * self.corrupt_fraction)))
         bad = rng.choice(n, size=min(n_bad, n), replace=False)
         prefix = records.prefix.copy()
         flag = records.flag.copy()
@@ -243,9 +233,23 @@ class FaultInjector:
             flag=flag,
         )
 
-    def hang_duration(self, result: VpScanResult) -> float:
-        """The wall-clock hours a hung scan takes before finishing."""
-        return result.duration_hours * self.plan.hang_factor
+
+_Kind = TypeVar("_Kind")
+
+
+def _partition(
+    rng: np.random.Generator, edges: Sequence[Tuple[float, _Kind]]
+) -> Optional[_Kind]:
+    """One keyed uniform partitioned by cumulative probabilities: the
+    kind whose slice it falls in, left to right, or ``None`` past the
+    last — the per-attempt verdict of node and worker faults alike."""
+    u = float(rng.random())
+    edge = 0.0
+    for prob, kind in edges:
+        edge += prob
+        if u < edge:
+            return kind
+    return None
 
 
 @dataclass(frozen=True)
@@ -353,6 +357,20 @@ class PoisonKind(enum.Enum):
     MALFORMED_HITLIST = "malformed_hitlist"
 
 
+def _impossible_point(lat: float, lon: float) -> GeoPoint:
+    """A GeoPoint carrying out-of-range coordinates.
+
+    Bypasses ``GeoPoint.__post_init__`` deliberately: this models
+    upstream data that *skipped* validation (a geolocation feed is under
+    no obligation to run our constructors), which is exactly what the
+    sanitizers must catch.
+    """
+    point = object.__new__(GeoPoint)
+    object.__setattr__(point, "lat", float(lat))
+    object.__setattr__(point, "lon", float(lon))
+    return point
+
+
 @dataclass(frozen=True)
 class PoisonPlan:
     """Per-mode poisoning fractions for one study, plus the poison seed.
@@ -391,6 +409,81 @@ class PoisonPlan:
         block (``PoisonPlan.single(PoisonKind.NAN_RTT, 0.5)``)."""
         key = kind.value if isinstance(kind, PoisonKind) else PoisonKind(kind).value
         return cls(**{key: fraction, "seed": seed})
+
+    def _rng(self, *keys: int) -> np.random.Generator:
+        return np.random.default_rng([_POISON_SALT, self.seed, *keys])
+
+    def poison_records(self, records: CensusRecords, key: int = 0) -> CensusRecords:
+        """Poison RTT fields of a copy of one census's reply records."""
+        if (self.nan_rtt <= 0.0 and self.superluminal_rtt <= 0.0) or not len(records):
+            return records
+        rtt = records.rtt_ms.copy()
+        reply_rows = np.nonzero(records.flag == 0)[0]
+        if len(reply_rows) == 0:
+            return records
+        if self.nan_rtt > 0.0:
+            rng = self._rng(key, 0x7A7)
+            hit = reply_rows[rng.random(len(reply_rows)) < self.nan_rtt]
+            rtt[hit] = np.nan
+        if self.superluminal_rtt > 0.0:
+            rng = self._rng(key, 0x5C1)
+            hit = reply_rows[rng.random(len(reply_rows)) < self.superluminal_rtt]
+            rtt[hit] = np.float32(1e-6)
+        return CensusRecords(
+            census_id=records.census_id,
+            vp_index=records.vp_index.copy(),
+            prefix=records.prefix.copy(),
+            timestamp_ms=records.timestamp_ms.copy(),
+            rtt_ms=rtt,
+            flag=records.flag.copy(),
+        )
+
+    def poison_matrix(self, matrix: "RttMatrix") -> "RttMatrix":
+        """Poison a combined RTT matrix (coordinates and sample loss)."""
+        if self.corrupt_vp_coords <= 0.0 and self.drop_samples <= 0.0:
+            return matrix
+        locations = list(matrix.vp_locations)
+        rtt = matrix.rtt_ms
+        if self.corrupt_vp_coords > 0.0 and matrix.n_vps:
+            rng = self._rng(0xC00)
+            hit = np.nonzero(rng.random(matrix.n_vps) < self.corrupt_vp_coords)[0]
+            for j in hit:
+                locations[int(j)] = _impossible_point(
+                    lat=float(rng.uniform(91.0, 1000.0)),
+                    lon=float(rng.uniform(181.0, 1000.0)),
+                )
+        if self.drop_samples > 0.0:
+            rng = self._rng(0xD09)
+            rtt = rtt.copy()
+            filled = ~np.isnan(rtt)
+            # RTT vanishes, sample_count still claims a contribution:
+            # torn data, distinguishable from honest silence.
+            lost = filled & (rng.random(rtt.shape) < self.drop_samples)
+            rtt[lost] = np.nan
+        return replace(matrix, vp_locations=locations, rtt_ms=rtt)
+
+    def poison_hitlist(self, entries: Sequence[HitlistEntry]) -> List[HitlistEntry]:
+        """Return a row list with a fraction of entries malformed.
+
+        Poisoned rows rotate through three malformations: an address
+        outside its own /24 (repairable), a duplicated /24 (droppable),
+        and an out-of-space prefix index (droppable).
+        """
+        out = list(entries)
+        if self.malformed_hitlist <= 0.0 or not out:
+            return out
+        rng = self._rng(0x417)
+        hit = np.nonzero(rng.random(len(out)) < self.malformed_hitlist)[0]
+        for i, row in enumerate(hit):
+            entry = out[int(row)]
+            mode = i % 3
+            if mode == 0:
+                out[int(row)] = replace(entry, address=(entry.address + 0x4200) & 0xFFFFFFFF)
+            elif mode == 1:
+                out[int(row)] = replace(entry, prefix=out[0].prefix)
+            else:
+                out[int(row)] = replace(entry, prefix=-1)
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -473,61 +566,32 @@ class WorkerFaultPlan:
             or self.slow_worker_ids
         )
 
-    @classmethod
-    def uniform(cls, rate: float, seed: int = 0, **kwargs) -> "WorkerFaultPlan":
-        """Spread ``rate`` evenly over dead, wedged and slow workers."""
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
-        share = rate / 3.0
-        return cls(
-            dead_prob=share, wedged_prob=share, slow_prob=share, seed=seed, **kwargs
-        )
-
-
-#: Domain separation for worker-fault draws (vs node faults and poison).
-_WORKER_SALT = 0x30B57A
-
-
-class WorkerFaultInjector:
-    """Decides each worker task's fate from a :class:`WorkerFaultPlan`.
-
-    Runs *inside* the worker process; every decision is keyed, so it does
-    not depend on what other workers are doing.  A probabilistic fate
-    belongs to the unit's dispatch, not to the worker that drew it: which
-    worker a unit lands on is a matter of timing, its fate is not.
-    """
-
-    def __init__(self, plan: WorkerFaultPlan) -> None:
-        self.plan = plan
-
     def fault_for(
         self, worker_id: int, task_seq: int, unit_id: int, attempt: int
     ) -> Optional[WorkerFaultKind]:
         """The fault (if any) striking one task: the worker's ``task_seq``-th
         (1-based; explicit ids strike the first), the unit's
-        ``attempt``-th dispatch (0-based; probabilistic draws)."""
-        plan = self.plan
+        ``attempt``-th dispatch (0-based; probabilistic draws).
+
+        Runs inside the worker process.  A probabilistic fate belongs to
+        the unit's dispatch, not to the worker that drew it: which worker
+        a unit lands on is a matter of timing, its fate is not.
+        """
         if task_seq == 1:
-            if worker_id in plan.dead_worker_ids:
+            if worker_id in self.dead_worker_ids:
                 return WorkerFaultKind.DEAD_WORKER
-            if worker_id in plan.wedged_worker_ids:
+            if worker_id in self.wedged_worker_ids:
                 return WorkerFaultKind.WEDGED_WORKER
-            if worker_id in plan.slow_worker_ids:
+            if worker_id in self.slow_worker_ids:
                 return WorkerFaultKind.SLOW_WORKER
-        if plan.dead_prob <= 0.0 and plan.wedged_prob <= 0.0 and plan.slow_prob <= 0.0:
-            return None
-        rng = np.random.default_rng([_WORKER_SALT, plan.seed, unit_id, attempt])
-        u = float(rng.random())
-        edge = plan.dead_prob
-        if u < edge:
-            return WorkerFaultKind.DEAD_WORKER
-        edge += plan.wedged_prob
-        if u < edge:
-            return WorkerFaultKind.WEDGED_WORKER
-        edge += plan.slow_prob
-        if u < edge:
-            return WorkerFaultKind.SLOW_WORKER
-        return None
+        return _partition(
+            np.random.default_rng([_WORKER_SALT, self.seed, unit_id, attempt]),
+            (
+                (self.dead_prob, WorkerFaultKind.DEAD_WORKER),
+                (self.wedged_prob, WorkerFaultKind.WEDGED_WORKER),
+                (self.slow_prob, WorkerFaultKind.SLOW_WORKER),
+            ),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -637,37 +701,21 @@ class VpDistortionPlan:
         member = kind if isinstance(kind, DistortionKind) else DistortionKind(kind)
         return cls(fraction=fraction, seed=seed, kinds=(member,), **kwargs)
 
-
-#: Domain separation for VP-distortion draws (vs faults/poison/workers).
-_DISTORT_SALT = 0xD15708
-
-
-class VpDistorter:
-    """Applies a :class:`VpDistortionPlan` to scan results and rosters.
-
-    Like every injector in this module the randomness is keyed, never
-    streamed: a VP's assignment (and its distortion parameters) is a
-    pure function of ``(plan seed, VP name)``.
-    """
-
-    def __init__(self, plan: VpDistortionPlan) -> None:
-        self.plan = plan
-
     def _rng(self, vp_name: str, *keys: int) -> np.random.Generator:
         return np.random.default_rng(
-            [_DISTORT_SALT, self.plan.seed, zlib.crc32(vp_name.encode()), *keys]
+            [_DISTORT_SALT, self.seed, zlib.crc32(vp_name.encode()), *keys]
         )
 
     def kind_for(self, vp_name: str) -> Optional[DistortionKind]:
         """The distortion (if any) afflicting one vantage point."""
-        if not self.plan.enabled:
+        if not self.enabled:
             return None
         rng = self._rng(vp_name, 0xA551)
-        if float(rng.random()) >= self.plan.fraction:
+        if float(rng.random()) >= self.fraction:
             return None
-        return self.plan.kinds[int(rng.integers(len(self.plan.kinds)))]
+        return self.kinds[int(rng.integers(len(self.kinds)))]
 
-    def distorted_names(self, vp_names: Sequence[str]) -> Dict[str, DistortionKind]:
+    def distorted_names(self, vp_names: Iterable[str]) -> Dict[str, DistortionKind]:
         """The afflicted subset of a roster, with each VP's kind."""
         out: Dict[str, DistortionKind] = {}
         for name in vp_names:
@@ -692,22 +740,22 @@ class VpDistorter:
         rng = self._rng(vp_name, 0x9A6A)
         rtt = records.rtt_ms.copy()
         if kind is DistortionKind.CLOCK_SKEW:
-            lo, hi = self.plan.skew_ms
+            lo, hi = self.skew_ms
             offset = float(rng.uniform(lo, hi))
             if bool(rng.random() < 0.5):
                 offset = -offset
             rtt[replies] = rtt[replies] + np.float32(offset)
         elif kind is DistortionKind.STUCK_RTT:
-            lo, hi = self.plan.stuck_ms
+            lo, hi = self.stuck_ms
             rtt[replies] = np.float32(rng.uniform(lo, hi))
         else:  # BUFFERBLOAT: keyed heavy-tailed inflation per target
             from .prober import keyed_uniform
 
-            key = (self.plan.seed * 0x9E3779B1 + zlib.crc32(vp_name.encode())) & (
+            key = (self.seed * 0x9E3779B1 + zlib.crc32(vp_name.encode())) & (
                 2**63 - 1
             )
             u = keyed_uniform(key, "bufferbloat", records.prefix[replies])
-            rtt[replies] = rtt[replies] - np.float32(self.plan.bufferbloat_ms) * np.log1p(
+            rtt[replies] = rtt[replies] - np.float32(self.bufferbloat_ms) * np.log1p(
                 -u
             ).astype(np.float32)
         records = CensusRecords(
@@ -735,7 +783,7 @@ class VpDistorter:
         if self.kind_for(vp_name) is not DistortionKind.GEO_ERROR:
             return location
         rng = self._rng(vp_name, 0x6E0)
-        lo, hi = self.plan.geo_error_km
+        lo, hi = self.geo_error_km
         distance_km = float(rng.uniform(lo, hi))
         bearing = float(rng.uniform(0.0, 2.0 * np.pi))
         angular = distance_km / 6371.0
@@ -751,109 +799,3 @@ class VpDistorter:
         )
         lon2 = (lon2 + np.pi) % (2.0 * np.pi) - np.pi
         return GeoPoint(lat=float(np.degrees(lat2)), lon=float(np.degrees(lon2)))
-
-
-def _impossible_point(lat: float, lon: float) -> GeoPoint:
-    """A GeoPoint carrying out-of-range coordinates.
-
-    Bypasses ``GeoPoint.__post_init__`` deliberately: this models
-    upstream data that *skipped* validation (a geolocation feed is under
-    no obligation to run our constructors), which is exactly what the
-    sanitizers must catch.
-    """
-    point = object.__new__(GeoPoint)
-    object.__setattr__(point, "lat", float(lat))
-    object.__setattr__(point, "lon", float(lon))
-    return point
-
-
-class DataPoisoner:
-    """Applies a :class:`PoisonPlan` to inter-stage data structures.
-
-    Like :class:`FaultInjector`, all randomness is keyed rather than
-    streamed — poisoning the same structure under the same plan always
-    mangles the same elements, so chaos tests are reproducible.
-    """
-
-    def __init__(self, plan: PoisonPlan) -> None:
-        self.plan = plan
-
-    def _rng(self, *keys: int) -> np.random.Generator:
-        return np.random.default_rng([_POISON_SALT, self.plan.seed, *keys])
-
-    def poison_records(self, records: CensusRecords, key: int = 0) -> CensusRecords:
-        """Poison RTT fields of a copy of one census's reply records."""
-        plan = self.plan
-        if (plan.nan_rtt <= 0.0 and plan.superluminal_rtt <= 0.0) or not len(records):
-            return records
-        rtt = records.rtt_ms.copy()
-        reply_rows = np.nonzero(records.flag == 0)[0]
-        if len(reply_rows) == 0:
-            return records
-        if plan.nan_rtt > 0.0:
-            rng = self._rng(key, 0x7A7)
-            hit = reply_rows[rng.random(len(reply_rows)) < plan.nan_rtt]
-            rtt[hit] = np.nan
-        if plan.superluminal_rtt > 0.0:
-            rng = self._rng(key, 0x5C1)
-            hit = reply_rows[rng.random(len(reply_rows)) < plan.superluminal_rtt]
-            rtt[hit] = np.float32(1e-6)
-        return CensusRecords(
-            census_id=records.census_id,
-            vp_index=records.vp_index.copy(),
-            prefix=records.prefix.copy(),
-            timestamp_ms=records.timestamp_ms.copy(),
-            rtt_ms=rtt,
-            flag=records.flag.copy(),
-        )
-
-    def poison_matrix(self, matrix: "RttMatrix") -> "RttMatrix":
-        """Poison a combined RTT matrix (coordinates and sample loss)."""
-        plan = self.plan
-        if plan.corrupt_vp_coords <= 0.0 and plan.drop_samples <= 0.0:
-            return matrix
-        import dataclasses
-
-        locations = list(matrix.vp_locations)
-        rtt = matrix.rtt_ms
-        if plan.corrupt_vp_coords > 0.0 and matrix.n_vps:
-            rng = self._rng(0xC00)
-            hit = np.nonzero(rng.random(matrix.n_vps) < plan.corrupt_vp_coords)[0]
-            for j in hit:
-                locations[int(j)] = _impossible_point(
-                    lat=float(rng.uniform(91.0, 1000.0)),
-                    lon=float(rng.uniform(181.0, 1000.0)),
-                )
-        if plan.drop_samples > 0.0:
-            rng = self._rng(0xD09)
-            rtt = rtt.copy()
-            filled = ~np.isnan(rtt)
-            # RTT vanishes, sample_count still claims a contribution:
-            # torn data, distinguishable from honest silence.
-            lost = filled & (rng.random(rtt.shape) < plan.drop_samples)
-            rtt[lost] = np.nan
-        return dataclasses.replace(matrix, vp_locations=locations, rtt_ms=rtt)
-
-    def poison_hitlist(self, entries: Sequence[HitlistEntry]) -> List[HitlistEntry]:
-        """Return a row list with a fraction of entries malformed.
-
-        Poisoned rows rotate through three malformations: an address
-        outside its own /24 (repairable), a duplicated /24 (droppable),
-        and an out-of-space prefix index (droppable).
-        """
-        plan = self.plan
-        out = list(entries)
-        if plan.malformed_hitlist <= 0.0 or not out:
-            return out
-        rng = self._rng(0x417)
-        hit = np.nonzero(rng.random(len(out)) < plan.malformed_hitlist)[0]
-        for i, row in enumerate(hit):
-            entry = out[int(row)]
-            mode = i % 3
-            if mode == 0:
-                out[int(row)] = replace(entry, address=(entry.address + 0x4200) & 0xFFFFFFFF)
-            elif mode == 1:
-                out[int(row)] = replace(entry, prefix=out[0].prefix)
-            else:
-                out[int(row)] = replace(entry, prefix=-1)
-        return out

@@ -33,7 +33,11 @@ reference down and smear honest VPs' residuals.
   the worst offender above ``solo_margin``, recompute, repeat —
   because two distorted VPs can corroborate each other's fake
   violations and hide from a single-shot solo count; peeling them off
-  one at a time re-exposes the remainder;
+  one at a time re-exposes the remainder.  A VP most of whose *own*
+  rows (the targets it reaches first) hold no violation is never a
+  candidate: that is an isolated honest node, the only roster member
+  in its region on a small roster, which solos on every far catchment
+  only it sees;
 * **RTT residual** — the VP's median excess over each target's best
   surviving RTT, robust-z-scored over the roster with an absolute
   margin floor.  Bufferbloat and positive clock skew inflate it far
@@ -467,6 +471,9 @@ def _solo_peel(
     max_solo = int(policy.max_excised_fraction * int(surviving.sum()))
     aborted = False
     rows = np.arange(n_targets)
+    # VPs that are never solo candidates (:func:`_located`), judged over
+    # the whole pass-2 cohort the first time anyone clears the threshold.
+    located: Optional[np.ndarray] = None
     rows_violating = 0
     rounds = 0
     while True:
@@ -495,6 +502,10 @@ def _solo_peel(
         else:
             threshold = np.inf  # too few scorable columns to out-vote
         candidates = scorable & active & (rates > threshold)
+        if located is None and bool(candidates.any()):
+            located = _located(distances, rtt, present, surviving, speed)
+        if located is not None:
+            candidates &= ~located
         if not bool(candidates.any()):
             break
         if int(sol_flag.sum()) >= max_solo:
@@ -512,6 +523,41 @@ def _solo_peel(
         worst = int(np.argmax(np.where(candidates, rates, -1.0)))
         sol_flag[worst] = True
     return _Peel(sol_flag, solo_rates, violation_rate, aborted, rows_violating, rounds)
+
+
+def _located(
+    distances: np.ndarray,
+    rtt: np.ndarray,
+    present: np.ndarray,
+    active: np.ndarray,
+    speed_km_per_ms: float,
+) -> np.ndarray:
+    """VPs that are where they say they are: most of their own rows —
+    where their disk is the smallest of the active ones, the targets
+    they reach first — hold no disk disjoint from it
+    (:func:`~repro.core.detection.witness_filter`'s witness test).
+
+    An isolated honest node solos on every far catchment only it sees,
+    but it reaches its own region's targets first and its disk there
+    fits every other disk.  A mis-geolocated node reaches first the
+    targets near its true position, where the roster's disks miss its
+    claimed one.  Rows go in blocks of :data:`_BLOCK_CELLS` cells.
+    """
+    n_targets, n_vps = rtt.shape
+    own = np.zeros(n_vps, dtype=np.int64)
+    own_violating = np.zeros(n_vps, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // max(n_vps, 1))
+    for start in range(0, n_targets, step):
+        block = slice(start, start + step)
+        radii = np.where(
+            present[block] & active, rtt[block] / 2.0 * speed_km_per_ms, np.inf
+        )
+        witnessed, _ = witness_filter(distances, radii)
+        nearest = radii.argmin(axis=1)
+        measured = np.isfinite(radii[np.arange(len(radii)), nearest])
+        own += np.bincount(nearest[measured], minlength=n_vps)
+        own_violating += np.bincount(nearest[witnessed], minlength=n_vps)
+    return own > 2 * own_violating
 
 
 def _peel_round(

@@ -28,7 +28,6 @@ from .internet.hitlist import Hitlist, generate_hitlist
 from .internet.topology import InternetConfig, SyntheticInternet
 from .measurement.campaign import CampaignHealthReport, Census, CensusCampaign
 from .measurement.faults import (
-    DataPoisoner,
     FaultPlan,
     PoisonPlan,
     RetryPolicy,
@@ -171,11 +170,8 @@ class CensusStudy:
             if self.config.resilience is not None
             else None
         )
-        self._poisoner: Optional[DataPoisoner] = (
-            DataPoisoner(self.config.poison)
-            if self.config.poison is not None and self.config.poison.enabled
-            else None
-        )
+        #: The chaos harness's poison plan (a default plan poisons nothing).
+        self._poison: PoisonPlan = self.config.poison or PoisonPlan()
         self._removed_per_target = None
         #: VP trust verdicts of the combined matrix; ``None`` until the
         #: matrix stage runs (or when ``config.trust`` is off).
@@ -235,9 +231,9 @@ class CensusStudy:
 
     def _build_hitlist(self, internet: SyntheticInternet) -> Hitlist:
         hitlist = generate_hitlist(internet)
-        if self._poisoner is None:
+        if not self._poison.enabled:
             return hitlist
-        entries = self._poisoner.poison_hitlist(list(hitlist))
+        entries = self._poison.poison_hitlist(list(hitlist))
         if self.supervisor is not None:
             entries = sanitize_hitlist(entries, self.quarantine)
         return Hitlist(entries=entries)
@@ -304,9 +300,9 @@ class CensusStudy:
     def _combine_censuses(self, censuses: List[Census]) -> RttMatrix:
         """combine stage body: poison -> sanitize -> min-RTT combine."""
         inputs = list(censuses)
-        if self._poisoner is not None:
+        if self._poison.enabled:
             inputs = [
-                replace(c, records=self._poisoner.poison_records(c.records, key=i))
+                replace(c, records=self._poison.poison_records(c.records, key=i))
                 for i, c in enumerate(inputs)
             ]
         if self.supervisor is not None:
@@ -318,8 +314,7 @@ class CensusStudy:
                 )
             inputs = sanitized
         matrix = combine_censuses(inputs, store="auto")
-        if self._poisoner is not None:
-            matrix = self._poisoner.poison_matrix(matrix)
+        matrix = self._poison.poison_matrix(matrix)
         if self.supervisor is not None:
             matrix, self._removed_per_target = sanitize_matrix(matrix, self.quarantine)
         return matrix

@@ -12,13 +12,11 @@ from repro.measurement.campaign import (
 )
 from repro.measurement.faults import (
     DistortionKind,
-    FaultInjector,
     FaultKind,
     FaultPlan,
     RetryPolicy,
     VpDistortionPlan,
     StrikeCounter,
-    VpDistorter,
 )
 from repro.measurement.recordio import CensusJournal
 
@@ -86,16 +84,11 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(**kwargs)
 
-    def test_with_seed(self):
-        plan = FaultPlan.uniform(0.2).with_seed(7)
-        assert plan.seed == 7
-        assert plan.crash_prob == pytest.approx(0.2 / 3.0)
 
-
-class TestFaultInjector:
+class TestFaultDraws:
     def test_draws_are_keyed_not_streamed(self):
-        a = FaultInjector(FaultPlan.uniform(0.5, seed=3))
-        b = FaultInjector(FaultPlan.uniform(0.5, seed=3))
+        a = FaultPlan.uniform(0.5, seed=3)
+        b = FaultPlan.uniform(0.5, seed=3)
         # Evaluate in different orders: answers must agree pointwise.
         keys = [(c, v, t) for c in (1, 2) for v in range(10) for t in range(3)]
         forward = {k: a.fault_for(*k) for k in keys}
@@ -103,21 +96,21 @@ class TestFaultInjector:
         assert forward == backward
 
     def test_seed_changes_draws(self):
-        a = FaultInjector(FaultPlan.uniform(0.5, seed=3))
-        b = FaultInjector(FaultPlan.uniform(0.5, seed=4))
+        a = FaultPlan.uniform(0.5, seed=3)
+        b = FaultPlan.uniform(0.5, seed=4)
         keys = [(1, v, 0) for v in range(200)]
         assert [a.fault_for(*k) for k in keys] != [b.fault_for(*k) for k in keys]
 
     def test_flap_rate_roughly_matches(self):
-        inj = FaultInjector(FaultPlan(flap_prob=0.25, seed=9))
-        flapped = sum(inj.flaps(1, i) for i in range(1000))
+        plan = FaultPlan(flap_prob=0.25, seed=9)
+        flapped = sum(plan.flaps(1, i) for i in range(1000))
         assert 180 < flapped < 320
 
     def test_corrupt_changes_checksum(self, tiny_census):
-        inj = FaultInjector(FaultPlan(corrupt_prob=1.0, seed=2))
+        plan = FaultPlan(corrupt_prob=1.0, seed=2)
         batch = tiny_census.records.select(tiny_census.records.vp_index == 0)
         assert len(batch) > 0
-        corrupted = inj.corrupt(batch, 1, 0, 0)
+        corrupted = plan.corrupt(batch, 1, 0, 0)
         assert corrupted.checksum() != batch.checksum()
         assert len(corrupted) == len(batch)
         # The original batch is untouched (corruption works on a copy).
@@ -128,9 +121,9 @@ class TestFaultInjector:
     def test_corrupt_empty_batch_is_noop(self):
         from repro.measurement.recordio import CensusRecords
 
-        inj = FaultInjector(FaultPlan(corrupt_prob=1.0, seed=2))
+        plan = FaultPlan(corrupt_prob=1.0, seed=2)
         empty = CensusRecords.empty(1)
-        assert inj.corrupt(empty, 1, 0, 0).checksum() == empty.checksum()
+        assert plan.corrupt(empty, 1, 0, 0).checksum() == empty.checksum()
 
 
 class TestRetryPolicy:
@@ -491,7 +484,7 @@ class TestVpDistortion:
     def test_default_plan_disabled(self):
         plan = VpDistortionPlan()
         assert not plan.enabled
-        assert VpDistorter(plan).distorted_names(["vp-a", "vp-b"]) == {}
+        assert plan.distorted_names(["vp-a", "vp-b"]) == {}
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -528,19 +521,19 @@ class TestVpDistortion:
         """A VP's affliction is a pure function of (seed, name): the
         same names give the same verdicts whatever the roster order or
         composition."""
-        distorter = VpDistorter(VpDistortionPlan(fraction=0.4, seed=5))
+        plan = VpDistortionPlan(fraction=0.4, seed=5)
         names = [f"vp-{i:02d}" for i in range(40)]
-        forward = distorter.distorted_names(names)
+        forward = plan.distorted_names(names)
         assert forward  # 40 draws at 40%: somebody is hit
-        assert distorter.distorted_names(list(reversed(names))) == forward
+        assert plan.distorted_names(list(reversed(names))) == forward
         subset = names[::3]
         expected = {n: k for n, k in forward.items() if n in subset}
-        assert distorter.distorted_names(subset) == expected
+        assert plan.distorted_names(subset) == expected
 
     def test_different_seed_different_set(self):
         names = [f"vp-{i:02d}" for i in range(40)]
-        a = VpDistorter(VpDistortionPlan(fraction=0.4, seed=5)).distorted_names(names)
-        b = VpDistorter(VpDistortionPlan(fraction=0.4, seed=6)).distorted_names(names)
+        a = VpDistortionPlan(fraction=0.4, seed=5).distorted_names(names)
+        b = VpDistortionPlan(fraction=0.4, seed=6).distorted_names(names)
         assert a != b
 
     def test_disabled_plan_is_byte_neutral(self, tiny_internet, tiny_platform):
@@ -560,7 +553,7 @@ class TestVpDistortion:
         census = make_campaign(
             tiny_internet, tiny_platform, distortion=plan
         ).run_census(availability=1.0)
-        expected = VpDistorter(plan).distorted_names(
+        expected = plan.distorted_names(
             [vp.name for vp in tiny_platform.vantage_points]
         )
         assert census.health.distorted_vps == {
@@ -625,7 +618,6 @@ class TestVpDistortion:
             tiny_internet, tiny_platform, distortion=plan
         ).run_census(availability=1.0)
         assert records_bytes(clean) == records_bytes(lying)  # data untouched
-        distorter = VpDistorter(plan)
         afflicted = set(lying.health.distorted_vps)
         assert afflicted
         for true_vp, claimed_vp in zip(
@@ -636,7 +628,7 @@ class TestVpDistortion:
             if true_vp.name in afflicted:
                 lo, hi = plan.geo_error_km
                 assert lo * 0.99 <= displaced <= hi * 1.01
-                assert distorter.distort_location(
+                assert plan.distort_location(
                     true_vp.name, true_vp.location
                 ) == claimed_vp.location
             else:

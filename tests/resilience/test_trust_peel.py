@@ -55,6 +55,16 @@ def dense_solo_peel(matrix, rtt, present, surviving, scorable, col_samples, poli
     sol_aborted = False
     rows_violating = 0
     rounds = 0
+    # Each VP's own rows (its disk the row's smallest) and how many of
+    # them hold a disk disjoint from it, over the whole pass-2 cohort.
+    safe = np.where(present & surviving[None, :], radii, np.inf)
+    nearest = safe.argmin(axis=1)
+    smallest = safe[np.arange(n_targets), nearest]
+    measured = np.isfinite(smallest)
+    disjoint = (distances[nearest] > smallest[:, None] + safe).any(axis=1)
+    own = np.bincount(nearest[measured], minlength=n_vps)
+    own_violating = np.bincount(nearest[measured & disjoint], minlength=n_vps)
+    located = own > 2 * own_violating
     while True:
         active = surviving & ~sol_flag
         safe = np.where(present & active[None, :], radii, np.inf)
@@ -87,7 +97,7 @@ def dense_solo_peel(matrix, rtt, present, surviving, scorable, col_samples, poli
             threshold = max(policy.solo_margin, cohort_median + policy.solo_z * scale)
         else:
             threshold = np.inf
-        candidates = scorable & active & (rates > threshold)
+        candidates = scorable & active & ~located & (rates > threshold)
         if not bool(candidates.any()):
             break
         if int(sol_flag.sum()) >= max_solo:

@@ -18,7 +18,6 @@ from repro.measurement.campaign import CensusCampaign, CensusInterrupted
 from repro.measurement.faults import (
     FaultPlan,
     RetryPolicy,
-    WorkerFaultInjector,
     WorkerFaultKind,
     WorkerFaultPlan,
 )
@@ -181,11 +180,9 @@ class TestFaultyWorkersKeepBytesIdentical:
         )
         assert_same_census(census, serial_census)
 
-        injector = WorkerFaultInjector(plan)
-
         def deaths(unit_id):
             attempt = 0
-            while injector.fault_for(-1, 0, unit_id, attempt) is WorkerFaultKind.DEAD_WORKER:
+            while plan.fault_for(-1, 0, unit_id, attempt) is WorkerFaultKind.DEAD_WORKER:
                 attempt += 1
             return attempt
 
