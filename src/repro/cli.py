@@ -103,9 +103,6 @@ def _distortion_from_args(args: argparse.Namespace) -> Optional[VpDistortionPlan
 
 
 def _build_study(args: argparse.Namespace) -> CensusStudy:
-    fault_plan = FaultPlan.uniform(
-        args.fault_rate, seed=args.fault_seed, flap_prob=args.flap_prob
-    )
     policy_factory = _POLICIES[args.resilience_policy]
     poison = None
     if args.poison is not None:
@@ -124,7 +121,7 @@ def _build_study(args: argparse.Namespace) -> CensusStudy:
             ),
             n_vantage_points=args.vps,
             n_censuses=args.censuses,
-            fault_plan=fault_plan,
+            fault_plan=args.fault_plan,
             scan_timeout_hours=args.scan_timeout,
             min_vp_quorum=args.quorum,
             checkpoint_dir=args.checkpoint_dir,
@@ -134,7 +131,7 @@ def _build_study(args: argparse.Namespace) -> CensusStudy:
             metrics=want_manifest or args.command in ("trace", "stats"),
             resilience=policy_factory() if policy_factory is not None else None,
             poison=poison,
-            vp_distortion=_distortion_from_args(args),
+            vp_distortion=args.distortion_plan,
             trust=args.trust,
         )
     )
@@ -274,9 +271,12 @@ def _cmd_health(study: CensusStudy, args: argparse.Namespace) -> int:
     return 0
 
 
-#: Global flags that only the study pipeline can honour.  ``service``
-#: has nothing to bind them to, so it refuses them instead of running as
-#: if they had not been given.
+#: Subcommands that run no study: their handlers take ``args`` alone.
+_SERVICE_COMMANDS = ("service", "obs")
+
+#: Global flags that only the study pipeline can honour.  The service
+#: commands have nothing to bind them to, so they refuse them instead of
+#: running as if they had not been given.
 _STUDY_ONLY_FLAGS = (
     "workers", "deadline", "quorum", "scan_timeout", "checkpoint_dir",
     "censuses", "poison", "poison_fraction", "poison_seed", "manifest",
@@ -286,7 +286,8 @@ _STUDY_ONLY_FLAGS = (
 def _refuse_study_only_flags(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
-    """Usage error (exit 2) naming every study-only flag given to ``service``."""
+    """Usage error (exit 2) naming every study-only flag given to a
+    service command."""
     given = [
         "--" + dest.replace("_", "-")
         for dest in _STUDY_ONLY_FLAGS
@@ -294,7 +295,7 @@ def _refuse_study_only_flags(
     ]
     if given:
         parser.error(
-            "service does not take " + ", ".join(given)
+            f"{args.command} does not take " + ", ".join(given)
             + " (these configure the study pipeline only)"
         )
 
@@ -303,13 +304,6 @@ def _service_from_args(args: argparse.Namespace):
     from .service import CensusService, ServiceConfig
 
     policy_factory = _POLICIES[args.resilience_policy]
-    # No fault plan at all when both rates are zero, so a flag-free run
-    # hands the campaign exactly what it always did.
-    fault_plan = None
-    if args.fault_rate or args.flap_prob:
-        fault_plan = FaultPlan.uniform(
-            args.fault_rate, seed=args.fault_seed, flap_prob=args.flap_prob
-        )
     return CensusService(
         ServiceConfig(
             archive_root=args.archive,
@@ -323,22 +317,23 @@ def _service_from_args(args: argparse.Namespace):
             churn_threshold=args.churn_threshold,
             resilience=policy_factory() if policy_factory is not None else None,
             telemetry=getattr(args, "telemetry", False),
-            fault_plan=fault_plan,
+            # No fault plan at all when both rates are zero, so a flag-free
+            # run hands the campaign exactly what it always did.
+            fault_plan=args.fault_plan if args.fault_plan.enabled else None,
             roster_churn_prob=args.roster_churn,
             roster_seed=args.roster_seed,
             baseline_depth=args.baseline_depth,
             trust=args.trust,
-            vp_distortion=_distortion_from_args(args),
+            vp_distortion=args.distortion_plan,
             routing=getattr(args, "routing", "geo"),
             alarms=getattr(args, "alarms", False),
         )
     )
 
 
-def _cmd_service(study: CensusStudy, args: argparse.Namespace) -> int:
+def _cmd_service(args: argparse.Namespace) -> int:
     # The longitudinal service owns its archive and builds its own
-    # pipeline per epoch; the shared study object is unused (and, being
-    # lazy, was never materialized).
+    # pipeline per epoch.
     service = _service_from_args(args)
     if args.verb == "fsck":
         report = service.fsck(repair=not args.dry_run)
@@ -400,7 +395,7 @@ def _cmd_service(study: CensusStudy, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_obs(study: CensusStudy, args: argparse.Namespace) -> int:
+def _cmd_obs(args: argparse.Namespace) -> int:
     """Export one archived epoch's telemetry to standard formats."""
     import json
     import pathlib
@@ -650,14 +645,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "service":
+    study = None
+    if args.command in _SERVICE_COMMANDS:
         _refuse_study_only_flags(parser, args)
-    try:
-        study = _build_study(args)
-    except ValueError as exc:  # e.g. an out-of-range --fault-rate
+    try:  # values argparse cannot range-check, e.g. an out-of-range --fault-rate
+        args.fault_plan = FaultPlan.uniform(
+            args.fault_rate, seed=args.fault_seed, flap_prob=args.flap_prob
+        )
+        args.distortion_plan = _distortion_from_args(args)
+        if args.command not in _SERVICE_COMMANDS:
+            study = _build_study(args)
+    except ValueError as exc:
         parser.error(str(exc))
     try:
-        return args.func(study, args)
+        return args.func(args) if study is None else args.func(study, args)
     except CensusAborted as exc:
         cause = f" ({exc.__cause__})" if exc.__cause__ is not None else ""
         print(f"error: {exc}{cause}", file=sys.stderr)

@@ -11,47 +11,42 @@ platform and runs censuses the way the paper does (Sec. 2.1, 3.3):
    error senders into a per-census greylist;
 3. greylists are merged into the blacklist between censuses.
 
-Anycast targets are resolved through each deployment's BGP catchment,
-which is precomputed per platform — routing is stable across censuses, so
-each VP's base-RTT row is computed once per campaign and reused by every
-census (paths persist; only per-probe noise is redrawn).
+Catchments are resolved once per campaign: routing is stable across
+censuses, only per-probe noise is redrawn.
 
-On top of the happy path, the campaign supervises every VP scan the way
-an operator of ~300 shared testbed hosts has to (see
-:mod:`repro.measurement.faults`):
+A census accounts for every host it planned, as an operator of ~300
+shared testbed hosts has to.  It runs in three steps over one plan, a
+:class:`_PlannedVp` per VP in census order (platform index, census
+position, degraded flag, the VP as reported, and its outcome):
 
-* a scan that **hangs** past ``scan_timeout_hours`` or hands back
-  a **corrupt** batch (checksum mismatch) is retried with exponential
-  backoff, a bounded number of times;
-* a scan that **crashes** mid-way leaves a salvageable partial batch,
-  used if no retry produces a full scan;
-* VPs failing ``quarantine_threshold`` censuses in a row are
-  **quarantined** from subsequent censuses;
-* if fewer than ``min_vp_quorum`` VPs contribute usable data the census
-  raises :class:`CensusAborted` instead of returning silently-thin data;
-* with a ``checkpoint`` journal, completed per-VP batches survive an
-  interruption and a resumed census reproduces the uninterrupted run
-  bit-for-bit (every per-VP RNG is keyed, not streamed).
+* **plan** draws the available nodes and their degraded flags, drops the
+  VPs quarantined for failing ``quarantine_threshold`` censuses in a row,
+  applies the distortion roster and opens the census's
+  :class:`CampaignHealthReport`; a plan below ``min_vp_quorum`` raises
+  :class:`CensusAborted`;
+* **execute** resumes VPs from the ``checkpoint`` journal, decides flaps,
+  spends the abort budget and runs every other VP on the sharded engine
+  (:mod:`repro.exec.engine`): one work unit per VP, in-process at
+  ``workers=0`` (the default), the same bytes at any pool size.  Each
+  finished scan passes the fault policy (:mod:`repro.measurement.faults`):
+  a scan that hangs past ``scan_timeout_hours`` or hands back a corrupt
+  batch is retried with backoff, a crashed one leaves a salvageable
+  partial batch;
+* **settle** accounts every VP in census order (health report,
+  quarantine streaks, metrics), raises :class:`CensusAborted` when fewer
+  than ``min_vp_quorum`` VPs contributed usable data, merges the
+  greylist and returns the :class:`Census`.
 
-The scans themselves always run on the sharded engine
-(:mod:`repro.exec.engine`): the campaign partitions a census's VPs into
-resumed / flapped / to-scan, hands the last group to the engine — one
-work unit per VP, never a slice of one — under the ``executor`` policy
-(``workers=0``, the default, scans in-process, one VP after the other;
-any pool size returns the same bytes) and accounts the outcomes in
-census order.  There is no other scan loop.
-
-Every census carries a :class:`CampaignHealthReport` describing what the
-supervisor saw.  With the default (disabled) fault plan the fault path is
-skipped entirely and output is byte-identical to the unsupervised
-implementation.
+A journalled census that is interrupted resumes bit-for-bit (every per-VP
+RNG is keyed, not streamed).  With the default (disabled) fault plan the
+fault path is skipped entirely.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -262,6 +257,17 @@ class _VpOutcome:
         nan = float("nan")
         return cls("failed", None, None, nan, nan, faults=faults)
 
+    def with_scan(self, status: str, scan: VpScanResult) -> "_VpOutcome":
+        """This outcome's accounting, ``status`` with ``scan``'s batch."""
+        return replace(
+            self,
+            status=status,
+            records=scan.records,
+            checksum=scan.records.checksum(),
+            duration_hours=scan.duration_hours,
+            drop_rate=scan.drop_rate,
+        )
+
     @property
     def usable(self) -> bool:
         return self.status in ("ok", "salvaged")
@@ -280,6 +286,36 @@ class _VpOutcome:
     def from_journal(cls, payload: Dict, records: Optional[CensusRecords]) -> "_VpOutcome":
         fields = {key: value for key, value in payload.items() if key != "vp"}
         return cls(records=records, **{**fields, "faults": list(fields["faults"])})
+
+
+@dataclass
+class _PlannedVp:
+    """One VP of a census's plan, the record every step of
+    :meth:`CensusCampaign.run_census` reads the VP's place and fate from:
+    its index in the campaign's platform, its census position (its
+    records' ``vp_index``), its degraded flag, the VP as the census
+    reports it (a geo-error VP at displaced coordinates; it measures from
+    its own) and, once executed, its outcome (``None``: never reached)."""
+
+    platform_index: int
+    position: int
+    degraded: bool
+    vp: VantagePoint
+    outcome: Optional[_VpOutcome] = None
+
+
+class _CensusPlan(NamedTuple):
+    """What :meth:`CensusCampaign._plan_census` fixes before any scan:
+    the planned VPs in census order, the probing plan and its blacklist
+    mask, the opened health report; ``roster`` names the census platform."""
+
+    census_id: int
+    rate: float
+    roster: str
+    vps: List[_PlannedVp]
+    targets: ScanTargets
+    probe_mask: np.ndarray
+    report: CampaignHealthReport
 
 
 @dataclass
@@ -799,31 +835,27 @@ class CensusCampaign:
             del self._outcomes[key]
         with current_tracer().span("census", census_id=census_id) as span:
             try:
-                return self._run_census_supervised(
-                    census_id, availability, rate, target_prefixes, checkpoint,
-                    abort_after_vps, span,
-                )
+                plan = self._plan_census(census_id, availability, rate, target_prefixes)
+                interrupted = self._execute_census(plan, checkpoint, abort_after_vps, span)
+                return self._settle_census(plan, interrupted, checkpoint)
             finally:
                 self._release_carry(census_id)
 
-    def _run_census_supervised(
+    def _plan_census(
         self,
         census_id: int,
         availability: float,
         rate: float,
         target_prefixes: Optional[Sequence[int]],
-        checkpoint: Optional[Union[str, "CensusJournal"]],
-        abort_after_vps: Optional[int],
-        span,
-    ) -> Census:
-        """The body of :meth:`run_census`, under one ``census`` span."""
-        tracer = current_tracer()
-        metrics = current_metrics()
+    ) -> _CensusPlan:
+        """Fix a census before any scan: the census-level RNG draws, the
+        quarantine filter, the distortion roster and the health report.
+        A plan already below quorum aborts here."""
         available = self.platform.sample_available(self._rng, availability)
-        # Map available VPs back to their platform indices for catchments.
-        index_of = {vp.name: i for i, vp in enumerate(self.platform.vantage_points)}
-
-        probe_mask = self._current_probe_mask()
+        probe_mask = np.ones(self.internet.n_targets, dtype=bool)
+        blocked = self.blacklist.prefixes
+        if blocked:
+            probe_mask[self.internet.target_indices(sorted(blocked))] = False
         if target_prefixes is not None:
             restricted = np.zeros(self.internet.n_targets, dtype=bool)
             if len(target_prefixes):
@@ -834,207 +866,206 @@ class CensusCampaign:
             lfsr_permutation(self.internet.n_targets, seed=census_id),
             probe_mask,
         )
-
-        degraded_flags = self._rng.random(len(available)) < self.degraded_fraction
+        degraded = self._rng.random(len(available)) < self.degraded_fraction
 
         # Quarantine filtering happens *after* all census-level RNG draws,
         # so the random stream (and hence fault-free output) is unchanged.
         quarantined = self.health.tripped
-        pairs: List[Tuple[VantagePoint, bool]] = [
-            (vp, bool(flag))
-            for vp, flag in zip(available.vantage_points, degraded_flags)
-            if vp.name not in quarantined
+        drawn = dict(zip((vp.name for vp in available), degraded.tolist()))
+        kept = [
+            (index, vp, drawn[vp.name])
+            for index, vp in enumerate(self.platform.vantage_points)
+            if vp.name in drawn and vp.name not in quarantined
         ]
-        if quarantined:
-            planned = Platform(
-                name=available.name, vantage_points=[vp for vp, _ in pairs]
-            )
-        else:
-            planned = available
-
         # Distorted metadata: a mis-geolocated VP *measures* from its true
         # position (catchments and base RTTs use ``self.platform``) but
         # *reports* displaced coordinates — the census platform, and hence
         # every downstream matrix, carries the lie.
-        afflicted = self.distortion.distorted_names(
-            vp.name for vp in planned.vantage_points
-        )
-        distorted = {name: kind.value for name, kind in sorted(afflicted.items())}
-        if DistortionKind.GEO_ERROR in afflicted.values():
-            planned = Platform(
-                name=planned.name,
-                vantage_points=[
-                    replace(
-                        vp,
-                        location=self.distortion.distort_location(vp.name, vp.location),
-                    )
-                    if afflicted.get(vp.name) is DistortionKind.GEO_ERROR
-                    else vp
-                    for vp in planned.vantage_points
-                ],
+        afflicted = self.distortion.distorted_names(vp.name for _, vp, _ in kept)
+        distort = self.distortion.distort_location
+        vps = [
+            _PlannedVp(
+                index,
+                position,
+                flag,
+                replace(vp, location=distort(vp.name, vp.location))
+                if afflicted.get(vp.name) is DistortionKind.GEO_ERROR
+                else vp,
             )
-
+            for position, (index, vp, flag) in enumerate(kept)
+        ]
         report = CampaignHealthReport(
             census_id=census_id,
             n_vps_available=len(available),
-            n_vps_planned=len(planned),
+            n_vps_planned=len(vps),
             quarantined_vps=quarantined,
-            distorted_vps=distorted,
+            distorted_vps={name: kind.value for name, kind in sorted(afflicted.items())},
             vp_reasons={
                 name: [f"quarantined ({self.health.count(name)} consecutive failures)"]
                 for name in quarantined
             },
         )
-        if len(planned) < self.min_vp_quorum:
-            raise CensusAborted(census_id, len(planned), self.min_vp_quorum, report)
+        if len(vps) < self.min_vp_quorum:
+            raise CensusAborted(census_id, len(vps), self.min_vp_quorum, report)
+        return _CensusPlan(
+            census_id, rate, available.name, vps, targets, probe_mask, report
+        )
 
-        journal = self._open_journal(checkpoint, census_id, rate, pairs, probe_mask)
-
-        #: Probes one VP sends this census (for the probe counters only).
-        probes_per_vp = targets.probes_sent
-        span.set("vps_planned", len(planned))
-
+    def _execute_census(
+        self,
+        plan: _CensusPlan,
+        checkpoint: Optional[Union[str, "CensusJournal"]],
+        abort_after_vps: Optional[int],
+        span,
+    ) -> bool:
+        """Give each planned VP its outcome: resumes and flaps here, the rest
+        on the engine.  True when cut short (abort budget or drain)."""
         from ..exec.engine import ShardedExecutor
         from ..exec.plan import build_plan
         from ..exec.pool import UnitContext
         from ..exec.signals import graceful_shutdown
 
-        policy = self.executor
-        outcomes: Dict[str, _VpOutcome] = {}
-        resumed: Set[str] = set()
-        to_scan: List[Tuple[str, int, int, bool]] = []
-        budget_left = abort_after_vps
+        tracer = current_tracer()
+        census_id, rate, report = plan.census_id, plan.rate, plan.report
+        journal = self._open_journal(checkpoint, plan)
+        span.set("vps_planned", len(plan.vps))
+        to_scan: List[_PlannedVp] = []
+        fresh = 0
         cut_short = False
 
-        def on_vp_complete(vp_name: str, result: VpScanResult) -> None:
-            """Parent-side completion of one scanned VP, inside the
-            engine's ``vp_scan`` span: outcomes kept, fault policy, then
-            journal (keyed by VP name, so arrival order is irrelevant)."""
-            self._keep_outcomes(census_id, index_of[vp_name], result)
-            outcome = self._apply_fault_policy(
-                index_of[vp_name], census_id, result, rate
-            )
-            outcomes[vp_name] = outcome
-            tracer.annotate(status=outcome.status)
-            if journal is not None:
-                journal.write_batch(outcome.journal_payload(vp_name), outcome.records)
-
         with graceful_shutdown() as stop_flag:
-            # Partition the planned VPs in census order.  Journal resume
-            # and flap verdicts are decided here in the parent (a flap is
-            # a VP-level availability fault: there is nothing to compute),
-            # and every VP that is not resumed — flapped or scanned —
-            # counts one against the abort budget, so an interrupted
-            # census has journalled exactly ``abort_after_vps`` fresh
-            # entries whatever the worker count.
-            for census_vp_index, (vp, degraded) in enumerate(pairs):
-                entry = journal.valid_batch(vp.name) if journal is not None else None
+            # Resumes and flaps (VP-level faults: nothing to compute) are
+            # decided in census order.  Every VP not resumed counts one
+            # against the abort budget, so an interrupted census journals
+            # exactly ``abort_after_vps`` fresh entries at any worker count.
+            for planned in plan.vps:
+                name = planned.vp.name
+                entry = journal.valid_batch(name) if journal is not None else None
                 if entry is not None:
-                    with tracer.span("vp_scan", vp=vp.name, resumed=True) as vp_span:
+                    with tracer.span("vp_scan", vp=name, resumed=True) as vp_span:
                         outcome = _VpOutcome.from_journal(entry.payload, entry.records)
                         vp_span.set("status", outcome.status)
-                    outcomes[vp.name] = outcome
-                    resumed.add(vp.name)
+                    planned.outcome = outcome
                     report.n_vps_resumed += 1
-                    metrics.counter("vps_resumed").inc()
+                    current_metrics().counter("vps_resumed").inc()
                     continue
-                if budget_left is not None:
-                    if budget_left == 0:
-                        cut_short = True
-                        break
-                    budget_left -= 1
-                if not self.fault_plan.flaps(census_id, index_of[vp.name]):
-                    to_scan.append(
-                        (vp.name, index_of[vp.name], census_vp_index, degraded)
-                    )
+                if fresh == abort_after_vps:
+                    cut_short = True
+                    break
+                fresh += 1
+                if not self.fault_plan.flaps(census_id, planned.platform_index):
+                    to_scan.append(planned)
                     continue
-                flap = _VpOutcome.failed([FaultKind.FLAP.value])
-                with tracer.span("vp_scan", vp=vp.name, status=flap.status):
+                planned.outcome = _VpOutcome.failed([FaultKind.FLAP.value])
+                with tracer.span("vp_scan", vp=name, status=planned.outcome.status):
                     if journal is not None:
-                        journal.write_batch(flap.journal_payload(vp.name), flap.records)
-                outcomes[vp.name] = flap
+                        journal.write_batch(planned.outcome.journal_payload(name), None)
+
+            scanned = {planned.vp.name: planned for planned in to_scan}
+
+            def on_vp_complete(vp_name: str, result: VpScanResult) -> None:
+                """A scanned VP, in the parent inside its ``vp_scan`` span:
+                outcomes kept, fault policy, then journal (keyed by name)."""
+                planned = scanned[vp_name]
+                index = planned.platform_index
+                self._keep_outcomes(census_id, index, result)
+                planned.outcome = self._apply_fault_policy(index, census_id, result, rate)
+                tracer.annotate(status=planned.outcome.status)
+                if journal is not None:
+                    journal.write_batch(
+                        planned.outcome.journal_payload(vp_name), planned.outcome.records
+                    )
 
             self._prepare_outcomes(
-                census_id, rate, [(index, degraded) for _, index, _, degraded in to_scan]
+                census_id, rate, [(p.platform_index, p.degraded) for p in to_scan]
             )
-            # Operator drain: the journal already holds every finished
-            # batch, fsynced; the engine stops before starting more work
-            # and leaves a resumable checkpoint.
-            executed = ShardedExecutor(policy).run(
+            # Operator drain: the journal already holds every finished batch,
+            # fsynced; the engine starts no more work, leaving a checkpoint.
+            executed = ShardedExecutor(self.executor).run(
                 UnitContext(
                     campaign=self,
                     census_id=census_id,
-                    targets=targets,
+                    targets=plan.targets,
                     rate_pps=rate,
-                    units=build_plan(to_scan),
-                    worker_faults=policy.worker_faults,
+                    units=build_plan(
+                        [(p.vp.name, p.platform_index, p.position, p.degraded)
+                         for p in to_scan]
+                    ),
+                    worker_faults=self.executor.worker_faults,
                 ),
                 on_vp_complete=on_vp_complete,
                 should_stop=lambda: bool(stop_flag),
             )
         report.execution = executed.report.to_dict()
-        scan_errors = executed.report.scan_errors
-        interrupted = cut_short or executed.report.interrupted
+        if cut_short or executed.report.interrupted:
+            return True
+        # Engine-level failures (breaker trip or deadline) fail the VP —
+        # feeding quarantine and the quorum check — but are deliberately NOT
+        # journaled: a resumed census rescans rather than trust a gave-up marker.
+        errors = executed.report.scan_errors
+        for planned in to_scan:
+            name = planned.vp.name
+            if planned.outcome is None and name in executed.failed:
+                planned.outcome = _VpOutcome.failed([executed.failed[name]])
+                if name in errors:
+                    report.vp_reasons[name] = ["scan raised " + errors[name]]
+        return False
 
-        # Census-order bookkeeping, whatever order the scans finished in:
-        # health/quarantine state, metrics and batch order — hence the
-        # output bytes — evolve identically for every worker count.
-        batches: List[CensusRecords] = []
-        checksums: List[int] = []
-        durations: List[float] = []
-        drops: List[float] = []
-        for vp, _ in pairs:
-            outcome = outcomes.get(vp.name)
-            if outcome is None:
-                if interrupted or vp.name not in executed.failed:
-                    continue
-                # Engine-level failure (breaker trip or deadline): marked
-                # failed — feeding quarantine and the quorum check — but
-                # deliberately NOT journaled, so a resumed census rescans
-                # rather than trusting a gave-up marker.
-                outcome = _VpOutcome.failed([executed.failed[vp.name]])
-                if vp.name in scan_errors:
-                    report.vp_reasons[vp.name] = ["scan raised " + scan_errors[vp.name]]
-            self._absorb_outcome(report, outcome, vp.name)
-            self.health.record(vp.name, ok=outcome.clean)
-            durations.append(outcome.duration_hours)
-            drops.append(outcome.drop_rate)
-            if metrics.enabled:
-                if vp.name not in resumed:
-                    metrics.counter("probes_sent").inc(probes_per_vp)
-                metrics.counter("vps_" + outcome.status).inc()
-                if outcome.retries:
-                    metrics.counter("scan_retries").inc(outcome.retries)
-                    metrics.counter("probes_retried").inc(
-                        outcome.retries * probes_per_vp
-                    )
-                metrics.counter("records_salvaged").inc(outcome.records_salvaged)
-                metrics.counter("records_dropped_corrupt").inc(
-                    outcome.records_dropped
-                )
-                metrics.histogram(
-                    "vp_scan_duration_hours", buckets=(6, 12, 24, 48, 96, 192)
-                ).observe(outcome.duration_hours)
-            if outcome.usable and outcome.records is not None:
-                batches.append(outcome.records)
-                checksums.append(
-                    outcome.checksum
-                    if outcome.checksum is not None
-                    else outcome.records.checksum()
-                )
+    def _settle_census(
+        self,
+        plan: _CensusPlan,
+        interrupted: bool,
+        checkpoint: Optional[Union[str, "CensusJournal"]],
+    ) -> Census:
+        """Account a census in census order, whatever order its scans
+        finished in — so health and quarantine state, metrics and batch
+        order (hence the output bytes) evolve identically for every
+        worker count — then check the quorum again and build the census."""
+        report = plan.report
+        settled = [planned for planned in plan.vps if planned.outcome is not None]
+        for planned in settled:
+            self._absorb_outcome(report, planned.outcome, planned.vp.name)
+            self.health.record(planned.vp.name, ok=planned.outcome.clean)
+        outcomes = [planned.outcome for planned in settled]
+        metrics = current_metrics()
+        if metrics.enabled and outcomes:
+            # Read off the report: a counter no outcome moved stays absent,
+            # and resumed VPs sent their probes in an earlier run.
+            probes = plan.targets.probes_sent
+            fresh = len(outcomes) - report.n_vps_resumed
+            if fresh:
+                metrics.counter("probes_sent").inc(fresh * probes)
+            for status in ("ok", "salvaged", "failed"):
+                count = getattr(report, "n_vps_" + status)
+                if count:
+                    metrics.counter("vps_" + status).inc(count)
+            if report.retries:
+                metrics.counter("scan_retries").inc(report.retries)
+                metrics.counter("probes_retried").inc(report.retries * probes)
+            metrics.counter("records_salvaged").inc(report.records_salvaged)
+            metrics.counter("records_dropped_corrupt").inc(report.records_dropped_corrupt)
+            durations = metrics.histogram(
+                "vp_scan_duration_hours", buckets=(6, 12, 24, 48, 96, 192)
+            )
+            for outcome in outcomes:
+                durations.observe(outcome.duration_hours)
         if interrupted:
             raise CensusInterrupted(
-                census_id, len(outcomes) - len(resumed), checkpoint
+                plan.census_id, len(outcomes) - report.n_vps_resumed, checkpoint
             )
 
-        if len(batches) < self.min_vp_quorum:
-            aborted = CensusAborted(census_id, len(batches), self.min_vp_quorum, report)
-            if len(executed.report.breaker_open_vps) == len(pairs):
+        usable = [o for o in outcomes if o.usable and o.records is not None]
+        if len(usable) < self.min_vp_quorum:
+            aborted = CensusAborted(
+                plan.census_id, len(usable), self.min_vp_quorum, report
+            )
+            execution = report.execution
+            if len(execution["breaker_open_vps"]) == len(plan.vps):
                 # Every planned scan raised: a bug, not bad luck — the
                 # abort carries what was raised, not just a thin count.
-                name = pairs[0][0].name
+                name = plan.vps[0].vp.name
                 raise aborted from ExecError(
-                    f"every VP scan raised; {name}: {scan_errors[name]}"
+                    f"every VP scan raised; {name}: {execution['scan_errors'][name]}"
                 )
             raise aborted
         report.degraded = (
@@ -1043,7 +1074,7 @@ class CensusCampaign:
             or bool(report.quarantined_vps)
         )
 
-        greylist = self._collect_greylist(batches)
+        greylist = self._collect_greylist([outcome.records for outcome in usable])
         greylist.merge_into(self.blacklist)
         if metrics.enabled:
             metrics.counter("censuses_completed").inc()
@@ -1051,13 +1082,16 @@ class CensusCampaign:
             metrics.gauge("vps_quarantined").set(len(report.quarantined_vps))
             metrics.gauge("blacklist_size").set(len(self.blacklist))
         return Census(
-            census_id=census_id,
-            platform=planned,
-            records=concatenate(tuple(batches), checksums=tuple(checksums)),
-            vp_duration_hours=np.array(durations),
-            vp_drop_rate=np.array(drops),
+            census_id=plan.census_id,
+            platform=Platform(plan.roster, [planned.vp for planned in plan.vps]),
+            records=concatenate(
+                tuple(outcome.records for outcome in usable),
+                checksums=tuple(outcome.checksum for outcome in usable),
+            ),
+            vp_duration_hours=np.array([outcome.duration_hours for outcome in outcomes]),
+            vp_drop_rate=np.array([outcome.drop_rate for outcome in outcomes]),
             greylist=greylist,
-            rate_pps=rate,
+            rate_pps=plan.rate,
             health=report,
         )
 
@@ -1094,12 +1128,7 @@ class CensusCampaign:
     # ------------------------------------------------------------------
 
     def _open_journal(
-        self,
-        checkpoint: Optional[Union[str, "CensusJournal"]],
-        census_id: int,
-        rate: float,
-        pairs: List[Tuple[VantagePoint, bool]],
-        probe_mask: np.ndarray,
+        self, checkpoint: Optional[Union[str, "CensusJournal"]], plan: _CensusPlan
     ) -> Optional[CensusJournal]:
         if checkpoint is None:
             return None
@@ -1109,12 +1138,13 @@ class CensusCampaign:
             else CensusJournal(checkpoint)
         )
         meta = {
-            "census_id": census_id,
+            "census_id": plan.census_id,
             "campaign_seed": self.seed,
-            "rate_pps": rate,
-            "vp_names": [vp.name for vp, _ in pairs],
-            "degraded": [flag for _, flag in pairs],
-            "probe_mask_crc": zlib.crc32(np.packbits(probe_mask).tobytes()) & 0xFFFFFFFF,
+            "rate_pps": plan.rate,
+            "vp_names": [planned.vp.name for planned in plan.vps],
+            "degraded": [planned.degraded for planned in plan.vps],
+            "probe_mask_crc": zlib.crc32(np.packbits(plan.probe_mask).tobytes())
+            & 0xFFFFFFFF,
         }
         if journal.meta is None:
             if len(journal):
@@ -1125,7 +1155,7 @@ class CensusCampaign:
             raise ValueError(
                 "checkpoint journal does not match this census "
                 f"(journal census {journal.meta.get('census_id')!r}, "
-                f"running census {census_id}); use a fresh journal path"
+                f"running census {plan.census_id}); use a fresh journal path"
             )
         return journal
 
@@ -1164,49 +1194,32 @@ class CensusCampaign:
         result = self.distortion.distort_result(
             self.platform.vantage_points[platform_index].name, result
         )
-        faults: List[str] = []
-        retries = 0
-        backoff = 0.0
-        salvage: Optional[VpScanResult] = None
-        dropped_records = 0
-        dropped_batches = 0
-
-        def settle(status: str, scan: Optional[VpScanResult], **more) -> _VpOutcome:
-            records = scan.records if scan is not None else None
-            return _VpOutcome(
-                status=status,
-                records=records,
-                checksum=records.checksum() if records is not None else None,
-                duration_hours=scan.duration_hours if scan is not None else float("nan"),
-                drop_rate=scan.drop_rate if scan is not None else float("nan"),
-                retries=retries,
-                backoff_hours=backoff,
-                faults=faults,
-                records_dropped=dropped_records,
-                batches_dropped=dropped_batches,
-                **more,
-            )
-
         plan = self.fault_plan
+        # Accounting accrues on a failed outcome; a delivering attempt
+        # settles it with that attempt's batch.
+        outcome = _VpOutcome.failed([])
         if not plan.enabled:
-            return settle("ok", result)
+            return outcome.with_scan("ok", result)
+        salvage: Optional[VpScanResult] = None
         for attempt in range(self.retry.max_attempts):
             if attempt:
-                retries += 1
-                backoff += self.retry.backoff(
+                outcome.retries += 1
+                outcome.backoff_hours += self.retry.backoff(
                     attempt, self._backoff_u(census_id, platform_index, attempt)
                 )
             kind = plan.fault_for(census_id, platform_index, attempt)
             if kind is None:
-                return settle("ok", result)
-            faults.append(kind.value)
+                return outcome.with_scan("ok", result)
+            outcome.faults.append(kind.value)
             if kind is FaultKind.HANG:
                 hung_hours = result.duration_hours * plan.hang_factor
                 deadline = self.scan_timeout_hours
                 if deadline is None or hung_hours <= deadline:
                     # No deadline (or a generous one): the scan eventually
                     # returns, just very late — Fig. 8's far straggler.
-                    return settle("ok", replace(result, duration_hours=hung_hours))
+                    return outcome.with_scan(
+                        "ok", replace(result, duration_hours=hung_hours)
+                    )
                 continue  # timed out -> retry
             if kind is FaultKind.CORRUPT:
                 expected = result.records.checksum()
@@ -1216,17 +1229,18 @@ class CensusCampaign:
                 if corrupted.checksum() == expected:
                     # Empty batch: nothing was mangled (and nothing was
                     # dropped on an earlier attempt), accept it.
-                    return settle("ok", result)
-                dropped_batches += 1
-                dropped_records += len(corrupted)
+                    return outcome.with_scan("ok", result)
+                outcome.batches_dropped += 1
+                outcome.records_dropped += len(corrupted)
                 continue  # checksum mismatch: drop the batch, retry
             if kind is FaultKind.CRASH:
                 salvage = plan.crash(result, rate_pps, census_id, platform_index, attempt)
                 continue  # try for a full scan; keep the partial batch
 
-        if salvage is not None:
-            return settle("salvaged", salvage, records_salvaged=len(salvage.records))
-        return settle("failed", None)
+        if salvage is None:
+            return outcome
+        outcome.records_salvaged = len(salvage.records)
+        return outcome.with_scan("salvaged", salvage)
 
     @staticmethod
     def _absorb_outcome(
@@ -1282,13 +1296,6 @@ class CensusCampaign:
         for p, f in zip(prefix[first].tolist(), flag[first].tolist()):
             greylist.observe(p, outcomes[f])
         return greylist
-
-    def _current_probe_mask(self) -> np.ndarray:
-        mask = np.ones(self.internet.n_targets, dtype=bool)
-        blocked = self.blacklist.prefixes
-        if blocked:
-            mask[self.internet.target_indices(sorted(blocked))] = False
-        return mask
 
     def scan_vp(
         self,

@@ -1,10 +1,13 @@
-"""The CI workflow installs what the test suite imports.
+"""The CI workflow installs what the test suite imports, and runs
+nothing the suite cannot.
 
 ``tests/conftest.py`` imports ``hypothesis`` at module level, so a CI job
 that runs pytest without it fails at collection, whatever it selects.
 Every job installs one list: the ``test`` extra of ``pyproject.toml``
-plus numpy.  Read as text, with no YAML parser: the workflow's layout
-(jobs at two spaces, their steps below) is all this needs.
+plus numpy.  Every check a job makes is a test (run by node id) or a
+shell command, never an inline script in a heredoc, so it runs locally
+too.  Read as text, with no YAML parser: the workflow's layout (jobs at
+two spaces, their steps below) is all this needs.
 """
 
 from __future__ import annotations
@@ -71,3 +74,13 @@ def test_every_job_installs_the_test_extra_and_numpy():
     assert "hypothesis" in wanted
     for name, block in jobs(WORKFLOW.read_text(encoding="utf-8")).items():
         assert installed(block) == wanted, name
+
+
+def test_no_step_runs_an_inline_heredoc_script():
+    text = WORKFLOW.read_text(encoding="utf-8")
+    lines = [
+        f"l. {number}: {line.strip()}"
+        for number, line in enumerate(text.splitlines(), 1)
+        if re.search(r"<<-?\s*['\"]?\w+", line)
+    ]
+    assert lines == [], f"move these checks into tests/: {lines}"

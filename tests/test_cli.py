@@ -542,3 +542,96 @@ class TestServiceGlobalFlags:
         )
         assert manifest["census"]["degraded"] is True
         assert manifest["census"]["n_vps"] == 20
+
+    def test_out_of_range_fault_rate_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import EXIT_USAGE
+
+        argv = self.SCALE + [
+            "--fault-rate", "2.0", "service", "run", "--archive", str(tmp_path / "B"),
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "rate must be in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "B").exists()
+
+    def test_obs_refuses_study_only_flags(self, tmp_path, capsys):
+        from repro.cli import EXIT_USAGE
+
+        manifest = tmp_path / "run.json"
+        argv = [
+            "--manifest", str(manifest), "obs", "export", "--archive", str(tmp_path),
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "obs does not take --manifest" in capsys.readouterr().err
+        assert not manifest.exists()
+
+
+class TestServiceCliRuns:
+    """Operator sessions against one archive, through ``main`` in
+    ``tmp_path``: the service CLI's flags, exit codes and exports."""
+
+    SCALE = ["--unicast", "120", "--tail", "0", "--vps", "20"]
+
+    def service(self, verb, archive, *flags):
+        return main(self.SCALE + ["service", verb, "--archive", str(archive), *flags])
+
+    def test_roster_churn_flags_move_the_archived_roster(self, tmp_path, capsys):
+        from repro.service.archive import CensusArchive
+
+        archive = tmp_path / "archive"
+        churn = ["--through", "3", "--roster-churn", "0.05", "--roster-seed", "11",
+                 "--baseline-depth", "4"]
+        assert self.service("catch-up", archive, *churn) == EXIT_OK
+        assert self.service("history", archive) == EXIT_OK
+        assert self.service("fsck", archive) == EXIT_OK
+        capsys.readouterr()
+        # Catch-up again: every epoch is already present.
+        assert self.service("catch-up", archive, *churn) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("already-present") == 4 and "committed" not in out
+        manifests = [CensusArchive(archive).read_manifest(e) for e in range(4)]
+        rosters = {tuple(vp["name"] for vp in m["vantage_points"]) for m in manifests}
+        assert len(rosters) > 1, "CLI roster churn never moved the roster"
+
+    def test_fsck_repairs_a_truncated_day_and_catch_up_heals_it(self, tmp_path, capsys):
+        from repro.cli import EXIT_REPAIRED
+
+        archive = tmp_path / "archive"
+        assert self.service("catch-up", archive, "--through", "2") == EXIT_OK
+        assert self.service("history", archive) == EXIT_OK
+        assert self.service("fsck", archive) == EXIT_OK
+        records = archive / "runs" / "day-000001" / "records.bin"
+        records.write_bytes(records.read_bytes()[:-10])
+        assert self.service("fsck", archive) == EXIT_REPAIRED
+        assert self.service("catch-up", archive, "--through", "2") == EXIT_OK
+        assert self.service("fsck", archive) == EXIT_OK
+
+    def test_telemetry_exports_validate(self, tmp_path, capsys):
+        import json
+
+        from repro.obs import (
+            chrome_trace_problems,
+            prometheus_problems,
+            validate_slo_report,
+        )
+        from repro.service.archive import CensusArchive, telemetry_problems
+
+        archive = tmp_path / "archive"
+        code = self.service("catch-up", archive, "--through", "2", "--telemetry")
+        assert code == EXIT_OK
+        assert main(["service", "timeline", "--archive", str(archive)]) == EXIT_OK
+        prom, trace = tmp_path / "metrics.prom", tmp_path / "trace.json"
+        assert main(
+            ["obs", "export", "--archive", str(archive), "--epoch", "2",
+             "--prometheus", str(prom), "--chrome-trace", str(trace)]
+        ) == EXIT_OK
+        for epoch in range(3):
+            doc = CensusArchive(archive).read_telemetry(epoch)
+            assert doc is not None, f"epoch {epoch} missing telemetry"
+            assert telemetry_problems(doc) == []
+            validate_slo_report(doc["slo"])
+        assert prometheus_problems(prom.read_text()) == []
+        assert chrome_trace_problems(json.loads(trace.read_text())) == []
