@@ -1,18 +1,19 @@
-"""The supervised sharded execution engine — the one way a census scans.
+"""The supervised execution engine — the one way a census scans.
 
-:class:`ShardedExecutor` takes a census's work units — one whole VP scan
-each (:func:`~repro.exec.plan.build_plan`) — and runs them either
-in-process (``workers=0``: the serial census, and the reference every
-pool run is tested against) or on a forked worker pool.  Both drivers
-honour a cooperative stop flag (SIGINT/SIGTERM drain, the one way to
-stop a run early) and record completions into one :class:`_RunState`,
-which:
+:class:`ShardedExecutor` runs a census's work units — one whole VP scan
+each, known to the engine only by its VP name and its census position
+``i`` — by calling the caller's ``execute(i)``, either in-process
+(``workers=0``: the serial census, and the reference every pool run is
+tested against) or on a forked worker pool that inherits ``execute``.
+Both drivers honour a cooperative stop flag (SIGINT/SIGTERM drain, the
+one way to stop a run early) and record completions into one
+:class:`_RunState`, which:
 
-* hands each VP's scan result to the caller;
-* trips a per-VP circuit breaker on repeated *scan* failures
-  (deterministic data errors, not infrastructure), keeping the last
-  error's text and routing the VP to the campaign's quarantine path
-  instead of burning retries;
+* hands each unit's result to the caller's ``on_complete(i, result)``;
+* fails a unit whose scan raised at once (fault tag
+  :data:`~repro.exec.supervisor.BREAKER_FAULT`), keeping the error's
+  text: a scan is a pure function of ``(seed, census, VP)``, so a retry
+  would raise the same error again;
 * enforces an overall deadline, failing unfinished VPs into the
   existing quorum machinery rather than hanging forever.
 
@@ -25,10 +26,11 @@ The pool driver adds an event loop that:
   replacements — all under bounded budgets
   (:class:`~repro.exec.supervisor.ReassignmentLedger`).
 
-Determinism contract: unit results depend only on unit keys (all scan
-RNG is keyed by ``(seed, census, VP)``) and the caller assembles VPs in
-census order — so the bytes out are identical for any worker count, any
-dispatch order, and any schedule of worker faults the budgets survive.
+Determinism contract: a unit's result depends only on the unit (all
+scan RNG is keyed by ``(seed, census, VP)``) and the caller assembles
+VPs in census order — so the bytes out are identical for any worker
+count, any dispatch order, and any schedule of worker faults the budgets
+survive.
 """
 
 from __future__ import annotations
@@ -36,25 +38,21 @@ from __future__ import annotations
 import collections
 import queue as queue_mod
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..measurement.faults import StrikeCounter
-from ..measurement.prober import VpScanResult
 from ..obs import current_events, current_metrics, current_tracer
 from .errors import WorkerLost
-from .plan import WorkUnit
 from .pool import (
-    MSG_ERR,
     MSG_HB,
     MSG_OK,
     MSG_START,
-    UnitContext,
+    Execute,
     WorkerPool,
     drain_worker_metrics,
     fork_available,
+    run_unit,
 )
 from .supervisor import (
     BREAKER_FAULT,
@@ -64,50 +62,34 @@ from .supervisor import (
     ReassignmentLedger,
 )
 
-#: Callback invoked with each VP's finished scan result.
-VpCallback = Callable[[str, VpScanResult], None]
-
-
-@dataclass
-class ExecutionOutcome:
-    """Everything one engine run produced."""
-
-    report: ExecutionReport
-    #: Scan results by VP name — filled only for callers that pass
-    #: no ``on_vp_complete``: a callback takes each result instead, so a
-    #: census never holds a scan's arrays here next to what the callback
-    #: made of them.
-    results: Dict[str, VpScanResult] = field(default_factory=dict)
-    #: VPs the engine gave up on, mapped to a fault tag
-    #: (:data:`BREAKER_FAULT` or :data:`DEADLINE_FAULT`).
-    failed: Dict[str, str] = field(default_factory=dict)
+#: Takes unit ``i``'s result, in the parent, inside the unit's span.
+OnComplete = Callable[[int, Any], None]
 
 
 class _RunState:
     """What one engine run has produced so far, shared by both drivers.
 
     Owns the bookkeeping that decides the run's *outcome* — resolved
-    units, the scan-error breaker, deadline expiry, the report — so the
-    in-process and the pool driver differ only in how a unit gets
-    executed, never in what its completion means.
+    units, failed scans, deadline expiry, the report — so the in-process
+    and the pool driver differ only in how a unit gets executed, never in
+    what its completion means.
     """
 
     def __init__(
         self,
         policy: ExecutionPolicy,
-        units: Tuple[WorkUnit, ...],
+        names: Sequence[str],
         workers: int,
-        on_vp_complete: Optional[VpCallback],
+        on_complete: OnComplete,
     ) -> None:
-        self.units = units
-        self.on_vp_complete = on_vp_complete
+        self.names = names
+        self.on_complete = on_complete
         self.report = ExecutionReport(
-            workers=workers, n_units=len(units), in_process=workers == 0
+            workers=workers, n_units=len(names), in_process=workers == 0
         )
-        self.outcome = ExecutionOutcome(report=self.report)
-        #: Raising scans per VP.  A unit is retried in place until it
-        #: resolves, so within a run its failures are consecutive.
-        self.breaker = StrikeCounter(policy.breaker_threshold)
+        #: Units the engine gave up on, mapped to a fault tag
+        #: (:data:`BREAKER_FAULT` or :data:`DEADLINE_FAULT`).
+        self.failed: Dict[int, str] = {}
         self.resolved: Set[int] = set()
         self._deadline = (
             None if policy.deadline_s is None else time.monotonic() + policy.deadline_s
@@ -115,49 +97,42 @@ class _RunState:
 
     @property
     def unresolved(self) -> int:
-        return len(self.units) - len(self.resolved)
+        return len(self.names) - len(self.resolved)
 
-    def complete(self, unit: WorkUnit, result: VpScanResult) -> None:
+    def complete(self, i: int, result: Any) -> None:
         """Record one finished unit and hand its result to the caller."""
-        self.resolved.add(unit.unit_id)
+        self.resolved.add(i)
         self.report.units_completed += 1
-        if self.on_vp_complete is None:
-            self.outcome.results[unit.vp_name] = result
-        else:
-            self.on_vp_complete(unit.vp_name, result)
+        self.on_complete(i, result)
 
-    def scan_failed(self, unit: WorkUnit, error: str) -> bool:
-        """Count one scan exception (``"TypeName: message"``) against the
-        VP's breaker; True while the unit may be retried.
+    def scan_failed(self, i: int, error: str) -> None:
+        """Fail a unit whose scan raised (``"TypeName: message"``).
 
         A scan exception is a property of the unit, not of whoever ran
-        it, so it never touches the reassignment ledger.  The text of the
-        last one is kept per VP: a tripped breaker must say what tripped it.
+        it, so it never touches the reassignment ledger; its text is kept
+        per VP, since the failed VP must say what failed it.
         """
-        self.report.scan_errors[unit.vp_name] = error
-        if not self.breaker.record(unit.vp_name, ok=False):
-            return True
-        self._fail(unit, BREAKER_FAULT)
-        return False
+        self.report.scan_errors[self.names[i]] = error
+        self._fail(i, BREAKER_FAULT)
 
     def deadline_expired(self) -> bool:
         """Once past the deadline, fail every unfinished VP and say so."""
         if self._deadline is None or time.monotonic() <= self._deadline:
             return False
         self.report.deadline_hit = True
-        for unit in self.units:
-            if unit.unit_id not in self.resolved:
-                self._fail(unit, DEADLINE_FAULT)
+        for i in range(len(self.names)):
+            if i not in self.resolved:
+                self._fail(i, DEADLINE_FAULT)
         return True
 
-    def _fail(self, unit: WorkUnit, tag: str) -> None:
-        self.outcome.failed[unit.vp_name] = tag
-        self.resolved.add(unit.unit_id)
+    def _fail(self, i: int, tag: str) -> None:
+        self.failed[i] = tag
+        self.resolved.add(i)
         self.report.units_failed += 1
 
-    def finish(self) -> ExecutionOutcome:
+    def finish(self) -> Tuple[ExecutionReport, Dict[int, str]]:
         report = self.report
-        report.breaker_open_vps = self.breaker.tripped
+        report.breaker_open_vps = sorted(report.scan_errors)
         report.finish()
         metrics = current_metrics()
         if metrics.enabled:
@@ -172,24 +147,29 @@ class _RunState:
             if report.deadline_hit:
                 metrics.counter("exec_deadline_expired").inc()
             metrics.gauge("exec_workers").set(report.workers)
-        return self.outcome
+        return report, self.failed
 
 
 class ShardedExecutor:
-    """Runs one census's work units (``context.units``) under supervision."""
+    """Runs one census's work units under supervision."""
 
     def __init__(self, policy: ExecutionPolicy) -> None:
         self.policy = policy
 
     def run(
         self,
-        context: UnitContext,
-        on_vp_complete: Optional[VpCallback] = None,
+        names: Sequence[str],
+        execute: Execute,
+        on_complete: OnComplete,
         should_stop: Optional[Callable[[], bool]] = None,
-    ) -> ExecutionOutcome:
-        if self.policy.workers == 0 or not context.units or not fork_available():
-            return self._run_in_process(context, on_vp_complete, should_stop)
-        return self._run_pool(context, on_vp_complete, should_stop)
+    ) -> Tuple[ExecutionReport, Dict[int, str]]:
+        """Run units ``0..len(names)-1`` (unit ``i`` is VP ``names[i]``):
+        ``execute(i)`` computes a unit's result, ``on_complete(i, result)``
+        takes it in the parent.  Returns the run's report and the units
+        the engine gave up on, mapped to their fault tag."""
+        if self.policy.workers == 0 or not names or not fork_available():
+            return self._run_in_process(names, execute, on_complete, should_stop)
+        return self._run_pool(names, execute, on_complete, should_stop)
 
     # ------------------------------------------------------------------
     # In-process reference driver
@@ -197,34 +177,32 @@ class ShardedExecutor:
 
     def _run_in_process(
         self,
-        context: UnitContext,
-        on_vp_complete: Optional[VpCallback],
+        names: Sequence[str],
+        execute: Execute,
+        on_complete: OnComplete,
         should_stop: Optional[Callable[[], bool]],
-    ) -> ExecutionOutcome:
-        """Canonical-order execution of the plan, zero processes.
+    ) -> Tuple[ExecutionReport, Dict[int, str]]:
+        """Canonical-order execution of the units, zero processes.
 
         The serial census, the byte-level reference every pool run must
         match, and the fallback where ``fork`` is unavailable.
         """
         tracer = current_tracer()
-        state = _RunState(self.policy, context.units, 0, on_vp_complete)
+        state = _RunState(self.policy, names, 0, on_complete)
 
-        for unit in context.units:
+        for i, name in enumerate(names):
             if should_stop is not None and should_stop():
                 state.report.interrupted = True
                 break
             if state.deadline_expired():
                 break
-            # A raising scan is retried in place, bounded by the breaker
-            # (which resolves the unit when it trips).
-            while unit.unit_id not in state.resolved:
-                with tracer.span("vp_scan", vp=unit.vp_name, worker=-1):
-                    try:
-                        result = context.execute(unit.unit_id)
-                    except Exception as exc:  # noqa: BLE001 — routed to the breaker
-                        state.scan_failed(unit, f"{type(exc).__name__}: {exc}")
-                    else:
-                        state.complete(unit, result)
+            with tracer.span("vp_scan", vp=name, worker=-1):
+                try:
+                    result = run_unit(execute, i)
+                except Exception as exc:  # noqa: BLE001 — fails the unit
+                    state.scan_failed(i, f"{type(exc).__name__}: {exc}")
+                else:
+                    state.complete(i, result)
 
         return state.finish()
 
@@ -234,16 +212,16 @@ class ShardedExecutor:
 
     def _run_pool(
         self,
-        context: UnitContext,
-        on_vp_complete: Optional[VpCallback],
+        names: Sequence[str],
+        execute: Execute,
+        on_complete: OnComplete,
         should_stop: Optional[Callable[[], bool]],
-    ) -> ExecutionOutcome:
+    ) -> Tuple[ExecutionReport, Dict[int, str]]:
         tracer = current_tracer()
         events = current_events()
         policy = self.policy
-        units = context.units
-        n_workers = min(policy.workers, len(units))
-        state = _RunState(policy, units, n_workers, on_vp_complete)
+        n_workers = min(policy.workers, len(names))
+        state = _RunState(policy, names, n_workers, on_complete)
         report = state.report
         resolved = state.resolved
 
@@ -251,14 +229,14 @@ class ShardedExecutor:
             per_unit_budget=policy.max_reassignments_per_unit,
             total_budget=policy.total_reassignment_budget,
         )
-        order = list(range(len(units)))
+        order = list(range(len(names)))
         if policy.submit_seed is not None:
             np.random.default_rng(policy.submit_seed).shuffle(order)
         pending: collections.deque = collections.deque(order)
         #: Dispatches per unit so far: a task's attempt number, which keys
         #: its injected worker fault.
         dispatched: collections.Counter = collections.Counter()
-        pool = WorkerPool(context)
+        pool = WorkerPool(execute, policy.worker_faults)
         respawns_left = policy.respawn_budget
 
         def orphan_units(handle) -> None:
@@ -274,7 +252,7 @@ class ShardedExecutor:
                         "reassignment",
                         "unit_requeued",
                         unit_id=uid,
-                        vp=units[uid].vp_name,
+                        vp=names[uid],
                         from_worker=handle.worker_id,
                     )
 
@@ -291,7 +269,7 @@ class ShardedExecutor:
                 raise WorkerLost(
                     "worker pool exhausted: no live workers and no respawn "
                     "budget left",
-                    unit_ids=sorted(set(range(len(units))) - resolved),
+                    unit_ids=sorted(set(range(len(names))) - resolved),
                 )
 
         try:
@@ -365,18 +343,15 @@ class ShardedExecutor:
                     if unit_id in resolved:
                         report.duplicate_results += 1
                         continue
-                    unit = units[unit_id]
                     if handle is not None and unit_id in handle.assigned:
                         handle.assigned.remove(unit_id)
-                    if kind == MSG_OK:
-                        # The scan ran in the worker; this parent-side
-                        # span marks its completion (the caller's callback).
-                        with tracer.span(
-                            "vp_scan", vp=unit.vp_name, worker=worker_id
-                        ):
-                            state.complete(unit, payload)
-                    elif kind == MSG_ERR and state.scan_failed(unit, payload):
-                        pending.appendleft(unit_id)
+                    # The scan ran in the worker; this parent-side span
+                    # marks its end (the caller's callback, or its failure).
+                    with tracer.span("vp_scan", vp=names[unit_id], worker=worker_id):
+                        if kind == MSG_OK:
+                            state.complete(unit_id, payload)
+                        else:
+                            state.scan_failed(unit_id, payload)
         finally:
             # Pull the workers' in-worker registries home before tearing
             # the pool down, so parallel totals match serial runs.

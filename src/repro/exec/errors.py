@@ -30,10 +30,6 @@ class WorkerLost(ExecError):
         super().__init__(message)
 
 
-class WorkerWedged(ExecError):
-    """A worker stopped heartbeating past the liveness timeout."""
-
-
 class ReassignmentBudgetExceeded(ExecError):
     """Orphaned-unit reassignment hit its bound without completing.
 
@@ -52,19 +48,3 @@ class ReassignmentBudgetExceeded(ExecError):
             f"{scope} reassigned {attempts} time(s), budget {budget} exhausted"
         )
 
-
-class DeadlineExceeded(ExecError):
-    """The census-wide execution deadline expired with units unfinished.
-
-    The engine does not raise this during normal runs — it marks the
-    unfinished vantage points failed and lets the quorum machinery
-    decide — but strict callers can use it to fail outright.
-    """
-
-    def __init__(self, deadline_s: float, unfinished: int) -> None:
-        self.deadline_s = deadline_s
-        self.unfinished = unfinished
-        super().__init__(
-            f"execution deadline of {deadline_s:.1f}s expired with "
-            f"{unfinished} work unit(s) unfinished"
-        )

@@ -1,17 +1,18 @@
 """Worker-pool plumbing: worker processes, queues, liveness handles.
 
 The pool is deliberately dumb: workers pull ``(unit id, attempt)`` tasks
-from their own task queue, execute them against a shared
-:class:`UnitContext`, and report start/ok/err messages (which double as
-heartbeats) on one results queue.
-All scheduling intelligence — dispatch, reassignment, breakers, budgets
-— lives in :mod:`repro.exec.engine`.
+from their own task queue, run the caller's ``execute(unit id)`` on them,
+and report start/ok/err messages (which double as heartbeats) on one
+results queue.
+All scheduling intelligence — dispatch, reassignment, budgets — lives in
+:mod:`repro.exec.engine`.
 
-Workers are forked, not spawned: the campaign's synthetic Internet and
-platform are inherited copy-on-write instead of pickled per task, which
-is what keeps per-unit overhead proportional to the *result* size only.
-Where ``fork`` is unavailable the engine falls back to in-process
-execution (same plan, same bytes, no parallelism).
+Workers are forked, not spawned: ``execute`` — a closure over the
+campaign, its synthetic Internet and platform — is inherited
+copy-on-write instead of pickled, which is what keeps per-unit overhead
+proportional to the *result* size only.  Where ``fork`` is unavailable
+the engine falls back to in-process execution (same units, same bytes,
+no parallelism).
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ import multiprocessing
 import os
 import signal
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..measurement.faults import WorkerFaultKind, WorkerFaultPlan
-from ..measurement.prober import ScanTargets
 from ..obs.metrics import MetricsRegistry, current_metrics, set_metrics
-from .plan import WorkUnit
 
 #: Message kinds on the results queue.  Every message is
 #: ``(kind, worker_id, unit_id, payload)`` and counts as a heartbeat.
@@ -42,36 +40,20 @@ MSG_METRICS = "metrics"
 #: Exit code of a worker killed by the injected dead-worker fault.
 DEAD_WORKER_EXIT = 113
 
+#: Executes unit ``i`` — one VP's whole scan — and returns its result
+#: (a scan result: it has ``probes_sent``).
+Execute = Callable[[int], Any]
 
-@dataclass
-class UnitContext:
-    """Everything a worker needs to execute any unit of one census.
 
-    Shipped once per worker (by fork inheritance), never per task.
-    """
-
-    campaign: Any  # CensusCampaign; Any avoids an import cycle
-    census_id: int
-    targets: ScanTargets
-    rate_pps: float
-    units: Tuple[WorkUnit, ...]
-    worker_faults: Optional[WorkerFaultPlan] = None
-
-    def execute(self, unit_id: int):
-        unit = self.units[unit_id]
-        result = self.campaign.scan_vp(
-            unit.platform_index,
-            census_id=self.census_id,
-            targets=self.targets,
-            census_vp_index=unit.census_vp_index,
-            rate_pps=self.rate_pps,
-            degraded=unit.degraded,
-        )
-        metrics = current_metrics()
-        if metrics.enabled:
-            metrics.counter("exec_unit_scans").inc()
-            metrics.counter("exec_unit_probes").inc(result.probes_sent)
-        return result
+def run_unit(execute: Execute, unit_id: int) -> Any:
+    """Execute one unit where it runs (a worker or the in-process loop)
+    and count it in that process's registry."""
+    result = execute(unit_id)
+    metrics = current_metrics()
+    if metrics.enabled:
+        metrics.counter("exec_unit_scans").inc()
+        metrics.counter("exec_unit_probes").inc(result.probes_sent)
+    return result
 
 
 def _sleep_heartbeating(
@@ -87,7 +69,13 @@ def _sleep_heartbeating(
         out_q.put((MSG_HB, worker_id, unit_id, None))
 
 
-def worker_main(worker_id: int, context: UnitContext, task_q, out_q) -> None:
+def worker_main(
+    worker_id: int,
+    execute: Execute,
+    plan: Optional[WorkerFaultPlan],
+    task_q,
+    out_q,
+) -> None:
     """Body of one worker process: pull unit ids, execute, report."""
     # Forked children inherit the parent's graceful-shutdown handlers,
     # which must not run here: a terminal Ctrl-C hits the whole process
@@ -104,7 +92,6 @@ def worker_main(worker_id: int, context: UnitContext, task_q, out_q) -> None:
     if current_metrics().enabled:
         metrics = MetricsRegistry()
         set_metrics(metrics)
-    plan = context.worker_faults
     if plan is not None and not plan.enabled:
         plan = None
     task_seq = 0
@@ -132,7 +119,7 @@ def worker_main(worker_id: int, context: UnitContext, task_q, out_q) -> None:
                 out_q, worker_id, unit_id, plan.slow_seconds, chunk_s=0.05
             )
         try:
-            result = context.execute(unit_id)
+            result = run_unit(execute, unit_id)
         except Exception as exc:  # noqa: BLE001 — reported, never fatal here
             out_q.put(
                 (MSG_ERR, worker_id, unit_id, f"{type(exc).__name__}: {exc}")
@@ -176,8 +163,11 @@ def fork_available() -> bool:
 class WorkerPool:
     """Spawns, tracks, respawns, and tears down worker processes."""
 
-    def __init__(self, context: UnitContext) -> None:
-        self._context = context
+    def __init__(
+        self, execute: Execute, worker_faults: Optional[WorkerFaultPlan] = None
+    ) -> None:
+        self._execute = execute
+        self._worker_faults = worker_faults
         self._mp = multiprocessing.get_context("fork")
         self.out_q = self._mp.Queue()
         self.workers: Dict[int, WorkerHandle] = {}
@@ -189,7 +179,7 @@ class WorkerPool:
         task_q = self._mp.Queue()
         process = self._mp.Process(
             target=worker_main,
-            args=(worker_id, self._context, task_q, self.out_q),
+            args=(worker_id, self._execute, self._worker_faults, task_q, self.out_q),
             daemon=True,
             name=f"census-worker-{worker_id}",
         )

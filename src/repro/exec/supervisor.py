@@ -14,7 +14,8 @@ from typing import Dict, List, Optional
 from ..measurement.faults import WorkerFaultPlan
 from .errors import ReassignmentBudgetExceeded
 
-#: Fault tag recorded on a VP that the per-VP circuit breaker tripped.
+#: Fault tag recorded on a VP whose scan raised: its breaker opens on the
+#: first raise, since a pure scan retried would raise the same error.
 BREAKER_FAULT = "worker_breaker"
 #: Fault tag recorded on a VP whose scan was cut off by the deadline.
 DEADLINE_FAULT = "deadline"
@@ -30,7 +31,7 @@ class ExecutionPolicy:
     runs a real multiprocessing pool.
     """
 
-    workers: int = 2
+    workers: int = 0
     #: Overall wall-clock budget for one census's scan phase (seconds).
     #: On expiry, unfinished VPs are marked failed and the existing
     #: quorum machinery decides whether the census still stands.
@@ -44,13 +45,6 @@ class ExecutionPolicy:
     prefetch: int = 2
     #: Reassignments allowed per unit before escalating.
     max_reassignments_per_unit: int = 3
-    #: Total reassignments allowed per census (None: 4×workers + 8).
-    max_total_reassignments: Optional[int] = None
-    #: Worker respawns allowed per census (None: 2×workers + 2).
-    max_respawns: Optional[int] = None
-    #: Scan exceptions tolerated per VP before its breaker trips open
-    #: (a :class:`~repro.measurement.faults.StrikeCounter` threshold).
-    breaker_threshold: int = 3
     #: Injected worker-level chaos (tests/benchmarks only).
     worker_faults: Optional[WorkerFaultPlan] = None
     #: Shuffle the dispatch order (tests prove order-independence).
@@ -69,19 +63,15 @@ class ExecutionPolicy:
             raise ValueError("prefetch must be >= 1")
         if self.max_reassignments_per_unit < 0:
             raise ValueError("max_reassignments_per_unit must be >= 0")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
 
     @property
     def total_reassignment_budget(self) -> int:
-        if self.max_total_reassignments is not None:
-            return self.max_total_reassignments
+        """Reassignments allowed per census."""
         return 4 * max(self.workers, 1) + 8
 
     @property
     def respawn_budget(self) -> int:
-        if self.max_respawns is not None:
-            return self.max_respawns
+        """Worker respawns allowed per census."""
         return 2 * max(self.workers, 1) + 2
 
 
@@ -108,9 +98,6 @@ class ReassignmentLedger:
         self.total += 1
         self._per_unit[unit_id] = attempts
 
-    def attempts(self, unit_id: int) -> int:
-        return self._per_unit.get(unit_id, 0)
-
 
 @dataclass
 class ExecutionReport:
@@ -126,9 +113,9 @@ class ExecutionReport:
     workers_respawned: int = 0
     heartbeats: int = 0
     duplicate_results: int = 0
+    #: VPs whose scan raised, sorted (the ``BREAKER_FAULT`` VPs).
     breaker_open_vps: List[str] = field(default_factory=list)
-    #: Last scan exception per VP (``"TypeName: message"``) — what a
-    #: tripped breaker tripped on.
+    #: The scan exception per such VP (``"TypeName: message"``).
     scan_errors: Dict[str, str] = field(default_factory=dict)
     deadline_hit: bool = False
     interrupted: bool = False

@@ -500,9 +500,9 @@ class _GeometryCarry:
 class CensusCampaign:
     """Reusable census runner for one (internet, platform) pair.
 
-    ``executor`` is the policy (worker count, deadline, breaker and
-    reassignment budgets) of the engine every census's VP scans run on;
-    it is never ``None``.
+    ``executor`` is the policy (worker count, deadline, reassignment
+    budget) of the engine every census's VP scans run on; it is never
+    ``None``.
     """
 
     def __init__(
@@ -517,7 +517,7 @@ class CensusCampaign:
         scan_timeout_hours: Optional[float] = None,
         min_vp_quorum: int = 1,
         quarantine_threshold: int = 2,
-        executor: ExecutionPolicy = ExecutionPolicy(workers=0),
+        executor: ExecutionPolicy = ExecutionPolicy(),
         noise: str = "stream",
         distortion: Optional[VpDistortionPlan] = None,
         previous: Optional["CensusCampaign"] = None,
@@ -921,8 +921,6 @@ class CensusCampaign:
         """Give each planned VP its outcome: resumes and flaps here, the rest
         on the engine.  True when cut short (abort budget or drain)."""
         from ..exec.engine import ShardedExecutor
-        from ..exec.plan import build_plan
-        from ..exec.pool import UnitContext
         from ..exec.signals import graceful_shutdown
 
         tracer = current_tracer()
@@ -961,19 +959,30 @@ class CensusCampaign:
                     if journal is not None:
                         journal.write_batch(planned.outcome.journal_payload(name), None)
 
-            scanned = {planned.vp.name: planned for planned in to_scan}
+            def execute(i: int) -> VpScanResult:
+                """Unit ``i``'s scan; runs in whichever process executes it."""
+                planned = to_scan[i]
+                return self.scan_vp(
+                    planned.platform_index,
+                    census_id=census_id,
+                    targets=plan.targets,
+                    census_vp_index=planned.position,
+                    rate_pps=rate,
+                    degraded=planned.degraded,
+                )
 
-            def on_vp_complete(vp_name: str, result: VpScanResult) -> None:
+            def on_complete(i: int, result: VpScanResult) -> None:
                 """A scanned VP, in the parent inside its ``vp_scan`` span:
-                outcomes kept, fault policy, then journal (keyed by name)."""
-                planned = scanned[vp_name]
+                outcomes kept, fault policy, then journal."""
+                planned = to_scan[i]
                 index = planned.platform_index
                 self._keep_outcomes(census_id, index, result)
                 planned.outcome = self._apply_fault_policy(index, census_id, result, rate)
                 tracer.annotate(status=planned.outcome.status)
                 if journal is not None:
                     journal.write_batch(
-                        planned.outcome.journal_payload(vp_name), planned.outcome.records
+                        planned.outcome.journal_payload(planned.vp.name),
+                        planned.outcome.records,
                     )
 
             self._prepare_outcomes(
@@ -981,34 +990,23 @@ class CensusCampaign:
             )
             # Operator drain: the journal already holds every finished batch,
             # fsynced; the engine starts no more work, leaving a checkpoint.
-            executed = ShardedExecutor(self.executor).run(
-                UnitContext(
-                    campaign=self,
-                    census_id=census_id,
-                    targets=plan.targets,
-                    rate_pps=rate,
-                    units=build_plan(
-                        [(p.vp.name, p.platform_index, p.position, p.degraded)
-                         for p in to_scan]
-                    ),
-                    worker_faults=self.executor.worker_faults,
-                ),
-                on_vp_complete=on_vp_complete,
+            execution, gave_up = ShardedExecutor(self.executor).run(
+                [planned.vp.name for planned in to_scan],
+                execute,
+                on_complete,
                 should_stop=lambda: bool(stop_flag),
             )
-        report.execution = executed.report.to_dict()
-        if cut_short or executed.report.interrupted:
+        report.execution = execution.to_dict()
+        if cut_short or execution.interrupted:
             return True
-        # Engine-level failures (breaker trip or deadline) fail the VP —
+        # Engine-level failures (a raising scan or the deadline) fail the VP —
         # feeding quarantine and the quorum check — but are deliberately NOT
         # journaled: a resumed census rescans rather than trust a gave-up marker.
-        errors = executed.report.scan_errors
-        for planned in to_scan:
-            name = planned.vp.name
-            if planned.outcome is None and name in executed.failed:
-                planned.outcome = _VpOutcome.failed([executed.failed[name]])
-                if name in errors:
-                    report.vp_reasons[name] = ["scan raised " + errors[name]]
+        for i in sorted(gave_up):
+            name = to_scan[i].vp.name
+            to_scan[i].outcome = _VpOutcome.failed([gave_up[i]])
+            if name in execution.scan_errors:
+                report.vp_reasons[name] = ["scan raised " + execution.scan_errors[name]]
         return False
 
     def _settle_census(

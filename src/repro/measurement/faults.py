@@ -10,10 +10,10 @@ of it.  This module provides the two halves of that story:
   vantage point misbehave in the four canonical ways — crash mid-scan,
   hang past any reasonable deadline, hand back a corrupted record batch,
   or flap (disappear for a whole census);
-* the **supervision primitives** every supervisor uses to cope — a
+* the **supervision primitives** the supervisors use to cope — a
   bounded :class:`RetryPolicy` with exponential backoff and a
   :class:`StrikeCounter` that gives up on repeatedly-failing keys
-  (quarantined VPs, open scan breakers).
+  (quarantined VPs).
 
 Every fault decision is drawn from an RNG keyed on
 ``(plan seed, census id, vantage point, attempt)`` rather than from a
@@ -298,11 +298,10 @@ class RetryPolicy:
 class StrikeCounter:
     """Trips a key after ``threshold`` consecutive failures, for good.
 
-    The one "give up on it" rule of every supervisor: the campaign
-    quarantines a VP that failed that many censuses in a row (the
-    simulated operator dropping a bad PlanetLab host from the slice),
-    the engine opens a VP's breaker after that many raising scans.  A
-    success resets the streak; a tripped key stays tripped.
+    The campaign's quarantine: it drops a VP that failed that many
+    censuses in a row (the simulated operator dropping a bad PlanetLab
+    host from the slice).  A success resets the streak; a tripped key
+    stays tripped.
     """
 
     def __init__(self, threshold: int) -> None:
@@ -497,8 +496,9 @@ class WorkerFaultKind(enum.Enum):
     Where :class:`FaultKind` models the measurement *nodes* (a PlanetLab
     host crashing mid-scan), these model the *execution platform* running
     the census — the worker processes of
-    :class:`repro.exec.engine.ShardedExecutor`.  The supervisor must
-    recover from all three without changing a byte of census output.
+    :class:`repro.exec.engine.ShardedExecutor`, which read their plan
+    from ``ExecutionPolicy.worker_faults``.  The supervisor must recover
+    from all three without changing a byte of census output.
     """
 
     #: The worker process dies outright (OOM kill, segfault) while

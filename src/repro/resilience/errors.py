@@ -106,21 +106,16 @@ def classify_exception(exc: BaseException) -> Severity:
 def _classify_exec_error(exc: BaseException):
     """Severity of parallel-engine failures (None for non-exec errors).
 
-    A lost or wedged worker is infrastructure weather — a rerun gets a
-    fresh pool, so *transient*.  An exhausted reassignment budget or an
-    expired deadline means the supervisor already spent its recovery
-    allowance; retrying the whole stage would spend it again, so *fatal*.
+    A lost worker is infrastructure weather — a rerun gets a fresh pool,
+    so *transient*.  An exhausted reassignment budget means the
+    supervisor already spent its recovery allowance; retrying the whole
+    stage would spend it again, so *fatal*.
     Imported lazily: resilience must not require the exec package.
     """
-    from ..exec.errors import (
-        DeadlineExceeded,
-        ReassignmentBudgetExceeded,
-        WorkerLost,
-        WorkerWedged,
-    )
+    from ..exec.errors import ReassignmentBudgetExceeded, WorkerLost
 
-    if isinstance(exc, (WorkerLost, WorkerWedged)):
+    if isinstance(exc, WorkerLost):
         return Severity.TRANSIENT
-    if isinstance(exc, (ReassignmentBudgetExceeded, DeadlineExceeded)):
+    if isinstance(exc, ReassignmentBudgetExceeded):
         return Severity.FATAL
     return None

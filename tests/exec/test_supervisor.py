@@ -18,7 +18,7 @@ from repro.measurement.faults import (
 class TestExecutionPolicy:
     def test_defaults_are_sane(self):
         policy = ExecutionPolicy()
-        assert policy.workers == 2
+        assert policy.workers == 0
         assert policy.deadline_s is None
         assert policy.worker_faults is None
 
@@ -32,11 +32,6 @@ class TestExecutionPolicy:
         with pytest.raises(TypeError):
             ExecutionPolicy(n_target_shards=2)
 
-    def test_explicit_budgets_win(self):
-        policy = ExecutionPolicy(max_total_reassignments=5, max_respawns=1)
-        assert policy.total_reassignment_budget == 5
-        assert policy.respawn_budget == 1
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -46,7 +41,6 @@ class TestExecutionPolicy:
             {"poll_interval_s": 0.0},
             {"prefetch": 0},
             {"max_reassignments_per_unit": -1},
-            {"breaker_threshold": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -55,8 +49,7 @@ class TestExecutionPolicy:
 
 
 class TestCircuitBreaker:
-    """The engine's per-VP scan breaker: a :class:`StrikeCounter` at
-    ``ExecutionPolicy.breaker_threshold``."""
+    """The campaign's quarantine counter: a :class:`StrikeCounter`."""
 
     def test_trips_exactly_once_at_threshold(self):
         breaker = StrikeCounter(3)
@@ -89,7 +82,12 @@ class TestReassignmentLedger:
         with pytest.raises(ReassignmentBudgetExceeded) as exc:
             ledger.charge(7)
         assert exc.value.unit_id == 7
-        assert ledger.attempts(7) == 2
+        assert exc.value.attempts == 3
+        # A refused charge is not recorded: the unit stays at its budget.
+        with pytest.raises(ReassignmentBudgetExceeded) as again:
+            ledger.charge(7)
+        assert again.value.attempts == 3
+        assert ledger.total == 2
 
     def test_total_budget_enforced(self):
         ledger = ReassignmentLedger(per_unit_budget=10, total_budget=3)

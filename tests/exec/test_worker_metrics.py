@@ -9,15 +9,17 @@ records — the satellite contract of the telemetry PR.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.exec import ExecutionPolicy
 from repro.exec.pool import MSG_OK, WorkerPool, drain_worker_metrics, fork_available
 from repro.internet.topology import InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign
-from repro.measurement.faults import WorkerFaultPlan
+from repro.measurement.faults import FaultPlan, WorkerFaultPlan
 from repro.measurement.platform import planetlab_platform
-from repro.obs import MetricsRegistry, current_metrics, use_metrics
+from repro.obs import MetricsRegistry, Tracer, current_metrics, use_metrics, use_tracer
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +99,71 @@ class TestExecPoolMetrics:
         )
 
 
-class _CountingContext:
+#: Instruments that describe the schedule, not the census: pool
+#: messages, and the configured pool size.
+SCHEDULE_INSTRUMENTS = frozenset({"exec_heartbeats", "exec_workers"})
+
+
+def _normalised(spans):
+    """A span forest without durations or ``worker`` ids, siblings
+    sorted: pooled ``vp_scan`` spans close in completion order, each
+    naming the worker that ran it."""
+    return sorted(
+        (
+            (
+                span["name"],
+                sorted((k, v) for k, v in span["attrs"].items() if k != "worker"),
+                _normalised(span["children"]),
+            )
+            for span in spans
+        ),
+        key=repr,
+    )
+
+
+def _observed_campaign(internet, platform, workers):
+    """Metrics and spans of a faulted pre-census plus two censuses."""
+    registry, tracer = MetricsRegistry(), Tracer()
+    with use_metrics(registry), use_tracer(tracer):
+        campaign = CensusCampaign(
+            internet,
+            platform,
+            seed=99,
+            fault_plan=FaultPlan.uniform(0.3, flap_prob=0.1),
+            executor=ExecutionPolicy(workers=workers),
+        )
+        campaign.run_precensus()
+        for _ in range(2):
+            campaign.run_census(availability=0.85)
+    snapshot = registry.snapshot()
+    schedule = {
+        name: snapshot[kind].pop(name)
+        for kind in snapshot
+        for name in SCHEDULE_INSTRUMENTS & set(snapshot[kind])
+    }
+    return snapshot, _normalised(tracer.to_dicts()), schedule
+
+
+class TestObservedCampaign:
+    def test_any_pool_size_observes_the_serial_census(self, internet, platform):
+        serial, serial_spans, _ = _observed_campaign(internet, platform, workers=0)
+        pooled, pooled_spans, schedule = _observed_campaign(
+            internet, platform, workers=2
+        )
+        assert pooled == serial
+        assert pooled_spans == serial_spans
+        # The run was faulted and traced per VP, and the pool really ran.
+        assert serial["counters"]["vps_failed"] > 0
+        assert serial["counters"]["exec_unit_scans"] > 0
+        assert "vp_scan" in repr(serial_spans)
+        if fork_available():
+            assert schedule["exec_heartbeats"] > 0
+
+
+def _counting_execute(unit_id):
     """A unit bumps one counter in the worker's own registry."""
-
-    worker_faults = None
-
-    def execute(self, unit_id):
-        current_metrics().counter("units_counted").inc()
-        return unit_id
+    current_metrics().counter("units_counted").inc()
+    return SimpleNamespace(probes_sent=0)
 
 
 class TestDrainAfterExit:
@@ -115,7 +174,7 @@ class TestDrainAfterExit:
             pytest.skip("fork start method unavailable")
         registry = MetricsRegistry()
         with use_metrics(registry):
-            pool = WorkerPool(_CountingContext())
+            pool = WorkerPool(_counting_execute)
             try:
                 handle = pool.spawn()
                 handle.dispatch(0)
