@@ -3,7 +3,7 @@
 from .analysis import AnalysisResult, CensusFunnel, analyze_matrix, census_funnel
 from .characterize import ASFootprint, Characterization, GlanceRow
 from .combine import RttMatrix, combine_censuses, matrix_from_census, merge_matrices
-from .coverage import CoverageReport, coverage_report, spot_check_equivalence
+from .coverage import CoverageReport, coverage_report
 from .fastpath import FastAnalysisEngine, SharedGeometry
 from .geomap import GeoGrid, deployment_map, replica_density_map
 from .hijack import inject_hijack
@@ -34,9 +34,7 @@ from .report import (
 from .validation import PrefixValidation, ValidationReport, validate_deployment
 from .webhosting import (
     FrontpageResolver,
-    HostingCrossCheck,
     Resolution,
-    crosscheck_alexa_hosting,
 )
 
 __all__ = [
@@ -53,7 +51,6 @@ __all__ = [
     "merge_matrices",
     "CoverageReport",
     "coverage_report",
-    "spot_check_equivalence",
     "FastAnalysisEngine",
     "SharedGeometry",
     "GeoGrid",
@@ -89,7 +86,5 @@ __all__ = [
     "ValidationReport",
     "validate_deployment",
     "FrontpageResolver",
-    "HostingCrossCheck",
     "Resolution",
-    "crosscheck_alexa_hosting",
 ]

@@ -19,16 +19,19 @@ Scale notes (the Atlas-size path):
   sort, no ``ufunc.at``.  Censuses fold one after the other; a float32
   minimum is order-independent (NaN poisoning included) and uint8 counts
   wrap mod 256 exactly as one scattered add over all censuses would.
+* Both builders run one fold (:func:`_fold_records`) over bounded chunks
+  of :data:`_FOLD_CHUNK` records: each chunk's replies are masked out,
+  placed on the row space, checked and folded, so the fold's temporaries
+  are O(chunk) however many records a census or a stream holds.
 * The uniqueness is checked, not assumed, in O(records) with no
   cells-sized temporary: the census-local key (VP, row) must be strictly
-  increasing.  Records can come from outside the program (journals,
-  archives), so a violation is a typed
+  increasing, across chunks too.  Records can come from outside the
+  program (journals, archives), so a violation is a typed
   :class:`~repro.resilience.errors.CorruptInputError`, never a silently
-  wrong matrix.
+  wrong matrix; so are replies outside the row space or the roster.
 * The row space is a sort-based distinct over the uint32 prefix column,
-  several times faster than the hash-based ``np.unique`` on it.
-* :func:`matrix_from_record_batches` folds batches as they arrive, so
-  peak temp memory is O(batch) no matter how many records stream through.
+  several times faster than the hash-based ``np.unique`` on it, grown
+  chunk by chunk (:func:`reply_prefix_union`).
 * The output planes can live on a :class:`~repro.census.matstore.MatrixStore`
   (memory-mapped temp files) instead of the heap — same bytes, different
   backing — so the matrix can exceed RAM.
@@ -44,11 +47,15 @@ import numpy as np
 from ..geo.coords import GeoPoint, pairwise_distances_km
 from ..measurement.campaign import Census
 from ..measurement.platform import VantagePoint
-from ..measurement.recordio import CensusRecords
+from ..measurement.recordio import FLAG_REPLY, CensusRecords
 from .matstore import MatrixStore, allocate_matrix_planes, resolve_store
 
 #: Cells per block of :func:`merge_matrices`'s streaming merge.
 _MERGE_BLOCK_CELLS = 1 << 21
+
+#: Records per chunk of the census fold (:func:`_fold_records`): bounds
+#: its temporaries, whatever the census's size.
+_FOLD_CHUNK = 1 << 16
 
 
 @dataclass
@@ -192,13 +199,6 @@ def _check_cells(vps: np.ndarray, rows: np.ndarray, n_rows: int, last: int = -1)
     return int(keys[-1])
 
 
-def _reply_columns(records: CensusRecords) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(vp_index, prefix, rtt_ms)`` of the echo replies: what the fold
-    reads, without copying the columns it does not."""
-    mask = records.reply_mask
-    return records.vp_index[mask], records.prefix[mask], records.rtt_ms[mask]
-
-
 def _fold_census(
     rtt: np.ndarray,
     counts: np.ndarray,
@@ -217,6 +217,49 @@ def _fold_census(
     flat_rtt[cells] = np.minimum(flat_rtt[cells], values)
     flat_counts = counts.reshape(-1)
     flat_counts[cells] += 1
+
+
+def _fold_records(
+    rtt: np.ndarray,
+    counts: np.ndarray,
+    records: CensusRecords,
+    prefixes: np.ndarray,
+    columns: Optional[np.ndarray] = None,
+    last: int = -1,
+) -> int:
+    """Fold one census's echo replies (or one batch of its stream) into
+    the planes, :data:`_FOLD_CHUNK` records at a time.
+
+    Each chunk's replies are masked out, placed on the sorted row space
+    ``prefixes`` with ``searchsorted``, checked and folded; ``columns``
+    maps the census's VP index to its matrix column (``None``: the index
+    is the column).  ``last`` is the cell key that precedes the records
+    (carried across chunks, and across the batches of one stream);
+    returns the final key.  A reply outside the row space or the roster
+    is a :exc:`ValueError`, cells out of order a
+    :class:`~repro.resilience.errors.CorruptInputError`
+    (:func:`_check_cells`).
+    """
+    n_t = len(prefixes)
+    n_columns = rtt.shape[1] if columns is None else len(columns)
+    for lo in range(0, len(records), _FOLD_CHUNK):
+        chunk = slice(lo, lo + _FOLD_CHUNK)
+        replied = records.flag[chunk] == FLAG_REPLY
+        values = records.rtt_ms[chunk][replied]
+        if len(values) == 0:
+            continue
+        reply_prefixes = records.prefix[chunk][replied]
+        rows = np.searchsorted(prefixes, reply_prefixes)
+        if n_t == 0 or not np.array_equal(
+            prefixes[np.minimum(rows, n_t - 1)], reply_prefixes
+        ):
+            raise ValueError("reply prefix outside the provided row space")
+        vps = records.vp_index[chunk][replied]
+        if int(vps.max()) >= n_columns:
+            raise ValueError("reply vp_index outside the provided roster")
+        last = _check_cells(vps, rows, n_t, last)
+        _fold_census(rtt, counts, rows, vps if columns is None else columns[vps], values)
+    return last
 
 
 def _infs_to_nan(rtt: np.ndarray, row_chunk: int = 65536) -> None:
@@ -239,6 +282,11 @@ def combine_censuses(
 ) -> RttMatrix:
     """Fold one or more censuses into the minimum-RTT matrix.
 
+    Columns are the union of the censuses' VPs by name, rows the sorted
+    union of the prefixes that ever replied.  Each census folds in bounded
+    record chunks (:func:`_fold_records`): beyond the output planes and
+    the row space, peak memory is O(chunk), not O(census).
+
     ``store`` selects the backing of the output planes (``auto`` /
     ``inline`` / ``memmap``; see
     :func:`repro.census.matstore.resolve_store`).  Bytes are identical
@@ -258,22 +306,21 @@ def combine_censuses(
     vp_names = sorted(vp_index, key=lambda n: vp_index[n])
 
     # Union of prefixes that ever replied.
-    reply_parts = [_reply_columns(c.records) for c in censuses]
-    all_prefixes = _sorted_distinct(np.concatenate([p for _, p, _ in reply_parts]))
+    all_prefixes = reply_prefix_union(c.records for c in censuses)
     n_t, n_v = len(all_prefixes), len(vp_index)
 
     backend = resolve_store(store, n_cells=n_t * n_v)
     rtt, counts, store_obj = allocate_matrix_planes(n_t, n_v, backend)
 
-    for census, (vps, reply_prefixes, values) in zip(censuses, reply_parts):
+    for census in censuses:
         # Map census-local VP indices to global columns.
         local_to_global = np.array(
             [vp_index[vp.name] for vp in census.platform.vantage_points],
             dtype=np.int64,
         )
-        rows = np.searchsorted(all_prefixes, reply_prefixes)
-        _check_cells(vps, rows, n_t)
-        _fold_census(rtt, counts, rows, local_to_global[vps], values)
+        if np.array_equal(local_to_global, np.arange(len(local_to_global))):
+            local_to_global = None
+        _fold_records(rtt, counts, census.records, all_prefixes, local_to_global)
 
     _infs_to_nan(rtt)
     return RttMatrix(
@@ -305,26 +352,31 @@ def matrix_from_records(
     same float32 minima, same ordering — so analyses recomputed from the
     archive are byte-comparable to the originals.
     """
-    prefixes = _sorted_distinct(_reply_columns(records)[1])
     return matrix_from_record_batches(
         [records],
         vp_names,
         vp_locations,
-        prefixes=prefixes,
+        prefixes=reply_prefix_union([records]),
         store=store,
     )
 
 
 def reply_prefix_union(batches: Iterable["CensusRecords"]) -> np.ndarray:
-    """Sorted union of reply prefixes across record batches, O(union) memory.
+    """Sorted union of reply prefixes across record batches, O(union +
+    chunk) memory: each batch is read :data:`_FOLD_CHUNK` records at a
+    time.
 
-    The first of the two streaming passes over an archived journal: the
-    union fixes the matrix row space so the fold pass can run in O(batch).
-    Identical to ``np.unique(all_replies.prefix)`` on the concatenation.
+    The row space of both builders, and the first of the two streaming
+    passes over an archived journal: the union fixes the matrix row space
+    so the fold pass can run in O(chunk).  Identical to
+    ``np.unique(all_replies.prefix)`` on the concatenation.
     """
     union = np.empty(0, dtype=np.uint32)
     for batch in batches:
-        union = _sorted_distinct(np.concatenate([union, _reply_columns(batch)[1]]))
+        for lo in range(0, len(batch), _FOLD_CHUNK):
+            chunk = slice(lo, lo + _FOLD_CHUNK)
+            replied = batch.prefix[chunk][batch.flag[chunk] == FLAG_REPLY]
+            union = _sorted_distinct(np.concatenate([union, replied]))
     return union.astype(np.uint32)
 
 
@@ -337,13 +389,14 @@ def matrix_from_record_batches(
 ) -> RttMatrix:
     """Streaming :func:`matrix_from_records`: fold batches as they arrive.
 
-    Peak memory is O(batch) + the output planes: nothing concatenates.
-    ``prefixes`` is the sorted row space (see :func:`reply_prefix_union`
-    for the streaming first pass); a reply outside it is an error, never
-    a silent drop.  The batches are one census's records in order: cells
-    must strictly increase across the whole stream (see
-    :func:`_check_cells`).  Bytes equal the one-shot builder's for any
-    batching.
+    The same chunked fold as :func:`combine_censuses`
+    (:func:`_fold_records`), so peak memory is O(chunk) + the output
+    planes: nothing concatenates.  ``prefixes`` is the sorted row space
+    (see :func:`reply_prefix_union` for the streaming first pass); a
+    reply outside it, or outside the roster, is an error, never a silent
+    drop.  The batches are one census's records in order: cells must
+    strictly increase across the whole stream (see :func:`_check_cells`).
+    Bytes equal the one-shot builder's for any batching.
     """
     prefixes = np.asarray(prefixes, dtype=np.uint32)
     n_t, n_v = len(prefixes), len(vp_names)
@@ -352,18 +405,7 @@ def matrix_from_record_batches(
 
     last_cell = -1
     for batch in batches:
-        vps, reply_prefixes, values = _reply_columns(batch)
-        if len(values) == 0:
-            continue
-        rows = np.searchsorted(prefixes, reply_prefixes)
-        safe = np.minimum(rows, max(n_t - 1, 0))
-        if n_t == 0 or not np.array_equal(prefixes[safe], reply_prefixes):
-            raise ValueError("reply prefix outside the provided row space")
-        cols = vps.astype(np.int64)
-        if int(cols.max()) >= n_v:
-            raise ValueError("reply vp_index outside the provided roster")
-        last_cell = _check_cells(cols, rows, n_t, last_cell)
-        _fold_census(rtt, counts, rows, cols, values)
+        last_cell = _fold_records(rtt, counts, batch, prefixes, last=last_cell)
 
     _infs_to_nan(rtt)
     return RttMatrix(

@@ -9,18 +9,16 @@ Before trusting a census, the paper validates its target list two ways:
   the 4.9M used /24s estimated by independent ICMP scans [48]: ~90%.
 
 :func:`coverage_report` reproduces both checks against the synthetic
-ground truth, plus the spot check that any alive host of an anycast /24 is
-an equivalent census representative.
+ground truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..internet.deployments import AnycastDeployment, alive_hosts
 from ..internet.hitlist import Hitlist
 from ..internet.topology import RESP_REPLY, SyntheticInternet
 from ..measurement.campaign import Census
@@ -66,32 +64,3 @@ def coverage_report(
         expected_responsive=expected,
         observed_responsive=observed,
     )
-
-
-def spot_check_equivalence(
-    deployment: AnycastDeployment,
-    prefix: int,
-    clients: Sequence,
-) -> bool:
-    """The paper's EdgeCast spot check: within an anycast /24, every alive
-    IP is an equivalent representative for anycast detection.
-
-    For each probing client, the serving replica must be identical no
-    matter which alive host of the /24 is addressed.  BGP routes on the
-    /24, so this holds by construction in the substrate — the check guards
-    the model invariant (and the address arithmetic underneath it).
-    """
-    from ..net.addresses import host_in_slash24, slash24_of
-
-    hosts = alive_hosts(deployment, prefix)
-    if not hosts:
-        return False
-    for client in clients:
-        replica = deployment.serving_replica(client)
-        for host in hosts:
-            address = host_in_slash24(prefix, host)
-            if slash24_of(address) != prefix:
-                return False  # address escaped its routing unit
-            if deployment.serving_replica(client) is not replica:
-                return False  # per-host routing would break equivalence
-    return True

@@ -14,6 +14,7 @@ rate; ICMP succeeds everywhere anycast infrastructure is deployed.
 from __future__ import annotations
 
 import enum
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -69,7 +70,9 @@ def response_rate(
         capable = 80 in dep.entry.ports
     else:  # DNS over UDP or TCP
         capable = _runs_dns(dep)
-    rng = np.random.default_rng(seed * 100_003 + dep.entry.asn + hash(protocol.value) % 1000)
+    rng = np.random.default_rng(
+        seed * 100_003 + dep.entry.asn + zlib.crc32(protocol.value.encode()) % 1000
+    )
     if not capable:
         # Binary recall: essentially nothing answers.
         return float((rng.random(probes) < 0.01).mean())

@@ -1,19 +1,20 @@
-"""Alexa frontpage resolution and the anycast-hosting cross-check.
+"""Alexa frontpage resolution.
 
 Paper Sec. 4.1 (footnote 2): "we resolve the domain name of the frontpage
 found in Alexa to an IP, and disregard content that is referenced in the
 frontpage" — then intersect the resolved /24s with the census to find
 which popular websites ride on IP anycast.
 
-This module implements the pipeline over the synthetic ground truth: a
+This module implements the resolution over the synthetic ground truth: a
 deterministic resolver maps each Alexa domain through an optional CNAME
 chain (CDN-hosted sites point at their CDN's edge hostname) to an A record
-inside the hosting /24, and the cross-check joins resolved prefixes with
-census-detected anycast.
+inside the hosting /24, whose prefix then joins the census's detected
+anycast /24s.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -22,7 +23,6 @@ import numpy as np
 from ..internet.deployments import alive_hosts
 from ..internet.topology import SyntheticInternet
 from ..net.addresses import format_ipv4, host_in_slash24, slash24_of
-from .analysis import AnalysisResult
 from .ranks import AlexaSite, alexa_anycast_sites
 
 
@@ -74,7 +74,7 @@ class FrontpageResolver:
         entry = deployment.entry
         hosts = alive_hosts(deployment, site.prefix)
         # Deterministic host choice per domain.
-        rng = np.random.default_rng(abs(hash(domain)) % (2**31))
+        rng = np.random.default_rng(zlib.crc32(domain.encode()) % (2**31))
         address = host_in_slash24(site.prefix, hosts[int(rng.integers(0, len(hosts)))])
         cname: Tuple[str, ...] = ()
         if entry.category.coarse == "CDN":
@@ -85,45 +85,3 @@ class FrontpageResolver:
     def resolve_all(self) -> List[Resolution]:
         """Resolve every Alexa frontpage hosted on anycast space."""
         return [self.resolve(domain) for domain in sorted(self._sites)]
-
-
-@dataclass
-class HostingCrossCheck:
-    """The Fig. 10 Alexa row, derived by actual resolution."""
-
-    #: Domain -> hosting AS, for frontpages landing on *detected* anycast.
-    anycast_hosted: Dict[str, int]
-    #: Frontpages whose hosting /24 the census did not flag.
-    missed: List[str]
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.anycast_hosted)
-
-    @property
-    def n_ases(self) -> int:
-        return len(set(self.anycast_hosted.values()))
-
-    def sites_per_as(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for asn in self.anycast_hosted.values():
-            out[asn] = out.get(asn, 0) + 1
-        return out
-
-
-def crosscheck_alexa_hosting(
-    analysis: AnalysisResult,
-    internet: SyntheticInternet,
-) -> HostingCrossCheck:
-    """Resolve every Alexa frontpage and join with the census verdicts."""
-    resolver = FrontpageResolver(internet)
-    detected = set(analysis.anycast_prefixes)
-    hosted: Dict[str, int] = {}
-    missed: List[str] = []
-    for resolution in resolver.resolve_all():
-        if resolution.slash24 in detected:
-            owner = internet.registry.owner_of(resolution.slash24)
-            hosted[resolution.domain] = owner.asn if owner else -1
-        else:
-            missed.append(resolution.domain)
-    return HostingCrossCheck(anycast_hosted=hosted, missed=missed)

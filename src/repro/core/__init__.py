@@ -12,7 +12,6 @@ from .geolocation import (
     classify_disk,
     classify_nearest,
     geolocation_error_km,
-    match_replicas_to_truth,
 )
 from .igreedy import IGreedyConfig, IGreedyResult, igreedy
 from .samples import LatencySample, min_rtt_samples, samples_to_disks
@@ -30,7 +29,6 @@ __all__ = [
     "classify_disk",
     "classify_nearest",
     "geolocation_error_km",
-    "match_replicas_to_truth",
     "IGreedyConfig",
     "IGreedyResult",
     "igreedy",

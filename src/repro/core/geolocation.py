@@ -16,7 +16,7 @@ benchmark (0 = ignore population, pick the city nearest the disk center).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -92,42 +92,3 @@ def classify_nearest(disk: Disk, city_db: CityDB) -> GeolocatedReplica:
 def geolocation_error_km(predicted: City, truth: City) -> float:
     """Distance between predicted and true replica city (0 when exact)."""
     return predicted.location.distance_km(truth.location)
-
-
-def match_replicas_to_truth(
-    predicted: Sequence[City],
-    truth: Sequence[City],
-) -> dict:
-    """Greedy one-to-one matching of predicted cities to true cities.
-
-    Returns a dict with ``true_positives`` (exact city matches),
-    ``errors_km`` (distance of each mispredicted replica to its closest
-    unmatched true city), ``recall`` (matched fraction of truth) and
-    ``precision`` (exact-match fraction of the predictions).  ``"tpr"``
-    is kept as a deprecated alias of ``"precision"`` — the quantity was
-    historically mislabeled; it divides by the *predicted* count, which
-    is precision, not a true-positive rate.  Used by the validation
-    pipeline (paper Fig. 7).
-    """
-    remaining = list(truth)
-    tp = 0
-    errors = []
-    for city in predicted:
-        if city in remaining:
-            remaining.remove(city)
-            tp += 1
-            continue
-        if remaining:
-            nearest = min(remaining, key=lambda t: geolocation_error_km(city, t))
-            errors.append(geolocation_error_km(city, nearest))
-            remaining.remove(nearest)
-    precision = tp / len(predicted) if predicted else 0.0
-    return {
-        "true_positives": tp,
-        "errors_km": errors,
-        "recall": (len(truth) - len(remaining)) / len(truth) if truth else 1.0,
-        "precision": precision,
-        # Deprecated alias: this ratio was historically (and wrongly)
-        # published under "tpr"; keep it until consumers migrate.
-        "tpr": precision,
-    }

@@ -53,7 +53,7 @@ import numpy as np
 from ..exec.errors import ExecError
 from ..exec.supervisor import ExecutionPolicy
 from ..geo.coords import haversine_km
-from ..internet.topology import SyntheticInternet
+from ..internet.topology import RESP_REPLY, SyntheticInternet
 from ..obs import current_metrics, current_tracer
 from .faults import (
     DistortionKind,
@@ -570,8 +570,8 @@ class CensusCampaign:
         self._rng = np.random.default_rng(seed)
         self._census_counter = 0
         #: Stream scans' base-RTT row per VP identity,
-        #: :func:`vp_column_digest` of its name and coordinates (see
-        #: :meth:`base_row`).
+        #: :func:`vp_column_digest` of its name and coordinates, over the
+        #: echo-reply positions only (see :meth:`base_row`).
         self._base_rows: Dict[bytes, np.ndarray] = {}
         #: Keyed scans' outcomes by (census, VP identity): the pre-census's
         #: and the latest census's, for a successor campaign to carry.
@@ -603,9 +603,10 @@ class CensusCampaign:
         (:class:`_GeometryCarry`).
 
         Also fixes the campaign's scan geometry: target radians and
-        ``cos φ`` once, and every replica site in radians — a VP's
-        distances then need no per-target trigonometry beyond its own row
-        (:meth:`base_row`).
+        ``cos φ`` once, every replica site in radians — a VP's distances
+        then need no per-target trigonometry beyond its own row
+        (:meth:`base_row`) — and the echo-reply positions, the only ones
+        whose distances and base RTTs a scan ever reads.
         """
         internet = self.internet
         lats, lons = self.platform.lats, self.platform.lons
@@ -625,6 +626,8 @@ class CensusCampaign:
         site_lons = [r.location.lon for dep in deployments for r in dep.replicas]
         n_sites = np.array([len(dep.replicas) for dep in deployments], dtype=np.int64)
 
+        #: Target positions that answer echo requests, ascending.
+        self._replying = np.flatnonzero(internet.responsiveness == RESP_REPLY)
         self._target_phi = np.radians(np.asarray(internet.lats, dtype=np.float64))
         self._target_lam = np.radians(np.asarray(internet.lons, dtype=np.float64))
         self._target_cos_phi = np.cos(self._target_phi)
@@ -667,9 +670,13 @@ class CensusCampaign:
         return distances
 
     def base_row(self, platform_index: int) -> np.ndarray:
-        """Per-target base RTT from one platform VP under stream noise
-        (read-only; keyed scans draw theirs per target and scan,
-        :func:`~repro.measurement.prober.keyed_base_rtts`).
+        """Base RTT from one platform VP under stream noise at each
+        echo-reply position of the world, ascending (read-only; keyed
+        scans draw theirs per target and scan,
+        :func:`~repro.measurement.prober.keyed_base_rtts`).  No scan reads
+        another position's: the row is
+        :func:`~repro.measurement.prober.base_rtt_row` there, its
+        positional streams still drawn over every target.
 
         Distances put unicast targets at their host location and anycast
         targets at the replica whose catchment the VP falls into —
@@ -682,7 +689,10 @@ class CensusCampaign:
         key = vp_column_digest(vp.name, vp.location)
         row = self._base_rows.get(key)
         if row is None:
-            row = base_rtt_row(self.internet, vp, self._distances([platform_index])[0])
+            at = self._replying
+            row = base_rtt_row(
+                self.internet, vp, self._distances([platform_index], at)[0], at
+            )
             row.setflags(write=False)
             self._base_rows[key] = row
         return row
@@ -708,8 +718,10 @@ class CensusCampaign:
         conditions they are taken at the carried positions and the kernel
         (:func:`~repro.measurement.prober.keyed_outcomes`) evaluates the
         moved ones; elsewhere, and always in a cold campaign, it evaluates
-        every position.  Scans evaluated at the same positions share
-        kernel calls of at most :data:`_KERNEL_CELLS` cells.
+        every position.  Distances and base RTTs are evaluated only at the
+        echo-reply positions among them, the only ones the kernel reads.
+        Scans evaluated at the same positions share kernel calls of at most
+        :data:`_KERNEL_CELLS` cells.
         """
         if self.noise != "keyed":
             return
@@ -728,6 +740,9 @@ class CensusCampaign:
                 carried.append((index, conditions, before))
         every = np.arange(self.internet.n_targets)
         for fresh, group in ((carry.fresh, carried), (every, cold)):
+            if not group:
+                continue
+            replying = fresh[self.internet.responsiveness[fresh] == RESP_REPLY]
             step = max(1, _KERNEL_CELLS // max(len(fresh), 1))
             for start in range(0, len(group), step):
                 batch = group[start : start + step]
@@ -738,8 +753,8 @@ class CensusCampaign:
                     keyed_base_rtts(
                         self.internet,
                         [vps[i] for i in indices],
-                        self._distances(indices, fresh),
-                        fresh,
+                        self._distances(indices, replying),
+                        replying,
                     ),
                     fresh,
                 )

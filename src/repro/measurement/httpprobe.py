@@ -18,7 +18,9 @@ never touches the ground truth directly.
 
 from __future__ import annotations
 
+import hashlib
 import re
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
@@ -89,11 +91,13 @@ def http_probe(
     headers = {"Date": "Tue, 17 Mar 2015 12:00:00 GMT"}
     header = deployment.entry.http_location_header
     if header == "CF-RAY":
-        ray_id = f"{abs(hash((deployment.entry.asn, vp.name))) % (16**16):016x}"
+        ray_id = hashlib.blake2b(
+            f"{deployment.entry.asn}/{vp.name}".encode(), digest_size=8
+        ).hexdigest()
         headers["CF-RAY"] = f"{ray_id}-{codebook.code(replica.city)}"
     elif header == "Server":
         pop = codebook.code(replica.city).lower()
-        checksum = f"{abs(hash(vp.name)) % (16**4):04X}"
+        checksum = f"{zlib.crc32(vp.name.encode()) % (16**4):04X}"
         headers["Server"] = f"ECS ({pop}/{checksum})"
     return HttpResponse(status=200, headers=headers)
 

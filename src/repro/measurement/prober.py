@@ -138,19 +138,34 @@ class VpScanResult:
 
 
 def base_rtt_row(
-    internet: SyntheticInternet, vp: VantagePoint, distances_km: np.ndarray
+    internet: SyntheticInternet,
+    vp: VantagePoint,
+    distances_km: np.ndarray,
+    positions: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Per-target base RTT from a VP under stream noise, deterministic
-    across censuses.
+    """Base RTT from a VP under stream noise at the target ``positions``
+    (every target when ``None``), deterministic across censuses.
 
-    ``distances_km`` are the great-circle distances from the VP to every
-    target as it sees them (anycast targets at the site of its
+    ``distances_km`` are the great-circle distances from the VP to those
+    targets as it sees them (anycast targets at the site of its
     catchment).  The per-path stretch and last-mile delay come from the
-    VP's positional stream; keyed noise draws them per target instead
+    VP's positional stream, drawn over every target whatever
+    ``positions`` reads, so the row at any positions is bit-equal to the
+    whole row there; keyed noise draws them per target instead
     (:func:`keyed_base_rtts`).
     """
     rng = np.random.default_rng(vp_path_seed(internet.config.seed, vp.name))
-    return internet.config.latency.path_rtt_ms(distances_km, rng)
+    latency = internet.config.latency
+    if positions is None:
+        return latency.path_rtt_ms(distances_km, rng)
+    n = internet.n_targets
+    stretch = rng.triangular(
+        latency.stretch_min, latency.stretch_mode, latency.stretch_max, size=n
+    )
+    last_mile = rng.exponential(latency.last_mile_ms_mean, size=n)
+    return latency.path_rtt_ms_from_draws(
+        distances_km, stretch[positions], last_mile[positions]
+    )
 
 
 def keyed_base_rtts(
@@ -218,6 +233,10 @@ class ScanTargets:
 
     #: Probed targets that answer echo requests, ascending.
     reply_idx: np.ndarray
+    #: Rank of each ``reply_idx`` among the world's echo-reply positions:
+    #: where a base row over those positions holds its base RTT
+    #: (:func:`simulate_vp_scan`).
+    reply_rank: np.ndarray
     #: ``(record flag, probed hosts of that family, ascending)`` per ICMP
     #: error family, in record order.
     error_idx: Tuple[Tuple[int, np.ndarray], ...]
@@ -245,8 +264,11 @@ class ScanTargets:
         resp = internet.responsiveness
         slot = np.empty(n, dtype=np.int64)
         slot[order] = np.arange(n, dtype=np.int64)
+        replying = np.flatnonzero(resp == RESP_REPLY)
+        reply_rank = np.flatnonzero(probe_mask[replying])
         return cls(
-            reply_idx=np.flatnonzero((resp == RESP_REPLY) & probe_mask),
+            reply_idx=replying[reply_rank],
+            reply_rank=reply_rank,
             error_idx=tuple(
                 (flag, np.flatnonzero((resp == code) & probe_mask))
                 for code, flag in _ERROR_FAMILIES
@@ -314,8 +336,9 @@ def keyed_outcomes(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The outcome kernel: ``(code, rtt_ms)`` with one row per scan of
     ``conditions`` and one column per position of ``positions`` (every
-    position when ``None``); ``base_rtts`` holds each scan's base RTTs
-    there.
+    position when ``None``); ``base_rtts`` holds each scan's base RTTs at
+    the echo-reply positions among them, in their order (no other
+    position's base RTT is ever read).
 
     Each verdict is a pure function of (conditions, prefix, class, base
     RTT), so evaluating any subset of scans and positions is bit-equal to
@@ -355,8 +378,11 @@ def keyed_outcomes(
             return _mixed_uniform(cells[sel] ^ _key_bases(keys, salt)[scan[sel]])
 
         answered = responsive[column]
+        # Rank of each responsive column among the echo-reply ones: its
+        # column of ``base_rtts``.
+        reply_rank = np.cumsum(classes == RESP_REPLY) - 1
         rtts = internet.config.latency.probe_rtt_ms_from_uniforms(
-            base_rtts[scan, answered], u("jitter"), u("spike-gate"), u("spike")
+            base_rtts[scan, reply_rank[column]], u("jitter"), u("spike-gate"), u("spike")
         )
         late = np.flatnonzero(degraded[scan])
         if len(late):
@@ -442,7 +468,9 @@ def simulate_vp_scan(
     Parameters
     ----------
     base_rtts:
-        Per-target path baseline RTT (from :func:`base_rtt_row`).
+        Path baseline RTT at each of the world's echo-reply positions,
+        ascending (:func:`base_rtt_row` at those positions); the scan
+        reads the probed ones through ``targets.reply_rank``.
     targets:
         The census's probed index sets and probing order
         (:meth:`ScanTargets.build`); masked-out targets are skipped
@@ -462,8 +490,10 @@ def simulate_vp_scan(
     if rate_pps <= 0:
         raise ValueError("rate_pps must be positive")
     n = targets.n
-    if len(base_rtts) != n or internet.n_targets != n:
+    if internet.n_targets != n:
         raise ValueError("array sizes disagree with target count")
+    if len(base_rtts) != np.count_nonzero(internet.responsiveness == RESP_REPLY):
+        raise ValueError("base_rtts must hold one RTT per echo-reply position")
 
     # The positional stream is the byte contract: three full-universe
     # draws in this order, then the probe RTTs below.
@@ -481,7 +511,8 @@ def simulate_vp_scan(
 
     responders = targets.reply_idx
     policed = u("police", responders) < keep_prob
-    reply_idx = responders[policed & (u("loss", responders) >= loss)]
+    answered = policed & (u("loss", responders) >= loss)
+    reply_idx = responders[answered]
     # drop_rate accounts for VP-side *policing* only; transient loss is a
     # separate, rate-independent phenomenon.
     dropped = len(responders) - int(policed.sum())
@@ -490,7 +521,9 @@ def simulate_vp_scan(
     columns_vp, columns_prefix, columns_ts, columns_rtt, columns_flag = [], [], [], [], []
 
     if len(reply_idx):
-        rtts = internet.config.latency.probe_rtt_ms(base_rtts[reply_idx], rng)
+        rtts = internet.config.latency.probe_rtt_ms(
+            base_rtts[targets.reply_rank[answered]], rng
+        )
         if degraded:
             rtts = rtts + rng.exponential(DEGRADED_SPIKE_MS, size=rtts.shape)
         columns_vp.append(np.full(len(reply_idx), vp_index, dtype=np.uint16))

@@ -85,14 +85,22 @@ class LatencyModel:
         The result is the *per-path* baseline (stretch + last mile applied,
         no per-probe jitter); it is always ≥ the propagation floor.
         """
+        shape = np.shape(distance_km)
+        stretch = rng.triangular(
+            self.stretch_min, self.stretch_mode, self.stretch_max, size=shape
+        )
+        last_mile = rng.exponential(self.last_mile_ms_mean, size=shape)
+        return self.path_rtt_ms_from_draws(distance_km, stretch, last_mile)
+
+    def path_rtt_ms_from_draws(
+        self, distance_km: np.ndarray, stretch: np.ndarray, last_mile_ms: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`path_rtt_ms` from its drawn per-path stretch and last-mile
+        delay (same shape as ``distance_km``)."""
         distance_km = np.asarray(distance_km, dtype=np.float64)
         if (distance_km < 0).any():
             raise ValueError("distances must be non-negative")
-        stretch = rng.triangular(
-            self.stretch_min, self.stretch_mode, self.stretch_max, size=distance_km.shape
-        )
-        last_mile = rng.exponential(self.last_mile_ms_mean, size=distance_km.shape)
-        return self.propagation_rtt_ms(distance_km) * stretch + last_mile
+        return self.propagation_rtt_ms(distance_km) * stretch + last_mile_ms
 
     def probe_rtt_ms(self, base_rtt_ms: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One probe's RTT given the path baseline: baseline + jitter.
@@ -144,14 +152,11 @@ class LatencyModel:
         u_last_mile: np.ndarray,
     ) -> np.ndarray:
         """:meth:`path_rtt_ms` driven by per-path uniforms in [0, 1)."""
-        distance_km = np.asarray(distance_km, dtype=np.float64)
-        if (distance_km < 0).any():
-            raise ValueError("distances must be non-negative")
         stretch = self._triangular_from_uniform(np.asarray(u_stretch, dtype=np.float64))
         last_mile = self._exponential_from_uniform(
             np.asarray(u_last_mile, dtype=np.float64), self.last_mile_ms_mean
         )
-        return self.propagation_rtt_ms(distance_km) * stretch + last_mile
+        return self.path_rtt_ms_from_draws(distance_km, stretch, last_mile)
 
     def probe_rtt_ms_from_uniforms(
         self,

@@ -90,7 +90,6 @@ from .trace import (
     iter_span_names,
     render_trace,
     set_tracer,
-    tree_shape,
     use_tracer,
 )
 
@@ -178,7 +177,6 @@ __all__ = [
     "iter_span_names",
     "render_trace",
     "set_tracer",
-    "tree_shape",
     "use_tracer",
     "activate",
 ]

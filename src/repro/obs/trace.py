@@ -320,22 +320,6 @@ def render_trace(
     return "\n".join(lines)
 
 
-def tree_shape(
-    source: Union[Tracer, NullTracer, Sequence[Span]],
-) -> Tuple[Tuple[str, tuple], ...]:
-    """The duration-free shape of a span forest: nested (name, children).
-
-    Two runs of the same deterministic pipeline must produce equal shapes;
-    the neutrality tests assert exactly that.
-    """
-    spans = source if isinstance(source, (list, tuple)) else source.roots
-
-    def shape(span: Span) -> Tuple[str, tuple]:
-        return (span.name, tuple(shape(c) for c in span.children))
-
-    return tuple(shape(s) for s in spans)
-
-
 def iter_span_names(source: Union[Tracer, NullTracer, Sequence[Span]]) -> Iterator[str]:
     """Depth-first iteration over every span name in the forest."""
     spans = source if isinstance(source, (list, tuple)) else source.roots

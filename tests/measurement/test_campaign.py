@@ -8,11 +8,18 @@ from repro.census.combine import combine_censuses
 from repro.geo.coords import pairwise_distances_km
 from repro.geo.cities import CityDB, default_city_db
 from repro.internet.catalog import full_catalog
-from repro.internet.topology import InternetConfig, SyntheticInternet
+from repro.internet.topology import RESP_REPLY, InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign
+from repro.measurement.lfsr import lfsr_permutation
 from repro.measurement.platform import planetlab_platform
-from repro.measurement.prober import base_rtt_row, keyed_base_rtts
+from repro.measurement.prober import ScanTargets, base_rtt_row, keyed_base_rtts
 from repro.net.icmp import IcmpOutcome
+from repro.net.latency import LatencyModel
+
+
+def replying(internet):
+    """The echo-reply positions: where a campaign holds scan geometry."""
+    return np.flatnonzero(internet.responsiveness == RESP_REPLY)
 
 
 def fresh_row(campaign, vp_idx, site_of=None):
@@ -40,11 +47,15 @@ def fresh_row(campaign, vp_idx, site_of=None):
 
 
 def campaign_row(campaign, vp_idx):
-    """The base row a campaign's scans of one VP use: the cached stream
-    row, or the keyed one each keyed scan draws."""
+    """The base row a campaign's scans of one VP use, at the echo-reply
+    positions: the cached stream row, or the keyed one each keyed scan
+    draws there."""
     if campaign.noise == "keyed":
         vp = campaign.platform.vantage_points[vp_idx]
-        return keyed_base_rtts(campaign.internet, [vp], campaign._distances([vp_idx]))[0]
+        at = replying(campaign.internet)
+        return keyed_base_rtts(
+            campaign.internet, [vp], campaign._distances([vp_idx], at), at
+        )[0]
     return campaign.base_row(vp_idx)
 
 
@@ -52,13 +63,16 @@ def site_seen(campaign, vp_idx, dep_idx):
     """Which replica of a deployment a VP's base row resolved it to."""
     internet = campaign.internet
     dep = internet.deployments[dep_idx]
-    pos = internet.target_index(dep.prefixes[0])
+    positions = replying(internet)
+    # The row's entry of the deployment's first echo-reply prefix.
+    rank = int(np.flatnonzero(np.isin(positions, internet.target_indices(dep.prefixes)))[0])
+    pos = positions[rank]
     row = campaign.base_row(vp_idx)
     matches = [
         site
         for site in range(len(dep.replicas))
         if fresh_row(campaign, vp_idx, site_of=lambda d: site if d == dep_idx else 0)[pos]
-        == row[pos]
+        == row[rank]
     ]
     assert len(matches) == 1
     return matches[0]
@@ -77,9 +91,12 @@ class TestEffectiveCoords:
                 [vp.location.lat], [vp.location.lon], tiny_internet.lats, tiny_internet.lons
             )[0],
         )
-        unicast = ~tiny_internet.is_anycast
+        # The row holds the echo-reply positions only, in order.
+        at = replying(tiny_internet)
+        assert row.shape == at.shape
+        unicast = ~tiny_internet.is_anycast[at]
         assert unicast.any()
-        assert np.array_equal(row[unicast], at_host[unicast])
+        assert np.array_equal(row[unicast], at_host[at][unicast])
 
     def test_anycast_targets_resolve_to_a_site(self, tiny_campaign, tiny_internet):
         dep = tiny_internet.deployments[0]
@@ -99,9 +116,34 @@ class TestEffectiveCoords:
     @pytest.mark.parametrize("noise", ["stream", "keyed"])
     def test_base_row_equals_fresh_computation(self, tiny_internet, tiny_platform, noise):
         campaign = CensusCampaign(tiny_internet, tiny_platform, seed=99, noise=noise)
+        at = replying(tiny_internet)
         for vp_idx in (0, 7, 31, 59):
             got, want = campaign_row(campaign, vp_idx), fresh_row(campaign, vp_idx)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, want[at])
+
+    @pytest.mark.parametrize("noise", ["stream", "keyed"])
+    def test_masked_reply_positions_keep_their_base_rtts(self, tiny_platform, noise):
+        """A census whose probe mask drops echo-reply positions reads each
+        probed one's base RTT through its rank among them: on jitter-free
+        paths every recorded RTT is the full-length row's at its target."""
+        latency = LatencyModel(jitter_ms_scale=0.0, spike_prob=0.0)
+        internet = SyntheticInternet(
+            InternetConfig(seed=7, n_unicast_slash24=300, tail_deployments=5, latency=latency)
+        )
+        campaign = CensusCampaign(internet, tiny_platform, seed=3, noise=noise)
+        at = replying(internet)
+        mask = np.ones(internet.n_targets, dtype=bool)
+        mask[at[::3]] = False
+        targets = ScanTargets.build(internet, lfsr_permutation(internet.n_targets, seed=1), mask)
+        assert np.array_equal(at[targets.reply_rank], targets.reply_idx)
+        assert 0 < len(targets.reply_idx) < len(at)
+        for vp_idx in (0, 9):
+            campaign._prepare_outcomes(1, campaign.rate_pps, [(vp_idx, False)])
+            replies = campaign.scan_vp(vp_idx, census_id=1, targets=targets).records.replies()
+            positions = internet.target_indices(replies.prefix)
+            assert len(positions) and mask[positions].all()
+            want = fresh_row(campaign, vp_idx)[positions].astype(np.float32)
+            assert np.array_equal(replies.rtt_ms, want)
 
     def test_carried_rows_follow_moved_hosts(self, tiny_platform):
         """A predecessor over the same configuration but another gazetteer

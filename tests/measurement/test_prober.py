@@ -25,10 +25,16 @@ def host_distances(internet, vp):
     )[0]
 
 
+def replying(internet):
+    """The echo-reply positions, where a scan's base row holds RTTs."""
+    return np.flatnonzero(internet.responsiveness == RESP_REPLY)
+
+
 @pytest.fixture(scope="module")
 def scan_setup(tiny_internet, tiny_platform):
     vp = tiny_platform.vantage_points[0]
-    base = base_rtt_row(tiny_internet, vp, host_distances(tiny_internet, vp))
+    at = replying(tiny_internet)
+    base = base_rtt_row(tiny_internet, vp, host_distances(tiny_internet, vp)[at], at)
     order = lfsr_permutation(tiny_internet.n_targets, seed=1)
     return vp, base, order
 
@@ -56,6 +62,13 @@ class TestBaseRtt:
         a = base_rtt_row(tiny_internet, vp, distances)
         b = base_rtt_row(tiny_internet, vp, distances)
         assert np.array_equal(a, b)
+
+    def test_row_at_positions_is_the_whole_row_there(self, tiny_internet, tiny_platform):
+        vp = tiny_platform.vantage_points[0]
+        distances = host_distances(tiny_internet, vp)
+        at = replying(tiny_internet)
+        whole = base_rtt_row(tiny_internet, vp, distances)
+        assert np.array_equal(base_rtt_row(tiny_internet, vp, distances[at], at), whole[at])
 
     def test_different_vps_differ(self, tiny_internet, tiny_platform):
         a, b = (
@@ -114,7 +127,8 @@ class TestScan:
         result = run_scan(tiny_internet, vp, base, order)
         replies = result.records.replies()
         positions = np.array([tiny_internet.target_index(int(p)) for p in replies.prefix])
-        assert (replies.rtt_ms >= base[positions].astype(np.float32) - 0.01).all()
+        rank = np.searchsorted(replying(tiny_internet), positions)
+        assert (replies.rtt_ms >= base[rank].astype(np.float32) - 0.01).all()
 
     def test_no_drops_at_safe_rate(self, tiny_internet, scan_setup):
         vp, base, order = scan_setup

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geo.coords import pairwise_distances_km
+from repro.internet.topology import RESP_REPLY
 from repro.measurement.lfsr import lfsr_permutation
 from repro.measurement.prober import (
     SAFE_RATE_PPS,
@@ -25,7 +26,8 @@ class TestProbePacing:
         order = lfsr_permutation(tiny_internet.n_targets, seed=2)
         result = simulate_vp_scan(
             internet=tiny_internet, vp=vp, vp_index=0, census_id=1,
-            base_rtts=base, targets=ScanTargets.build(tiny_internet, order),
+            base_rtts=base[tiny_internet.responsiveness == RESP_REPLY],
+            targets=ScanTargets.build(tiny_internet, order),
             rate_pps=SAFE_RATE_PPS,
             rng=np.random.default_rng(0), reply_loss_prob=0.0,
         )

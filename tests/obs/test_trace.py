@@ -11,9 +11,22 @@ from repro.obs import (
     iter_span_names,
     render_trace,
     set_tracer,
-    tree_shape,
     use_tracer,
 )
+
+
+def tree_shape(source):
+    """The duration-free shape of a span forest: nested (name, children).
+
+    Two runs of the same deterministic pipeline must produce equal shapes;
+    the neutrality tests assert exactly that.
+    """
+    spans = source if isinstance(source, (list, tuple)) else source.roots
+
+    def shape(span):
+        return (span.name, tuple(shape(c) for c in span.children))
+
+    return tuple(shape(s) for s in spans)
 
 
 class FakeClock:

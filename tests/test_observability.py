@@ -8,8 +8,10 @@ metric snapshot are themselves deterministic across identical runs.
 import pytest
 
 from repro.internet.topology import InternetConfig
-from repro.obs import CANONICAL_STAGES, iter_span_names, tree_shape, validate_manifest
+from repro.obs import CANONICAL_STAGES, iter_span_names, validate_manifest
 from repro.workflow import CensusStudy, StudyConfig
+
+from .obs.test_trace import tree_shape
 
 
 def _config(trace: bool) -> StudyConfig:
