@@ -1,15 +1,16 @@
-"""Parallel scaling — where the scan pool pays, and where it does not.
+"""Parallel scaling — where scan threads pay, and where they do not.
 
-A work unit is one whole VP scan, so what the forked pool can win is set
-by how long one scan runs against the fixed cost of shipping its records
-back through a queue.  This exhibit runs one census at two scales —
-short scans (~3 ms each: 13k targets x 128 VPs, where the pool buys
-nothing) and long scans (>= 50 ms each: ~400k targets x 48 VPs, where it
-wins) —
-in-process (``workers=0``, the engine's serial reference driver) and on
-the supervised pool, checks the hard invariant (byte-identical output at
-every worker count), and records both rows so the crossover travels with
-the repo.
+A work unit is one whole VP scan, run on a thread of the calling
+process, so what threads can win is set by how much of a scan runs in
+numpy kernels that release the GIL against the per-unit Python work
+that does not.  This exhibit runs one census at two scales — short
+scans (~1 ms each: 13k targets x 128 VPs, where threads buy nothing:
+0.87-1.02x at 1-4 threads) and long scans (~30 ms each: ~400k targets x
+48 VPs, where 2 threads ran 1.66x serial, against 1.44x for the forked
+pool they replaced) — inline (``workers=0``, the driver's serial
+reference path) and on threads, checks the hard invariant
+(byte-identical output at every worker count), and records both rows so
+the crossover travels with the repo.
 
 The acceptance gate runs wherever the host has >= 2 CPUs: at the
 long-scan scale 2 workers must be at least 1.2x faster than serial.
@@ -23,15 +24,13 @@ import time
 
 from conftest import write_exhibit
 
-from repro.exec import ExecutionPolicy
-from repro.exec.pool import fork_available
 from repro.internet.topology import InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign
 from repro.measurement.platform import planetlab_platform
 
 #: The scale the acceptance gate reads.
 GATED = "long scans"
-#: (label, unicast /24s, VPs, pool sizes measured next to serial).
+#: (label, unicast /24s, VPs, thread counts measured next to serial).
 SCALES = [
     ("short scans", 12_000, 128, [1, 2, 4]),
     (GATED, 400_000, 48, [1, 2]),
@@ -44,8 +43,7 @@ MIN_SPEEDUP_AT_2 = 1.2
 
 
 def _timed_census(internet, platform, workers):
-    policy = ExecutionPolicy(workers=workers, submit_seed=workers or None)
-    campaign = CensusCampaign(internet, platform, seed=600, executor=policy)
+    campaign = CensusCampaign(internet, platform, seed=600, workers=workers)
     campaign.run_precensus()
     start = time.perf_counter()
     census = campaign.run_census(availability=1.0)
@@ -82,11 +80,10 @@ def test_parallel_scaling_speedup(benchmark, results_dir):
     ).stdout.strip()
     cpus = os.cpu_count() or 1
     lines = [
-        f"# commit {commit or 'unknown'} + working tree   host CPUs: {cpus}   "
-        f"fork: {fork_available()}",
+        f"# commit {commit or 'unknown'} + working tree   host CPUs: {cpus}",
         f"# one census at availability 1.0 after a pre-census; wall = best of "
-        f"{ROUNDS} interleaved rounds; serial = workers=0, the engine's "
-        "in-process driver",
+        f"{ROUNDS} interleaved rounds; serial = workers=0, the driver's "
+        "inline path; Nw = N scan threads",
     ]
     speedups = {}
     for (label, _, n_vps, pool_sizes), (n_targets, walls, checksums) in zip(
@@ -108,7 +105,7 @@ def test_parallel_scaling_speedup(benchmark, results_dir):
                 f"{workers:9d}w {walls[workers]:8.2f} "
                 f"{speedups[label, workers]:8.2f}x {str(identical):>15s}"
             )
-    gated = fork_available() and cpus >= 2
+    gated = cpus >= 2
     lines.append(
         f"# gate (2 workers >= {MIN_SPEEDUP_AT_2}x serial on {GATED}): "
         + (f"executed, {speedups[GATED, 2]:.2f}x" if gated else "skipped (< 2 CPUs)")

@@ -478,10 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--checkpoint-dir", default=None,
                         help="journal directory for census checkpoint/resume")
     parser.add_argument("--workers", default="0", metavar="N|auto",
-                        help="run census scans on a supervised worker pool "
-                             "of N forked processes ('auto' = CPU count; "
-                             "default 0 = in-process, serial).  Output "
-                             "bytes are identical for every value")
+                        help="run census scans on N threads ('auto' = "
+                             "CPU count; default 0 = inline, serial).  "
+                             "Output bytes are identical for every value")
     parser.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget per census scan phase; on "

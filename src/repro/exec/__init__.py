@@ -1,45 +1,29 @@
-"""Supervised census execution — the one scan executor.
+"""Census execution — the one scan driver.
 
 Runs a census's work units — one whole VP scan each, named by its VP and
-executed by the caller's ``execute(i)`` — in-process (``workers=0``, the
-default and the reference) or on a forked worker pool under liveness
-supervision: heartbeats, bounded unit reassignment, worker respawn, an
-overall deadline.  A scan that raises fails its VP at once.  Unit
-results depend only on the unit and the caller assembles them in census
-order, so the output bytes never depend on worker count, dispatch
-order, or which workers died along the way.
+executed by the caller's ``execute(i)`` — inline (``workers=0``, the
+default and the reference) or on ``workers`` threads of the calling
+process, taking results in census order either way.  A scan that raises
+fails its VP at once; an overall deadline fails the VPs it cuts off.
+Unit results depend only on the unit, so the output bytes never depend
+on the worker count.
 
 Entry points:
 
-* :class:`ShardedExecutor` / :class:`ExecutionPolicy` — the engine.
+* :class:`ShardedExecutor` / :class:`ExecutionReport` — the driver and
+  what it saw.
 * :func:`graceful_shutdown` — SIGINT/SIGTERM drain of a census, at any
   worker count.
 """
 
-from .engine import ShardedExecutor
-from .errors import ExecError, ReassignmentBudgetExceeded, WorkerLost
-from .pool import WorkerPool, fork_available
+from .engine import DEADLINE_FAULT, SCAN_RAISED_FAULT, ExecutionReport, ShardedExecutor
 from .signals import ShutdownFlag, graceful_shutdown
-from .supervisor import (
-    BREAKER_FAULT,
-    DEADLINE_FAULT,
-    ExecutionPolicy,
-    ExecutionReport,
-    ReassignmentLedger,
-)
 
 __all__ = [
-    "BREAKER_FAULT",
     "DEADLINE_FAULT",
-    "ExecError",
-    "ExecutionPolicy",
     "ExecutionReport",
-    "ReassignmentBudgetExceeded",
-    "ReassignmentLedger",
+    "SCAN_RAISED_FAULT",
     "ShardedExecutor",
     "ShutdownFlag",
-    "WorkerLost",
-    "WorkerPool",
-    "fork_available",
     "graceful_shutdown",
 ]

@@ -1,13 +1,13 @@
 """Graceful-shutdown plumbing of a census run.
 
-A census run — in-process or on a worker pool — wants SIGINT/SIGTERM to mean
+A census run — inline or on scan threads — wants SIGINT/SIGTERM to mean
 "stop cleanly": finish nothing new, leave the checkpoint journal valid,
 write the run manifest, exit with a distinct code.  The stock behaviour
 (KeyboardInterrupt mid-array-op) can tear all three.
 
 :func:`graceful_shutdown` installs handlers that merely *flag* the
-request; the census loop polls the flag at safe points (between VP
-scans, between engine ticks) and raises
+request; the census loop polls the flag at safe points (before taking each
+VP scan's result) and raises
 :class:`~repro.measurement.campaign.CensusInterrupted` itself.  A second
 signal while draining falls through to the default behaviour so an
 operator can always force-quit a stuck drain.

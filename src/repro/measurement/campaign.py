@@ -25,9 +25,10 @@ position, degraded flag, the VP as reported, and its outcome):
   :class:`CampaignHealthReport`; a plan below ``min_vp_quorum`` raises
   :class:`CensusAborted`;
 * **execute** resumes VPs from the ``checkpoint`` journal, decides flaps,
-  spends the abort budget and runs every other VP on the sharded engine
-  (:mod:`repro.exec.engine`): one work unit per VP, in-process at
-  ``workers=0`` (the default), the same bytes at any pool size.  Each
+  spends the abort budget and runs every other VP on the scan driver
+  (:mod:`repro.exec.engine`): one work unit per VP, inline at
+  ``workers=0`` (the default) or on that many threads, the same bytes at
+  any worker count.  Each
   finished scan passes the fault policy (:mod:`repro.measurement.faults`):
   a scan that hangs past ``scan_timeout_hours`` or hands back a corrupt
   batch is retried with backoff, a crashed one leaves a salvageable
@@ -50,8 +51,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..exec.errors import ExecError
-from ..exec.supervisor import ExecutionPolicy
+from ..exec.engine import ShardedExecutor
 from ..geo.coords import haversine_km
 from ..internet.topology import RESP_REPLY, SyntheticInternet
 from ..obs import current_metrics, current_tracer
@@ -170,7 +170,7 @@ class CampaignHealthReport:
     #: failures)") and trust verdict reason codes, keyed by VP name.
     vp_reasons: Dict[str, List[str]] = field(default_factory=dict)
     degraded: bool = False
-    #: Engine-supervision dump (``ExecutionReport.to_dict``) of the scan
+    #: Scan-driver dump (``ExecutionReport.to_dict``) of the scan
     #: phase; empty only when the census aborted before scanning.
     execution: Dict = field(default_factory=dict)
 
@@ -203,9 +203,7 @@ class CampaignHealthReport:
             lines.append(
                 f"  pool:               {ex.get('workers', 0)} worker(s), "
                 f"{ex.get('n_units', 0)} unit(s), "
-                f"{ex.get('reassignments', 0)} reassignment(s), "
-                f"{ex.get('workers_lost', 0)} lost, "
-                f"{ex.get('workers_wedged', 0)} wedged"
+                f"{ex.get('units_failed', 0)} failed"
             )
         if self.distorted_vps:
             kinds = ", ".join(
@@ -500,9 +498,9 @@ class _GeometryCarry:
 class CensusCampaign:
     """Reusable census runner for one (internet, platform) pair.
 
-    ``executor`` is the policy (worker count, deadline, reassignment
-    budget) of the engine every census's VP scans run on; it is never
-    ``None``.
+    Every census's VP scans run on the scan driver
+    (:class:`~repro.exec.engine.ShardedExecutor`) with ``workers``
+    threads (``0``: inline) and an optional per-census ``deadline_s``.
     """
 
     def __init__(
@@ -517,7 +515,8 @@ class CensusCampaign:
         scan_timeout_hours: Optional[float] = None,
         min_vp_quorum: int = 1,
         quarantine_threshold: int = 2,
-        executor: ExecutionPolicy = ExecutionPolicy(),
+        workers: int = 0,
+        deadline_s: Optional[float] = None,
         noise: str = "stream",
         distortion: Optional[VpDistortionPlan] = None,
         previous: Optional["CensusCampaign"] = None,
@@ -546,10 +545,12 @@ class CensusCampaign:
         #: attempt.  ``None`` waits a hung scan out (it still finishes,
         #: very late).
         self.scan_timeout_hours = scan_timeout_hours
-        #: Policy of the sharded engine that runs every census's scans
-        #: (:mod:`repro.exec.engine`).  ``workers=0`` (default) executes
-        #: them in-process, serially; any pool size is byte-identical.
-        self.executor = executor
+        #: The scan driver of every census: ``workers`` threads (``0``,
+        #: the default, scans inline, serially; any count is
+        #: byte-identical) and the wall-clock budget (seconds) of each
+        #: census's scans, past which unfinished VPs fail into the quorum
+        #: check.
+        self.executor = ShardedExecutor(workers, deadline_s)
         #: Per-probe noise source.  ``"stream"`` (default) consumes one
         #: positional RNG stream per scan — byte-stable, but any change to
         #: the target universe shifts every draw.  ``"keyed"`` hashes each
@@ -562,8 +563,8 @@ class CensusCampaign:
         #: Censuses failed in a row per VP; a tripped VP is quarantined.
         self.health = StrikeCounter(quarantine_threshold)
         #: Measurement distortion (miscalibrated nodes).  Applied to each
-        #: scan result at the top of the fault policy — parent-side and
-        #: pre-journal, so serial, pooled, and resumed censuses all see
+        #: scan result at the top of the fault policy — in census order and
+        #: pre-journal, so serial, threaded, and resumed censuses all see
         #: the same distorted bytes.
         self.distortion = distortion or VpDistortionPlan()
         self.blacklist = Blacklist()
@@ -712,7 +713,7 @@ class CensusCampaign:
         self, census_id: int, rate_pps: float, scans: Sequence[Tuple[int, bool]]
     ) -> None:
         """Every planned keyed scan's outcomes (platform index, degraded
-        flag), before any scan runs, so pooled scans inherit them.
+        flag), before any scan runs; each scan takes its own.
 
         Where the predecessor holds the scan's outcomes under the same
         conditions they are taken at the carried positions and the kernel
@@ -771,13 +772,11 @@ class CensusCampaign:
     def _keep_outcomes(
         self, census_id: int, platform_index: int, result: VpScanResult
     ) -> None:
-        """Parent-side: account a finished keyed scan's outcomes and keep
-        them for a successor campaign (dropping what was prepared for the
-        scan, which a pooled scan consumed in its own copy)."""
+        """Account a finished keyed scan's outcomes and keep them for a
+        successor campaign."""
         outcomes = result.outcomes
         if outcomes is None:
             return
-        self._prepared.pop((census_id, platform_index, outcomes.conditions), None)
         vp = self.platform.vantage_points[platform_index]
         self.counters["outcomes_carried"] += outcomes.carried
         self.counters["positions_scanned"] += outcomes.scanned
@@ -935,7 +934,6 @@ class CensusCampaign:
     ) -> bool:
         """Give each planned VP its outcome: resumes and flaps here, the rest
         on the engine.  True when cut short (abort budget or drain)."""
-        from ..exec.engine import ShardedExecutor
         from ..exec.signals import graceful_shutdown
 
         tracer = current_tracer()
@@ -975,7 +973,7 @@ class CensusCampaign:
                         journal.write_batch(planned.outcome.journal_payload(name), None)
 
             def execute(i: int) -> VpScanResult:
-                """Unit ``i``'s scan; runs in whichever process executes it."""
+                """Unit ``i``'s scan; at ``workers>=1`` on a scan thread."""
                 planned = to_scan[i]
                 return self.scan_vp(
                     planned.platform_index,
@@ -987,7 +985,7 @@ class CensusCampaign:
                 )
 
             def on_complete(i: int, result: VpScanResult) -> None:
-                """A scanned VP, in the parent inside its ``vp_scan`` span:
+                """A scanned VP, in census order inside its ``vp_scan`` span:
                 outcomes kept, fault policy, then journal."""
                 planned = to_scan[i]
                 index = planned.platform_index
@@ -1005,7 +1003,7 @@ class CensusCampaign:
             )
             # Operator drain: the journal already holds every finished batch,
             # fsynced; the engine starts no more work, leaving a checkpoint.
-            execution, gave_up = ShardedExecutor(self.executor).run(
+            execution, gave_up = self.executor.run(
                 [planned.vp.name for planned in to_scan],
                 execute,
                 on_complete,
@@ -1073,11 +1071,11 @@ class CensusCampaign:
                 plan.census_id, len(usable), self.min_vp_quorum, report
             )
             execution = report.execution
-            if len(execution["breaker_open_vps"]) == len(plan.vps):
+            if len(execution["scan_errors"]) == len(plan.vps):
                 # Every planned scan raised: a bug, not bad luck — the
                 # abort carries what was raised, not just a thin count.
                 name = plan.vps[0].vp.name
-                raise aborted from ExecError(
+                raise aborted from RuntimeError(
                     f"every VP scan raised; {name}: {execution['scan_errors'][name]}"
                 )
             raise aborted
@@ -1177,7 +1175,7 @@ class CensusCampaign:
 
         Keyed by (seed, census, VP, attempt) rather than drawn from a
         shared stream: every retry schedule is reproducible no matter
-        which VPs retried before it, serially or on a pool.
+        which VPs retried before it, at any worker count.
         """
         if self.retry.jitter <= 0.0:
             return 0.0
@@ -1195,9 +1193,9 @@ class CensusCampaign:
     ) -> _VpOutcome:
         """Replay the fault/retry policy over one finished scan result.
 
-        Called in the parent on each per-VP scan result: what the
+        Called in census order on each per-VP scan result: what the
         supervisor "observed" depends only on the keyed fault plan, never
-        on which process computed the scan.
+        on which thread computed the scan.
 
         Measurement distortion applies first — before checksums, before
         any fault verdict — so every consumer (journal, salvage, corrupt
@@ -1322,11 +1320,11 @@ class CensusCampaign:
         """One VP's whole scan — what a work unit of the engine executes.
 
         The pure compute kernel of a census: its output is a function of
-        (campaign seed, census, VP) alone, so any worker — or the parent,
-        in-process — produces the same bytes.  ``targets`` is the census's
-        shared probing plan (:class:`~repro.measurement.prober.ScanTargets`).
-        A keyed scan reads the outcomes :meth:`_prepare_outcomes` planned
-        for it under the same conditions.
+        (campaign seed, census, VP) alone, so it produces the same bytes on
+        any scan thread.  ``targets`` is the census's shared probing plan
+        (:class:`~repro.measurement.prober.ScanTargets`).  A keyed scan
+        takes the outcomes :meth:`_prepare_outcomes` planned for it under
+        the same conditions.
         """
         vp = self.platform.vantage_points[platform_index]
         n = targets.n
@@ -1341,7 +1339,7 @@ class CensusCampaign:
                 vp,
                 census_vp_index,
                 census_id,
-                self._prepared[(census_id, platform_index, conditions)],
+                self._prepared.pop((census_id, platform_index, conditions)),
                 targets,
                 rate,
                 shift,

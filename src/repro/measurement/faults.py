@@ -21,7 +21,7 @@ sequential stream, so decisions are independent of evaluation order.
 That is what makes checkpoint/resume bit-for-bit deterministic: replaying
 a census re-derives exactly the same faults for the vantage points that
 still need scanning.  The other chaos plans here (:class:`PoisonPlan`,
-:class:`WorkerFaultPlan`, :class:`VpDistortionPlan`) work the same way:
+:class:`VpDistortionPlan`) work the same way:
 each plan holds its seed and probabilities and draws and applies its own
 faults.
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -55,10 +55,7 @@ _FAULT_SALT = 0x5FA17
 #: node-fault draws even under the same seed.
 _POISON_SALT = 0x901507
 
-#: Domain separation for worker-fault draws (vs node faults and poison).
-_WORKER_SALT = 0x30B57A
-
-#: Domain separation for VP-distortion draws (vs faults/poison/workers).
+#: Domain separation for VP-distortion draws (vs faults and poison).
 _DISTORT_SALT = 0xD15708
 
 
@@ -161,15 +158,20 @@ class FaultPlan:
     def fault_for(
         self, census_id: int, platform_index: int, attempt: int
     ) -> Optional[FaultKind]:
-        """The fault (if any) striking one scan attempt."""
-        return _partition(
-            self._rng(census_id, platform_index, attempt),
-            (
-                (self.crash_prob, FaultKind.CRASH),
-                (self.hang_prob, FaultKind.HANG),
-                (self.corrupt_prob, FaultKind.CORRUPT),
-            ),
-        )
+        """The fault (if any) striking one scan attempt: one keyed
+        uniform partitioned by the cumulative probabilities, left to
+        right, or ``None`` past the last."""
+        u = float(self._rng(census_id, platform_index, attempt).random())
+        edge = 0.0
+        for prob, kind in (
+            (self.crash_prob, FaultKind.CRASH),
+            (self.hang_prob, FaultKind.HANG),
+            (self.corrupt_prob, FaultKind.CORRUPT),
+        ):
+            edge += prob
+            if u < edge:
+                return kind
+        return None
 
     # -- effects -----------------------------------------------------------
 
@@ -232,24 +234,6 @@ class FaultPlan:
             rtt_ms=records.rtt_ms.copy(),
             flag=flag,
         )
-
-
-_Kind = TypeVar("_Kind")
-
-
-def _partition(
-    rng: np.random.Generator, edges: Sequence[Tuple[float, _Kind]]
-) -> Optional[_Kind]:
-    """One keyed uniform partitioned by cumulative probabilities: the
-    kind whose slice it falls in, left to right, or ``None`` past the
-    last — the per-attempt verdict of node and worker faults alike."""
-    u = float(rng.random())
-    edge = 0.0
-    for prob, kind in edges:
-        edge += prob
-        if u < edge:
-            return kind
-    return None
 
 
 @dataclass(frozen=True)
@@ -483,115 +467,6 @@ class PoisonPlan:
             else:
                 out[int(row)] = replace(entry, prefix=-1)
         return out
-
-
-# ----------------------------------------------------------------------
-# Worker-level faults: killing the *executors*, not the vantage points
-# ----------------------------------------------------------------------
-
-
-class WorkerFaultKind(enum.Enum):
-    """How a census worker process can misbehave.
-
-    Where :class:`FaultKind` models the measurement *nodes* (a PlanetLab
-    host crashing mid-scan), these model the *execution platform* running
-    the census — the worker processes of
-    :class:`repro.exec.engine.ShardedExecutor`, which read their plan
-    from ``ExecutionPolicy.worker_faults``.  The supervisor must recover
-    from all three without changing a byte of census output.
-    """
-
-    #: The worker process dies outright (OOM kill, segfault) while
-    #: holding work units; they must be reassigned.
-    DEAD_WORKER = "dead_worker"
-    #: The worker stops making progress *and* stops heartbeating (stuck
-    #: in an uninterruptible state); only liveness tracking can tell.
-    WEDGED_WORKER = "wedged_worker"
-    #: The worker is alive and heartbeating but much slower than its
-    #: peers (noisy neighbour); it must NOT be killed, only waited out.
-    SLOW_WORKER = "slow_worker"
-
-
-@dataclass(frozen=True)
-class WorkerFaultPlan:
-    """Deterministic worker-fault schedule for one pool run.
-
-    Two addressing modes, combinable:
-
-    * **explicit** — ``dead_worker_ids`` / ``wedged_worker_ids`` /
-      ``slow_worker_ids`` name worker ids that misbehave on their first
-      task (respawned replacements get fresh ids and recover the pool);
-    * **probabilistic** — per-attempt probabilities drawn from an RNG
-      keyed on ``(seed, unit id, attempt)``, so a unit's fate on its n-th
-      dispatch is reproducible whichever worker runs it, whenever.
-
-    Fault decisions only ever change *which process computes a unit*,
-    never the unit's bytes — that is the engine's determinism contract.
-    """
-
-    dead_prob: float = 0.0
-    wedged_prob: float = 0.0
-    slow_prob: float = 0.0
-    dead_worker_ids: Tuple[int, ...] = ()
-    wedged_worker_ids: Tuple[int, ...] = ()
-    slow_worker_ids: Tuple[int, ...] = ()
-    #: Seed of the worker-fault RNG — independent of every other seed.
-    seed: int = 0
-    #: How long a wedged worker sits silent (it stops heartbeating, so
-    #: the supervisor's liveness timeout is what actually bounds this).
-    wedge_seconds: float = 30.0
-    #: Extra latency a slow worker adds per task, heartbeating all along.
-    slow_seconds: float = 0.5
-
-    def __post_init__(self) -> None:
-        for name in ("dead_prob", "wedged_prob", "slow_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        if self.dead_prob + self.wedged_prob + self.slow_prob > 1.0:
-            raise ValueError("worker fault probabilities must sum to <= 1")
-        if self.seed < 0:
-            raise ValueError("worker fault seed must be non-negative")
-        if self.wedge_seconds <= 0 or self.slow_seconds < 0:
-            raise ValueError("fault durations must be positive")
-
-    @property
-    def enabled(self) -> bool:
-        return bool(
-            self.dead_prob > 0.0
-            or self.wedged_prob > 0.0
-            or self.slow_prob > 0.0
-            or self.dead_worker_ids
-            or self.wedged_worker_ids
-            or self.slow_worker_ids
-        )
-
-    def fault_for(
-        self, worker_id: int, task_seq: int, unit_id: int, attempt: int
-    ) -> Optional[WorkerFaultKind]:
-        """The fault (if any) striking one task: the worker's ``task_seq``-th
-        (1-based; explicit ids strike the first), the unit's
-        ``attempt``-th dispatch (0-based; probabilistic draws).
-
-        Runs inside the worker process.  A probabilistic fate belongs to
-        the unit's dispatch, not to the worker that drew it: which worker
-        a unit lands on is a matter of timing, its fate is not.
-        """
-        if task_seq == 1:
-            if worker_id in self.dead_worker_ids:
-                return WorkerFaultKind.DEAD_WORKER
-            if worker_id in self.wedged_worker_ids:
-                return WorkerFaultKind.WEDGED_WORKER
-            if worker_id in self.slow_worker_ids:
-                return WorkerFaultKind.SLOW_WORKER
-        return _partition(
-            np.random.default_rng([_WORKER_SALT, self.seed, unit_id, attempt]),
-            (
-                (self.dead_prob, WorkerFaultKind.DEAD_WORKER),
-                (self.wedged_prob, WorkerFaultKind.WEDGED_WORKER),
-                (self.slow_prob, WorkerFaultKind.SLOW_WORKER),
-            ),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 Where the tracer answers "how long did it take" and the metrics registry
 answers "how many", the event log answers "what happened, in order":
-stage lifecycle, VP quarantines, worker loss, unit reassignments — the
-operational narrative of an epoch.  Events are buffered in a bounded
-in-memory ring (overflow increments a ``dropped`` counter rather than
-growing without bound) and can be flushed to a path as JSON Lines, one
-complete ``{...}\\n`` record per line, with an fsync so a crash never
-leaves a torn line *in a flushed file*.
+stage lifecycle, VP quarantines, salvages and trust verdicts, service
+epochs — the operational narrative of an epoch.  Events are buffered in
+a bounded in-memory ring (overflow increments a ``dropped`` counter
+rather than growing without bound) and can be flushed to a path as JSON
+Lines, one complete ``{...}\\n`` record per line, with an fsync so a
+crash never leaves a torn line *in a flushed file*.
 
 The longitudinal service does not flush incrementally at all: it stages
 the whole log inside the archive's atomic commit, so a committed run
@@ -88,7 +88,7 @@ class EventLog:
 
     def emit(self, kind: str, name: str, **attrs: Any) -> None:
         """Record one event.  ``kind`` is a coarse category (``stage``,
-        ``quarantine``, ``worker``, ``reassignment``, ``service``...),
+        ``quarantine``, ``lifecycle``, ``trust``, ``service``...),
         ``name`` the specific occurrence, ``attrs`` free-form context."""
         self._seq += 1
         if len(self._events) >= self.capacity:

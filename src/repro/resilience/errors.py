@@ -93,29 +93,8 @@ def classify_exception(exc: BaseException) -> Severity:
         return exc.severity
     if isinstance(exc, CensusAborted):
         return Severity.FATAL
-    severity = _classify_exec_error(exc)
-    if severity is not None:
-        return severity
     if isinstance(exc, (OSError, TimeoutError, InterruptedError)):
         return Severity.TRANSIENT
     if isinstance(exc, (ValueError, KeyError, IndexError, ArithmeticError, TypeError)):
         return Severity.CORRUPT
     return Severity.FATAL
-
-
-def _classify_exec_error(exc: BaseException):
-    """Severity of parallel-engine failures (None for non-exec errors).
-
-    A lost worker is infrastructure weather — a rerun gets a fresh pool,
-    so *transient*.  An exhausted reassignment budget means the
-    supervisor already spent its recovery allowance; retrying the whole
-    stage would spend it again, so *fatal*.
-    Imported lazily: resilience must not require the exec package.
-    """
-    from ..exec.errors import ReassignmentBudgetExceeded, WorkerLost
-
-    if isinstance(exc, WorkerLost):
-        return Severity.TRANSIENT
-    if isinstance(exc, ReassignmentBudgetExceeded):
-        return Severity.FATAL
-    return None

@@ -22,7 +22,6 @@ from .census.combine import RttMatrix, combine_censuses
 from .census.ranks import alexa_hosted_prefixes, caida_top_asns
 from .census.validation import ValidationReport, validate_deployment
 from .core.igreedy import IGreedyConfig
-from .exec.supervisor import ExecutionPolicy
 from .geo.cities import CityDB, default_city_db
 from .internet.hitlist import Hitlist, generate_hitlist
 from .internet.topology import InternetConfig, SyntheticInternet
@@ -95,10 +94,10 @@ class StudyConfig:
     min_vp_quorum: int = 1
     #: Journal directory for checkpoint/resume of censuses (optional).
     checkpoint_dir: Optional[str] = None
-    #: Worker processes for census scans, all on the one sharded engine:
-    #: ``0`` (default) scans in-process, serially — the reference every
-    #: pool size is tested against; ``N >= 1`` runs a supervised pool of
-    #: N forked workers.  Output bytes are identical for every value.
+    #: Scan threads of every census, all on the one scan driver: ``0``
+    #: (default) scans inline, serially — the reference every worker
+    #: count is tested against; ``N >= 1`` runs the scans on N threads.
+    #: Output bytes are identical for every value.
     workers: int = 0
     #: Wall-clock budget (seconds) for each census's scan phase; on
     #: expiry unfinished VPs are failed into the quorum machinery
@@ -109,8 +108,8 @@ class StudyConfig:
     trace: bool = False
     #: Record pipeline metrics (probe counters, iGreedy histograms, ...).
     metrics: bool = False
-    #: Record structured lifecycle events (quarantines, reassignments,
-    #: stage boundaries) into an in-memory :class:`~repro.obs.EventLog`.
+    #: Record structured lifecycle events (quarantines, stage
+    #: boundaries) into an in-memory :class:`~repro.obs.EventLog`.
     events: bool = False
     #: SLO budgets evaluated into the run manifest's ``slo`` section;
     #: ``None`` leaves the manifest without one (the classic shape).
@@ -261,9 +260,8 @@ class CensusStudy:
                 retry=self.config.retry,
                 scan_timeout_hours=self.config.scan_timeout_hours,
                 min_vp_quorum=self.config.min_vp_quorum,
-                executor=ExecutionPolicy(
-                    workers=self.config.workers, deadline_s=self.config.deadline
-                ),
+                workers=self.config.workers,
+                deadline_s=self.config.deadline,
                 distortion=self.config.vp_distortion,
             )
         return self._campaign

@@ -9,6 +9,7 @@ a forked child dies holding the mapping.
 from __future__ import annotations
 
 import glob
+import multiprocessing
 import os
 import tempfile
 
@@ -34,7 +35,6 @@ from repro.census.matstore import (  # noqa: E402
     allocate_matrix_planes,
     resolve_store,
 )
-from repro.exec.pool import fork_available  # noqa: E402
 from repro.geo.cities import default_city_db  # noqa: E402
 from repro.geo.coords import GeoPoint  # noqa: E402
 from repro.measurement.recordio import CensusRecords  # noqa: E402
@@ -274,15 +274,17 @@ class TestAnalysisEquivalence:
         assert active_segments() == []
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork start method",
+)
 class TestCrashCleanup:
-    """A forked child killed while holding the mapping (a scan-pool worker
-    inherits every live store) cannot orphan or destroy a temp file."""
+    """A forked child killed while holding the mapping (every forked
+    process inherits the live stores) cannot orphan or destroy a temp
+    file."""
 
     @pytest.mark.parametrize("backend", STORE_BACKENDS)
     def test_killed_child_leaves_no_orphans(self, backend):
-        import multiprocessing
-
         before = set(_store_files())
         store = _create((64, 8), backend)
 

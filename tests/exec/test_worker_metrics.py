@@ -1,25 +1,20 @@
-"""Worker metric shipping: merged totals must equal serial totals.
+"""Scan metrics at any worker count equal the serial census's.
 
-Forked workers install a fresh registry after fork and ship its snapshot
-back on shutdown; the parent merges them.  Because every observation is
-an integer or a deterministic simulated quantity, the merged parent
-registry must equal what an in-process (serial) run of the same work
-records — the satellite contract of the telemetry PR.
+The scan driver counts each unit (``exec_unit_scans``,
+``exec_unit_probes``) in the calling thread as it takes the unit's
+result, in census order, so a census scanned on threads records the same
+counters, histograms and span tree as one scanned inline (``workers=0``).
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
-from repro.exec import ExecutionPolicy
-from repro.exec.pool import MSG_OK, WorkerPool, drain_worker_metrics, fork_available
 from repro.internet.topology import InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign
-from repro.measurement.faults import FaultPlan, WorkerFaultPlan
+from repro.measurement.faults import FaultPlan
 from repro.measurement.platform import planetlab_platform
-from repro.obs import MetricsRegistry, Tracer, current_metrics, use_metrics, use_tracer
+from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
 
 
 @pytest.fixture(scope="module")
@@ -34,40 +29,29 @@ def platform():
     return planetlab_platform(count=10, seed=11)
 
 
-def _census_metrics(internet, platform, workers, worker_faults=None):
-    policy = ExecutionPolicy(workers=workers)
-    if worker_faults is not None:
-        policy = ExecutionPolicy(
-            workers=workers,
-            worker_faults=worker_faults,
-            liveness_timeout_s=2.0,
-            poll_interval_s=0.02,
-        )
+def _census_metrics(internet, platform, workers):
     registry = MetricsRegistry()
     with use_metrics(registry):
-        campaign = CensusCampaign(
-            internet, platform, seed=99, executor=policy
-        )
+        campaign = CensusCampaign(internet, platform, seed=99, workers=workers)
         campaign.run_precensus()
         census = campaign.run_census(availability=0.85)
     return registry.snapshot(), census
 
 
 class TestExecPoolMetrics:
-    def test_forked_workers_equal_in_process(self, internet, platform):
+    def test_scan_threads_equal_in_process(self, internet, platform):
         serial, census_serial = _census_metrics(internet, platform, workers=0)
-        pooled, census_pooled = _census_metrics(internet, platform, workers=3)
-        # Same bytes (the old invariant)...
-        assert census_serial.records.checksum() == census_pooled.records.checksum()
-        # ...and now the same unit-level metric totals: the in-worker
-        # counters came home via shipped snapshots.
+        threaded, census_threaded = _census_metrics(internet, platform, workers=3)
+        # Same bytes...
+        assert census_serial.records.checksum() == census_threaded.records.checksum()
+        # ...and the same unit-level metric totals.
         for name in ("exec_unit_scans", "exec_unit_probes"):
             assert serial["counters"][name] > 0
-            assert pooled["counters"][name] == serial["counters"][name], name
-        # Parent-side campaign metrics agree too (simulated, deterministic).
-        assert pooled["counters"]["vps_ok"] == serial["counters"]["vps_ok"]
+            assert threaded["counters"][name] == serial["counters"][name], name
+        # Campaign metrics agree too (simulated, deterministic).
+        assert threaded["counters"]["vps_ok"] == serial["counters"]["vps_ok"]
         assert (
-            pooled["histograms"]["vp_scan_duration_hours"]
+            threaded["histograms"]["vp_scan_duration_hours"]
             == serial["histograms"]["vp_scan_duration_hours"]
         )
 
@@ -80,45 +64,18 @@ class TestExecPoolMetrics:
                 == base["counters"]["exec_unit_scans"]
             )
 
-    def test_dead_worker_does_not_hang_the_drain(self, internet, platform):
-        # A killed worker never ships its snapshot; the drain must prune
-        # it instead of blocking, and the census bytes stay identical.
-        serial, census_serial = _census_metrics(internet, platform, workers=0)
-        faulty, census_faulty = _census_metrics(
-            internet,
-            platform,
-            workers=3,
-            worker_faults=WorkerFaultPlan(dead_worker_ids=(0,)),
-        )
-        assert census_serial.records.checksum() == census_faulty.records.checksum()
-        # Units completed by the dead worker were reassigned; the scans
-        # that made it into the census are at least the serial count.
-        assert (
-            faulty["counters"]["exec_unit_scans"]
-            >= serial["counters"]["exec_unit_scans"] - 1
-        )
 
-
-#: Instruments that describe the schedule, not the census: pool
-#: messages, and the configured pool size.
-SCHEDULE_INSTRUMENTS = frozenset({"exec_heartbeats", "exec_workers"})
+#: The one instrument that describes the schedule, not the census: the
+#: configured worker count.
+SCHEDULE_INSTRUMENTS = frozenset({"exec_workers"})
 
 
 def _normalised(spans):
-    """A span forest without durations or ``worker`` ids, siblings
-    sorted: pooled ``vp_scan`` spans close in completion order, each
-    naming the worker that ran it."""
-    return sorted(
-        (
-            (
-                span["name"],
-                sorted((k, v) for k, v in span["attrs"].items() if k != "worker"),
-                _normalised(span["children"]),
-            )
-            for span in spans
-        ),
-        key=repr,
-    )
+    """A span forest without durations."""
+    return [
+        (span["name"], sorted(span["attrs"].items()), _normalised(span["children"]))
+        for span in spans
+    ]
 
 
 def _observed_campaign(internet, platform, workers):
@@ -130,7 +87,7 @@ def _observed_campaign(internet, platform, workers):
             platform,
             seed=99,
             fault_plan=FaultPlan.uniform(0.3, flap_prob=0.1),
-            executor=ExecutionPolicy(workers=workers),
+            workers=workers,
         )
         campaign.run_precensus()
         for _ in range(2):
@@ -152,39 +109,8 @@ class TestObservedCampaign:
         )
         assert pooled == serial
         assert pooled_spans == serial_spans
-        # The run was faulted and traced per VP, and the pool really ran.
+        # The run was faulted and traced per VP, and the threads really ran.
         assert serial["counters"]["vps_failed"] > 0
         assert serial["counters"]["exec_unit_scans"] > 0
         assert "vp_scan" in repr(serial_spans)
-        if fork_available():
-            assert schedule["exec_heartbeats"] > 0
-
-
-def _counting_execute(unit_id):
-    """A unit bumps one counter in the worker's own registry."""
-    current_metrics().counter("units_counted").inc()
-    return SimpleNamespace(probes_sent=0)
-
-
-class TestDrainAfterExit:
-    def test_snapshot_of_an_already_exited_worker_is_merged(self):
-        """A fast worker can drain and exit before the parent asks: its
-        snapshot is in the queue, not lost with the process."""
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            pool = WorkerPool(_counting_execute)
-            try:
-                handle = pool.spawn()
-                handle.dispatch(0)
-                handle.task_q.put(None)
-                while pool.out_q.get(timeout=10.0)[0] != MSG_OK:
-                    pass
-                handle.process.join(timeout=10.0)
-                assert not handle.process.is_alive()
-                merged = drain_worker_metrics(pool, registry)
-            finally:
-                pool.shutdown()
-        assert merged == 1
-        assert registry.snapshot()["counters"]["units_counted"] == 1
+        assert schedule["exec_workers"] == 2

@@ -1,7 +1,7 @@
 """Every planned VP is accounted for exactly once.
 
 Whatever happened to a VP during a census (scanned clean, salvaged after
-a crash, flapped, lost to its breaker or the deadline, resumed from a
+a crash, flapped, failed by a raising scan or the deadline, resumed from a
 journal), settle counts it in exactly one of ok / salvaged / failed, and
 the census carries one platform entry, one duration and one drop rate
 per planned VP.  A census aborted after its scans carries a report that
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exec import BREAKER_FAULT, ExecutionPolicy
+from repro.exec import SCAN_RAISED_FAULT
 from repro.measurement.campaign import CensusAborted, CensusCampaign, CensusInterrupted
 from repro.measurement.faults import FaultPlan
 
@@ -42,7 +42,7 @@ def assert_census_accounted(census) -> None:
 
 def campaign(internet, platform, workers, **kwargs) -> CensusCampaign:
     return CensusCampaign(
-        internet, platform, seed=77, executor=ExecutionPolicy(workers=workers), **kwargs
+        internet, platform, seed=77, workers=workers, **kwargs
     )
 
 
@@ -116,7 +116,7 @@ def test_breaker_tripped_vp(tiny_internet, tiny_platform, workers, monkeypatch):
     assert_census_accounted(census)
     name = tiny_platform.vantage_points[3].name
     assert census.health.failed_vps == [name]
-    assert census.health.faults_seen == {BREAKER_FAULT: 1}
+    assert census.health.faults_seen == {SCAN_RAISED_FAULT: 1}
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -127,7 +127,8 @@ def test_immediate_deadline_aborts_with_an_accounted_report(
         tiny_internet,
         tiny_platform,
         seed=77,
-        executor=ExecutionPolicy(workers=workers, deadline_s=1e-9),
+        workers=workers,
+        deadline_s=1e-9,
     )
     with pytest.raises(CensusAborted) as exc:
         starved.run_census()

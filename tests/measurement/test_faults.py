@@ -341,13 +341,11 @@ class TestQuorumAndQuarantine:
     def test_abort_names_the_scan_exception(
         self, tiny_internet, tiny_platform, monkeypatch, workers
     ):
-        """A bug in the scan kernel trips every breaker; the abort must
+        """A bug in the scan kernel fails every VP; the abort must
         say what was raised, not only that the census came out thin."""
-        from repro.exec import BREAKER_FAULT, ExecutionPolicy
+        from repro.exec import SCAN_RAISED_FAULT
 
-        campaign = make_campaign(
-            tiny_internet, tiny_platform, executor=ExecutionPolicy(workers=workers)
-        )
+        campaign = make_campaign(tiny_internet, tiny_platform, workers=workers)
 
         def broken_scan(*args, **kwargs):
             raise ValueError("boom")
@@ -357,7 +355,7 @@ class TestQuorumAndQuarantine:
             campaign.run_census(availability=0.85)
         assert "ValueError: boom" in str(exc.value.__cause__)
         report = exc.value.report
-        assert report.faults_seen == {BREAKER_FAULT: report.n_vps_planned}
+        assert report.faults_seen == {SCAN_RAISED_FAULT: report.n_vps_planned}
         assert set(report.vp_reasons) == set(report.failed_vps)
         assert all(
             reasons == ["scan raised ValueError: boom"]

@@ -345,7 +345,6 @@ class TestFlapCheckpointResume:
 
     @staticmethod
     def _campaign(internet, platform, seed=321, workers=0):
-        from repro.exec import ExecutionPolicy
         from repro.measurement.campaign import CensusCampaign
         from repro.measurement.faults import FaultPlan
 
@@ -355,7 +354,7 @@ class TestFlapCheckpointResume:
             seed=seed,
             fault_plan=FaultPlan(flap_prob=0.4, seed=17),
             min_vp_quorum=1,
-            executor=ExecutionPolicy(workers=workers),
+            workers=workers,
         )
         campaign.run_precensus()
         return campaign

@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.census.combine import combine_censuses
-from repro.exec.supervisor import ExecutionPolicy
 from repro.measurement.campaign import CensusCampaign
 from repro.measurement.faults import FaultPlan, RetryPolicy
 from repro.service.archive import RECORDS_FILE, RESULTS_FILE
@@ -54,7 +53,7 @@ def campaign_digest(internet, platform, case: str, workers: int) -> str:
         noise=case.split("-")[0],
         fault_plan=FAULTS if case.endswith("-faults") else None,
         scan_timeout_hours=24.0 if case.endswith("-faults") else None,
-        executor=ExecutionPolicy(workers=workers),
+        workers=workers,
     )
     censuses = campaign.run(n_censuses=3, availability=0.85)
     sha = hashlib.sha256()
@@ -114,7 +113,7 @@ def health_digest(internet, platform, workers: int):
         fault_plan=FAULTS,
         retry=RetryPolicy(jitter=0.5),
         scan_timeout_hours=24.0,
-        executor=ExecutionPolicy(workers=workers),
+        workers=workers,
     )
     censuses = campaign.run(n_censuses=4, availability=0.85)
     sha = hashlib.sha256()

@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 
 import repro.service.service as service_module
 from repro.census.longitudinal import EvolutionConfig
-from repro.exec.supervisor import ExecutionPolicy
 from repro.internet.topology import RESP_ADMIN_FILTERED, RESP_REPLY
 from repro.measurement.campaign import CensusCampaign, CensusInterrupted
 from repro.measurement.lfsr import lfsr_permutation
@@ -372,7 +371,6 @@ def test_carried_scans_equal_cold_scans(tmp_path, routing, workers):
         tmp_path / "archive", routing=routing, roster_churn_prob=0.05, roster_seed=11
     )
     seed = service.config.campaign_seed
-    policy = ExecutionPolicy(workers=workers)
     previous = world = None
     carried_scans, scanned = [], []
     for epoch in range(DAYS):
@@ -401,7 +399,7 @@ def test_carried_scans_equal_cold_scans(tmp_path, routing, workers):
                 seed=seed,
                 degraded_fraction=0.3,
                 noise="keyed",
-                executor=policy,
+                workers=workers,
                 previous=previous,
             )
 

@@ -111,23 +111,22 @@ class TestTelemetryPayload:
         assert service.archive.read_telemetry(0) is None
 
     def test_worker_metrics_folded_into_sidecar(self, tmp_path, monkeypatch):
-        # With the epoch's census on a forked pool, the in-worker unit
-        # counters must come home into the archived snapshot.
+        # With the epoch's census on scan threads, the unit counters
+        # must land in the archived snapshot as the serial run's do.
         import repro.service.service as service_mod
-        from repro.exec import ExecutionPolicy
 
         root = tmp_path / "archive"
         telemetry_service(root).run_epoch(0)
         serial = telemetry_service(root).archive.read_telemetry(0)["metrics"]
 
         # The service config has no worker knob; wrap the campaign
-        # factory so the same epoch runs on a 2-worker pool.
+        # factory so the same epoch scans on 2 threads.
         real_campaign = service_mod.CensusCampaign
         monkeypatch.setattr(
             service_mod,
             "CensusCampaign",
             lambda *a, **kw: real_campaign(
-                *a, executor=ExecutionPolicy(workers=2), **kw
+                *a, workers=2, **kw
             ),
         )
         pooled_root = tmp_path / "pooled"
@@ -135,8 +134,8 @@ class TestTelemetryPayload:
         pooled_service.run_epoch(0)
         pooled = pooled_service.archive.read_telemetry(0)["metrics"]
 
-        # Unit counters shipped home from the forked workers equal the
-        # ones the serial (in-process) engine counted in the parent...
+        # Unit counters of the threaded scans equal the ones the serial
+        # (inline) driver counted...
         assert pooled["counters"]["exec_unit_scans"] > 0
         assert pooled["counters"]["exec_unit_scans"] == serial["counters"]["exec_unit_scans"]
         # ...census-level families agree with serial...

@@ -1,26 +1,20 @@
-"""The parallel engine's hard invariant: bytes never depend on workers.
+"""The scan driver's hard invariant: bytes never depend on workers.
 
-Property-style coverage of the determinism contract: a census executed
-on the supervised pool — any worker count, shuffled dispatch order,
-VP-level faults active, workers killed or wedged mid-scan — produces
-output byte-identical to the serial census (``workers=0``, the engine's
-in-process driver).
+Property-style coverage of the determinism contract: a census scanned on
+threads — any worker count, VP-level faults active, interrupted and
+resumed at another worker count — produces output byte-identical to the
+serial census (``workers=0``, the driver's inline path).
 """
 
 import io
+import time
 
 import numpy as np
 import pytest
 
-from repro.exec import ExecutionPolicy
 from repro.internet.topology import InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign, CensusInterrupted
-from repro.measurement.faults import (
-    FaultPlan,
-    RetryPolicy,
-    WorkerFaultKind,
-    WorkerFaultPlan,
-)
+from repro.measurement.faults import FaultPlan, RetryPolicy
 from repro.measurement.platform import planetlab_platform
 
 
@@ -39,7 +33,7 @@ def platform():
 def fresh_campaign(
     internet,
     platform,
-    executor=ExecutionPolicy(workers=0),
+    workers=0,
     fault_plan=None,
     retry=None,
     scan_timeout_hours=None,
@@ -51,7 +45,7 @@ def fresh_campaign(
         fault_plan=fault_plan,
         retry=retry,
         scan_timeout_hours=scan_timeout_hours,
-        executor=executor,
+        workers=workers,
     )
     campaign.run_precensus()
     return campaign
@@ -77,7 +71,7 @@ def assert_same_census(a, b):
 @pytest.fixture(scope="module")
 def serial_census(internet, platform):
     census = fresh_campaign(internet, platform).run_census(availability=0.85)
-    assert census.health.execution["in_process"]
+    assert census.health.execution["workers"] == 0
     return census
 
 
@@ -86,24 +80,57 @@ class TestPoolMatchesSerial:
     def test_any_worker_count_is_byte_identical(
         self, internet, platform, serial_census, workers
     ):
-        # submit_seed shuffles dispatch order: determinism must not lean
-        # on the canonical submission sequence.
-        policy = ExecutionPolicy(workers=workers, submit_seed=1000 + workers)
-        census = fresh_campaign(internet, platform, executor=policy).run_census(
+        census = fresh_campaign(internet, platform, workers=workers).run_census(
             availability=0.85
         )
         assert_same_census(census, serial_census)
         assert census.health.execution["workers"] == workers
 
-    def test_shuffled_orders_agree_with_each_other(self, internet, platform):
-        seen = set()
-        for submit_seed in (None, 5, 77):
-            policy = ExecutionPolicy(workers=3, submit_seed=submit_seed)
-            census = fresh_campaign(internet, platform, executor=policy).run_census(
-                availability=0.85
+    def test_shuffled_orders_agree_with_each_other(
+        self, internet, platform, serial_census, monkeypatch
+    ):
+        """Scans that finish out of census order (each delayed by a seeded
+        random nap, a different schedule per run) still give the serial
+        bytes: results are taken in census order, not completion order."""
+        for seed in (5, 77, 1000):
+            campaign = fresh_campaign(internet, platform, workers=3)
+            naps = np.random.default_rng(seed).uniform(0.0, 0.02, size=len(platform))
+            scan_vp = campaign.scan_vp
+
+            def napping_scan(platform_index, *args, **kwargs):
+                time.sleep(naps[platform_index])
+                return scan_vp(platform_index, *args, **kwargs)
+
+            monkeypatch.setattr(campaign, "scan_vp", napping_scan)
+            assert_same_census(campaign.run_census(availability=0.85), serial_census)
+
+    @pytest.mark.parametrize("noise", ["stream", "keyed"])
+    def test_threads_sharing_the_campaign_under_fast_switching(
+        self, internet, platform, noise
+    ):
+        """Scan threads share one campaign (its base-row cache, its
+        prepared keyed outcomes, the census's scan plan).  More threads
+        than cores, switching every few microseconds, must still give the
+        serial bytes."""
+        import sys
+
+        def census(workers):
+            campaign = CensusCampaign(
+                internet, platform, seed=99, noise=noise, workers=workers
             )
-            seen.add(census.records.checksum())
-        assert len(seen) == 1
+            campaign.run_precensus()
+            return campaign.run_census(availability=0.85)
+
+        serial = census(0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            started = time.monotonic()
+            threaded = census(8)
+            assert time.monotonic() - started < 60.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_census(threaded, serial)
 
 
 class TestPoolMatchesSerialUnderVpFaults:
@@ -125,7 +152,7 @@ class TestPoolMatchesSerialUnderVpFaults:
             fault_plan=self.FAULTS,
             retry=retry,
             scan_timeout_hours=48.0,
-            executor=ExecutionPolicy(workers=3, submit_seed=9),
+            workers=3,
         ).run_census(availability=0.85)
         assert_same_census(pooled, serial)
         assert pooled.health.retries == serial.health.retries
@@ -134,80 +161,19 @@ class TestPoolMatchesSerialUnderVpFaults:
         )
 
 
-class TestFaultyWorkersKeepBytesIdentical:
-    def test_killed_worker_mid_census(self, internet, platform, serial_census):
-        policy = ExecutionPolicy(
-            workers=2,
-            worker_faults=WorkerFaultPlan(dead_worker_ids=(0,)),
-            liveness_timeout_s=2.0,
-            poll_interval_s=0.02,
-        )
-        census = fresh_campaign(internet, platform, executor=policy).run_census(
-            availability=0.85
-        )
-        assert census.health.execution["workers_lost"] == 1
-        assert census.health.execution["reassignments"] >= 1
-        assert_same_census(census, serial_census)
-
-    def test_wedged_worker_mid_census(self, internet, platform, serial_census):
-        policy = ExecutionPolicy(
-            workers=2,
-            worker_faults=WorkerFaultPlan(wedged_worker_ids=(0,), wedge_seconds=30.0),
-            liveness_timeout_s=0.3,
-            poll_interval_s=0.02,
-        )
-        census = fresh_campaign(internet, platform, executor=policy).run_census(
-            availability=0.85
-        )
-        assert census.health.execution["workers_wedged"] == 1
-        assert_same_census(census, serial_census)
-
-    def test_probabilistic_worker_chaos(self, internet, platform, serial_census):
-        """One fixed scenario: a unit's fate on its n-th dispatch is keyed
-        on (seed, unit, attempt), and with one unit in flight per worker a
-        worker dies only in the unit it runs, so the losses and
-        reassignments are exactly the injector's leading fatal draws."""
-        plan = WorkerFaultPlan(dead_prob=0.15, slow_prob=0.1, seed=3, slow_seconds=0.05)
-        policy = ExecutionPolicy(
-            workers=3,
-            worker_faults=plan,
-            liveness_timeout_s=2.0,
-            poll_interval_s=0.02,
-            prefetch=1,
-        )
-        census = fresh_campaign(internet, platform, executor=policy).run_census(
-            availability=0.85
-        )
-        assert_same_census(census, serial_census)
-
-        def deaths(unit_id):
-            attempt = 0
-            while plan.fault_for(-1, 0, unit_id, attempt) is WorkerFaultKind.DEAD_WORKER:
-                attempt += 1
-            return attempt
-
-        execution = census.health.execution
-        lost = sum(deaths(u) for u in range(execution["n_units"]))
-        assert lost > 0
-        assert execution["workers_lost"] == lost
-        assert execution["reassignments"] == lost
-        assert execution["workers_wedged"] == 0
-
-
 class TestCheckpointResumeUnderPool:
     def test_interrupt_and_resume_is_bit_for_bit(
         self, internet, platform, serial_census, tmp_path
     ):
         journal_path = str(tmp_path / "census-001.journal")
-        policy = ExecutionPolicy(workers=2, poll_interval_s=0.02)
-        interrupted = fresh_campaign(internet, platform, executor=policy)
+        interrupted = fresh_campaign(internet, platform, workers=2)
         with pytest.raises(CensusInterrupted) as exc:
             interrupted.run_census(
                 availability=0.85, checkpoint=journal_path, abort_after_vps=3
             )
         assert exc.value.completed_vps == 3
 
-        resumer = fresh_campaign(internet, platform, executor=policy)
+        resumer = fresh_campaign(internet, platform, workers=2)
         resumed = resumer.run_census(availability=0.85, checkpoint=journal_path)
         assert resumed.health.n_vps_resumed == 3
         assert_same_census(resumed, serial_census)
@@ -223,14 +189,14 @@ class TestCheckpointResumeUnderPool:
             fresh_campaign(
                 internet,
                 platform,
-                executor=ExecutionPolicy(workers=writer, poll_interval_s=0.02),
+                workers=writer,
             ).run_census(
                 availability=0.85, checkpoint=journal_path, abort_after_vps=2
             )
         resumed = fresh_campaign(
             internet,
             platform,
-            executor=ExecutionPolicy(workers=resumer, poll_interval_s=0.02),
+            workers=resumer,
         ).run_census(availability=0.85, checkpoint=journal_path)
         assert resumed.health.n_vps_resumed == 2
         assert_same_census(resumed, serial_census)

@@ -104,7 +104,7 @@ class TestConfigPropagation:
 
 
 class TestExecutionKnobs:
-    """StudyConfig.workers/deadline -> campaign engine policy."""
+    """StudyConfig.workers/deadline -> the campaign's scan driver."""
 
     @pytest.mark.parametrize("field", ["trust_policy", "manifest_path"])
     def test_fields_nobody_set_are_gone(self, field):
@@ -135,7 +135,7 @@ class TestExecutionKnobs:
             pooled.censuses[0].records.checksum()
             == serial.censuses[0].records.checksum()
         )
-        assert serial.health_reports[0].execution["in_process"]
+        assert serial.health_reports[0].execution["workers"] == 0
         assert pooled.health_reports[0].execution["workers"] == 2
 
     def test_manifest_carries_execution_report(self):
