@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..geo.coords import pairwise_distances_km
+from ..geo.coords import GeoPoint, pairwise_distances_km
 from .propagation import Announcement, propagate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -180,9 +180,7 @@ class RouteEventInjector:
         if event.victim_prefix is not None:
             return int(event.victim_prefix)
         if event.kind in (RouteEventKind.MOAS_HIJACK, RouteEventKind.ROUTE_LEAK):
-            pool = np.asarray(
-                sorted(int(h.prefix) for h in self.internet.unicast_hosts)
-            )
+            pool = self.internet.prefixes[~self.internet.is_anycast]
         else:
             pool = np.asarray(self.internet.prefixes[self.internet.is_anycast])
         present = pool[np.isin(pool, matrix.prefixes)]
@@ -314,14 +312,14 @@ class RouteEventInjector:
         # originating a registered-unicast prefix, which turns it
         # apparently anycast in the next census.
         dep = self._deployment_for(victim)
-        host = None if dep is not None else self._unicast_host_for(victim)
-        if dep is None and host is None:
+        host_at = None if dep is not None else self._unicast_location_for(victim)
+        if dep is None and host_at is None:
             record["reason"] = "victim prefix unknown to the substrate"
             return matrix
         victim_sites = (
             [r.location for r in dep.replicas]
             if dep is not None
-            else [host.location]
+            else [host_at]
         )
         attacker = self._resolve_attacker_city(event_index, event, victim_sites)
         attacker_as = int(
@@ -339,7 +337,7 @@ class RouteEventInjector:
         else:
             origin = int(
                 self.plane.attach_clients(
-                    [host.location.lat], [host.location.lon]
+                    [host_at.lat], [host_at.lon]
                 )[0]
             )
             anns = (
@@ -390,19 +388,21 @@ class RouteEventInjector:
         record["applied"] = True
         return matrix
 
-    def _unicast_host_for(self, victim: int):
-        for host in self.internet.unicast_hosts:
-            if int(host.prefix) == victim:
-                return host
-        return None
+    def _unicast_location_for(self, victim: int) -> Optional[GeoPoint]:
+        """Where a unicast victim's host sits, or ``None`` if unrouted."""
+        try:
+            pos = self.internet.target_index(victim)
+        except KeyError:
+            return None
+        return GeoPoint(float(self.internet.lats[pos]), float(self.internet.lons[pos]))
 
     def _apply_leak(self, matrix, epoch, event_index, event, victim, record):
         # Leaks work against anycast deployments *and* unicast prefixes —
         # the canonical real-world incident is a multihomed stub leaking
         # someone's unicast route to its other provider.
         dep = self._deployment_for(victim)
-        host = None if dep is not None else self._unicast_host_for(victim)
-        if dep is None and host is None:
+        host_at = None if dep is not None else self._unicast_location_for(victim)
+        if dep is None and host_at is None:
             record["reason"] = "victim prefix unknown to the substrate"
             return matrix
         vp_lats, vp_lons = self._vp_coords(matrix)
@@ -429,12 +429,12 @@ class RouteEventInjector:
             old_lons = np.array([dep.replicas[int(s)].location.lon for s in old_site])
         else:
             origin = int(
-                self.plane.attach_clients([host.location.lat], [host.location.lon])[0]
+                self.plane.attach_clients([host_at.lat], [host_at.lon])[0]
             )
             base_anns = (Announcement(origin_as=origin, site=0),)
             base_outcome = propagate(self.plane.graph, base_anns)
-            old_lats = np.full(len(vp_lats), host.location.lat)
-            old_lons = np.full(len(vp_lats), host.location.lon)
+            old_lats = np.full(len(vp_lats), host_at.lat)
+            old_lons = np.full(len(vp_lats), host_at.lon)
         # Element-wise VP -> old-endpoint distances (the pairwise helper
         # is all-pairs; these are matched pairs).
         d_old = np.array(
@@ -488,7 +488,7 @@ class RouteEventInjector:
                     prepend=int(base_outcome.path_len[leaker]), leak=True,
                 )
                 outcome = propagate(self.plane.graph, base_anns + (leak_ann,))
-                loc = host.location
+                loc = host_at
             captured = outcome.via_leak[vp_as]
             if not captured.any():
                 reason = "leak captured no vantage points"

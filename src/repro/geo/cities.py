@@ -531,6 +531,10 @@ class CityDB:
         """
         return self._pops
 
+    def coordinates(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Cached read-only ``(lat, lon)`` degree arrays (city order)."""
+        return self._lats, self._lons
+
     def coordinates_radians(self) -> Tuple[np.ndarray, np.ndarray]:
         """Cached read-only ``(lat, lon)`` radian arrays (city order)."""
         return self._lat_rad, self._lon_rad
@@ -638,7 +642,13 @@ class CityDB:
         return self._cities[int(np.argmin(self.distances_km(point)))]
 
     def sample(self, rng: np.random.Generator, count: int, weight_by_population: bool = True) -> List[City]:
-        """Draw ``count`` cities (with replacement), optionally population-weighted.
+        """Draw ``count`` cities (with replacement), optionally population-weighted."""
+        return [self._cities[i] for i in self.sample_indices(rng, count, weight_by_population)]
+
+    def sample_indices(
+        self, rng: np.random.Generator, count: int, weight_by_population: bool = True
+    ) -> np.ndarray:
+        """:meth:`sample` as gazetteer indices: the same draws, no objects.
 
         Used by the synthetic-Internet builder to place unicast hosts where
         people (and therefore networks) are.
@@ -647,10 +657,8 @@ class CityDB:
             raise ValueError("count must be non-negative")
         if weight_by_population:
             weights = self._pops / self._pops.sum()
-            idx = rng.choice(len(self._cities), size=count, p=weights)
-        else:
-            idx = rng.integers(0, len(self._cities), size=count)
-        return [self._cities[i] for i in idx]
+            return rng.choice(len(self._cities), size=count, p=weights)
+        return rng.integers(0, len(self._cities), size=count)
 
 
 _DEFAULT_DB: Optional[CityDB] = None

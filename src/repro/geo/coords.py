@@ -216,6 +216,36 @@ def destination_point(origin: GeoPoint, bearing_deg: float, distance_km: float) 
     return GeoPoint(math.degrees(phi2), lon)
 
 
+def destination_points(
+    lats: np.ndarray, lons: np.ndarray, bearings_deg: np.ndarray, distances_km: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`destination_point` over arrays: the reached ``(lats, lons)``.
+
+    Element for element bit-identical to the scalar function: the same
+    operations in the same order, with ``np.sin``/``np.cos``/``np.radians``
+    /``np.degrees``/``%`` (equal to their ``math`` counterparts) and
+    ``math.asin``/``math.atan2`` per element, because numpy's SIMD
+    ``arcsin``/``arctan2`` round differently from libm.
+    """
+    distances_km = np.asarray(distances_km, dtype=np.float64)
+    if (distances_km < 0).any():
+        raise ValueError("distance_km must be non-negative")
+    n = len(distances_km)
+    delta = distances_km / EARTH_RADIUS_KM
+    theta = np.radians(bearings_deg)
+    phi1 = np.radians(lats)
+    sin_phi1, cos_phi1 = np.sin(phi1), np.cos(phi1)
+    sin_delta, cos_delta = np.sin(delta), np.cos(delta)
+    sin_phi2 = np.clip(sin_phi1 * cos_delta + cos_phi1 * sin_delta * np.cos(theta), -1.0, 1.0)
+    phi2 = np.fromiter(map(math.asin, sin_phi2.tolist()), dtype=np.float64, count=n)
+    y = np.sin(theta) * sin_delta * cos_phi1
+    x = cos_delta - sin_phi1 * sin_phi2
+    lam2 = np.radians(lons) + np.fromiter(
+        map(math.atan2, y.tolist(), x.tolist()), dtype=np.float64, count=n
+    )
+    return np.degrees(phi2), (np.degrees(lam2) + 180.0) % 360.0 - 180.0
+
+
 def midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:
     """Great-circle midpoint between two points."""
     bearing = initial_bearing_deg(a, b)

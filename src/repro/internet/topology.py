@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..bgp.plane import BgpRoutingPlane
 
 from ..geo.cities import City, CityDB, default_city_db
-from ..geo.coords import GeoPoint, destination_point
+from ..geo.coords import GeoPoint, destination_point, destination_points
 from ..net.addresses import RESERVED_PREFIXES
 from ..net.asn import ASRegistry
 from ..net.icmp import IcmpOutcome
@@ -113,8 +113,8 @@ ANYCAST_REGION_START = 0x01000000
 UNICAST_REGION_START = 0x18000000
 
 
-def _routable_slash24_indices(start_ip: int = ANYCAST_REGION_START) -> Iterator[int]:
-    """Yield /24 prefix indices skipping reserved address space.
+def _routable_runs(start_ip: int) -> Iterator[range]:
+    """The runs of routable /24 prefix indices from ``start_ip`` up.
 
     Every reserved block is a /24 or shorter, so each covers one run of
     /24 indices; the walk jumps over the runs instead of testing every
@@ -123,9 +123,58 @@ def _routable_slash24_indices(start_ip: int = ANYCAST_REGION_START) -> Iterator[
     index = start_ip >> 8
     for block in sorted(RESERVED_PREFIXES, key=lambda p: p.base):
         first = block.base >> 8
-        yield from range(index, first)
+        yield range(index, first)
         index = max(index, first + (1 << (24 - block.length)))
-    yield from range(index, 1 << 24)
+    yield range(index, 1 << 24)
+
+
+def _routable_slash24_indices(start_ip: int = ANYCAST_REGION_START) -> Iterator[int]:
+    """Yield /24 prefix indices skipping reserved address space."""
+    return itertools.chain.from_iterable(_routable_runs(start_ip))
+
+
+def _first_routable_slash24s(start_ip: int, count: int) -> np.ndarray:
+    """The first ``count`` indices :func:`_routable_slash24_indices`
+    yields, as an int64 array."""
+    taken = [np.empty(0, dtype=np.int64)]
+    for run in _routable_runs(start_ip):
+        take = min(count, len(run))
+        taken.append(np.arange(run.start, run.start + take, dtype=np.int64))
+        count -= take
+    return np.concatenate(taken)
+
+
+@dataclass(frozen=True, eq=False)
+class _UnicastHalf:
+    """The unicast half of a world: parallel read-only columns, one row
+    per host in allocation order.
+
+    :attr:`hosts` builds the :class:`UnicastHost` objects from the columns
+    on first access; worlds derived by :meth:`SyntheticInternet.evolved`
+    share one half, hence one tuple of hosts.
+    """
+
+    prefixes: np.ndarray
+    lats: np.ndarray
+    lons: np.ndarray
+    responsiveness: np.ndarray
+    #: Gazetteer index of each host's city.
+    cities: np.ndarray
+    city_db: CityDB
+
+    def __post_init__(self) -> None:
+        for column in (self.prefixes, self.lats, self.lons, self.responsiveness, self.cities):
+            column.setflags(write=False)
+
+    @cached_property
+    def hosts(self) -> Tuple[UnicastHost, ...]:
+        city_at = self.city_db.city_at
+        return tuple(
+            UnicastHost(prefix=prefix, location=GeoPoint(lat, lon), city=city_at(city))
+            for prefix, lat, lon, city in zip(
+                self.prefixes.tolist(), self.lats.tolist(), self.lons.tolist(), self.cities.tolist()
+            )
+        )
 
 
 class SyntheticInternet:
@@ -156,8 +205,8 @@ class SyntheticInternet:
         self.city_db = city_db or default_city_db()
         if catalog is None:
             catalog = full_catalog(tail_count=self.config.tail_deployments, seed=self.config.seed)
-        unicast = self._build_unicast()
-        self._build_anycast(catalog, reusable=(), unicast=unicast)
+        self._unicast = self._build_unicast()
+        self._build_anycast(catalog, reusable=())
 
         # The BGP routing plane exists only in bgp mode and draws from its
         # own keyed generator — geo-mode construction consumes exactly the
@@ -175,9 +224,9 @@ class SyntheticInternet:
         ``SyntheticInternet(self.config, catalog, self.city_db)`` — but
         only what the catalog can change is rebuilt:
 
-        * the unicast half is taken from this world: the hosts as they are,
-          the unicast slice of every per-target array (all read-only)
-          copied behind the new anycast slice;
+        * the unicast half is taken from this world: its columns (all
+          read-only) copied behind the new anycast slice of every
+          per-target array, and its hosts, shared;
         * the BGP routing plane is shared too — its graph depends on the
           seed alone, and its routes are cached on the exact announcement
           set, so a deployment whose announcements did not move finds its
@@ -195,13 +244,8 @@ class SyntheticInternet:
         child = SyntheticInternet.__new__(SyntheticInternet)
         child.config = self.config
         child.city_db = self.city_db
-        child.unicast_hosts = self.unicast_hosts
-        n_anycast = self.n_targets - len(self.unicast_hosts)
-        unicast = tuple(
-            column[n_anycast:]
-            for column in (self.prefixes, self.lats, self.lons, self.responsiveness)
-        )
-        child._build_anycast(catalog, reusable=self.deployments, unicast=unicast)
+        child._unicast = self._unicast
+        child._build_anycast(catalog, reusable=self.deployments)
         child.bgp_plane = self.bgp_plane
         if child.bgp_plane is not None:
             child.bgp_plane.retain(child.deployments)
@@ -250,14 +294,11 @@ class SyntheticInternet:
         self,
         catalog: Sequence[CatalogEntry],
         reusable: Sequence[AnycastDeployment],
-        unicast: Tuple[np.ndarray, ...],
     ) -> None:
         """Registry, deployments and the target arrays for ``catalog``.
 
         A deployment of ``reusable`` with the same entry and the same
         allocated prefix block is taken as is instead of being rebuilt.
-        ``unicast`` holds the unicast half's (prefix, lat, lon,
-        responsiveness) columns, which follow the anycast slice.
         """
         by_block = {dep.prefixes[0]: dep for dep in reusable}
         allocator = _routable_slash24_indices(start_ip=ANYCAST_REGION_START)
@@ -276,35 +317,37 @@ class SyntheticInternet:
             self.deployments.append(deployment)
             for p in prefixes:
                 self.registry.assign_prefix(p, entry.asn)
-        self._freeze_arrays(unicast)
+        self._freeze_arrays()
 
-    def _build_unicast(self) -> Tuple[np.ndarray, ...]:
-        """The unicast hosts, and their (prefix, lat, lon, responsiveness)
-        columns.
+    def _build_unicast(self) -> _UnicastHalf:
+        """The unicast half, column by column.
 
-        Unicast hosts draw from their own generator and their own address
-        region, independent of the anycast catalog; so does their
-        responsiveness.
+        Unicast hosts draw from their own generators and their own address
+        region, independent of the anycast catalog.  The draws are those
+        of a host-by-host build, in its order: the hosts' cities, then per
+        host a scatter bearing and distance (``Generator.uniform(lo, hi)``
+        is ``lo + (hi - lo) * random()``, so one ``random(2n)`` block holds
+        them interleaved), and the responsiveness from a generator of its
+        own.
         """
-        rng = np.random.default_rng(self.config.seed * 1_000_003 + 777)
-        allocator = _routable_slash24_indices(start_ip=UNICAST_REGION_START)
-        self.unicast_hosts: Tuple[UnicastHost, ...] = tuple(
-            UnicastHost(
-                prefix=next(allocator),
-                location=self._scatter(city.location, self.config.host_scatter_km, rng),
-                city=city,
-            )
-            for city in self.city_db.sample(rng, self.config.n_unicast_slash24)
+        cfg, n = self.config, self.config.n_unicast_slash24
+        rng = np.random.default_rng(cfg.seed * 1_000_003 + 777)
+        cities = self.city_db.sample_indices(rng, n)
+        scatter = rng.random(2 * n)
+        city_lats, city_lons = self.city_db.coordinates()
+        lats, lons = destination_points(
+            city_lats[cities],
+            city_lons[cities],
+            0.0 + 360.0 * scatter[0::2],
+            0.0 + cfg.host_scatter_km * scatter[1::2],
         )
-        hosts, n = self.unicast_hosts, len(self.unicast_hosts)
-        resp_rng = np.random.default_rng(self.config.seed)
-        return (
-            np.fromiter((h.prefix for h in hosts), dtype=np.int64, count=n),
-            np.fromiter((h.location.lat for h in hosts), dtype=np.float64, count=n),
-            np.fromiter((h.location.lon for h in hosts), dtype=np.float64, count=n),
-            np.fromiter(
-                (self._draw_responsiveness(resp_rng) for _ in hosts), dtype=np.int8, count=n
-            ),
+        return _UnicastHalf(
+            prefixes=_first_routable_slash24s(UNICAST_REGION_START, n),
+            lats=lats,
+            lons=lons,
+            responsiveness=self._draw_responsiveness(np.random.default_rng(cfg.seed), n),
+            cities=cities,
+            city_db=self.city_db,
         )
 
     @staticmethod
@@ -313,14 +356,14 @@ class SyntheticInternet:
         distance = float(rng.uniform(0.0, max_km))
         return destination_point(center, bearing, distance)
 
-    def _freeze_arrays(self, unicast: Tuple[np.ndarray, ...]) -> None:
+    def _freeze_arrays(self) -> None:
         """The per-target arrays (read-only): the anycast slice, then the
-        unicast half."""
-        deployments = self.deployments
+        unicast half.  The anycast region lies below the unicast one, so
+        :attr:`prefixes` ascends strictly, which the prefix lookups use."""
+        deployments, unicast = self.deployments, self._unicast
         counts = np.array([len(d.prefixes) for d in deployments], dtype=np.int64)
         n_anycast = int(counts.sum())
-        uni_prefixes, uni_lats, uni_lons, uni_resp = unicast
-        n_total = n_anycast + len(uni_prefixes)
+        n_total = n_anycast + len(unicast.prefixes)
 
         anycast_prefixes = [p for d in deployments for p in d.prefixes]
         # Placeholder coordinates: anycast targets sit at their primary
@@ -331,49 +374,65 @@ class SyntheticInternet:
         anchor_lons = np.array([a.lon for a in anchors], dtype=np.float64)
 
         self.prefixes = np.concatenate(
-            [np.array(anycast_prefixes, dtype=np.int64), uni_prefixes]
+            [np.array(anycast_prefixes, dtype=np.int64), unicast.prefixes]
         )
+        if (np.diff(self.prefixes) <= 0).any():
+            raise ValueError("target prefixes must ascend strictly")
         self.is_anycast = np.zeros(n_total, dtype=bool)
         self.is_anycast[:n_anycast] = True
         self.deployment_index = np.full(n_total, -1, dtype=np.int32)
         self.deployment_index[:n_anycast] = np.repeat(
             np.arange(len(deployments), dtype=np.int32), counts
         )
-        self.lats = np.concatenate([np.repeat(anchor_lats, counts), uni_lats])
-        self.lons = np.concatenate([np.repeat(anchor_lons, counts), uni_lons])
+        self.lats = np.concatenate([np.repeat(anchor_lats, counts), unicast.lats])
+        self.lons = np.concatenate([np.repeat(anchor_lons, counts), unicast.lons])
         self.responsiveness = np.concatenate(
-            [np.full(n_anycast, RESP_REPLY, dtype=np.int8), uni_resp]
+            [np.full(n_anycast, RESP_REPLY, dtype=np.int8), unicast.responsiveness]
         )
         for array in (
             self.prefixes, self.is_anycast, self.deployment_index,
             self.lats, self.lons, self.responsiveness,
         ):
             array.setflags(write=False)
-        self._prefix_to_target: Dict[int, int] = dict(
-            zip(
-                itertools.chain(anycast_prefixes, (h.prefix for h in self.unicast_hosts)),
-                range(n_total),
-            )
-        )
 
-    def _draw_responsiveness(self, rng: np.random.Generator) -> int:
+    def _draw_responsiveness(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Responsiveness codes of ``n`` hosts: one ``random()`` per host,
+        and a second, which error, for a host that errs.
+
+        The draws come as one block of ``2n`` (enough for every host to
+        err).  Within a run of erring draws, a host's first draw sits at
+        each even offset from the run's start, and the draw after it is
+        that host's second; every other draw is some host's first.
+        """
         cfg = self.config
-        u = rng.random()
-        if u < cfg.reply_fraction:
-            return RESP_REPLY
-        if u < cfg.reply_fraction + cfg.error_fraction:
-            v = rng.random()
-            s13, s10, _ = cfg.error_split
-            if v < s13:
-                return RESP_ADMIN_FILTERED
-            if v < s13 + s10:
-                return RESP_HOST_PROHIBITED
-            return RESP_NET_PROHIBITED
-        return RESP_SILENT
+        reply, error = cfg.reply_fraction, cfg.reply_fraction + cfg.error_fraction
+        s13, s10, _ = cfg.error_split
+        draws = rng.random(2 * n)
+        erring = (draws >= reply) & (draws < error)
+        starts = erring.copy()
+        starts[1:] &= ~erring[:-1]
+        at = np.arange(2 * n)
+        offset = at - np.maximum.accumulate(np.where(starts, at, 0))
+        second = np.zeros(2 * n, dtype=bool)
+        second[1:] = (erring & (offset % 2 == 0))[:-1]
+        first = np.flatnonzero(~second)[:n]
+        u, v = draws[first], draws[first + 1]
+        return np.select(
+            [u < reply, u >= error, v < s13, v < s13 + s10],
+            [RESP_REPLY, RESP_SILENT, RESP_ADMIN_FILTERED, RESP_HOST_PROHIBITED],
+            RESP_NET_PROHIBITED,
+        ).astype(np.int8)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    @property
+    def unicast_hosts(self) -> Tuple[UnicastHost, ...]:
+        """The unicast hosts in target order, built from the unicast
+        half's columns on first access and shared with every world
+        :meth:`evolved` derives."""
+        return self._unicast.hosts
 
     @property
     def n_targets(self) -> int:
@@ -389,33 +448,27 @@ class SyntheticInternet:
 
     def target_index(self, prefix: int) -> int:
         """Target-array position of a /24 prefix index."""
-        try:
-            return self._prefix_to_target[prefix]
-        except KeyError:
-            raise KeyError(f"prefix index {prefix} not routed") from None
+        pos = int(np.searchsorted(self.prefixes, prefix))
+        if pos == len(self.prefixes) or self.prefixes[pos] != prefix:
+            raise KeyError(f"prefix index {prefix} not routed")
+        return pos
 
     def target_indices(self, prefixes) -> np.ndarray:
         """Target-array positions of many /24 prefix indices at once.
 
-        Vectorized :meth:`target_index`: one ``searchsorted`` over the
-        (sorted) target prefixes instead of a dict probe per element.
-        Raises :class:`KeyError` naming the first unrouted prefixes.
+        One ``searchsorted`` over :attr:`prefixes` (ascending).  Raises
+        :class:`KeyError` naming the first unrouted prefixes.
         """
-        query = np.asarray(list(prefixes) if not isinstance(prefixes, np.ndarray) else prefixes, dtype=np.int64)
-        if query.size == 0:
-            return np.empty(0, dtype=np.int64)
-        order = np.argsort(self.prefixes, kind="stable")
-        sorted_prefixes = self.prefixes[order]
-        pos = np.searchsorted(sorted_prefixes, query)
-        in_range = pos < len(sorted_prefixes)
-        ok = in_range.copy()
-        if in_range.any():
-            safe = np.where(in_range, pos, 0)
-            ok &= sorted_prefixes[safe] == query
-        if not ok.all():
-            missing = query[~ok][:5].tolist()
+        query = np.asarray(
+            prefixes if isinstance(prefixes, np.ndarray) else list(prefixes), dtype=np.int64
+        )
+        pos = np.searchsorted(self.prefixes, query).astype(np.int64)
+        routed = pos < len(self.prefixes)
+        routed[routed] = self.prefixes[pos[routed]] == query[routed]
+        if not routed.all():
+            missing = query[~routed][:5].tolist()
             raise KeyError(f"prefix indices not routed: {missing}")
-        return order[pos].astype(np.int64)
+        return pos
 
     @cached_property
     def prefix_owners(self) -> Tuple[np.ndarray, np.ndarray]:

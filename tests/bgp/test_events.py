@@ -13,6 +13,7 @@ from repro.bgp import (
     RouteEventKind,
     RouteEventPlan,
 )
+from repro.internet.topology import SyntheticInternet
 
 UNICAST_VICTIM = 1572864  # a unicast /24 homed near Kinshasa
 ANYCAST_VICTIM = 65536    # a wide catalog deployment (45 sites)
@@ -211,3 +212,28 @@ def test_duration_covers_multiple_epochs(bgp_internet, bgp_matrix, clone_matrix)
         m = clone_matrix(bgp_matrix)
         out, records = inj.perturb(m, epoch=epoch)
         assert bool(records) is active
+
+
+def test_unicast_victims_come_from_the_world_columns(bgp_internet, bgp_matrix, clone_matrix):
+    """Keyed and pinned hijacks and leaks of unicast victims read the
+    per-target columns: a fresh world builds no host objects for them,
+    and each victim sits where its host does."""
+    fresh = SyntheticInternet(bgp_internet.config, city_db=bgp_internet.city_db)
+    for kind, victim in (
+        (RouteEventKind.MOAS_HIJACK, None),
+        (RouteEventKind.MOAS_HIJACK, UNICAST_VICTIM),
+        (RouteEventKind.ROUTE_LEAK, UNICAST_VICTIM),
+    ):
+        plan = plan_for(kind, victim_prefix=victim)
+        mine = RouteEventInjector(plan, fresh).perturb(clone_matrix(bgp_matrix), epoch=1)
+        theirs = RouteEventInjector(plan, bgp_internet).perturb(
+            clone_matrix(bgp_matrix), epoch=1
+        )
+        assert rows_equal(mine[0], theirs[0])
+        assert mine[1] == theirs[1]
+    assert "hosts" not in vars(fresh._unicast)
+
+    injector = RouteEventInjector(RouteEventPlan(), fresh)
+    for host in bgp_internet.unicast_hosts:
+        assert injector._unicast_location_for(host.prefix) == host.location
+    assert injector._unicast_location_for(1) is None

@@ -13,6 +13,7 @@ from repro.geo.coords import (
     GeoPoint,
     centroid,
     destination_point,
+    destination_points,
     distances_to_point_km,
     great_circle_km,
     initial_bearing_deg,
@@ -153,6 +154,49 @@ class TestBearingAndDestination:
         # Travelling east across the antimeridian stays in [-180, 180].
         p = destination_point(GeoPoint(0.0, 179.5), 90.0, 200.0)
         assert -180.0 <= p.lon <= 180.0
+
+
+class TestDestinationPoints:
+    """The array form must equal the scalar one bit for bit: the unicast
+    half of every synthetic world is built with it."""
+
+    @staticmethod
+    def assert_bitwise(lats, lons, bearings, distances):
+        got_lats, got_lons = destination_points(
+            np.asarray(lats), np.asarray(lons), np.asarray(bearings), np.asarray(distances)
+        )
+        want = [
+            destination_point(GeoPoint(lat, lon), bearing, distance)
+            for lat, lon, bearing, distance in zip(lats, lons, bearings, distances)
+        ]
+        assert [x.hex() for x in got_lats.tolist()] == [p.lat.hex() for p in want]
+        assert [x.hex() for x in got_lons.tolist()] == [p.lon.hex() for p in want]
+
+    def test_random_points_match_scalar_bitwise(self):
+        rng = np.random.default_rng(20151028)
+        n = 20_000
+        self.assert_bitwise(
+            rng.uniform(-90.0, 90.0, n).tolist(),
+            rng.uniform(-180.0, 180.0, n).tolist(),
+            rng.uniform(0.0, 360.0, n).tolist(),
+            rng.uniform(0.0, 20_000.0, n).tolist(),
+        )
+
+    def test_edges_match_scalar_bitwise(self):
+        # Poles, the antimeridian, zero and half-circumference distances.
+        lats = [90.0, -90.0, 0.0, 0.0, 45.0, -0.0, 89.999999, 0.0]
+        lons = [0.0, 180.0, 179.5, -180.0, 0.0, -0.0, 10.0, 0.0]
+        bearings = [0.0, 180.0, 90.0, 270.0, 360.0, 0.0, 0.0, 45.0]
+        distances = [100.0, 100.0, 200.0, 0.0, MAX_SURFACE_DISTANCE_KM, 0.0, 1.0, 1e-12]
+        self.assert_bitwise(lats, lons, bearings, distances)
+
+    def test_empty(self):
+        lats, lons = destination_points(np.empty(0), np.empty(0), np.empty(0), np.empty(0))
+        assert lats.shape == lons.shape == (0,)
+
+    def test_negative_distance_rejected(self):
+        with pytest.raises(ValueError):
+            destination_points(np.zeros(2), np.zeros(2), np.zeros(2), np.array([1.0, -1.0]))
 
 
 class TestMidpointCentroid:

@@ -66,7 +66,7 @@ def assert_same_world(carried, cold, roster) -> None:
         got, want = getattr(carried, name), getattr(cold, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
-    assert carried._prefix_to_target == cold._prefix_to_target
+    assert np.array_equal(carried.target_indices(cold.prefixes), np.arange(cold.n_targets))
     assert carried.unicast_hosts == cold.unicast_hosts
     assert carried.deployments == cold.deployments
     assert vars(carried.registry) == vars(cold.registry)

@@ -3,15 +3,19 @@
 Python salts ``str`` hashes per process (``PYTHONHASHSEED``), so anything
 seeded from the builtin ``hash()`` changes from one run to the next while
 every in-process test, seeded or not, still passes.  These tests compute
-the affected exhibits' inputs in two processes with different salts and
-compare, and keep the builtin ``hash(`` out of ``src/``.
+the affected exhibits' inputs, the benchmark's worlds and two service
+days in two processes with different salts and compare, and keep the
+builtin ``hash(`` out of ``src/``.
 """
 
+import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+
+from .internet.test_unicast_columns import WORLD_DIGESTS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -46,10 +50,36 @@ print(json.dumps({
 """
 
 
-def _run(hash_seed: str) -> str:
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+#: The world columns at the benchmark's shapes, and the committed
+#: manifest and results of ``small_service`` days 0-1 (archive root in
+#: ``argv[1]``), as sha256 digests.
+_WORLD_SCRIPT = """
+import hashlib, json, sys
+from repro.service.archive import MANIFEST_FILE, RESULTS_FILE
+from repro.workflow import small_service
+from tests.internet.test_unicast_columns import SHAPES, shape_world, world_digest
+
+service = small_service(sys.argv[1])
+days = []
+for epoch in range(2):
+    service.run_epoch(epoch)
+    run_dir = service.archive.run_dir(epoch)
+    days.append({
+        name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        for name in (MANIFEST_FILE, RESULTS_FILE)
+    })
+worlds = {name: world_digest(shape_world(name)) for name in sorted(SHAPES)}
+print(json.dumps({"days": days, "worlds": worlds}, sort_keys=True))
+"""
+
+
+def _run(hash_seed: str, script: str = _SCRIPT, *args: str) -> str:
+    env = dict(
+        os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join([str(SRC), str(ROOT)])
+    )
     done = subprocess.run(
-        [sys.executable, "-c", _SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=120, cwd=ROOT,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -58,6 +88,17 @@ def _run(hash_seed: str) -> str:
 def test_protocol_recall_table_is_equal_across_hash_seeds():
     first, second = _run("1"), _run("2")
     assert '"fig06"' in first and '"CF-RAY"' in first
+    assert first == second
+
+
+def test_world_and_service_days_are_equal_across_hash_seeds(tmp_path):
+    """Anything that varies by process (str-hash or set order, an
+    ``id()``-keyed cache, a vectorised transcendental whose bits depend
+    on the code path) shows here as a difference between two salts."""
+    first = json.loads(_run("1", _WORLD_SCRIPT, str(tmp_path / "one")))
+    second = json.loads(_run("2", _WORLD_SCRIPT, str(tmp_path / "two")))
+    assert first["worlds"] == WORLD_DIGESTS
+    assert len(first["days"]) == 2
     assert first == second
 
 
