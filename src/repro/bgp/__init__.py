@@ -40,6 +40,7 @@ from .propagation import (
     Announcement,
     RoutingOutcome,
     propagate,
+    propagate_batch,
 )
 
 __all__ = [
@@ -57,4 +58,5 @@ __all__ = [
     "RoutingOutcome",
     "build_as_graph",
     "propagate",
+    "propagate_batch",
 ]

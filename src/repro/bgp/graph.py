@@ -215,22 +215,24 @@ def build_as_graph(
         for b in range(a + 1, n_t1):
             peer_edges.append((a, b))
 
-    def pick_providers(a: int, pool: np.ndarray, count: int) -> np.ndarray:
-        """Distance-weighted provider choice among a candidate pool.
+    # Every provider and transit peer is infrastructure (tier-1 or
+    # transit, the index prefix [0, n_infra)): one distance matrix from
+    # every AS to that prefix serves every choice below.  The haversine
+    # is elementwise, so an entry equals the same pair computed alone.
+    n_infra = n_t1 + n_transit
+    dist = pairwise_distances_km(lats, lons, lats[:n_infra], lons[:n_infra])
+
+    def pick_providers(a: int, n_pool: int, count: int) -> np.ndarray:
+        """Distance-weighted provider choice among infrastructure ASes
+        ``[0, n_pool)``.
 
         Transit is bought nearby: candidates are the
         ``provider_candidates`` geographically closest pool members,
         then ``count`` of them are drawn with inverse-distance weights.
         """
-        d = pairwise_distances_km(
-            lats[a : a + 1], lons[a : a + 1], lats[pool], lons[pool]
-        )[0]
-        k = min(cfg.provider_candidates, len(pool))
-        nearest = pool[np.argsort(d, kind="stable")[:k]]
-        dn = pairwise_distances_km(
-            lats[a : a + 1], lons[a : a + 1], lats[nearest], lons[nearest]
-        )[0]
-        w = 1.0 / (dn + 200.0)
+        d = dist[a, :n_pool]
+        nearest = np.argsort(d, kind="stable")[: cfg.provider_candidates]
+        w = 1.0 / (d[nearest] + 200.0)
         w /= w.sum()
         count = min(count, len(nearest))
         return rng.choice(nearest, size=count, replace=False, p=w)
@@ -238,25 +240,20 @@ def build_as_graph(
     # Transit layer: 1-2 providers each, drawn from tier-1s plus
     # already-wired transit ASes (earlier indices), giving the layer a
     # shallow hierarchy rather than a flat star.
-    for a in range(n_t1, n_t1 + n_transit):
-        pool = np.arange(0, a, dtype=np.int64)
-        pool = pool[tier[pool] != TIER_STUB]
+    for a in range(n_t1, n_infra):
         count = 1 + int(rng.random() < 0.5)
-        for p in pick_providers(a, pool, count):
+        for p in pick_providers(a, a, count):
             provider_edges.append((a, int(p)))
 
     # Transit peering: each transit AS peers with ~peer_degree of its
     # nearest transit siblings (deduplicated, no self-edges).
-    transit = np.arange(n_t1, n_t1 + n_transit, dtype=np.int64)
+    transit = np.arange(n_t1, n_infra, dtype=np.int64)
     seen_peers = set()
     if len(transit) > 1 and cfg.peer_degree > 0:
         for a in transit:
             others = transit[transit != a]
             k = min(len(others), max(1, int(round(cfg.peer_degree))) + 2)
-            d = pairwise_distances_km(
-                lats[a : a + 1], lons[a : a + 1], lats[others], lons[others]
-            )[0]
-            near = others[np.argsort(d, kind="stable")[:k]]
+            near = others[np.argsort(dist[a, others], kind="stable")[:k]]
             want = min(len(near), max(1, int(rng.poisson(cfg.peer_degree))))
             chosen = rng.choice(near, size=want, replace=False)
             for b in chosen:
@@ -267,15 +264,14 @@ def build_as_graph(
 
     # Stub fringe: 1-3 providers each, bought from the transit layer
     # (never from other stubs; stubs sell to nobody).
-    infra = np.arange(0, n_t1 + n_transit, dtype=np.int64)
     lo = cfg.mean_providers - 1.0  # P(>=2 providers)
-    for a in range(n_t1 + n_transit, n):
+    for a in range(n_infra, n):
         u = rng.random()
         if lo >= 1.0:
             count = 2 + int(u < (cfg.mean_providers - 2.0))
         else:
             count = 1 + int(u < lo)
-        for p in pick_providers(a, infra, count):
+        for p in pick_providers(a, n_infra, count):
             provider_edges.append((a, int(p)))
 
     assert n_stub == n - n_t1 - n_transit

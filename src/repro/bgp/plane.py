@@ -17,21 +17,23 @@ given client location?*  The pieces:
   per-client catchment.
 
 Baseline routes are cached on the deployment's exact announcement set —
-:func:`~repro.bgp.propagation.propagate` is a pure function of (graph,
-announcements), so the key is exact by construction, and a plane can be
-shared by every epoch of an evolving world (see
+:func:`~repro.bgp.propagation.propagate_batch` is a pure function of
+(graph, announcements) per set, so the key is exact by construction, and
+a plane can be shared by every epoch of an evolving world (see
 :meth:`~repro.internet.topology.SyntheticInternet.evolved`): a deployment
 whose sites did not move finds its routes already propagated, one that
-grew or shrank misses and propagates.  Routing *events* (prepend,
-regional announce, withdrawal, hijack) perturb the announcement set via
-the keyword arguments of :meth:`BgpRoutingPlane.deployment_routes` and
+grew or shrank misses and propagates.
+:meth:`BgpRoutingPlane.pristine_routes` propagates every miss of a list
+of deployments in one batch.  Routing *events* (prepend, regional
+announce, withdrawal, hijack) perturb the announcement set via the
+keyword arguments of :meth:`BgpRoutingPlane.deployment_routes` and
 bypass the cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .propagation import (
     Announcement,
     RoutingOutcome,
     propagate,
+    propagate_batch,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,9 +79,9 @@ class BgpRoutingPlane:
         #: :meth:`site_attachments`).
         self._site_cache: Dict[bytes, np.ndarray] = {}
         self._routes_cache: Dict[Tuple[Announcement, ...], DeploymentRoutes] = {}
-        #: Calls to :func:`propagate` so far (cache misses and engineered
-        #: announcement sets) — what a traced epoch reports as its
-        #: routing cost.
+        #: Announcement sets propagated so far (distinct cache misses and
+        #: engineered sets) — what a traced epoch reports as its routing
+        #: cost.
         self.routes_propagated = 0
 
     @classmethod
@@ -201,33 +204,48 @@ class BgpRoutingPlane:
     ) -> DeploymentRoutes:
         """Propagate one deployment's announcements (cached when pristine).
 
-        Pristine routes are cached on the announcement tuple itself, and
-        their outcome arrays are read-only: every caller shares them.
+        Pristine routes are those of :meth:`pristine_routes`.
 
         ``extra`` announcements (hijackers, leaks) are appended *after*
         the deployment's own; the per-AS tiebreak keys of the baseline
         announcements are unchanged by the append, so the uncaptured part
         of the catchment stays exactly where it was.
         """
-        pristine = not prepend and not regional and not withdrawn and not extra
+        if not prepend and not regional and not withdrawn and not extra:
+            return self.pristine_routes([deployment])[0]
         anns = self.announcements_for(
             deployment, prepend=prepend, regional=regional, withdrawn=withdrawn
-        )
-        if pristine:
-            cached = self._routes_cache.get(anns)
-            if cached is not None:
-                return cached
-        anns = anns + tuple(extra)
+        ) + tuple(extra)
         if not anns:
             raise ValueError(
                 f"{deployment.entry.name}: no announcements left to propagate"
             )
-        routes = DeploymentRoutes(announcements=anns, outcome=propagate(self.graph, anns))
         self.routes_propagated += 1
-        if pristine:
-            routes.outcome.freeze()
-            self._routes_cache[anns] = routes
-        return routes
+        return DeploymentRoutes(announcements=anns, outcome=propagate(self.graph, anns))
+
+    def pristine_routes(
+        self, deployments: Sequence["AnycastDeployment"]
+    ) -> List[DeploymentRoutes]:
+        """Each deployment's unengineered routes, in order.
+
+        Routes are cached on the announcement tuple itself, and their
+        outcome arrays are read-only: every caller shares them.  The
+        distinct tuples not yet cached are propagated in one
+        :func:`~repro.bgp.propagation.propagate_batch` call, in first-seen
+        order.
+        """
+        keys = [self.announcements_for(dep) for dep in deployments]
+        for dep, anns in zip(deployments, keys):
+            if not anns:
+                raise ValueError(
+                    f"{dep.entry.name}: no announcements left to propagate"
+                )
+        missing = list(dict.fromkeys(k for k in keys if k not in self._routes_cache))
+        for anns, outcome in zip(missing, propagate_batch(self.graph, missing)):
+            outcome.freeze()
+            self._routes_cache[anns] = DeploymentRoutes(announcements=anns, outcome=outcome)
+        self.routes_propagated += len(missing)
+        return [self._routes_cache[anns] for anns in keys]
 
     def retain(self, deployments: Sequence["AnycastDeployment"]) -> None:
         """Drop every cached route but ``deployments``' pristine ones.

@@ -22,9 +22,14 @@ under the standard policy model:
 The classic consequence is the three-phase structure this module
 implements directly: customer routes climb provider edges from the
 origins (phase 1), cross at most one peer edge (phase 2), then descend
-customer edges (phase 3).  Each phase is a deterministic bucketed BFS
-(Dial's algorithm over unit edge weights, with prepends as longer
-starting distances).
+customer edges (phase 3).  Each phase is a level-synchronous
+multi-source BFS over the graph's CSR arrays (prepends start later):
+one array step per distance level settles every open AS among the
+candidates to its smallest ``(tiebreak, announcement)``.
+:func:`propagate_batch` runs many announcement sets at once, set ``k``
+on nodes ``k * n_ases + AS`` of a disjoint union of graph copies, with
+tiebreaks on each set's own announcement indices: a set's outcome does
+not depend on its batch.  :func:`propagate` is a batch of one.
 
 Two policy violations are modelled on purpose, because the chaos layer
 injects them:
@@ -116,74 +121,182 @@ class RoutingOutcome:
         return self.announcement == announcement_index
 
 
-def _tiebreak(a: int, i: int) -> int:
-    """Router-ID stand-in: AS ``a``'s preference key for announcement ``i``.
+#: Nodes (sets x ASes) per batched propagation, bounding its arrays.
+_BATCH_NODES = 1 << 18
 
-    A deterministic 32-bit mix — equal-(class, length) routes at one AS
-    resolve to the announcement minimizing this key.  Keying on the AS
-    index spreads ties across announcements instead of handing them all
-    to a global favourite.
+_INF = np.iinfo(np.int32).max
+_MASK32 = np.uint64(0xFFFFFFFF)
+_UNSET = np.iinfo(np.uint64).max
+
+
+def _tiebreak(a: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Router-ID stand-in: AS ``a``'s preference keys for announcements ``i``.
+
+    A deterministic 32-bit mix, elementwise — equal-(class, length)
+    routes at one AS resolve to the announcement minimizing this key.
+    Keying on the AS index spreads ties across announcements instead of
+    handing them all to a global favourite.  (``uint64`` products wrap;
+    the 32-bit mask keeps them exact.)
     """
-    x = (a * 2_654_435_761 + i * 97_003) & 0xFFFFFFFF
-    x ^= x >> 16
-    x = (x * 0x45D9F3B) & 0xFFFFFFFF
-    x ^= x >> 16
+    x = a.astype(np.uint64) * np.uint64(2_654_435_761)
+    x += i.astype(np.uint64) * np.uint64(97_003)
+    x &= _MASK32
+    x ^= x >> np.uint64(16)
+    x *= np.uint64(0x45D9F3B)
+    x &= _MASK32
+    x ^= x >> np.uint64(16)
     return x
 
 
-def _settle_bucketed(
-    n: int,
-    seeds: Sequence[Tuple[int, int, int]],
-    neighbors,
-    expandable,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic multi-source BFS with per-seed start distances.
+def _expand(
+    ptr: np.ndarray, idx: np.ndarray, n: int, nodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR neighbours of batched ``nodes``: (neighbour, position in
+    ``nodes`` it was reached from)."""
+    local = nodes % n
+    lo = ptr[local]
+    counts = ptr[local + 1] - lo
+    src = np.repeat(np.arange(len(nodes)), counts)
+    pos = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return idx[lo[src] + pos] + (nodes - local)[src], src
 
-    ``seeds`` are ``(as_index, start_dist, announcement_index)``;
-    ``neighbors(a)`` yields the frontier expansion of a settled AS;
-    ``expandable(a, ann)`` gates whether a settled AS forwards at all.
 
-    Ties at equal distance settle by the per-AS :func:`_tiebreak` key.
+def _settle(
+    n: int, local_ann: np.ndarray, seeds: Tuple[np.ndarray, ...], closed: np.ndarray,
+    csr: Optional[Tuple[np.ndarray, np.ndarray]] = None, expands: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Level-synchronous multi-source BFS from ``(node, start level,
+    announcement)`` seed arrays.
 
-    Returns (dist, ann, settled_mask).
+    At each level every open candidate node settles to its smallest
+    ``(tiebreak, announcement)`` and closes; ``closed`` (updated in
+    place) starts with the nodes that may never settle.  A settled node
+    forwards its announcement along ``csr`` where ``expands`` says so.
+
+    Returns (dist, ann) per node; ``ann`` is -1 where nothing settled.
     """
-    INF = np.iinfo(np.int32).max
-    dist = np.full(n, INF, dtype=np.int64)
-    ann = np.full(n, -1, dtype=np.int64)
-    settled = np.zeros(n, dtype=bool)
-    if not seeds:
-        return dist, ann, settled
+    dist = np.full(len(closed), _INF, dtype=np.int64)
+    ann = np.full(len(closed), -1, dtype=np.int64)
+    best = np.full(len(closed), _UNSET, dtype=np.uint64)
+    node, at, cand = seeds
+    while len(node):
+        level = at.min()
+        now = at == level
+        open_ = now & ~closed[node]
+        key = _tiebreak(node[open_] % n, local_ann[cand[open_]]) << np.uint64(32)
+        np.minimum.at(best, node[open_], key | cand[open_].astype(np.uint64))
+        won = np.flatnonzero(best != _UNSET)
+        ann[won] = best[won] & _MASK32
+        best[won] = _UNSET
+        closed[won] = True
+        dist[won] = level
+        node, at, cand = node[~now], at[~now], cand[~now]
+        if csr is not None:
+            grow = won[expands[ann[won]]]
+            reached, src = _expand(*csr, n, grow)
+            node = np.concatenate([node, reached])
+            at = np.concatenate([at, np.full(len(reached), level + 1)])
+            cand = np.concatenate([cand, ann[grow][src]])
+    return dist, ann
 
-    buckets: dict = {}
-    for a, d, i in seeds:
-        buckets.setdefault(int(d), []).append((int(i), int(a)))
 
-    d = min(buckets)
-    max_guard = n + max(buckets) + 2
-    while buckets and d <= max_guard:
-        entries = buckets.pop(d, None)
-        if entries is None:
-            d += 1
-            continue
-        # Per-AS keyed tiebreak within a distance bucket: group entries
-        # by AS, most-preferred candidate first; first settle wins.
-        entries.sort(key=lambda t: (t[1], _tiebreak(t[1], t[0]), t[0]))
-        for i, a in entries:
-            if settled[a]:
-                continue
-            settled[a] = True
-            dist[a] = d
-            ann[a] = i
-            if not expandable(a, i):
-                continue
-            nxt = neighbors(a)
-            if len(nxt):
-                bucket = buckets.setdefault(d + 1, [])
-                for b in nxt:
-                    if not settled[b]:
-                        bucket.append((i, int(b)))
-        d += 1
-    return dist, ann, settled
+def propagate_batch(
+    graph: AsGraph, announcement_sets: Sequence[Sequence[Announcement]]
+) -> List[RoutingOutcome]:
+    """Best valley-free route per AS for each announcement set, in order.
+
+    A set's outcome does not depend on the rest of its batch: it equals
+    :func:`propagate` on that set alone.
+    """
+    sets = [list(anns) for anns in announcement_sets]
+    n = graph.n_ases
+    for a in (a for anns in sets for a in anns):
+        if not 0 <= a.origin_as < n:
+            raise ValueError(f"announcement origin {a.origin_as} out of range")
+    step = max(1, _BATCH_NODES // n)
+    return [
+        outcome
+        for start in range(0, len(sets), step)
+        for outcome in _propagate_sets(graph, sets[start : start + step])
+    ]
+
+
+def _propagate_sets(
+    graph: AsGraph, sets: List[List[Announcement]]
+) -> List[RoutingOutcome]:
+    """One three-phase propagation over ``len(sets)`` disjoint graph copies."""
+    n = graph.n_ases
+    total = n * len(sets)
+    anns = [a for set_anns in sets for a in set_anns]
+    sizes = np.array([len(set_anns) for set_anns in sets], dtype=np.int64)
+    local_ann = np.arange(len(anns)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    origin, prepend, site_of = np.array(
+        [(a.origin_as, a.prepend, a.site) for a in anns], dtype=np.int64
+    ).reshape(-1, 3).T
+    origin = origin + np.repeat(np.arange(len(sets), dtype=np.int64) * n, sizes)
+    leak_of = np.array([a.leak for a in anns], dtype=bool)
+    # Cone-scoped origins hold their route but do not export upward; leak
+    # seeds are exactly the violation: a non-customer route entering the
+    # customer phase.
+    up = np.array([a.scope == SCOPE_GLOBAL for a in anns], dtype=bool) | leak_of
+
+    # ---- Phase 1: customer routes climb provider edges -----------------
+    dist1, ann1 = _settle(
+        n, local_ann, (origin, prepend, np.arange(len(anns), dtype=np.int64)),
+        np.zeros(total, dtype=bool), (graph._up_ptr, graph._up_idx), up,
+    )
+    has1 = ann1 >= 0
+
+    # ---- Phase 2: one peer hop ----------------------------------------
+    # Customer routes (and global origins) cross a single peer edge; the
+    # receiver prefers any customer route it already holds.
+    src = np.flatnonzero(has1)
+    src = src[up[ann1[src]]]
+    peer, via = _expand(graph._peer_ptr, graph._peer_idx, n, src)
+    via = src[via]
+    dist2, ann2 = _settle(n, local_ann, (peer, dist1[via] + 1, ann1[via]), has1.copy())
+    has2 = ann2 >= 0
+
+    # ---- Phase 3: provider routes descend customer edges ---------------
+    # Every routed AS exports its best route to its customers; customers
+    # holding a customer/peer route refuse (local pref), the rest accept
+    # and keep descending.  Routed ASes are *seeds only* — they push
+    # candidates downhill but can never be resettled, even by a shorter
+    # provider route, which is exactly what local preference demands.
+    routed = has1 | has2
+    down = (graph._down_ptr, graph._down_idx)
+    src = np.flatnonzero(routed)
+    best_dist = np.where(has1, dist1, dist2)[src]
+    best_ann = np.where(has1, ann1, ann2)[src]
+    node, via = _expand(*down, n, src)
+    dist3, ann3 = _settle(
+        n, local_ann, (node, best_dist[via] + 1, best_ann[via]), routed,
+        down, np.ones(len(anns), dtype=bool),
+    )
+
+    # ---- Merge by preference class ------------------------------------
+    site = np.full(total, -1, dtype=np.int32)
+    path_len = np.full(total, _INF, dtype=np.int64)
+    route_class = np.full(total, CLASS_NONE, dtype=np.int8)
+    winner = np.full(total, -1, dtype=np.int64)
+    via_leak = np.zeros(total, dtype=bool)
+    for dist, ann, cls in (
+        (dist1, ann1, CLASS_CUSTOMER),
+        (dist2, ann2, CLASS_PEER),
+        (dist3, ann3, CLASS_PROVIDER),
+    ):
+        idx = np.flatnonzero((ann >= 0) & (route_class == CLASS_NONE))
+        won = ann[idx]
+        winner[idx] = local_ann[won]
+        path_len[idx] = dist[idx]
+        route_class[idx] = cls
+        site[idx] = site_of[won]
+        via_leak[idx] = leak_of[won]
+    columns = (site, path_len, route_class, winner, via_leak)
+    return [
+        RoutingOutcome(*(column[k * n : (k + 1) * n].copy() for column in columns))
+        for k in range(len(sets))
+    ]
 
 
 def propagate(
@@ -195,125 +308,6 @@ def propagate(
     :func:`_tiebreak` — deterministic for a fixed announcement list, and
     stable under *appending* announcements (existing indices keep their
     keys), so injecting an attacker announcement never reshuffles the
-    baseline part of the catchment.
+    baseline part of the catchment.  A batch of one.
     """
-    n = graph.n_ases
-    INF = np.iinfo(np.int32).max
-    anns = list(announcements)
-    for a in anns:
-        if not 0 <= a.origin_as < n:
-            raise ValueError(f"announcement origin {a.origin_as} out of range")
-
-    # ---- Phase 1: customer routes climb provider edges -----------------
-    # Cone-scoped origins hold their route but do not export upward; leak
-    # seeds are exactly the violation: a non-customer route entering the
-    # customer phase.
-    seeds1 = [(a.origin_as, a.prepend, i) for i, a in enumerate(anns)]
-    up_expandable = [
-        a.scope == SCOPE_GLOBAL or a.leak for a in anns
-    ]
-    dist1, ann1, has1 = _settle_bucketed(
-        n,
-        seeds1,
-        neighbors=graph.providers_of,
-        expandable=lambda a, i: up_expandable[i],
-    )
-
-    # ---- Phase 2: one peer hop ----------------------------------------
-    # Customer routes (and global origins) cross a single peer edge; the
-    # receiver prefers any customer route it already holds.
-    dist2 = np.full(n, INF, dtype=np.int64)
-    ann2 = np.full(n, -1, dtype=np.int64)
-    has2 = np.zeros(n, dtype=bool)
-    for a in np.nonzero(has1)[0]:
-        i = int(ann1[a])
-        if not up_expandable[i]:
-            continue
-        d = int(dist1[a]) + 1
-        for b in graph.peers_of(int(a)):
-            if has1[b]:
-                continue
-            bi = int(b)
-            cand = (d, _tiebreak(bi, i), i)
-            held = (
-                (int(dist2[bi]), _tiebreak(bi, int(ann2[bi])), int(ann2[bi]))
-                if has2[bi]
-                else (INF, 0, 0)
-            )
-            if cand < held:
-                dist2[bi] = d
-                ann2[bi] = i
-                has2[bi] = True
-
-    # ---- Phase 3: provider routes descend customer edges ---------------
-    # Every routed AS exports its best route to its customers; customers
-    # holding a customer/peer route refuse (local pref), the rest accept
-    # and keep descending.  Routed ASes are *seeds only* — they push
-    # candidates downhill but can never be resettled, even by a shorter
-    # provider route, which is exactly what local preference demands.
-    best_dist = np.where(has1, dist1, dist2)
-    best_ann = np.where(has1, ann1, ann2)
-    routed = has1 | has2
-    dist3 = np.full(n, INF, dtype=np.int64)
-    ann3 = np.full(n, -1, dtype=np.int64)
-    has3 = np.zeros(n, dtype=bool)
-    buckets: dict = {}
-    for a in np.nonzero(routed)[0]:
-        d = int(best_dist[a]) + 1
-        i = int(best_ann[a])
-        for b in graph.customers_of(int(a)):
-            if not routed[b]:
-                buckets.setdefault(d, []).append((i, int(b)))
-    if buckets:
-        d = min(buckets)
-        max_guard = n + max(buckets) + 2
-        while buckets and d <= max_guard:
-            entries = buckets.pop(d, None)
-            if entries is None:
-                d += 1
-                continue
-            entries.sort(key=lambda t: (t[1], _tiebreak(t[1], t[0]), t[0]))
-            for i, a in entries:
-                if routed[a] or has3[a]:
-                    continue
-                has3[a] = True
-                dist3[a] = d
-                ann3[a] = i
-                bucket = buckets.setdefault(d + 1, [])
-                for b in graph.customers_of(a):
-                    if not routed[b] and not has3[b]:
-                        bucket.append((i, int(b)))
-            d += 1
-
-    # ---- Merge by preference class ------------------------------------
-    site_of = np.array([a.site for a in anns], dtype=np.int64)
-    leak_of = np.array([a.leak for a in anns], dtype=bool)
-
-    site = np.full(n, -1, dtype=np.int32)
-    path_len = np.full(n, INF, dtype=np.int64)
-    route_class = np.full(n, CLASS_NONE, dtype=np.int8)
-    winner = np.full(n, -1, dtype=np.int64)
-    via_leak = np.zeros(n, dtype=bool)
-
-    for mask, dist, ann, cls in (
-        (has1, dist1, ann1, CLASS_CUSTOMER),
-        (has2, dist2, ann2, CLASS_PEER),
-        (has3, dist3, ann3, CLASS_PROVIDER),
-    ):
-        take = mask & (route_class == CLASS_NONE)
-        idx = np.nonzero(take)[0]
-        if len(idx) == 0:
-            continue
-        winner[idx] = ann[idx]
-        path_len[idx] = dist[idx]
-        route_class[idx] = cls
-        site[idx] = site_of[ann[idx]]
-        via_leak[idx] = leak_of[ann[idx]]
-
-    return RoutingOutcome(
-        site=site,
-        path_len=path_len,
-        route_class=route_class,
-        announcement=winner,
-        via_leak=via_leak,
-    )
+    return propagate_batch(graph, [announcements])[0]

@@ -14,7 +14,10 @@ in it is the same:
   ``on_complete(i, result)``, or, when the scan raised, the unit fails at
   once (fault tag :data:`SCAN_RAISED_FAULT`) keeping the error's text: a
   scan is a pure function of ``(seed, census, VP)``, so a retry would
-  raise the same error again.
+  raise the same error again.  Under a tracer the scan is timed where it
+  runs: the span's ``scan_s`` is the scan's own duration, and a span
+  starts no later than its scan did (at ``workers>=1`` a scan may run
+  ahead of its turn, so sibling spans overlap as the scans did).
 
 Where a scan runs is the only thing the worker count changes.  At
 ``workers=0`` the loop calls ``execute(i)`` inline (the serial census,
@@ -189,6 +192,18 @@ def _results_in_order(
                 future.cancel()
 
 
+def _timed(execute: Execute, clock: Callable[[], float]) -> Execute:
+    """``execute`` returning ``(result, scan start, scan end)`` on ``clock``,
+    read on the thread that runs the scan."""
+
+    def timed(i: int) -> Tuple[Any, float, float]:
+        started = clock()
+        result = execute(i)
+        return result, started, clock()
+
+    return timed
+
+
 class ShardedExecutor:
     """Runs one census's work units on ``workers`` threads (``0``: inline)
     under an optional overall ``deadline_s`` (seconds)."""
@@ -214,6 +229,8 @@ class ShardedExecutor:
         run's report and the units the engine gave up on, mapped to their
         fault tag."""
         tracer = current_tracer()
+        if tracer.enabled:
+            execute = _timed(execute, tracer.now)
         state = _RunState(self.deadline_s, names, self.workers, on_complete)
         with _results_in_order(execute, len(names), self.workers) as result_of:
             for i, name in enumerate(names):
@@ -222,11 +239,15 @@ class ShardedExecutor:
                     break
                 if state.deadline_expired(i):
                     break
-                with tracer.span("vp_scan", vp=name):
+                with tracer.span("vp_scan", vp=name) as span:
                     try:
                         result = result_of(i)
                     except Exception as exc:  # noqa: BLE001 — fails the unit
                         state.scan_failed(i, f"{type(exc).__name__}: {exc}")
                     else:
+                        if tracer.enabled:
+                            result, started, ended = result
+                            span.set("scan_s", ended - started)
+                            span.t_start = min(span.t_start, started)
                         state.complete(i, result)
         return state.finish()

@@ -613,16 +613,19 @@ class CensusCampaign:
         lats, lons = self.platform.lats, self.platform.lons
         bgp_plane = getattr(internet, "bgp_plane", None)
         deployments = internet.deployments
-        catchments = []
-        for d, dep in enumerate(deployments):
-            carried = self._carry.catchment(d)
-            if carried is not None:
-                self.counters["catchments_carried"] += 1
-                catchments.append(carried)
-            elif bgp_plane is not None:
-                catchments.append(bgp_plane.catchment(dep, lats, lons))
-            else:
-                catchments.append(dep.catchment(lats, lons))
+        catchments = [self._carry.catchment(d) for d in range(len(deployments))]
+        self.counters["catchments_carried"] += sum(c is not None for c in catchments)
+        fresh = [d for d, carried in enumerate(catchments) if carried is None]
+        if bgp_plane is not None:
+            # Every uncarried deployment's routes in one batched propagation.
+            routes = bgp_plane.pristine_routes([deployments[d] for d in fresh])
+            for d, dep_routes in zip(fresh, routes):
+                catchments[d] = bgp_plane.catchment(
+                    deployments[d], lats, lons, routes=dep_routes
+                )
+        else:
+            for d in fresh:
+                catchments[d] = deployments[d].catchment(lats, lons)
         site_lats = [r.location.lat for dep in deployments for r in dep.replicas]
         site_lons = [r.location.lon for dep in deployments for r in dep.replicas]
         n_sites = np.array([len(dep.replicas) for dep in deployments], dtype=np.int64)

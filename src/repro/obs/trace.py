@@ -115,6 +115,10 @@ class Tracer:
         """Open a nested span: ``with tracer.span("census", census_id=1):``."""
         return _SpanContext(self, Span(name, attrs or None))
 
+    def now(self) -> float:
+        """The tracer's clock (span times are on it); callable from any thread."""
+        return self._clock()
+
     @property
     def current(self) -> Optional[Span]:
         """The innermost open span (``None`` outside any)."""

@@ -288,3 +288,18 @@ class TestThreadedWindow:
         assert resumed.health.n_vps_resumed == k
         assert census_bytes(resumed) == serial
         assert not np.isnan(resumed.vp_duration_hours).all()
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_vp_scan_spans_time_the_scan_where_it_ran(workers):
+    """Each ``vp_scan`` span's ``scan_s`` is its scan's own duration, read
+    on the thread that ran it, and the span covers it even when the scan
+    ran ahead of its turn."""
+    names = [f"node-{i}" for i in range(8)]
+    tracer = Tracer()
+    with use_tracer(tracer):
+        run_engine(ShardedExecutor(workers=workers), delay_s=0.005, names=names)
+    spans = tracer.roots
+    assert [span.attrs["vp"] for span in spans] == names
+    for span in spans:
+        assert 0.005 <= span.attrs["scan_s"] <= span.inclusive_s

@@ -71,9 +71,13 @@ SCHEDULE_INSTRUMENTS = frozenset({"exec_workers"})
 
 
 def _normalised(spans):
-    """A span forest without durations."""
+    """A span forest without durations (a ``vp_scan`` span's ``scan_s`` is one)."""
     return [
-        (span["name"], sorted(span["attrs"].items()), _normalised(span["children"]))
+        (
+            span["name"],
+            sorted((k, v) for k, v in span["attrs"].items() if k != "scan_s"),
+            _normalised(span["children"]),
+        )
         for span in spans
     ]
 

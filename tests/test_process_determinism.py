@@ -73,6 +73,27 @@ print(json.dumps({"days": days, "worlds": worlds}, sort_keys=True))
 """
 
 
+#: The committed manifest and results of a BGP-routed ``small_service``
+#: day 0 (archive root in ``argv[1]``), as sha256 digests, and the routes
+#: the day propagated: the plane batches its announcement sets from a
+#: dict, whose order must not depend on str hashing.
+_BGP_SCRIPT = """
+import hashlib, json, sys
+from repro.service.archive import MANIFEST_FILE, RESULTS_FILE
+from repro.workflow import small_service
+
+service = small_service(sys.argv[1], routing="bgp")
+service.run_epoch(0)
+run_dir = service.archive.run_dir(0)
+day = {
+    name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+    for name in (MANIFEST_FILE, RESULTS_FILE)
+}
+day["routes_propagated"] = service.internet_for(0).bgp_plane.routes_propagated
+print(json.dumps(day, sort_keys=True))
+"""
+
+
 def _run(hash_seed: str, script: str = _SCRIPT, *args: str) -> str:
     env = dict(
         os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join([str(SRC), str(ROOT)])
@@ -99,6 +120,13 @@ def test_world_and_service_days_are_equal_across_hash_seeds(tmp_path):
     second = json.loads(_run("2", _WORLD_SCRIPT, str(tmp_path / "two")))
     assert first["worlds"] == WORLD_DIGESTS
     assert len(first["days"]) == 2
+    assert first == second
+
+
+def test_bgp_service_day_is_equal_across_hash_seeds(tmp_path):
+    first = json.loads(_run("1", _BGP_SCRIPT, str(tmp_path / "one")))
+    second = json.loads(_run("2", _BGP_SCRIPT, str(tmp_path / "two")))
+    assert first["routes_propagated"] > 0
     assert first == second
 
 
