@@ -9,7 +9,7 @@ laptop handles in seconds — through the exact machinery that scales to
 the full product:
 
 * records stream through ``iter_raw_batches`` in O(batch) heap, never
-  materializing the journal;
+  materializing the records payload;
 * the fold is a unique-cell scatter — a census holds at most one reply
   per (VP, target) cell, checked as the batches stream by;
 * the output planes live on a :class:`MatrixStore` (memory-mapped temp
@@ -43,8 +43,8 @@ from repro.measurement.recordio import (
 )
 
 
-def synth_journal(n_vps: int, n_targets: int, samples_per_target: int) -> bytes:
-    """A sealed raw-record payload standing in for one census's journal.
+def synth_records_payload(n_vps: int, n_targets: int, samples_per_target: int) -> bytes:
+    """A sealed raw-record payload standing in for one census's ``records.bin``.
 
     Shaped like one: at most one reply per (VP, target) cell, VP after VP,
     each VP's replies in ascending prefix order.
@@ -73,9 +73,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--vps", type=int, default=64, help="roster width")
     parser.add_argument("--targets", type=int, default=20_000,
-                        help="distinct /24 targets in the journal")
+                        help="distinct /24 targets in the records payload")
     parser.add_argument("--samples", type=int, default=4,
-                        help="records per target in the synthetic journal")
+                        help="records per target in the synthetic records payload")
     parser.add_argument("--batch", type=int, default=1 << 16,
                         help="records per streamed batch")
     args = parser.parse_args()
@@ -89,9 +89,9 @@ def main() -> None:
         )
     ]
 
-    print(f"Synthesizing a journal: {args.vps} VPs x ~{args.targets:,} targets...")
-    blob = synth_journal(args.vps, args.targets, args.samples)
-    print(f"  journal: {len(blob) / 1e6:.1f} MB sealed")
+    print(f"Synthesizing a records payload: {args.vps} VPs x ~{args.targets:,} targets...")
+    blob = synth_records_payload(args.vps, args.targets, args.samples)
+    print(f"  records payload: {len(blob) / 1e6:.1f} MB sealed")
 
     # -- streaming + memmap store: the Atlas-scale path -----------------
     tracemalloc.start()
@@ -140,7 +140,7 @@ def main() -> None:
     ratio = inline_peak / max(stream_peak, 0.1)
     print(
         f"\nHeap-frontier headroom at this shape: {ratio:.1f}x "
-        f"(grows with the journal)"
+        f"(grows with the records payload)"
     )
     matrix.store.close()
 

@@ -179,10 +179,11 @@ class RouteEventInjector:
         """
         if event.victim_prefix is not None:
             return int(event.victim_prefix)
+        registered = self.internet.deployment_index >= 0
         if event.kind in (RouteEventKind.MOAS_HIJACK, RouteEventKind.ROUTE_LEAK):
-            pool = self.internet.prefixes[~self.internet.is_anycast]
+            pool = self.internet.prefixes[~registered]
         else:
-            pool = np.asarray(self.internet.prefixes[self.internet.is_anycast])
+            pool = np.asarray(self.internet.prefixes[registered])
         present = pool[np.isin(pool, matrix.prefixes)]
         if len(present) == 0:
             return None

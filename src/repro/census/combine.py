@@ -26,7 +26,7 @@ Scale notes (the Atlas-size path):
 * The uniqueness is checked, not assumed, in O(records) with no
   cells-sized temporary: the census-local key (VP, row) must be strictly
   increasing, across chunks too.  Records can come from outside the
-  program (journals, archives), so a violation is a typed
+  program (archives), so a violation is a typed
   :class:`~repro.resilience.errors.CorruptInputError`, never a silently
   wrong matrix; so are replies outside the row space or the roster.
 * The row space is a sort-based distinct over the uint32 prefix column,
@@ -367,7 +367,7 @@ def reply_prefix_union(batches: Iterable["CensusRecords"]) -> np.ndarray:
     time.
 
     The row space of both builders, and the first of the two streaming
-    passes over an archived journal: the union fixes the matrix row space
+    passes over an archived ``records.bin``: the union fixes the matrix row space
     so the fold pass can run in O(chunk).  Identical to
     ``np.unique(all_replies.prefix)`` on the concatenation.
     """

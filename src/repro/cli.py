@@ -45,8 +45,8 @@ from .workflow import CensusStudy, StudyConfig
 #: argparse's usage-error code; supervised aborts and unexpected crashes
 #: get distinct codes so scripts can tell "the campaign gave up per
 #: policy" from "the tool itself broke".  130 (the shell's SIGINT
-#: convention) marks a clean operator drain: the checkpoint journal and
-#: manifest are valid and the run is resumable.
+#: convention) marks a clean operator drain: the manifest is valid and a
+#: re-run starts the study over to the same bytes.
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ABORTED = 3
@@ -124,7 +124,6 @@ def _build_study(args: argparse.Namespace) -> CensusStudy:
             fault_plan=args.fault_plan,
             scan_timeout_hours=args.scan_timeout,
             min_vp_quorum=args.quorum,
-            checkpoint_dir=args.checkpoint_dir,
             workers=_parse_workers(args.workers),
             deadline=args.deadline,
             trace=want_manifest or args.command == "trace",
@@ -278,8 +277,8 @@ _SERVICE_COMMANDS = ("service", "obs")
 #: commands have nothing to bind them to, so they refuse them instead of
 #: running as if they had not been given.
 _STUDY_ONLY_FLAGS = (
-    "workers", "deadline", "quorum", "scan_timeout", "checkpoint_dir",
-    "censuses", "poison", "poison_fraction", "poison_seed", "manifest",
+    "workers", "deadline", "quorum", "scan_timeout", "censuses",
+    "poison", "poison_fraction", "poison_seed", "manifest",
 )
 
 
@@ -475,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="minimum usable VPs per census before aborting")
     parser.add_argument("--scan-timeout", type=float, default=None,
                         help="per-VP scan timeout in hours (default: none)")
-    parser.add_argument("--checkpoint-dir", default=None,
-                        help="journal directory for census checkpoint/resume")
     parser.add_argument("--workers", default="0", metavar="N|auto",
                         help="run census scans on N threads ('auto' = "
                              "CPU count; default 0 = inline, serial).  "
@@ -663,13 +660,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}{cause}", file=sys.stderr)
         return EXIT_ABORTED
     except CensusInterrupted as exc:
-        # Clean drain: the journal holds every finished batch and the
-        # finally block below still writes the manifest.
+        # Clean drain: no scan starts after the signal, and the finally
+        # block below still writes the manifest.
         print(f"interrupted: {exc}", file=sys.stderr)
         return EXIT_INTERRUPTED
     except KeyboardInterrupt:
         # Second signal (forced quit) or an interrupt outside the
-        # drain's scope: less graceful, same resumable intent.
+        # drain's scope: less graceful; a re-run starts over all the same.
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except ResilienceError as exc:

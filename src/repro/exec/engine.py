@@ -187,7 +187,7 @@ def _results_in_order(
         finally:
             # Units past a drain or the deadline are given up: the ones
             # already running finish, and their results, errors included,
-            # are dropped (a drain's resume rescans them).
+            # are dropped (a re-run of the census rescans them).
             for future in pending.values():
                 future.cancel()
 

@@ -1,9 +1,10 @@
 """Graceful-shutdown plumbing of a census run.
 
 A census run — inline or on scan threads — wants SIGINT/SIGTERM to mean
-"stop cleanly": finish nothing new, leave the checkpoint journal valid,
-write the run manifest, exit with a distinct code.  The stock behaviour
-(KeyboardInterrupt mid-array-op) can tear all three.
+"stop cleanly": start no new scan, write the run manifest, exit with a
+distinct code.  Nothing of the census is kept: a re-run starts it over
+and lands on the same bytes.  The stock behaviour (KeyboardInterrupt
+mid-array-op) can tear the manifest.
 
 :func:`graceful_shutdown` installs handlers that merely *flag* the
 request; the census loop polls the flag at safe points (before taking each

@@ -378,8 +378,12 @@ class SyntheticInternet:
         )
         if (np.diff(self.prefixes) <= 0).any():
             raise ValueError("target prefixes must ascend strictly")
+        # Ground truth: a /24 is anycast when its deployment answers from
+        # two or more sites.  One that evolution shrank to a single site
+        # is unicast, though it keeps its deployment (``deployment_index``).
+        multi_site = np.array([len(d.replicas) >= 2 for d in deployments], dtype=bool)
         self.is_anycast = np.zeros(n_total, dtype=bool)
-        self.is_anycast[:n_anycast] = True
+        self.is_anycast[:n_anycast] = np.repeat(multi_site, counts)
         self.deployment_index = np.full(n_total, -1, dtype=np.int32)
         self.deployment_index[:n_anycast] = np.repeat(
             np.arange(len(deployments), dtype=np.int32), counts
@@ -444,7 +448,7 @@ class SyntheticInternet:
 
     @property
     def anycast_ases(self) -> int:
-        return len(self.deployments)
+        return sum(len(d.replicas) >= 2 for d in self.deployments)
 
     def target_index(self, prefix: int) -> int:
         """Target-array position of a /24 prefix index."""

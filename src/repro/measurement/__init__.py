@@ -49,10 +49,8 @@ from .prober import (
 from .recordio import (
     FLAG_OTHER_ERROR,
     FLAG_REPLY,
-    CensusJournal,
     CensusRecords,
     CorruptBatchError,
-    JournalBatch,
     concatenate,
     flag_for,
     outcome_for,
@@ -68,9 +66,7 @@ __all__ = [
     "PoisonPlan",
     "RetryPolicy",
     "StrikeCounter",
-    "CensusJournal",
     "CorruptBatchError",
-    "JournalBatch",
     "ArkDataset",
     "ark_round",
     "AtlasBudget",

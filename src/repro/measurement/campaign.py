@@ -24,8 +24,8 @@ position, degraded flag, the VP as reported, and its outcome):
   applies the distortion roster and opens the census's
   :class:`CampaignHealthReport`; a plan below ``min_vp_quorum`` raises
   :class:`CensusAborted`;
-* **execute** resumes VPs from the ``checkpoint`` journal, decides flaps,
-  spends the abort budget and runs every other VP on the scan driver
+* **execute** decides flaps, spends the abort budget and runs every
+  other VP on the scan driver
   (:mod:`repro.exec.engine`): one work unit per VP, inline at
   ``workers=0`` (the default) or on that many threads, the same bytes at
   any worker count.  Each
@@ -38,16 +38,17 @@ position, degraded flag, the VP as reported, and its outcome):
   than ``min_vp_quorum`` VPs contributed usable data, merges the
   greylist and returns the :class:`Census`.
 
-A journalled census that is interrupted resumes bit-for-bit (every per-VP
-RNG is keyed, not streamed).  With the default (disabled) fault plan the
-fault path is skipped entirely.
+An interrupted census keeps nothing: re-running it from its start lands
+on the same bytes (every per-VP RNG and fault draw is keyed, not
+streamed).  With the default (disabled) fault plan the fault path is
+skipped entirely.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,12 +78,7 @@ from .prober import (
     scan_from_outcomes,
     simulate_vp_scan,
 )
-from .recordio import (
-    CensusJournal,
-    CensusRecords,
-    concatenate,
-    outcome_for,
-)
+from .recordio import CensusRecords, concatenate, outcome_for
 
 #: Cells (scans x positions) one keyed outcome-kernel call evaluates at
 #: most: a cold census's scans share calls without the kernel's
@@ -118,15 +114,14 @@ class CensusAborted(RuntimeError):
 class CensusInterrupted(RuntimeError):
     """A census was interrupted mid-flight (operator kill, host reboot).
 
-    Completed per-VP batches are safe in the checkpoint journal (if one
-    was given); re-running the census with the same journal resumes where
-    it stopped.
+    Nothing of it is kept: a census is a pure function of (seed, census,
+    VP, conditions), so re-running it from its start lands on the same
+    bytes as an uninterrupted run.
     """
 
-    def __init__(self, census_id: int, completed_vps: int, checkpoint) -> None:
+    def __init__(self, census_id: int, completed_vps: int) -> None:
         self.census_id = census_id
         self.completed_vps = completed_vps
-        self.checkpoint = checkpoint
         super().__init__(
             f"census {census_id} interrupted after {completed_vps} VP scan(s)"
         )
@@ -148,8 +143,6 @@ class CampaignHealthReport:
     n_vps_ok: int = 0
     n_vps_salvaged: int = 0
     n_vps_failed: int = 0
-    #: VPs whose batches were loaded from the checkpoint journal.
-    n_vps_resumed: int = 0
     retries: int = 0
     backoff_hours: float = 0.0
     faults_seen: Dict[str, int] = field(default_factory=dict)
@@ -190,8 +183,7 @@ class CampaignHealthReport:
             + (" [DEGRADED]" if self.degraded else ""),
             f"  available/planned:  {self.n_vps_available}/{self.n_vps_planned}"
             f" (quarantined: {len(self.quarantined_vps)})",
-            f"  salvaged/failed:    {self.n_vps_salvaged}/{self.n_vps_failed}"
-            f" (resumed from checkpoint: {self.n_vps_resumed})",
+            f"  salvaged/failed:    {self.n_vps_salvaged}/{self.n_vps_failed}",
             f"  faults seen:        {faults}",
             f"  retries/backoff:    {self.retries} / {self.backoff_hours:.2f} h",
             f"  records salvaged:   {self.records_salvaged}",
@@ -273,17 +265,6 @@ class _VpOutcome:
     @property
     def clean(self) -> bool:
         return self.status == "ok"
-
-    def journal_payload(self, vp_name: str) -> Dict:
-        """Every field but the records (journalled beside it), after the VP."""
-        payload = {"vp": vp_name, **vars(self)}
-        del payload["records"]
-        return payload
-
-    @classmethod
-    def from_journal(cls, payload: Dict, records: Optional[CensusRecords]) -> "_VpOutcome":
-        fields = {key: value for key, value in payload.items() if key != "vp"}
-        return cls(records=records, **{**fields, "faults": list(fields["faults"])})
 
 
 @dataclass
@@ -446,8 +427,8 @@ class _GeometryCarry:
         )
         unicast = (
             found
-            & ~now.is_anycast
-            & ~before.is_anycast[source]
+            & (now.deployment_index < 0)
+            & (before.deployment_index[source] < 0)
             & (now.lats.view(np.int64) == before.lats[source].view(np.int64))
             & (now.lons.view(np.int64) == before.lons[source].view(np.int64))
         )
@@ -455,7 +436,6 @@ class _GeometryCarry:
         carried_dep = np.where(dep_now >= 0, deployment_source[dep_now], -1)
         anycast = (
             found
-            & now.is_anycast
             & (carried_dep >= 0)
             & (before.deployment_index[source] == carried_dep)
         )
@@ -489,8 +469,8 @@ class _GeometryCarry:
         return outcomes
 
     def release(self, census_id: int) -> None:
-        """Drop what no scan of this census took (VPs absent today,
-        resumed from a journal, or flapped)."""
+        """Drop what no scan of this census took (VPs absent today or
+        flapped)."""
         for key in [key for key in self._outcomes if key[0] == census_id]:
             del self._outcomes[key]
 
@@ -563,9 +543,9 @@ class CensusCampaign:
         #: Censuses failed in a row per VP; a tripped VP is quarantined.
         self.health = StrikeCounter(quarantine_threshold)
         #: Measurement distortion (miscalibrated nodes).  Applied to each
-        #: scan result at the top of the fault policy — in census order and
-        #: pre-journal, so serial, threaded, and resumed censuses all see
-        #: the same distorted bytes.
+        #: scan result at the top of the fault policy — in census order, so
+        #: serial, threaded, and re-run censuses all see the same distorted
+        #: bytes.
         self.distortion = distortion or VpDistortionPlan()
         self.blacklist = Blacklist()
         self._rng = np.random.default_rng(seed)
@@ -787,7 +767,7 @@ class CensusCampaign:
 
     def _release_carry(self, census_id: int) -> None:
         """Drop what no scan of this census took: outcomes of VPs absent
-        today, resumed from a journal, flapped, or never reached."""
+        today, flapped, or never reached."""
         for key in [key for key in self._prepared if key[0] == census_id]:
             del self._prepared[key]
         self._carry.release(census_id)
@@ -820,7 +800,6 @@ class CensusCampaign:
         availability: float = 0.85,
         rate_pps: Optional[float] = None,
         target_prefixes: Optional[Sequence[int]] = None,
-        checkpoint: Optional[Union[str, "CensusJournal"]] = None,
         abort_after_vps: Optional[int] = None,
     ) -> Census:
         """Run one full census from the currently-available nodes.
@@ -830,15 +809,10 @@ class CensusCampaign:
         from a second platform) where re-probing the whole hitlist would be
         wasteful.
 
-        ``checkpoint`` names a journal file (or passes a
-        :class:`~repro.measurement.recordio.CensusJournal`): completed
-        per-VP batches are persisted as the census runs, and a matching
-        journal lets an interrupted census resume without re-scanning
-        finished VPs — bit-for-bit identical to an uninterrupted run.
-
         ``abort_after_vps`` interrupts the census (raising
-        :class:`CensusInterrupted`) after that many *fresh* VP scans —
-        the simulator's stand-in for an operator kill or host reboot.
+        :class:`CensusInterrupted`) after that many VP scans, counted
+        from the census start — the simulator's stand-in for an operator
+        kill or host reboot.
         """
         if not 0.0 < availability <= 1.0:
             raise ValueError("availability must be in (0, 1]")
@@ -853,8 +827,8 @@ class CensusCampaign:
         with current_tracer().span("census", census_id=census_id) as span:
             try:
                 plan = self._plan_census(census_id, availability, rate, target_prefixes)
-                interrupted = self._execute_census(plan, checkpoint, abort_after_vps, span)
-                return self._settle_census(plan, interrupted, checkpoint)
+                interrupted = self._execute_census(plan, abort_after_vps, span)
+                return self._settle_census(plan, interrupted)
             finally:
                 self._release_carry(census_id)
 
@@ -931,49 +905,35 @@ class CensusCampaign:
     def _execute_census(
         self,
         plan: _CensusPlan,
-        checkpoint: Optional[Union[str, "CensusJournal"]],
         abort_after_vps: Optional[int],
         span,
     ) -> bool:
-        """Give each planned VP its outcome: resumes and flaps here, the rest
-        on the engine.  True when cut short (abort budget or drain)."""
+        """Give each planned VP its outcome: flaps here, the rest on the
+        engine.  True when cut short (abort budget or drain)."""
         from ..exec.signals import graceful_shutdown
 
         tracer = current_tracer()
         census_id, rate, report = plan.census_id, plan.rate, plan.report
-        journal = self._open_journal(checkpoint, plan)
         span.set("vps_planned", len(plan.vps))
         to_scan: List[_PlannedVp] = []
-        fresh = 0
         cut_short = False
 
         with graceful_shutdown() as stop_flag:
-            # Resumes and flaps (VP-level faults: nothing to compute) are
-            # decided in census order.  Every VP not resumed counts one
-            # against the abort budget, so an interrupted census journals
-            # exactly ``abort_after_vps`` fresh entries at any worker count.
-            for planned in plan.vps:
-                name = planned.vp.name
-                entry = journal.valid_batch(name) if journal is not None else None
-                if entry is not None:
-                    with tracer.span("vp_scan", vp=name, resumed=True) as vp_span:
-                        outcome = _VpOutcome.from_journal(entry.payload, entry.records)
-                        vp_span.set("status", outcome.status)
-                    planned.outcome = outcome
-                    report.n_vps_resumed += 1
-                    current_metrics().counter("vps_resumed").inc()
-                    continue
-                if fresh == abort_after_vps:
+            # Flaps (VP-level faults: nothing to compute) are decided in
+            # census order.  Every VP counts one against the abort budget,
+            # so an interrupted census settles exactly ``abort_after_vps``
+            # VPs at any worker count.
+            for count, planned in enumerate(plan.vps):
+                if count == abort_after_vps:
                     cut_short = True
                     break
-                fresh += 1
                 if not self.fault_plan.flaps(census_id, planned.platform_index):
                     to_scan.append(planned)
                     continue
                 planned.outcome = _VpOutcome.failed([FaultKind.FLAP.value])
-                with tracer.span("vp_scan", vp=name, status=planned.outcome.status):
-                    if journal is not None:
-                        journal.write_batch(planned.outcome.journal_payload(name), None)
+                # An empty span: a flapped VP shows in the trace, unscanned.
+                with tracer.span("vp_scan", vp=planned.vp.name, status="failed"):
+                    pass
 
             def execute(i: int) -> VpScanResult:
                 """Unit ``i``'s scan; at ``workers>=1`` on a scan thread."""
@@ -989,23 +949,18 @@ class CensusCampaign:
 
             def on_complete(i: int, result: VpScanResult) -> None:
                 """A scanned VP, in census order inside its ``vp_scan`` span:
-                outcomes kept, fault policy, then journal."""
+                outcomes kept, then the fault policy."""
                 planned = to_scan[i]
                 index = planned.platform_index
                 self._keep_outcomes(census_id, index, result)
                 planned.outcome = self._apply_fault_policy(index, census_id, result, rate)
                 tracer.annotate(status=planned.outcome.status)
-                if journal is not None:
-                    journal.write_batch(
-                        planned.outcome.journal_payload(planned.vp.name),
-                        planned.outcome.records,
-                    )
 
             self._prepare_outcomes(
                 census_id, rate, [(p.platform_index, p.degraded) for p in to_scan]
             )
-            # Operator drain: the journal already holds every finished batch,
-            # fsynced; the engine starts no more work, leaving a checkpoint.
+            # Operator drain: the engine starts no more work; the census
+            # raises CensusInterrupted and a re-run starts it over.
             execution, gave_up = self.executor.run(
                 [planned.vp.name for planned in to_scan],
                 execute,
@@ -1015,9 +970,8 @@ class CensusCampaign:
         report.execution = execution.to_dict()
         if cut_short or execution.interrupted:
             return True
-        # Engine-level failures (a raising scan or the deadline) fail the VP —
-        # feeding quarantine and the quorum check — but are deliberately NOT
-        # journaled: a resumed census rescans rather than trust a gave-up marker.
+        # Engine-level failures (a raising scan or the deadline) fail the VP,
+        # feeding quarantine and the quorum check.
         for i in sorted(gave_up):
             name = to_scan[i].vp.name
             to_scan[i].outcome = _VpOutcome.failed([gave_up[i]])
@@ -1029,7 +983,6 @@ class CensusCampaign:
         self,
         plan: _CensusPlan,
         interrupted: bool,
-        checkpoint: Optional[Union[str, "CensusJournal"]],
     ) -> Census:
         """Account a census in census order, whatever order its scans
         finished in — so health and quarantine state, metrics and batch
@@ -1043,12 +996,9 @@ class CensusCampaign:
         outcomes = [planned.outcome for planned in settled]
         metrics = current_metrics()
         if metrics.enabled and outcomes:
-            # Read off the report: a counter no outcome moved stays absent,
-            # and resumed VPs sent their probes in an earlier run.
+            # Read off the report: a counter no outcome moved stays absent.
             probes = plan.targets.probes_sent
-            fresh = len(outcomes) - report.n_vps_resumed
-            if fresh:
-                metrics.counter("probes_sent").inc(fresh * probes)
+            metrics.counter("probes_sent").inc(len(outcomes) * probes)
             for status in ("ok", "salvaged", "failed"):
                 count = getattr(report, "n_vps_" + status)
                 if count:
@@ -1064,9 +1014,7 @@ class CensusCampaign:
             for outcome in outcomes:
                 durations.observe(outcome.duration_hours)
         if interrupted:
-            raise CensusInterrupted(
-                plan.census_id, len(outcomes) - report.n_vps_resumed, checkpoint
-            )
+            raise CensusInterrupted(plan.census_id, len(outcomes))
 
         usable = [o for o in outcomes if o.usable and o.records is not None]
         if len(usable) < self.min_vp_quorum:
@@ -1113,65 +1061,14 @@ class CensusCampaign:
         self,
         n_censuses: int = 4,
         availability: float = 0.85,
-        checkpoint_dir: Optional[str] = None,
     ) -> List[Census]:
-        """Pre-census plus ``n_censuses`` full censuses.
-
-        With ``checkpoint_dir``, each census journals its per-VP batches
-        to ``census-<id>.journal`` inside the directory; re-running the
-        same campaign after an interruption replays finished censuses
-        from their journals and resumes the interrupted one.
-        """
-        import pathlib
-
+        """Pre-census plus ``n_censuses`` full censuses."""
         self.run_precensus()
-        censuses = []
-        for i in range(n_censuses):
-            checkpoint = None
-            if checkpoint_dir:  # an empty string is "no checkpointing", not cwd
-                directory = pathlib.Path(checkpoint_dir)
-                directory.mkdir(parents=True, exist_ok=True)
-                checkpoint = str(directory / f"census-{self._census_counter + 1:03d}.journal")
-            censuses.append(
-                self.run_census(availability=availability, checkpoint=checkpoint)
-            )
-        return censuses
+        return [self.run_census(availability=availability) for _ in range(n_censuses)]
 
     # ------------------------------------------------------------------
     # Supervision internals
     # ------------------------------------------------------------------
-
-    def _open_journal(
-        self, checkpoint: Optional[Union[str, "CensusJournal"]], plan: _CensusPlan
-    ) -> Optional[CensusJournal]:
-        if checkpoint is None:
-            return None
-        journal = (
-            checkpoint
-            if isinstance(checkpoint, CensusJournal)
-            else CensusJournal(checkpoint)
-        )
-        meta = {
-            "census_id": plan.census_id,
-            "campaign_seed": self.seed,
-            "rate_pps": plan.rate,
-            "vp_names": [planned.vp.name for planned in plan.vps],
-            "degraded": [planned.degraded for planned in plan.vps],
-            "probe_mask_crc": zlib.crc32(np.packbits(plan.probe_mask).tobytes())
-            & 0xFFFFFFFF,
-        }
-        if journal.meta is None:
-            if len(journal):
-                # Batches without a meta entry: a stale or foreign file.
-                journal.reset()
-            journal.write_meta(meta)
-        elif not journal.meta_matches(meta):
-            raise ValueError(
-                "checkpoint journal does not match this census "
-                f"(journal census {journal.meta.get('census_id')!r}, "
-                f"running census {plan.census_id}); use a fresh journal path"
-            )
-        return journal
 
     def _backoff_u(self, census_id: int, platform_index: int, attempt: int) -> float:
         """Keyed jitter draw for one retry's backoff (0 when disabled).
@@ -1201,7 +1098,7 @@ class CensusCampaign:
         on which thread computed the scan.
 
         Measurement distortion applies first — before checksums, before
-        any fault verdict — so every consumer (journal, salvage, corrupt
+        any fault verdict — so every consumer (salvage, corrupt
         check) sees the distorted record batch, exactly as a real
         miscalibrated node would have handed it over.
         """

@@ -18,9 +18,9 @@ of it.  This module provides the two halves of that story:
 Every fault decision is drawn from an RNG keyed on
 ``(plan seed, census id, vantage point, attempt)`` rather than from a
 sequential stream, so decisions are independent of evaluation order.
-That is what makes checkpoint/resume bit-for-bit deterministic: replaying
-a census re-derives exactly the same faults for the vantage points that
-still need scanning.  The other chaos plans here (:class:`PoisonPlan`,
+That is what makes a re-run bit-for-bit deterministic: re-running an
+interrupted census re-derives exactly the same faults for every vantage
+point.  The other chaos plans here (:class:`PoisonPlan`,
 :class:`VpDistortionPlan`) work the same way:
 each plan holds its seed and probabilities and draws and applies its own
 faults.
@@ -603,7 +603,7 @@ class VpDistortionPlan:
         """Distort one VP scan's reply RTTs (geo error leaves them alone).
 
         Per-probe draws (bufferbloat) are keyed per target prefix, so
-        pooled, resumed, and re-run scans distort identically.
+        pooled and re-run scans distort identically.
         """
         kind = self.kind_for(vp_name)
         if kind is None or kind is DistortionKind.GEO_ERROR:

@@ -20,13 +20,11 @@ codes 9, 10, or 13 as a negative sign":
 from __future__ import annotations
 
 import io
-import json
 import os
-import pathlib
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, Optional, Sequence, TextIO, Tuple, Union
+from typing import BinaryIO, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -213,7 +211,7 @@ class CensusRecords:
         return _HEADER.size + len(self) * (2 + 4 + 4 + 4 + 1)
 
     # ------------------------------------------------------------------
-    # Lossless (checkpoint) format
+    # Lossless format
     # ------------------------------------------------------------------
 
     def write_raw(self, fp: BinaryIO) -> int:
@@ -221,9 +219,9 @@ class CensusRecords:
 
         Unlike :meth:`write_binary` (which quantizes timestamps and RTTs
         for compactness, as the paper's stripped-down format does), this
-        round-trips exactly — required by the checkpoint journal, whose
-        determinism guarantee is that a resumed census is *bit-for-bit*
-        equal to an uninterrupted one.
+        round-trips exactly: the archive's ``records.bin`` (see
+        :func:`write_raw_checksummed`) hands back the very census it
+        stored, bit for bit.
         """
         header = _RAW_HEADER.pack(_RAW_MAGIC, 1, self.census_id, len(self))
         fp.write(header)
@@ -377,8 +375,9 @@ def read_raw_checksummed(fp: BinaryIO) -> "CensusRecords":
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise CorruptPayloadError("payload CRC mismatch (bit rot or tampering)")
     try:
+        _raw_header(payload[: _RAW_HEADER.size], len(payload))
         return CensusRecords.read_raw(io.BytesIO(payload))
-    except ValueError as exc:  # seal ok but content unparseable
+    except (struct.error, ValueError) as exc:  # seal ok but content unparseable
         raise CorruptPayloadError(f"sealed payload unreadable: {exc}") from exc
 
 
@@ -394,6 +393,20 @@ _RAW_RECORD_BYTES = sum(width for _dtype, width in _RAW_COLUMNS)
 
 #: IO chunk of the streaming CRC pass.
 _STREAM_CHUNK = 1 << 22
+
+
+def _raw_header(header: bytes, payload_len: int) -> Tuple[int, int]:
+    """``(census_id, n_records)`` of a raw payload's header, checked to
+    fit the ``payload_len`` bytes under its seal (so a garbled record
+    count is refused before any read is sized by it)."""
+    magic, version, census_id, n = _RAW_HEADER.unpack(header)
+    if magic != _RAW_MAGIC:
+        raise ValueError("not a raw census record blob")
+    if version != 1:
+        raise ValueError(f"unsupported raw record version {version}")
+    if _RAW_HEADER.size + n * _RAW_RECORD_BYTES > payload_len:
+        raise ValueError("truncated raw census record blob")
+    return census_id, n
 
 
 def iter_raw_batches(fp: BinaryIO, batch_records: int = 1 << 18):
@@ -439,15 +452,8 @@ def iter_raw_batches(fp: BinaryIO, batch_records: int = 1 << 18):
         raise CorruptPayloadError("payload CRC mismatch (bit rot or tampering)")
 
     fp.seek(start)
-    header = fp.read(_RAW_HEADER.size)
     try:
-        header_magic, version, census_id, n = _RAW_HEADER.unpack(header)
-        if header_magic != _RAW_MAGIC:
-            raise ValueError("not a raw census record blob")
-        if version != 1:
-            raise ValueError(f"unsupported raw record version {version}")
-        if _RAW_HEADER.size + n * _RAW_RECORD_BYTES > payload_len:
-            raise ValueError("truncated raw census record blob")
+        census_id, n = _raw_header(fp.read(_RAW_HEADER.size), payload_len)
     except (struct.error, ValueError) as exc:
         raise CorruptPayloadError(f"sealed payload unreadable: {exc}") from exc
 
@@ -531,168 +537,3 @@ def concatenate(
         rtt_ms=np.concatenate([p.rtt_ms for p in parts]),
         flag=np.concatenate([p.flag for p in parts]),
     )
-
-
-# ----------------------------------------------------------------------
-# Checkpoint journal
-# ----------------------------------------------------------------------
-
-_JOURNAL_MAGIC = b"ACJ1"
-_JOURNAL_FRAME = struct.Struct("<4sIII")  # magic, json len, blob len, crc32
-
-
-class JournalBatch:
-    """One journaled per-VP scan outcome: metadata plus optional records.
-
-    Records load lazily: a batch recovered from disk holds only its blob
-    coordinates until :attr:`records` is first touched, so scanning or
-    resuming a large journal costs O(metadata), not O(journal) — the
-    arrays of a VP nobody asks about are never materialized.
-    """
-
-    def __init__(
-        self,
-        payload: Dict,
-        records: Optional[CensusRecords] = None,
-        source: Optional[Tuple[pathlib.Path, int, int]] = None,
-    ) -> None:
-        self.payload = payload
-        self._records = records
-        #: ``(journal path, blob offset, blob length)`` for lazy loading.
-        self._source = source
-
-    @property
-    def records(self) -> Optional[CensusRecords]:
-        if self._records is None and self._source is not None:
-            path, offset, length = self._source
-            with open(path, "rb") as fp:
-                fp.seek(offset)
-                blob = fp.read(length)
-            self._records = CensusRecords.read_raw(io.BytesIO(blob))
-        return self._records
-
-
-class CensusJournal:
-    """Append-only, crash-tolerant journal of completed per-VP batches.
-
-    A census writes one ``census-meta`` entry up front (identifying the
-    campaign seed, census id, participating VPs and probe mask) and one
-    batch entry per completed VP scan.  Each entry is framed with a
-    CRC-32 so a torn trailing write — the journal's own crash mode — is
-    detected and discarded on load; everything before it is recovered.
-
-    Resuming a census with a matching journal skips the already-finished
-    VPs entirely.  Because every per-VP scan RNG is keyed rather than
-    streamed, a resumed census is bit-for-bit identical to an
-    uninterrupted one under the same seed.
-    """
-
-    def __init__(self, path: Union[str, pathlib.Path]) -> None:
-        self.path = pathlib.Path(path)
-        self.meta: Optional[Dict] = None
-        self.batches: Dict[str, JournalBatch] = {}
-        if self.path.exists():
-            self._load()
-
-    # -- persistence -------------------------------------------------------
-
-    def _load(self) -> None:
-        """Incremental frame scan: O(largest entry) memory, lazy blobs.
-
-        Each frame's CRC still covers metadata *and* blob, so every blob
-        byte is read once here (in bounded chunks) — but the decoded
-        record arrays are not materialized; batches remember their blob
-        coordinates and deserialize on first access instead.
-        """
-        size = self.path.stat().st_size
-        with open(self.path, "rb") as fp:
-            offset = 0
-            while offset + _JOURNAL_FRAME.size <= size:
-                fp.seek(offset)
-                head = fp.read(_JOURNAL_FRAME.size)
-                if len(head) < _JOURNAL_FRAME.size:
-                    break
-                magic, json_len, blob_len, crc = _JOURNAL_FRAME.unpack(head)
-                if magic != _JOURNAL_MAGIC:
-                    break
-                end = offset + _JOURNAL_FRAME.size + json_len + blob_len
-                if end > size:
-                    break  # torn tail: the writer died mid-entry
-                body = fp.read(json_len)
-                running = zlib.crc32(body)
-                remaining = blob_len
-                while remaining:
-                    chunk = fp.read(min(1 << 20, remaining))
-                    if not chunk:
-                        break
-                    running = zlib.crc32(chunk, running)
-                    remaining -= len(chunk)
-                if remaining or running & 0xFFFFFFFF != crc:
-                    break  # corrupted tail entry
-                entry = json.loads(body.decode("utf-8"))
-                if entry.get("kind") == "census-meta":
-                    self.meta = entry
-                else:
-                    source = (
-                        (self.path, offset + _JOURNAL_FRAME.size + json_len, blob_len)
-                        if blob_len
-                        else None
-                    )
-                    self.batches[entry["vp"]] = JournalBatch(entry, source=source)
-                offset = end
-
-    def _append(self, entry: Dict, records: Optional[CensusRecords]) -> None:
-        blob = b""
-        if records is not None:
-            sink = io.BytesIO()
-            records.write_raw(sink)
-            blob = sink.getvalue()
-        body = json.dumps(entry, sort_keys=True).encode("utf-8")
-        payload = body + blob
-        frame = _JOURNAL_FRAME.pack(
-            _JOURNAL_MAGIC, len(body), len(blob), zlib.crc32(payload) & 0xFFFFFFFF
-        )
-        with open(self.path, "ab") as fp:
-            fp.write(frame + payload)
-            fp.flush()
-            os.fsync(fp.fileno())
-
-    # -- writing -----------------------------------------------------------
-
-    def reset(self) -> None:
-        """Discard all journal content (e.g. a stale journal file)."""
-        self.path.write_bytes(b"")
-        self.meta = None
-        self.batches = {}
-
-    def write_meta(self, meta: Dict) -> None:
-        entry = {**meta, "kind": "census-meta"}
-        self._append(entry, None)
-        self.meta = entry
-
-    def write_batch(self, payload: Dict, records: Optional[CensusRecords]) -> None:
-        """Journal one completed VP scan (``payload['vp']`` names the VP)."""
-        self._append(payload, records)
-        self.batches[payload["vp"]] = JournalBatch(payload, records)
-
-    # -- querying ----------------------------------------------------------
-
-    def meta_matches(self, expected: Dict) -> bool:
-        """Whether the journaled census identity equals ``expected``."""
-        if self.meta is None:
-            return False
-        return all(self.meta.get(key) == value for key, value in expected.items())
-
-    def valid_batch(self, vp_name: str) -> Optional[JournalBatch]:
-        """The journaled batch for a VP, if present and integrity-clean."""
-        batch = self.batches.get(vp_name)
-        if batch is None:
-            return None
-        expected = batch.payload.get("checksum")
-        if batch.records is not None and expected is not None:
-            if batch.records.checksum() != int(expected):
-                return None  # bit rot inside the journal: rescan this VP
-        return batch
-
-    def __len__(self) -> int:
-        return len(self.batches)

@@ -6,7 +6,7 @@ Every failure the :class:`~repro.resilience.supervisor.StageSupervisor`
 sees is classified into one of three severities:
 
 * **transient** — the operation might succeed if simply tried again
-  (a checkpoint file briefly locked, an interrupted system call).  The
+  (a file briefly locked, an interrupted system call).  The
   supervisor retries with backoff.
 * **corrupt** — the stage's *input* is bad (malformed records, impossible
   coordinates, a matrix that lost its samples).  Retrying is pointless;

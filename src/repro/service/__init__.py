@@ -15,8 +15,8 @@ anycast landscape look like today"; this package turns that into a
   births/deaths, footprint growth, anycast<->unicast flips) on top of
   :func:`~repro.census.longitudinal.compare_epochs`;
 * :mod:`~repro.service.service` — the scheduler tying it together:
-  dated runs over an evolving internet, crash-tolerant resume from the
-  checkpoint journal, catch-up for missed epochs.
+  dated runs over an evolving internet, crash tolerance by re-running
+  an uncommitted day to the same bytes, catch-up for missed epochs.
 """
 
 from .archive import (  # noqa: F401

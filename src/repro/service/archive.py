@@ -12,7 +12,6 @@ Layout (all under one root directory)::
         day-000001/
           ...
       quarantine/                    # fsck moves corrupt runs here
-      journal/                       # per-epoch checkpoint journals
 
 Design rules, in decreasing order of importance:
 
@@ -423,23 +422,15 @@ class CensusArchive:
         return self.root / "quarantine"
 
     @property
-    def journal_dir(self) -> pathlib.Path:
-        return self.root / "journal"
-
-    @property
     def index_path(self) -> pathlib.Path:
         return self.root / "index.json"
 
     def ensure_layout(self) -> None:
         """Create the fixed directories (quarantine stays lazy)."""
         self.runs_dir.mkdir(parents=True, exist_ok=True)
-        self.journal_dir.mkdir(parents=True, exist_ok=True)
 
     def run_dir(self, epoch: int) -> pathlib.Path:
         return self.runs_dir / run_dirname(epoch)
-
-    def journal_path(self, epoch: int) -> pathlib.Path:
-        return self.journal_dir / f"epoch-{epoch:06d}.journal"
 
     # -- reading -------------------------------------------------------
 

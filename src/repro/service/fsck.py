@@ -19,16 +19,13 @@ describes exactly those runs":
   their schema or events seal are *repairable*: only the sidecar files
   move to quarantine, the run itself is kept — losing a day's telemetry
   must never cost the day's census;
-* **stale journals** — checkpoint journals of epochs that did commit —
-  are removed (the run is durable; the journal is resume state that no
-  longer applies).  Journals of *uncommitted* epochs are kept: they are
-  exactly what lets the next run resume bit-for-bit;
 * the **index** is rebuilt whenever it differs from what the surviving
   manifests imply (missing, unparseable, stale, or trailing a
   quarantine).
 
 ``repair=False`` turns all of that into a dry run: every problem is
-reported, nothing on disk changes.
+reported, nothing on disk changes.  Anything else under the root (an
+older archive's ``journal/`` directory, say) is left alone.
 
 fsck never raises on corrupt data — refusing to start because one day
 of history rotted would be the availability bug; quarantining the day
@@ -38,7 +35,6 @@ and continuing is the point.
 from __future__ import annotations
 
 import json
-import re
 import shutil
 import zlib
 from dataclasses import dataclass, field
@@ -55,8 +51,6 @@ from .archive import (
     CensusArchive,
     parse_run_dirname,
 )
-
-_JOURNAL_RE = re.compile(r"^epoch-(\d{6})\.journal$")
 
 
 @dataclass
@@ -75,8 +69,6 @@ class FsckReport:
     trust_quarantined: List[Tuple[str, str]] = field(default_factory=list)
     #: Torn staging directories that were discarded.
     discarded_staging: List[str] = field(default_factory=list)
-    #: Stale/foreign journal files that were removed.
-    removed_journals: List[str] = field(default_factory=list)
     index_rebuilt: bool = False
     #: False when this was a dry run (``repair=False``).
     repaired: bool = True
@@ -89,7 +81,6 @@ class FsckReport:
             or self.telemetry_quarantined
             or self.trust_quarantined
             or self.discarded_staging
-            or self.removed_journals
             or self.index_rebuilt
         )
 
@@ -107,8 +98,6 @@ class FsckReport:
             lines.append(f"  quarantined trust sidecar of {name} (run kept): {reason}")
         for name in self.discarded_staging:
             lines.append(f"  discarded torn commit {name}")
-        for name in self.removed_journals:
-            lines.append(f"  removed stale journal {name}")
         if self.index_rebuilt:
             lines.append("  index rebuilt")
         return lines
@@ -264,21 +253,12 @@ def fsck_archive(archive: CensusArchive, repair: bool = True) -> FsckReport:
             _quarantine_sidecars(archive, epoch, (TRUST_FILE,), repair)
             metrics.counter("fsck_trust_quarantined").inc()
 
-    # 3. Journals: stale ones (their epoch committed and survived
-    #    verification) no longer apply; foreign files are noise.  Both go.
-    ok = set(report.ok_epochs)
-    if archive.journal_dir.is_dir():
-        for entry in sorted(archive.journal_dir.iterdir()):
-            match = _JOURNAL_RE.match(entry.name)
-            if match is not None and int(match.group(1)) not in ok:
-                continue  # resume state for a pending epoch: keep it
-            report.removed_journals.append(entry.name)
-            if repair:
-                entry.unlink()
-
-    # 4. The index must equal what the surviving manifests imply.
+    # 3. The index must equal what the surviving manifests imply.  An
+    #    archive that never committed a run (its first day interrupted,
+    #    say) has no index and needs none: the first commit writes it.
     expected = archive.build_index()
-    if archive.read_index() != expected:
+    never_indexed = not expected["runs"] and not archive.index_path.exists()
+    if archive.read_index() != expected and not never_indexed:
         report.index_rebuilt = True
         if repair:
             archive.write_index(expected)

@@ -7,11 +7,11 @@ seed per step), the same synthetic-internet seed, the same platform.
 Running epoch *k* is therefore a pure function — which is what makes
 every robustness property testable as byte equality:
 
-* **crash tolerance**: each epoch's census journals per-VP batches to
-  ``journal/epoch-NNNNNN.journal``; a killed run resumes from the
-  journal bit-for-bit (keyed per-VP RNG), and the archive commit itself
-  is atomic, so re-running after a crash at *any* point converges to
-  the same archive bytes as an uninterrupted timeline;
+* **crash tolerance**: a killed run leaves nothing behind but its
+  uncommitted day, which a re-run measures again from the start to the
+  same bytes (keyed per-VP RNG and fault draws); the archive commit
+  itself is atomic, so re-running after a crash at *any* point converges
+  to the same archive bytes as an uninterrupted timeline;
 * **catch-up**: :meth:`CensusService.catch_up` first fscks the archive
   (quarantining anything rotten), then runs every missing epoch up to
   the requested day — missed days and quarantined days are the same
@@ -415,7 +415,7 @@ class CensusService:
 
         Each VP's absence is an independent keyed coin flip on
         ``(roster_seed, epoch, VP name)`` — deterministic, so re-running
-        (or resuming) an epoch sees the identical roster, and a VP that
+        an interrupted epoch sees the identical roster, and a VP that
         returns after an absence measures exactly as it did before
         (keyed campaign noise), which is what lets ``plan_delta``
         recover its targets from an older baseline instead of going
@@ -459,15 +459,10 @@ class CensusService:
 
         A committed epoch returns immediately (``"already-present"``).
         ``abort_after_vps`` is the chaos knob of the underlying census:
-        the run dies with :class:`CensusInterrupted` after that many
-        fresh VP scans, leaving a resumable journal behind.
+        the run dies with :class:`CensusInterrupted` after that many VP
+        scans, leaving the epoch uncommitted for a re-run.
         """
         if self.archive.has(epoch):
-            # Re-running a committed epoch also clears any stale journal
-            # (a crash window between rename and journal cleanup).
-            journal = self.archive.journal_path(epoch)
-            if journal.exists():
-                journal.unlink()
             return self._outcome(
                 epoch, "already-present", self.archive.read_manifest(epoch)
             )
@@ -618,11 +613,10 @@ class CensusService:
         return built, built, counters
 
     def _measure(self, day: _Day, yesterday: _Carry):
-        """The pre-census and the census, journalled, folded to a matrix."""
+        """The pre-census and the census, folded to a matrix."""
         day.campaign.run_precensus()
         census = day.campaign.run_census(
             availability=self.config.availability,
-            checkpoint=str(self.archive.journal_path(day.epoch)),
             abort_after_vps=day.abort_after_vps,
         )
         if census.health is not None:
@@ -764,7 +758,7 @@ class CensusService:
         return dict(alarms=alarms), {}, {}
 
     def _commit(self, day: _Day, yesterday: _Carry):
-        """The atomic archive commit, then the journal goes."""
+        """The atomic archive commit."""
         telemetry_doc, events_lines = day.telemetry
         trust = day.trust_report
         self.archive.commit_run(
@@ -776,9 +770,6 @@ class CensusService:
             events_lines=events_lines,
             trust_doc=trust.to_doc() if trust is not None else None,
         )
-        journal = self.archive.journal_path(day.epoch)
-        if journal.exists():
-            journal.unlink()
         return {}, {}, self.archive.commit_counters
 
     def _routing_doc(self, day: _Day) -> Optional[Dict[str, Any]]:
@@ -1136,7 +1127,7 @@ class CensusService:
     ) -> Tuple[FsckReport, List[EpochOutcome]]:
         """Fsck, then run every missing epoch up to ``through_epoch``.
 
-        Missed days, interrupted days (their journals resume), and
+        Missed days, interrupted days (re-run from their start), and
         quarantined days all land in the same place: "not committed",
         and this loop commits them in order.  The result is the archive
         an uninterrupted daily service would have produced.

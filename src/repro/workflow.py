@@ -92,8 +92,6 @@ class StudyConfig:
     scan_timeout_hours: Optional[float] = None
     #: Minimum usable VPs per census before it aborts (CensusAborted).
     min_vp_quorum: int = 1
-    #: Journal directory for checkpoint/resume of censuses (optional).
-    checkpoint_dir: Optional[str] = None
     #: Scan threads of every census, all on the one scan driver: ``0``
     #: (default) scans inline, serially — the reference every worker
     #: count is tested against; ``N >= 1`` runs the scans on N threads.
@@ -275,7 +273,6 @@ class CensusStudy:
                 lambda: campaign.run(
                     n_censuses=self.config.n_censuses,
                     availability=self.config.availability,
-                    checkpoint_dir=self.config.checkpoint_dir,
                 ),
             )
         return self._censuses

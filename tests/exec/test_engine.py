@@ -168,7 +168,7 @@ def test_raising_scan_runs_exactly_once(tmp_path, workers):
 class TestThreadedWindow:
     """At ``workers>=1`` the driver starts at most ``WINDOW_PER_WORKER *
     workers`` units ahead of the result it takes, so a drain starts no
-    unit past that window and a journal it leaves is a serial one."""
+    unit past that window."""
 
     WORKERS = 2
     WINDOW = WINDOW_PER_WORKER * WORKERS
@@ -226,8 +226,8 @@ class TestThreadedWindow:
         assert taken == list(range(k))
         assert max(started) <= k + self.WORKERS - 1
 
-    def test_threaded_journal_resumes_serially_bit_for_bit(
-        self, tiny_internet, tiny_platform, tmp_path, monkeypatch
+    def test_threaded_drain_then_serial_rerun_is_bit_for_bit(
+        self, tiny_internet, tiny_platform, monkeypatch
     ):
         import contextlib
         import io
@@ -279,15 +279,13 @@ class TestThreadedWindow:
             return scan_vp(*args, **kwargs)
 
         monkeypatch.setattr(threaded, "scan_vp", counting_scan)
-        journal = str(tmp_path / "census-001.journal")
         with pytest.raises(CensusInterrupted) as exc:
-            threaded.run_census(availability=0.85, checkpoint=journal)
+            threaded.run_census(availability=0.85)
         assert exc.value.completed_vps == k
         assert k <= len(scans) < k + self.WINDOW
-        resumed = campaign(0).run_census(availability=0.85, checkpoint=journal)
-        assert resumed.health.n_vps_resumed == k
-        assert census_bytes(resumed) == serial
-        assert not np.isnan(resumed.vp_duration_hours).all()
+        rerun = campaign(0).run_census(availability=0.85)
+        assert census_bytes(rerun) == serial
+        assert not np.isnan(rerun.vp_duration_hours).all()
 
 
 @pytest.mark.parametrize("workers", [0, 2])

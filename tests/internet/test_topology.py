@@ -115,6 +115,19 @@ class TestEvolved:
         assert child.deployments == cold.deployments
         assert np.array_equal(child.lats, cold.lats)
 
+    def test_a_deployment_shrunk_to_one_site_is_unicast(self, net):
+        """Evolution can shrink a deployment to one site: its /24s stay in
+        the deployment but are no longer anycast in the ground truth."""
+        catalog = [d.entry for d in net.deployments]
+        child = net.evolved([replace(catalog[0], n_sites=1)] + catalog[1:])
+        shrunk = child.deployments[0]
+        at = child.target_indices(np.array(shrunk.prefixes))
+        assert len(shrunk.replicas) == 1
+        assert not child.is_anycast[at].any()
+        assert (child.deployment_index[at] == 0).all()
+        assert child.n_anycast_slash24 == net.n_anycast_slash24 - len(shrunk.prefixes)
+        assert child.anycast_ases == net.anycast_ases - 1
+
     def test_target_arrays_are_read_only(self, net):
         child = net.evolved([d.entry for d in net.deployments[:3]])
         for world in (net, child):

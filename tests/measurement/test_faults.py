@@ -18,7 +18,6 @@ from repro.measurement.faults import (
     VpDistortionPlan,
     StrikeCounter,
 )
-from repro.measurement.recordio import CensusJournal
 
 
 def records_bytes(census):
@@ -384,96 +383,54 @@ class TestQuorumAndQuarantine:
         assert not planned_names & set(second.health.quarantined_vps)
 
 
-class TestCheckpointResume:
+class TestInterruptAndRerun:
+    """An interrupted census keeps nothing; re-running it from its start
+    lands on the bytes of an uninterrupted run."""
+
     def test_interrupt_requires_nonnegative(self, tiny_internet, tiny_platform):
         campaign = make_campaign(tiny_internet, tiny_platform)
         with pytest.raises(ValueError):
             campaign.run_census(abort_after_vps=-1)
 
-    def test_resume_is_bit_for_bit(
-        self, tiny_internet, tiny_platform, faulted_plan, supervision, tmp_path
+    def test_rerun_is_bit_for_bit(
+        self, tiny_internet, tiny_platform, faulted_plan, supervision
     ):
-        """Kill after k VPs, resume in a fresh campaign, get identical data."""
-        journal_path = tmp_path / "census-001.journal"
+        """Kill after k VPs, twice, re-run in a fresh campaign, get
+        identical data: the abort budget counts from the census start."""
         kwargs = dict(fault_plan=faulted_plan, min_vp_quorum=1, **supervision)
 
         reference = make_campaign(tiny_internet, tiny_platform, seed=321, **kwargs)
         uninterrupted = reference.run_census(availability=0.85)
 
-        interrupted = make_campaign(tiny_internet, tiny_platform, seed=321, **kwargs)
-        with pytest.raises(CensusInterrupted) as exc:
-            interrupted.run_census(
-                availability=0.85, checkpoint=str(journal_path), abort_after_vps=7
-            )
-        assert exc.value.completed_vps == 7
+        for _ in range(2):
+            interrupted = make_campaign(tiny_internet, tiny_platform, seed=321, **kwargs)
+            with pytest.raises(CensusInterrupted) as exc:
+                interrupted.run_census(availability=0.85, abort_after_vps=7)
+            assert (exc.value.census_id, exc.value.completed_vps) == (1, 7)
 
         # "New process": a fresh campaign object under the same seed.
-        resumer = make_campaign(tiny_internet, tiny_platform, seed=321, **kwargs)
-        resumed = resumer.run_census(availability=0.85, checkpoint=str(journal_path))
-        assert resumed.health.n_vps_resumed == 7
-        assert_same_census(uninterrupted, resumed)
+        rerunner = make_campaign(tiny_internet, tiny_platform, seed=321, **kwargs)
+        assert_same_census(uninterrupted, rerunner.run_census(availability=0.85))
 
-    def test_completed_journal_replays_without_scanning(
-        self, tiny_internet, tiny_platform, tmp_path
-    ):
-        journal_path = tmp_path / "census-001.journal"
+    def test_budget_past_the_roster_completes(self, tiny_internet, tiny_platform):
         first = make_campaign(tiny_internet, tiny_platform, seed=11)
-        completed = first.run_census(availability=0.85, checkpoint=str(journal_path))
-
-        replayer = make_campaign(tiny_internet, tiny_platform, seed=11)
-        # Replaying may not scan at all: interrupt before the first fresh scan.
-        replayed = replayer.run_census(
-            availability=0.85, checkpoint=str(journal_path), abort_after_vps=0
+        completed = first.run_census(availability=0.85)
+        again = make_campaign(tiny_internet, tiny_platform, seed=11)
+        budget = completed.health.n_vps_planned
+        assert_same_census(
+            completed, again.run_census(availability=0.85, abort_after_vps=budget)
         )
-        assert replayed.health.n_vps_resumed == replayed.health.n_vps_planned
-        assert_same_census(completed, replayed)
 
-    def test_mismatched_journal_rejected(self, tiny_internet, tiny_platform, tmp_path):
-        journal_path = tmp_path / "census.journal"
-        first = make_campaign(tiny_internet, tiny_platform, seed=11)
-        first.run_census(availability=0.85, checkpoint=str(journal_path))
-
-        other_seed = make_campaign(tiny_internet, tiny_platform, seed=12)
-        with pytest.raises(ValueError, match="does not match"):
-            other_seed.run_census(availability=0.85, checkpoint=str(journal_path))
-
-    def test_torn_journal_tail_recovers_prefix(
-        self, tiny_internet, tiny_platform, tmp_path
+    def test_run_takes_censuses_and_availability_positionally(
+        self, tiny_internet, tiny_platform
     ):
-        journal_path = tmp_path / "census.journal"
-        campaign = make_campaign(tiny_internet, tiny_platform, seed=11)
-        with pytest.raises(CensusInterrupted):
-            campaign.run_census(
-                availability=0.85, checkpoint=str(journal_path), abort_after_vps=5
-            )
-        intact = CensusJournal(journal_path)
-        assert len(intact) == 5
-
-        # Chop a few bytes off the end: the torn entry is discarded, the
-        # rest of the journal (and the meta entry) survive.
-        data = journal_path.read_bytes()
-        journal_path.write_bytes(data[:-3])
-        torn = CensusJournal(journal_path)
-        assert torn.meta is not None
-        assert len(torn) == 4
-
-    def test_run_with_checkpoint_dir(self, tiny_internet, tiny_platform, tmp_path):
-        campaign = CensusCampaign(tiny_internet, tiny_platform, seed=13)
-        censuses = campaign.run(
-            n_censuses=2, availability=0.85, checkpoint_dir=str(tmp_path)
+        by_keyword = CensusCampaign(tiny_internet, tiny_platform, seed=13).run(
+            n_censuses=2, availability=0.85
         )
-        assert len(censuses) == 2
-        journals = sorted(p.name for p in tmp_path.glob("*.journal"))
-        assert journals == ["census-001.journal", "census-002.journal"]
-
-        # A second identical campaign replays both censuses from journals.
-        replay = CensusCampaign(tiny_internet, tiny_platform, seed=13)
-        replayed = replay.run(
-            n_censuses=2, availability=0.85, checkpoint_dir=str(tmp_path)
-        )
-        for original, again in zip(censuses, replayed):
-            assert again.health.n_vps_resumed == again.health.n_vps_planned
-            assert_same_census(original, again)
+        by_position = CensusCampaign(tiny_internet, tiny_platform, seed=13).run(2, 0.85)
+        assert len(by_position) == 2
+        for keyword, positional in zip(by_keyword, by_position):
+            assert_same_census(keyword, positional)
 
 
 class TestVpDistortion:

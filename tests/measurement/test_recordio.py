@@ -1,17 +1,25 @@
 """Tests for census record formats (binary vs textual)."""
 
 import io
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.measurement.recordio import (
     FLAG_OTHER_ERROR,
     FLAG_REPLY,
     CensusRecords,
+    CorruptPayloadError,
     concatenate,
     flag_for,
+    iter_raw_batches,
     outcome_for,
+    read_raw_checksummed,
+    write_raw_checksummed,
 )
 from repro.net.icmp import IcmpOutcome
 
@@ -333,14 +341,14 @@ class TestStreamingRaw:
         assert streamed.checksum() == one_shot.checksum()
 
 
-class TestFlapCheckpointResume:
-    """Fault-injection flap mode interacting with journal resume.
+class TestFlapInterruptRerun:
+    """Fault-injection flap mode interacting with an interrupted census.
 
-    A flapped VP contributes *no* records at all for that census.  The
-    journal must reproduce exactly that absence on resume: a census
-    interrupted while flaps are active and resumed in a fresh process
-    has to be bit-for-bit identical to an uninterrupted run — flapped
-    VPs must not be re-rolled, double-recorded, or resurrected.
+    A flapped VP contributes *no* records at all for that census.  A
+    census interrupted while flaps are active and re-run from its start
+    in a fresh process has to be bit-for-bit identical to an
+    uninterrupted run — flapped VPs must not be re-rolled,
+    double-recorded, or resurrected.
     """
 
     @staticmethod
@@ -366,9 +374,7 @@ class TestFlapCheckpointResume:
         return sink.getvalue()
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_resume_mid_flap_is_bit_for_bit(
-        self, tiny_internet, tiny_platform, tmp_path, workers
-    ):
+    def test_rerun_mid_flap_is_bit_for_bit(self, tiny_internet, tiny_platform, workers):
         from repro.measurement.campaign import CensusInterrupted
 
         reference = self._campaign(tiny_internet, tiny_platform)
@@ -378,33 +384,115 @@ class TestFlapCheckpointResume:
         flapped = uninterrupted.health.failed_vps
         assert flapped, "flap plan injected no flaps; adjust seed"
 
-        journal_path = tmp_path / "census-001.journal"
         interrupted = self._campaign(tiny_internet, tiny_platform, workers=workers)
         with pytest.raises(CensusInterrupted) as exc:
-            interrupted.run_census(
-                availability=0.85,
-                checkpoint=str(journal_path),
-                abort_after_vps=7,
-            )
+            interrupted.run_census(availability=0.85, abort_after_vps=7)
         # Flapped and scanned VPs alike count one against the budget.
         assert exc.value.completed_vps == 7
 
-        # "New process": a fresh campaign under the same seeds replays
-        # the journal prefix and scans only the remaining VPs.
-        resumer = self._campaign(tiny_internet, tiny_platform, workers=workers)
-        resumed = resumer.run_census(
-            availability=0.85, checkpoint=str(journal_path)
-        )
-        assert resumed.health.n_vps_resumed == 7
-        assert self._records_bytes(resumed) == self._records_bytes(uninterrupted)
+        # "New process": a fresh campaign under the same seeds re-runs
+        # the census from its start.
+        rerunner = self._campaign(tiny_internet, tiny_platform, workers=workers)
+        rerun = rerunner.run_census(availability=0.85)
+        assert self._records_bytes(rerun) == self._records_bytes(uninterrupted)
         assert np.array_equal(
-            resumed.records.rtt_ms, uninterrupted.records.rtt_ms, equal_nan=True
+            rerun.records.rtt_ms, uninterrupted.records.rtt_ms, equal_nan=True
         )
-        assert sorted(resumed.greylist.prefixes) == sorted(
+        assert sorted(rerun.greylist.prefixes) == sorted(
             uninterrupted.greylist.prefixes
         )
         # The flap pattern itself is part of the reproduced state.
-        assert resumed.health.failed_vps == flapped
-        assert resumed.health.faults_seen.get("flap", 0) == (
+        assert rerun.health.failed_vps == flapped
+        assert rerun.health.faults_seen.get("flap", 0) == (
             uninterrupted.health.faults_seen.get("flap", 0)
         )
+
+
+# ----------------------------------------------------------------------
+# Byte mutations of a sealed records.bin: both readers refuse, or agree
+# ----------------------------------------------------------------------
+
+
+def _seal(payload: bytes) -> bytes:
+    """``payload`` under the raw container's footer (magic, CRC-32, length)."""
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    return payload + struct.pack("<4sII", b"ACSM", crc, len(payload) & 0xFFFFFFFF)
+
+
+def _sealed_records() -> bytes:
+    sink = io.BytesIO()
+    write_raw_checksummed(make_records(5, census_id=2, seed=9), sink)
+    return sink.getvalue()
+
+
+_SEALED = _sealed_records()
+_PAYLOAD = _SEALED[: -struct.calcsize("<4sII")]
+
+
+def _verdicts(blob: bytes):
+    """What the one-shot and the streaming reader make of ``blob``: the
+    raw bytes of the records each returns, or ``None`` where it raised
+    :class:`CorruptPayloadError`.  Any other exception fails the test."""
+    verdicts = []
+    for read in (
+        read_raw_checksummed,
+        lambda fp: concatenate(tuple(iter_raw_batches(fp, batch_records=2))),
+    ):
+        try:
+            records = read(io.BytesIO(blob))
+        except CorruptPayloadError:
+            verdicts.append(None)
+            continue
+        sink = io.BytesIO()
+        records.write_raw(sink)
+        verdicts.append(sink.getvalue())
+    return verdicts
+
+
+def test_intact_records_file_reads_the_same_through_both_readers():
+    assert _seal(_PAYLOAD) == _SEALED
+    one_shot, streamed = _verdicts(_SEALED)
+    assert one_shot is not None and one_shot == streamed == _PAYLOAD
+
+
+@settings(max_examples=12, deadline=None)
+@given(mask=st.integers(1, 255))
+@example(mask=0x01)
+@example(mask=0xFF)
+def test_every_single_byte_flip_is_refused_by_both_readers(mask):
+    for position in range(len(_SEALED)):
+        blob = bytearray(_SEALED)
+        blob[position] ^= mask
+        assert _verdicts(bytes(blob)) == [None, None], position
+
+
+def test_every_truncation_is_refused_by_both_readers():
+    for length in range(len(_SEALED)):
+        assert _verdicts(_SEALED[:length]) == [None, None], length
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=st.binary(max_size=15))
+@example(payload=b"")
+@example(payload=b"ACRW")
+@example(payload=b"ACRW\x01\x00")
+def test_sealed_payload_shorter_than_the_raw_header_is_refused(payload):
+    assert _verdicts(_seal(payload)) == [None, None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    position=st.integers(0, len(_PAYLOAD) - 1),
+    mask=st.integers(1, 255),
+    cut=st.integers(0, len(_PAYLOAD)),
+)
+@example(position=15, mask=0x80, cut=len(_PAYLOAD))  # record count near 2**63
+@example(position=6, mask=0x02, cut=len(_PAYLOAD))  # census id: both accept
+def test_readers_agree_on_a_mutated_payload_under_a_valid_seal(position, mask, cut):
+    """A payload flipped and cut *before* sealing passes the seal, so the
+    readers' own parsing is what decides: they refuse alike, or return
+    equal records."""
+    payload = bytearray(_PAYLOAD)
+    payload[position] ^= mask
+    one_shot, streamed = _verdicts(_seal(bytes(payload[:cut])))
+    assert one_shot == streamed

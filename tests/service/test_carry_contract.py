@@ -116,7 +116,7 @@ def test_every_stage_carried_equals_cold(tmp_path, routing):
             with pytest.raises(CensusInterrupted):
                 service.run_epoch(epoch, abort_after_vps=3)
             assert service._carry.epoch == epoch - 1  # yesterday's, intact
-            assert service.archive.journal_path(epoch).exists()
+            assert not service.archive.has(epoch)
         # The cold twin: a fresh process over the archive as it is now.
         shadow = tmp_path / f"cold-{epoch}"
         if root.exists():

@@ -152,36 +152,22 @@ class TestIndexAndForeignEntries:
         assert archive_tree(scratch_archive) == reference_tree
 
 
-class TestJournals:
-    def test_stale_journal_removed(self, scratch_archive, reference_tree):
-        journal = scratch_archive / "journal" / "epoch-000001.journal"
-        journal.write_bytes(b"resume state for a day that committed")
+class TestLeftoverJournalDirectory:
+    def test_an_older_archives_journal_directory_is_left_alone(
+        self, scratch_archive, reference_tree
+    ):
+        """Archives written before the census journal was deleted carry a
+        ``journal/`` directory; fsck neither touches it nor calls the
+        archive unclean for it."""
+        leftover = scratch_archive / "journal" / "epoch-000007.journal"
+        leftover.parent.mkdir()
+        leftover.write_bytes(b"resume state nothing reads any more")
         report = fsck_archive(CensusArchive(scratch_archive))
-        assert report.removed_journals == ["epoch-000001.journal"]
-        assert archive_tree(scratch_archive) == reference_tree
-
-    def test_pending_journal_kept(self, scratch_archive):
-        journal = scratch_archive / "journal" / "epoch-000007.journal"
-        journal.write_bytes(b"resume state for a day still pending")
-        report = fsck_archive(CensusArchive(scratch_archive))
-        assert report.removed_journals == []
-        assert journal.exists()
-
-    def test_foreign_journal_removed(self, scratch_archive, reference_tree):
-        (scratch_archive / "journal" / "junk.tmp").write_bytes(b"noise")
-        report = fsck_archive(CensusArchive(scratch_archive))
-        assert report.removed_journals == ["junk.tmp"]
-        assert archive_tree(scratch_archive) == reference_tree
-
-    def test_quarantined_days_journal_survives_for_resume(self, scratch_archive):
-        # A day that rots AND has a journal: the run is quarantined, so
-        # the journal now belongs to a pending epoch and must be kept.
-        flip_byte(scratch_archive / "runs" / "day-000002" / "records.bin")
-        journal = scratch_archive / "journal" / "epoch-000002.journal"
-        journal.write_bytes(b"whatever the campaign checkpointed")
-        report = fsck_archive(CensusArchive(scratch_archive))
-        assert [name for name, _ in report.quarantined] == ["day-000002"]
-        assert journal.exists()
+        assert report.clean
+        assert archive_tree(scratch_archive) == {
+            **reference_tree,
+            "journal/epoch-000007.journal": leftover.read_bytes(),
+        }
 
 
 class TestFsckBehaviour:
@@ -204,6 +190,15 @@ class TestFsckBehaviour:
         report = fsck_archive(CensusArchive(tmp_path / "nothing-here"))
         assert report.clean
         assert report.ok_epochs == []
+
+    def test_never_committed_archive_is_clean(self, tmp_path):
+        """A first day interrupted before its commit leaves the layout
+        and no index: nothing to repair, and fsck writes none."""
+        archive = CensusArchive(tmp_path / "archive")
+        archive.ensure_layout()
+        report = fsck_archive(archive)
+        assert report.clean
+        assert not archive.index_path.exists()
 
     def test_repeat_offender_keeps_every_copy(self, scratch_archive, reference_archive):
         flip_byte(scratch_archive / "runs" / "day-000002" / "records.bin")
@@ -240,10 +235,8 @@ class TestFsckBehaviour:
     def test_summary_lines_cover_every_action(self, scratch_archive):
         flip_byte(scratch_archive / "runs" / "day-000000" / "records.bin")
         (scratch_archive / "runs" / ".day-000009.staging").mkdir()
-        (scratch_archive / "journal" / "junk.tmp").write_bytes(b"x")
         report = fsck_archive(CensusArchive(scratch_archive))
         text = "\n".join(report.summary_lines())
         assert "quarantined day-000000" in text
         assert "torn commit" in text
-        assert "stale journal" in text
         assert "index rebuilt" in text

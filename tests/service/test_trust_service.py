@@ -163,7 +163,7 @@ class TestUnfilteredDistortion:
     def test_trust_off_distortion_is_a_typed_refusal(self, tmp_path):
         """Clock-skewed VPs with nothing filtering them put negative RTTs
         in front of the analysis: the epoch ends in a typed error naming
-        the damage, commits nothing, and is re-runnable off its journal."""
+        the damage, commits nothing, and is re-runnable."""
         plan = VpDistortionPlan(fraction=0.3, seed=4242)
         service = small_service(tmp_path, vp_distortion=plan)
         for _ in range(2):  # the refusal is deterministic, not sticky
@@ -183,8 +183,8 @@ class TestUnfilteredDistortion:
         with pytest.raises(StageFailed, match="negative-RTT") as info:
             supervised.run_epoch(0)
         assert isinstance(info.value.__cause__, CorruptInputError)
-        # The journal survived: turning the trust gate on resumes the
-        # measured scans and commits the epoch.
+        # Nothing was kept: turning the trust gate on re-runs the epoch
+        # from its start and commits it.
         outcome = small_service(
             tmp_path, vp_distortion=plan, trust=True
         ).run_epoch(0)

@@ -2,7 +2,7 @@
 
 Every fenced ``python`` block of ``docs/API_GUIDE.md`` is executed, each
 in a fresh namespace with a temporary working directory (blocks write
-archives and journals).  A fragment that leans on names from the
+archives).  A fragment that leans on names from the
 surrounding prose (``net``, ``census1``, ...) is fenced as
 ``python illustrative`` and skipped.
 """

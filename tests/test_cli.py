@@ -33,7 +33,12 @@ class TestParser:
         assert args.flap_prob == 0.0
         assert args.quorum == 1
         assert args.scan_timeout is None
-        assert args.checkpoint_dir is None
+
+    def test_checkpoint_dir_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--checkpoint-dir=journals", "health"])
+        assert exc.value.code == 2
+        assert "--checkpoint-dir" in capsys.readouterr().err
 
     def test_manifest_defaults_to_none(self):
         args = build_parser().parse_args(["glance"])
@@ -402,15 +407,12 @@ class TestParallelOptions:
         manifest = tmp_path / "drained.json"
         code = main(
             SCALE
-            + ["--checkpoint-dir", str(tmp_path), "--manifest", str(manifest),
-               "health"]
+            + ["--manifest", str(manifest), "health"]
         )
         assert code == EXIT_INTERRUPTED
         err = capsys.readouterr().err
         assert "interrupted" in err
         validate_manifest(json.loads(manifest.read_text()))
-        # The drain left a resumable journal behind.
-        assert list(tmp_path.glob("census-*.journal"))
 
 
 class TestServiceTelemetryCli:

@@ -2,7 +2,7 @@
 
 Property-style coverage of the determinism contract: a census scanned on
 threads — any worker count, VP-level faults active, interrupted and
-resumed at another worker count — produces output byte-identical to the
+re-run at another worker count — produces output byte-identical to the
 serial census (``workers=0``, the driver's inline path).
 """
 
@@ -161,50 +161,25 @@ class TestPoolMatchesSerialUnderVpFaults:
         )
 
 
-class TestCheckpointResumeUnderPool:
-    def test_interrupt_and_resume_is_bit_for_bit(
-        self, internet, platform, serial_census, tmp_path
+class TestInterruptUnderPool:
+    @pytest.mark.parametrize("interrupted, rerun", [(2, 2), (2, 0), (0, 2)])
+    def test_interrupt_and_rerun_is_bit_for_bit(
+        self, internet, platform, serial_census, interrupted, rerun
     ):
-        journal_path = str(tmp_path / "census-001.journal")
-        interrupted = fresh_campaign(internet, platform, workers=2)
+        """A census interrupted under any worker count and re-run from
+        its start under any other produces the serial bytes."""
         with pytest.raises(CensusInterrupted) as exc:
-            interrupted.run_census(
-                availability=0.85, checkpoint=journal_path, abort_after_vps=3
+            fresh_campaign(internet, platform, workers=interrupted).run_census(
+                availability=0.85, abort_after_vps=3
             )
         assert exc.value.completed_vps == 3
-
-        resumer = fresh_campaign(internet, platform, workers=2)
-        resumed = resumer.run_census(availability=0.85, checkpoint=journal_path)
-        assert resumed.health.n_vps_resumed == 3
-        assert_same_census(resumed, serial_census)
-
-    @pytest.mark.parametrize("writer, resumer", [(2, 0), (0, 2)])
-    def test_pool_journal_resumable_by_serial_loop(
-        self, internet, platform, serial_census, tmp_path, writer, resumer
-    ):
-        """A checkpoint is a plain census journal: one written under any
-        worker count resumes under any other and produces the same bytes."""
-        journal_path = str(tmp_path / "census-001.journal")
-        with pytest.raises(CensusInterrupted):
-            fresh_campaign(
-                internet,
-                platform,
-                workers=writer,
-            ).run_census(
-                availability=0.85, checkpoint=journal_path, abort_after_vps=2
-            )
-        resumed = fresh_campaign(
-            internet,
-            platform,
-            workers=resumer,
-        ).run_census(availability=0.85, checkpoint=journal_path)
-        assert resumed.health.n_vps_resumed == 2
-        assert_same_census(resumed, serial_census)
+        rerunner = fresh_campaign(internet, platform, workers=rerun)
+        assert_same_census(rerunner.run_census(availability=0.85), serial_census)
 
 
 class TestSerialDrain:
-    """Satellite: SIGINT during the serial census drains cleanly —
-    journal stays valid and resume reproduces the uninterrupted bytes.
+    """SIGINT during the serial census drains cleanly — the census
+    raises, and a fresh campaign's re-run reproduces the serial bytes.
     The flag is driven synthetically (a countdown) so the test is
     deterministic; real signal wiring is covered in tests/exec."""
 
@@ -217,14 +192,14 @@ class TestSerialDrain:
             self.polls -= 1
             return self.polls < 0
 
-    def test_drain_leaves_resumable_checkpoint(
-        self, internet, platform, serial_census, tmp_path, monkeypatch
+    def test_drain_raises_and_rerun_equals_serial(
+        self, internet, platform, serial_census, monkeypatch
     ):
         import contextlib
 
         import repro.exec.signals as signals
 
-        # The countdown fires only for the first census; the resume run
+        # The countdown fires only for the first census; the re-run
         # (still under the monkeypatch) gets an inert flag.
         flags = [self.CountdownFlag(polls=4)]
 
@@ -233,17 +208,13 @@ class TestSerialDrain:
             yield flags.pop(0) if flags else signals.ShutdownFlag()
 
         monkeypatch.setattr(signals, "graceful_shutdown", fake_shutdown)
-        journal_path = str(tmp_path / "census-001.journal")
         campaign = fresh_campaign(internet, platform)
         with pytest.raises(CensusInterrupted) as exc:
-            campaign.run_census(availability=0.85, checkpoint=journal_path)
+            campaign.run_census(availability=0.85)
         assert exc.value.completed_vps == 4
 
-        resumed = fresh_campaign(internet, platform).run_census(
-            availability=0.85, checkpoint=journal_path
-        )
-        assert resumed.health.n_vps_resumed == 4
-        assert_same_census(resumed, serial_census)
+        rerun = fresh_campaign(internet, platform).run_census(availability=0.85)
+        assert_same_census(rerun, serial_census)
 
 
 class TestBackoffJitter:

@@ -92,15 +92,10 @@ class TestConfigPropagation:
         with pytest.raises(CensusAborted):
             _ = study.censuses
 
-    def test_checkpoint_dir_journals_each_census(self, tmp_path):
-        study = CensusStudy(
-            tiny_config(n_censuses=2, checkpoint_dir=str(tmp_path))
-        )
-        _ = study.censuses
-        assert sorted(p.name for p in tmp_path.glob("*.journal")) == [
-            "census-001.journal",
-            "census-002.journal",
-        ]
+    def test_checkpoint_dir_is_gone(self):
+        # An interrupted study re-runs from its start: nothing to point at.
+        with pytest.raises(TypeError):
+            tiny_config(checkpoint_dir="journals")
 
 
 class TestExecutionKnobs:
