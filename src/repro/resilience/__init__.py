@@ -58,6 +58,7 @@ from .vptrust import (
     TRUST_REASON_RTT_INFLATION,
     TRUST_REASON_SOL_VIOLATION,
     TRUST_REASON_STUCK_RTT,
+    PeelCarry,
     TrustPolicy,
     VpTrustReport,
     VpTrustVerdict,
@@ -98,6 +99,7 @@ __all__ = [
     "TRUST_REASON_RTT_INFLATION",
     "TRUST_REASON_SOL_VIOLATION",
     "TRUST_REASON_STUCK_RTT",
+    "PeelCarry",
     "TrustPolicy",
     "VpTrustReport",
     "VpTrustVerdict",

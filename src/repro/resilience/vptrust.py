@@ -72,7 +72,6 @@ keeping a real liar would fabricate anycast.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -80,6 +79,7 @@ import numpy as np
 
 from ..census.combine import RttMatrix
 from ..core.detection import witness_filter
+from ..geo.coords import GeoPoint
 from ..geo.disks import FIBER_SPEED_KM_PER_MS
 from ..obs import current_events, current_metrics, current_tracer
 
@@ -238,6 +238,9 @@ class VpTrustReport:
     #: dropped rather than excising what cannot be adjudicated; hard
     #: pass-1 evidence and the residual check still apply.
     sol_check_aborted: bool = False
+    #: What tomorrow's :func:`score_vps` carries over (its ``previous``);
+    #: not part of the verdicts, so neither compared nor serialized.
+    carry: Optional["PeelCarry"] = field(default=None, compare=False, repr=False)
 
     @property
     def untrusted(self) -> List[VpTrustVerdict]:
@@ -310,20 +313,28 @@ def _robust_z(
 
 
 def score_vps(
-    matrix: RttMatrix, policy: Optional[TrustPolicy] = None
+    matrix: RttMatrix,
+    policy: Optional[TrustPolicy] = None,
+    previous: Optional["PeelCarry"] = None,
 ) -> VpTrustReport:
     """Score every vantage point of a matrix against the roster.
 
     Pure and deterministic: the report depends only on the matrix
-    contents and the policy.  Metrics/events are emitted when an obs
-    context is active, and the enclosing span (the ``trust`` stage) is
-    annotated with ``rows_violating`` (target rows holding a
-    speed-of-light violation among the pass-2 cohort) and
-    ``peel_rounds`` (solo-violation rounds scanned).
+    contents and the policy.  ``previous`` is an earlier report's
+    ``carry``: the peel's first round takes from it every row whose RTT
+    bits it already scanned (:class:`PeelCarry`), which changes how much
+    is scanned and never the report.  Metrics/events are emitted when an
+    obs context is active, and the enclosing span (the ``trust`` stage)
+    is annotated with ``rows_violating`` (target rows holding a
+    speed-of-light violation among the pass-2 cohort), ``peel_rounds``
+    (solo-violation rounds scanned), and ``rows_carried`` /
+    ``rows_scanned`` (round-1 rows taken from ``previous`` / scanned).
     """
     policy = policy or TrustPolicy()
     n_vps = matrix.n_vps
-    rtt = matrix.rtt_ms.astype(np.float64)
+    # A copy of the RTT bits, which the carry keeps; widened to float64
+    # only where they are summed or subtracted.
+    rtt = np.array(matrix.rtt_ms, dtype="<f4", order="C")
     present = ~np.isnan(rtt)
     col_samples = present.sum(axis=0)
 
@@ -333,20 +344,16 @@ def score_vps(
     ]
     report = VpTrustReport(verdicts=verdicts)
     if n_vps < policy.min_roster:
-        current_tracer().annotate(rows_violating=0, peel_rounds=0)
+        current_tracer().annotate(
+            rows_violating=0, peel_rounds=0, rows_carried=0, rows_scanned=0
+        )
         _emit(report)
         return report
 
     # ---- Pass 1: hard physical evidence, no roster comparison needed.
     scorable = col_samples >= policy.min_samples
-    with np.errstate(invalid="ignore"):
-        has_negative = np.nansum(np.where(rtt < 0.0, 1, 0), axis=0) > 0
-
-    spread_ms = np.zeros(n_vps, dtype=np.float64)
-    for j in range(n_vps):
-        column = rtt[present[:, j], j]
-        if len(column) >= 2:
-            spread_ms[j] = float(np.median(np.abs(column - np.median(column))))
+    has_negative = (rtt < 0.0).any(axis=0)
+    spread_ms = _column_mads(rtt, col_samples)
     stuck = scorable & (spread_ms < policy.min_spread_ms)
 
     # Columns excluded from every pass-2 statistic: a negative-RTT clock
@@ -355,26 +362,23 @@ def score_vps(
     surviving = ~(has_negative | stuck)
 
     # ---- Pass 2: iterative solo-violation attribution.
-    peel = _solo_peel(matrix, rtt, present, surviving, scorable, col_samples, policy)
+    peel = _solo_peel(
+        matrix, rtt, present, surviving, scorable, col_samples, policy, previous
+    )
     sol_flag = peel.flags
     current_tracer().annotate(
-        rows_violating=peel.rows_violating, peel_rounds=peel.rounds
+        rows_violating=peel.rows_violating,
+        peel_rounds=peel.rounds,
+        rows_carried=peel.rows_carried,
+        rows_scanned=peel.rows_scanned,
     )
+    report.carry = peel.carry
 
     # Median residual over each target's best RTT among the columns that
     # survived both passes (liars neither set the reference nor sit in
     # the z-score cohort).
     cleaned = surviving & ~sol_flag
-    masked = np.where(present & cleaned[None, :], rtt, np.nan)
-    row_has_two = (present & cleaned[None, :]).sum(axis=1) >= 2
-    residual_ms = np.zeros(n_vps, dtype=np.float64)
-    if bool(row_has_two.any()):
-        rows = masked[row_has_two]
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            best = np.nanmin(rows, axis=1)
-            med = np.nanmedian(rows - best[:, None], axis=0)
-        residual_ms = np.where(np.isnan(med), 0.0, med)
+    residual_ms = _residuals(rtt, present, cleaned)
     # z-scores over the cleaned roster only.
     residual_zs = np.zeros(n_vps, dtype=np.float64)
     residual_median = 0.0
@@ -413,6 +417,112 @@ def score_vps(
     return report
 
 
+def _column_medians(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per column, ``np.median`` of its non-NaN cells, bit for bit.
+
+    ``counts`` holds each column's non-NaN cells.  One NaN-last sort,
+    then the cells at ``(n - 1) // 2`` and ``n // 2`` averaged in
+    float64, as ``np.median`` averages them; NaN for a column with none.
+    """
+    n_rows, n_cols = values.shape
+    if n_rows == 0:
+        return np.full(n_cols, np.nan)
+    ordered = np.sort(values, axis=0)
+    cols = np.arange(n_cols)
+    low = ordered[np.maximum(counts - 1, 0) // 2, cols].astype(np.float64)
+    high = ordered[np.minimum(counts // 2, n_rows - 1), cols].astype(np.float64)
+    return (low + high) / 2.0
+
+
+def _column_mads(rtt: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per column, the median absolute deviation (float64) of its
+    non-NaN cells from their median; 0 for a column of fewer than two."""
+    deviation = rtt - _column_medians(rtt, counts)
+    np.abs(deviation, out=deviation)
+    return np.where(counts >= 2, _column_medians(deviation, counts), 0.0)
+
+
+def _residuals(
+    rtt: np.ndarray, present: np.ndarray, cleaned: np.ndarray
+) -> np.ndarray:
+    """Per column, the median excess (float64) of its cells over their
+    row's best ``cleaned`` cell, over the rows holding two or more
+    ``cleaned`` cells; 0 for a column outside ``cleaned`` or with none."""
+    residuals = np.zeros(rtt.shape[1], dtype=np.float64)
+    row_has_two = (present & cleaned).sum(axis=1) >= 2
+    if bool(row_has_two.any()):
+        rows = rtt[row_has_two]
+        rows[:, ~cleaned] = np.nan
+        excess = rows - np.nanmin(rows, axis=1)[:, None].astype(np.float64)
+        median = _column_medians(excess, (~np.isnan(rows)).sum(axis=0))
+        residuals = np.where(np.isnan(median), 0.0, median)
+    return residuals
+
+
+class PeelCarry(NamedTuple):
+    """Round 1 of one matrix's peel, for the next :func:`score_vps`.
+
+    A row's round-1 outcome — its ``involved`` vector, the disks of the
+    row disjoint from each VP's — depends only on the row's RTT bits,
+    the roster's coordinates, the pass-2 cohort and the disk speed.  So a
+    later matrix with the same roster, cohort and speed takes the vector
+    of every row whose prefix and bits are unchanged, and scans the rest.
+    """
+
+    vp_names: Tuple[str, ...]
+    vp_locations: Tuple[GeoPoint, ...]
+    surviving: np.ndarray
+    speed_km_per_ms: float
+    #: The matrix's row prefixes and RTT bits (``uint32`` view of ``<f4``).
+    prefixes: np.ndarray
+    bits: np.ndarray
+    #: The rows holding a round-1 violation, and their ``involved`` rows.
+    violating: np.ndarray
+    involved: np.ndarray
+
+
+def _carried(
+    matrix: RttMatrix,
+    bits: np.ndarray,
+    surviving: np.ndarray,
+    speed_km_per_ms: float,
+    previous: Optional[PeelCarry],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The round-1 outcomes ``previous`` holds for this matrix.
+
+    Returns ``(carried, rows, involved)``: the mask of rows whose
+    outcome is ``previous``'s (same prefix, same bits), and of those the
+    violating rows with their ``involved`` vectors.  With no
+    ``previous``, or one over another roster, cohort or speed, nothing
+    is carried.
+    """
+    n_rows, n_vps = bits.shape
+    carried = np.zeros(n_rows, dtype=bool)
+    rows = np.zeros(0, dtype=np.int64)
+    if (
+        previous is None
+        or not len(previous.prefixes)
+        or previous.speed_km_per_ms != speed_km_per_ms
+        or previous.vp_names != tuple(matrix.vp_names)
+        or previous.vp_locations != tuple(matrix.vp_locations)
+        or not np.array_equal(previous.surviving, surviving)
+    ):
+        return carried, rows, np.zeros((0, n_vps), dtype=np.int64)
+    at = np.minimum(
+        np.searchsorted(previous.prefixes, matrix.prefixes), len(previous.prefixes) - 1
+    )
+    rows = np.flatnonzero(previous.prefixes[at] == matrix.prefixes)
+    at = at[rows]
+    same = (bits[rows] == previous.bits[at]).all(axis=1)
+    rows, at = rows[same], at[same]
+    carried[rows] = True
+    slot = np.full(len(previous.prefixes), -1, dtype=np.int64)
+    slot[previous.violating] = np.arange(len(previous.violating))
+    slot = slot[at]
+    hit = slot >= 0
+    return carried, rows[hit], previous.involved[slot[hit]]
+
+
 class _Peel(NamedTuple):
     """Outcome of pass 2's solo-violation peel."""
 
@@ -429,6 +539,11 @@ class _Peel(NamedTuple):
     #: Rounds scanned: one per solo conviction (dropped ones included),
     #: plus the last.
     rounds: int
+    #: First-round rows taken from ``previous`` / scanned.
+    rows_carried: int
+    rows_scanned: int
+    #: The first round, for the next matrix.
+    carry: Optional[PeelCarry]
 
 
 def _solo_peel(
@@ -439,6 +554,7 @@ def _solo_peel(
     scorable: np.ndarray,
     col_samples: np.ndarray,
     policy: TrustPolicy,
+    previous: Optional[PeelCarry],
 ) -> _Peel:
     """Pass 2: iterative solo-violation attribution.
 
@@ -455,11 +571,13 @@ def _solo_peel(
     the argmax) goes.
 
     Only rows that hold a violation contribute a count, and silencing a
-    column can only remove violations, so round 1 scans every row and
+    column can only remove violations, so round 1 covers every row and
     each later round rescans just the rows that still violated in the
-    round before.
+    round before.  Round 1 takes from ``previous`` what it holds
+    (:func:`_carried`) and scans the other rows; the counts are sums over
+    rows, so the order rows come in does not matter.
     """
-    n_targets, n_vps = rtt.shape
+    n_vps = rtt.shape[1]
     distances = matrix.vp_distance_matrix()
     speed = policy.speed_km_per_ms
     both = present & surviving
@@ -467,25 +585,39 @@ def _solo_peel(
     raw_pairs = (both.sum(axis=1) - 1) @ both
     sol_flag = np.zeros(n_vps, dtype=bool)
     solo_rates = np.zeros(n_vps, dtype=np.float64)
-    violation_rate = np.zeros(n_vps, dtype=np.float64)
     max_solo = int(policy.max_excised_fraction * int(surviving.sum()))
     aborted = False
-    rows = np.arange(n_targets)
+
+    bits = rtt.view("<u4")
+    carried, rows, involved = _carried(matrix, bits, surviving, speed, previous)
+    scanned = np.flatnonzero(~carried)
+    more, more_involved = _peel_round(distances, rtt, surviving, scanned, speed)
+    rows = np.concatenate([rows, more])
+    involved = np.concatenate([involved, more_involved])
+    carry = PeelCarry(
+        tuple(matrix.vp_names),
+        tuple(matrix.vp_locations),
+        surviving,
+        speed,
+        np.array(matrix.prefixes),
+        bits,
+        rows,
+        involved,
+    )
+    violation_rate = involved.sum(axis=0) / np.maximum(raw_pairs, 1)
+    rows_violating = len(rows)
     # VPs that are never solo candidates (:func:`_located`), judged over
     # the whole pass-2 cohort the first time anyone clears the threshold.
     located: Optional[np.ndarray] = None
-    rows_violating = 0
     rounds = 0
     while True:
         active = surviving & ~sol_flag
-        solo_counts, raw_counts, rows = _peel_round(
-            distances, rtt, present, active, rows, speed
-        )
+        if rounds:
+            rows, involved = _peel_round(distances, rtt, active, rows, speed)
+        total = involved.sum(axis=1)  # 2 x violating pairs
+        solo_counts = ((involved > 0) & (2 * involved == total[:, None])).sum(axis=0)
         rates = solo_counts / np.maximum(col_samples, 1)
         solo_rates = np.where(active, rates, solo_rates)
-        if rounds == 0:
-            violation_rate = raw_counts / np.maximum(raw_pairs, 1)
-            rows_violating = len(rows)
         rounds += 1
         # A candidate must clear the absolute floor AND be a robust
         # outlier against the surviving roster's own solo background —
@@ -503,7 +635,7 @@ def _solo_peel(
             threshold = np.inf  # too few scorable columns to out-vote
         candidates = scorable & active & (rates > threshold)
         if located is None and bool(candidates.any()):
-            located = _located(distances, rtt, present, surviving, speed)
+            located = _located(distances, rtt, surviving, speed)
         if located is not None:
             candidates &= ~located
         if not bool(candidates.any()):
@@ -522,13 +654,31 @@ def _solo_peel(
             break
         worst = int(np.argmax(np.where(candidates, rates, -1.0)))
         sol_flag[worst] = True
-    return _Peel(sol_flag, solo_rates, violation_rate, aborted, rows_violating, rounds)
+    return _Peel(
+        sol_flag,
+        solo_rates,
+        violation_rate,
+        aborted,
+        rows_violating,
+        rounds,
+        int(carried.sum()),
+        len(scanned),
+        carry,
+    )
+
+
+def _radii(
+    rtt: np.ndarray, rows, active: np.ndarray, speed_km_per_ms: float
+) -> np.ndarray:
+    """Float64 disk radii of ``rows``: +inf where a cell is missing or its
+    column silenced (such a disk never forms a disjoint pair)."""
+    block = rtt[rows].astype(np.float64)
+    return np.where(~np.isnan(block) & active, block / 2.0 * speed_km_per_ms, np.inf)
 
 
 def _located(
     distances: np.ndarray,
     rtt: np.ndarray,
-    present: np.ndarray,
     active: np.ndarray,
     speed_km_per_ms: float,
 ) -> np.ndarray:
@@ -548,10 +698,7 @@ def _located(
     own_violating = np.zeros(n_vps, dtype=np.int64)
     step = max(1, _BLOCK_CELLS // max(n_vps, 1))
     for start in range(0, n_targets, step):
-        block = slice(start, start + step)
-        radii = np.where(
-            present[block] & active, rtt[block] / 2.0 * speed_km_per_ms, np.inf
-        )
+        radii = _radii(rtt, slice(start, start + step), active, speed_km_per_ms)
         witnessed, _ = witness_filter(distances, radii)
         nearest = radii.argmin(axis=1)
         measured = np.isfinite(radii[np.arange(len(radii)), nearest])
@@ -563,37 +710,32 @@ def _located(
 def _peel_round(
     distances: np.ndarray,
     rtt: np.ndarray,
-    present: np.ndarray,
     active: np.ndarray,
     rows: np.ndarray,
     speed_km_per_ms: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """One peel round over ``rows`` with the inactive columns silenced.
 
-    Returns per-VP ``(solo_counts, raw_counts, violating_rows)``: the
-    rows whose every violating pair involves the VP, the violating
-    pairs the VP is part of, and the subset of ``rows`` that holds any
-    violation.  Rows go in blocks of :data:`_BLOCK_CELLS` cells.
+    Returns ``(violating, involved)``: the subset of ``rows`` that holds
+    any violation and, per such row and VP, the row's disks disjoint
+    from the VP's (:func:`_violating_partners`).  Rows go in blocks of
+    :data:`_BLOCK_CELLS` cells.
     """
     n_vps = len(active)
-    solo_counts = np.zeros(n_vps, dtype=np.int64)
-    raw_counts = np.zeros(n_vps, dtype=np.int64)
     violating = [rows[:0]]
+    involved = [np.zeros((0, n_vps), dtype=np.int64)]
     step = max(1, _BLOCK_CELLS // max(n_vps, 1))
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
-        radii = np.where(
-            present[block] & active, rtt[block] / 2.0 * speed_km_per_ms, np.inf
-        )
+        radii = _radii(rtt, block, active, speed_km_per_ms)
         _, outside = witness_filter(distances, radii)
         held = outside.any(axis=1)  # the rest are certified: no violation
         block, radii, outside = block[held], radii[held], outside[held]
-        involved = _violating_partners(distances, radii, outside, step)
-        total = involved.sum(axis=1)  # 2 x violating pairs
-        solo_counts += ((involved > 0) & (2 * involved == total[:, None])).sum(axis=0)
-        raw_counts += involved.sum(axis=0)
-        violating.append(block[total > 0])
-    return solo_counts, raw_counts, np.concatenate(violating)
+        partners = _violating_partners(distances, radii, outside, step)
+        hit = partners.any(axis=1)
+        violating.append(block[hit])
+        involved.append(partners[hit])
+    return np.concatenate(violating), np.concatenate(involved)
 
 
 def _violating_partners(
@@ -673,17 +815,20 @@ def apply_trust(
 
 
 def trust_gate(
-    matrix: RttMatrix, health_reports: Iterable["CampaignHealthReport"] = ()
+    matrix: RttMatrix,
+    health_reports: Iterable["CampaignHealthReport"] = (),
+    previous: Optional[PeelCarry] = None,
 ) -> Tuple[RttMatrix, np.ndarray, VpTrustReport]:
-    """The trust stage: score the roster, excise the convicted, tell the
-    censuses' health reports who went and why.
+    """The trust stage: score the roster (carrying ``previous``, see
+    :func:`score_vps`), excise the convicted, tell the censuses' health
+    reports who went and why.
 
     Returns ``(matrix, excised_per_target, report)``.  On a clean roster
     nothing is convicted, the very same matrix object comes back with an
     all-zero excision count and no health report is touched — the
     neutrality invariant of the trust layer.
     """
-    report = score_vps(matrix)
+    report = score_vps(matrix, previous=previous)
     matrix, excised = apply_trust(matrix, report)
     if report.untrusted_names:
         reasons = report.reasons_by_vp()

@@ -81,6 +81,7 @@ from ..obs.timeline import (
 from ..resilience import (
     CONFIDENCE_DEGRADED,
     CONFIDENCE_INSUFFICIENT,
+    PeelCarry,
     ResiliencePolicy,
     StageFailed,
     StageSupervisor,
@@ -295,6 +296,8 @@ class _Carry:
     campaign: Optional[CensusCampaign] = None
     #: Its signed matrix (``signatures``; ``sign_rows(previous=)``).
     signed: Optional[RowSignatures] = None
+    #: Its trust peel's first round (``trust``; ``score_vps(previous=)``).
+    trust: Optional[PeelCarry] = None
     #: Geolocation's disk tables by exponent, with the roster digest they
     #: hold for: they depend on VP locations and the gazetteer only
     #: (``analysis``).
@@ -639,9 +642,13 @@ class CensusService:
         """Trust gate: score the roster, excise what cannot be physically
         consistent with it.  On a clean roster the matrix object comes back
         unchanged with an all-zero excision count, so signatures — and the
-        whole committed archive — are byte-identical to a trust-off run."""
-        matrix, excised, report = trust_gate(day.matrix, [day.census.health])
-        return dict(matrix=matrix, excised=excised, trust_report=report), {}, {}
+        whole committed archive — are byte-identical to a trust-off run.
+        The peel's first round is carried for the rows that did not move."""
+        matrix, excised, report = trust_gate(
+            day.matrix, [day.census.health], previous=yesterday.trust
+        )
+        output = dict(matrix=matrix, excised=excised, trust_report=report)
+        return output, dict(trust=report.carry), {}
 
     def _sign(self, day: _Day, yesterday: _Carry):
         """Row signatures, re-hashing only rows that moved since the

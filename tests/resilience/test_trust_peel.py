@@ -6,7 +6,9 @@ certificate filter cannot certify, pair-tests only each row's outside
 disks, and after round 1 rescans only the rows that still violated.
 The dense (rows, V, V) peel it replaced lives on here as the oracle: the
 whole report — every verdict field and ``sol_check_aborted`` — must be
-equal, not close.
+equal, not close.  Round 1 carried from an earlier matrix
+(``score_vps(previous=)``) must give the cold report, on random row
+mutations, additions and removals, pass-1 flags and a moved VP.
 """
 
 from __future__ import annotations
@@ -37,17 +39,21 @@ from repro.resilience.vptrust import (
     apply_trust,
     score_vps,
 )
+from repro.service.archive import canonical_json_bytes
 
 
-def dense_solo_peel(matrix, rtt, present, surviving, scorable, col_samples, policy, chunk=256):
+def dense_solo_peel(
+    matrix, rtt, present, surviving, scorable, col_samples, policy, previous=None, chunk=256
+):
     """The all-pairs peel the filtered one replaced, kept as its oracle.
 
     Every round tests every ordered pair of every row with a
     (chunk, V, V) temporary, inactive columns silenced at radius +inf.
+    It carries nothing: round 1 scans every row.
     """
     n_targets, n_vps = rtt.shape
     distances = matrix.vp_distance_matrix()
-    radii = rtt / 2.0 * policy.speed_km_per_ms
+    radii = rtt.astype(np.float64) / 2.0 * policy.speed_km_per_ms
     sol_flag = np.zeros(n_vps, dtype=bool)
     solo_rates = np.zeros(n_vps, dtype=np.float64)
     violation_rate = np.zeros(n_vps, dtype=np.float64)
@@ -107,7 +113,8 @@ def dense_solo_peel(matrix, rtt, present, surviving, scorable, col_samples, poli
         worst = int(np.argmax(np.where(candidates, rates, -1.0)))
         sol_flag[worst] = True
     return vptrust._Peel(
-        sol_flag, solo_rates, violation_rate, sol_aborted, rows_violating, rounds
+        sol_flag, solo_rates, violation_rate, sol_aborted, rows_violating, rounds,
+        rows_carried=0, rows_scanned=n_targets, carry=None,
     )
 
 
@@ -117,11 +124,11 @@ def oracle_score_vps(matrix, policy=None):
         return score_vps(matrix, policy)
 
 
-def traced_score(matrix, policy=None):
+def traced_score(matrix, policy=None, previous=None):
     """``(report, span attrs)`` of one :func:`score_vps` under a span."""
     tracer = Tracer()
     with use_tracer(tracer), tracer.span("trust"):
-        report = score_vps(matrix, policy)
+        report = score_vps(matrix, policy, previous)
     return report, tracer.to_dicts()[0]["attrs"]
 
 
@@ -304,7 +311,9 @@ class TestPeelEqualsDenseOracle:
         assert reasons["vp-015"] == [TRUST_REASON_NEGATIVE_RTT]
         assert reasons["vp-014"] == [TRUST_REASON_STUCK_RTT]
         small, attrs = traced_score(synthetic_matrix(Synthetic(seed=8, n_vps=3, n_rows=40, liars=1)))
-        assert small.untrusted_names == [] and attrs == {"rows_violating": 0, "peel_rounds": 0}
+        assert small.untrusted_names == [] and attrs == {
+            "rows_violating": 0, "peel_rounds": 0, "rows_carried": 0, "rows_scanned": 0
+        }
 
     def test_block_size_does_not_change_the_report(self, monkeypatch):
         """Blocks of one (row, disk) cell give the one-block report."""
@@ -320,9 +329,9 @@ class TestPeelEqualsDenseOracle:
         scanned = []
         peel_round = vptrust._peel_round
 
-        def spy(distances, rtt, present, active, rows, speed):
+        def spy(distances, rtt, active, rows, speed):
             scanned.append(rows)
-            return peel_round(distances, rtt, present, active, rows, speed)
+            return peel_round(distances, rtt, active, rows, speed)
 
         monkeypatch.setattr(vptrust, "_peel_round", spy)
         matrix = distorted_matrix(0.2, 31337, ("geo_error",))
@@ -332,6 +341,125 @@ class TestPeelEqualsDenseOracle:
         assert len(scanned[1]) == attrs["rows_violating"] < matrix.n_targets
         for earlier, later in zip(scanned[1:], scanned[2:]):
             assert set(later.tolist()) <= set(earlier.tolist())
+
+
+class Change(NamedTuple):
+    """One day's change to a matrix: rows mutated, removed and added
+    (copies of kept rows under new prefixes, some with a cell moved);
+    optionally a clock skewed negative, so pass 1 flags another column,
+    or a VP moved, so the roster differs."""
+
+    seed: int
+    mutate: float = 0.0
+    remove: float = 0.0
+    add: int = 0
+    skew: bool = False
+    move_vp: bool = False
+
+
+def changed(matrix: RttMatrix, change: Change) -> RttMatrix:
+    rng = np.random.default_rng(change.seed)
+    rtt = matrix.rtt_ms.copy()
+    n_rows, n_vps = rtt.shape
+    if not n_vps:
+        return matrix
+    for row in np.flatnonzero(rng.random(n_rows) < change.mutate):
+        cell = int(rng.integers(n_vps))
+        rtt[row, cell] = np.nan if rng.random() < 0.3 else rtt[row, cell] * rng.uniform(0.3, 3.0)
+    keep = np.flatnonzero(rng.random(n_rows) >= change.remove)
+    prefixes, rtt = matrix.prefixes[keep], rtt[keep]
+    if change.add and len(keep):
+        source = rng.integers(len(keep), size=change.add)
+        extra = rtt[source].copy()
+        moved = rng.random(change.add) < 0.5
+        extra[moved, rng.integers(n_vps, size=int(moved.sum()))] *= np.float32(1.25)
+        new_prefixes = prefixes[source] + np.arange(1, change.add + 1, dtype=np.uint32)
+        prefixes = np.concatenate([prefixes, new_prefixes])
+        rtt = np.concatenate([rtt, extra])
+        order = np.argsort(prefixes, kind="stable")
+        prefixes, rtt = prefixes[order], rtt[order]
+    if change.skew:
+        rtt[:, 0] -= np.float32(300.0)
+    locations = list(matrix.vp_locations)
+    if change.move_vp:
+        where = locations[-1]
+        locations[-1] = GeoPoint(where.lat, (where.lon + 40.0 + 180.0) % 360.0 - 180.0)
+    return RttMatrix(
+        prefixes=prefixes,
+        vp_names=list(matrix.vp_names),
+        vp_locations=locations,
+        rtt_ms=rtt,
+        sample_count=np.ones(rtt.shape, dtype=np.uint8),
+    )
+
+
+def unchanged_rows(yesterday: RttMatrix, today: RttMatrix) -> int:
+    """Today's rows whose prefix yesterday held with the same RTT bits."""
+    held = {
+        int(p): row.tobytes() for p, row in zip(yesterday.prefixes, yesterday.rtt_ms)
+    }
+    return sum(
+        held.get(int(p)) == row.tobytes() for p, row in zip(today.prefixes, today.rtt_ms)
+    )
+
+
+changes = st.builds(
+    Change,
+    seed=st.integers(0, 2**32 - 1),
+    mutate=st.sampled_from([0.0, 0.05, 0.3]),
+    remove=st.sampled_from([0.0, 0.05, 0.3]),
+    add=st.integers(0, 6),
+    skew=st.booleans(),
+    move_vp=st.booleans(),
+)
+
+
+class TestCarriedEqualsCold:
+    @given(spec=synthetic_specs, days=st.lists(changes, min_size=1, max_size=2))
+    @example(
+        spec=Synthetic(seed=3, n_vps=16, n_rows=90, liars=2, negative=True, stuck=True),
+        days=[Change(seed=1, mutate=0.1, remove=0.1, add=4), Change(seed=2, mutate=0.05)],
+    )
+    @example(spec=("distorted", 0.2, 31337, ("geo_error",)), days=[Change(seed=5, mutate=0.02, add=3)])
+    @example(spec=("distorted", 0.125, 16528), days=[Change(seed=6, skew=True)])
+    @example(spec=("excision-cap",), days=[Change(seed=7, remove=0.05, move_vp=True)])
+    @settings(max_examples=60, deadline=None)
+    def test_carried_report_equals_cold(self, spec, days):
+        """Each day scored with the day before's carry equals the day
+        scored cold: every verdict, the canonical ``to_doc`` bytes, and
+        the peel's row and round counts.  Round 1 carries exactly the
+        unchanged rows when the roster and pass 1's cohort held, and
+        nothing otherwise."""
+        yesterday = build(spec)
+        carry = score_vps(yesterday).carry
+        for change in days:
+            today = changed(yesterday, change)
+            report, attrs = traced_score(today, previous=carry)
+            cold, cold_attrs = traced_score(today)
+            assert report == cold
+            assert report.sol_check_aborted == cold.sol_check_aborted
+            assert canonical_json_bytes(report.to_doc()) == canonical_json_bytes(cold.to_doc())
+            for key in ("rows_violating", "peel_rounds"):
+                assert attrs[key] == cold_attrs[key], key
+            if today.n_vps >= 4:
+                assert attrs["rows_carried"] + attrs["rows_scanned"] == today.n_targets
+            same_cohort = (
+                carry is not None
+                and report.carry is not None
+                and not change.move_vp
+                and np.array_equal(carry.surviving, report.carry.surviving)
+            )
+            expected = unchanged_rows(yesterday, today) if same_cohort else 0
+            assert attrs["rows_carried"] == expected
+            yesterday, carry = today, report.carry
+
+    def test_an_unchanged_matrix_scans_nothing(self):
+        matrix = distorted_matrix(0.2, 31337, ("geo_error",))
+        first = score_vps(matrix)
+        again, attrs = traced_score(matrix, previous=first.carry)
+        assert again == first
+        assert attrs["rows_carried"] == matrix.n_targets and attrs["rows_scanned"] == 0
+        assert attrs["peel_rounds"] >= 3  # later rounds run as before
 
 
 class TestApplyTrust:

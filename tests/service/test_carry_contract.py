@@ -9,7 +9,8 @@ Two properties:
   carries nothing (a fresh process over a copy of the archive as it was
   before the day), on every day of a keyed timeline with roster churn,
   trust, alarms and route events, including a day interrupted and re-run
-  in the same process;
+  in the same process, and on a timeline whose distorted VPs the trust
+  peel convicts on days it carries rows;
 * **the alarm replay is read-only**: rebuilding the baseline's routing
   story for the alarm pass must not move the carried world, so the
   ``world`` span of a timeline with alarms equals the one without.
@@ -26,6 +27,7 @@ import pytest
 from repro.census.combine import RttMatrix
 from repro.internet.topology import SyntheticInternet
 from repro.measurement.campaign import Census, CensusCampaign, CensusInterrupted
+from repro.measurement.faults import VpDistortionPlan
 from repro.obs import Tracer, activate
 from repro.service import CensusService
 from repro.service.archive import Baseline, canonical_json_bytes
@@ -36,6 +38,9 @@ from .test_carried_world import ARRAYS, assert_same_world
 from .test_routing_service import MOAS_PLAN
 
 DAYS = 5
+
+#: The distorted timeline's liars: keyed per VP name, convicted every day.
+DISTORTION = VpDistortionPlan(fraction=0.25, seed=99)
 
 #: The day interrupted mid-census, then re-run by the same process.
 INTERRUPTED = 2
@@ -97,8 +102,12 @@ def recording(service, log):
     return service
 
 
-@pytest.mark.parametrize("routing", ["geo", "bgp"])
-def test_every_stage_carried_equals_cold(tmp_path, routing):
+@pytest.mark.parametrize(
+    "routing, distortion",
+    [("geo", None), ("bgp", None), ("geo", DISTORTION)],
+    ids=["geo", "bgp", "geo-distorted"],
+)
+def test_every_stage_carried_equals_cold(tmp_path, routing, distortion):
     knobs = dict(
         routing=routing,
         roster_churn_prob=0.05,
@@ -106,11 +115,14 @@ def test_every_stage_carried_equals_cold(tmp_path, routing):
         trust=True,
         alarms=True,
         route_events=MOAS_PLAN if routing == "bgp" else None,
+        vp_distortion=distortion,
     )
     root = tmp_path / "carried"
     carried_log, cold_log = [], []
     service = recording(small_service(root, **knobs), carried_log)
     stages_seen = set()
+    #: Per committed day: (trust rows carried, VPs convicted).
+    convictions = []
     for epoch in range(DAYS):
         if epoch == INTERRUPTED:
             with pytest.raises(CensusInterrupted):
@@ -124,8 +136,12 @@ def test_every_stage_carried_equals_cold(tmp_path, routing):
         cold = recording(small_service(shadow, **knobs), cold_log)
         carried_log.clear()
         cold_log.clear()
-        service.run_epoch(epoch)
+        tracer = Tracer()
+        with activate(tracer=tracer):
+            outcome = service.run_epoch(epoch)
         cold.run_epoch(epoch)
+        (trust,) = [s for s in tracer.to_dicts()[0]["children"] if s["name"] == "trust"]
+        convictions.append((trust["attrs"]["rows_carried"], outcome.untrusted_vps))
         assert [name for name, _ in carried_log] == [name for name, _ in cold_log]
         for (name, got), (_, want) in zip(carried_log, cold_log):
             assert got == want, (epoch, name)
@@ -137,6 +153,8 @@ def test_every_stage_carried_equals_cold(tmp_path, routing):
         "analysis", "churn", "alarms", "commit",
     }
     assert expected | ({"routing"} if routing == "bgp" else set()) == stages_seen
+    if distortion is not None:  # the peel convicts on a day it carried rows
+        assert any(carried and convicted for carried, convicted in convictions)
 
 
 def world_attrs(service, epoch):

@@ -159,6 +159,39 @@ class TestTrustSpan:
         assert attrs["peel_rounds"] == len(solo) + 1
 
 
+    def test_round_one_is_carried_only_over_an_unchanged_roster(self, tmp_path):
+        """Each day's ``trust`` span splits the peel's first round into
+        rows carried from the last committed day and rows scanned.  Day 0
+        and every roster-churn day carry nothing; a day on yesterday's
+        roster carries rows."""
+        service = small_service(
+            tmp_path, trust=True, roster_churn_prob=0.05, roster_seed=11
+        )
+        churned = []
+        previous = None
+        for epoch in range(5):
+            tracer = Tracer()
+            with activate(tracer=tracer):
+                outcome = service.run_epoch(epoch)
+            (span,) = [
+                c for c in tracer.to_dicts()[0]["children"] if c["name"] == "trust"
+            ]
+            attrs = span["attrs"]
+            assert attrs["rows_carried"] + attrs["rows_scanned"] == outcome.n_targets
+            roster = [
+                (vp.name, vp.location)
+                for vp in service.platform_for(epoch).vantage_points
+            ]
+            if roster != previous:
+                assert attrs["rows_carried"] == 0, epoch
+            else:
+                assert attrs["rows_carried"] > 0, epoch
+            churned.append(roster != previous)
+            previous = roster
+        # The timeline holds both kinds of day after day 0.
+        assert True in churned[1:] and False in churned[1:]
+
+
 class TestUnfilteredDistortion:
     def test_trust_off_distortion_is_a_typed_refusal(self, tmp_path):
         """Clock-skewed VPs with nothing filtering them put negative RTTs
